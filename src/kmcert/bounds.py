@@ -44,6 +44,8 @@ class BoundConstants:
         vals = (self.d0, self.nu1, self.nu2, self.C1, self.C2)
         if any(not np.isfinite(v) or v < 0 for v in vals):
             raise ParameterError("constants must be finite and non-negative")
+        if not (np.isfinite(self.tau_min) and np.isfinite(self.tau_max)):
+            raise ParameterError("tau_min and tau_max must be finite")
         if self.tau_min > self.tau_max + 1e-15:
             raise ParameterError("tau_min must not exceed tau_max")
 

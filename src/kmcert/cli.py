@@ -32,7 +32,13 @@ from .bounds import (
     pointwise_bound,
     verify_trace,
 )
-from .errors import KmcertError, NumericalError, ParameterError, UnavailableError
+from .errors import (
+    KmcertError,
+    NumericalError,
+    ParameterError,
+    StructuralError,
+    UnavailableError,
+)
 from .km import ErrorSchedule, StopRule, run_km_nonstationary
 from .problems import (
     ProblemInstance,
@@ -55,6 +61,8 @@ CSV_COLUMNS = [
     "disp_norm", "dist_fix", "pw_bound", "erg_bound", "local_model",
     "cert_value", "cert_bound",
 ]
+# written at every step; the other columns are written for all rows or none
+REQUIRED_COLUMNS = ("lambda", "err_norm", "res_norm", "erg_res_norm", "disp_norm")
 
 CERT_SLACK = 1e-10
 MEMBERSHIP_TOL = 1e-8
@@ -230,7 +238,9 @@ def emit_trace_csv(path: str, cfg: dict, trace, columns: dict) -> None:
 
 def parse_trace_csv(path: str):
     """Return (config echo dict, column dict of float arrays with NaN for
-    blanks)."""
+    blanks).  Every cell must be blank or finite; the required columns may
+    not be blank, and any other column is either blank in every row or in
+    none."""
     cfg = {}
     rows = []
     header = None
@@ -262,9 +272,16 @@ def parse_trace_csv(path: str):
         vals = [r[j] for r in rows]
         if name == "k":
             cols[name] = np.array([int(v) for v in vals])
-        else:
-            cols[name] = np.array(
-                [float(v) if v != "" else np.nan for v in vals])
+            continue
+        col = np.array([float(v) if v != "" else np.nan for v in vals])
+        bad = np.flatnonzero(~np.isfinite(col))
+        blank_ok = name not in REQUIRED_COLUMNS and bad.size == col.size
+        if bad.size and not blank_ok:
+            i = int(bad[0])
+            raise ParameterError(
+                f"data row {i} (k={rows[i][0]}): column {name!r} holds "
+                f"{vals[i]!r}, expected a finite number")
+        cols[name] = col
     return cfg, cols
 
 
@@ -452,7 +469,7 @@ def cmd_run(args) -> int:
         return 2
     try:
         trace, report, columns = execute_run(cfg)
-    except (ParameterError,) as exc:
+    except (ParameterError, StructuralError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, UnavailableError) as exc:
@@ -475,6 +492,12 @@ def cmd_run(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+def _report_number(val, name: str) -> float:
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+        raise ParameterError(f"report {name} {val!r} is not a finite number")
+    return float(val)
+
+
 def verify_files(trace_path: str, report_path: str, slack: float = CERT_SLACK):
     """Re-check the bound columns of an emitted trace against constants from
     its report; returns a list of (k, kind, margin)."""
@@ -486,8 +509,8 @@ def verify_files(trace_path: str, report_path: str, slack: float = CERT_SLACK):
         raise ParameterError("report carries no constants to verify against")
     from .bounds import BoundConstants  # local import to avoid cycle at module load
 
-    bc = BoundConstants(consts["d0"], consts["tau_min"], consts["tau_max"],
-                        consts["nu1"], consts["nu2"], consts["C1"], consts["C2"],
+    names = ("d0", "tau_min", "tau_max", "nu1", "nu2", "C1", "C2")
+    bc = BoundConstants(*(_report_number(consts[n], n) for n in names),
                         consts.get("source", "empirical"))
     out = []
     K = cols["k"].size
@@ -506,8 +529,8 @@ def verify_files(trace_path: str, report_path: str, slack: float = CERT_SLACK):
             if cols["cert_value"][k] > cols["cert_bound"][k] + slack:
                 out.append((k, "certificate",
                             float(cols["cert_value"][k] - cols["cert_bound"][k])))
-    kappa = report.get("kappa")
-    alpha = report.get("alpha")
+    kappa, alpha = (None if report.get(n) is None else _report_number(report[n], n)
+                    for n in ("kappa", "alpha"))
     exact = bool(np.nanmax(cols["err_norm"]) == 0.0)
     if kappa is not None and exact and not np.isnan(cols["dist_fix"]).all():
         for k in range(K - 1):

@@ -29,6 +29,15 @@ from .operators import OperatorSpec
 from .spaces import ProductPoint, ProductSpace
 
 _IDENTITY_TOL = 1e-12
+# custom schedule values may leave their declared interval by this much, the
+# rounding of an in-range expression; it matches the 1e-12 the admissibility
+# check grants the relaxation supremum
+_RANGE_TOL = 1e-12
+
+
+def _in_range(value: float, lo: float, hi: float) -> bool:
+    slack = _RANGE_TOL * max(1.0, abs(lo), abs(hi))
+    return lo - slack <= value <= hi + slack
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +75,13 @@ class RelaxationSchedule:
     def value(self, k: int) -> float:
         if self.kind == "constant":
             return self._value
-        return float(self._fn(k))
+        lam = float(self._fn(k))
+        if not _in_range(lam, self.lam_min, self.lam_max):
+            raise ParameterError(
+                f"relaxation {lam} at step {k} outside the declared "
+                f"[{self.lam_min}, {self.lam_max}]"
+            )
+        return lam
 
     def tau_bounds(self, c: float = 1.0):
         lo, hi = self.lam_min, self.lam_max
@@ -149,7 +164,12 @@ class ErrorSchedule:
 @dataclass(frozen=True)
 class GammaSchedule:
     """Per-step operator parameter with a declared limit and symbolic
-    summability classification of ``|gamma_k - gamma|``."""
+    summability classification of ``|gamma_k - gamma|``.
+
+    Built-in schedules move monotonically from ``start`` to ``limit``; a
+    custom schedule declares its range ``[start, hi]`` and every value is
+    checked against it.
+    """
 
     kind: str
     limit: float
@@ -158,6 +178,7 @@ class GammaSchedule:
     abs_summable: Optional[bool] = None   # sum |gamma_k - gamma| finite
     k_summable: Optional[bool] = None     # sum (k+1) |gamma_k - gamma| finite
     _fn: Optional[Callable[[int], float]] = None
+    hi: Optional[float] = None                # upper end of a custom range
 
     @staticmethod
     def constant(gamma: float) -> "GammaSchedule":
@@ -183,7 +204,17 @@ class GammaSchedule:
 
     @staticmethod
     def from_function(fn, limit: float, lo: float, hi: float) -> "GammaSchedule":
-        return GammaSchedule("custom", float(limit), float(lo), _fn=fn)
+        limit, lo, hi = float(limit), float(lo), float(hi)
+        if not (lo <= limit <= hi):
+            raise ParameterError(f"need lo <= limit <= hi, got [{lo}, {hi}] and {limit}")
+        return GammaSchedule("custom", limit, lo, _fn=fn, hi=hi)
+
+    @property
+    def interval(self):
+        """Declared range ``(lo, hi)`` of the values."""
+        if self.kind == "custom":
+            return self.start, self.hi
+        return min(self.start, self.limit), max(self.start, self.limit)
 
     def value(self, k: int) -> float:
         gap = self.start - self.limit
@@ -196,7 +227,12 @@ class GammaSchedule:
             return self.limit + gap / max(k, 1) ** 2
         if self.kind == "harmonic":
             return self.limit + gap / max(k, 1)
-        return float(self._fn(k))
+        g = float(self._fn(k))
+        if not _in_range(g, self.start, self.hi):
+            raise ParameterError(
+                f"parameter {g} at step {k} outside the declared [{self.start}, {self.hi}]"
+            )
+        return g
 
     @property
     def summability_note(self) -> str:
@@ -351,6 +387,10 @@ def _iterate(operator: OperatorSpec, evalstep, z0: ProductPoint,
     space = operator.space
     if not space.compatible(z0):
         raise StructuralError("starting point does not live in the operator's space")
+    if z0.weights is not space.weights:
+        # share the space's weight array so every compatibility check below
+        # is an identity test
+        z0 = space._wrap(z0.blocks)
     _validate_admissible(relaxation, operator.alpha)
 
     rng = np.random.default_rng(seed)
@@ -377,12 +417,14 @@ def _iterate(operator: OperatorSpec, evalstep, z0: ProductPoint,
         e = z - exact
         res = space.norm(e)
         z_next = z + (tilde - z) * lam
+        step = z - z_next
 
-        # cross-check the residual against its update-rule form
-        back = (z - z_next) * (1.0 / lam)
+        # cross-check the residual against its update-rule form; the test is
+        # drift > tol * max(1, ||z||), with ||z|| only evaluated when needed
+        back = step * (1.0 / lam)
         e_rec = back + eps_vec if eps_vec is not None else back
         drift = space.norm(e - e_rec)
-        if drift > _IDENTITY_TOL * max(1.0, space.norm(z)):
+        if drift > _IDENTITY_TOL and drift > _IDENTITY_TOL * space.norm(z):
             raise NumericalError(
                 f"residual identity violated at step {k}: drift {drift:.3e}"
             )
@@ -395,7 +437,7 @@ def _iterate(operator: OperatorSpec, evalstep, z0: ProductPoint,
         epsn_l.append(eps_norm)
         res_l.append(res)
         erg_l.append(space.norm(S) / lam_total)
-        disp_l.append(space.norm(z - z_next))
+        disp_l.append(space.norm(step))
         cum_l.append(lam_total)
         if nonstationary:
             gamma_l.append(extras["gamma"])
@@ -497,9 +539,10 @@ def run_km_nonstationary(
     at = family.at if hasattr(family, "at") else family
     limit_op = limit_operator if limit_operator is not None else at(gamma_schedule.limit)
     space = limit_op.space
-    # built-in schedules are monotone between start and limit, so probing the
+    # every value lies in the declared interval (built-in schedules by
+    # construction, custom ones are checked at each step), so probing its
     # endpoints covers the whole per-step averagedness range
-    for g_probe in {gamma_schedule.start, gamma_schedule.limit}:
+    for g_probe in sorted(set(gamma_schedule.interval)):
         _validate_admissible(relaxation, at(g_probe).alpha)
 
     def evalstep(k, z, rng):

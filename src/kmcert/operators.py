@@ -62,10 +62,24 @@ def zero_operator(space: ProductSpace, alpha=None) -> OperatorSpec:
 
 
 def vector_operator(space: ProductSpace, fn, alpha, label: str) -> OperatorSpec:
-    """Wrap a plain vector map into a single-block operator."""
+    """Wrap a plain vector map into a single-block operator.
+
+    Each output is checked for its shape only; finiteness is checked where
+    the output is used, once per step by the engine.
+    """
     if space.n != 1:
         raise StructuralError("vector_operator needs a single-block space")
-    return OperatorSpec(lambda z: space.vector(fn(z.blocks[0])), alpha, label, space)
+    shape = space.dims
+
+    def apply(z: ProductPoint) -> ProductPoint:
+        out = np.asarray(fn(z.blocks[0]), dtype=float)
+        if out.ndim == 0:
+            out = out.reshape(1)
+        if out.shape != shape:
+            raise StructuralError(f"{label}: expected output shape {shape}, got {out.shape}")
+        return space._wrap((out,))
+
+    return OperatorSpec(apply, alpha, label, space)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +183,7 @@ def project_box(x, lo, hi) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), x.shape)
     hi = np.broadcast_to(np.asarray(hi, dtype=float), x.shape)
-    if np.any(lo > hi):
+    if not np.all(lo <= hi):
         raise ParameterError("box bounds must satisfy lo <= hi componentwise")
     return np.clip(x, lo, hi)
 
@@ -180,7 +194,7 @@ def project_subspace(x, U) -> np.ndarray:
     if U.ndim == 1:
         U = U[:, None]
     gram = U.T @ U
-    if np.max(np.abs(gram - np.eye(U.shape[1]))) > 1e-10:
+    if not np.max(np.abs(gram - np.eye(U.shape[1]))) <= 1e-10:
         raise ParameterError("basis columns are not orthonormal")
     x = np.asarray(x, dtype=float)
     return U @ (U.T @ x)
@@ -246,10 +260,15 @@ def gradient_step(f: QuadraticFn, gamma: float, space: ProductSpace = None) -> O
         raise ParameterError(f"step size {gamma} outside (0, {2.0 * beta})")
     if space is None:
         space = ProductSpace.single(f.b.size)
+    elif space.dims != (f.b.size,):
+        raise StructuralError(f"gradient step on R^{f.b.size} needs a single block of that size")
     alpha = gamma / (2.0 * beta)
-    return vector_operator(
-        space, lambda x: x - gamma * f.grad(x), alpha, f"grad_step({gamma:g})"
-    )
+
+    def step(z: ProductPoint) -> ProductPoint:
+        x = z.blocks[0]
+        return space._wrap((x - gamma * f.grad(x),))
+
+    return OperatorSpec(step, alpha, f"grad_step({gamma:g})", space)
 
 
 def resolvent_linear(A, gamma: float, space: ProductSpace = None) -> OperatorSpec:
@@ -294,6 +313,15 @@ class SamplingReport:
     seed: int
 
 
+def _sample_pair(T: OperatorSpec, rng, radius: float):
+    x = T.space.sample_ball(rng, radius)
+    y = T.space.sample_ball(rng, radius)
+    Tx, Ty = T(x), T(y)
+    if not (Tx.is_finite() and Ty.is_finite()):
+        raise NumericalError(f"non-finite output of {T.label} at a sampled point")
+    return x, y, Tx, Ty
+
+
 def check_firmly_nonexpansive(
     T: OperatorSpec, samples: int = 1000, radius: float = 10.0, seed: int = 0,
     tol: float = 1e-10,
@@ -306,9 +334,8 @@ def check_firmly_nonexpansive(
     space = T.space
     worst = 0.0
     for _ in range(samples):
-        x = space.sample_ball(rng, radius)
-        y = space.sample_ball(rng, radius)
-        dT = T(x) - T(y)
+        x, y, Tx, Ty = _sample_pair(T, rng, radius)
+        dT = Tx - Ty
         lhs = space.inner(dT, dT)
         rhs = space.inner(dT, x - y)
         worst = max(worst, lhs - rhs)
@@ -331,10 +358,9 @@ def check_averaged(
     one_minus = 1.0 - alpha
     worst = 0.0
     for _ in range(samples):
-        x = space.sample_ball(rng, radius)
-        y = space.sample_ball(rng, radius)
-        Rx = (T(x) - x * one_minus) * (1.0 / alpha)
-        Ry = (T(y) - y * one_minus) * (1.0 / alpha)
+        x, y, Tx, Ty = _sample_pair(T, rng, radius)
+        Rx = (Tx - x * one_minus) * (1.0 / alpha)
+        Ry = (Ty - y * one_minus) * (1.0 / alpha)
         gap = space.norm(Rx - Ry) - space.norm(x - y)
         denom = max(space.norm(x - y), 1e-15)
         worst = max(worst, gap / denom)

@@ -119,7 +119,7 @@ class ProblemInstance:
 
 def _check_fixed_point(operator: OperatorSpec, z_star: ProductPoint) -> None:
     res = operator.space.norm(z_star - operator(z_star))
-    if res > 1e-10:
+    if not res <= 1e-10:
         raise ParameterError(f"claimed fixed point has residual {res:.3e}")
 
 
@@ -202,7 +202,7 @@ def make_two_subspaces(theta: float, d: int, lam: float = 1.0) -> ProblemInstanc
         out = z.blocks[0].copy()
         out[0] = 0.0
         out[1] = 0.0
-        return space.vector(out)
+        return space._wrap((out,))
 
     fix = FixedPointSet.from_projector(proj_fix, "plane-complement")
     rng = np.random.default_rng(99)
@@ -395,7 +395,7 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-13,
                                                "role": "reference"})
     zf = trace.z_final
     res = problem.operator.space.norm(zf - problem.operator(zf))
-    if res > tol * 10.0:
+    if not res <= tol * 10.0:
         raise UnavailableError(
             f"reference run not converged: residual {res:.3e} > {tol * 10.0:.1e}"
         )

@@ -23,7 +23,7 @@ def _as_block(x) -> np.ndarray:
         arr = arr.reshape(1)
     if arr.ndim != 1 or arr.size == 0:
         raise StructuralError("blocks must be non-empty 1-D real vectors")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise StructuralError("non-finite entries in point data")
     return arr
 
@@ -88,7 +88,7 @@ class ProductPoint:
         return ProductPoint._raw(tuple(-b for b in self.blocks), self.weights)
 
     def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(b)) for b in self.blocks)
+        return all(np.isfinite(b).all() for b in self.blocks)
 
     def __repr__(self):
         return f"ProductPoint(n={self.n}, dims={self.dims})"
@@ -166,6 +166,8 @@ class ProductSpace:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (len(dims),) or not np.all(weights > 0):
             raise StructuralError("need one positive weight per block")
+        if not np.isfinite(weights).all():
+            raise StructuralError("weights must be positive and finite")
         self.dims = dims
         self.weights = weights
         self.metric_op = metric_op
@@ -184,27 +186,32 @@ class ProductSpace:
         return self._dim_total
 
     def point(self, blocks) -> ProductPoint:
-        p = ProductPoint(blocks, self.weights)
-        if p.dims != self.dims:
-            raise StructuralError(f"expected dims {self.dims}, got {p.dims}")
-        # share the space's weight array so compatibility checks stay cheap
-        return ProductPoint._raw(p.blocks, self.weights)
+        """Validated point from user data: 1-D, finite, matching the layout."""
+        blocks = tuple(_as_block(b) for b in blocks)
+        dims = tuple(b.size for b in blocks)
+        if dims != self.dims:
+            raise StructuralError(f"expected dims {self.dims}, got {dims}")
+        return self._wrap(blocks)
 
     def vector(self, x) -> ProductPoint:
         if self.n != 1:
             raise StructuralError("vector() is only defined on single-block spaces")
         return self.point((x,))
 
+    def _wrap(self, blocks: tuple) -> ProductPoint:
+        # internal fast path for blocks computed from points of this space
+        # (operator and channel outputs): no validation, and the space's own
+        # weight array, so every compatibility check is an identity test
+        return ProductPoint._raw(blocks, self.weights)
+
     def zeros(self) -> ProductPoint:
-        return ProductPoint._raw(
-            tuple(np.zeros(d) for d in self.dims), self.weights
-        )
+        return self._wrap(tuple(np.zeros(d) for d in self.dims))
 
     def lift_vector(self, x) -> ProductPoint:
-        p = lift(x, self.n, self.weights)
-        if p.dims != self.dims:
+        arr = _as_block(x)
+        if any(d != arr.size for d in self.dims):
             raise StructuralError("lifted vector does not match the space layout")
-        return ProductPoint._raw(p.blocks, self.weights)
+        return self._wrap(tuple(arr.copy() for _ in self.dims))
 
     def compatible(self, z: ProductPoint) -> bool:
         return z.dims == self.dims and (
@@ -230,9 +237,7 @@ class ProductSpace:
     # -- sampling ----------------------------------------------------------
 
     def gaussian(self, rng: np.random.Generator) -> ProductPoint:
-        return ProductPoint._raw(
-            tuple(rng.standard_normal(d) for d in self.dims), self.weights
-        )
+        return self._wrap(tuple(rng.standard_normal(d) for d in self.dims))
 
     def unit_vector(self, rng: np.random.Generator) -> ProductPoint:
         """Random direction of norm one (in the space's norm)."""

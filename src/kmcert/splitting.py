@@ -10,6 +10,7 @@ iterate path.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -23,11 +24,21 @@ from .operators import (
     OperatorSpec,
     compose2,
     moreau_envelope_gradient,
-    project_box,
-    project_subspace,
     prox_l1,
 )
 from .spaces import ProductPoint, ProductSpace
+
+
+def _recent(cache: dict, key, build):
+    """Look ``key`` up in a cache that keeps the two most recently used
+    entries; on a miss, ``build()`` the value and evict the oldest entry."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = build()
+        if len(cache) == 2:
+            del cache[next(iter(cache))]
+    cache[key] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +90,13 @@ class BoxBlock(MonotoneBlock):
     def __init__(self, lo, hi):
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        if np.any(lo > hi):
+        if not np.all(lo <= hi):
             raise ParameterError("box bounds must satisfy lo <= hi")
         self.lo, self.hi = lo, hi
 
     def resolvent(self, v, c):
-        return project_box(v, self.lo, self.hi)
+        # bounds were checked once, in __init__
+        return np.clip(v, self.lo, self.hi)
 
     def member_residual(self, u, g):
         u = np.asarray(u, dtype=float)
@@ -112,12 +124,13 @@ class SubspaceBlock(MonotoneBlock):
         U = np.asarray(U, dtype=float)
         if U.ndim == 1:
             U = U[:, None]
-        if np.max(np.abs(U.T @ U - np.eye(U.shape[1]))) > 1e-10:
+        if not np.max(np.abs(U.T @ U - np.eye(U.shape[1]))) <= 1e-10:
             raise ParameterError("basis columns are not orthonormal")
         self.U = U
 
     def resolvent(self, v, c):
-        return project_subspace(v, self.U)
+        # orthonormality was checked once, in __init__
+        return self.U @ (self.U.T @ v)
 
     def member_residual(self, u, g):
         u = np.asarray(u, dtype=float)
@@ -129,7 +142,9 @@ class SubspaceBlock(MonotoneBlock):
 
 class LinearBlock(MonotoneBlock):
     """Affine monotone map ``u -> M u - c0`` (symmetric part PSD); resolvent
-    solves a cached dense factorization per parameter value."""
+    solves a dense factorization, cached for the two most recently used
+    parameter values (a non-stationary run alternates between the current
+    and the limit parameter)."""
 
     kind = "linear"
 
@@ -144,10 +159,9 @@ class LinearBlock(MonotoneBlock):
         self._lu = {}
 
     def resolvent(self, v, c):
-        key = float(c)
-        if key not in self._lu:
-            self._lu[key] = sla.lu_factor(np.eye(self.M.shape[0]) + c * self.M)
-        return sla.lu_solve(self._lu[key], np.asarray(v, dtype=float) + c * self.c0)
+        lu = _recent(self._lu, float(c),
+                     lambda: sla.lu_factor(np.eye(self.M.shape[0]) + c * self.M))
+        return sla.lu_solve(lu, np.asarray(v, dtype=float) + c * self.c0)
 
     def member_residual(self, u, g):
         return float(np.linalg.norm(g - (self.M @ u - self.c0)))
@@ -211,14 +225,25 @@ class GfbSpec:
         n = len(self.blocks)
         if n < 1 or self.weights.shape != (n,) or np.any(self.weights <= 0):
             raise ParameterError("need one positive weight per block")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-12:
+        if not abs(float(self.weights.sum()) - 1.0) <= 1e-12:
             raise ParameterError("block weights must sum to 1")
-        if self.gamma <= 0:
+        self._check_gamma()
+
+    def _check_gamma(self):
+        if not self.gamma > 0:
             raise ParameterError("step size must be positive")
-        if self.smooth is not None and self.gamma >= 2.0 * self.smooth.beta:
+        if self.smooth is not None and not self.gamma < 2.0 * self.smooth.beta:
             raise ParameterError(
                 f"step size {self.gamma} outside (0, {2.0 * self.smooth.beta})"
             )
+
+    def at_gamma(self, gamma: float) -> "GfbSpec":
+        """The same blocks, weights and smooth part at another step size;
+        only the step size is checked again."""
+        sub = copy.copy(self)
+        sub.gamma = gamma
+        sub._check_gamma()
+        return sub
 
     @property
     def n(self) -> int:
@@ -236,9 +261,10 @@ class GfbSpec:
 class GfbBuilt:
     """Assembled operator, readout and channel factory."""
 
-    def __init__(self, spec: GfbSpec):
+    def __init__(self, spec: GfbSpec, space: Optional[ProductSpace] = None):
         self.spec = spec
-        self.space = ProductSpace((spec.dim,) * spec.n, spec.weights)
+        self.space = (space if space is not None
+                      else ProductSpace((spec.dim,) * spec.n, spec.weights))
         gamma, w = spec.gamma, spec.weights
 
         def consensus(z: ProductPoint) -> np.ndarray:
@@ -263,7 +289,7 @@ class GfbBuilt:
             x = consensus(zz)
             refl = [2.0 * x - b for b in zz.blocks]
             res = resolve_all(refl)
-            return self.space.point(
+            return self.space._wrap(
                 tuple(0.5 * (2.0 * u - r + b)
                       for u, r, b in zip(res, refl, zz.blocks))
             )
@@ -276,7 +302,7 @@ class GfbBuilt:
 
             def forward(zz: ProductPoint) -> ProductPoint:
                 g = smooth_at(consensus(zz))
-                return self.space.point(tuple(b - gamma * g for b in zz.blocks))
+                return self.space._wrap(tuple(b - gamma * g for b in zz.blocks))
 
             t2 = OperatorSpec(forward, gamma / (2.0 * beta), "gfb_forward", self.space)
             self.operator = compose2(t1, t2)
@@ -322,7 +348,7 @@ class GfbChannelModel:
     def evaluate(self, k, z, rng):
         built = self.built
         x, _, args, u = built.step_parts(z)
-        exact = built.space.point(tuple(b + ui - x for b, ui in zip(z.blocks, u)))
+        exact = built.space._wrap(tuple(b + ui - x for b, ui in zip(z.blocks, u)))
 
         dim = built.spec.dim
         mag_b = self.pre_law.magnitude(k)
@@ -343,7 +369,7 @@ class GfbChannelModel:
             if a_vecs[i] is not None:
                 blkout = blkout + a_vecs[i]
             tilde_blocks.append(blkout)
-        tilde = built.space.point(tuple(tilde_blocks))
+        tilde = built.space._wrap(tuple(tilde_blocks))
         eps = tilde - exact
         extras = {"channel": {"b": b_vec, "a": a_vecs}}
         return exact, tilde, eps, extras
@@ -490,7 +516,7 @@ class DrsBuilt:
         def fn(z: ProductPoint) -> ProductPoint:
             zv = z.blocks[0]
             w = 2.0 * self.j2(zv) - zv
-            return self.space.vector(0.5 * (2.0 * self.j1(w) - w + zv))
+            return self.space._wrap((0.5 * (2.0 * self.j1(w) - w + zv),))
 
         self.operator = OperatorSpec(fn, 0.5, "drs", self.space)
 
@@ -532,7 +558,7 @@ class DrsChannelModel:
         built = self.built
         zv = z.blocks[0]
         w = 2.0 * built.j2(zv) - zv
-        exact = built.space.vector(0.5 * (2.0 * built.j1(w) - w + zv))
+        exact = built.space._wrap((0.5 * (2.0 * built.j1(w) - w + zv),))
 
         dim = built.spec.dim
         m1 = self.law1.magnitude(k)
@@ -546,7 +572,7 @@ class DrsChannelModel:
         tv = 0.5 * (2.0 * built.j1(wp) - wp + zv)
         if e1 is not None:
             tv = tv + e1
-        tilde = built.space.vector(tv)
+        tilde = built.space._wrap((tv,))
         eps = tilde - exact
         return exact, tilde, eps, {"channel": {"eps1": e1, "eps2": e2}}
 
@@ -741,7 +767,7 @@ class PdsBuilt:
             outs = [out_x]
             for t, v in zip(spec.duals, vs):
                 outs.append(v / t.sigma - t.L @ x)
-            return ProductPoint._raw(tuple(outs), z.weights)
+            return self.space._wrap(tuple(outs))
 
         self.space = ProductSpace(dims, weights, metric_op=metric)
         self.metric_apply = metric
@@ -787,7 +813,7 @@ class PdsBuilt:
             if e4 is not None and e4[i] is not None:
                 qi = qi + e4[i]
             q.append(qi)
-        return self.space.point((p, *q))
+        return self.space._wrap((p, *q))
 
     def abstract_step(self, z: ProductPoint) -> ProductPoint:
         """Same map through the preconditioned resolvent form: solve the
@@ -808,7 +834,7 @@ class PdsBuilt:
         y = 2.0 * p - wx
         q = [self._dual_resolvent(t, w + t.sigma * (t.L @ y - t.r))
              for t, w in zip(spec.duals, wv)]
-        return self.space.point((p, *q))
+        return self.space._wrap((p, *q))
 
     def _solve_metric(self, rhs_blocks) -> list:
         spec = self.spec
@@ -838,7 +864,7 @@ class PdsBuilt:
             a = self.block_step(z)
             b = self.abstract_step(z)
             scale = max(1.0, self.space.base_norm(z))
-            if self.space.base_norm(a - b) > tol * scale:
+            if not self.space.base_norm(a - b) <= tol * scale:
                 raise NumericalError(
                     "block recursion and preconditioned resolvent form disagree"
                 )
@@ -948,34 +974,39 @@ def pds_candidate(trace: IterationTrace, k: int) -> ProductPoint:
 
 class GfbFamily:
     """Parameter-indexed family of product-space splitting operators sharing
-    the block set; built operators are cached per parameter value."""
+    the block set, the weights and one product space.
+
+    The operator at the family's own step size ``spec.gamma`` (the schedule's
+    limit, for a family from :func:`build_gfb_nonstationary`) stays resident;
+    operators at other values are cached for the two most recently used.
+    """
 
     def __init__(self, spec: GfbSpec):
         self.spec = spec
+        self.space = ProductSpace((spec.dim,) * spec.n, spec.weights)
+        self._resident = None
         self._cache = {}
 
     def at(self, gamma: float) -> OperatorSpec:
         key = float(gamma)
-        op = self._cache.get(key)
-        if op is None:
-            s = self.spec
-            sub = GfbSpec(blocks=s.blocks, weights=s.weights, gamma=key,
-                          dim=s.dim, smooth=s.smooth)
-            op = GfbBuilt(sub).operator
-            self._cache[key] = op
-        return op
+        if key == self.spec.gamma:
+            if self._resident is None:
+                self._resident = GfbBuilt(self.spec, self.space).operator
+            return self._resident
+        return _recent(self._cache, key,
+                       lambda: GfbBuilt(self.spec.at_gamma(key), self.space).operator)
 
 
 def build_gfb_nonstationary(spec: GfbSpec, schedule: GammaSchedule):
     """Family plus schedule for the per-step-parameter iteration.  Validates
-    that the schedule stays inside (0, 2 beta); the summability
-    classification travels on the schedule itself."""
+    that the schedule's declared range stays inside (0, 2 beta); the family
+    is anchored at the schedule's limit.  The summability classification
+    travels on the schedule itself."""
     beta = spec.smooth.beta if spec.smooth is not None else np.inf
-    lo = min(schedule.limit, schedule.start)
-    hi = max(schedule.limit, schedule.start)
+    lo, hi = schedule.interval
     if not (0.0 < lo and hi < 2.0 * beta):
         raise ParameterError(
             f"schedule range [{lo}, {hi}] leaves the admissible interval "
             f"(0, {2.0 * beta})"
         )
-    return GfbFamily(spec), schedule
+    return GfbFamily(spec.at_gamma(schedule.limit)), schedule

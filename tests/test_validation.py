@@ -1,0 +1,334 @@
+"""Inputs are validated once, where they enter; the step loop only computes.
+
+These tests pin down where each check now lives: user data at construction,
+operator output once per step in the engine, schedule values at every step,
+and emitted trace cells when they are read back.
+"""
+
+import numpy as np
+import pytest
+
+from kmcert import cli
+from kmcert.cli import CSV_COLUMNS, main, verify_files
+from kmcert.errors import NumericalError, ParameterError, StructuralError, UnavailableError
+from kmcert.km import (
+    FixedPointSet,
+    GammaSchedule,
+    RelaxationSchedule,
+    StopRule,
+    run_km,
+    run_km_nonstationary,
+)
+from kmcert.operators import (
+    OperatorSpec,
+    QuadraticFn,
+    check_averaged,
+    check_firmly_nonexpansive,
+    gradient_step,
+    project_box,
+    project_subspace,
+    vector_operator,
+    zero_operator,
+)
+from kmcert.problems import (
+    _check_fixed_point,
+    make_gfb_multiblock,
+    make_multiblock_nonstationary,
+    make_pds_small,
+    make_zero_map,
+    reference_solution,
+)
+from kmcert.spaces import ProductPoint, ProductSpace
+from kmcert.splitting import BoxBlock, LinearBlock, SubspaceBlock, build_gfb_nonstationary
+
+
+def nan_operator(space):
+    return vector_operator(space, lambda x: np.full_like(x, np.nan), None, "nan")
+
+
+class TestSpaces:
+    def test_point_validates_once_and_shares_weights(self):
+        sp = ProductSpace((2, 1), (0.5, 0.5))
+        z = sp.point(([1.0, 2.0], 3.0))
+        assert z.weights is sp.weights
+        assert z.dims == (2, 1)
+
+    @pytest.mark.parametrize("blocks", [
+        ([1.0, np.nan], [0.0]),          # non-finite entry
+        ([1.0, 2.0],),                   # missing block
+        ([1.0, 2.0], [0.0, 1.0]),        # wrong block size
+        ([[1.0, 2.0]], [0.0]),           # not 1-D
+    ])
+    def test_point_rejects_bad_data(self, blocks):
+        sp = ProductSpace((2, 1), (0.5, 0.5))
+        with pytest.raises(StructuralError):
+            sp.point(blocks)
+
+    def test_space_rejects_non_finite_weights(self):
+        with pytest.raises(StructuralError):
+            ProductSpace((1, 1), (1.0, np.inf))
+
+    def test_lift_vector_checks_layout(self):
+        sp = ProductSpace((3, 3), (0.5, 0.5))
+        z = sp.lift_vector([1.0, 2.0, 3.0])
+        assert z.weights is sp.weights
+        assert z.blocks[0] is not z.blocks[1]
+        with pytest.raises(StructuralError):
+            sp.lift_vector([1.0, 2.0])
+        with pytest.raises(StructuralError):
+            sp.lift_vector([1.0, np.nan, 3.0])
+
+    def test_is_finite(self):
+        sp = ProductSpace((2, 1), (0.5, 0.5))
+        z = sp.point(([1.0, 2.0], [3.0]))
+        assert z.is_finite()
+        assert not ProductPoint._raw((np.array([1.0, np.inf]), np.zeros(1)),
+                                     sp.weights).is_finite()
+
+
+class TestOperatorOutputs:
+    def test_vector_operator_checks_output_shape(self):
+        sp = ProductSpace.single(3)
+        T = vector_operator(sp, lambda x: x[:2], None, "short")
+        with pytest.raises(StructuralError, match="short"):
+            T(sp.vector([1.0, 2.0, 3.0]))
+
+    def test_vector_operator_accepts_scalar_on_one_block(self):
+        sp = ProductSpace.single(1)
+        T = vector_operator(sp, lambda x: float(x[0]) / 2.0, None, "half")
+        out = T(sp.vector([3.0]))
+        assert out.blocks[0].shape == (1,)
+        assert out.weights is sp.weights
+
+    def test_gradient_step_checks_space_at_construction(self):
+        f = QuadraticFn(np.eye(2), np.zeros(2))
+        with pytest.raises(StructuralError):
+            gradient_step(f, 0.5, ProductSpace.single(3))
+        sp = ProductSpace.single(2)
+        T = gradient_step(f, 0.5, sp)
+        assert T(sp.vector([2.0, 4.0])).blocks[0] == pytest.approx([1.0, 2.0])
+
+    def test_engine_raises_numerical_error_on_non_finite_output(self):
+        sp = ProductSpace.single(2)
+        with pytest.raises(NumericalError, match="step 0"):
+            run_km(nan_operator(sp), sp.vector([1.0, 2.0]),
+                   RelaxationSchedule.constant(0.5), stop=StopRule(5, 0.0))
+
+    def test_non_finite_output_exits_3(self, tmp_path, monkeypatch, capsys):
+        def nan_problem(cfg):
+            p = make_zero_map(d=2)
+            p.operator = nan_operator(p.operator.space)
+            return p
+
+        monkeypatch.setattr(cli, "build_problem", nan_problem)
+        rc = main(["run", "--preset", "gd-fig1", "--out", str(tmp_path)])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check", [check_averaged, check_firmly_nonexpansive])
+    def test_sampling_checks_reject_non_finite_output(self, check):
+        T = nan_operator(ProductSpace.single(2))
+        args = (T, 0.5) if check is check_averaged else (T,)
+        with pytest.raises(NumericalError):
+            check(*args, samples=3)
+
+    def test_engine_rehomes_start_point(self):
+        sp = ProductSpace.single(2)
+        other = ProductSpace.single(2)          # equal weights, other array
+        z0 = other.vector([1.0, -1.0])
+        tr = run_km(zero_operator(sp), z0, RelaxationSchedule.constant(0.5),
+                    stop=StopRule(3, 0.0))
+        assert tr.z0.weights is sp.weights
+        assert tr.z_final.weights is sp.weights
+        assert np.array_equal(tr.z0.blocks[0], z0.blocks[0])
+
+
+class TestBlocks:
+    def test_box_resolvent_matches_public_projection(self):
+        lo, hi = np.array([-1.0, 0.0, -2.0]), np.array([1.0, 0.5, 2.0])
+        v = np.array([3.0, -0.25, 0.7])
+        assert np.array_equal(BoxBlock(lo, hi).resolvent(v, 1.0), project_box(v, lo, hi))
+        assert np.array_equal(BoxBlock(-0.8, 0.8).resolvent(v, 1.0),
+                              project_box(v, -0.8, 0.8))
+
+    def test_subspace_resolvent_matches_public_projection(self):
+        U, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 2)))
+        v = np.arange(5.0)
+        assert np.array_equal(SubspaceBlock(U).resolvent(v, 1.0), project_subspace(v, U))
+
+    def test_blocks_check_bounds_and_basis_once(self):
+        with pytest.raises(ParameterError):
+            BoxBlock(1.0, 0.0)
+        with pytest.raises(ParameterError):
+            BoxBlock(np.nan, 1.0)
+        with pytest.raises(ParameterError):
+            SubspaceBlock(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ParameterError):
+            project_box([0.0], np.nan, 1.0)
+
+
+class TestFixedPointChecks:
+    def test_check_fixed_point_rejects_nan_residual(self):
+        sp = ProductSpace.single(2)
+        with pytest.raises(ParameterError):
+            _check_fixed_point(nan_operator(sp), sp.zeros())
+
+    def test_reference_solution_rejects_nan_residual(self, monkeypatch):
+        from kmcert import problems
+
+        p = make_gfb_multiblock(2, 4)
+        state = {"poisoned": False}
+        op = p.operator
+
+        def fn(z):
+            out = op(z)
+            if state["poisoned"]:
+                return out * np.nan
+            return out
+
+        p.operator = OperatorSpec(fn, op.alpha, "poisoned", op.space)
+        real_run_km = problems.run_km
+
+        def run_then_poison(*args, **kwargs):
+            trace = real_run_km(*args, **kwargs)
+            state["poisoned"] = True
+            return trace
+
+        monkeypatch.setattr(problems, "run_km", run_then_poison)
+        with pytest.raises(UnavailableError):
+            reference_solution(p, factor=1)
+
+    def test_pds_equivalence_check_rejects_nan(self, monkeypatch):
+        p = make_pds_small()
+        built = p.built
+        monkeypatch.setattr(built, "abstract_step", lambda z: z * np.nan)
+        with pytest.raises(NumericalError):
+            built._assert_abstract_equivalence()
+
+
+class TestCaches:
+    def test_family_and_factorization_caches_stay_bounded(self):
+        fam, sched, statp = make_multiblock_nonstationary("harmonic", d=6)
+        tr = run_km_nonstationary(fam, sched, statp.z0, statp.relaxation,
+                                  stop=StopRule(200, 0.0), retain=False)
+        assert tr.n_steps == 200
+        assert len(fam._cache) <= 2
+        linear = [b for b in fam.spec.blocks if isinstance(b, LinearBlock)]
+        assert linear and all(len(b._lu) <= 2 for b in linear)
+
+    def test_limit_operator_stays_resident(self):
+        fam, sched, _ = make_multiblock_nonstationary("harmonic", d=6)
+        limit_op = fam.at(sched.limit)
+        for k in range(1, 10):
+            fam.at(sched.value(k))
+        assert fam.at(sched.limit) is limit_op
+
+    def test_members_share_the_family_space(self):
+        fam, sched, _ = make_multiblock_nonstationary("geometric", d=6)
+        spaces = {id(fam.at(sched.value(k)).space) for k in range(5)}
+        assert spaces == {id(fam.space)}
+
+    def test_lu_cache_keeps_two_most_recent(self):
+        blk = LinearBlock(np.eye(3))
+        v = np.ones(3)
+        for c in (1.0, 2.0, 1.0, 3.0):
+            blk.resolvent(v, c)
+        assert list(blk._lu) == [1.0, 3.0]
+
+
+class TestScheduleRanges:
+    def test_relaxation_out_of_range_raises_at_step(self):
+        sched = RelaxationSchedule.from_function(
+            lambda k: 0.5 if k < 3 else 1.9, 0.5, 1.0)
+        sp = ProductSpace.single(1)
+        with pytest.raises(ParameterError, match="step 3"):
+            run_km(zero_operator(sp), sp.vector([1.0]), sched, stop=StopRule(10, 0.0))
+
+    def test_relaxation_nan_raises(self):
+        sched = RelaxationSchedule.from_function(lambda k: float("nan"), 0.5, 1.0)
+        with pytest.raises(ParameterError):
+            sched.value(0)
+
+    def test_relaxation_rounding_of_in_range_value_accepted(self):
+        lo, hi = 0.1, 0.7
+        sched = RelaxationSchedule.from_function(lambda k: hi + 1e-16, lo, hi)
+        assert sched.value(0) == hi + 1e-16
+
+    def test_custom_gamma_schedule_keeps_declared_range(self):
+        sched = GammaSchedule.from_function(lambda k: 1.5, 1.5, 1.2, 1.8)
+        assert sched.interval == (1.2, 1.8)
+        with pytest.raises(ParameterError):
+            GammaSchedule.from_function(lambda k: 1.5, 1.9, 1.2, 1.8)
+
+    def test_custom_gamma_out_of_range_raises_at_step(self):
+        fam, _, statp = make_multiblock_nonstationary("constant", d=6)
+        sched = GammaSchedule.from_function(
+            lambda k: 1.5 if k < 4 else 1.85, 1.5, 1.2, 1.8)
+        with pytest.raises(ParameterError, match="step 4"):
+            run_km_nonstationary(fam, sched, statp.z0, statp.relaxation,
+                                 stop=StopRule(10, 0.0), retain=False)
+
+    def test_custom_gamma_range_checked_against_admissible_interval(self):
+        base = make_gfb_multiblock(2, 6)
+        sched = GammaSchedule.from_function(lambda k: 1.5, 1.5, 1.2, 2.5)
+        with pytest.raises(ParameterError):
+            build_gfb_nonstationary(base.built.spec, sched)
+
+    def test_admissibility_probed_at_both_ends(self):
+        fam, _, statp = make_multiblock_nonstationary("constant", d=6)
+        probed = []
+        real_at = fam.at
+
+        def at(g):
+            probed.append(g)
+            return real_at(g)
+
+        sched = GammaSchedule.from_function(lambda k: 1.5, 1.5, 1.2, 1.8)
+        run_km_nonstationary(at, sched, statp.z0, statp.relaxation,
+                             stop=StopRule(1, 0.0), retain=False)
+        assert 1.2 in probed and 1.8 in probed
+
+
+class TestCli:
+    def test_bad_structure_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("problem = zero-map\ndim = 0\n")
+        assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def make_run(self, tmp_path):
+        assert main(["run", "--preset", "gd-fig1", "--out", str(tmp_path)]) == 0
+        return tmp_path / "gd-fig1.csv", tmp_path / "gd-fig1.json"
+
+    def set_cell(self, path, k, column, text):
+        lines = path.read_text().splitlines()
+        header_at = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        row = lines[header_at + 1 + k].split(",")
+        row[CSV_COLUMNS.index(column)] = text
+        lines[header_at + 1 + k] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("text", ["", "nan", "inf", "-inf"])
+    def test_non_finite_required_cell_exits_2(self, tmp_path, capsys, text):
+        trace, report = self.make_run(tmp_path)
+        self.set_cell(trace, 5, "res_norm", text)
+        assert main(["verify", str(trace), str(report)]) == 2
+        err = capsys.readouterr().err
+        assert "k=5" in err and "res_norm" in err
+
+    def test_partially_blank_optional_column_rejected(self, tmp_path):
+        trace, report = self.make_run(tmp_path)
+        self.set_cell(trace, 3, "dist_fix", "")
+        with pytest.raises(ParameterError, match="dist_fix"):
+            verify_files(str(trace), str(report))
+
+    @pytest.mark.parametrize("key,value", [
+        ("tau_min", "NaN"), ("d0", '"x"'), ("kappa", "Infinity"), ("alpha", "[1]"),
+    ])
+    def test_bad_report_number_exits_2(self, tmp_path, capsys, key, value):
+        trace, report = self.make_run(tmp_path)
+        text = report.read_text()
+        assert f'"{key}": ' in text
+        report.write_text(text.replace(f'"{key}": ', f'"{key}": {value}, "_was": ', 1))
+        assert main(["verify", str(trace), str(report)]) == 2
+        assert key in capsys.readouterr().err
