@@ -6,7 +6,6 @@ from .bounds import (
     BoundConstants,
     SubRegularityModel,
     Violation,
-    displacement_bounds,
     empirical_constants,
     ergodic_bound,
     fit_tail_rate,
@@ -15,6 +14,7 @@ from .bounds import (
     local_zeta_averaged,
     pointwise_bound,
     trace_displacement_bounds,
+    verify_series,
     verify_trace,
 )
 from .errors import (
@@ -34,7 +34,6 @@ from .km import (
     StopRule,
     displacements,
     ergodic_residual,
-    km_step,
     run_km,
     run_km_nonstationary,
 )
@@ -45,7 +44,6 @@ from .operators import (
     check_firmly_nonexpansive,
     combine,
     compose2,
-    compose_chain_alpha,
     gradient_step,
     identity_operator,
     moreau_envelope_gradient,
@@ -54,7 +52,6 @@ from .operators import (
     prox_l1,
     relax,
     residual,
-    resolvent_linear,
     scaled_residual,
     vector_operator,
     zero_operator,

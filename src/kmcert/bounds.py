@@ -9,7 +9,7 @@ conservative direction for certification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -64,24 +64,28 @@ class SubRegularityModel:
             raise ParameterError("modulus must be positive")
 
 
-@dataclass(frozen=True)
-class Violation:
-    k: int
-    kind: str   # pointwise | ergodic | local | constants
+class Violation(NamedTuple):
+    k: int        # -1 for the constants check
+    kind: str     # pointwise | ergodic | certificate | local | constants
     margin: float
 
 
 def empirical_constants(trace: IterationTrace, fix_reference: FixedPointSet,
-                        ) -> BoundConstants:
-    """Constants measured over the executed horizon of a retained trace."""
+                        base_norm: bool = False) -> BoundConstants:
+    """Constants measured over the executed horizon of a retained trace, in
+    the space's norm or, with ``base_norm``, in the plain direct-sum norm
+    (the error norms are then re-measured from the retained error vectors)."""
     if trace.z_vecs is None or trace.e_vecs is None:
         raise UnavailableError("empirical constants need retained iterate/residual vectors")
     if fix_reference is None:
         raise UnavailableError("no fixed-point reference available")
     space = trace.space
+    norm = space.base_norm if base_norm else space.norm
+    eps_norm = (np.array([norm(trace.eps_vector(k)) for k in range(trace.n_steps)])
+                if base_norm else trace.eps_norm)
     z0 = trace.z_vecs[0]
     z_star = fix_reference.nearest(z0)
-    d0 = space.norm(z0 - z_star)
+    d0 = norm(z0 - z_star)
 
     c = 1.0 if trace.alpha is None else 1.0 / trace.alpha
     tau = trace.lam * (c - trace.lam)
@@ -91,46 +95,38 @@ def empirical_constants(trace: IterationTrace, fix_reference: FixedPointSet,
     sup_relaxed = 0.0
     for k in range(trace.n_steps):
         relaxed = trace.z_vecs[k] - trace.e_vecs[k] * trace.lam[k]
-        sup_relaxed = max(sup_relaxed, space.norm(relaxed - z_star))
-    lam_eps = trace.lam * trace.eps_norm
+        sup_relaxed = max(sup_relaxed, norm(relaxed - z_star))
+    lam_eps = trace.lam * eps_norm
     nu1 = 2.0 * sup_relaxed + (float(lam_eps.max()) if lam_eps.size else 0.0)
 
     nu2 = 0.0
     for k in range(trace.n_steps - 1):
-        nu2 = max(nu2, space.norm(trace.e_vecs[k] - trace.e_vecs[k + 1]))
+        nu2 = max(nu2, norm(trace.e_vecs[k] - trace.e_vecs[k + 1]))
     nu2 *= 2.0
 
     S1 = float(lam_eps.sum())
     ks = np.arange(1, trace.n_steps + 1, dtype=float)
-    S2 = float((ks * trace.eps_norm).sum())
+    S2 = float((ks * eps_norm).sum())
     C1 = nu1 * S1 + nu2 * tau_max * S2
     C2 = S1
     return BoundConstants(d0, tau_min, tau_max, nu1, nu2, C1, C2, "empirical")
 
 
-def pointwise_bound(k: int, constants: BoundConstants) -> float:
-    """Residual bound ``sqrt((d0^2 + C1) / (tau_min (k+1)))``."""
+def pointwise_bound(k, constants: BoundConstants):
+    """Residual bound ``sqrt((d0^2 + C1) / (tau_min (k+1)))`` at step ``k``,
+    an index or an array of indices."""
     if constants.tau_min <= 0:
         raise ParameterError("pointwise bound needs tau_min > 0")
-    return float(np.sqrt((constants.d0 ** 2 + constants.C1)
-                         / (constants.tau_min * (k + 1.0))))
+    return np.sqrt((constants.d0 ** 2 + constants.C1)
+                   / (constants.tau_min * (np.asarray(k) + 1.0)))
 
 
-def ergodic_bound(k: int, constants: BoundConstants, lam_sum: float) -> float:
-    """Averaged-residual bound ``2 (d0 + C2) / Lambda_k``."""
-    if lam_sum <= 0:
+def ergodic_bound(k, constants: BoundConstants, lam_sum):
+    """Averaged-residual bound ``2 (d0 + C2) / Lambda_k``, where ``lam_sum``
+    is ``Lambda_k`` (a number or an array aligned with ``k``)."""
+    if np.any(np.asarray(lam_sum) <= 0):
         raise ParameterError("cumulative relaxation must be positive")
     return 2.0 * (constants.d0 + constants.C2) / lam_sum
-
-
-def displacement_bounds(k: int, d0: float, tau_min: float, lam_min: float):
-    """Exact-run step-size bounds: pointwise ``d0 / sqrt(tau_min (k+1))`` and
-    averaged ``2 d0 / (k+1)``."""
-    if tau_min <= 0 or lam_min <= 0:
-        raise ParameterError("need tau_min > 0 and lam_min > 0")
-    pw = d0 / np.sqrt(tau_min * (k + 1.0))
-    erg = 2.0 * d0 / (k + 1.0)
-    return float(pw), float(erg)
 
 
 def trace_displacement_bounds(trace: IterationTrace, constants: BoundConstants):
@@ -169,6 +165,15 @@ def local_zeta_averaged(lam: float, alpha: float, kappa: float) -> float:
     return local_zeta(la * (1.0 - la), kappa * alpha)
 
 
+def local_zeta_series(lam, alpha: Optional[float], kappa: float) -> np.ndarray:
+    """``zeta_k`` of the local linear model at each relaxation ``lam_k``: the
+    plain model at ``tau = lam (1 - lam)`` when no averagedness constant is
+    certified, else the averaged substitution."""
+    if alpha is None:
+        return np.array([local_zeta(lk * (1.0 - lk), kappa) for lk in lam.tolist()])
+    return np.array([local_zeta_averaged(lk, alpha, kappa) for lk in lam.tolist()])
+
+
 def gd_theoretical_rate(gamma: float, delta_m: float, delta_M: float) -> float:
     """Distance-rate ``sqrt(1 - t (2 - t) / cnd^2)`` of a gradient step with
     curvature bounds ``delta_m <= delta_M``, ``t = gamma delta_M`` and
@@ -200,58 +205,66 @@ def fit_tail_rate(values, tail_fraction: float = 0.3) -> float:
     return float(np.exp(slope))
 
 
+def trace_series(trace: IterationTrace) -> dict:
+    """The per-step columns of a trace under their CSV names; ``dist_fix``
+    keeps all ``n_steps + 1`` distances."""
+    return {"lambda": trace.lam, "err_norm": trace.eps_norm,
+            "res_norm": trace.res_norm, "erg_res_norm": trace.erg_norm,
+            "dist_fix": trace.dist}
+
+
+def verify_series(cols: dict, constants: BoundConstants,
+                  alpha: Optional[float] = None, kappa: Optional[float] = None,
+                  slack: float = DEFAULT_SLACK):
+    """Check per-step columns against the bounds; returns ``(violations,
+    bound columns)``.  Empty violations = certified.
+
+    ``cols`` maps CSV column names to arrays: ``lambda``, ``err_norm``,
+    ``res_norm`` and ``erg_res_norm`` are required; ``cert_value`` with
+    ``cert_bound`` and ``dist_fix`` are checked when present.  The checks are
+    the internal consistency ``C1 >= nu1 * sum lam ||eps||`` of the
+    constants, the pointwise and ergodic bounds and the certificate at every
+    step, and, for an exact run with a modulus ``kappa``, the squared-distance
+    recursion ``dist_{k+1}^2 <= zeta_k dist_k^2`` on every transition that
+    ``dist_fix`` holds.  The bound columns are ``pw_bound``, ``erg_bound``
+    and, when the local model was checked, its envelope
+    ``local_model = dist_0 sqrt(prod_{j<k} zeta_j)``.
+    """
+    lam, err = cols["lambda"], cols["err_norm"]
+    out: List[Violation] = []
+
+    floor = constants.nu1 * float((lam * err).sum())
+    if constants.C1 < floor - 1e-12 * max(1.0, floor):
+        out.append(Violation(-1, "constants", floor - constants.C1))
+
+    ks = np.arange(lam.size)
+    pw = pointwise_bound(ks, constants)
+    eb = ergodic_bound(ks, constants, np.cumsum(lam))
+    gaps = [("pointwise", cols["res_norm"] - (pw + slack)),
+            ("ergodic", cols["erg_res_norm"] - (eb + slack))]
+    if cols.get("cert_value") is not None:
+        gaps.append(("certificate", cols["cert_value"] - (cols["cert_bound"] + slack)))
+    for k in np.flatnonzero(np.any([g > 0 for _, g in gaps], axis=0)):
+        out.extend(Violation(int(k), kind, float(g[k])) for kind, g in gaps if g[k] > 0)
+    bounds = {"pw_bound": pw, "erg_bound": eb}
+
+    dist = cols.get("dist_fix")
+    if kappa is not None and dist is not None and not err.any():
+        zeta = local_zeta_series(lam, alpha, kappa)
+        gap = dist[1:] ** 2 - (zeta[: dist.size - 1] * dist[:-1] ** 2 + slack)
+        out.extend(Violation(int(k), "local", float(gap[k]))
+                   for k in np.flatnonzero(gap > 0))
+        bounds["local_model"] = dist[0] * np.sqrt(
+            np.cumprod(np.concatenate(([1.0], zeta)))[: lam.size])
+    return out, bounds
+
+
 def verify_trace(trace: IterationTrace, constants: BoundConstants,
                  model: Optional[SubRegularityModel] = None,
                  slack: float = DEFAULT_SLACK) -> List[Violation]:
     """Scan a trace against the pointwise and ergodic bounds (and, for exact
-    runs with a local model, the squared-distance recursion).  Also checks the
-    internal consistency ``C1 >= nu1 * sum lam ||eps||`` of the presented
-    constants so corrupted constants are detectable.  Empty list = certified.
+    runs with a local model, the squared-distance recursion); see
+    :func:`verify_series`.  Empty list = certified.
     """
-    out: List[Violation] = []
-
-    S1 = float((trace.lam * trace.eps_norm).sum())
-    floor = constants.nu1 * S1
-    if constants.C1 < floor - 1e-12 * max(1.0, floor):
-        out.append(Violation(-1, "constants", floor - constants.C1))
-
-    for k in range(trace.n_steps):
-        pw = pointwise_bound(k, constants)
-        gap = trace.res_norm[k] - (pw + slack)
-        if gap > 0:
-            out.append(Violation(k, "pointwise", float(gap)))
-        eb = ergodic_bound(k, constants, float(trace.lam_cumsum[k]))
-        gap = trace.erg_norm[k] - (eb + slack)
-        if gap > 0:
-            out.append(Violation(k, "ergodic", float(gap)))
-
-    if model is not None and trace.is_exact and trace.dist is not None:
-        c = 1.0 if trace.alpha is None else 1.0 / trace.alpha
-        for k in range(trace.n_steps):
-            lam = float(trace.lam[k])
-            if trace.alpha is None:
-                zeta = local_zeta(lam * (c - lam), model.kappa)
-            else:
-                zeta = local_zeta_averaged(lam, trace.alpha, model.kappa)
-            gap = trace.dist[k + 1] ** 2 - (zeta * trace.dist[k] ** 2 + slack)
-            if gap > 0:
-                out.append(Violation(k, "local", float(gap)))
-    return out
-
-
-def local_model_envelope(trace: IterationTrace, model: SubRegularityModel,
-                         d0: float) -> np.ndarray:
-    """Cumulative local-model distance envelope ``d0 * sqrt(prod zeta_j)``
-    aligned with the trace rows (entry k bounds the distance at iterate k)."""
-    out = np.empty(trace.n_steps)
-    acc = 1.0
-    c = 1.0 if trace.alpha is None else 1.0 / trace.alpha
-    for k in range(trace.n_steps):
-        out[k] = d0 * np.sqrt(acc)
-        lam = float(trace.lam[k])
-        if trace.alpha is None:
-            zeta = local_zeta(lam * (c - lam), model.kappa)
-        else:
-            zeta = local_zeta_averaged(lam, trace.alpha, model.kappa)
-        acc *= zeta
-    return out
+    kappa = None if model is None else model.kappa
+    return verify_series(trace_series(trace), constants, trace.alpha, kappa, slack)[0]

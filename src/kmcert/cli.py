@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -23,14 +24,11 @@ from typing import Optional
 import numpy as np
 
 from .bounds import (
-    SubRegularityModel,
+    DEFAULT_SLACK,
+    BoundConstants,
     empirical_constants,
-    ergodic_bound,
-    local_model_envelope,
-    local_zeta,
-    local_zeta_averaged,
-    pointwise_bound,
-    verify_trace,
+    trace_series,
+    verify_series,
 )
 from .errors import (
     KmcertError,
@@ -64,7 +62,6 @@ CSV_COLUMNS = [
 # written at every step; the other columns are written for all rows or none
 REQUIRED_COLUMNS = ("lambda", "err_norm", "res_norm", "erg_res_norm", "disp_norm")
 
-CERT_SLACK = 1e-10
 MEMBERSHIP_TOL = 1e-8
 
 DEFAULTS = {
@@ -238,9 +235,9 @@ def emit_trace_csv(path: str, cfg: dict, trace, columns: dict) -> None:
 
 def parse_trace_csv(path: str):
     """Return (config echo dict, column dict of float arrays with NaN for
-    blanks).  Every cell must be blank or finite; the required columns may
-    not be blank, and any other column is either blank in every row or in
-    none."""
+    blanks).  The ``k`` column must run 0..K-1 in order.  Every cell must be
+    blank or finite; the required columns may not be blank, and any other
+    column is either blank in every row or in none."""
     cfg = {}
     rows = []
     header = None
@@ -271,7 +268,14 @@ def parse_trace_csv(path: str):
     for j, name in enumerate(CSV_COLUMNS):
         vals = [r[j] for r in rows]
         if name == "k":
-            cols[name] = np.array([int(v) for v in vals])
+            ks = np.array([int(v) for v in vals])
+            off = np.flatnonzero(ks != np.arange(ks.size))
+            if off.size:
+                i = int(off[0])
+                raise ParameterError(
+                    f"data row {i} holds k={ks[i]}, expected k={i}: the rows "
+                    f"must run k = 0..K-1 in order")
+            cols[name] = ks
             continue
         col = np.array([float(v) if v != "" else np.nan for v in vals])
         bad = np.flatnonzero(~np.isfinite(col))
@@ -366,24 +370,7 @@ def execute_run(cfg: dict):
     if retain:
         fixref = problem.fix_reference()
         constants = empirical_constants(trace, fixref)
-        model = None
-        if problem.kappa is not None and trace.is_exact and trace.dist is not None:
-            model = SubRegularityModel(problem.kappa)
-        violations = verify_trace(trace, constants, model=model)
-        ks = np.arange(trace.n_steps)
-        columns["pw_bound"] = np.array(
-            [pointwise_bound(k, constants) for k in ks])
-        columns["erg_bound"] = np.array(
-            [ergodic_bound(k, constants, float(trace.lam_cumsum[k])) for k in ks])
-        if model is not None:
-            columns["local_model"] = local_model_envelope(
-                trace, model, float(trace.dist[0]))
-        report["constants"] = {
-            "d0": constants.d0, "tau_min": constants.tau_min,
-            "tau_max": constants.tau_max, "nu1": constants.nu1,
-            "nu2": constants.nu2, "C1": constants.C1, "C2": constants.C2,
-            "source": constants.source,
-        }
+        report["constants"] = dataclasses.asdict(constants)
 
         cert = None
         if problem.kind == "gfb":
@@ -393,16 +380,22 @@ def execute_run(cfg: dict):
         elif problem.kind == "pds":
             cert = pds_certificate_series(problem.built, trace,
                                           fixref.nearest(trace.z0))
+        series = trace_series(trace)
         if cert is not None:
-            columns["cert_value"] = cert.values
-            columns["cert_bound"] = cert.bounds
-            worst = float(np.max(cert.values - cert.bounds))
-            cert_ok = bool(np.all(cert.values <= cert.bounds + CERT_SLACK))
+            series["cert_value"] = columns["cert_value"] = cert.values
+            series["cert_bound"] = columns["cert_bound"] = cert.bounds
+        checked, bound_columns = verify_series(series, constants, trace.alpha,
+                                               problem.kappa)
+        columns.update(bound_columns)
+        # certificate results are reported under "certificates"
+        violations = [v for v in checked if v.kind != "certificate"]
+        if cert is not None:
+            cert_ok = len(violations) == len(checked)  # no certificate violation
             if cert.membership_max is not None:
                 cert_ok = cert_ok and cert.membership_max <= MEMBERSHIP_TOL
             report["certificates"] = {
                 "max_value": float(cert.values.max()),
-                "worst_margin": worst,
+                "worst_margin": float(np.max(cert.values - cert.bounds)),
                 "membership_max": cert.membership_max,
                 "structural_only": list(cert.structural_only),
                 "surrogate": cert.surrogate,
@@ -498,52 +491,35 @@ def _report_number(val, name: str) -> float:
     return float(val)
 
 
-def verify_files(trace_path: str, report_path: str, slack: float = CERT_SLACK):
-    """Re-check the bound columns of an emitted trace against constants from
-    its report; returns a list of (k, kind, margin)."""
+def verify_files(trace_path: str, report_path: str, slack: float = DEFAULT_SLACK):
+    """Re-check an emitted trace against the constants, ``alpha`` and
+    ``kappa`` of its report; returns a list of (k, kind, margin)."""
     _, cols = parse_trace_csv(trace_path)
     with open(report_path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
+    K = cols["k"].size
+    steps = report.get("steps")
+    if type(steps) is not int or steps != K:
+        first = f"; first unmatched row k={min(K, steps)}" if type(steps) is int else ""
+        raise ParameterError(
+            f"trace holds {K} data rows but the report says steps = {steps!r}{first}")
     consts = report.get("constants")
     if consts is None:
         raise ParameterError("report carries no constants to verify against")
-    from .bounds import BoundConstants  # local import to avoid cycle at module load
-
     names = ("d0", "tau_min", "tau_max", "nu1", "nu2", "C1", "C2")
+    for n in names:
+        if n not in consts:
+            raise ParameterError(f"report constants lack {n!r}")
     bc = BoundConstants(*(_report_number(consts[n], n) for n in names),
                         consts.get("source", "empirical"))
-    out = []
-    K = cols["k"].size
-    lam_cum = np.cumsum(cols["lambda"])
-    S1 = float(np.nansum(cols["lambda"] * cols["err_norm"]))
-    if bc.C1 < bc.nu1 * S1 - 1e-12 * max(1.0, bc.nu1 * S1):
-        out.append((-1, "constants", bc.nu1 * S1 - bc.C1))
-    for k in range(K):
-        pw = pointwise_bound(k, bc)
-        if cols["res_norm"][k] > pw + slack:
-            out.append((k, "pointwise", float(cols["res_norm"][k] - pw)))
-        eb = ergodic_bound(k, bc, float(lam_cum[k]))
-        if cols["erg_res_norm"][k] > eb + slack:
-            out.append((k, "ergodic", float(cols["erg_res_norm"][k] - eb)))
-        if not np.isnan(cols["cert_value"][k]) and not np.isnan(cols["cert_bound"][k]):
-            if cols["cert_value"][k] > cols["cert_bound"][k] + slack:
-                out.append((k, "certificate",
-                            float(cols["cert_value"][k] - cols["cert_bound"][k])))
-    kappa, alpha = (None if report.get(n) is None else _report_number(report[n], n)
-                    for n in ("kappa", "alpha"))
-    exact = bool(np.nanmax(cols["err_norm"]) == 0.0)
-    if kappa is not None and exact and not np.isnan(cols["dist_fix"]).all():
-        for k in range(K - 1):
-            lam = float(cols["lambda"][k])
-            if alpha is None:
-                zeta = local_zeta(lam * (1.0 - lam), kappa)
-            else:
-                zeta = local_zeta_averaged(lam, alpha, kappa)
-            lhs = cols["dist_fix"][k + 1] ** 2
-            rhs = zeta * cols["dist_fix"][k] ** 2 + slack
-            if lhs > rhs:
-                out.append((k, "local", float(lhs - rhs)))
-    return out
+    alpha, kappa = (None if report.get(n) is None else _report_number(report[n], n)
+                    for n in ("alpha", "kappa"))
+    # a column left blank in every row does not apply to the run
+    series = {n: c for n, c in cols.items() if not np.isnan(c).all()}
+    if ("cert_value" in series) != ("cert_bound" in series):
+        raise ParameterError("columns 'cert_value' and 'cert_bound' must be "
+                             "filled together or left blank together")
+    return verify_series(series, bc, alpha, kappa, slack)[0]
 
 
 def cmd_verify(args) -> int:

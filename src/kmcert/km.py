@@ -347,16 +347,6 @@ class IterationTrace:
 # engine
 # ---------------------------------------------------------------------------
 
-def km_step(z: ProductPoint, T: OperatorSpec, lam: float,
-            eps: Optional[ProductPoint] = None) -> ProductPoint:
-    """One relaxed step ``z + lam (T z + eps - z)``."""
-    Tz = T(z)
-    if not Tz.is_finite():
-        raise NumericalError("non-finite values in operator output")
-    upd = Tz + eps - z if eps is not None else Tz - z
-    return z + upd * lam
-
-
 def _validate_admissible(relaxation: RelaxationSchedule, alpha) -> None:
     cap = 1.0 if alpha is None else 1.0 / alpha
     if relaxation.lam_max > cap + 1e-12:
@@ -522,8 +512,7 @@ def run_km_nonstationary(
     relaxation: RelaxationSchedule, errors: Optional[ErrorSchedule] = None,
     stop: Optional[StopRule] = None, *, limit_operator: Optional[OperatorSpec] = None,
     track_limit: bool = True, fix: Optional[FixedPointSet] = None,
-    retain: bool = True, seed: int = 0, lipschitz_slack=None,
-    meta: Optional[dict] = None,
+    retain: bool = True, seed: int = 0, meta: Optional[dict] = None,
 ) -> IterationTrace:
     """Run the non-stationary iteration of a parameterized operator family.
 
@@ -531,8 +520,6 @@ def run_km_nonstationary(
     per-step operator while the recorded residual refers to the limit
     operator (one extra evaluation per step, disabled by ``track_limit=False``
     in which case the native residual is recorded instead).
-    ``lipschitz_slack`` is optional user-declared metadata for per-step
-    Lipschitz excesses; it is stored, never computed.
     """
     if stop is None:
         stop = StopRule()
@@ -572,8 +559,6 @@ def run_km_nonstationary(
     m["gamma_schedule"] = gamma_schedule.kind
     m["gamma_limit"] = gamma_schedule.limit
     m["schedule_note"] = gamma_schedule.summability_note
-    if lipschitz_slack is not None:
-        m["lipschitz_slack"] = lipschitz_slack
     return _iterate(limit_op, evalstep, z0, relaxation, stop, fix, retain, seed,
                     nonstationary=True, meta=m)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NumericalError, ParameterError, StructuralError
 from .spaces import ProductPoint, ProductSpace
@@ -117,19 +116,6 @@ def compose2(T1: OperatorSpec, T2: OperatorSpec) -> OperatorSpec:
     return OperatorSpec(
         lambda z: T1(T2(z)), alpha, f"({T1.label} o {T2.label})", T1.space
     )
-
-
-def compose_chain_alpha(alphas) -> float:
-    """Alternative n-factor composition constant ``n / (n - 1 + 1/max a_i)``.
-
-    Documented for reference only; pairwise composition via :func:`compose2`
-    gives sharper constants for n = 2 and is what this package uses.
-    """
-    alphas = [float(a) for a in alphas]
-    if not alphas or any(not (0.0 < a <= 1.0) for a in alphas):
-        raise ParameterError("constants must lie in (0, 1]")
-    n = len(alphas)
-    return n / (n - 1.0 + 1.0 / max(alphas))
 
 
 def combine(ops, weights) -> OperatorSpec:
@@ -269,35 +255,6 @@ def gradient_step(f: QuadraticFn, gamma: float, space: ProductSpace = None) -> O
         return space._wrap((x - gamma * f.grad(x),))
 
     return OperatorSpec(step, alpha, f"grad_step({gamma:g})", space)
-
-
-def resolvent_linear(A, gamma: float, space: ProductSpace = None) -> OperatorSpec:
-    """Resolvent ``(Id + gamma A)^{-1}`` of a monotone linear map, firmly
-    non-expansive.  Solves with a cached dense factorization and verifies the
-    solve residual on every call."""
-    A = np.asarray(A, dtype=float)
-    gamma = float(gamma)
-    if gamma <= 0:
-        raise ParameterError("resolvent parameter must be positive")
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise StructuralError("A must be square")
-    sym_eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
-    if sym_eigs[0] < -1e-12:
-        raise ParameterError("A is not monotone (symmetric part has negative eigenvalue)")
-    d = A.shape[0]
-    M = np.eye(d) + gamma * A
-    lu = sla.lu_factor(M)
-    if space is None:
-        space = ProductSpace.single(d)
-
-    def solve(x):
-        y = sla.lu_solve(lu, x)
-        res = np.linalg.norm(M @ y - x)
-        if res > 1e-10 * (1.0 + np.linalg.norm(x)):
-            raise NumericalError(f"resolvent solve residual {res:.3e} too large")
-        return y
-
-    return vector_operator(space, solve, 0.5, f"J({gamma:g}A)")
 
 
 # ---------------------------------------------------------------------------

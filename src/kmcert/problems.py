@@ -86,10 +86,7 @@ class ProblemInstance:
                       meta={"problem": self.name})
 
     def make_channel(self, c: float, p: float):
-        if self.kind == "gfb":
-            half = ErrorSchedule.power(c / 2.0, p)
-            return self.built.channel(half, half)
-        if self.kind == "drs":
+        if self.kind in ("gfb", "drs"):
             half = ErrorSchedule.power(c / 2.0, p)
             return self.built.channel(half, half)
         if self.kind == "pds":

@@ -17,9 +17,9 @@ from typing import List, Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .bounds import BoundConstants, pointwise_bound
+from .bounds import BoundConstants, empirical_constants, pointwise_bound
 from .errors import NumericalError, ParameterError, StructuralError, UnavailableError
-from .km import ErrorSchedule, GammaSchedule, IterationTrace
+from .km import ErrorSchedule, FixedPointSet, GammaSchedule, IterationTrace
 from .operators import (
     OperatorSpec,
     compose2,
@@ -446,13 +446,12 @@ def gfb_certificate_series(built: GfbBuilt, trace: IterationTrace,
         raise UnavailableError("certificate series needs retained iterates")
     K = trace.n_steps
     vals = np.empty(K)
-    bnds = np.empty(K)
+    bnds = pointwise_bound(np.arange(K), constants) / built.spec.gamma
     mem = -np.inf
     structural: tuple = ()
     for k in range(K):
         step = gfb_certificate(built, trace.z_vecs[k])
         vals[k] = step.criterion
-        bnds[k] = pointwise_bound(k, constants) / built.spec.gamma
         if step.membership is not None:
             mem = max(mem, step.membership)
         structural = step.structural_only
@@ -583,62 +582,61 @@ def build_drs(spec: DrsSpec) -> DrsBuilt:
     return DrsBuilt(spec)
 
 
-def drs_certificate_series(built: DrsBuilt, trace: IterationTrace,
-                           constants: BoundConstants) -> CertificateSeries:
-    """Explicit element of the summed operators at (u, v) with the bound
-    ``((1 + lam)/gamma) * pointwise bound + c_k`` where the channel errors
-    enter ``c_k = (1/gamma)((2 + lam)||eps2|| + ||eps1||)``."""
-    if trace.z_vecs is None:
-        raise UnavailableError("certificate series needs retained iterates")
-    spec = built.spec
-    K = trace.n_steps
-    vals = np.empty(K)
-    bnds = np.empty(K)
-    mem = -np.inf
-    for k in range(K):
-        z, zn = trace.z_vecs[k], trace.z_vecs[k + 1]
-        e1 = e2 = None
-        if trace.channel is not None:
-            e1 = trace.channel[k].get("eps1")
-            e2 = trace.channel[k].get("eps2")
-        x, u, v = built.readout(z, zn, eps2=e2)
-        zv, znv = z.blocks[0], zn.blocks[0]
-        g = ((2.0 * x - zv - u) + (znv - v)) / spec.gamma
-        vals[k] = float(np.linalg.norm(g))
-        lam = float(trace.lam[k])
-        ck = (1.0 / spec.gamma) * (
-            (2.0 + lam) * (np.linalg.norm(e2) if e2 is not None else 0.0)
-            + (np.linalg.norm(e1) if e1 is not None else 0.0)
-        )
-        bnds[k] = (1.0 + lam) / spec.gamma * pointwise_bound(k, constants) + ck
-        r1 = spec.block1.member_residual(u, (2.0 * x - zv - u) / spec.gamma)
-        r2 = spec.block2.member_residual(v, (znv - v) / spec.gamma)
-        for r in (r1, r2):
-            if r is not None:
-                mem = max(mem, r)
-    return CertificateSeries(vals, bnds, None if mem == -np.inf else mem)
+@dataclass(frozen=True)
+class DrsCertStep:
+    g: np.ndarray
+    criterion: float
+    bound: float
+    membership: Optional[float]
 
 
 def drs_certificate(built: DrsBuilt, trace: IterationTrace,
-                    constants: BoundConstants, k: int):
-    """Single-step certificate: returns (g, criterion, bound)."""
+                    constants: BoundConstants, k: int) -> DrsCertStep:
+    """Certificate of step k: an explicit element ``g`` of the summed
+    operators at (u, v), its norm, the bound
+    ``((1 + lam)/gamma) * pointwise bound + c_k`` where the channel errors
+    enter ``c_k = (1/gamma)((2 + lam)||eps2|| + ||eps1||)``, and the larger
+    membership residual of the two blocks (None when neither block type is
+    recognized)."""
     if trace.z_vecs is None:
         raise UnavailableError("certificate needs retained iterates")
+    spec = built.spec
     z, zn = trace.z_vecs[k], trace.z_vecs[k + 1]
     e1 = e2 = None
     if trace.channel is not None:
         e1 = trace.channel[k].get("eps1")
         e2 = trace.channel[k].get("eps2")
     x, u, v = built.readout(z, zn, eps2=e2)
-    gamma = built.spec.gamma
-    g = ((2.0 * x - z.blocks[0] - u) + (zn.blocks[0] - v)) / gamma
+    zv, znv = z.blocks[0], zn.blocks[0]
+    g = ((2.0 * x - zv - u) + (znv - v)) / spec.gamma
     lam = float(trace.lam[k])
-    ck = (1.0 / gamma) * (
+    ck = (1.0 / spec.gamma) * (
         (2.0 + lam) * (np.linalg.norm(e2) if e2 is not None else 0.0)
         + (np.linalg.norm(e1) if e1 is not None else 0.0)
     )
-    bound = (1.0 + lam) / gamma * pointwise_bound(k, constants) + ck
-    return g, float(np.linalg.norm(g)), float(bound)
+    bound = (1.0 + lam) / spec.gamma * pointwise_bound(k, constants) + ck
+    residuals = [r for r in (
+        spec.block1.member_residual(u, (2.0 * x - zv - u) / spec.gamma),
+        spec.block2.member_residual(v, (znv - v) / spec.gamma),
+    ) if r is not None]
+    return DrsCertStep(g, float(np.linalg.norm(g)), float(bound),
+                       max(residuals) if residuals else None)
+
+
+def drs_certificate_series(built: DrsBuilt, trace: IterationTrace,
+                           constants: BoundConstants) -> CertificateSeries:
+    """:func:`drs_certificate` at every recorded step."""
+    K = trace.n_steps
+    vals = np.empty(K)
+    bnds = np.empty(K)
+    mem = -np.inf
+    for k in range(K):
+        step = drs_certificate(built, trace, constants, k)
+        vals[k] = step.criterion
+        bnds[k] = step.bound
+        if step.membership is not None:
+            mem = max(mem, step.membership)
+    return CertificateSeries(vals, bnds, None if mem == -np.inf else mem)
 
 
 # ---------------------------------------------------------------------------
@@ -923,38 +921,11 @@ def pds_certificate_series(built: PdsBuilt, trace: IterationTrace,
     constants measured in the plain norm.  Flagged surrogate: the certified
     quantity is the residual itself, not an explicit element of the operator
     sum."""
-    if trace.z_vecs is None or trace.e_vecs is None:
-        raise UnavailableError("certificate needs retained vectors")
-    space = built.space
-    K = trace.n_steps
-    z_star = fix_point
-
-    d0 = space.base_norm(trace.z_vecs[0] - z_star)
-    c = 1.0 / built.alpha
-    tau = trace.lam * (c - trace.lam)
-    tau_min = float(tau.min())
-    tau_max = float(tau.max())
-    eps_base = np.array([
-        space.base_norm(trace.eps_vector(k)) if trace.eps_vecs is not None else 0.0
-        for k in range(K)
-    ])
-    sup_relaxed = 0.0
-    nu2 = 0.0
-    for k in range(K):
-        relaxed = trace.z_vecs[k] - trace.e_vecs[k] * trace.lam[k]
-        sup_relaxed = max(sup_relaxed, space.base_norm(relaxed - z_star))
-        if k + 1 < K:
-            nu2 = max(nu2, space.base_norm(trace.e_vecs[k] - trace.e_vecs[k + 1]))
-    nu1 = 2.0 * sup_relaxed + float((trace.lam * eps_base).max()) if K else 0.0
-    nu2 *= 2.0
-    S1 = float((trace.lam * eps_base).sum())
-    S2 = float((np.arange(1, K + 1) * eps_base).sum())
-    C1 = nu1 * S1 + nu2 * tau_max * S2
-
+    constants = empirical_constants(trace, FixedPointSet.from_point(fix_point),
+                                    base_norm=True)
     factor = 2.0 * built.delta / built.eta
-    vals = np.array([space.base_norm(trace.e_vecs[k]) for k in range(K)])
-    ks = np.arange(K, dtype=float)
-    bnds = factor * np.sqrt((d0 ** 2 + C1) / (tau_min * (ks + 1.0)))
+    vals = np.array([built.space.base_norm(e) for e in trace.e_vecs])
+    bnds = factor * pointwise_bound(np.arange(trace.n_steps), constants)
     return CertificateSeries(vals, bnds, None, surrogate=True)
 
 

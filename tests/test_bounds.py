@@ -5,7 +5,6 @@ from dataclasses import replace
 from kmcert.bounds import (
     BoundConstants,
     SubRegularityModel,
-    displacement_bounds,
     empirical_constants,
     ergodic_bound,
     fit_tail_rate,
@@ -114,21 +113,26 @@ class TestDisplacementBounds:
     def test_zero_map_closed_forms(self, zero_exact):
         p, tr = zero_exact
         bc = empirical_constants(tr, p.fix)
+        pw, erg = trace_displacement_bounds(tr, bc)
         for k in range(tr.n_steps):
-            pw, erg = displacement_bounds(k, bc.d0, bc.tau_min, float(tr.lam.min()))
-            assert tr.disp_norm[k] <= pw + 1e-12
+            assert tr.disp_norm[k] <= pw[k] + 1e-12
             mean_disp = np.linalg.norm(
                 tr.z_vecs[0].blocks[0] - tr.z_vecs[k + 1].blocks[0]) / (k + 1.0)
-            assert mean_disp <= erg + 1e-12
+            assert mean_disp <= erg[k] + 1e-12
 
-    def test_k0_arithmetic(self):
-        pw, erg = displacement_bounds(0, 1.0, 0.25, 0.5)
-        assert pw == pytest.approx(2.0)
-        assert erg == pytest.approx(2.0)
+    def test_k0_arithmetic(self, zero_exact):
+        p, tr = zero_exact
+        bc = replace(empirical_constants(tr, p.fix), d0=1.0, tau_min=0.25,
+                     tau_max=0.25)
+        pw, erg = trace_displacement_bounds(tr, bc)
+        assert pw[0] == pytest.approx(2.0)
+        assert erg[0] == pytest.approx(2.0)
 
-    def test_parameter_validation(self):
+    def test_parameter_validation(self, zero_exact):
+        p, tr = zero_exact
+        bc = replace(empirical_constants(tr, p.fix), tau_min=0.0)
         with pytest.raises(ParameterError):
-            displacement_bounds(0, 1.0, 0.0, 0.5)
+            trace_displacement_bounds(tr, bc)
 
     def test_trace_variant_rejects_inexact(self, zero_exact, zero_inexact):
         p, tr = zero_exact

@@ -10,7 +10,6 @@ from kmcert.km import (
     StopRule,
     displacements,
     ergodic_residual,
-    km_step,
     run_km,
     run_km_nonstationary,
 )
@@ -31,26 +30,6 @@ def one_d_space():
 def zero_problem(d=1, z0=(1.0,)):
     sp = ProductSpace.single(d)
     return zero_operator(sp), sp.vector(z0), FixedPointSet.from_point(sp.zeros())
-
-
-class TestKmStep:
-    def test_fixed_point_stays(self):
-        sp = ProductSpace.single(2)
-        T = identity_operator(sp)
-        z = sp.vector((1.0, 2.0))
-        out = km_step(z, T, 0.7)
-        assert sp.norm(out - z) == 0.0
-
-    def test_zero_map_half_step(self):
-        T, z, _ = zero_problem()
-        out = km_step(z, T, 0.5)
-        assert out.blocks[0] == pytest.approx([0.5])
-
-    def test_with_error_vector(self):
-        T, z, _ = zero_problem()
-        eps = T.space.vector((0.1,))
-        out = km_step(z, T, 0.5, eps)
-        assert out.blocks[0] == pytest.approx([0.55])
 
 
 class TestRunKmClosedForms:

@@ -9,7 +9,6 @@ from kmcert.operators import (
     check_firmly_nonexpansive,
     combine,
     compose2,
-    compose_chain_alpha,
     gradient_step,
     identity_operator,
     moreau_envelope_gradient,
@@ -18,12 +17,12 @@ from kmcert.operators import (
     prox_l1,
     relax,
     residual,
-    resolvent_linear,
     scaled_residual,
     vector_operator,
     zero_operator,
 )
 from kmcert.spaces import ProductSpace
+from kmcert.splitting import LinearBlock
 
 
 def affine_averaged(space, alpha, seed):
@@ -148,12 +147,6 @@ class TestResidual:
         assert check_firmly_nonexpansive(S, samples=400, seed=3).passed
 
 
-class TestComposeChainAlpha:
-    def test_documented_formula(self):
-        assert compose_chain_alpha([0.5, 0.5]) == pytest.approx(2.0 / (1.0 + 2.0))
-        assert compose_chain_alpha([0.5, 0.25, 0.5]) == pytest.approx(3.0 / (2.0 + 2.0))
-
-
 class TestProxL1:
     def test_shrink(self):
         out = prox_l1(np.array([2.0, -0.5]), 1.0)
@@ -247,6 +240,14 @@ class TestGradientStep:
             gradient_step(f, 2.0)
 
 
+def resolvent_linear(A, gamma):
+    """``(Id + gamma A)^{-1}`` of a monotone linear map: the resolvent of a
+    ``LinearBlock`` wrapped as a firmly non-expansive operator."""
+    block = LinearBlock(A)
+    return vector_operator(ProductSpace.single(block.M.shape[0]),
+                           lambda v: block.resolvent(v, gamma), 0.5, "J(gamma A)")
+
+
 class TestResolventLinear:
     def test_zero_map_gives_identity(self):
         J = resolvent_linear(np.zeros((2, 2)), 1.0)
@@ -260,7 +261,7 @@ class TestResolventLinear:
 
     def test_monotonicity_checked(self):
         with pytest.raises(ParameterError):
-            resolvent_linear(-np.eye(2), 1.0)
+            LinearBlock(-np.eye(2))
 
     def test_firm_and_reflected_nonexpansive_sampled(self):
         rng = np.random.default_rng(14)

@@ -317,9 +317,9 @@ class TestDrs:
         p = make_two_subspaces(np.pi / 4, 4)
         tr = p.exact_run(max_iters=30)
         bc = empirical_constants(tr, p.fix_reference())
-        g, val, bound = drs_certificate(p.built, tr, bc, 3)
-        assert val <= bound + 1e-10
-        assert val == pytest.approx(np.linalg.norm(g))
+        step = drs_certificate(p.built, tr, bc, 3)
+        assert step.criterion <= step.bound + 1e-10
+        assert step.criterion == pytest.approx(np.linalg.norm(step.g))
 
     def test_inexact_certificate_includes_channel_term(self):
         p = make_two_subspaces(np.pi / 4, 4)

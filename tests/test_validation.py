@@ -2,8 +2,10 @@
 
 These tests pin down where each check now lives: user data at construction,
 operator output once per step in the engine, schedule values at every step,
-and emitted trace cells when they are read back.
+and emitted trace cells and rows when they are read back.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -332,3 +334,52 @@ class TestCli:
         report.write_text(text.replace(f'"{key}": ', f'"{key}": {value}, "_was": ', 1))
         assert main(["verify", str(trace), str(report)]) == 2
         assert key in capsys.readouterr().err
+
+    def data_rows(self, path):
+        lines = path.read_text().splitlines()
+        return lines, next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 1
+
+    def test_deleted_row_exits_2(self, tmp_path, capsys):
+        trace, report = self.make_run(tmp_path)
+        self.set_cell(trace, 7, "res_norm", "1e6")
+        assert main(["verify", str(trace), str(report)]) == 1
+        lines, first = self.data_rows(trace)
+        del lines[first + 7]
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(trace), str(report)]) == 2
+        assert "data row 7 holds k=8" in capsys.readouterr().err
+
+    def test_swapped_rows_exit_2(self, tmp_path, capsys):
+        trace, report = self.make_run(tmp_path)
+        lines, first = self.data_rows(trace)
+        lines[first + 7], lines[first + 8] = lines[first + 8], lines[first + 7]
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(trace), str(report)]) == 2
+        assert "data row 7 holds k=8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", [99, 61, "62"])
+    def test_steps_mismatch_exits_2(self, tmp_path, capsys, steps):
+        trace, report = self.make_run(tmp_path)
+        doc = json.loads(report.read_text())
+        assert doc["steps"] == 62
+        doc["steps"] = steps
+        report.write_text(json.dumps(doc))
+        assert main(["verify", str(trace), str(report)]) == 2
+        assert "62 data rows" in capsys.readouterr().err
+
+    def test_missing_constant_named(self, tmp_path, capsys):
+        trace, report = self.make_run(tmp_path)
+        doc = json.loads(report.read_text())
+        del doc["constants"]["nu2"]
+        report.write_text(json.dumps(doc))
+        assert main(["verify", str(trace), str(report)]) == 2
+        assert "report constants lack 'nu2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", ["cert_value", "cert_bound"])
+    def test_half_blank_certificate_exits_2(self, tmp_path, capsys, column):
+        assert main(["run", "--preset", "drs-subspaces", "--out", str(tmp_path)]) == 0
+        trace, report = tmp_path / "drs-subspaces.csv", tmp_path / "drs-subspaces.json"
+        for k in range(json.loads(report.read_text())["steps"]):
+            self.set_cell(trace, k, column, "")
+        assert main(["verify", str(trace), str(report)]) == 2
+        assert "filled together" in capsys.readouterr().err
