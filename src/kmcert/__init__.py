@@ -4,9 +4,9 @@ against pointwise, ergodic and local linear convergence bounds."""
 
 from .bounds import (
     BoundConstants,
+    EmpiricalConstants,
     SubRegularityModel,
     Violation,
-    empirical_constants,
     ergodic_bound,
     fit_tail_rate,
     gd_theoretical_rate,
@@ -32,8 +32,6 @@ from .km import (
     IterationTrace,
     RelaxationSchedule,
     StopRule,
-    displacements,
-    ergodic_residual,
     run_km,
     run_km_nonstationary,
 )
@@ -68,10 +66,14 @@ from .spaces import (
 from .splitting import (
     BoxBlock,
     CocoerciveMap,
+    DrsCertificates,
     DrsSpec,
+    GfbCertificates,
+    GfbErgodicCertificates,
     GfbSpec,
     L1Block,
     LinearBlock,
+    PdsCertificates,
     PdsDualTerm,
     PdsSpec,
     SubspaceBlock,
@@ -81,13 +83,8 @@ from .splitting import (
     build_gfb_nonstationary,
     build_pds,
     drs_certificate,
-    drs_certificate_series,
     gfb_certificate,
-    gfb_certificate_series,
-    gfb_ergodic_certificate,
     matrix_norm,
-    pds_candidate,
-    pds_certificate_series,
 )
 
 __version__ = "0.1.0"

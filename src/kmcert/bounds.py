@@ -14,7 +14,8 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from .errors import ParameterError, UnavailableError
-from .km import FixedPointSet, IterationTrace
+from .km import IterationTrace
+from .spaces import ProductPoint, ProductSpace
 
 DEFAULT_SLACK = 1e-10
 
@@ -70,46 +71,51 @@ class Violation(NamedTuple):
     margin: float
 
 
-def empirical_constants(trace: IterationTrace, fix_reference: FixedPointSet,
-                        base_norm: bool = False) -> BoundConstants:
-    """Constants measured over the executed horizon of a retained trace, in
-    the space's norm or, with ``base_norm``, in the plain direct-sum norm
-    (the error norms are then re-measured from the retained error vectors)."""
-    if trace.z_vecs is None or trace.e_vecs is None:
-        raise UnavailableError("empirical constants need retained iterate/residual vectors")
-    if fix_reference is None:
-        raise UnavailableError("no fixed-point reference available")
-    space = trace.space
-    norm = space.base_norm if base_norm else space.norm
-    eps_norm = (np.array([norm(trace.eps_vector(k)) for k in range(trace.n_steps)])
-                if base_norm else trace.eps_norm)
-    z0 = trace.z_vecs[0]
-    z_star = fix_reference.nearest(z0)
-    d0 = norm(z0 - z_star)
+class EmpiricalConstants:
+    """Bound constants measured over the executed horizon, accumulated one
+    step at a time through the engine's ``observe`` hook.
 
-    c = 1.0 if trace.alpha is None else 1.0 / trace.alpha
-    tau = trace.lam * (c - trace.lam)
-    tau_min = float(tau.min())
-    tau_max = float(tau.max())
+    ``z_star`` is the fixed-point reference nearest the start, fixed before
+    the run.  Norms are the space's or, with ``base_norm``, the plain
+    direct-sum norm (the error norms are then measured here too).
+    :meth:`constants` finishes the sums from the trace's scalar columns.
+    """
 
-    sup_relaxed = 0.0
-    for k in range(trace.n_steps):
-        relaxed = trace.z_vecs[k] - trace.e_vecs[k] * trace.lam[k]
-        sup_relaxed = max(sup_relaxed, norm(relaxed - z_star))
-    lam_eps = trace.lam * eps_norm
-    nu1 = 2.0 * sup_relaxed + (float(lam_eps.max()) if lam_eps.size else 0.0)
+    def __init__(self, z_star: ProductPoint, space: ProductSpace,
+                 base_norm: bool = False):
+        self.z_star = z_star
+        self._norm = space.base_norm if base_norm else space.norm
+        self._eps_norm = [] if base_norm else None
+        self._d0 = 0.0
+        self._sup_relaxed = 0.0     # sup ||z_k - lam_k e_k - z*||
+        self._sup_de = 0.0          # sup ||e_k - e_{k+1}||
+        self._e_prev = None
 
-    nu2 = 0.0
-    for k in range(trace.n_steps - 1):
-        nu2 = max(nu2, norm(trace.e_vecs[k] - trace.e_vecs[k + 1]))
-    nu2 *= 2.0
+    def observe(self, k, z, z_next, e, eps, lam, extras) -> None:
+        norm = self._norm
+        if self._e_prev is None:
+            self._d0 = norm(z - self.z_star)
+        else:
+            self._sup_de = max(self._sup_de, norm(self._e_prev - e))
+        self._e_prev = e
+        self._sup_relaxed = max(self._sup_relaxed, norm(z - e * lam - self.z_star))
+        if self._eps_norm is not None:
+            self._eps_norm.append(norm(eps) if eps is not None else 0.0)
 
-    S1 = float(lam_eps.sum())
-    ks = np.arange(1, trace.n_steps + 1, dtype=float)
-    S2 = float((ks * eps_norm).sum())
-    C1 = nu1 * S1 + nu2 * tau_max * S2
-    C2 = S1
-    return BoundConstants(d0, tau_min, tau_max, nu1, nu2, C1, C2, "empirical")
+    def constants(self, trace: IterationTrace) -> BoundConstants:
+        eps_norm = trace.eps_norm if self._eps_norm is None else np.asarray(self._eps_norm)
+        c = 1.0 if trace.alpha is None else 1.0 / trace.alpha
+        tau = trace.lam * (c - trace.lam)
+        tau_max = float(tau.max())
+        lam_eps = trace.lam * eps_norm
+        nu1 = 2.0 * self._sup_relaxed + (float(lam_eps.max()) if lam_eps.size else 0.0)
+        nu2 = 2.0 * self._sup_de
+        S1 = float(lam_eps.sum())
+        ks = np.arange(1, trace.n_steps + 1, dtype=float)
+        S2 = float((ks * eps_norm).sum())
+        C1 = nu1 * S1 + nu2 * tau_max * S2
+        return BoundConstants(self._d0, float(tau.min()), tau_max, nu1, nu2, C1, S1,
+                              "empirical")
 
 
 def pointwise_bound(k, constants: BoundConstants):

@@ -23,13 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import (
-    DEFAULT_SLACK,
-    BoundConstants,
-    empirical_constants,
-    trace_series,
-    verify_series,
-)
+from .bounds import DEFAULT_SLACK, BoundConstants, trace_series, verify_series
 from .errors import (
     KmcertError,
     NumericalError,
@@ -47,11 +41,6 @@ from .problems import (
     make_quadratic_gd,
     make_two_subspaces,
     make_zero_map,
-)
-from .splitting import (
-    drs_certificate_series,
-    gfb_certificate_series,
-    pds_certificate_series,
 )
 
 CSV_COLUMNS = [
@@ -74,7 +63,6 @@ DEFAULTS = {
     "max_iters": 0,          # 0 = problem default, -1 = rate-fit horizon
     "tol": 0.0,
     "seed": 0,
-    "retain": True,
     # problem parameters
     "delta_m": 0.8,
     "delta_M": 1.0,
@@ -99,13 +87,13 @@ PRESETS = {
     "pds-small": {"problem": "pds-small", "problem_seed": 3},
     "nonstationary-geo": {"problem": "multiblock", "method": "gfb-nonstationary",
                           "gamma_schedule": "geometric", "dim": 10,
-                          "max_iters": 10000, "retain": False},
+                          "max_iters": 10000},
     "nonstationary-sq": {"problem": "multiblock", "method": "gfb-nonstationary",
                          "gamma_schedule": "inverse-square", "dim": 10,
-                         "max_iters": 10000, "retain": False},
+                         "max_iters": 10000},
     "nonstationary-harm": {"problem": "multiblock", "method": "gfb-nonstationary",
                            "gamma_schedule": "harmonic", "dim": 10,
-                           "max_iters": 10000, "retain": False},
+                           "max_iters": 10000},
 }
 
 
@@ -331,14 +319,8 @@ def execute_run(cfg: dict):
         max_iters = problem.rate_horizon
     else:
         max_iters = cfg["max_iters"] or problem.cert_horizon
-    retain = bool(cfg["retain"])
-    if cfg["error_c"] > 0:
-        trace = problem.inexact_run(c=cfg["error_c"], p=cfg["error_p"],
-                                    max_iters=max_iters, tol=cfg["tol"],
-                                    retain=retain, seed=cfg["seed"])
-    else:
-        trace = problem.exact_run(max_iters=max_iters, tol=cfg["tol"],
-                                  retain=retain, seed=cfg["seed"])
+    trace, constants, cert = problem.certified_run(
+        cfg["error_c"], cfg["error_p"], max_iters, cfg["tol"], cfg["seed"])
 
     columns: dict = {}
     report = {
@@ -352,7 +334,7 @@ def execute_run(cfg: dict):
         "kappa": problem.kappa,
         "theoretical_rate": problem.theoretical_rate,
         "observed_rate": None,
-        "constants": None,
+        "constants": dataclasses.asdict(constants),
         "violations": [],
         "certificates": None,
         "verdict": "pass",
@@ -366,43 +348,28 @@ def execute_run(cfg: dict):
     except (UnavailableError, KmcertError):
         report["observed_rate"] = None
 
-    violations = []
-    if retain:
-        fixref = problem.fix_reference()
-        constants = empirical_constants(trace, fixref)
-        report["constants"] = dataclasses.asdict(constants)
-
-        cert = None
-        if problem.kind == "gfb":
-            cert = gfb_certificate_series(problem.built, trace, constants)
-        elif problem.kind == "drs":
-            cert = drs_certificate_series(problem.built, trace, constants)
-        elif problem.kind == "pds":
-            cert = pds_certificate_series(problem.built, trace,
-                                          fixref.nearest(trace.z0))
-        series = trace_series(trace)
-        if cert is not None:
-            series["cert_value"] = columns["cert_value"] = cert.values
-            series["cert_bound"] = columns["cert_bound"] = cert.bounds
-        checked, bound_columns = verify_series(series, constants, trace.alpha,
-                                               problem.kappa)
-        columns.update(bound_columns)
-        # certificate results are reported under "certificates"
-        violations = [v for v in checked if v.kind != "certificate"]
-        if cert is not None:
-            cert_ok = len(violations) == len(checked)  # no certificate violation
-            if cert.membership_max is not None:
-                cert_ok = cert_ok and cert.membership_max <= MEMBERSHIP_TOL
-            report["certificates"] = {
-                "max_value": float(cert.values.max()),
-                "worst_margin": float(np.max(cert.values - cert.bounds)),
-                "membership_max": cert.membership_max,
-                "structural_only": list(cert.structural_only),
-                "surrogate": cert.surrogate,
-                "ok": cert_ok,
-            }
-            if not cert_ok:
-                report["verdict"] = "fail"
+    series = trace_series(trace)
+    if cert is not None:
+        series["cert_value"] = columns["cert_value"] = cert.values
+        series["cert_bound"] = columns["cert_bound"] = cert.bounds
+    checked, bound_columns = verify_series(series, constants, trace.alpha, problem.kappa)
+    columns.update(bound_columns)
+    # certificate results are reported under "certificates"
+    violations = [v for v in checked if v.kind != "certificate"]
+    if cert is not None:
+        cert_ok = len(violations) == len(checked)  # no certificate violation
+        if cert.membership_max is not None:
+            cert_ok = cert_ok and cert.membership_max <= MEMBERSHIP_TOL
+        report["certificates"] = {
+            "max_value": float(cert.values.max()),
+            "worst_margin": float(np.max(cert.values - cert.bounds)),
+            "membership_max": cert.membership_max,
+            "structural_only": list(cert.structural_only),
+            "surrogate": cert.surrogate,
+            "ok": cert_ok,
+        }
+        if not cert_ok:
+            report["verdict"] = "fail"
 
     report["violations"] = [
         {"k": v.k, "kind": v.kind, "margin": v.margin} for v in violations
@@ -422,7 +389,7 @@ def _execute_nonstationary(cfg: dict):
     trace = run_km_nonstationary(
         family, schedule, problem.z0, problem.relaxation, errors=errors,
         stop=StopRule(max_iters=max_iters, residual_tol=cfg["tol"]),
-        retain=bool(cfg["retain"]), seed=cfg["seed"],
+        seed=cfg["seed"],
         meta={"problem": problem.name})
     report = {
         "config": cfg,
@@ -497,6 +464,8 @@ def verify_files(trace_path: str, report_path: str, slack: float = DEFAULT_SLACK
     _, cols = parse_trace_csv(trace_path)
     with open(report_path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
+    if not isinstance(report, dict):
+        raise ParameterError("report is not a JSON object")
     K = cols["k"].size
     steps = report.get("steps")
     if type(steps) is not int or steps != K:
@@ -504,7 +473,7 @@ def verify_files(trace_path: str, report_path: str, slack: float = DEFAULT_SLACK
         raise ParameterError(
             f"trace holds {K} data rows but the report says steps = {steps!r}{first}")
     consts = report.get("constants")
-    if consts is None:
+    if not isinstance(consts, dict):
         raise ParameterError("report carries no constants to verify against")
     names = ("d0", "tau_min", "tau_max", "nu1", "nu2", "C1", "C2")
     for n in names:
@@ -514,11 +483,21 @@ def verify_files(trace_path: str, report_path: str, slack: float = DEFAULT_SLACK
                         consts.get("source", "empirical"))
     alpha, kappa = (None if report.get(n) is None else _report_number(report[n], n)
                     for n in ("alpha", "kappa"))
-    # a column left blank in every row does not apply to the run
+    # a column left blank in every row does not apply to the run, unless the
+    # report says it does: a certified run writes both certificate columns,
+    # and a run with a modulus has an analytic fixed point, hence distances
     series = {n: c for n, c in cols.items() if not np.isnan(c).all()}
     if ("cert_value" in series) != ("cert_bound" in series):
         raise ParameterError("columns 'cert_value' and 'cert_bound' must be "
                              "filled together or left blank together")
+    required = []
+    if report.get("certificates") is not None:
+        required += ["cert_value", "cert_bound"]
+    if kappa is not None:
+        required.append("dist_fix")
+    for n in required:
+        if n not in series:
+            raise ParameterError(f"column {n!r} is blank, but the report says it applies")
     return verify_series(series, bc, alpha, kappa, slack)[0]
 
 
@@ -591,7 +570,7 @@ def suite_members():
     for sched in ("constant", "geometric", "inverse-square", "harmonic"):
         members.append(cfg(f"ns-{sched}", problem="multiblock",
                            method="gfb-nonstationary", gamma_schedule=sched,
-                           dim=10, max_iters=10000, retain=False))
+                           dim=10, max_iters=10000))
     return members
 
 

@@ -23,7 +23,6 @@ from .errors import (
     NumericalError,
     ParameterError,
     StructuralError,
-    UnavailableError,
 )
 from .operators import OperatorSpec
 from .spaces import ProductPoint, ProductSpace
@@ -314,10 +313,6 @@ class IterationTrace:
     dist: Optional[np.ndarray] = None          # length n_steps + 1
     gamma: Optional[np.ndarray] = None
     pert_norm: Optional[np.ndarray] = None
-    z_vecs: Optional[list] = None              # length n_steps + 1
-    e_vecs: Optional[list] = None
-    eps_vecs: Optional[list] = None            # entries may be None (exact step)
-    channel: Optional[list] = None             # per-step dict of channel vectors
     meta: dict = field(default_factory=dict)
 
     @property
@@ -331,16 +326,6 @@ class IterationTrace:
     @property
     def is_exact(self) -> bool:
         return bool(self.eps_norm.size == 0 or float(self.eps_norm.max()) == 0.0)
-
-    @property
-    def retained(self) -> bool:
-        return self.z_vecs is not None
-
-    def eps_vector(self, k: int) -> ProductPoint:
-        if self.eps_vecs is None:
-            raise UnavailableError("vector retention was off for this run")
-        v = self.eps_vecs[k]
-        return self.space.zeros() if v is None else v
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +357,7 @@ def _plain_evaluator(T: OperatorSpec, errors: Optional[ErrorSchedule]):
 
 def _iterate(operator: OperatorSpec, evalstep, z0: ProductPoint,
              relaxation: RelaxationSchedule, stop: StopRule,
-             fix: Optional[FixedPointSet], retain: bool, seed: int,
+             fix: Optional[FixedPointSet], observe: Optional[Callable], seed: int,
              nonstationary: bool, meta: dict) -> IterationTrace:
     space = operator.space
     if not space.compatible(z0):
@@ -385,10 +370,7 @@ def _iterate(operator: OperatorSpec, evalstep, z0: ProductPoint,
 
     rng = np.random.default_rng(seed)
     lam_l, epsn_l, res_l, erg_l, disp_l, cum_l = [], [], [], [], [], []
-    gamma_l, pert_l, dist_l, chan_l = [], [], [], []
-    z_vecs = [z0] if retain else None
-    e_vecs = [] if retain else None
-    eps_vecs = [] if retain else None
+    gamma_l, pert_l, dist_l = [], [], []
 
     z = z0
     S = space.zeros()
@@ -418,6 +400,8 @@ def _iterate(operator: OperatorSpec, evalstep, z0: ProductPoint,
             raise NumericalError(
                 f"residual identity violated at step {k}: drift {drift:.3e}"
             )
+        if observe is not None:
+            observe(k, z, z_next, e, eps_vec, lam, extras)
 
         eps_norm = space.norm(eps_vec) if eps_vec is not None else 0.0
         S = S + e * lam
@@ -432,12 +416,6 @@ def _iterate(operator: OperatorSpec, evalstep, z0: ProductPoint,
         if nonstationary:
             gamma_l.append(extras["gamma"])
             pert_l.append(extras["pert_norm"])
-        if extras is not None and "channel" in extras:
-            chan_l.append(extras["channel"])
-        if retain:
-            z_vecs.append(z_next)
-            e_vecs.append(e)
-            eps_vecs.append(eps_vec)
 
         z = z_next
         if space.norm(z) > stop.divergence_norm:
@@ -468,10 +446,6 @@ def _iterate(operator: OperatorSpec, evalstep, z0: ProductPoint,
         gamma=np.asarray(gamma_l) if nonstationary else None,
         pert_norm=(np.asarray([p if p is not None else np.nan for p in pert_l])
                    if nonstationary else None),
-        z_vecs=z_vecs,
-        e_vecs=e_vecs,
-        eps_vecs=eps_vecs,
-        channel=chan_l if chan_l else None,
         meta=dict(meta or {}),
     )
 
@@ -479,7 +453,8 @@ def _iterate(operator: OperatorSpec, evalstep, z0: ProductPoint,
 def run_km(T: OperatorSpec, z0: ProductPoint, relaxation: RelaxationSchedule,
            errors: Optional[ErrorSchedule] = None, stop: Optional[StopRule] = None,
            *, channel=None, fix: Optional[FixedPointSet] = None,
-           retain: bool = True, seed: int = 0, meta: Optional[dict] = None,
+           observe: Optional[Callable] = None, seed: int = 0,
+           meta: Optional[dict] = None,
            ) -> IterationTrace:
     """Run the stationary iteration of a single operator.
 
@@ -487,6 +462,14 @@ def run_km(T: OperatorSpec, z0: ProductPoint, relaxation: RelaxationSchedule,
     magnitude).  ``channel`` instead delegates each evaluation to a channel
     model from the splitting builders, which perturbs the evaluation
     internally and reports the induced error; the two are mutually exclusive.
+
+    ``observe(k, z, z_next, e, eps, lam, extras)`` is called once per step,
+    after the residual-identity check, with the iterate ``z_k``, its
+    successor, the residual ``e_k = z_k - T z_k``, the injected error (None
+    for an exact step), the relaxation and the evaluation's extras (for a
+    channel model, a dict with its channel vectors under ``"channel"``;
+    else None).  Constants and certificates are accumulated through it, so
+    no vector outlives its step.
     """
     if stop is None:
         stop = StopRule()
@@ -503,7 +486,7 @@ def run_km(T: OperatorSpec, z0: ProductPoint, relaxation: RelaxationSchedule,
     m["relaxation"] = relaxation.describe()
     m["errors"] = (errors.describe() if errors is not None
                    else "channel" if channel is not None else "exact")
-    return _iterate(operator, evalstep, z0, relaxation, stop, fix, retain, seed,
+    return _iterate(operator, evalstep, z0, relaxation, stop, fix, observe, seed,
                     nonstationary=False, meta=m)
 
 
@@ -512,7 +495,7 @@ def run_km_nonstationary(
     relaxation: RelaxationSchedule, errors: Optional[ErrorSchedule] = None,
     stop: Optional[StopRule] = None, *, limit_operator: Optional[OperatorSpec] = None,
     track_limit: bool = True, fix: Optional[FixedPointSet] = None,
-    retain: bool = True, seed: int = 0, meta: Optional[dict] = None,
+    seed: int = 0, meta: Optional[dict] = None,
 ) -> IterationTrace:
     """Run the non-stationary iteration of a parameterized operator family.
 
@@ -559,38 +542,6 @@ def run_km_nonstationary(
     m["gamma_schedule"] = gamma_schedule.kind
     m["gamma_limit"] = gamma_schedule.limit
     m["schedule_note"] = gamma_schedule.summability_note
-    return _iterate(limit_op, evalstep, z0, relaxation, stop, fix, retain, seed,
+    return _iterate(limit_op, evalstep, z0, relaxation, stop, fix, None, seed,
                     nonstationary=True, meta=m)
 
-
-# ---------------------------------------------------------------------------
-# trace post-processing
-# ---------------------------------------------------------------------------
-
-def ergodic_residual(trace: IterationTrace) -> np.ndarray:
-    """Recompute the relaxation-weighted running-average residual norms from
-    retained residual vectors (O(1) memory via a running vector sum)."""
-    if trace.e_vecs is None:
-        raise UnavailableError("ergodic recomputation needs retained residual vectors")
-    space = trace.space
-    S = space.zeros()
-    total = 0.0
-    out = np.empty(trace.n_steps)
-    for k in range(trace.n_steps):
-        S = S + trace.e_vecs[k] * trace.lam[k]
-        total += trace.lam[k]
-        out[k] = space.norm(S) / total
-    return out
-
-
-def displacements(trace: IterationTrace) -> np.ndarray:
-    """Per-step displacement norms ``||z_k - z_{k+1}||``, with the identity
-    ``z_k - z_{k+1} = lam (e_k - eps_k)`` enforced when vectors are retained."""
-    if trace.z_vecs is not None:
-        space = trace.space
-        for k in range(trace.n_steps):
-            v = trace.z_vecs[k] - trace.z_vecs[k + 1]
-            ref = (trace.e_vecs[k] - trace.eps_vector(k)) * trace.lam[k]
-            if space.norm(v - ref) > 1e-12 * max(1.0, space.norm(trace.z_vecs[k])):
-                raise NumericalError(f"displacement identity violated at step {k}")
-    return trace.disp_norm.copy()

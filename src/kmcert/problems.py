@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import fit_tail_rate, gd_theoretical_rate
+from .bounds import EmpiricalConstants, fit_tail_rate, gd_theoretical_rate
 from .errors import ParameterError, UnavailableError
 from .km import (
     ErrorSchedule,
@@ -24,10 +24,13 @@ from .spaces import ProductPoint, ProductSpace
 from .splitting import (
     BoxBlock,
     CocoerciveMap,
+    DrsCertificates,
     DrsSpec,
+    GfbCertificates,
     GfbSpec,
     L1Block,
     LinearBlock,
+    PdsCertificates,
     PdsDualTerm,
     PdsSpec,
     SubspaceBlock,
@@ -65,25 +68,57 @@ class ProblemInstance:
     # -- run helpers --------------------------------------------------------
 
     def exact_run(self, max_iters: Optional[int] = None, tol: float = 0.0,
-                  retain: bool = True, seed: int = 0) -> IterationTrace:
+                  observe=None, seed: int = 0) -> IterationTrace:
         stop = StopRule(max_iters=max_iters or self.cert_horizon, residual_tol=tol)
         return run_km(self.operator, self.z0, self.relaxation, stop=stop,
-                      fix=self.fix, retain=retain, seed=seed,
+                      fix=self.fix, observe=observe, seed=seed,
                       meta={"problem": self.name})
 
     def inexact_run(self, c: float = 0.1, p: float = 3.0,
                     max_iters: Optional[int] = None, tol: float = 0.0,
-                    retain: bool = True, seed: int = 0) -> IterationTrace:
+                    observe=None, seed: int = 0) -> IterationTrace:
         stop = StopRule(max_iters=max_iters or self.cert_horizon, residual_tol=tol)
         if self.kind == "km":
             return run_km(self.operator, self.z0, self.relaxation,
                           errors=ErrorSchedule.power(c, p), stop=stop,
-                          fix=self.fix, retain=retain, seed=seed,
+                          fix=self.fix, observe=observe, seed=seed,
                           meta={"problem": self.name})
         channel = self.make_channel(c, p)
         return run_km(self.operator, self.z0, self.relaxation, stop=stop,
-                      channel=channel, fix=self.fix, retain=retain, seed=seed,
+                      channel=channel, fix=self.fix, observe=observe, seed=seed,
                       meta={"problem": self.name})
+
+    def certified_run(self, c: float = 0.0, p: float = 3.0,
+                      max_iters: Optional[int] = None, tol: float = 0.0,
+                      seed: int = 0):
+        """One run, exact when ``c = 0`` and inexact with the error law
+        ``c / (k+1)^p`` otherwise, certified in the same pass: the fixed-point
+        reference is computed first, then the empirical constants and the
+        certificate of the problem's kind accumulate through the engine's
+        step hook.  Returns ``(trace, constants, certificate series or
+        None)``."""
+        z_star = self.fix_reference().nearest(self.z0)
+        constants = EmpiricalConstants(z_star, self.operator.space)
+        if self.kind == "gfb":
+            cert = GfbCertificates(self.built)
+        elif self.kind == "drs":
+            cert = DrsCertificates(self.built)
+        elif self.kind == "pds":
+            cert = PdsCertificates(self.built, z_star)
+        else:
+            cert = None
+        hooks = [constants] if cert is None else [constants, cert]
+
+        def observe(*step):
+            for hook in hooks:
+                hook.observe(*step)
+
+        if c > 0:
+            trace = self.inexact_run(c, p, max_iters, tol, observe=observe, seed=seed)
+        else:
+            trace = self.exact_run(max_iters, tol, observe=observe, seed=seed)
+        bc = constants.constants(trace)
+        return trace, bc, None if cert is None else cert.series(trace, bc)
 
     def make_channel(self, c: float, p: float):
         if self.kind in ("gfb", "drs"):
@@ -388,8 +423,7 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-13,
     re-evaluating the residual at the returned point."""
     stop = StopRule(max_iters=factor * problem.cert_horizon, residual_tol=tol)
     trace = run_km(problem.operator, problem.z0, problem.relaxation, stop=stop,
-                   retain=False, seed=0, meta={"problem": problem.name,
-                                               "role": "reference"})
+                   seed=0, meta={"problem": problem.name, "role": "reference"})
     zf = trace.z_final
     res = problem.operator.space.norm(zf - problem.operator(zf))
     if not res <= tol * 10.0:

@@ -181,10 +181,6 @@ class ProductSpace:
     def n(self) -> int:
         return len(self.dims)
 
-    @property
-    def dim_total(self) -> int:
-        return self._dim_total
-
     def point(self, blocks) -> ProductPoint:
         """Validated point from user data: 1-D, finite, matching the layout."""
         blocks = tuple(_as_block(b) for b in blocks)
@@ -219,9 +215,6 @@ class ProductSpace:
         )
 
     # -- metric-aware inner product and norm ------------------------------
-
-    def base_inner(self, x: ProductPoint, y: ProductPoint) -> float:
-        return weighted_inner(x, y)
 
     def base_norm(self, x: ProductPoint) -> float:
         return weighted_norm(x)

@@ -17,9 +17,9 @@ from typing import List, Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .bounds import BoundConstants, empirical_constants, pointwise_bound
-from .errors import NumericalError, ParameterError, StructuralError, UnavailableError
-from .km import ErrorSchedule, FixedPointSet, GammaSchedule, IterationTrace
+from .bounds import BoundConstants, EmpiricalConstants, pointwise_bound
+from .errors import NumericalError, ParameterError, StructuralError
+from .km import ErrorSchedule, GammaSchedule, IterationTrace
 from .operators import (
     OperatorSpec,
     compose2,
@@ -249,14 +249,6 @@ class GfbSpec:
     def n(self) -> int:
         return len(self.blocks)
 
-    @property
-    def lam_cap(self) -> float:
-        """Admissible relaxation supremum ``1 / alpha``."""
-        if self.smooth is None:
-            return 2.0
-        beta = self.smooth.beta
-        return (4.0 * beta - self.gamma) / (2.0 * beta)
-
 
 class GfbBuilt:
     """Assembled operator, readout and channel factory."""
@@ -438,52 +430,68 @@ class CertificateSeries:
     surrogate: bool = False
 
 
-def gfb_certificate_series(built: GfbBuilt, trace: IterationTrace,
-                           constants: BoundConstants) -> CertificateSeries:
-    """Pointwise criterion against ``(1/gamma) * pointwise bound`` at every
-    recorded step."""
-    if trace.z_vecs is None:
-        raise UnavailableError("certificate series needs retained iterates")
-    K = trace.n_steps
-    vals = np.empty(K)
-    bnds = pointwise_bound(np.arange(K), constants) / built.spec.gamma
-    mem = -np.inf
-    structural: tuple = ()
-    for k in range(K):
-        step = gfb_certificate(built, trace.z_vecs[k])
-        vals[k] = step.criterion
-        if step.membership is not None:
-            mem = max(mem, step.membership)
-        structural = step.structural_only
-    return CertificateSeries(vals, bnds, None if mem == -np.inf else mem, structural)
+class _CertificateStream:
+    """Certificate values collected one step at a time through the engine's
+    ``observe`` hook, with the largest membership residual seen.
+    ``series(trace, constants)`` adds the bound column after the run."""
+
+    def __init__(self, built):
+        self.built = built
+        self._values = []
+        self._membership = None
+
+    def _record(self, value: float, membership: Optional[float] = None) -> None:
+        self._values.append(value)
+        if membership is not None:
+            self._membership = (membership if self._membership is None
+                                else max(self._membership, membership))
 
 
-def gfb_ergodic_certificate(built: GfbBuilt, trace: IterationTrace,
-                            constants: BoundConstants) -> CertificateSeries:
+class GfbCertificates(_CertificateStream):
+    """:func:`gfb_certificate` at every step, against ``(1/gamma) *
+    pointwise bound``."""
+
+    structural_only: tuple = ()
+
+    def observe(self, k, z, z_next, e, eps, lam, extras) -> None:
+        step = gfb_certificate(self.built, z)
+        self._record(step.criterion, step.membership)
+        self.structural_only = step.structural_only
+
+    def series(self, trace: IterationTrace, constants: BoundConstants) -> CertificateSeries:
+        bounds = pointwise_bound(np.arange(trace.n_steps), constants) / self.built.spec.gamma
+        return CertificateSeries(np.asarray(self._values), bounds, self._membership,
+                                 self.structural_only)
+
+
+class GfbErgodicCertificates(_CertificateStream):
     """Running-average criterion against ``2 (d0 + C2) / (gamma lam_min (k+1))``."""
-    if trace.z_vecs is None:
-        raise UnavailableError("ergodic certificate needs retained iterates")
-    spec = built.spec
-    K = trace.n_steps
-    lam_min = float(trace.lam.min())
-    x_sum = np.zeros(spec.dim)
-    u_sums = [np.zeros(spec.dim) for _ in range(spec.n)]
-    vals = np.empty(K)
-    bnds = np.empty(K)
-    for k in range(K):
-        x, _, _, u = built.step_parts(trace.z_vecs[k])
-        x_sum += x
-        for i in range(spec.n):
-            u_sums[i] += u[i]
+
+    def __init__(self, built: GfbBuilt):
+        super().__init__(built)
+        spec = built.spec
+        self._x_sum = np.zeros(spec.dim)
+        self._u_sums = [np.zeros(spec.dim) for _ in range(spec.n)]
+
+    def observe(self, k, z, z_next, e, eps, lam, extras) -> None:
+        built, spec = self.built, self.built.spec
+        x, _, _, u = built.step_parts(z)
+        self._x_sum += x
+        for us, ui in zip(self._u_sums, u):
+            us += ui
         m = k + 1.0
-        xbar = x_sum / m
-        ubar = spec.weights[0] * (u_sums[0] / m)
-        for wi, us in zip(spec.weights[1:], u_sums[1:]):
+        xbar = self._x_sum / m
+        ubar = spec.weights[0] * (self._u_sums[0] / m)
+        for wi, us in zip(spec.weights[1:], self._u_sums[1:]):
             ubar = ubar + wi * (us / m)
         gbar = (xbar - ubar) / spec.gamma - built.smooth_at(xbar)
-        vals[k] = float(np.linalg.norm(gbar + built.smooth_at(ubar)))
-        bnds[k] = 2.0 * (constants.d0 + constants.C2) / (spec.gamma * lam_min * m)
-    return CertificateSeries(vals, bnds, None)
+        self._record(float(np.linalg.norm(gbar + built.smooth_at(ubar))))
+
+    def series(self, trace: IterationTrace, constants: BoundConstants) -> CertificateSeries:
+        m = np.arange(1, trace.n_steps + 1, dtype=float)
+        bounds = 2.0 * (constants.d0 + constants.C2) / (
+            self.built.spec.gamma * float(trace.lam.min()) * m)
+        return CertificateSeries(np.asarray(self._values), bounds, None)
 
 
 # ---------------------------------------------------------------------------
@@ -586,57 +594,58 @@ def build_drs(spec: DrsSpec) -> DrsBuilt:
 class DrsCertStep:
     g: np.ndarray
     criterion: float
-    bound: float
+    scale: float       # the bound is scale * pointwise bound + offset
+    offset: float
     membership: Optional[float]
 
 
-def drs_certificate(built: DrsBuilt, trace: IterationTrace,
-                    constants: BoundConstants, k: int) -> DrsCertStep:
-    """Certificate of step k: an explicit element ``g`` of the summed
-    operators at (u, v), its norm, the bound
-    ``((1 + lam)/gamma) * pointwise bound + c_k`` where the channel errors
-    enter ``c_k = (1/gamma)((2 + lam)||eps2|| + ||eps1||)``, and the larger
+def drs_certificate(built: DrsBuilt, z: ProductPoint, z_next: ProductPoint,
+                    lam: float, channel: Optional[dict] = None) -> DrsCertStep:
+    """Certificate of the step from ``z`` to ``z_next``: an explicit element
+    ``g`` of the summed operators at (u, v), its norm, the bound
+    ``((1 + lam)/gamma) * pointwise bound + c_k`` as its scale and offset,
+    where the channel errors ``eps1``, ``eps2`` enter
+    ``c_k = (1/gamma)((2 + lam)||eps2|| + ||eps1||)``, and the larger
     membership residual of the two blocks (None when neither block type is
     recognized)."""
-    if trace.z_vecs is None:
-        raise UnavailableError("certificate needs retained iterates")
     spec = built.spec
-    z, zn = trace.z_vecs[k], trace.z_vecs[k + 1]
     e1 = e2 = None
-    if trace.channel is not None:
-        e1 = trace.channel[k].get("eps1")
-        e2 = trace.channel[k].get("eps2")
-    x, u, v = built.readout(z, zn, eps2=e2)
-    zv, znv = z.blocks[0], zn.blocks[0]
+    if channel is not None:
+        e1, e2 = channel.get("eps1"), channel.get("eps2")
+    x, u, v = built.readout(z, z_next, eps2=e2)
+    zv, znv = z.blocks[0], z_next.blocks[0]
     g = ((2.0 * x - zv - u) + (znv - v)) / spec.gamma
-    lam = float(trace.lam[k])
     ck = (1.0 / spec.gamma) * (
         (2.0 + lam) * (np.linalg.norm(e2) if e2 is not None else 0.0)
         + (np.linalg.norm(e1) if e1 is not None else 0.0)
     )
-    bound = (1.0 + lam) / spec.gamma * pointwise_bound(k, constants) + ck
     residuals = [r for r in (
         spec.block1.member_residual(u, (2.0 * x - zv - u) / spec.gamma),
         spec.block2.member_residual(v, (znv - v) / spec.gamma),
     ) if r is not None]
-    return DrsCertStep(g, float(np.linalg.norm(g)), float(bound),
-                       max(residuals) if residuals else None)
+    return DrsCertStep(g, float(np.linalg.norm(g)), (1.0 + lam) / spec.gamma,
+                       float(ck), max(residuals) if residuals else None)
 
 
-def drs_certificate_series(built: DrsBuilt, trace: IterationTrace,
-                           constants: BoundConstants) -> CertificateSeries:
-    """:func:`drs_certificate` at every recorded step."""
-    K = trace.n_steps
-    vals = np.empty(K)
-    bnds = np.empty(K)
-    mem = -np.inf
-    for k in range(K):
-        step = drs_certificate(built, trace, constants, k)
-        vals[k] = step.criterion
-        bnds[k] = step.bound
-        if step.membership is not None:
-            mem = max(mem, step.membership)
-    return CertificateSeries(vals, bnds, None if mem == -np.inf else mem)
+class DrsCertificates(_CertificateStream):
+    """:func:`drs_certificate` at every step, with the channel errors the
+    step's evaluation reported."""
+
+    def __init__(self, built: DrsBuilt):
+        super().__init__(built)
+        self._scale = []
+        self._offset = []
+
+    def observe(self, k, z, z_next, e, eps, lam, extras) -> None:
+        step = drs_certificate(self.built, z, z_next, lam, (extras or {}).get("channel"))
+        self._record(step.criterion, step.membership)
+        self._scale.append(step.scale)
+        self._offset.append(step.offset)
+
+    def series(self, trace: IterationTrace, constants: BoundConstants) -> CertificateSeries:
+        pw = pointwise_bound(np.arange(trace.n_steps), constants)
+        bounds = np.asarray(self._scale) * pw + np.asarray(self._offset)
+        return CertificateSeries(np.asarray(self._values), bounds, self._membership)
 
 
 # ---------------------------------------------------------------------------
@@ -914,29 +923,26 @@ def build_pds(spec: PdsSpec) -> PdsBuilt:
     return PdsBuilt(spec)
 
 
-def pds_certificate_series(built: PdsBuilt, trace: IterationTrace,
-                           fix_point: ProductPoint) -> CertificateSeries:
+class PdsCertificates(_CertificateStream):
     """Surrogate termination criterion: the plain direct-sum residual norm
     against ``(2 delta / eta) sqrt((d0^2 + C1)/(tau_min (k+1)))`` with the
-    constants measured in the plain norm.  Flagged surrogate: the certified
-    quantity is the residual itself, not an explicit element of the operator
-    sum."""
-    constants = empirical_constants(trace, FixedPointSet.from_point(fix_point),
-                                    base_norm=True)
-    factor = 2.0 * built.delta / built.eta
-    vals = np.array([built.space.base_norm(e) for e in trace.e_vecs])
-    bnds = factor * pointwise_bound(np.arange(trace.n_steps), constants)
-    return CertificateSeries(vals, bnds, None, surrogate=True)
+    constants measured in the plain norm about ``fix_point``; the run's own
+    constants are not used.  Flagged surrogate: the certified quantity is
+    the residual itself, not an explicit element of the operator sum."""
 
+    def __init__(self, built: PdsBuilt, fix_point: ProductPoint):
+        super().__init__(built)
+        self._constants = EmpiricalConstants(fix_point, built.space, base_norm=True)
 
-def pds_candidate(trace: IterationTrace, k: int) -> ProductPoint:
-    """Candidate solution ``w = (z_{k+1} - (1 - lam) z_k)/lam - eps_k``
-    associated with step k."""
-    if trace.z_vecs is None:
-        raise UnavailableError("candidate needs retained iterates")
-    lam = float(trace.lam[k])
-    w = (trace.z_vecs[k + 1] - trace.z_vecs[k] * (1.0 - lam)) * (1.0 / lam)
-    return w - trace.eps_vector(k)
+    def observe(self, k, z, z_next, e, eps, lam, extras) -> None:
+        self._constants.observe(k, z, z_next, e, eps, lam, extras)
+        self._record(self.built.space.base_norm(e))
+
+    def series(self, trace: IterationTrace, constants: BoundConstants) -> CertificateSeries:
+        factor = 2.0 * self.built.delta / self.built.eta
+        bounds = factor * pointwise_bound(np.arange(trace.n_steps),
+                                          self._constants.constants(trace))
+        return CertificateSeries(np.asarray(self._values), bounds, None, surrogate=True)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,12 @@ line.  Run with ``pytest tests/test_acceptance.py -s`` to see the lines."""
 
 import filecmp
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from kmcert.bounds import (
-    SubRegularityModel,
-    empirical_constants,
-    verify_trace,
-)
+from kmcert.bounds import SubRegularityModel, verify_trace
 from kmcert.cli import main as cli_main
 from kmcert.km import (
     RelaxationSchedule,
@@ -37,14 +34,7 @@ from kmcert.problems import (
     pds_fbs_reference,
 )
 from kmcert.spaces import ProductSpace, reflect_diagonal
-from kmcert.splitting import (
-    GfbSpec,
-    L1Block,
-    LinearBlock,
-    drs_certificate_series,
-    gfb_certificate_series,
-    pds_certificate_series,
-)
+from kmcert.splitting import GfbSpec, L1Block, LinearBlock
 
 SLACK = 1e-10
 HORIZON = 1000
@@ -70,18 +60,16 @@ def suite_problems():
 
 @pytest.fixture(scope="session")
 def cert_bundle():
-    """Exact and inexact certification runs for the whole suite, with their
-    empirical constants, plus each problem instance."""
+    """Exact and inexact certification runs for the whole suite, each a
+    ``(trace, empirical constants, certificate series or None)`` triple from
+    one pass, plus each problem instance and its fixed-point reference."""
     out = {}
     for label, problem in suite_problems().items():
-        ref = problem.fix_reference()
-        exact = problem.exact_run(max_iters=HORIZON, tol=0.0)
-        inexact = problem.inexact_run(*ERROR_LAW, max_iters=HORIZON, tol=0.0)
         out[label] = {
             "problem": problem,
-            "ref": ref,
-            "exact": (exact, empirical_constants(exact, ref)),
-            "inexact": (inexact, empirical_constants(inexact, ref)),
+            "ref": problem.fix_reference(),
+            "exact": problem.certified_run(max_iters=HORIZON),
+            "inexact": problem.certified_run(*ERROR_LAW, max_iters=HORIZON),
         }
     return out
 
@@ -93,13 +81,12 @@ def ns_bundle():
     _, _, stationary = make_multiblock_nonstationary("constant", d=10)
     stop = StopRule(max_iters=10_000, residual_tol=0.0)
     runs = {"stationary": run_km(stationary.operator, stationary.z0,
-                                 stationary.relaxation, stop=stop, retain=False)}
+                                 stationary.relaxation, stop=stop)}
     schedules = {}
     for kind in ("geometric", "inverse-square", "harmonic"):
         family, schedule, _ = make_multiblock_nonstationary(kind, d=10)
         runs[kind] = run_km_nonstationary(
-            family, schedule, stationary.z0, stationary.relaxation, stop=stop,
-            retain=False)
+            family, schedule, stationary.z0, stationary.relaxation, stop=stop)
         schedules[kind] = schedule
     return stationary, runs, schedules
 
@@ -158,7 +145,7 @@ def test_criterion_3_pointwise_certification(cert_bundle):
     worst = []
     for label, data in cert_bundle.items():
         for variant in ("exact", "inexact"):
-            trace, constants = data[variant]
+            trace, constants, _ = data[variant]
             assert trace.n_steps >= HORIZON
             issues = [v for v in verify_trace(trace, constants, slack=SLACK)
                       if v.kind == "pointwise"]
@@ -172,7 +159,7 @@ def test_criterion_4_ergodic_certification(cert_bundle):
     total = 0
     for label, data in cert_bundle.items():
         for variant in ("exact", "inexact"):
-            trace, constants = data[variant]
+            trace, constants, _ = data[variant]
             issues = [v for v in verify_trace(trace, constants, slack=SLACK)
                       if v.kind == "ergodic"]
             total += len(issues)
@@ -184,8 +171,9 @@ def test_criterion_4_ergodic_certification(cert_bundle):
 # 5. per-step inequality suite
 # ---------------------------------------------------------------------------
 
-def _step_inequality_slacks(trace, constants, z_star):
-    """Worst slacks of the per-step inequalities over a whole run."""
+def _step_inequality_slacks(trace, rec, constants, z_star):
+    """Worst slacks of the per-step inequalities over a whole run, from its
+    recorded vectors."""
     sp = trace.space
     scale = 2.0 * (trace.alpha if trace.alpha is not None else 1.0)
     c = 1.0 if trace.alpha is None else 1.0 / trace.alpha
@@ -194,9 +182,9 @@ def _step_inequality_slacks(trace, constants, z_star):
     sq_worst = -np.inf
     fejer_worst = -np.inf
     for k in range(trace.n_steps - 1):
-        de = trace.e_vecs[k] - trace.e_vecs[k + 1]
+        de = rec.e_vecs[k] - rec.e_vecs[k + 1]
         lhs = sp.inner(de, de) / (scale * trace.lam[k])
-        rhs = sp.inner(trace.e_vecs[k] - trace.eps_vector(k), de)
+        rhs = sp.inner(rec.e_vecs[k] - rec.eps_vector(k), de)
         diff_worst = max(diff_worst, lhs - rhs)
         sq = (trace.res_norm[k + 1] ** 2 - trace.res_norm[k] ** 2
               - constants.nu2 * trace.eps_norm[k])
@@ -207,20 +195,24 @@ def _step_inequality_slacks(trace, constants, z_star):
     if trace.is_exact and z_star is not None:
         for k in range(trace.n_steps):
             tau = trace.lam[k] * (c - trace.lam[k])
-            lhs = sp.norm(trace.z_vecs[k + 1] - z_star) ** 2
-            rhs = sp.norm(trace.z_vecs[k] - z_star) ** 2 \
+            lhs = sp.norm(rec.z_vecs[k + 1] - z_star) ** 2
+            rhs = sp.norm(rec.z_vecs[k] - z_star) ** 2 \
                 - tau * trace.res_norm[k] ** 2
             fejer_worst = max(fejer_worst, lhs - rhs)
     return diff_worst, mono_worst, sq_worst, fejer_worst
 
 
-def test_criterion_5_step_inequalities(cert_bundle):
+def test_criterion_5_step_inequalities(cert_bundle, record):
     worst = {"diff": -np.inf, "mono": -np.inf, "sq": -np.inf, "fejer": -np.inf}
     for label, data in cert_bundle.items():
-        z_star = data["ref"].nearest(data["problem"].z0)
-        for variant in ("exact", "inexact"):
-            trace, constants = data[variant]
-            d, m, s, f = _step_inequality_slacks(trace, constants, z_star)
+        problem = data["problem"]
+        z_star = data["ref"].nearest(problem.z0)
+        for variant, run, law in (("exact", problem.exact_run, ()),
+                                  ("inexact", problem.inexact_run, ERROR_LAW)):
+            # the bundle's run again, deterministic, with its vectors recorded
+            trace, rec = record(run, *law, max_iters=HORIZON)
+            constants = data[variant][1]
+            d, m, s, f = _step_inequality_slacks(trace, rec, constants, z_star)
             worst["diff"] = max(worst["diff"], d)
             worst["mono"] = max(worst["mono"], m)
             worst["sq"] = max(worst["sq"], s)
@@ -247,8 +239,7 @@ def test_criterion_6_local_recursion():
     ]
     total = 0
     for p in problems:
-        trace = p.exact_run(max_iters=HORIZON, tol=0.0)
-        constants = empirical_constants(trace, p.fix_reference())
+        trace, constants, _ = p.certified_run(max_iters=HORIZON)
         issues = [v for v in verify_trace(trace, constants,
                                           model=SubRegularityModel(p.kappa),
                                           slack=SLACK)
@@ -358,41 +349,20 @@ def test_criterion_8_certificates(cert_bundle):
     margins = []
     memberships = []
 
-    for label, kind, series_fn in (
-        ("lasso", "gfb", gfb_certificate_series),
-        ("multiblock", "gfb", gfb_certificate_series),
-    ):
-        trace, constants = cert_bundle[label]["exact"]
-        series = series_fn(cert_bundle[label]["problem"].built, trace, constants)
+    for label in ("lasso", "multiblock", "drs"):
+        _, _, series = cert_bundle[label]["exact"]
         margins.append((label, float(np.max(series.values - series.bounds))))
         memberships.append((label, series.membership_max))
 
-    trace, constants = cert_bundle["drs"]["exact"]
-    series = drs_certificate_series(cert_bundle["drs"]["problem"].built, trace,
-                                    constants)
-    margins.append(("drs", float(np.max(series.values - series.bounds))))
-    memberships.append(("drs", series.membership_max))
-
-    trace, _ = cert_bundle["pds"]["exact"]
-    pds = cert_bundle["pds"]["problem"]
-    series = pds_certificate_series(pds.built, trace,
-                                    cert_bundle["pds"]["ref"].nearest(trace.z0))
+    _, _, series = cert_bundle["pds"]["exact"]
     margins.append(("pds", float(np.max(series.values - series.bounds))))
 
-    # certificates vanish at fixed points
+    # certificates vanish at fixed points: three certified steps from z*
     vanish = []
     for label in ("lasso", "multiblock", "drs", "pds"):
         problem = cert_bundle[label]["problem"]
         z_star = cert_bundle[label]["ref"].nearest(problem.z0)
-        t0 = run_km(problem.operator, z_star, problem.relaxation,
-                    stop=StopRule(3, 0.0))
-        bc0 = empirical_constants(t0, cert_bundle[label]["ref"])
-        if label == "pds":
-            s0 = pds_certificate_series(problem.built, t0, z_star)
-        elif label == "drs":
-            s0 = drs_certificate_series(problem.built, t0, bc0)
-        else:
-            s0 = gfb_certificate_series(problem.built, t0, bc0)
+        _, _, s0 = replace(problem, z0=z_star).certified_run(max_iters=3)
         vanish.append((label, float(np.max(s0.values))))
 
     ok = (all(m <= SLACK for _, m in margins)
@@ -409,7 +379,7 @@ def test_criterion_8_certificates(cert_bundle):
 # 9. reductions
 # ---------------------------------------------------------------------------
 
-def test_criterion_9_reductions(cert_bundle):
+def test_criterion_9_reductions(cert_bundle, record):
     # single-block product scheme vs hand-assembled forward-backward
     lasso = cert_bundle["lasso"]["problem"]
     A, y, mu = (lasso.constants["A"], lasso.constants["y"], lasso.constants["mu"])
@@ -420,11 +390,11 @@ def test_criterion_9_reductions(cert_bundle):
         lambda z: sp.vector(prox_l1(z.blocks[0] - gamma * (Q @ z.blocks[0] - q),
                                     gamma * mu)),
         None, "fbs-hand", sp)
-    t_g = lasso.exact_run(max_iters=250)
-    t_f = run_km(hand, sp.vector(np.zeros(A.shape[1])),
-                 RelaxationSchedule.constant(1.0), stop=StopRule(250, 0.0))
+    _, r_g = record(lasso.exact_run, max_iters=250)
+    _, r_f = record(run_km, hand, sp.vector(np.zeros(A.shape[1])),
+                    RelaxationSchedule.constant(1.0), stop=StopRule(250, 0.0))
     fbs_gap = max(np.max(np.abs(a.blocks[0] - b.blocks[0]))
-                  for a, b in zip(t_g.z_vecs, t_f.z_vecs))
+                  for a, b in zip(r_g.z_vecs, r_f.z_vecs))
 
     # two-block scheme without smooth part vs hand product-space reflections
     rng = np.random.default_rng(5)
@@ -447,17 +417,18 @@ def test_criterion_9_reductions(cert_bundle):
 
     T2 = OperatorSpec(hand2, 0.5, "hand", sp2)
     z0 = sp2.point(tuple(rng.standard_normal(d) for _ in range(2)))
-    ta = run_km(built.operator, z0, RelaxationSchedule.constant(1.0),
-                stop=StopRule(200, 0.0))
-    tb = run_km(T2, z0, RelaxationSchedule.constant(1.0), stop=StopRule(200, 0.0))
+    _, ra = record(run_km, built.operator, z0, RelaxationSchedule.constant(1.0),
+                   stop=StopRule(200, 0.0))
+    _, rb = record(run_km, T2, z0, RelaxationSchedule.constant(1.0),
+                   stop=StopRule(200, 0.0))
     drs_gap = max(
         max(np.max(np.abs(a.blocks[i] - b.blocks[i])) for i in range(2))
-        for a, b in zip(ta.z_vecs, tb.z_vecs))
+        for a, b in zip(ra.z_vecs, rb.z_vecs))
 
     # primal-dual reduction against the composite forward-backward reference
     pds = cert_bundle["pds"]["problem"]
     xref = pds_fbs_reference(pds)
-    t_p = pds.exact_run(max_iters=20_000, tol=1e-12, retain=False)
+    t_p = pds.exact_run(max_iters=20_000, tol=1e-12)
     pds_gap = float(np.linalg.norm(t_p.z_final.blocks[0] - xref))
 
     ok = fbs_gap <= 1e-12 and drs_gap <= 1e-12 and pds_gap <= 1e-6

@@ -4,8 +4,8 @@ from dataclasses import replace
 
 from kmcert.bounds import (
     BoundConstants,
+    EmpiricalConstants,
     SubRegularityModel,
-    empirical_constants,
     ergodic_bound,
     fit_tail_rate,
     gd_theoretical_rate,
@@ -21,26 +21,26 @@ from kmcert.problems import make_quadratic_gd, make_two_subspaces, make_zero_map
 
 
 @pytest.fixture(scope="module")
-def zero_exact():
+def zero_exact(record):
     p = make_zero_map(d=1, seed=0)
     # overwrite start to the unit point for closed-form constants
     z0 = p.operator.space.vector((1.0,))
-    tr = run_km(p.operator, z0, RelaxationSchedule.constant(0.5),
-                stop=StopRule(60, 0.0), fix=p.fix)
-    return p, tr
+    acc = EmpiricalConstants(p.fix.nearest(z0), p.operator.space)
+    tr, rec = record(run_km, p.operator, z0, RelaxationSchedule.constant(0.5),
+                     stop=StopRule(60, 0.0), fix=p.fix, also=[acc.observe])
+    return p, tr, acc.constants(tr), rec
 
 
 @pytest.fixture(scope="module")
 def zero_inexact():
     p = make_zero_map(d=4, seed=7)
-    tr = p.inexact_run(c=0.1, p=3.0, max_iters=500)
-    return p, tr
+    tr, bc, _ = p.certified_run(0.1, 3.0, max_iters=500)
+    return p, tr, bc
 
 
 class TestEmpiricalConstants:
     def test_exact_run_frozen_values(self, zero_exact):
-        p, tr = zero_exact
-        bc = empirical_constants(tr, p.fix)
+        p, tr, bc, _ = zero_exact
         assert bc.d0 == pytest.approx(1.0)
         assert bc.tau_min == pytest.approx(0.25)
         assert bc.tau_max == pytest.approx(0.25)
@@ -50,8 +50,7 @@ class TestEmpiricalConstants:
         assert bc.source == "empirical"
 
     def test_inexact_sums_match_recomputation(self, zero_inexact):
-        p, tr = zero_inexact
-        bc = empirical_constants(tr, p.fix)
+        p, tr, bc = zero_inexact
         # independent recomputation of the constants' ingredients
         S1 = float(np.sum(tr.lam * tr.eps_norm))
         S2 = float(np.sum((np.arange(tr.n_steps) + 1.0) * tr.eps_norm))
@@ -59,12 +58,6 @@ class TestEmpiricalConstants:
         assert bc.C1 == pytest.approx(bc.nu1 * S1 + bc.nu2 * bc.tau_max * S2,
                                       abs=1e-12)
         assert bc.C1 >= bc.nu1 * S1
-
-    def test_needs_retention(self):
-        p = make_zero_map(d=2)
-        tr = p.exact_run(max_iters=10, retain=False)
-        with pytest.raises(UnavailableError):
-            empirical_constants(tr, p.fix)
 
 
 class TestPointwiseBound:
@@ -84,8 +77,7 @@ class TestPointwiseBound:
             pointwise_bound(0, bc)
 
     def test_dominates_geometric_run(self, zero_exact):
-        p, tr = zero_exact
-        bc = empirical_constants(tr, p.fix)
+        p, tr, bc, _ = zero_exact
         for k in range(tr.n_steps):
             assert tr.res_norm[k] <= pointwise_bound(k, bc) + 1e-12
         # closed forms: 2/sqrt(k+1) >= 2^-k
@@ -95,8 +87,7 @@ class TestPointwiseBound:
 
 class TestErgodicBound:
     def test_zero_map_closed_form(self, zero_exact):
-        p, tr = zero_exact
-        bc = empirical_constants(tr, p.fix)
+        p, tr, bc, _ = zero_exact
         for k in range(tr.n_steps):
             bound = ergodic_bound(k, bc, float(tr.lam_cumsum[k]))
             assert bound == pytest.approx(4.0 / (k + 1.0))
@@ -111,36 +102,32 @@ class TestErgodicBound:
 
 class TestDisplacementBounds:
     def test_zero_map_closed_forms(self, zero_exact):
-        p, tr = zero_exact
-        bc = empirical_constants(tr, p.fix)
+        p, tr, bc, rec = zero_exact
         pw, erg = trace_displacement_bounds(tr, bc)
         for k in range(tr.n_steps):
             assert tr.disp_norm[k] <= pw[k] + 1e-12
             mean_disp = np.linalg.norm(
-                tr.z_vecs[0].blocks[0] - tr.z_vecs[k + 1].blocks[0]) / (k + 1.0)
+                rec.z_vecs[0].blocks[0] - rec.z_vecs[k + 1].blocks[0]) / (k + 1.0)
             assert mean_disp <= erg[k] + 1e-12
 
     def test_k0_arithmetic(self, zero_exact):
-        p, tr = zero_exact
-        bc = replace(empirical_constants(tr, p.fix), d0=1.0, tau_min=0.25,
-                     tau_max=0.25)
+        p, tr, bc, _ = zero_exact
+        bc = replace(bc, d0=1.0, tau_min=0.25, tau_max=0.25)
         pw, erg = trace_displacement_bounds(tr, bc)
         assert pw[0] == pytest.approx(2.0)
         assert erg[0] == pytest.approx(2.0)
 
     def test_parameter_validation(self, zero_exact):
-        p, tr = zero_exact
-        bc = replace(empirical_constants(tr, p.fix), tau_min=0.0)
+        p, tr, bc, _ = zero_exact
+        bc = replace(bc, tau_min=0.0)
         with pytest.raises(ParameterError):
             trace_displacement_bounds(tr, bc)
 
     def test_trace_variant_rejects_inexact(self, zero_exact, zero_inexact):
-        p, tr = zero_exact
-        bc = empirical_constants(tr, p.fix)
+        p, tr, bc, _ = zero_exact
         pw, erg = trace_displacement_bounds(tr, bc)
         assert np.all(tr.disp_norm <= pw + 1e-12)
-        pi, tri = zero_inexact
-        bci = empirical_constants(tri, pi.fix)
+        pi, tri, bci = zero_inexact
         with pytest.raises(ParameterError):
             trace_displacement_bounds(tri, bci)
 
@@ -228,41 +215,35 @@ class TestFitTailRate:
 
 class TestVerifyTrace:
     def test_exact_run_clean(self, zero_exact):
-        p, tr = zero_exact
-        bc = empirical_constants(tr, p.fix)
+        p, tr, bc, _ = zero_exact
         assert verify_trace(tr, bc, model=SubRegularityModel(p.kappa)) == []
 
     def test_inexact_run_clean(self, zero_inexact):
-        p, tr = zero_inexact
-        bc = empirical_constants(tr, p.fix)
+        p, tr, bc = zero_inexact
         assert verify_trace(tr, bc) == []
 
     def test_halved_error_budget_detected(self, zero_inexact):
-        p, tr = zero_inexact
-        bc = empirical_constants(tr, p.fix)
+        p, tr, bc = zero_inexact
         bad = replace(bc, C1=bc.C1 / 2.0)
         issues = verify_trace(tr, bad)
         assert issues and any(v.kind == "constants" for v in issues)
 
     def test_shrunken_distance_detected(self, zero_inexact):
-        p, tr = zero_inexact
-        bc = empirical_constants(tr, p.fix)
+        p, tr, bc = zero_inexact
         bad = replace(bc, d0=bc.d0 / 100.0, C1=0.0, nu1=0.0)
         issues = verify_trace(tr, bad)
         assert any(v.kind == "pointwise" for v in issues)
 
     def test_local_model_recursion_on_reflection_scheme(self):
         p = make_two_subspaces(np.pi / 4, 4)
-        tr = p.exact_run(max_iters=200)
-        bc = empirical_constants(tr, p.fix_reference())
+        tr, bc, _ = p.certified_run(max_iters=200)
         issues = verify_trace(tr, bc, model=SubRegularityModel(p.kappa))
         assert issues == []
 
     def test_too_small_modulus_detected(self):
         # a modulus below the true one breaks the recursion somewhere
         p = make_two_subspaces(np.pi / 4, 4)
-        tr = p.exact_run(max_iters=100)
-        bc = empirical_constants(tr, p.fix_reference())
+        tr, bc, _ = p.certified_run(max_iters=100)
         issues = verify_trace(tr, bc, model=SubRegularityModel(p.kappa / 2.0))
         assert any(v.kind == "local" for v in issues)
 

@@ -232,7 +232,7 @@ class TestNonstationaryRuns:
         cfgfile = tmp_path / "cfg.txt"
         cfgfile.write_text("problem = multiblock\nmethod = gfb-nonstationary\n"
                            "gamma_schedule = harmonic\ndim = 6\n"
-                           "max_iters = 300\nretain = false\nname = nsh\n")
+                           "max_iters = 300\nname = nsh\n")
         rc = main(["run", "--config", str(cfgfile), "--out", str(tmp_path)])
         assert rc == 0
         report = json.loads((tmp_path / "nsh.json").read_text())

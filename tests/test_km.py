@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from kmcert.errors import DivergenceError, ParameterError, UnavailableError
+from kmcert.errors import DivergenceError, ParameterError
 from kmcert.km import (
     ErrorSchedule,
     FixedPointSet,
     GammaSchedule,
     RelaxationSchedule,
     StopRule,
-    displacements,
-    ergodic_residual,
     run_km,
     run_km_nonstationary,
 )
@@ -50,11 +48,21 @@ class TestRunKmClosedForms:
         expected = (2.0 - 0.5 ** ks) / (ks + 1.0)
         assert np.max(np.abs(tr.erg_norm - expected)) <= 1e-14
 
-    def test_zero_map_displacement(self):
+    def test_zero_map_displacement(self, record):
         T, z0, _ = zero_problem()
-        tr = run_km(T, z0, RelaxationSchedule.constant(0.5), stop=StopRule(20, 0.0))
+        tr, rec = record(run_km, T, z0, RelaxationSchedule.constant(0.5),
+                         stop=StopRule(20, 0.0))
         assert np.max(np.abs(tr.disp_norm - 0.5 * tr.res_norm)) <= 1e-15
-        assert np.max(np.abs(displacements(tr) - tr.disp_norm)) == 0.0
+        # ||z_k - z_{k+1}|| from the recorded iterates, checked against the
+        # identity z_k - z_{k+1} = lam (e_k - eps_k)
+        sp = T.space
+        recomputed = np.empty(tr.n_steps)
+        for k in range(tr.n_steps):
+            v = rec.z_vecs[k] - rec.z_vecs[k + 1]
+            ref = (rec.e_vecs[k] - rec.eps_vector(k)) * tr.lam[k]
+            assert sp.norm(v - ref) <= 1e-12 * max(1.0, sp.norm(rec.z_vecs[k]))
+            recomputed[k] = sp.norm(v)
+        assert np.max(np.abs(recomputed - tr.disp_norm)) == 0.0
 
     def test_projector_converges_one_step(self):
         from kmcert.operators import project_subspace
@@ -136,28 +144,30 @@ class TestInexactRuns:
         ks = np.arange(50)
         assert np.max(np.abs(tr.eps_norm - 0.1 / (ks + 1.0) ** 3)) <= 1e-15
 
-    def test_update_identity_recomputed(self):
-        # z_{k+1} - z_k must equal lam (eps_k - e_k) from the stored vectors
+    def test_update_identity_recomputed(self, record):
+        # z_{k+1} - z_k must equal lam (eps_k - e_k) from the recorded vectors
         T, z0, _ = zero_problem(d=3, z0=(1.0, 2.0, -1.0))
-        tr = run_km(T, z0, RelaxationSchedule.constant(0.7),
-                    errors=ErrorSchedule.power(0.2, 2.0), stop=StopRule(40, 0.0))
+        tr, rec = record(run_km, T, z0, RelaxationSchedule.constant(0.7),
+                         errors=ErrorSchedule.power(0.2, 2.0), stop=StopRule(40, 0.0))
         sp = T.space
         for k in range(tr.n_steps):
-            step = tr.z_vecs[k + 1] - tr.z_vecs[k]
-            ref = (tr.eps_vector(k) - tr.e_vecs[k]) * tr.lam[k]
+            step = rec.z_vecs[k + 1] - rec.z_vecs[k]
+            ref = (rec.eps_vector(k) - rec.e_vecs[k]) * tr.lam[k]
             assert sp.norm(step - ref) <= 1e-12
 
-    def test_determinism(self):
+    def test_determinism(self, record):
         T, z0, _ = zero_problem(d=4, z0=(1.0, -1.0, 0.5, 2.0))
-        a = run_km(T, z0, RelaxationSchedule.constant(0.5),
-                   errors=ErrorSchedule.power(0.1, 3.0), stop=StopRule(60, 0.0), seed=5)
-        b = run_km(T, z0, RelaxationSchedule.constant(0.5),
-                   errors=ErrorSchedule.power(0.1, 3.0), stop=StopRule(60, 0.0), seed=5)
+        a, ra = record(run_km, T, z0, RelaxationSchedule.constant(0.5),
+                       errors=ErrorSchedule.power(0.1, 3.0), stop=StopRule(60, 0.0),
+                       seed=5)
+        b, rb = record(run_km, T, z0, RelaxationSchedule.constant(0.5),
+                       errors=ErrorSchedule.power(0.1, 3.0), stop=StopRule(60, 0.0),
+                       seed=5)
         assert np.array_equal(a.res_norm, b.res_norm)
         assert np.array_equal(a.erg_norm, b.erg_norm)
         assert np.array_equal(a.eps_norm, b.eps_norm)
         assert all(np.array_equal(x.blocks[0], y.blocks[0])
-                   for x, y in zip(a.z_vecs, b.z_vecs))
+                   for x, y in zip(ra.z_vecs, rb.z_vecs))
 
     def test_seed_changes_directions(self):
         T, z0, _ = zero_problem(d=4, z0=(1.0, -1.0, 0.5, 2.0))
@@ -174,27 +184,28 @@ class TestStepInequalities:
     """Per-step inequalities that every run must satisfy (wider sweeps live in
     the acceptance module)."""
 
-    def residual_difference_slack(self, tr, alpha=None):
+    def residual_difference_slack(self, tr, rec, alpha=None):
         sp = tr.space
         worst = -np.inf
         scale = 2.0 * (alpha if alpha is not None else 1.0)
         for k in range(tr.n_steps - 1):
-            de = tr.e_vecs[k] - tr.e_vecs[k + 1]
+            de = rec.e_vecs[k] - rec.e_vecs[k + 1]
             lhs = sp.inner(de, de) / (scale * tr.lam[k])
-            rhs = sp.inner(tr.e_vecs[k] - tr.eps_vector(k), de)
+            rhs = sp.inner(rec.e_vecs[k] - rec.eps_vector(k), de)
             worst = max(worst, lhs - rhs)
         return worst
 
-    def test_residual_difference_inequality_exact(self):
+    def test_residual_difference_inequality_exact(self, record):
         T, z0, _ = zero_problem(d=3, z0=(1.0, 2.0, 3.0))
-        tr = run_km(T, z0, RelaxationSchedule.constant(0.5), stop=StopRule(40, 0.0))
-        assert self.residual_difference_slack(tr) <= 1e-10
+        tr, rec = record(run_km, T, z0, RelaxationSchedule.constant(0.5),
+                         stop=StopRule(40, 0.0))
+        assert self.residual_difference_slack(tr, rec) <= 1e-10
 
-    def test_residual_difference_inequality_inexact(self):
+    def test_residual_difference_inequality_inexact(self, record):
         T, z0, _ = zero_problem(d=3, z0=(1.0, 2.0, 3.0))
-        tr = run_km(T, z0, RelaxationSchedule.constant(0.5),
-                    errors=ErrorSchedule.power(0.1, 3.0), stop=StopRule(100, 0.0))
-        assert self.residual_difference_slack(tr) <= 1e-10
+        tr, rec = record(run_km, T, z0, RelaxationSchedule.constant(0.5),
+                         errors=ErrorSchedule.power(0.1, 3.0), stop=StopRule(100, 0.0))
+        assert self.residual_difference_slack(tr, rec) <= 1e-10
 
     def test_exact_residual_monotone(self):
         T, z0, _ = zero_problem(d=2, z0=(3.0, -4.0))
@@ -221,19 +232,19 @@ class TestDivergenceGuard:
 
 
 class TestErgodicRecompute:
-    def test_matches_engine_column(self):
+    def test_matches_engine_column(self, record):
         T, z0, _ = zero_problem(d=3, z0=(1.0, -2.0, 0.5))
-        tr = run_km(T, z0, RelaxationSchedule.constant(0.5),
-                    errors=ErrorSchedule.power(0.05, 3.0), stop=StopRule(60, 0.0))
-        recomputed = ergodic_residual(tr)
+        tr, rec = record(run_km, T, z0, RelaxationSchedule.constant(0.5),
+                         errors=ErrorSchedule.power(0.05, 3.0), stop=StopRule(60, 0.0))
+        # relaxation-weighted running average of the recorded residuals
+        S = tr.space.zeros()
+        total = 0.0
+        recomputed = np.empty(tr.n_steps)
+        for k in range(tr.n_steps):
+            S = S + rec.e_vecs[k] * tr.lam[k]
+            total += tr.lam[k]
+            recomputed[k] = tr.space.norm(S) / total
         assert np.max(np.abs(recomputed - tr.erg_norm)) <= 1e-14
-
-    def test_requires_retention(self):
-        T, z0, _ = zero_problem()
-        tr = run_km(T, z0, RelaxationSchedule.constant(0.5), stop=StopRule(10, 0.0),
-                    retain=False)
-        with pytest.raises(UnavailableError):
-            ergodic_residual(tr)
 
     def test_constant_residual_average(self):
         # identity operator with constant injected error: e_k = 0 always
@@ -261,8 +272,8 @@ class TestNonstationary:
     def test_constant_schedule_degenerates(self):
         fam, sched, statp = make_multiblock_nonstationary("constant", d=6)
         tr_ns = run_km_nonstationary(fam, sched, statp.z0, statp.relaxation,
-                                     stop=StopRule(200, 0.0), retain=False)
-        tr_st = statp.exact_run(max_iters=200, retain=False)
+                                     stop=StopRule(200, 0.0))
+        tr_st = statp.exact_run(max_iters=200)
         assert np.array_equal(tr_ns.res_norm, tr_st.res_norm)
         assert np.array_equal(tr_ns.erg_norm, tr_st.erg_norm)
         assert np.array_equal(tr_ns.disp_norm, tr_st.disp_norm)
@@ -271,7 +282,7 @@ class TestNonstationary:
     def test_geometric_perturbations_summable(self):
         fam, sched, statp = make_multiblock_nonstationary("geometric", d=6)
         tr = run_km_nonstationary(fam, sched, statp.z0, statp.relaxation,
-                                  stop=StopRule(600, 0.0), retain=False)
+                                  stop=StopRule(600, 0.0))
         sums = np.cumsum(tr.pert_norm)
         # the partial-sum tail past step 300 moves by less than 1e-8
         assert sums[-1] - sums[300] <= 1e-8
@@ -280,14 +291,14 @@ class TestNonstationary:
     def test_harmonic_perturbations_still_growing(self):
         fam, sched, statp = make_multiblock_nonstationary("harmonic", d=6)
         tr = run_km_nonstationary(fam, sched, statp.z0, statp.relaxation,
-                                  stop=StopRule(600, 0.0), retain=False)
+                                  stop=StopRule(600, 0.0))
         sums = np.cumsum(tr.pert_norm)
         assert sums[-1] - sums[-301] > 1e-4
 
     def test_gamma_column_recorded(self):
         fam, sched, statp = make_multiblock_nonstationary("geometric", d=6)
         tr = run_km_nonstationary(fam, sched, statp.z0, statp.relaxation,
-                                  stop=StopRule(50, 0.0), retain=False)
+                                  stop=StopRule(50, 0.0))
         assert tr.gamma is not None
         assert tr.gamma[0] == pytest.approx(sched.value(0))
         assert tr.gamma[7] == pytest.approx(sched.value(7))
@@ -295,7 +306,7 @@ class TestNonstationary:
     def test_native_residual_mode(self):
         fam, sched, statp = make_multiblock_nonstationary("geometric", d=6)
         tr = run_km_nonstationary(fam, sched, statp.z0, statp.relaxation,
-                                  stop=StopRule(50, 0.0), retain=False,
+                                  stop=StopRule(50, 0.0),
                                   track_limit=False)
         assert np.all(np.isnan(tr.pert_norm))
 

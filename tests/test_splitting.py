@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kmcert.bounds import empirical_constants, pointwise_bound
+from kmcert.bounds import EmpiricalConstants, pointwise_bound
 from kmcert.errors import ParameterError
 from kmcert.km import RelaxationSchedule, StopRule, run_km
 from kmcert.operators import (
@@ -22,6 +22,7 @@ from kmcert.spaces import ProductSpace, reflect_diagonal
 from kmcert.splitting import (
     BoxBlock,
     CocoerciveMap,
+    DrsCertificates,
     DrsSpec,
     GfbSpec,
     L1Block,
@@ -30,16 +31,12 @@ from kmcert.splitting import (
     PdsSpec,
     SubspaceBlock,
     ZeroBlock,
+    GfbErgodicCertificates,
     build_gfb,
     build_pds,
     drs_certificate,
-    drs_certificate_series,
     gfb_certificate,
-    gfb_certificate_series,
-    gfb_ergodic_certificate,
     matrix_norm,
-    pds_candidate,
-    pds_certificate_series,
 )
 
 
@@ -110,7 +107,7 @@ class TestGfbBuild:
             GfbSpec(blocks=[L1Block(1.0), ZeroBlock()],
                     weights=np.array([0.5, 0.6]), gamma=0.5, dim=2)
 
-    def test_single_block_equals_forward_backward(self):
+    def test_single_block_equals_forward_backward(self, record):
         # independent assembly: prox after an explicit gradient step
         p = make_lasso(40, 60, seed=1)
         A, y, mu = p.constants["A"], p.constants["y"], p.constants["mu"]
@@ -123,16 +120,16 @@ class TestGfbBuild:
             return sp.vector(prox_l1(x - gamma * (Q @ x - q), gamma * mu))
 
         hand = OperatorSpec(fbs, None, "fbs-hand", sp)
-        tr_g = p.exact_run(max_iters=300)
-        tr_f = run_km(hand, sp.vector(np.zeros(60)),
-                      RelaxationSchedule.constant(1.0), stop=StopRule(300, 0.0))
+        _, rec_g = record(p.exact_run, max_iters=300)
+        _, rec_f = record(run_km, hand, sp.vector(np.zeros(60)),
+                          RelaxationSchedule.constant(1.0), stop=StopRule(300, 0.0))
         worst = max(
             np.max(np.abs(a.blocks[0] - b.blocks[0]))
-            for a, b in zip(tr_g.z_vecs, tr_f.z_vecs)
+            for a, b in zip(rec_g.z_vecs, rec_f.z_vecs)
         )
         assert worst <= 1e-12
 
-    def test_no_smooth_part_equals_product_reflection_scheme(self):
+    def test_no_smooth_part_equals_product_reflection_scheme(self, record):
         rng = np.random.default_rng(5)
         d = 8
         R = rng.standard_normal((d, d))
@@ -153,12 +150,13 @@ class TestGfbBuild:
 
         T = OperatorSpec(hand, 0.5, "hand", sp)
         z0 = sp.point(tuple(rng.standard_normal(d) for _ in range(2)))
-        t1 = run_km(built.operator, z0, RelaxationSchedule.constant(1.0),
-                    stop=StopRule(200, 0.0))
-        t2 = run_km(T, z0, RelaxationSchedule.constant(1.0), stop=StopRule(200, 0.0))
+        _, r1 = record(run_km, built.operator, z0, RelaxationSchedule.constant(1.0),
+                       stop=StopRule(200, 0.0))
+        _, r2 = record(run_km, T, z0, RelaxationSchedule.constant(1.0),
+                       stop=StopRule(200, 0.0))
         worst = max(
             max(np.max(np.abs(a.blocks[i] - b.blocks[i])) for i in range(2))
-            for a, b in zip(t1.z_vecs, t2.z_vecs)
+            for a, b in zip(r1.z_vecs, r2.z_vecs)
         )
         assert worst <= 1e-12
 
@@ -167,11 +165,11 @@ class TestGfbBuild:
         rep = check_averaged(p.operator, p.operator.alpha, samples=300, seed=0)
         assert rep.passed
 
-    def test_channel_error_bounded_by_channels(self):
+    def test_channel_error_bounded_by_channels(self, record):
         p = make_gfb_multiblock(3, 8, seed=2)
-        tr = p.inexact_run(c=0.2, p=2.0, max_iters=50)
+        tr, rec = record(p.inexact_run, c=0.2, p=2.0, max_iters=50)
         for k in range(tr.n_steps):
-            ch = tr.channel[k]
+            ch = rec.channel[k]
             b = ch["b"]
             pre = np.linalg.norm(b) if b is not None else 0.0
             post = np.sqrt(sum(
@@ -181,21 +179,24 @@ class TestGfbBuild:
 
 
 @pytest.fixture(scope="module")
-def lasso_run():
+def lasso_run(record):
+    """The certified lasso run, with the pointwise certificate series and,
+    from a second identical run, the ergodic one and the iterates."""
     p = make_lasso(40, 60, seed=1)
-    tr = p.exact_run(max_iters=400)
-    bc = empirical_constants(tr, p.fix_reference())
-    return p, tr, bc
+    tr, bc, series = p.certified_run(max_iters=400)
+    ergodic = GfbErgodicCertificates(p.built)
+    _, rec = record(p.exact_run, max_iters=400, also=[ergodic.observe])
+    return p, tr, bc, series, ergodic.series(tr, bc), rec
 
 
 class TestGfbCertificates:
 
     def test_subgradient_box_and_signs(self, lasso_run):
-        p, tr, _ = lasso_run
+        p, _, _, _, _, rec = lasso_run
         mu = p.constants["mu"]
-        step = gfb_certificate(p.built, tr.z_vecs[5])
+        step = gfb_certificate(p.built, rec.z_vecs[5])
         # certificate element must be a valid scaled-l1 subgradient
-        _, u = p.built.readout(tr.z_vecs[5])
+        _, u = p.built.readout(rec.z_vecs[5])
         g = step.g
         assert np.all(np.abs(g) <= mu + 1e-10)
         on = u[0] != 0.0
@@ -204,39 +205,37 @@ class TestGfbCertificates:
         assert step.membership <= 1e-10
 
     def test_vanishes_at_fixed_point(self, lasso_run):
-        p, tr, _ = lasso_run
+        p, tr = lasso_run[:2]
         zstar = p.fix_reference().nearest(tr.z0)
         step = gfb_certificate(p.built, zstar)
         assert step.criterion <= 1e-10
 
     def test_pointwise_domination(self, lasso_run):
-        p, tr, bc = lasso_run
-        series = gfb_certificate_series(p.built, tr, bc)
+        p, tr, bc, series = lasso_run[:4]
         assert np.all(series.values <= series.bounds + 1e-10)
         assert series.bounds[0] == pytest.approx(
             pointwise_bound(0, bc) / p.built.spec.gamma)
 
     def test_ergodic_certificate(self, lasso_run):
-        p, tr, bc = lasso_run
-        series = gfb_ergodic_certificate(p.built, tr, bc)
+        p, tr, bc, _, series, _ = lasso_run
         assert np.all(series.values <= series.bounds + 1e-10)
         lam_min = float(tr.lam.min())
         assert series.bounds[0] == pytest.approx(
             2.0 * (bc.d0 + bc.C2) / (p.built.spec.gamma * lam_min))
 
-    def test_ergodic_certificate_zero_from_fixed_point(self):
+    def test_ergodic_certificate_zero_from_fixed_point(self, record):
         p = make_lasso(20, 30, seed=4)
         zstar = p.fix_reference().nearest(p.z0)
-        tr = run_km(p.operator, zstar, p.relaxation, stop=StopRule(20, 0.0))
-        bc = empirical_constants(tr, p.fix_reference())
-        series = gfb_ergodic_certificate(p.built, tr, bc)
+        ergodic = GfbErgodicCertificates(p.built)
+        constants = EmpiricalConstants(p.fix_reference().nearest(zstar), p.operator.space)
+        tr, _ = record(run_km, p.operator, zstar, p.relaxation, stop=StopRule(20, 0.0),
+                       also=[ergodic.observe, constants.observe])
+        series = ergodic.series(tr, constants.constants(tr))
         assert np.max(series.values) <= 1e-10
 
     def test_multiblock_membership_exact(self):
         p = make_gfb_multiblock(3, 12, seed=2)
-        tr = p.exact_run(max_iters=400)
-        bc = empirical_constants(tr, p.fix_reference())
-        series = gfb_certificate_series(p.built, tr, bc)
+        tr, bc, series = p.certified_run(max_iters=400)
         assert series.membership_max <= 1e-8
         assert np.all(series.values <= series.bounds + 1e-10)
 
@@ -281,51 +280,50 @@ class TestDrs:
             DrsSpec(SubspaceBlock(np.array([1.0, 0.0])),
                     SubspaceBlock(np.array([0.0, 1.0])), gamma=0.0, dim=2)
 
-    def test_error_bookkeeping(self):
+    def test_error_bookkeeping(self, record):
         # the induced error is bounded by the channel norms, and its gap to
         # their sum is at most twice the shadow-point error
         p = make_two_subspaces(np.pi / 4, 4)
-        tr = p.inexact_run(c=0.2, p=2.0, max_iters=60)
+        tr, rec = record(p.inexact_run, c=0.2, p=2.0, max_iters=60)
         sp = p.operator.space
         for k in range(tr.n_steps):
-            ch = tr.channel[k]
+            ch = rec.channel[k]
             e1 = ch["eps1"] if ch["eps1"] is not None else np.zeros(4)
             e2 = ch["eps2"] if ch["eps2"] is not None else np.zeros(4)
             n1, n2 = np.linalg.norm(e1), np.linalg.norm(e2)
             assert tr.eps_norm[k] <= n1 + n2 + 1e-12
-            eps = tr.eps_vector(k).blocks[0]
+            eps = rec.eps_vector(k).blocks[0]
             assert np.linalg.norm(eps - (e1 + e2)) <= 2.0 * n2 + 1e-12
 
     def test_certificate_membership_orthogonal_complement(self):
         p = make_two_subspaces(np.pi / 3, 4)
-        tr = p.exact_run(max_iters=80)
-        bc = empirical_constants(tr, p.fix_reference())
-        series = drs_certificate_series(p.built, tr, bc)
+        tr, bc, series = p.certified_run(max_iters=80)
         assert series.membership_max <= 1e-10
         assert np.all(series.values <= series.bounds + 1e-10)
 
-    def test_certificate_zero_at_fixed_point(self):
+    def test_certificate_zero_at_fixed_point(self, record):
         p = make_two_subspaces(np.pi / 4, 4)
         sp = p.operator.space
         zstar = sp.vector(np.array([0.0, 0.0, 1.0, -2.0]))  # in the fixed set
-        tr = run_km(p.operator, zstar, p.relaxation, stop=StopRule(5, 0.0))
-        bc = empirical_constants(tr, p.fix)
-        series = drs_certificate_series(p.built, tr, bc)
+        cert = DrsCertificates(p.built)
+        constants = EmpiricalConstants(p.fix.nearest(zstar), sp)
+        tr, _ = record(run_km, p.operator, zstar, p.relaxation, stop=StopRule(5, 0.0),
+                       also=[cert.observe, constants.observe])
+        series = cert.series(tr, constants.constants(tr))
         assert np.max(series.values) <= 1e-12
 
-    def test_single_step_accessor(self):
+    def test_single_step_accessor(self, record):
         p = make_two_subspaces(np.pi / 4, 4)
-        tr = p.exact_run(max_iters=30)
-        bc = empirical_constants(tr, p.fix_reference())
-        step = drs_certificate(p.built, tr, bc, 3)
-        assert step.criterion <= step.bound + 1e-10
+        tr, rec = record(p.exact_run, max_iters=30)
+        _, bc, _ = p.certified_run(max_iters=30)
+        step = drs_certificate(p.built, rec.z_vecs[3], rec.z_vecs[4], tr.lam[3])
+        bound = step.scale * pointwise_bound(3, bc) + step.offset
+        assert step.criterion <= bound + 1e-10
         assert step.criterion == pytest.approx(np.linalg.norm(step.g))
 
     def test_inexact_certificate_includes_channel_term(self):
         p = make_two_subspaces(np.pi / 4, 4)
-        tr = p.inexact_run(c=0.1, p=3.0, max_iters=200)
-        bc = empirical_constants(tr, p.fix_reference())
-        series = drs_certificate_series(p.built, tr, bc)
+        tr, bc, series = p.certified_run(0.1, 3.0, max_iters=200)
         assert np.all(series.values <= series.bounds + 1e-10)
 
 
@@ -401,19 +399,9 @@ class TestPds:
         assert np.linalg.norm(tr.z_final.blocks[1]) == 0.0
 
     def test_certificate_series(self, small):
-        tr = small.exact_run(max_iters=300)
-        ref = small.fix_reference()
-        series = pds_certificate_series(small.built, tr, ref.nearest(tr.z0))
+        tr, _, series = small.certified_run(max_iters=300)
         assert series.surrogate
         assert np.all(series.values <= series.bounds + 1e-10)
-
-    def test_candidate_at_fixed_point(self, small):
-        ref = small.fix_reference()
-        zstar = ref.nearest(small.z0)
-        tr = run_km(small.operator, zstar, small.relaxation, stop=StopRule(3, 0.0))
-        w = pds_candidate(tr, 0)
-        assert small.operator.space.base_norm(w - zstar) <= 1e-9
-        assert tr.res_norm[0] <= 1e-10
 
     def test_matrix_norm_power_iteration(self):
         rng = np.random.default_rng(0)

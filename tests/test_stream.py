@@ -1,0 +1,167 @@
+"""The constants and certificates streamed through the engine's step hook
+equal the two-pass formulas over the recorded vectors of the same run.
+
+Each formula below is the retained-vector computation written out: a first
+pass runs and keeps every vector, a second pass walks the lists.  The
+comparison is exact (``==``), on all six suite problems, exact and inexact.
+"""
+
+import numpy as np
+import pytest
+
+from kmcert.bounds import BoundConstants, EmpiricalConstants, pointwise_bound
+from kmcert.problems import (
+    make_gfb_multiblock,
+    make_lasso,
+    make_pds_small,
+    make_quadratic_gd,
+    make_two_subspaces,
+    make_zero_map,
+)
+from kmcert.splitting import GfbErgodicCertificates, gfb_certificate
+
+STEPS = 200
+ERROR_LAW = (0.1, 3.0)
+
+MAKERS = {
+    "zero-map": lambda: make_zero_map(4),
+    "gd": lambda: make_quadratic_gd(0.8, 1.0, 2, 0.5),
+    "drs": lambda: make_two_subspaces(np.pi / 4, 4),
+    "lasso": lambda: make_lasso(40, 60, seed=1),
+    "multiblock": lambda: make_gfb_multiblock(3, 20, seed=2),
+    "pds": lambda: make_pds_small(seed=3),
+}
+
+
+def two_pass_constants(trace, rec, z_star, norm, eps_norm):
+    d0 = norm(rec.z_vecs[0] - z_star)
+    c = 1.0 if trace.alpha is None else 1.0 / trace.alpha
+    tau = trace.lam * (c - trace.lam)
+    sup_relaxed = 0.0
+    for k in range(trace.n_steps):
+        relaxed = rec.z_vecs[k] - rec.e_vecs[k] * trace.lam[k]
+        sup_relaxed = max(sup_relaxed, norm(relaxed - z_star))
+    lam_eps = trace.lam * eps_norm
+    nu1 = 2.0 * sup_relaxed + float(lam_eps.max())
+    nu2 = 0.0
+    for k in range(trace.n_steps - 1):
+        nu2 = max(nu2, norm(rec.e_vecs[k] - rec.e_vecs[k + 1]))
+    nu2 *= 2.0
+    S1 = float(lam_eps.sum())
+    S2 = float((np.arange(1, trace.n_steps + 1, dtype=float) * eps_norm).sum())
+    return BoundConstants(d0, float(tau.min()), float(tau.max()), nu1, nu2,
+                          nu1 * S1 + nu2 * float(tau.max()) * S2, S1)
+
+
+def two_pass_gfb(built, trace, rec, constants):
+    steps = [gfb_certificate(built, rec.z_vecs[k]) for k in range(trace.n_steps)]
+    members = [s.membership for s in steps if s.membership is not None]
+    return (np.array([s.criterion for s in steps]),
+            pointwise_bound(np.arange(trace.n_steps), constants) / built.spec.gamma,
+            max(members) if members else None)
+
+
+def two_pass_gfb_ergodic(built, trace, rec, constants):
+    spec = built.spec
+    lam_min = float(trace.lam.min())
+    x_sum = np.zeros(spec.dim)
+    u_sums = [np.zeros(spec.dim) for _ in range(spec.n)]
+    vals = np.empty(trace.n_steps)
+    bnds = np.empty(trace.n_steps)
+    for k in range(trace.n_steps):
+        x, _, _, u = built.step_parts(rec.z_vecs[k])
+        x_sum += x
+        for i in range(spec.n):
+            u_sums[i] += u[i]
+        m = k + 1.0
+        xbar = x_sum / m
+        ubar = spec.weights[0] * (u_sums[0] / m)
+        for wi, us in zip(spec.weights[1:], u_sums[1:]):
+            ubar = ubar + wi * (us / m)
+        gbar = (xbar - ubar) / spec.gamma - built.smooth_at(xbar)
+        vals[k] = float(np.linalg.norm(gbar + built.smooth_at(ubar)))
+        bnds[k] = 2.0 * (constants.d0 + constants.C2) / (spec.gamma * lam_min * m)
+    return vals, bnds
+
+
+def two_pass_drs(built, trace, rec, constants):
+    spec = built.spec
+    vals = np.empty(trace.n_steps)
+    bnds = np.empty(trace.n_steps)
+    members = []
+    for k in range(trace.n_steps):
+        z, zn = rec.z_vecs[k], rec.z_vecs[k + 1]
+        ch = rec.channel[k] or {}
+        e1, e2 = ch.get("eps1"), ch.get("eps2")
+        x, u, v = built.readout(z, zn, eps2=e2)
+        zv, znv = z.blocks[0], zn.blocks[0]
+        g = ((2.0 * x - zv - u) + (znv - v)) / spec.gamma
+        lam = float(trace.lam[k])
+        ck = (1.0 / spec.gamma) * (
+            (2.0 + lam) * (np.linalg.norm(e2) if e2 is not None else 0.0)
+            + (np.linalg.norm(e1) if e1 is not None else 0.0))
+        vals[k] = float(np.linalg.norm(g))
+        bnds[k] = (1.0 + lam) / spec.gamma * pointwise_bound(k, constants) + ck
+        members += [r for r in (
+            spec.block1.member_residual(u, (2.0 * x - zv - u) / spec.gamma),
+            spec.block2.member_residual(v, (znv - v) / spec.gamma),
+        ) if r is not None]
+    return vals, bnds, max(members) if members else None
+
+
+def two_pass_pds(built, trace, rec, z_star):
+    space = built.space
+    eps_norm = np.array([space.base_norm(rec.eps_vector(k)) for k in range(trace.n_steps)])
+    base = two_pass_constants(trace, rec, z_star, space.base_norm, eps_norm)
+    vals = np.array([space.base_norm(e) for e in rec.e_vecs])
+    bnds = 2.0 * built.delta / built.eta * pointwise_bound(np.arange(trace.n_steps), base)
+    return vals, bnds, None
+
+
+@pytest.fixture(scope="module")
+def problems():
+    return {label: make() for label, make in MAKERS.items()}
+
+
+@pytest.mark.parametrize("law", [(), ERROR_LAW], ids=["exact", "inexact"])
+@pytest.mark.parametrize("label", list(MAKERS))
+def test_streamed_equals_two_pass(problems, record, label, law):
+    problem = problems[label]
+    trace, constants, cert = problem.certified_run(*law, max_iters=STEPS)
+
+    # the same run again, with its vectors recorded, the base-norm constants
+    # and, for the product-space splitting, the ergodic certificate streamed
+    space = problem.operator.space
+    z_star = problem.fix_reference().nearest(problem.z0)
+    base = EmpiricalConstants(z_star, space, base_norm=True)
+    ergodic = GfbErgodicCertificates(problem.built) if problem.kind == "gfb" else None
+    hooks = [base.observe] + ([ergodic.observe] if ergodic else [])
+    run = problem.inexact_run if law else problem.exact_run
+    again, rec = record(run, *law, max_iters=STEPS, also=hooks)
+    for name in ("lam", "eps_norm", "res_norm", "erg_norm", "disp_norm", "dist"):
+        a, b = getattr(trace, name), getattr(again, name)
+        assert (a is None and b is None) or np.array_equal(a, b)
+    assert len(rec.z_vecs) == STEPS + 1
+
+    assert constants == two_pass_constants(trace, rec, z_star, space.norm, trace.eps_norm)
+    base_eps = np.array([space.base_norm(rec.eps_vector(k)) for k in range(STEPS)])
+    assert base.constants(trace) == two_pass_constants(trace, rec, z_star,
+                                                       space.base_norm, base_eps)
+
+    if problem.kind == "km":
+        assert cert is None
+        return
+    if problem.kind == "gfb":
+        want = two_pass_gfb(problem.built, trace, rec, constants)
+        streamed = ergodic.series(trace, constants)
+        vals, bnds = two_pass_gfb_ergodic(problem.built, trace, rec, constants)
+        assert np.array_equal(streamed.values, vals)
+        assert np.array_equal(streamed.bounds, bnds)
+    elif problem.kind == "drs":
+        want = two_pass_drs(problem.built, trace, rec, constants)
+    else:
+        want = two_pass_pds(problem.built, trace, rec, z_star)
+        assert cert.surrogate
+    assert np.array_equal(cert.values, want[0])
+    assert np.array_equal(cert.bounds, want[1])
+    assert cert.membership_max == want[2]

@@ -212,7 +212,7 @@ class TestCaches:
     def test_family_and_factorization_caches_stay_bounded(self):
         fam, sched, statp = make_multiblock_nonstationary("harmonic", d=6)
         tr = run_km_nonstationary(fam, sched, statp.z0, statp.relaxation,
-                                  stop=StopRule(200, 0.0), retain=False)
+                                  stop=StopRule(200, 0.0))
         assert tr.n_steps == 200
         assert len(fam._cache) <= 2
         linear = [b for b in fam.spec.blocks if isinstance(b, LinearBlock)]
@@ -268,7 +268,7 @@ class TestScheduleRanges:
             lambda k: 1.5 if k < 4 else 1.85, 1.5, 1.2, 1.8)
         with pytest.raises(ParameterError, match="step 4"):
             run_km_nonstationary(fam, sched, statp.z0, statp.relaxation,
-                                 stop=StopRule(10, 0.0), retain=False)
+                                 stop=StopRule(10, 0.0))
 
     def test_custom_gamma_range_checked_against_admissible_interval(self):
         base = make_gfb_multiblock(2, 6)
@@ -287,7 +287,7 @@ class TestScheduleRanges:
 
         sched = GammaSchedule.from_function(lambda k: 1.5, 1.5, 1.2, 1.8)
         run_km_nonstationary(at, sched, statp.z0, statp.relaxation,
-                             stop=StopRule(1, 0.0), retain=False)
+                             stop=StopRule(1, 0.0))
         assert 1.2 in probed and 1.8 in probed
 
 
@@ -383,3 +383,47 @@ class TestCli:
             self.set_cell(trace, k, column, "")
         assert main(["verify", str(trace), str(report)]) == 2
         assert "filled together" in capsys.readouterr().err
+
+    def drs_run(self, tmp_path):
+        assert main(["run", "--preset", "drs-subspaces", "--out", str(tmp_path)]) == 0
+        return tmp_path / "drs-subspaces.csv", tmp_path / "drs-subspaces.json"
+
+    @pytest.mark.parametrize("doc", ["[]", '"report"', "3"])
+    def test_report_not_an_object_exits_2(self, tmp_path, capsys, doc):
+        trace, report = self.drs_run(tmp_path)
+        report.write_text(doc)
+        assert main(["verify", str(trace), str(report)]) == 2
+        assert "verify error: report is not a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [None, 3, [1.0]])
+    def test_constants_not_an_object_exits_2(self, tmp_path, capsys, value):
+        trace, report = self.drs_run(tmp_path)
+        doc = json.loads(report.read_text())
+        doc["constants"] = value
+        report.write_text(json.dumps(doc))
+        assert main(["verify", str(trace), str(report)]) == 2
+        assert "report carries no constants" in capsys.readouterr().err
+
+    def test_blank_certificate_pair_exits_2_when_certified(self, tmp_path, capsys):
+        trace, report = self.drs_run(tmp_path)
+        assert json.loads(report.read_text())["certificates"] is not None
+        for k in range(json.loads(report.read_text())["steps"]):
+            self.set_cell(trace, k, "cert_value", "")
+            self.set_cell(trace, k, "cert_bound", "")
+        assert main(["verify", str(trace), str(report)]) == 2
+        assert "'cert_value' is blank" in capsys.readouterr().err
+
+    def test_blank_distance_exits_2_when_modulus_given(self, tmp_path, capsys):
+        trace, report = self.make_run(tmp_path)
+        doc = json.loads(report.read_text())
+        assert doc["kappa"] is not None
+        for k in range(doc["steps"]):
+            self.set_cell(trace, k, "dist_fix", "")
+        assert main(["verify", str(trace), str(report)]) == 2
+        assert "'dist_fix' is blank" in capsys.readouterr().err
+
+    def test_retain_key_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("problem = zero-map\nretain = false\n")
+        assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+        assert "unknown config keys: ['retain']" in capsys.readouterr().err
