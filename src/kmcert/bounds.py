@@ -83,8 +83,8 @@ class EmpiricalConstants:
 
     def __init__(self, z_star: ProductPoint, space: ProductSpace,
                  base_norm: bool = False):
-        self.z_star = z_star
-        self._norm = space.base_norm if base_norm else space.norm
+        self._z_star = z_star.data
+        self._norm = space._base_norm if base_norm else space._norm
         self._eps_norm = [] if base_norm else None
         self._d0 = 0.0
         self._sup_relaxed = 0.0     # sup ||z_k - lam_k e_k - z*||
@@ -92,15 +92,15 @@ class EmpiricalConstants:
         self._e_prev = None
 
     def observe(self, k, z, z_next, e, eps, lam, extras) -> None:
-        norm = self._norm
+        norm, z, e = self._norm, z.data, e.data
         if self._e_prev is None:
-            self._d0 = norm(z - self.z_star)
+            self._d0 = norm(z - self._z_star)
         else:
             self._sup_de = max(self._sup_de, norm(self._e_prev - e))
         self._e_prev = e
-        self._sup_relaxed = max(self._sup_relaxed, norm(z - e * lam - self.z_star))
+        self._sup_relaxed = max(self._sup_relaxed, norm(z - e * lam - self._z_star))
         if self._eps_norm is not None:
-            self._eps_norm.append(norm(eps) if eps is not None else 0.0)
+            self._eps_norm.append(norm(eps.data) if eps is not None else 0.0)
 
     def constants(self, trace: IterationTrace) -> BoundConstants:
         eps_norm = trace.eps_norm if self._eps_norm is None else np.asarray(self._eps_norm)

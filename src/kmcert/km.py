@@ -287,7 +287,7 @@ class FixedPointSet:
         return self._proj(z)
 
     def distance(self, z: ProductPoint, space: ProductSpace) -> float:
-        return space.norm(z - self.nearest(z))
+        return space._norm(z.data - self.nearest(z).data)
 
 
 # ---------------------------------------------------------------------------
@@ -362,18 +362,21 @@ def _iterate(operator: OperatorSpec, evalstep, z0: ProductPoint,
     space = operator.space
     if not space.compatible(z0):
         raise StructuralError("starting point does not live in the operator's space")
-    if z0.weights is not space.weights:
-        # share the space's weight array so every compatibility check below
-        # is an identity test
-        z0 = space._wrap(z0.blocks)
+    if z0.weights is not space.weights or z0._slices is not space._slices:
+        # share the space's weights and layout so every compatibility check
+        # below is an identity test
+        z0 = space._wrap(z0.data)
     _validate_admissible(relaxation, operator.alpha)
 
     rng = np.random.default_rng(seed)
     lam_l, epsn_l, res_l, erg_l, disp_l, cum_l = [], [], [], [], [], []
     gamma_l, pert_l, dist_l = [], [], []
+    # the bookkeeping runs on the flat data vectors; points are built only
+    # for the observe hook and the next evaluation
+    norm, wrap = space._norm, space._wrap
 
     z = z0
-    S = space.zeros()
+    S = np.zeros_like(z0.data)
     lam_total = 0.0
     stop_reason = "max_iters"
 
@@ -386,39 +389,40 @@ def _iterate(operator: OperatorSpec, evalstep, z0: ProductPoint,
         if not tilde.is_finite() or (tilde is not exact and not exact.is_finite()):
             raise NumericalError(f"non-finite operator output at step {k}")
 
-        e = z - exact
-        res = space.norm(e)
-        z_next = z + (tilde - z) * lam
-        step = z - z_next
+        zd = z.data
+        e = zd - exact.data
+        res = norm(e)
+        zn = zd + (tilde.data - zd) * lam
+        step = zd - zn
 
         # cross-check the residual against its update-rule form; the test is
         # drift > tol * max(1, ||z||), with ||z|| only evaluated when needed
         back = step * (1.0 / lam)
-        e_rec = back + eps_vec if eps_vec is not None else back
-        drift = space.norm(e - e_rec)
-        if drift > _IDENTITY_TOL and drift > _IDENTITY_TOL * space.norm(z):
+        e_rec = back + eps_vec.data if eps_vec is not None else back
+        drift = norm(e - e_rec)
+        if drift > _IDENTITY_TOL and drift > _IDENTITY_TOL * norm(zd):
             raise NumericalError(
                 f"residual identity violated at step {k}: drift {drift:.3e}"
             )
+        z_next = wrap(zn)
         if observe is not None:
-            observe(k, z, z_next, e, eps_vec, lam, extras)
+            observe(k, z, z_next, wrap(e), eps_vec, lam, extras)
 
-        eps_norm = space.norm(eps_vec) if eps_vec is not None else 0.0
-        S = S + e * lam
+        S += e * lam            # S is the engine's own buffer, never shared
         lam_total += lam
 
         lam_l.append(lam)
-        epsn_l.append(eps_norm)
+        epsn_l.append(norm(eps_vec.data) if eps_vec is not None else 0.0)
         res_l.append(res)
-        erg_l.append(space.norm(S) / lam_total)
-        disp_l.append(space.norm(step))
+        erg_l.append(norm(S) / lam_total)
+        disp_l.append(norm(step))
         cum_l.append(lam_total)
         if nonstationary:
             gamma_l.append(extras["gamma"])
             pert_l.append(extras["pert_norm"])
 
         z = z_next
-        if space.norm(z) > stop.divergence_norm:
+        if norm(zn) > stop.divergence_norm:
             raise DivergenceError(
                 f"iterate norm exceeded {stop.divergence_norm:.1e} at step {k}"
             )

@@ -71,12 +71,12 @@ def vector_operator(space: ProductSpace, fn, alpha, label: str) -> OperatorSpec:
     shape = space.dims
 
     def apply(z: ProductPoint) -> ProductPoint:
-        out = np.asarray(fn(z.blocks[0]), dtype=float)
+        out = np.asarray(fn(z.data), dtype=float)
         if out.ndim == 0:
             out = out.reshape(1)
         if out.shape != shape:
             raise StructuralError(f"{label}: expected output shape {shape}, got {out.shape}")
-        return space._wrap((out,))
+        return space._wrap(out)
 
     return OperatorSpec(apply, alpha, label, space)
 
@@ -251,8 +251,8 @@ def gradient_step(f: QuadraticFn, gamma: float, space: ProductSpace = None) -> O
     alpha = gamma / (2.0 * beta)
 
     def step(z: ProductPoint) -> ProductPoint:
-        x = z.blocks[0]
-        return space._wrap((x - gamma * f.grad(x),))
+        x = z.data
+        return space._wrap(x - gamma * f.grad(x))
 
     return OperatorSpec(step, alpha, f"grad_step({gamma:g})", space)
 

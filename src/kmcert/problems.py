@@ -231,10 +231,9 @@ def make_two_subspaces(theta: float, d: int, lam: float = 1.0) -> ProblemInstanc
     space = built.space
 
     def proj_fix(z: ProductPoint) -> ProductPoint:
-        out = z.blocks[0].copy()
-        out[0] = 0.0
-        out[1] = 0.0
-        return space._wrap((out,))
+        out = z.data.copy()
+        out[:2] = 0.0
+        return space._wrap(out)
 
     fix = FixedPointSet.from_projector(proj_fix, "plane-complement")
     rng = np.random.default_rng(99)

@@ -1,14 +1,23 @@
 """Weighted product Hilbert-space primitives.
 
-A point is a tuple of dense real blocks together with positive per-block
-weights.  The inner product is ``<x, y> = sum_i w_i <x_i, y_i>`` and the
-induced weighted norm is the only norm used on these points.  A space may
-additionally install a metric operator ``M`` (self-adjoint, positive in the
-weighted inner product); then ``<x, y>_M = <x, M y>`` replaces the plain
+A point of ``R^{d_1} x ... x R^{d_n}`` is one contiguous float64 vector
+``data`` with fixed block offsets; ``blocks`` are views into it, built on
+each access, and ``+``, ``-``, scalar ``*`` and negation are one numpy call.
+Nothing writes in place into an array a point may share (its data, a block
+view, an operator output wrapped as a point), so a point stays valid after
+the step that made it.  The inner product ``<x, y> = sum_i w_i <x_i, y_i>``
+is summed block by block in block order, never as one reordered reduction
+over ``data``, so every norm is bit-identical to the per-block formula.  A
+space may install a metric operator ``M`` (self-adjoint, positive in the
+weighted inner product); ``<x, y>_M = <x, M y>`` then replaces the plain
 inner product wherever the space is asked for one.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+import math
 
 import numpy as np
 
@@ -28,14 +37,36 @@ def _as_block(x) -> np.ndarray:
     return arr
 
 
+@functools.lru_cache(maxsize=64)
+def _layout(dims: tuple) -> tuple:
+    # block slices, one shared tuple per layout: compatibility is an identity test
+    return tuple(slice(e - d, e) for d, e in zip(dims, itertools.accumulate(dims)))
+
+
+def _block_inner(weights, slices, a: np.ndarray, b: np.ndarray) -> float:
+    # the summation-order contract: one dot per block, added in block order
+    if len(slices) == 1:
+        return 0.0 + weights[0] * float(a.dot(b))
+    acc = 0.0
+    for w, s in zip(weights, slices):
+        acc += w * float(a[s].dot(b[s]))
+    return acc
+
+
+def _weighted_sum(weights, rows: np.ndarray) -> np.ndarray:
+    """``w_0 rows[0] + w_1 rows[1] + ...``, accumulated in row order, for
+    rows of one ``(n, d)`` block stack; unchecked."""
+    acc = weights[0] * rows[0]
+    for w, r in zip(weights[1:], rows[1:]):
+        acc += w * r
+    return acc
+
+
 class ProductPoint:
-    """Element of a weighted product of real coordinate spaces.
+    """Element of a weighted product of real coordinate spaces, stored as
+    one flat vector (see the module docstring for the layout contract)."""
 
-    Treated as immutable: arithmetic returns new points and never mutates
-    the operands, so points can be shared freely across concurrent runs.
-    """
-
-    __slots__ = ("blocks", "weights")
+    __slots__ = ("data", "weights", "_slices")
 
     def __init__(self, blocks, weights):
         blocks = tuple(_as_block(b) for b in blocks)
@@ -44,58 +75,59 @@ class ProductPoint:
             raise StructuralError("need one positive weight per block")
         if not (np.all(weights > 0) and np.all(np.isfinite(weights))):
             raise StructuralError("weights must be positive and finite")
-        self.blocks = blocks
+        self.data = np.concatenate(blocks)
         self.weights = weights
+        self._slices = _layout(tuple(b.size for b in blocks))
 
     @classmethod
-    def _raw(cls, blocks, weights):
-        # internal fast path: trusted inputs, no validation
+    def _raw(cls, data, weights, slices):
+        # internal fast path: trusted flat data and layout, no validation
         obj = object.__new__(cls)
-        obj.blocks = blocks
+        obj.data = data
         obj.weights = weights
+        obj._slices = slices
         return obj
 
     @property
+    def blocks(self) -> tuple:
+        return tuple(self.data[s] for s in self._slices)
+
+    @property
     def n(self) -> int:
-        return len(self.blocks)
+        return len(self._slices)
 
     @property
     def dims(self):
-        return tuple(b.size for b in self.blocks)
+        return tuple(s.stop - s.start for s in self._slices)
 
-    def block(self, i: int) -> np.ndarray:
-        return self.blocks[i]
+    def _new(self, data):
+        return ProductPoint._raw(data, self.weights, self._slices)
 
     def __add__(self, other):
         _require_compatible(self, other)
-        return ProductPoint._raw(
-            tuple(a + b for a, b in zip(self.blocks, other.blocks)), self.weights
-        )
+        return self._new(self.data + other.data)
 
     def __sub__(self, other):
         _require_compatible(self, other)
-        return ProductPoint._raw(
-            tuple(a - b for a, b in zip(self.blocks, other.blocks)), self.weights
-        )
+        return self._new(self.data - other.data)
 
     def __mul__(self, scalar):
-        s = float(scalar)
-        return ProductPoint._raw(tuple(b * s for b in self.blocks), self.weights)
+        return self._new(self.data * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return ProductPoint._raw(tuple(-b for b in self.blocks), self.weights)
+        return self._new(-self.data)
 
     def is_finite(self) -> bool:
-        return all(np.isfinite(b).all() for b in self.blocks)
+        return bool(np.isfinite(self.data).all())
 
     def __repr__(self):
         return f"ProductPoint(n={self.n}, dims={self.dims})"
 
 
 def _require_compatible(x: ProductPoint, y: ProductPoint) -> None:
-    if x.weights is y.weights:
+    if x.weights is y.weights and x._slices is y._slices:
         return
     if x.dims != y.dims or not np.array_equal(x.weights, y.weights):
         raise StructuralError(
@@ -106,19 +138,15 @@ def _require_compatible(x: ProductPoint, y: ProductPoint) -> None:
 def weighted_inner(x: ProductPoint, y: ProductPoint) -> float:
     """Weighted inner product ``sum_i w_i <x_i, y_i>``."""
     _require_compatible(x, y)
-    acc = 0.0
-    for w, a, b in zip(x.weights, x.blocks, y.blocks):
-        acc += w * float(np.dot(a, b))
-    return acc
+    return _block_inner(x.weights, x._slices, x.data, y.data)
 
 
 def weighted_norm(x: ProductPoint) -> float:
-    return float(np.sqrt(max(weighted_inner(x, x), 0.0)))
+    return math.sqrt(max(weighted_inner(x, x), 0.0))
 
 
 def _require_diagonal_layout(z: ProductPoint) -> None:
-    d = z.blocks[0].size
-    if any(b.size != d for b in z.blocks):
+    if len(set(z.dims)) != 1:
         raise StructuralError("diagonal-subspace operations require equal block dimensions")
     if abs(float(np.sum(z.weights)) - 1.0) > WEIGHT_SUM_TOL:
         raise StructuralError("diagonal-subspace operations require weights summing to 1")
@@ -131,18 +159,13 @@ def project_diagonal(z: ProductPoint) -> ProductPoint:
     which requires the weights to sum to one.
     """
     _require_diagonal_layout(z)
-    mean = z.weights[0] * z.blocks[0]
-    for w, b in zip(z.weights[1:], z.blocks[1:]):
-        mean = mean + w * b
-    return ProductPoint._raw(tuple(mean.copy() for _ in z.blocks), z.weights)
+    mean = _weighted_sum(tuple(z.weights), z.data.reshape(z.n, -1))
+    return z._new(np.tile(mean, z.n))
 
 
 def reflect_diagonal(z: ProductPoint) -> ProductPoint:
     """Reflection about the diagonal subspace, ``2 P z - z``; an involution."""
-    p = project_diagonal(z)
-    return ProductPoint._raw(
-        tuple(2.0 * a - b for a, b in zip(p.blocks, z.blocks)), z.weights
-    )
+    return z._new(2.0 * project_diagonal(z).data - z.data)
 
 
 def lift(x, n: int, weights) -> ProductPoint:
@@ -150,14 +173,14 @@ def lift(x, n: int, weights) -> ProductPoint:
     the diagonal subspace (an isometry whenever the weights sum to one)."""
     if n < 1:
         raise StructuralError("need at least one block")
-    arr = _as_block(x)
-    return ProductPoint(tuple(arr.copy() for _ in range(n)), weights)
+    return ProductPoint((_as_block(x),) * n, weights)
 
 
 class ProductSpace:
-    """Shape (block dimensions), weights and metric of a product space."""
+    """Shape (block dimensions), weights and metric of a product space; the
+    underscored norms take the flat ``data`` of this space's points."""
 
-    __slots__ = ("dims", "weights", "metric_op", "_dim_total")
+    __slots__ = ("dims", "weights", "metric_op", "_slices", "_w", "_dim_total")
 
     def __init__(self, dims, weights, metric_op=None):
         dims = tuple(int(d) for d in dims)
@@ -171,6 +194,8 @@ class ProductSpace:
         self.dims = dims
         self.weights = weights
         self.metric_op = metric_op
+        self._slices = _layout(dims)
+        self._w = tuple(float(w) for w in weights)
         self._dim_total = sum(dims)
 
     @classmethod
@@ -187,58 +212,64 @@ class ProductSpace:
         dims = tuple(b.size for b in blocks)
         if dims != self.dims:
             raise StructuralError(f"expected dims {self.dims}, got {dims}")
-        return self._wrap(blocks)
+        return self._wrap(np.concatenate(blocks))
 
     def vector(self, x) -> ProductPoint:
         if self.n != 1:
             raise StructuralError("vector() is only defined on single-block spaces")
         return self.point((x,))
 
-    def _wrap(self, blocks: tuple) -> ProductPoint:
-        # internal fast path for blocks computed from points of this space
+    def _wrap(self, data: np.ndarray) -> ProductPoint:
+        # internal fast path for flat data computed from points of this space
         # (operator and channel outputs): no validation, and the space's own
-        # weight array, so every compatibility check is an identity test
-        return ProductPoint._raw(blocks, self.weights)
+        # weights and layout, so every compatibility check is an identity test
+        return ProductPoint._raw(data, self.weights, self._slices)
 
     def zeros(self) -> ProductPoint:
-        return self._wrap(tuple(np.zeros(d) for d in self.dims))
+        return self._wrap(np.zeros(self._dim_total))
 
     def lift_vector(self, x) -> ProductPoint:
         arr = _as_block(x)
         if any(d != arr.size for d in self.dims):
             raise StructuralError("lifted vector does not match the space layout")
-        return self._wrap(tuple(arr.copy() for _ in self.dims))
+        return self._wrap(np.tile(arr, self.n))
 
     def compatible(self, z: ProductPoint) -> bool:
-        return z.dims == self.dims and (
+        return (z._slices is self._slices or z.dims == self.dims) and (
             z.weights is self.weights or np.array_equal(z.weights, self.weights)
         )
 
     # -- metric-aware inner product and norm ------------------------------
 
+    def _base_norm(self, a: np.ndarray) -> float:
+        return math.sqrt(max(_block_inner(self._w, self._slices, a, a), 0.0))
+
+    def _norm(self, a: np.ndarray) -> float:
+        b = a if self.metric_op is None else self.metric_op(self._wrap(a)).data
+        return math.sqrt(max(_block_inner(self._w, self._slices, a, b), 0.0))
+
     def base_norm(self, x: ProductPoint) -> float:
-        return weighted_norm(x)
+        return self._base_norm(x.data)
 
     def inner(self, x: ProductPoint, y: ProductPoint) -> float:
-        if self.metric_op is None:
-            return weighted_inner(x, y)
-        return weighted_inner(x, self.metric_op(y))
+        return weighted_inner(x, y if self.metric_op is None else self.metric_op(y))
 
     def norm(self, x: ProductPoint) -> float:
-        return float(np.sqrt(max(self.inner(x, x), 0.0)))
+        return self._norm(x.data)
 
     # -- sampling ----------------------------------------------------------
 
     def gaussian(self, rng: np.random.Generator) -> ProductPoint:
-        return self._wrap(tuple(rng.standard_normal(d) for d in self.dims))
+        # one draw of the whole vector is the per-block draws in block order
+        return self._wrap(rng.standard_normal(self._dim_total))
 
     def unit_vector(self, rng: np.random.Generator) -> ProductPoint:
         """Random direction of norm one (in the space's norm)."""
         while True:
-            g = self.gaussian(rng)
-            nrm = self.norm(g)
+            g = rng.standard_normal(self._dim_total)
+            nrm = self._norm(g)
             if nrm > 1e-12:
-                return g * (1.0 / nrm)
+                return self._wrap(g * (1.0 / nrm))
 
     def sample_ball(self, rng: np.random.Generator, radius: float) -> ProductPoint:
         """Draw uniformly from the ball of the given radius."""

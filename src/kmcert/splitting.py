@@ -11,6 +11,7 @@ iterate path.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -26,7 +27,7 @@ from .operators import (
     moreau_envelope_gradient,
     prox_l1,
 )
-from .spaces import ProductPoint, ProductSpace
+from .spaces import ProductPoint, ProductSpace, _weighted_sum
 
 
 def _recent(cache: dict, key, build):
@@ -135,8 +136,8 @@ class SubspaceBlock(MonotoneBlock):
     def member_residual(self, u, g):
         u = np.asarray(u, dtype=float)
         g = np.asarray(g, dtype=float)
-        feas = np.linalg.norm(u - self.U @ (self.U.T @ u))
-        perp = np.linalg.norm(self.U @ (self.U.T @ g))
+        feas = _l2(u - self.U @ (self.U.T @ u))
+        perp = _l2(self.U @ (self.U.T @ g))
         return float(max(feas, perp))
 
 
@@ -251,53 +252,53 @@ class GfbSpec:
 
 
 class GfbBuilt:
-    """Assembled operator, readout and channel factory."""
+    """Assembled operator, readout and channel factory.
+
+    The operators, :meth:`step_parts` and the channel model compute on a
+    point's ``(n, d)`` block stack, one numpy operation per stage; only the
+    per-block resolvents loop over the blocks.
+    """
 
     def __init__(self, spec: GfbSpec, space: Optional[ProductSpace] = None):
         self.spec = spec
         self.space = (space if space is not None
                       else ProductSpace((spec.dim,) * spec.n, spec.weights))
-        gamma, w = spec.gamma, spec.weights
-
-        def consensus(z: ProductPoint) -> np.ndarray:
-            x = w[0] * z.blocks[0]
-            for wi, b in zip(w[1:], z.blocks[1:]):
-                x = x + wi * b
-            return x
-
-        def smooth_at(x: np.ndarray) -> np.ndarray:
-            return spec.smooth.fn(x) if spec.smooth is not None else np.zeros_like(x)
-
-        def resolve_all(args) -> list:
-            return [blk.resolvent(a, gamma / wi)
-                    for blk, a, wi in zip(spec.blocks, args, w)]
-
-        self.consensus = consensus
-        self.smooth_at = smooth_at
-        self.resolve_all = resolve_all
-
-        def backward_half(zz: ProductPoint) -> ProductPoint:
-            # (1/2)(R_A R_S + Id): reflected resolvents about the diagonal
-            x = consensus(zz)
-            refl = [2.0 * x - b for b in zz.blocks]
-            res = resolve_all(refl)
-            return self.space._wrap(
-                tuple(0.5 * (2.0 * u - r + b)
-                      for u, r, b in zip(res, refl, zz.blocks))
-            )
-
-        t1 = OperatorSpec(backward_half, 0.5, "gfb_backward", self.space)
+        self._w = tuple(float(wi) for wi in spec.weights)
+        self._params = tuple(spec.gamma / wi for wi in self._w)
+        t1 = OperatorSpec(self._backward_half, 0.5, "gfb_backward", self.space)
         if spec.smooth is None:
             self.operator = t1
         else:
-            beta = spec.smooth.beta
-
-            def forward(zz: ProductPoint) -> ProductPoint:
-                g = smooth_at(consensus(zz))
-                return self.space._wrap(tuple(b - gamma * g for b in zz.blocks))
-
-            t2 = OperatorSpec(forward, gamma / (2.0 * beta), "gfb_forward", self.space)
+            t2 = OperatorSpec(self._forward, spec.gamma / (2.0 * spec.smooth.beta),
+                              "gfb_forward", self.space)
             self.operator = compose2(t1, t2)
+
+    def _rows(self, z: ProductPoint) -> np.ndarray:
+        return z.data.reshape(self.spec.n, self.spec.dim)
+
+    def consensus(self, z: ProductPoint) -> np.ndarray:
+        return _weighted_sum(self._w, self._rows(z))
+
+    def smooth_at(self, x: np.ndarray) -> np.ndarray:
+        smooth = self.spec.smooth
+        return smooth.fn(x) if smooth is not None else np.zeros_like(x)
+
+    def resolve_all(self, args: np.ndarray) -> np.ndarray:
+        out = np.empty_like(args)
+        for i, (blk, c) in enumerate(zip(self.spec.blocks, self._params)):
+            out[i] = blk.resolvent(args[i], c)
+        return out
+
+    def _backward_half(self, z: ProductPoint) -> ProductPoint:
+        # (1/2)(R_A R_S + Id): reflected resolvents about the diagonal
+        Z = self._rows(z)
+        refl = 2.0 * _weighted_sum(self._w, Z) - Z
+        return self.space._wrap((0.5 * (2.0 * self.resolve_all(refl) - refl + Z)).ravel())
+
+    def _forward(self, z: ProductPoint) -> ProductPoint:
+        Z = self._rows(z)
+        g = self.smooth_at(_weighted_sum(self._w, Z))
+        return self.space._wrap((Z - self.spec.gamma * g).ravel())
 
     @property
     def alpha(self) -> float:
@@ -306,11 +307,11 @@ class GfbBuilt:
     def step_parts(self, z: ProductPoint):
         """Exact per-step internals: consensus, smooth value, resolvent
         arguments and resolvent outputs."""
-        x = self.consensus(z)
+        Z = self._rows(z)
+        x = _weighted_sum(self._w, Z)
         gx = self.smooth_at(x)
-        args = [2.0 * x - b - self.spec.gamma * gx for b in z.blocks]
-        u = self.resolve_all(args)
-        return x, gx, args, u
+        args = 2.0 * x - Z - self.spec.gamma * gx
+        return x, gx, args, self.resolve_all(args)
 
     def readout(self, z: ProductPoint):
         """Consensus point and exact per-block resolvent outputs."""
@@ -340,37 +341,38 @@ class GfbChannelModel:
     def evaluate(self, k, z, rng):
         built = self.built
         x, _, args, u = built.step_parts(z)
-        exact = built.space._wrap(tuple(b + ui - x for b, ui in zip(z.blocks, u)))
+        Z = built._rows(z)
+        exact = built.space._wrap((Z + u - x).ravel())
 
         dim = built.spec.dim
         mag_b = self.pre_law.magnitude(k)
         b_vec = _unit(rng, dim) * mag_b if mag_b != 0.0 else None
-        a_vecs = []
-        for _ in range(built.spec.n):
-            mag_a = self.post_law.magnitude(k)
-            a_vecs.append(_unit(rng, dim) * mag_a if mag_a != 0.0 else None)
+        mag_a = self.post_law.magnitude(k)
+        a_vecs = [_unit(rng, dim) * mag_a if mag_a != 0.0 else None
+                  for _ in range(built.spec.n)]
 
-        if b_vec is None and all(a is None for a in a_vecs):
+        if b_vec is None and mag_a == 0.0:
             return exact, exact, None, {"channel": {"b": None, "a": a_vecs}}
 
-        tilde_blocks = []
-        for i, (blk, arg, bz) in enumerate(zip(built.spec.blocks, args, z.blocks)):
-            arg_p = arg + b_vec if b_vec is not None else arg
-            ui = blk.resolvent(arg_p, built.spec.gamma / built.spec.weights[i])
-            blkout = bz + ui - x
-            if a_vecs[i] is not None:
-                blkout = blkout + a_vecs[i]
-            tilde_blocks.append(blkout)
-        tilde = built.space._wrap(tuple(tilde_blocks))
+        out = Z + built.resolve_all(args + b_vec if b_vec is not None else args) - x
+        if mag_a != 0.0:
+            out += np.stack(a_vecs)
+        tilde = built.space._wrap(out.ravel())
         eps = tilde - exact
         extras = {"channel": {"b": b_vec, "a": a_vecs}}
         return exact, tilde, eps, extras
 
 
+def _l2(x: np.ndarray) -> float:
+    """Euclidean norm of a contiguous 1-D vector, computed as
+    ``np.linalg.norm`` computes it (``sqrt(x . x)``), without its overhead."""
+    return math.sqrt(x.dot(x))
+
+
 def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     while True:
         g = rng.standard_normal(dim)
-        n = np.linalg.norm(g)
+        n = _l2(g)
         if n > 1e-12:
             return g / n
 
@@ -402,17 +404,15 @@ def gfb_certificate(built: GfbBuilt, z: ProductPoint) -> GfbCertStep:
     ``||g + B(sum_i w_i u_i)||``."""
     spec = built.spec
     x, gx, args, u = built.step_parts(z)
-    ubar = spec.weights[0] * u[0]
-    for wi, ui in zip(spec.weights[1:], u[1:]):
-        ubar = ubar + wi * ui
+    ubar = _weighted_sum(built._w, u)
     g = (x - ubar) / spec.gamma - gx
-    crit = float(np.linalg.norm(g + built.smooth_at(ubar)))
+    crit = _l2(g + built.smooth_at(ubar))
 
+    vecs = (spec.weights[:, None] / spec.gamma) * (args - u)
     residuals = []
     structural = []
-    for i, blk in enumerate(spec.blocks):
-        vec = (spec.weights[i] / spec.gamma) * (args[i] - u[i])
-        r = blk.member_residual(u[i], vec)
+    for blk, ui, vec in zip(spec.blocks, u, vecs):
+        r = blk.member_residual(ui, vec)
         if r is None:
             structural.append(blk.kind)
         else:
@@ -471,21 +471,18 @@ class GfbErgodicCertificates(_CertificateStream):
         super().__init__(built)
         spec = built.spec
         self._x_sum = np.zeros(spec.dim)
-        self._u_sums = [np.zeros(spec.dim) for _ in range(spec.n)]
+        self._u_sum = np.zeros((spec.n, spec.dim))
 
     def observe(self, k, z, z_next, e, eps, lam, extras) -> None:
         built, spec = self.built, self.built.spec
         x, _, _, u = built.step_parts(z)
         self._x_sum += x
-        for us, ui in zip(self._u_sums, u):
-            us += ui
+        self._u_sum += u
         m = k + 1.0
         xbar = self._x_sum / m
-        ubar = spec.weights[0] * (self._u_sums[0] / m)
-        for wi, us in zip(spec.weights[1:], self._u_sums[1:]):
-            ubar = ubar + wi * (us / m)
+        ubar = _weighted_sum(built._w, self._u_sum / m)
         gbar = (xbar - ubar) / spec.gamma - built.smooth_at(xbar)
-        self._record(float(np.linalg.norm(gbar + built.smooth_at(ubar))))
+        self._record(_l2(gbar + built.smooth_at(ubar)))
 
     def series(self, trace: IterationTrace, constants: BoundConstants) -> CertificateSeries:
         m = np.arange(1, trace.n_steps + 1, dtype=float)
@@ -521,9 +518,9 @@ class DrsBuilt:
         self.j2 = lambda v: spec.block2.resolvent(v, g)
 
         def fn(z: ProductPoint) -> ProductPoint:
-            zv = z.blocks[0]
+            zv = z.data
             w = 2.0 * self.j2(zv) - zv
-            return self.space._wrap((0.5 * (2.0 * self.j1(w) - w + zv),))
+            return self.space._wrap(0.5 * (2.0 * self.j1(w) - w + zv))
 
         self.operator = OperatorSpec(fn, 0.5, "drs", self.space)
 
@@ -536,12 +533,12 @@ class DrsBuilt:
         """Step quantities: shadow point x, first and second resolvent
         outputs u and v (the shadow point carries the injected
         post-resolvent error when one was active)."""
-        zv = z.blocks[0]
+        zv = z.data
         x = self.j2(zv)
         if eps2 is not None:
             x = x + eps2
         u = self.j1(2.0 * x - zv)
-        v = self.j2(z_next.blocks[0])
+        v = self.j2(z_next.data)
         return x, u, v
 
     def channel(self, law1: ErrorSchedule, law2: ErrorSchedule) -> "DrsChannelModel":
@@ -563,9 +560,9 @@ class DrsChannelModel:
 
     def evaluate(self, k, z, rng):
         built = self.built
-        zv = z.blocks[0]
+        zv = z.data
         w = 2.0 * built.j2(zv) - zv
-        exact = built.space._wrap((0.5 * (2.0 * built.j1(w) - w + zv),))
+        exact = built.space._wrap(0.5 * (2.0 * built.j1(w) - w + zv))
 
         dim = built.spec.dim
         m1 = self.law1.magnitude(k)
@@ -579,7 +576,7 @@ class DrsChannelModel:
         tv = 0.5 * (2.0 * built.j1(wp) - wp + zv)
         if e1 is not None:
             tv = tv + e1
-        tilde = built.space._wrap((tv,))
+        tilde = built.space._wrap(tv)
         eps = tilde - exact
         return exact, tilde, eps, {"channel": {"eps1": e1, "eps2": e2}}
 
@@ -613,17 +610,17 @@ def drs_certificate(built: DrsBuilt, z: ProductPoint, z_next: ProductPoint,
     if channel is not None:
         e1, e2 = channel.get("eps1"), channel.get("eps2")
     x, u, v = built.readout(z, z_next, eps2=e2)
-    zv, znv = z.blocks[0], z_next.blocks[0]
+    zv, znv = z.data, z_next.data
     g = ((2.0 * x - zv - u) + (znv - v)) / spec.gamma
     ck = (1.0 / spec.gamma) * (
-        (2.0 + lam) * (np.linalg.norm(e2) if e2 is not None else 0.0)
-        + (np.linalg.norm(e1) if e1 is not None else 0.0)
+        (2.0 + lam) * (_l2(e2) if e2 is not None else 0.0)
+        + (_l2(e1) if e1 is not None else 0.0)
     )
     residuals = [r for r in (
         spec.block1.member_residual(u, (2.0 * x - zv - u) / spec.gamma),
         spec.block2.member_residual(v, (znv - v) / spec.gamma),
     ) if r is not None]
-    return DrsCertStep(g, float(np.linalg.norm(g)), (1.0 + lam) / spec.gamma,
+    return DrsCertStep(g, _l2(g), (1.0 + lam) / spec.gamma,
                        float(ck), max(residuals) if residuals else None)
 
 
@@ -766,18 +763,14 @@ class PdsBuilt:
             self.alpha = 2.0 * hb / (4.0 * hb - 1.0)
 
         def metric(z: ProductPoint) -> ProductPoint:
-            x = z.blocks[0]
-            vs = z.blocks[1:]
+            x, *vs = z.blocks
             out_x = x / spec.tau
             for t, v in zip(spec.duals, vs):
                 out_x = out_x - t.omega * (t.L.T @ v)
-            outs = [out_x]
-            for t, v in zip(spec.duals, vs):
-                outs.append(v / t.sigma - t.L @ x)
-            return self.space._wrap(tuple(outs))
+            outs = [v / t.sigma - t.L @ x for t, v in zip(spec.duals, vs)]
+            return self.space._wrap(np.concatenate((out_x, *outs)))
 
         self.space = ProductSpace(dims, weights, metric_op=metric)
-        self.metric_apply = metric
 
         self.operator = OperatorSpec(self.block_step, self.alpha, "pds", self.space)
         self._assert_abstract_equivalence()
@@ -796,8 +789,7 @@ class PdsBuilt:
         """One exact evaluation of the fixed-point operator via the block
         recursion: primal resolvent, reflection, dual resolvents."""
         spec = self.spec
-        x = z.blocks[0]
-        vs = z.blocks[1:]
+        x, *vs = z.blocks
         e1, e2, e3, e4 = errs if errs is not None else (None, None, None, None)
         s = np.zeros_like(x)
         for t, v in zip(spec.duals, vs):
@@ -820,18 +812,17 @@ class PdsBuilt:
             if e4 is not None and e4[i] is not None:
                 qi = qi + e4[i]
             q.append(qi)
-        return self.space._wrap((p, *q))
+        return self.space._wrap(np.concatenate((p, *q)))
 
     def abstract_step(self, z: ProductPoint) -> ProductPoint:
         """Same map through the preconditioned resolvent form: solve the
         metric system for the forward term, then apply the coupled resolvent."""
         spec = self.spec
-        x = z.blocks[0]
-        vs = list(z.blocks[1:])
+        x, *vs = z.blocks
         ez = [self._smooth(x)]
         for t, v in zip(spec.duals, vs):
             ez.append(t.d_inv.fn(v) if t.d_inv is not None else np.zeros_like(v))
-        u = self._solve_metric(ez)
+        u = self._solve_metric(np.concatenate(ez))
         wx = x - u[0]
         wv = [v - uv for v, uv in zip(vs, u[1:])]
         sw = np.zeros_like(wx)
@@ -841,28 +832,21 @@ class PdsBuilt:
         y = 2.0 * p - wx
         q = [self._dual_resolvent(t, w + t.sigma * (t.L @ y - t.r))
              for t, w in zip(spec.duals, wv)]
-        return self.space._wrap((p, *q))
+        return self.space._wrap(np.concatenate((p, *q)))
 
-    def _solve_metric(self, rhs_blocks) -> list:
-        spec = self.spec
+    def _solve_metric(self, rhs: np.ndarray) -> list:
+        """Blocks of ``M^{-1} rhs`` for the scheme's preconditioner ``M``."""
+        sl, spec = self.space._slices, self.spec
         if not hasattr(self, "_metric_lu"):
-            dims = [spec.dim_primal] + [t.L.shape[0] for t in spec.duals]
-            D = sum(dims)
-            M = np.zeros((D, D))
-            off = np.cumsum([0] + dims)
-            M[: dims[0], : dims[0]] = np.eye(dims[0]) / spec.tau
-            for i, t in enumerate(spec.duals):
-                a, b = off[i + 1], off[i + 2]
-                M[: dims[0], a:b] = -t.omega * t.L.T
-                M[a:b, : dims[0]] = -t.L
-                M[a:b, a:b] = np.eye(dims[i + 1]) / t.sigma
+            M = np.zeros((rhs.size, rhs.size))
+            M[sl[0], sl[0]] = np.eye(spec.dim_primal) / spec.tau
+            for s, t in zip(sl[1:], spec.duals):
+                M[sl[0], s] = -t.omega * t.L.T
+                M[s, sl[0]] = -t.L
+                M[s, s] = np.eye(s.stop - s.start) / t.sigma
             self._metric_lu = sla.lu_factor(M)
-            self._metric_dims = dims
-            self._metric_off = off
-        vec = np.concatenate(rhs_blocks)
-        sol = sla.lu_solve(self._metric_lu, vec)
-        off = self._metric_off
-        return [sol[off[i]:off[i + 1]] for i in range(len(self._metric_dims))]
+        sol = sla.lu_solve(self._metric_lu, rhs)
+        return [sol[s] for s in sl]
 
     def _assert_abstract_equivalence(self, samples: int = 3, tol: float = 1e-12):
         rng = np.random.default_rng(1234)
@@ -875,9 +859,6 @@ class PdsBuilt:
                 raise NumericalError(
                     "block recursion and preconditioned resolvent form disagree"
                 )
-
-    def primal(self, z: ProductPoint) -> np.ndarray:
-        return z.blocks[0]
 
     def channel(self, laws) -> "PdsChannelModel":
         return PdsChannelModel(self, laws)

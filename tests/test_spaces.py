@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kmcert.errors import StructuralError
 from kmcert.spaces import (
@@ -177,3 +178,63 @@ class TestProductSpace:
         z = sp.vector((3.0, 4.0))
         assert sp.base_norm(z) == pytest.approx(5.0)
         assert sp.norm(z) == pytest.approx(5.0 * np.sqrt(2.0))
+
+
+# ---------------------------------------------------------------------------
+# flat layout: bit-exact against the per-block formulas
+# ---------------------------------------------------------------------------
+
+def ref_inner(weights, xs, ys):
+    """Per-block reference: one dot per block, added in block order."""
+    acc = 0.0
+    for w, a, b in zip(weights, xs, ys):
+        acc += w * float(np.dot(a, b))
+    return acc
+
+
+def ref_norm(weights, xs, ys):
+    return float(np.sqrt(max(ref_inner(weights, xs, ys), 0.0)))
+
+
+@st.composite
+def layouts(draw):
+    """Block dims and positive weights of 1-4 blocks, two points' blocks as
+    separate arrays, a scalar and, optionally, a positive diagonal metric."""
+    dims = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4))
+    weights = draw(st.lists(st.floats(1e-3, 10.0), min_size=len(dims),
+                            max_size=len(dims)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = [[rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4) for d in dims]
+           for _ in range(2)]
+    diag = ([rng.uniform(0.1, 3.0, d) for d in dims]
+            if draw(st.booleans()) else None)
+    return dims, np.array(weights), pts, draw(st.floats(-1e3, 1e3)), diag
+
+
+@settings(max_examples=150, deadline=None)
+@given(layouts())
+def test_flat_points_match_per_block_formulas_bit_exactly(drawn):
+    dims, w, (xs, ys), s, diag = drawn
+    metric = None
+    if diag is not None:
+        def metric(z):
+            return sp.point([d * b for d, b in zip(diag, z.blocks)])
+    sp = ProductSpace(dims, w, metric_op=metric)
+    x, y = sp.point(xs), sp.point(ys)
+
+    assert weighted_inner(x, y) == ref_inner(w, xs, ys)
+    assert sp.base_norm(x) == ref_norm(w, xs, xs)
+    my = ys if diag is None else [d * b for d, b in zip(diag, ys)]
+    assert sp.norm(y) == ref_norm(w, ys, my)
+
+    for got, want in ((x + y, [a + b for a, b in zip(xs, ys)]),
+                      (x - y, [a - b for a, b in zip(xs, ys)]),
+                      (x * s, [a * s for a in xs]),
+                      (s * x, [a * s for a in xs]),
+                      (-x, [-a for a in xs])):
+        assert got.dims == tuple(dims)
+        for blk, ref in zip(got.blocks, want):
+            assert np.array_equal(blk, ref)
+
+    for blk, d in zip(x.blocks, dims):
+        assert blk.shape == (d,) and blk.base is x.data

@@ -84,8 +84,8 @@ class TestSpaces:
         sp = ProductSpace((2, 1), (0.5, 0.5))
         z = sp.point(([1.0, 2.0], [3.0]))
         assert z.is_finite()
-        assert not ProductPoint._raw((np.array([1.0, np.inf]), np.zeros(1)),
-                                     sp.weights).is_finite()
+        assert not ProductPoint._raw(np.array([1.0, np.inf, 0.0]), sp.weights,
+                                     sp._slices).is_finite()
 
 
 class TestOperatorOutputs:

@@ -1,6 +1,7 @@
 """`kmcert run` and `kmcert verify` agree: the run's own bound check and
 `verify_files` on the emitted trace and report find the same violations, on
-generated instances and on every suite member that carries constants."""
+generated instances (single-block maps and product-space splittings) and on
+every suite member that carries constants."""
 
 import dataclasses
 import pathlib
@@ -13,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from kmcert import cli
 from kmcert.bounds import BoundConstants, verify_series
 from kmcert.km import RelaxationSchedule
+from kmcert.problems import ProblemInstance
+from kmcert.splitting import BoxBlock, CocoerciveMap, GfbSpec, L1Block, build_gfb
 
 EDITABLE = ("res_norm", "erg_res_norm", "dist_fix")
 
@@ -115,3 +118,64 @@ def test_member_verify_finds_the_runs_violations(member, tmp_path):
     certificates = report["certificates"]
     if any(kind == "certificate" for _, kind in found):
         assert certificates is not None and not certificates["ok"]
+
+
+@st.composite
+def gfb_instances(draw):
+    """A generated product-space splitting instance: a random positive
+    definite quadratic smooth part, 1-3 box and l1 blocks with drawn
+    weights, a step size inside (0, 2 beta), a relaxation inside the
+    admissible (0, 1/alpha) and an error law with p in (2, 4]."""
+    d = draw(st.integers(1, 5))
+    kinds_ = draw(st.lists(st.sampled_from(["box", "l1"]), min_size=1, max_size=3))
+    raw_w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(kinds_),
+                                   max_size=len(kinds_))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    G = rng.standard_normal((d, d))
+    Q = G.T @ G / max(1.0, float(np.linalg.eigvalsh(G.T @ G)[-1])) + 0.2 * np.eye(d)
+    blocks = [BoxBlock(-rng.uniform(0.2, 2.0, d), rng.uniform(0.2, 2.0, d))
+              if kind == "box" else L1Block(rng.uniform(0.01, 0.5)) for kind in kinds_]
+    smooth = CocoerciveMap.quadratic(Q, rng.standard_normal(d))
+    spec = GfbSpec(blocks=blocks, weights=raw_w / raw_w.sum(),
+                   gamma=draw(st.floats(0.1, 1.9)) * smooth.beta, dim=d, smooth=smooth)
+    built = build_gfb(spec)
+    lam = draw(st.floats(0.1, 0.95)) / built.alpha
+    problem = ProblemInstance(
+        name="gfb-generated", kind="gfb", operator=built.operator,
+        z0=built.space.point([3.0 * rng.standard_normal(d) for _ in blocks]),
+        relaxation=RelaxationSchedule.constant(lam), built=built)
+    cfg = dict(cli.DEFAULTS, problem="multiblock", name="prop-gfb",
+               error_c=draw(st.sampled_from([0.0, 0.2]) | st.floats(0.0, 0.2)),
+               error_p=draw(st.floats(2.0, 4.0, exclude_min=True)),
+               max_iters=draw(st.integers(1, 120)),
+               seed=draw(st.integers(0, 2 ** 16)))
+    return cfg, problem
+
+
+@settings(max_examples=40, deadline=None)
+@given(gfb_instances())
+def test_generated_gfb_runs_certify_and_verify_agrees(drawn):
+    cfg, problem = drawn
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
+        mp.setattr(cli, "build_problem", lambda _cfg: problem)
+        trace, report, columns, csv_path, report_path = emit(cfg, out)
+
+        assert report["verdict"] == "pass"
+        assert report["violations"] == []
+        assert report["certificates"]["ok"]
+
+        _, parsed = cli.parse_trace_csv(csv_path)
+        recorded = {"lambda": trace.lam, "err_norm": trace.eps_norm,
+                    "res_norm": trace.res_norm, "erg_res_norm": trace.erg_norm,
+                    "disp_norm": trace.disp_norm, **columns}
+        for name, values in recorded.items():
+            assert np.array_equal(parsed[name], values), name
+
+        series = {"lambda": trace.lam, "err_norm": trace.eps_norm,
+                  "res_norm": trace.res_norm, "erg_res_norm": trace.erg_norm,
+                  "cert_value": columns["cert_value"],
+                  "cert_bound": columns["cert_bound"]}
+        own, _ = verify_series(series, BoundConstants(**report["constants"]),
+                               report["alpha"], report["kappa"])
+        found = cli.verify_files(csv_path, report_path)
+        assert kinds(found) == kinds(own) == set()
