@@ -193,13 +193,31 @@ def emit_trace_csv(path: str, cfg: dict, trace, columns: dict) -> None:
     for key in sorted(cfg):
         lines.append(f"# {key} = {cfg[key]}")
     lines.append(",".join(CSV_COLUMNS))
-    given = {**columns, "lambda": trace.lam, "err_norm": trace.eps_norm,
-             "res_norm": trace.res_norm, "erg_res_norm": trace.erg_norm,
-             "disp_norm": trace.disp_norm}
-    cols = [given.get(name) for name in CSV_COLUMNS[1:]]
-    for k in range(trace.n_steps):
-        lines.append(",".join([str(k)] + [_fmt(c[k]) if c is not None else ""
-                                          for c in cols]))
+    K = trace.n_steps
+    gamma = columns.get("gamma")
+    dist = columns.get("dist_fix")
+    pw = columns.get("pw_bound")
+    eb = columns.get("erg_bound")
+    lm = columns.get("local_model")
+    cv = columns.get("cert_value")
+    cb = columns.get("cert_bound")
+    for k in range(K):
+        row = [
+            str(k),
+            _fmt(trace.lam[k]),
+            _fmt(gamma[k]) if gamma is not None else "",
+            _fmt(trace.eps_norm[k]),
+            _fmt(trace.res_norm[k]),
+            _fmt(trace.erg_norm[k]),
+            _fmt(trace.disp_norm[k]),
+            _fmt(dist[k]) if dist is not None else "",
+            _fmt(pw[k]) if pw is not None else "",
+            _fmt(eb[k]) if eb is not None else "",
+            _fmt(lm[k]) if lm is not None else "",
+            _fmt(cv[k]) if cv is not None else "",
+            _fmt(cb[k]) if cb is not None else "",
+        ]
+        lines.append(",".join(row))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -15,7 +15,6 @@ inner product wherever the space is asked for one.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -37,16 +36,12 @@ def _as_block(x) -> np.ndarray:
     return arr
 
 
-@functools.lru_cache(maxsize=64)
 def _layout(dims: tuple) -> tuple:
-    # block slices, one shared tuple per layout: compatibility is an identity test
     return tuple(slice(e - d, e) for d, e in zip(dims, itertools.accumulate(dims)))
 
 
 def _block_inner(weights, slices, a: np.ndarray, b: np.ndarray) -> float:
     # the summation-order contract: one dot per block, added in block order
-    if len(slices) == 1:
-        return 0.0 + weights[0] * float(a.dot(b))
     acc = 0.0
     for w, s in zip(weights, slices):
         acc += w * float(a[s].dot(b[s]))
