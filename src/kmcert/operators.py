@@ -103,16 +103,21 @@ def relax(T: OperatorSpec, lam: float) -> OperatorSpec:
     return OperatorSpec(fn, alpha_new, f"relax({T.label},{lam:g})", T.space)
 
 
+def composition_alpha(a1: float, a2: float) -> float:
+    """The sharp two-factor constant ``(a1 + a2 - 2 a1 a2) / (1 - a1 a2)``
+    of a composition of an ``a1``- and an ``a2``-averaged map."""
+    return (a1 + a2 - 2.0 * a1 * a2) / (1.0 - a1 * a2)
+
+
 def compose2(T1: OperatorSpec, T2: OperatorSpec) -> OperatorSpec:
-    """Composition ``T1 o T2`` with the sharp two-factor constant
-    ``(a1 + a2 - 2 a1 a2) / (1 - a1 a2)`` for a1, a2 in (0, 1)."""
+    """Composition ``T1 o T2``, certified with :func:`composition_alpha` for
+    constants a1, a2 in (0, 1)."""
     for T in (T1, T2):
         if T.alpha is None or not (0.0 < T.alpha < 1.0):
             raise ParameterError("compose2 needs both constants strictly inside (0, 1)")
     if T1.space is not T2.space and T1.space.dims != T2.space.dims:
         raise StructuralError("composition needs operators on the same space")
-    a1, a2 = T1.alpha, T2.alpha
-    alpha = (a1 + a2 - 2.0 * a1 * a2) / (1.0 - a1 * a2)
+    alpha = composition_alpha(T1.alpha, T2.alpha)
     return OperatorSpec(
         lambda z: T1(T2(z)), alpha, f"({T1.label} o {T2.label})", T1.space
     )

@@ -69,24 +69,23 @@ class ProblemInstance:
 
     def exact_run(self, max_iters: Optional[int] = None, tol: float = 0.0,
                   observe=None, seed: int = 0) -> IterationTrace:
-        stop = StopRule(max_iters=max_iters or self.cert_horizon, residual_tol=tol)
-        return run_km(self.operator, self.z0, self.relaxation, stop=stop,
-                      fix=self.fix, observe=observe, seed=seed,
-                      meta={"problem": self.name})
+        return self.inexact_run(0.0, 3.0, max_iters, tol, observe=observe, seed=seed)
 
     def inexact_run(self, c: float = 0.1, p: float = 3.0,
                     max_iters: Optional[int] = None, tol: float = 0.0,
                     observe=None, seed: int = 0) -> IterationTrace:
+        """A run with the error law ``c / (k+1)^p``, exact when ``c = 0``.  A
+        splitting problem runs through its channel model either way, so each
+        step's evaluation internals reach ``observe`` in ``extras["parts"]``;
+        an exact channel draws no error and gives the plain run's trace."""
         stop = StopRule(max_iters=max_iters or self.cert_horizon, residual_tol=tol)
         if self.kind == "km":
-            return run_km(self.operator, self.z0, self.relaxation,
-                          errors=ErrorSchedule.power(c, p), stop=stop,
-                          fix=self.fix, observe=observe, seed=seed,
-                          meta={"problem": self.name})
-        channel = self.make_channel(c, p)
+            source = {"errors": ErrorSchedule.power(c, p)}
+        else:
+            source = {"channel": self.make_channel(c, p)}
         return run_km(self.operator, self.z0, self.relaxation, stop=stop,
-                      channel=channel, fix=self.fix, observe=observe, seed=seed,
-                      meta={"problem": self.name})
+                      fix=self.fix, observe=observe, seed=seed,
+                      meta={"problem": self.name}, **source)
 
     def certified_run(self, c: float = 0.0, p: float = 3.0,
                       max_iters: Optional[int] = None, tol: float = 0.0,
@@ -113,10 +112,7 @@ class ProblemInstance:
             for hook in hooks:
                 hook.observe(*step)
 
-        if c > 0:
-            trace = self.inexact_run(c, p, max_iters, tol, observe=observe, seed=seed)
-        else:
-            trace = self.exact_run(max_iters, tol, observe=observe, seed=seed)
+        trace = self.inexact_run(c, p, max_iters, tol, observe=observe, seed=seed)
         bc = constants.constants(trace)
         return trace, bc, None if cert is None else cert.series(trace, bc)
 

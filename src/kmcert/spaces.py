@@ -9,8 +9,9 @@ the step that made it.  The inner product ``<x, y> = sum_i w_i <x_i, y_i>``
 is summed block by block in block order, never as one reordered reduction
 over ``data``, so every norm is bit-identical to the per-block formula.  A
 space may install a metric operator ``M`` (self-adjoint, positive in the
-weighted inner product); ``<x, y>_M = <x, M y>`` then replaces the plain
-inner product wherever the space is asked for one.
+weighted inner product), given as a map from a point's flat data to flat
+data; ``<x, y>_M = <x, M y>`` then replaces the plain inner product wherever
+the space is asked for one.
 """
 
 from __future__ import annotations
@@ -240,14 +241,15 @@ class ProductSpace:
         return math.sqrt(max(_block_inner(self._w, self._slices, a, a), 0.0))
 
     def _norm(self, a: np.ndarray) -> float:
-        b = a if self.metric_op is None else self.metric_op(self._wrap(a)).data
+        b = a if self.metric_op is None else self.metric_op(a)
         return math.sqrt(max(_block_inner(self._w, self._slices, a, b), 0.0))
 
     def base_norm(self, x: ProductPoint) -> float:
         return self._base_norm(x.data)
 
     def inner(self, x: ProductPoint, y: ProductPoint) -> float:
-        return weighted_inner(x, y if self.metric_op is None else self.metric_op(y))
+        m = self.metric_op
+        return weighted_inner(x, y if m is None else self._wrap(m(y.data)))
 
     def norm(self, x: ProductPoint) -> float:
         return self._norm(x.data)

@@ -2,10 +2,13 @@
 Douglas-Rachford (DRS) and a primal-dual scheme, each built as a certified
 averaged fixed-point operator with termination certificates.
 
-Certificate paths re-evaluate resolvents *without* injected errors: the
-optimality inclusions they return are properties of exact resolvent outputs
-at the current points, while injected channel errors perturb only the
-iterate path.
+One evaluation per step feeds the iterate and its certificate: the GFB and
+DRS ``evaluate`` methods return ``T z`` with the step's internals, the
+channel models pass these on in ``extras["parts"]``, and the certificates
+read them there.  They are the internals of the exact evaluation, so
+injected channel errors perturb only the iterate path; the exception is the
+inexact DRS certificate's first resolvent output, taken at the perturbed
+shadow point it certifies.
 """
 
 from __future__ import annotations
@@ -16,18 +19,18 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .bounds import BoundConstants, EmpiricalConstants, pointwise_bound
 from .errors import NumericalError, ParameterError, StructuralError
 from .km import ErrorSchedule, GammaSchedule, IterationTrace
 from .operators import (
     OperatorSpec,
-    compose2,
+    composition_alpha,
     moreau_envelope_gradient,
     prox_l1,
 )
-from .spaces import ProductPoint, ProductSpace, _weighted_sum
+from .spaces import ProductPoint, ProductSpace, _layout, _weighted_sum
 
 
 def _recent(cache: dict, key, build):
@@ -40,6 +43,24 @@ def _recent(cache: dict, key, build):
             del cache[next(iter(cache))]
     cache[key] = value
     return value
+
+
+def _lu_factor(A: np.ndarray):
+    # LAPACK getrf as scipy.linalg.lu_factor calls it, minus the wrapper's
+    # checks: the same bits (pinned by a test)
+    lu, piv, info = dgetrf(A)
+    if info != 0:
+        raise NumericalError(f"LU factorization failed (LAPACK getrf info {info})")
+    return lu, piv
+
+
+def _lu_solve(factors, b: np.ndarray) -> np.ndarray:
+    # a non-finite b gives a non-finite solution, which the engine's
+    # finiteness check reports as a numerical failure
+    x, info = dgetrs(*factors, b)
+    if info != 0:
+        raise NumericalError(f"LU solve failed (LAPACK getrs info {info})")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +98,8 @@ class L1Block(MonotoneBlock):
     def member_residual(self, u, g):
         u = np.asarray(u, dtype=float)
         g = np.asarray(g, dtype=float)
-        on = u != 0.0
-        res = np.maximum(np.abs(g) - self.mu, 0.0)
-        res[on] = np.abs(g[on] - self.mu * np.sign(u[on]))
+        res = np.where(u != 0.0, np.abs(g - self.mu * np.sign(u)),
+                       np.maximum(np.abs(g) - self.mu, 0.0))
         return float(res.max()) if res.size else 0.0
 
 
@@ -94,6 +114,7 @@ class BoxBlock(MonotoneBlock):
         if not np.all(lo <= hi):
             raise ParameterError("box bounds must satisfy lo <= hi")
         self.lo, self.hi = lo, hi
+        self._btol = 1e-12 * (1.0 + float(np.max(hi - lo, initial=0.0)))
 
     def resolvent(self, v, c):
         # bounds were checked once, in __init__
@@ -102,16 +123,14 @@ class BoxBlock(MonotoneBlock):
     def member_residual(self, u, g):
         u = np.asarray(u, dtype=float)
         g = np.asarray(g, dtype=float)
-        lo = np.broadcast_to(self.lo, u.shape)
-        hi = np.broadcast_to(self.hi, u.shape)
-        btol = 1e-12 * (1.0 + float(np.max(hi - lo, initial=0.0)))
+        lo, hi = self.lo, self.hi
         outside = np.maximum(lo - u, 0.0) + np.maximum(u - hi, 0.0)
-        res = np.abs(g)                                   # interior: g = 0
-        at_lo = u <= lo + btol
-        at_hi = u >= hi - btol
-        res[at_lo] = np.maximum(g[at_lo], 0.0)            # lower face: g <= 0
-        res[at_hi] = np.maximum(-g[at_hi], 0.0)           # upper face: g >= 0
-        res[at_lo & at_hi] = 0.0                          # degenerate face
+        at_lo = u <= lo + self._btol
+        at_hi = u >= hi - self._btol
+        res = np.where(at_lo & at_hi, 0.0,                 # degenerate face
+                       np.where(at_hi, np.maximum(-g, 0.0),     # upper: g >= 0
+                                np.where(at_lo, np.maximum(g, 0.0),  # lower: g <= 0
+                                         np.abs(g))))      # interior: g = 0
         return float(np.maximum(res, outside).max())
 
 
@@ -161,8 +180,8 @@ class LinearBlock(MonotoneBlock):
 
     def resolvent(self, v, c):
         lu = _recent(self._lu, float(c),
-                     lambda: sla.lu_factor(np.eye(self.M.shape[0]) + c * self.M))
-        return sla.lu_solve(lu, np.asarray(v, dtype=float) + c * self.c0)
+                     lambda: _lu_factor(np.eye(self.M.shape[0]) + c * self.M))
+        return _lu_solve(lu, np.asarray(v, dtype=float) + c * self.c0)
 
     def member_residual(self, u, g):
         return float(np.linalg.norm(g - (self.M @ u - self.c0)))
@@ -252,11 +271,12 @@ class GfbSpec:
 
 
 class GfbBuilt:
-    """Assembled operator, readout and channel factory.
+    """Assembled operator, its one evaluation and the channel factory.
 
-    The operators, :meth:`step_parts` and the channel model compute on a
-    point's ``(n, d)`` block stack, one numpy operation per stage; only the
-    per-block resolvents loop over the blocks.
+    ``T z = z + u - x`` blockwise, with the consensus ``x = sum_i w_i z_i``
+    and the resolvent outputs ``u_i`` at ``2 x - z_i - gamma B x``.
+    :meth:`evaluate` and the channel model compute on a point's ``(n, d)``
+    block stack; only the per-block resolvents loop over the blocks.
     """
 
     def __init__(self, spec: GfbSpec, space: Optional[ProductSpace] = None):
@@ -265,13 +285,12 @@ class GfbBuilt:
                       else ProductSpace((spec.dim,) * spec.n, spec.weights))
         self._w = tuple(float(wi) for wi in spec.weights)
         self._params = tuple(spec.gamma / wi for wi in self._w)
-        t1 = OperatorSpec(self._backward_half, 0.5, "gfb_backward", self.space)
-        if spec.smooth is None:
-            self.operator = t1
-        else:
-            t2 = OperatorSpec(self._forward, spec.gamma / (2.0 * spec.smooth.beta),
-                              "gfb_forward", self.space)
-            self.operator = compose2(t1, t2)
+        # the reflected-resolvent half is firmly non-expansive and the
+        # forward step gamma/(2 beta)-averaged; T is their composition
+        alpha = (0.5 if spec.smooth is None
+                 else composition_alpha(0.5, spec.gamma / (2.0 * spec.smooth.beta)))
+        self.operator = OperatorSpec(lambda z: self.evaluate(z)[0], alpha, "gfb",
+                                     self.space)
 
     def _rows(self, z: ProductPoint) -> np.ndarray:
         return z.data.reshape(self.spec.n, self.spec.dim)
@@ -289,78 +308,68 @@ class GfbBuilt:
             out[i] = blk.resolvent(args[i], c)
         return out
 
-    def _backward_half(self, z: ProductPoint) -> ProductPoint:
-        # (1/2)(R_A R_S + Id): reflected resolvents about the diagonal
-        Z = self._rows(z)
-        refl = 2.0 * _weighted_sum(self._w, Z) - Z
-        return self.space._wrap((0.5 * (2.0 * self.resolve_all(refl) - refl + Z)).ravel())
-
-    def _forward(self, z: ProductPoint) -> ProductPoint:
-        Z = self._rows(z)
-        g = self.smooth_at(_weighted_sum(self._w, Z))
-        return self.space._wrap((Z - self.spec.gamma * g).ravel())
-
     @property
     def alpha(self) -> float:
         return self.operator.alpha
 
-    def step_parts(self, z: ProductPoint):
-        """Exact per-step internals: consensus, smooth value, resolvent
-        arguments and resolvent outputs."""
+    def evaluate(self, z: ProductPoint):
+        """``(T z, parts)``: the exact evaluation and its internals
+        ``parts = (x, gx, args, u)``, the consensus, the smooth part at it,
+        the per-block resolvent arguments and their outputs."""
         Z = self._rows(z)
         x = _weighted_sum(self._w, Z)
         gx = self.smooth_at(x)
         args = 2.0 * x - Z - self.spec.gamma * gx
-        return x, gx, args, self.resolve_all(args)
-
-    def readout(self, z: ProductPoint):
-        """Consensus point and exact per-block resolvent outputs."""
-        x, _, _, u = self.step_parts(z)
-        return x, u
+        u = self.resolve_all(args)
+        return self.space._wrap((Z + u - x).ravel()), (x, gx, args, u)
 
     def channel(self, pre_law: ErrorSchedule, post_law: ErrorSchedule
                 ) -> "GfbChannelModel":
         return GfbChannelModel(self, pre_law, post_law)
 
 
-class GfbChannelModel:
-    """Injects a pre-resolvent error (shared across blocks, lifted onto the
-    diagonal) and per-block post-resolvent errors, reporting the induced
-    iteration error."""
+class _ChannelModel:
+    """An assembled splitting with its error-magnitude laws; ``evaluate(k,
+    z, rng)`` returns ``(T z, perturbed T z, their difference or None,
+    extras)``."""
 
-    def __init__(self, built: GfbBuilt, pre_law: ErrorSchedule,
-                 post_law: ErrorSchedule):
+    def __init__(self, built, *laws: ErrorSchedule):
         self.built = built
-        self.pre_law = pre_law
-        self.post_law = post_law
+        self.laws = laws
 
     @property
     def operator(self) -> OperatorSpec:
         return self.built.operator
 
+
+class GfbChannelModel(_ChannelModel):
+    """Injects a pre-resolvent error (shared across blocks, lifted onto the
+    diagonal) and per-block post-resolvent errors, reporting the induced
+    iteration error."""
+
     def evaluate(self, k, z, rng):
         built = self.built
-        x, _, args, u = built.step_parts(z)
-        Z = built._rows(z)
-        exact = built.space._wrap((Z + u - x).ravel())
+        exact, parts = built.evaluate(z)
+        x, _, args, _ = parts
 
         dim = built.spec.dim
-        mag_b = self.pre_law.magnitude(k)
+        pre_law, post_law = self.laws
+        mag_b = pre_law.magnitude(k)
         b_vec = _unit(rng, dim) * mag_b if mag_b != 0.0 else None
-        mag_a = self.post_law.magnitude(k)
+        mag_a = post_law.magnitude(k)
         a_vecs = [_unit(rng, dim) * mag_a if mag_a != 0.0 else None
                   for _ in range(built.spec.n)]
+        extras = {"channel": {"b": b_vec, "a": a_vecs}, "parts": parts}
 
         if b_vec is None and mag_a == 0.0:
-            return exact, exact, None, {"channel": {"b": None, "a": a_vecs}}
+            return exact, exact, None, extras
 
-        out = Z + built.resolve_all(args + b_vec if b_vec is not None else args) - x
+        out = built._rows(z) + built.resolve_all(
+            args + b_vec if b_vec is not None else args) - x
         if mag_a != 0.0:
             out += np.stack(a_vecs)
         tilde = built.space._wrap(out.ravel())
-        eps = tilde - exact
-        extras = {"channel": {"b": b_vec, "a": a_vecs}}
-        return exact, tilde, eps, extras
+        return exact, tilde, tilde - exact, extras
 
 
 def _l2(x: np.ndarray) -> float:
@@ -397,20 +406,20 @@ class GfbCertStep:
     structural_only: tuple
 
 
-def gfb_certificate(built: GfbBuilt, z: ProductPoint) -> GfbCertStep:
+def gfb_certificate(built: GfbBuilt, z: ProductPoint, parts=None) -> GfbCertStep:
     """Optimality certificate at the current iterate: an explicit element of
     the summed block operators at the resolvent outputs, its per-block
     membership residual (recognized types), and the stationarity criterion
-    ``||g + B(sum_i w_i u_i)||``."""
+    ``||g + B(sum_i w_i u_i)||``.  ``parts`` are the internals of
+    ``built.evaluate(z)``; they are evaluated here when not given."""
     spec = built.spec
-    x, gx, args, u = built.step_parts(z)
+    x, gx, args, u = parts if parts is not None else built.evaluate(z)[1]
     ubar = _weighted_sum(built._w, u)
     g = (x - ubar) / spec.gamma - gx
     crit = _l2(g + built.smooth_at(ubar))
 
     vecs = (spec.weights[:, None] / spec.gamma) * (args - u)
-    residuals = []
-    structural = []
+    residuals, structural = [], []
     for blk, ui, vec in zip(spec.blocks, u, vecs):
         r = blk.member_residual(ui, vec)
         if r is None:
@@ -428,6 +437,13 @@ class CertificateSeries:
     membership_max: Optional[float]
     structural_only: tuple = ()
     surrogate: bool = False
+
+
+def _parts(extras) -> tuple:
+    if not extras or "parts" not in extras:
+        raise StructuralError("a certificate needs extras['parts']: run "
+                              "through the splitting's channel model")
+    return extras["parts"]
 
 
 class _CertificateStream:
@@ -454,7 +470,7 @@ class GfbCertificates(_CertificateStream):
     structural_only: tuple = ()
 
     def observe(self, k, z, z_next, e, eps, lam, extras) -> None:
-        step = gfb_certificate(self.built, z)
+        step = gfb_certificate(self.built, z, _parts(extras))
         self._record(step.criterion, step.membership)
         self.structural_only = step.structural_only
 
@@ -475,7 +491,7 @@ class GfbErgodicCertificates(_CertificateStream):
 
     def observe(self, k, z, z_next, e, eps, lam, extras) -> None:
         built, spec = self.built, self.built.spec
-        x, _, _, u = built.step_parts(z)
+        x, _, _, u = _parts(extras)
         self._x_sum += x
         self._u_sum += u
         m = k + 1.0
@@ -516,69 +532,54 @@ class DrsBuilt:
         g = spec.gamma
         self.j1 = lambda v: spec.block1.resolvent(v, g)
         self.j2 = lambda v: spec.block2.resolvent(v, g)
-
-        def fn(z: ProductPoint) -> ProductPoint:
-            zv = z.data
-            w = 2.0 * self.j2(zv) - zv
-            return self.space._wrap(0.5 * (2.0 * self.j1(w) - w + zv))
-
-        self.operator = OperatorSpec(fn, 0.5, "drs", self.space)
+        self.operator = OperatorSpec(lambda z: self.evaluate(z)[0], 0.5, "drs",
+                                     self.space)
 
     @property
     def alpha(self) -> float:
         return 0.5
 
-    def readout(self, z: ProductPoint, z_next: ProductPoint,
-                eps2: Optional[np.ndarray] = None):
-        """Step quantities: shadow point x, first and second resolvent
-        outputs u and v (the shadow point carries the injected
-        post-resolvent error when one was active)."""
+    def evaluate(self, z: ProductPoint):
+        """``(T z, parts)``: the reflected-resolvent average and its internals
+        ``parts = (x, w, u)``, the shadow point ``x = j2(z)``, the reflection
+        ``w = 2 x - z`` and ``u = j1(w)``."""
         zv = z.data
         x = self.j2(zv)
-        if eps2 is not None:
-            x = x + eps2
-        u = self.j1(2.0 * x - zv)
-        v = self.j2(z_next.data)
-        return x, u, v
+        w = 2.0 * x - zv
+        u = self.j1(w)
+        return self.space._wrap(0.5 * (2.0 * u - w + zv)), (x, w, u)
 
     def channel(self, law1: ErrorSchedule, law2: ErrorSchedule) -> "DrsChannelModel":
         return DrsChannelModel(self, law1, law2)
 
 
-class DrsChannelModel:
+class DrsChannelModel(_ChannelModel):
     """Relaxation-stage error (added to the averaged update) and shadow-point
     error (perturbing the second resolvent output)."""
 
-    def __init__(self, built: DrsBuilt, law1: ErrorSchedule, law2: ErrorSchedule):
-        self.built = built
-        self.law1 = law1
-        self.law2 = law2
-
-    @property
-    def operator(self) -> OperatorSpec:
-        return self.built.operator
-
     def evaluate(self, k, z, rng):
+        # parts: the exact x = j2(z), with w and u = j1(w) at the perturbed
+        # reflection w + 2 e2 when a shadow-point error e2 was injected
         built = self.built
-        zv = z.data
-        w = 2.0 * built.j2(zv) - zv
-        exact = built.space._wrap(0.5 * (2.0 * built.j1(w) - w + zv))
+        exact, parts = built.evaluate(z)
+        x, w, _ = parts
 
         dim = built.spec.dim
-        m1 = self.law1.magnitude(k)
+        m1, m2 = (law.magnitude(k) for law in self.laws)
         e1 = _unit(rng, dim) * m1 if m1 != 0.0 else None
-        m2 = self.law2.magnitude(k)
         e2 = _unit(rng, dim) * m2 if m2 != 0.0 else None
         if e1 is None and e2 is None:
-            return exact, exact, None, {"channel": {"eps1": None, "eps2": None}}
-
-        wp = w + 2.0 * e2 if e2 is not None else w
-        tv = 0.5 * (2.0 * built.j1(wp) - wp + zv)
+            return exact, exact, None, {"channel": {"eps1": None, "eps2": None},
+                                        "parts": parts}
+        if e2 is not None:
+            w = w + 2.0 * e2
+            parts = (x, w, built.j1(w))
+        tv = 0.5 * (2.0 * parts[2] - w + z.data)
         if e1 is not None:
             tv = tv + e1
         tilde = built.space._wrap(tv)
-        eps = tilde - exact
-        return exact, tilde, eps, {"channel": {"eps1": e1, "eps2": e2}}
+        return exact, tilde, tilde - exact, {"channel": {"eps1": e1, "eps2": e2},
+                                             "parts": parts}
 
 
 def build_drs(spec: DrsSpec) -> DrsBuilt:
@@ -596,50 +597,68 @@ class DrsCertStep:
     membership: Optional[float]
 
 
-def drs_certificate(built: DrsBuilt, z: ProductPoint, z_next: ProductPoint,
-                    lam: float, channel: Optional[dict] = None) -> DrsCertStep:
-    """Certificate of the step from ``z`` to ``z_next``: an explicit element
-    ``g`` of the summed operators at (u, v), its norm, the bound
-    ``((1 + lam)/gamma) * pointwise bound + c_k`` as its scale and offset,
-    where the channel errors ``eps1``, ``eps2`` enter
-    ``c_k = (1/gamma)((2 + lam)||eps2|| + ||eps1||)``, and the larger
-    membership residual of the two blocks (None when neither block type is
-    recognized)."""
-    spec = built.spec
-    e1 = e2 = None
-    if channel is not None:
-        e1, e2 = channel.get("eps1"), channel.get("eps2")
-    x, u, v = built.readout(z, z_next, eps2=e2)
-    zv, znv = z.data, z_next.data
-    g = ((2.0 * x - zv - u) + (znv - v)) / spec.gamma
+def _drs_step(spec: DrsSpec, zv, znv, x, u, lam, e1, e2, v) -> DrsCertStep:
+    # the step from data zv to znv, with x = j2(z) (exact), u, v = j2(z_next)
+    if e2 is not None:
+        x = x + e2
+    r1 = 2.0 * x - zv - u
+    r2 = znv - v
+    g = (r1 + r2) / spec.gamma
     ck = (1.0 / spec.gamma) * (
         (2.0 + lam) * (_l2(e2) if e2 is not None else 0.0)
         + (_l2(e1) if e1 is not None else 0.0)
     )
     residuals = [r for r in (
-        spec.block1.member_residual(u, (2.0 * x - zv - u) / spec.gamma),
-        spec.block2.member_residual(v, (znv - v) / spec.gamma),
+        spec.block1.member_residual(u, r1 / spec.gamma),
+        spec.block2.member_residual(v, r2 / spec.gamma),
     ) if r is not None]
     return DrsCertStep(g, _l2(g), (1.0 + lam) / spec.gamma,
                        float(ck), max(residuals) if residuals else None)
 
 
+def drs_certificate(built: DrsBuilt, z: ProductPoint, z_next: ProductPoint,
+                    lam: float) -> DrsCertStep:
+    """Certificate of the exact step from ``z`` to ``z_next``: an explicit
+    element ``g`` of the summed operators at (u, v), its norm, the bound
+    ``((1 + lam)/gamma) * pointwise bound + c_k`` as its scale and offset
+    (``c_k = (1/gamma)((2 + lam)||eps2|| + ||eps1||)`` for the channel errors
+    of an inexact step, 0 here), and the larger membership residual of the
+    two blocks (None when neither block type is recognized)."""
+    x, _, u = built.evaluate(z)[1]
+    return _drs_step(built.spec, z.data, z_next.data, x, u, lam, None, None,
+                     built.j2(z_next.data))
+
+
 class DrsCertificates(_CertificateStream):
-    """:func:`drs_certificate` at every step, with the channel errors the
-    step's evaluation reported."""
+    """The DRS certificate at every step, from the step's evaluation parts
+    and channel errors.  ``v_k = j2(z_{k+1})`` is the next step's shadow
+    point, so each step is completed at the next ``observe``;
+    :meth:`series` evaluates ``j2`` once, for the last step."""
 
     def __init__(self, built: DrsBuilt):
         super().__init__(built)
         self._scale = []
         self._offset = []
+        self._pending = None
 
-    def observe(self, k, z, z_next, e, eps, lam, extras) -> None:
-        step = drs_certificate(self.built, z, z_next, lam, (extras or {}).get("channel"))
+    def _complete(self, v: np.ndarray) -> None:
+        step = _drs_step(self.built.spec, *self._pending, v)
+        self._pending = None
         self._record(step.criterion, step.membership)
         self._scale.append(step.scale)
         self._offset.append(step.offset)
 
+    def observe(self, k, z, z_next, e, eps, lam, extras) -> None:
+        x, _, u = _parts(extras)
+        if self._pending is not None:
+            self._complete(x)
+        channel = extras.get("channel") or {}
+        self._pending = (z.data, z_next.data, x, u, lam,
+                         channel.get("eps1"), channel.get("eps2"))
+
     def series(self, trace: IterationTrace, constants: BoundConstants) -> CertificateSeries:
+        if self._pending is not None:
+            self._complete(self.built.j2(self._pending[1]))
         pw = pointwise_bound(np.arange(trace.n_steps), constants)
         bounds = np.asarray(self._scale) * pw + np.asarray(self._offset)
         return CertificateSeries(np.asarray(self._values), bounds, self._membership)
@@ -762,13 +781,20 @@ class PdsBuilt:
             hb = self.eta * self.beta
             self.alpha = 2.0 * hb / (4.0 * hb - 1.0)
 
-        def metric(z: ProductPoint) -> ProductPoint:
-            x, *vs = z.blocks
+        s0, *sv = _layout(dims)
+        terms = tuple((t.omega, t.L, t.L.T, t.sigma, s) for t, s in zip(spec.duals, sv))
+
+        def metric(a: np.ndarray) -> np.ndarray:
+            # the preconditioner on flat data, block by block in block order
+            x = a[s0]
+            out = np.empty_like(a)
             out_x = x / spec.tau
-            for t, v in zip(spec.duals, vs):
-                out_x = out_x - t.omega * (t.L.T @ v)
-            outs = [v / t.sigma - t.L @ x for t, v in zip(spec.duals, vs)]
-            return self.space._wrap(np.concatenate((out_x, *outs)))
+            for omega, _, LT, _, s in terms:
+                out_x = out_x - omega * (LT @ a[s])
+            out[s0] = out_x
+            for _, L, _, sigma, s in terms:
+                out[s] = a[s] / sigma - L @ x
+            return out
 
         self.space = ProductSpace(dims, weights, metric_op=metric)
 
@@ -835,18 +861,13 @@ class PdsBuilt:
         return self.space._wrap(np.concatenate((p, *q)))
 
     def _solve_metric(self, rhs: np.ndarray) -> list:
-        """Blocks of ``M^{-1} rhs`` for the scheme's preconditioner ``M``."""
-        sl, spec = self.space._slices, self.spec
+        """Blocks of ``M^{-1} rhs`` for the scheme's preconditioner ``M``,
+        whose dense matrix is the space's metric applied to the unit vectors."""
         if not hasattr(self, "_metric_lu"):
-            M = np.zeros((rhs.size, rhs.size))
-            M[sl[0], sl[0]] = np.eye(spec.dim_primal) / spec.tau
-            for s, t in zip(sl[1:], spec.duals):
-                M[sl[0], s] = -t.omega * t.L.T
-                M[s, sl[0]] = -t.L
-                M[s, s] = np.eye(s.stop - s.start) / t.sigma
-            self._metric_lu = sla.lu_factor(M)
-        sol = sla.lu_solve(self._metric_lu, rhs)
-        return [sol[s] for s in sl]
+            M = np.column_stack([self.space.metric_op(e) for e in np.eye(rhs.size)])
+            self._metric_lu = _lu_factor(M)
+        sol = _lu_solve(self._metric_lu, rhs)
+        return [sol[s] for s in self.space._slices]
 
     def _assert_abstract_equivalence(self, samples: int = 3, tol: float = 1e-12):
         rng = np.random.default_rng(1234)
@@ -864,19 +885,14 @@ class PdsBuilt:
         return PdsChannelModel(self, laws)
 
 
-class PdsChannelModel:
+class PdsChannelModel(_ChannelModel):
     """Four error channels: forward-term, post-primal-resolvent, dual
     forward-term and post-dual-resolvent (the latter two per dual block)."""
 
     def __init__(self, built: PdsBuilt, laws):
         if len(laws) != 4:
             raise ParameterError("need exactly four channel laws")
-        self.built = built
-        self.laws = tuple(laws)
-
-    @property
-    def operator(self) -> OperatorSpec:
-        return self.built.operator
+        super().__init__(built, *laws)
 
     def evaluate(self, k, z, rng):
         built = self.built

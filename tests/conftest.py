@@ -10,9 +10,10 @@ class Recorder:
     """List-appending step observer for the engine's ``observe`` hook.
 
     The engine keeps no vectors; tests that recompute a quantity from the
-    iterates, residuals, errors or channel vectors of a run record them
-    here: ``z_vecs`` holds ``z_0 .. z_K``, the other lists one entry per
-    step (``eps_vecs`` holds None for an exact step).
+    iterates, residuals, errors, channel vectors or evaluation parts of a
+    run record them here: ``z_vecs`` holds ``z_0 .. z_K``, the other lists
+    one entry per step (``eps_vecs`` holds None for an exact step, ``parts``
+    None for an evaluation that reports none).
     """
 
     def __init__(self):
@@ -20,6 +21,7 @@ class Recorder:
         self.e_vecs = []
         self.eps_vecs = []
         self.channel = []
+        self.parts = []
 
     def observe(self, k, z, z_next, e, eps, lam, extras):
         if not self.z_vecs:
@@ -28,6 +30,7 @@ class Recorder:
         self.e_vecs.append(e)
         self.eps_vecs.append(eps)
         self.channel.append((extras or {}).get("channel"))
+        self.parts.append((extras or {}).get("parts"))
 
     def eps_vector(self, k):
         """The error of step k, zero for an exact step."""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from kmcert.bounds import EmpiricalConstants, pointwise_bound
 from kmcert.errors import ParameterError
@@ -27,11 +28,14 @@ from kmcert.splitting import (
     GfbSpec,
     L1Block,
     LinearBlock,
+    MonotoneBlock,
     PdsDualTerm,
     PdsSpec,
     SubspaceBlock,
     ZeroBlock,
     GfbErgodicCertificates,
+    _lu_factor,
+    _lu_solve,
     build_gfb,
     build_pds,
     drs_certificate,
@@ -84,6 +88,69 @@ class TestBlocks:
         v = np.array([1.0, -2.0])
         assert blk.resolvent(v, 3.0) == pytest.approx(v)
         assert blk.member_residual(v, np.zeros(2)) == 0.0
+
+    @pytest.mark.parametrize("d", [4, 10, 20])
+    def test_lapack_lu_is_bit_identical_to_scipy_wrappers(self, d):
+        # the trace contract rests on this: a scipy whose lu_factor/lu_solve
+        # stop being plain getrf/getrs calls must fail here, not in a digest
+        rng = np.random.default_rng(d)
+        for c in (0.5, 1.0, 1.9):
+            R = rng.standard_normal((d, d))
+            M = 0.5 * np.eye(d) + 0.5 * (R - R.T) + 0.1 * (R @ R.T)
+            A = np.eye(d) + c * M
+            lu, piv = _lu_factor(A)
+            lu_ref, piv_ref = sla.lu_factor(A)
+            assert np.array_equal(lu, lu_ref) and np.array_equal(piv, piv_ref)
+            b = rng.standard_normal(d)
+            assert np.array_equal(_lu_solve((lu, piv), b), sla.lu_solve((lu_ref, piv_ref), b))
+            blk = LinearBlock(M, rng.standard_normal(d))
+            assert np.array_equal(blk.resolvent(b, c),
+                                  sla.lu_solve(sla.lu_factor(A), b + c * blk.c0))
+
+
+class Counting(MonotoneBlock):
+    """A block that counts its resolvent evaluations."""
+
+    def __init__(self, inner: MonotoneBlock):
+        self.inner, self.kind, self.calls = inner, inner.kind, 0
+
+    def resolvent(self, v, c):
+        self.calls += 1
+        return self.inner.resolvent(v, c)
+
+    def member_residual(self, u, g):
+        return self.inner.member_residual(u, g)
+
+
+class TestEvaluationCounts:
+    """A certified step evaluates its operator once: the certificates read
+    the step's internals instead of evaluating resolvents again."""
+
+    @pytest.mark.parametrize("law, per_step", [((), 1), ((0.1, 3.0), 2)],
+                             ids=["exact", "inexact"])
+    def test_gfb_step_calls_each_resolvent_once_per_evaluation(self, law, per_step):
+        p = make_gfb_multiblock(3, 8, seed=2)
+        p.fix_reference()          # the reference solve is not counted
+        spec = p.built.spec
+        spec.blocks = [Counting(b) for b in spec.blocks]
+        tr, _, series = p.certified_run(*law, max_iters=40)
+        assert tr.n_steps == 40 and series.values.size == 40
+        # an inexact step evaluates the perturbed resolvents once more
+        assert [b.calls for b in spec.blocks] == [per_step * 40] * 3
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-6], ids=["horizon", "residual_tol"])
+    def test_drs_run_makes_k_first_and_k_plus_one_second_resolvents(self, tol):
+        p = make_two_subspaces(np.pi / 4, 4)
+        spec = p.built.spec
+        spec.block1, spec.block2 = Counting(spec.block1), Counting(spec.block2)
+        tr, _, series = p.certified_run(max_iters=200, tol=tol)
+        K = tr.n_steps
+        assert (K == 200) == (tol == 0.0)
+        assert tr.stop_reason == ("max_iters" if tol == 0.0 else "residual_tol")
+        # v_k = j2(z_{k+1}) is the next step's shadow point; only the last
+        # step's is evaluated by the certificate itself
+        assert (spec.block1.calls, spec.block2.calls) == (K, K + 1)
+        assert series.values.size == K
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +262,9 @@ class TestGfbCertificates:
         p, _, _, _, _, rec = lasso_run
         mu = p.constants["mu"]
         step = gfb_certificate(p.built, rec.z_vecs[5])
-        # certificate element must be a valid scaled-l1 subgradient
-        _, u = p.built.readout(rec.z_vecs[5])
+        # certificate element must be a valid scaled-l1 subgradient at the
+        # resolvent output the run's own step 5 computed
+        u = rec.parts[5][3]
         g = step.g
         assert np.all(np.abs(g) <= mu + 1e-10)
         on = u[0] != 0.0
@@ -229,6 +297,7 @@ class TestGfbCertificates:
         ergodic = GfbErgodicCertificates(p.built)
         constants = EmpiricalConstants(p.fix_reference().nearest(zstar), p.operator.space)
         tr, _ = record(run_km, p.operator, zstar, p.relaxation, stop=StopRule(20, 0.0),
+                       channel=p.make_channel(0.0, 3.0),
                        also=[ergodic.observe, constants.observe])
         series = ergodic.series(tr, constants.constants(tr))
         assert np.max(series.values) <= 1e-10
@@ -308,6 +377,7 @@ class TestDrs:
         cert = DrsCertificates(p.built)
         constants = EmpiricalConstants(p.fix.nearest(zstar), sp)
         tr, _ = record(run_km, p.operator, zstar, p.relaxation, stop=StopRule(5, 0.0),
+                       channel=p.make_channel(0.0, 3.0),
                        also=[cert.observe, constants.observe])
         series = cert.series(tr, constants.constants(tr))
         assert np.max(series.values) <= 1e-12

@@ -69,7 +69,7 @@ def two_pass_gfb_ergodic(built, trace, rec, constants):
     vals = np.empty(trace.n_steps)
     bnds = np.empty(trace.n_steps)
     for k in range(trace.n_steps):
-        x, _, _, u = built.step_parts(rec.z_vecs[k])
+        x, _, _, u = built.evaluate(rec.z_vecs[k])[1]
         x_sum += x
         for i in range(spec.n):
             u_sums[i] += u[i]
@@ -93,8 +93,16 @@ def two_pass_drs(built, trace, rec, constants):
         z, zn = rec.z_vecs[k], rec.z_vecs[k + 1]
         ch = rec.channel[k] or {}
         e1, e2 = ch.get("eps1"), ch.get("eps2")
-        x, u, v = built.readout(z, zn, eps2=e2)
         zv, znv = z.blocks[0], zn.blocks[0]
+        # shadow point x = j2(z) + e2; u = j1 at the channel's perturbed
+        # reflection (2 j2(z) - z) + 2 e2; v = j2(z_{k+1})
+        x = built.j2(zv)
+        w = 2.0 * x - zv
+        if e2 is not None:
+            x = x + e2
+            w = w + 2.0 * e2
+        u = built.j1(w)
+        v = built.j2(znv)
         g = ((2.0 * x - zv - u) + (znv - v)) / spec.gamma
         lam = float(trace.lam[k])
         ck = (1.0 / spec.gamma) * (

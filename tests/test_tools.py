@@ -32,3 +32,45 @@ def test_trace_digests_record_and_compare(tmp_path, capsys):
     out.write_text(json.dumps(doc))
     assert tool.main(["--compare", str(out)]) == 1
     assert "MISMATCH preset:gd-fig1@seed1" in capsys.readouterr().out
+
+
+def _scale_cell(path, k, column, factor):
+    """Multiply one CSV cell (row ``k`` of ``column``) by ``factor``."""
+    from kmcert.cli import CSV_COLUMNS
+
+    j = CSV_COLUMNS.index(column)
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines):
+        fields = line.split(",")
+        if not line.startswith("#") and fields[0] == str(k):
+            fields[j] = format(float(fields[j]) * factor, ".17g")
+            lines[i] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_trace_diff_tolerates_rounding_and_catches_changes(tmp_path, capsys):
+    tool = load_tool()
+    a, b = tmp_path / "a", tmp_path / "b"
+    argv = ["--seeds", "0", "--max-iters", "20", "--members", "cert-drs-inexact"]
+    assert tool.main(argv + ["--write", str(a)]) == 0
+    assert tool.main(argv + ["--write", str(b)]) == 0
+    capsys.readouterr()
+    assert tool.main(["--diff", str(a), str(b)]) == 0
+    assert "1/1 entries agree" in capsys.readouterr().out
+
+    csv = b / "cert-drs-inexact@seed0.csv"
+    _scale_cell(csv, 5, "res_norm", 1.0 + 1e-14)       # a last-bits change
+    assert tool.main(["--diff", str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert "within tolerance" in out and "worst column: cert-drs-inexact@seed0 csv:res_norm" in out
+
+    _scale_cell(csv, 5, "res_norm", 1.0 + 1e-9)        # a real change
+    assert tool.main(["--diff", str(a), str(b)]) == 1
+    assert "csv:res_norm: max|a-b|" in capsys.readouterr().out
+
+    report = b / "cert-drs-inexact@seed0.json"
+    doc = json.loads(report.read_text())
+    doc["verdict"] = "fail"
+    report.write_text(json.dumps(doc))
+    assert tool.main(["--diff", str(a), str(b)]) == 1
+    assert "json:verdict: 'pass' became 'fail'" in capsys.readouterr().out

@@ -41,11 +41,34 @@ from kmcert.problems import (
     reference_solution,
 )
 from kmcert.spaces import ProductPoint, ProductSpace
-from kmcert.splitting import BoxBlock, LinearBlock, SubspaceBlock, build_gfb_nonstationary
+from kmcert.splitting import (
+    BoxBlock,
+    CocoerciveMap,
+    GfbSpec,
+    L1Block,
+    LinearBlock,
+    SubspaceBlock,
+    _lu_factor,
+    build_gfb,
+    build_gfb_nonstationary,
+)
 
 
 def nan_operator(space):
     return vector_operator(space, lambda x: np.full_like(x, np.nan), None, "nan")
+
+
+def inf_smooth_problem():
+    """A GFB instance with a linear block whose smooth part returns inf, so
+    the linear resolvent's input is not finite."""
+    d = 3
+    spec = GfbSpec(blocks=[L1Block(0.1), LinearBlock(np.eye(d))],
+                   weights=np.array([0.5, 0.5]), gamma=1.0, dim=d,
+                   smooth=CocoerciveMap(lambda x: np.full_like(x, np.inf), 1.0, "inf"))
+    p = make_gfb_multiblock(2, d)
+    p.built = build_gfb(spec)
+    p.operator = p.built.operator
+    return p
 
 
 class TestSpaces:
@@ -126,6 +149,24 @@ class TestOperatorOutputs:
         rc = main(["run", "--preset", "gd-fig1", "--out", str(tmp_path)])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_non_finite_resolvent_input_raises_numerical_error(self):
+        # the linear resolvent solves through LAPACK without scipy's
+        # finiteness check; the engine's check names the step
+        p = inf_smooth_problem()
+        with pytest.raises(NumericalError, match="non-finite operator output at step 0"):
+            p.exact_run(max_iters=5)
+
+    def test_non_finite_resolvent_input_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_problem", lambda cfg: inf_smooth_problem())
+        rc = main(["run", "--preset", "multiblock", "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite operator output at step 0" in err
+
+    def test_singular_factorization_raises_numerical_error(self):
+        with pytest.raises(NumericalError, match="getrf info"):
+            _lu_factor(np.zeros((2, 2)))
 
     @pytest.mark.parametrize("check", [check_averaged, check_firmly_nonexpansive])
     def test_sampling_checks_reject_non_finite_output(self, check):
