@@ -5,7 +5,6 @@ against pointwise, ergodic and local linear convergence bounds."""
 from .bounds import (
     BoundConstants,
     EmpiricalConstants,
-    SubRegularityModel,
     Violation,
     ergodic_bound,
     fit_tail_rate,
@@ -13,9 +12,7 @@ from .bounds import (
     local_zeta,
     local_zeta_averaged,
     pointwise_bound,
-    trace_displacement_bounds,
     verify_series,
-    verify_trace,
 )
 from .errors import (
     DivergenceError,
@@ -38,30 +35,15 @@ from .km import (
 from .operators import (
     OperatorSpec,
     QuadraticFn,
-    check_averaged,
-    check_firmly_nonexpansive,
-    combine,
-    compose2,
     gradient_step,
-    identity_operator,
     moreau_envelope_gradient,
-    project_box,
-    project_subspace,
     prox_l1,
-    relax,
-    residual,
-    scaled_residual,
-    vector_operator,
     zero_operator,
 )
 from .spaces import (
     ProductPoint,
     ProductSpace,
-    lift,
-    project_diagonal,
-    reflect_diagonal,
     weighted_inner,
-    weighted_norm,
 )
 from .splitting import (
     BoxBlock,
@@ -69,7 +51,6 @@ from .splitting import (
     DrsCertificates,
     DrsSpec,
     GfbCertificates,
-    GfbErgodicCertificates,
     GfbSpec,
     L1Block,
     LinearBlock,
@@ -82,7 +63,6 @@ from .splitting import (
     build_gfb,
     build_gfb_nonstationary,
     build_pds,
-    drs_certificate,
     gfb_certificate,
     matrix_norm,
 )

@@ -51,20 +51,6 @@ class BoundConstants:
             raise ParameterError("tau_min must not exceed tau_max")
 
 
-@dataclass(frozen=True)
-class SubRegularityModel:
-    """Local linear model: a residual-to-distance modulus ``kappa`` valid on a
-    neighborhood of the fixed-point set.  Rates on distances are reported as
-    ``sqrt(zeta)``."""
-
-    kappa: float
-    radius: float = np.inf
-
-    def __post_init__(self):
-        if self.kappa <= 0:
-            raise ParameterError("modulus must be positive")
-
-
 class Violation(NamedTuple):
     k: int        # -1 for the constants check
     kind: str     # pointwise | ergodic | certificate | local | constants
@@ -133,19 +119,6 @@ def ergodic_bound(k, constants: BoundConstants, lam_sum):
     if np.any(np.asarray(lam_sum) <= 0):
         raise ParameterError("cumulative relaxation must be positive")
     return 2.0 * (constants.d0 + constants.C2) / lam_sum
-
-
-def trace_displacement_bounds(trace: IterationTrace, constants: BoundConstants):
-    """Per-step displacement bound arrays for an exact trace; inexact traces
-    are rejected since the displacement bounds assume no injected error."""
-    if not trace.is_exact:
-        raise ParameterError("displacement bounds only apply to exact runs")
-    if constants.tau_min <= 0:
-        raise ParameterError("need tau_min > 0")
-    ks = np.arange(trace.n_steps, dtype=float)
-    pw = constants.d0 / np.sqrt(constants.tau_min * (ks + 1.0))
-    erg = 2.0 * constants.d0 / (ks + 1.0)
-    return pw, erg
 
 
 def local_zeta(tau_k: float, kappa: float) -> float:
@@ -264,13 +237,3 @@ def verify_series(cols: dict, constants: BoundConstants,
             np.cumprod(np.concatenate(([1.0], zeta)))[: lam.size])
     return out, bounds
 
-
-def verify_trace(trace: IterationTrace, constants: BoundConstants,
-                 model: Optional[SubRegularityModel] = None,
-                 slack: float = DEFAULT_SLACK) -> List[Violation]:
-    """Scan a trace against the pointwise and ergodic bounds (and, for exact
-    runs with a local model, the squared-distance recursion); see
-    :func:`verify_series`.  Empty list = certified.
-    """
-    kappa = None if model is None else model.kappa
-    return verify_series(trace_series(trace), constants, trace.alpha, kappa, slack)[0]

@@ -75,6 +75,8 @@ DEFAULTS = {
     "n_blocks": 3,
     "problem_seed": 1,
 }
+# seeds feed numpy's generator, which takes no negative seed
+INT_MINIMUM = {"seed": 0, "problem_seed": 0, "max_iters": -1}
 
 PRESETS = {
     "gd-fig1": {"problem": "gd", "delta_m": 0.8, "delta_M": 1.0, "dim": 2,
@@ -130,6 +132,23 @@ def parse_config_text(text: str) -> dict:
     return cfg
 
 
+def _check_value(key: str, val, default) -> None:
+    """A config value has its default's kind (text, an integer that is not a
+    boolean, or a finite number) and lies above the key's lower bound."""
+    if isinstance(default, str):
+        ok, want = isinstance(val, str), "text"
+    elif isinstance(default, int):
+        ok, want = type(val) is int, "an integer"
+    else:
+        ok = type(val) in (int, float) and math.isfinite(val)
+        want = "a finite number"
+    if not ok:
+        raise ParameterError(f"config key {key!r} must be {want}, got {val!r}")
+    if key in INT_MINIMUM and val < INT_MINIMUM[key]:
+        raise ParameterError(
+            f"config key {key!r} must be >= {INT_MINIMUM[key]}, got {val!r}")
+
+
 def resolve_config(preset: Optional[str] = None, config_path: Optional[str] = None,
                    overrides: Optional[dict] = None) -> dict:
     cfg = dict(DEFAULTS)
@@ -151,6 +170,8 @@ def resolve_config(preset: Optional[str] = None, config_path: Optional[str] = No
     unknown = set(cfg) - known
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+    for key, default in DEFAULTS.items():
+        _check_value(key, cfg[key], default)
     if not cfg["name"]:
         cfg["name"] = cfg["problem"]
     return cfg
@@ -389,8 +410,7 @@ def _execute_nonstationary(cfg: dict):
     trace = run_km_nonstationary(
         family, schedule, problem.z0, problem.relaxation, errors=errors,
         stop=StopRule(max_iters=max_iters, residual_tol=cfg["tol"]),
-        seed=cfg["seed"],
-        meta={"problem": problem.name})
+        seed=cfg["seed"])
     report = {
         "config": cfg,
         "problem": problem.name,

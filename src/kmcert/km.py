@@ -13,7 +13,7 @@ engine error absorbs the non-stationarity:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,12 +45,7 @@ def _in_range(value: float, lo: float, hi: float) -> bool:
 
 @dataclass(frozen=True)
 class RelaxationSchedule:
-    """Relaxation sequence with declared infimum / supremum.
-
-    ``tau_bounds(c)`` returns conservative bounds on ``inf/sup lam (c - lam)``
-    over the declared interval (the map is concave in lam, so the infimum sits
-    at an endpoint and the supremum at the clamped vertex ``c / 2``).
-    """
+    """Relaxation sequence with declared infimum / supremum."""
 
     kind: str
     lam_min: float
@@ -61,8 +56,8 @@ class RelaxationSchedule:
     @staticmethod
     def constant(lam: float) -> "RelaxationSchedule":
         lam = float(lam)
-        if lam <= 0:
-            raise ParameterError("relaxation must be positive")
+        if not lam > 0:
+            raise ParameterError(f"relaxation must be positive, got {lam}")
         return RelaxationSchedule("constant", lam, lam, None, lam)
 
     @staticmethod
@@ -82,37 +77,15 @@ class RelaxationSchedule:
             )
         return lam
 
-    def tau_bounds(self, c: float = 1.0):
-        lo, hi = self.lam_min, self.lam_max
-        tau_lo = min(lo * (c - lo), hi * (c - hi))
-        vertex = 0.5 * c
-        if lo <= vertex <= hi:
-            tau_hi = vertex * (c - vertex)
-        else:
-            tau_hi = max(lo * (c - lo), hi * (c - hi))
-        return tau_lo, tau_hi
-
-    def describe(self) -> str:
-        if self.kind == "constant":
-            return f"constant({self._value:g})"
-        return f"sequence[{self.lam_min:g},{self.lam_max:g}]"
-
 
 @dataclass(frozen=True)
 class ErrorSchedule:
-    """Error-magnitude law; directions come from the run's seeded generator.
+    """Error-magnitude law ``c / (k+1)^p``, or zero; directions come from
+    the run's seeded generator."""
 
-    Summability flags are derived symbolically: for the power law
-    ``c / (k+1)^p`` the weighted series ``(k+1) ||eps_k||`` is summable iff
-    ``c = 0`` or ``p > 2``, and ``lam ||eps_k||`` (with lam bounded away from
-    zero) iff ``c = 0`` or ``p > 1``.  Explicit lists are finite, hence
-    summable.
-    """
-
-    kind: str  # zero | power | explicit
+    kind: str  # zero | power
     c: float = 0.0
     p: float = 0.0
-    values: tuple = ()
 
     @staticmethod
     def zero() -> "ErrorSchedule":
@@ -120,44 +93,16 @@ class ErrorSchedule:
 
     @staticmethod
     def power(c: float, p: float) -> "ErrorSchedule":
-        if c < 0 or p < 0:
-            raise ParameterError("power law needs c >= 0 and p >= 0")
+        if not (c >= 0 and p >= 0):
+            raise ParameterError(f"power law needs c >= 0 and p >= 0, got c={c}, p={p}")
         if c == 0.0:
             return ErrorSchedule("zero")
         return ErrorSchedule("power", float(c), float(p))
 
-    @staticmethod
-    def explicit(values) -> "ErrorSchedule":
-        vals = tuple(float(v) for v in values)
-        if any(v < 0 for v in vals):
-            raise ParameterError("magnitudes must be non-negative")
-        return ErrorSchedule("explicit", values=vals)
-
     def magnitude(self, k: int) -> float:
         if self.kind == "zero":
             return 0.0
-        if self.kind == "power":
-            return self.c / (k + 1.0) ** self.p
-        return self.values[k] if k < len(self.values) else 0.0
-
-    def describe(self) -> str:
-        if self.kind == "zero":
-            return "exact"
-        if self.kind == "power":
-            return f"{self.c:g}/(k+1)^{self.p:g}"
-        return f"explicit[{len(self.values)}]"
-
-    @property
-    def is_k_eps_summable(self) -> bool:
-        if self.kind == "zero" or self.kind == "explicit":
-            return True
-        return self.c == 0.0 or self.p > 2.0
-
-    @property
-    def is_lam_eps_summable(self) -> bool:
-        if self.kind == "zero" or self.kind == "explicit":
-            return True
-        return self.c == 0.0 or self.p > 1.0
+        return self.c / (k + 1.0) ** self.p
 
 
 @dataclass(frozen=True)
@@ -261,25 +206,24 @@ class StopRule:
 class FixedPointSet:
     """Analytic point, analytic set projector, or oracle-run reference."""
 
-    __slots__ = ("kind", "_point", "_proj", "label")
+    __slots__ = ("kind", "_point", "_proj")
 
-    def __init__(self, kind, point=None, proj=None, label=""):
+    def __init__(self, kind, point=None, proj=None):
         self.kind = kind
         self._point = point
         self._proj = proj
-        self.label = label
 
     @staticmethod
-    def from_point(z_star: ProductPoint, label="analytic point") -> "FixedPointSet":
-        return FixedPointSet("point", point=z_star, label=label)
+    def from_point(z_star: ProductPoint) -> "FixedPointSet":
+        return FixedPointSet("point", point=z_star)
 
     @staticmethod
-    def from_projector(proj, label="analytic projector") -> "FixedPointSet":
-        return FixedPointSet("projector", proj=proj, label=label)
+    def from_projector(proj) -> "FixedPointSet":
+        return FixedPointSet("projector", proj=proj)
 
     @staticmethod
-    def from_reference(z_star: ProductPoint, label="reference run") -> "FixedPointSet":
-        return FixedPointSet("reference", point=z_star, label=label)
+    def from_reference(z_star: ProductPoint) -> "FixedPointSet":
+        return FixedPointSet("reference", point=z_star)
 
     def nearest(self, z: ProductPoint) -> ProductPoint:
         if self.kind in ("point", "reference"):
@@ -300,20 +244,17 @@ class IterationTrace:
 
     space: ProductSpace
     alpha: Optional[float]
-    seed: int
     stop_reason: str
     lam: np.ndarray
     eps_norm: np.ndarray
     res_norm: np.ndarray
     erg_norm: np.ndarray
     disp_norm: np.ndarray
-    lam_cumsum: np.ndarray
     z0: ProductPoint
     z_final: ProductPoint
     dist: Optional[np.ndarray] = None          # length n_steps + 1
     gamma: Optional[np.ndarray] = None
     pert_norm: Optional[np.ndarray] = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_steps(self) -> int:
@@ -322,10 +263,6 @@ class IterationTrace:
     @property
     def final_residual(self) -> float:
         return float(self.res_norm[-1]) if self.res_norm.size else float("nan")
-
-    @property
-    def is_exact(self) -> bool:
-        return bool(self.eps_norm.size == 0 or float(self.eps_norm.max()) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +295,7 @@ def _plain_evaluator(T: OperatorSpec, errors: Optional[ErrorSchedule]):
 def _iterate(operator: OperatorSpec, evalstep, z0: ProductPoint,
              relaxation: RelaxationSchedule, stop: StopRule,
              fix: Optional[FixedPointSet], observe: Optional[Callable], seed: int,
-             nonstationary: bool, meta: dict) -> IterationTrace:
+             nonstationary: bool) -> IterationTrace:
     space = operator.space
     if not space.compatible(z0):
         raise StructuralError("starting point does not live in the operator's space")
@@ -369,7 +306,7 @@ def _iterate(operator: OperatorSpec, evalstep, z0: ProductPoint,
     _validate_admissible(relaxation, operator.alpha)
 
     rng = np.random.default_rng(seed)
-    lam_l, epsn_l, res_l, erg_l, disp_l, cum_l = [], [], [], [], [], []
+    lam_l, epsn_l, res_l, erg_l, disp_l = [], [], [], [], []
     gamma_l, pert_l, dist_l = [], [], []
     # the bookkeeping runs on the flat data vectors; points are built only
     # for the observe hook and the next evaluation
@@ -416,7 +353,6 @@ def _iterate(operator: OperatorSpec, evalstep, z0: ProductPoint,
         res_l.append(res)
         erg_l.append(norm(S) / lam_total)
         disp_l.append(norm(step))
-        cum_l.append(lam_total)
         if nonstationary:
             gamma_l.append(extras["gamma"])
             pert_l.append(extras["pert_norm"])
@@ -436,30 +372,24 @@ def _iterate(operator: OperatorSpec, evalstep, z0: ProductPoint,
     return IterationTrace(
         space=space,
         alpha=operator.alpha,
-        seed=seed,
         stop_reason=stop_reason,
         lam=np.asarray(lam_l),
         eps_norm=np.asarray(epsn_l),
         res_norm=np.asarray(res_l),
         erg_norm=np.asarray(erg_l),
         disp_norm=np.asarray(disp_l),
-        lam_cumsum=np.asarray(cum_l),
         z0=z0,
         z_final=z,
         dist=np.asarray(dist_l) if fix is not None else None,
         gamma=np.asarray(gamma_l) if nonstationary else None,
-        pert_norm=(np.asarray([p if p is not None else np.nan for p in pert_l])
-                   if nonstationary else None),
-        meta=dict(meta or {}),
+        pert_norm=np.asarray(pert_l) if nonstationary else None,
     )
 
 
 def run_km(T: OperatorSpec, z0: ProductPoint, relaxation: RelaxationSchedule,
            errors: Optional[ErrorSchedule] = None, stop: Optional[StopRule] = None,
            *, channel=None, fix: Optional[FixedPointSet] = None,
-           observe: Optional[Callable] = None, seed: int = 0,
-           meta: Optional[dict] = None,
-           ) -> IterationTrace:
+           observe: Optional[Callable] = None, seed: int = 0) -> IterationTrace:
     """Run the stationary iteration of a single operator.
 
     ``errors`` injects synthetic error vectors (seeded direction, scheduled
@@ -485,33 +415,26 @@ def run_km(T: OperatorSpec, z0: ProductPoint, relaxation: RelaxationSchedule,
     else:
         operator = T
         evalstep = _plain_evaluator(T, errors)
-    m = dict(meta or {})
-    m.setdefault("label", operator.label)
-    m["relaxation"] = relaxation.describe()
-    m["errors"] = (errors.describe() if errors is not None
-                   else "channel" if channel is not None else "exact")
     return _iterate(operator, evalstep, z0, relaxation, stop, fix, observe, seed,
-                    nonstationary=False, meta=m)
+                    nonstationary=False)
 
 
 def run_km_nonstationary(
     family, gamma_schedule: GammaSchedule, z0: ProductPoint,
     relaxation: RelaxationSchedule, errors: Optional[ErrorSchedule] = None,
-    stop: Optional[StopRule] = None, *, limit_operator: Optional[OperatorSpec] = None,
-    track_limit: bool = True, fix: Optional[FixedPointSet] = None,
-    seed: int = 0, meta: Optional[dict] = None,
+    stop: Optional[StopRule] = None, *, fix: Optional[FixedPointSet] = None,
+    seed: int = 0,
 ) -> IterationTrace:
     """Run the non-stationary iteration of a parameterized operator family.
 
     ``family`` maps a parameter value to an operator; the update applies the
     per-step operator while the recorded residual refers to the limit
-    operator (one extra evaluation per step, disabled by ``track_limit=False``
-    in which case the native residual is recorded instead).
+    operator, one extra evaluation per step away from the limit.
     """
     if stop is None:
         stop = StopRule()
     at = family.at if hasattr(family, "at") else family
-    limit_op = limit_operator if limit_operator is not None else at(gamma_schedule.limit)
+    limit_op = at(gamma_schedule.limit)
     space = limit_op.space
     # every value lies in the declared interval (built-in schedules by
     # construction, custom ones are checked at each step), so probing its
@@ -525,12 +448,9 @@ def run_km_nonstationary(
         native = Tk(z)
         if Tk is limit_op:
             exact, pert = native, 0.0
-        elif not track_limit:
-            exact, pert = native, None
         else:
-            lim = limit_op(z)
-            exact = lim
-            pert = space.norm(native - lim)
+            exact = limit_op(z)
+            pert = space.norm(native - exact)
         mag = errors.magnitude(k) if errors is not None else 0.0
         if mag != 0.0:
             tilde = native + space.unit_vector(rng) * mag
@@ -539,13 +459,6 @@ def run_km_nonstationary(
         eps_total = tilde - exact if tilde is not exact else None
         return exact, tilde, eps_total, {"gamma": g, "pert_norm": pert}
 
-    m = dict(meta or {})
-    m.setdefault("label", limit_op.label)
-    m["relaxation"] = relaxation.describe()
-    m["errors"] = errors.describe() if errors is not None else "exact"
-    m["gamma_schedule"] = gamma_schedule.kind
-    m["gamma_limit"] = gamma_schedule.limit
-    m["schedule_note"] = gamma_schedule.summability_note
     return _iterate(limit_op, evalstep, z0, relaxation, stop, fix, None, seed,
-                    nonstationary=True, meta=m)
+                    nonstationary=True)
 

@@ -19,7 +19,7 @@ from .km import (
     StopRule,
     run_km,
 )
-from .operators import OperatorSpec, QuadraticFn, gradient_step, prox_l1, zero_operator
+from .operators import OperatorSpec, QuadraticFn, gradient_step, zero_operator
 from .spaces import ProductPoint, ProductSpace
 from .splitting import (
     BoxBlock,
@@ -84,8 +84,7 @@ class ProblemInstance:
         else:
             source = {"channel": self.make_channel(c, p)}
         return run_km(self.operator, self.z0, self.relaxation, stop=stop,
-                      fix=self.fix, observe=observe, seed=seed,
-                      meta={"problem": self.name}, **source)
+                      fix=self.fix, observe=observe, seed=seed, **source)
 
     def certified_run(self, c: float = 0.0, p: float = 3.0,
                       max_iters: Optional[int] = None, tol: float = 0.0,
@@ -124,9 +123,6 @@ class ProblemInstance:
             quarter = ErrorSchedule.power(c / 4.0, p)
             return self.built.channel([quarter] * 4)
         raise ParameterError(f"no channel model for kind {self.kind!r}")
-
-    def rate_run(self, seed: int = 0) -> IterationTrace:
-        return self.exact_run(max_iters=self.rate_horizon, tol=0.0, seed=seed)
 
     def observed_rate(self, trace: IterationTrace) -> float:
         if self.rate_basis == "residual":
@@ -231,7 +227,7 @@ def make_two_subspaces(theta: float, d: int, lam: float = 1.0) -> ProblemInstanc
         out[:2] = 0.0
         return space._wrap(out)
 
-    fix = FixedPointSet.from_projector(proj_fix, "plane-complement")
+    fix = FixedPointSet.from_projector(proj_fix)
     rng = np.random.default_rng(99)
     z0_vec = 10.0 * rng.standard_normal(d)
     if np.hypot(z0_vec[0], z0_vec[1]) < 1.0:
@@ -358,31 +354,6 @@ def make_pds_small(seed: int = 3) -> ProblemInstance:
     )
 
 
-def pds_fbs_reference(problem: ProblemInstance, tol: float = 1e-13,
-                      max_iters: int = 100_000) -> np.ndarray:
-    """Forward-backward run on the composite objective behind the primal-dual
-    instance (valid because the coupling has orthonormalized rows, giving the
-    composite prox in closed form, and the box stays inactive)."""
-    Q = problem.constants["Q"]
-    q = problem.constants["q"]
-    L = problem.constants["L"]
-    mu = problem.constants["mu"]
-    nu = float(np.linalg.eigvalsh(L @ L.T)[-1])
-    gamma = 1.0 / float(np.linalg.eigvalsh(Q)[-1])
-    x = np.zeros(Q.shape[0])
-    for _ in range(max_iters):
-        w = x - gamma * (Q @ x - q)
-        Lw = L @ w
-        x_new = w + (1.0 / nu) * (L.T @ (prox_l1(Lw, gamma * nu * mu) - Lw))
-        if np.linalg.norm(x_new - x) <= tol:
-            x = x_new
-            break
-        x = x_new
-    if np.max(np.abs(x)) >= 10.0:
-        raise UnavailableError("box constraint active; composite reference invalid")
-    return x
-
-
 def make_multiblock_nonstationary(kind: str, d: int = 10, n_blocks: int = 3,
                                   seed: int = 2):
     """Per-step-parameter variant of the multi-block instance: schedules
@@ -417,8 +388,7 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-13,
     """Fixed-point reference from a longer, tighter exact run; certified by
     re-evaluating the residual at the returned point."""
     stop = StopRule(max_iters=factor * problem.cert_horizon, residual_tol=tol)
-    trace = run_km(problem.operator, problem.z0, problem.relaxation, stop=stop,
-                   seed=0, meta={"problem": problem.name, "role": "reference"})
+    trace = run_km(problem.operator, problem.z0, problem.relaxation, stop=stop, seed=0)
     zf = trace.z_final
     res = problem.operator.space.norm(zf - problem.operator(zf))
     if not res <= tol * 10.0:

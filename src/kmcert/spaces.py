@@ -11,7 +11,9 @@ over ``data``, so every norm is bit-identical to the per-block formula.  A
 space may install a metric operator ``M`` (self-adjoint, positive in the
 weighted inner product), given as a map from a point's flat data to flat
 data; ``<x, y>_M = <x, M y>`` then replaces the plain inner product wherever
-the space is asked for one.
+the space is asked for one.  A space also draws the seeded Gaussian points
+and unit directions that the engine's error injection and the PDS
+equivalence check use.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import math
 import numpy as np
 
 from .errors import StructuralError
-
-WEIGHT_SUM_TOL = 1e-12
 
 
 def _as_block(x) -> np.ndarray:
@@ -137,41 +137,6 @@ def weighted_inner(x: ProductPoint, y: ProductPoint) -> float:
     return _block_inner(x.weights, x._slices, x.data, y.data)
 
 
-def weighted_norm(x: ProductPoint) -> float:
-    return math.sqrt(max(weighted_inner(x, x), 0.0))
-
-
-def _require_diagonal_layout(z: ProductPoint) -> None:
-    if len(set(z.dims)) != 1:
-        raise StructuralError("diagonal-subspace operations require equal block dimensions")
-    if abs(float(np.sum(z.weights)) - 1.0) > WEIGHT_SUM_TOL:
-        raise StructuralError("diagonal-subspace operations require weights summing to 1")
-
-
-def project_diagonal(z: ProductPoint) -> ProductPoint:
-    """Project onto the diagonal subspace: every block becomes ``sum_i w_i z_i``.
-
-    Orthogonal (idempotent, self-adjoint) in the weighted inner product,
-    which requires the weights to sum to one.
-    """
-    _require_diagonal_layout(z)
-    mean = _weighted_sum(tuple(z.weights), z.data.reshape(z.n, -1))
-    return z._new(np.tile(mean, z.n))
-
-
-def reflect_diagonal(z: ProductPoint) -> ProductPoint:
-    """Reflection about the diagonal subspace, ``2 P z - z``; an involution."""
-    return z._new(2.0 * project_diagonal(z).data - z.data)
-
-
-def lift(x, n: int, weights) -> ProductPoint:
-    """Copy a single vector into every block: the canonical isometry onto
-    the diagonal subspace (an isometry whenever the weights sum to one)."""
-    if n < 1:
-        raise StructuralError("need at least one block")
-    return ProductPoint((_as_block(x),) * n, weights)
-
-
 class ProductSpace:
     """Shape (block dimensions), weights and metric of a product space; the
     underscored norms take the flat ``data`` of this space's points."""
@@ -224,12 +189,6 @@ class ProductSpace:
     def zeros(self) -> ProductPoint:
         return self._wrap(np.zeros(self._dim_total))
 
-    def lift_vector(self, x) -> ProductPoint:
-        arr = _as_block(x)
-        if any(d != arr.size for d in self.dims):
-            raise StructuralError("lifted vector does not match the space layout")
-        return self._wrap(np.tile(arr, self.n))
-
     def compatible(self, z: ProductPoint) -> bool:
         return (z._slices is self._slices or z.dims == self.dims) and (
             z.weights is self.weights or np.array_equal(z.weights, self.weights)
@@ -267,9 +226,3 @@ class ProductSpace:
             nrm = self._norm(g)
             if nrm > 1e-12:
                 return self._wrap(g * (1.0 / nrm))
-
-    def sample_ball(self, rng: np.random.Generator, radius: float) -> ProductPoint:
-        """Draw uniformly from the ball of the given radius."""
-        u = rng.uniform()
-        r = radius * u ** (1.0 / self._dim_total)
-        return self.unit_vector(rng) * r

@@ -295,9 +295,6 @@ class GfbBuilt:
     def _rows(self, z: ProductPoint) -> np.ndarray:
         return z.data.reshape(self.spec.n, self.spec.dim)
 
-    def consensus(self, z: ProductPoint) -> np.ndarray:
-        return _weighted_sum(self._w, self._rows(z))
-
     def smooth_at(self, x: np.ndarray) -> np.ndarray:
         smooth = self.spec.smooth
         return smooth.fn(x) if smooth is not None else np.zeros_like(x)
@@ -480,33 +477,6 @@ class GfbCertificates(_CertificateStream):
                                  self.structural_only)
 
 
-class GfbErgodicCertificates(_CertificateStream):
-    """Running-average criterion against ``2 (d0 + C2) / (gamma lam_min (k+1))``."""
-
-    def __init__(self, built: GfbBuilt):
-        super().__init__(built)
-        spec = built.spec
-        self._x_sum = np.zeros(spec.dim)
-        self._u_sum = np.zeros((spec.n, spec.dim))
-
-    def observe(self, k, z, z_next, e, eps, lam, extras) -> None:
-        built, spec = self.built, self.built.spec
-        x, _, _, u = _parts(extras)
-        self._x_sum += x
-        self._u_sum += u
-        m = k + 1.0
-        xbar = self._x_sum / m
-        ubar = _weighted_sum(built._w, self._u_sum / m)
-        gbar = (xbar - ubar) / spec.gamma - built.smooth_at(xbar)
-        self._record(_l2(gbar + built.smooth_at(ubar)))
-
-    def series(self, trace: IterationTrace, constants: BoundConstants) -> CertificateSeries:
-        m = np.arange(1, trace.n_steps + 1, dtype=float)
-        bounds = 2.0 * (constants.d0 + constants.C2) / (
-            self.built.spec.gamma * float(trace.lam.min()) * m)
-        return CertificateSeries(np.asarray(self._values), bounds, None)
-
-
 # ---------------------------------------------------------------------------
 # Douglas-Rachford
 # ---------------------------------------------------------------------------
@@ -534,10 +504,6 @@ class DrsBuilt:
         self.j2 = lambda v: spec.block2.resolvent(v, g)
         self.operator = OperatorSpec(lambda z: self.evaluate(z)[0], 0.5, "drs",
                                      self.space)
-
-    @property
-    def alpha(self) -> float:
-        return 0.5
 
     def evaluate(self, z: ProductPoint):
         """``(T z, parts)``: the reflected-resolvent average and its internals
@@ -598,7 +564,12 @@ class DrsCertStep:
 
 
 def _drs_step(spec: DrsSpec, zv, znv, x, u, lam, e1, e2, v) -> DrsCertStep:
-    # the step from data zv to znv, with x = j2(z) (exact), u, v = j2(z_next)
+    """Certificate of the step from data ``zv`` to ``znv``, with ``x =
+    j2(z)`` exact, ``u`` and ``v = j2(z_next)``: an explicit element ``g`` of
+    the summed operators at (u, v), its norm, the bound ``((1 + lam)/gamma)
+    * pointwise bound + c_k`` as scale and offset (``c_k = (1/gamma)((2 +
+    lam)||eps2|| + ||eps1||)``, 0 for an exact step), and the larger
+    membership residual of the two blocks (None when neither is recognized)."""
     if e2 is not None:
         x = x + e2
     r1 = 2.0 * x - zv - u
@@ -614,19 +585,6 @@ def _drs_step(spec: DrsSpec, zv, znv, x, u, lam, e1, e2, v) -> DrsCertStep:
     ) if r is not None]
     return DrsCertStep(g, _l2(g), (1.0 + lam) / spec.gamma,
                        float(ck), max(residuals) if residuals else None)
-
-
-def drs_certificate(built: DrsBuilt, z: ProductPoint, z_next: ProductPoint,
-                    lam: float) -> DrsCertStep:
-    """Certificate of the exact step from ``z`` to ``z_next``: an explicit
-    element ``g`` of the summed operators at (u, v), its norm, the bound
-    ``((1 + lam)/gamma) * pointwise bound + c_k`` as its scale and offset
-    (``c_k = (1/gamma)((2 + lam)||eps2|| + ||eps1||)`` for the channel errors
-    of an inexact step, 0 here), and the larger membership residual of the
-    two blocks (None when neither block type is recognized)."""
-    x, _, u = built.evaluate(z)[1]
-    return _drs_step(built.spec, z.data, z_next.data, x, u, lam, None, None,
-                     built.j2(z_next.data))
 
 
 class DrsCertificates(_CertificateStream):

@@ -1,0 +1,169 @@
+"""Test oracles that kmcert itself does not use: a plain-vector operator
+wrapper, seeded sampling checks of averagedness, the diagonal-subspace
+projector and reflector of a weighted product space, and an independent
+forward-backward reference for the primal-dual instance.
+
+The sampling checks are falsification tests, not the source of truth:
+sampling cannot prove averagedness.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from kmcert.errors import NumericalError, ParameterError, StructuralError, UnavailableError
+from kmcert.operators import OperatorSpec, prox_l1
+from kmcert.spaces import ProductPoint, ProductSpace, _weighted_sum
+
+WEIGHT_SUM_TOL = 1e-12
+
+
+def vector_operator(space: ProductSpace, fn, alpha, label: str) -> OperatorSpec:
+    """Wrap a plain vector map into a single-block operator.
+
+    Each output is checked for its shape only; finiteness is checked where
+    the output is used, once per step by the engine.
+    """
+    if space.n != 1:
+        raise StructuralError("vector_operator needs a single-block space")
+    shape = space.dims
+
+    def apply(z: ProductPoint) -> ProductPoint:
+        out = np.asarray(fn(z.data), dtype=float)
+        if out.ndim == 0:
+            out = out.reshape(1)
+        if out.shape != shape:
+            raise StructuralError(f"{label}: expected output shape {shape}, got {out.shape}")
+        return space._wrap(out)
+
+    return OperatorSpec(apply, alpha, label, space)
+
+
+# ---------------------------------------------------------------------------
+# sampling checks (seeded, deterministic)
+# ---------------------------------------------------------------------------
+
+def sample_ball(space: ProductSpace, rng: np.random.Generator, radius: float) -> ProductPoint:
+    """Draw uniformly from the ball of the given radius in the space's norm."""
+    u = rng.uniform()
+    r = radius * u ** (1.0 / sum(space.dims))
+    return space.unit_vector(rng) * r
+
+
+@dataclass(frozen=True)
+class SamplingReport:
+    max_violation: float
+    passed: bool
+    samples: int
+    radius: float
+    seed: int
+
+
+def _sample_pair(T: OperatorSpec, rng, radius: float):
+    x = sample_ball(T.space, rng, radius)
+    y = sample_ball(T.space, rng, radius)
+    Tx, Ty = T(x), T(y)
+    if not (Tx.is_finite() and Ty.is_finite()):
+        raise NumericalError(f"non-finite output of {T.label} at a sampled point")
+    return x, y, Tx, Ty
+
+
+def check_firmly_nonexpansive(
+    T: OperatorSpec, samples: int = 1000, radius: float = 10.0, seed: int = 0,
+    tol: float = 1e-10,
+) -> SamplingReport:
+    """Sample pairs in a ball and measure the worst slack of
+    ``||Tx - Ty||^2 <= <Tx - Ty, x - y>``."""
+    if samples < 1:
+        raise ParameterError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    space = T.space
+    worst = 0.0
+    for _ in range(samples):
+        x, y, Tx, Ty = _sample_pair(T, rng, radius)
+        dT = Tx - Ty
+        lhs = space.inner(dT, dT)
+        rhs = space.inner(dT, x - y)
+        worst = max(worst, lhs - rhs)
+    return SamplingReport(worst, worst <= tol, samples, radius, seed)
+
+
+def check_averaged(
+    T: OperatorSpec, alpha: float, samples: int = 1000, radius: float = 10.0,
+    seed: int = 0, tol: float = 1e-10,
+) -> SamplingReport:
+    """Sample pairs and measure relative expansiveness of
+    ``R = (T - (1 - alpha) Id) / alpha``."""
+    alpha = float(alpha)
+    if not (0.0 < alpha <= 1.0):
+        raise ParameterError("alpha must lie in (0, 1]")
+    if samples < 1:
+        raise ParameterError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    space = T.space
+    one_minus = 1.0 - alpha
+    worst = 0.0
+    for _ in range(samples):
+        x, y, Tx, Ty = _sample_pair(T, rng, radius)
+        Rx = (Tx - x * one_minus) * (1.0 / alpha)
+        Ry = (Ty - y * one_minus) * (1.0 / alpha)
+        gap = space.norm(Rx - Ry) - space.norm(x - y)
+        denom = max(space.norm(x - y), 1e-15)
+        worst = max(worst, gap / denom)
+    return SamplingReport(worst, worst <= tol, samples, radius, seed)
+
+
+# ---------------------------------------------------------------------------
+# the diagonal subspace of a weighted product space
+# ---------------------------------------------------------------------------
+
+def _require_diagonal_layout(z: ProductPoint) -> None:
+    if len(set(z.dims)) != 1:
+        raise StructuralError("diagonal-subspace operations require equal block dimensions")
+    if abs(float(np.sum(z.weights)) - 1.0) > WEIGHT_SUM_TOL:
+        raise StructuralError("diagonal-subspace operations require weights summing to 1")
+
+
+def project_diagonal(z: ProductPoint) -> ProductPoint:
+    """Project onto the diagonal subspace: every block becomes ``sum_i w_i z_i``.
+
+    Orthogonal (idempotent, self-adjoint) in the weighted inner product,
+    which requires the weights to sum to one.
+    """
+    _require_diagonal_layout(z)
+    mean = _weighted_sum(tuple(z.weights), z.data.reshape(z.n, -1))
+    return z._new(np.tile(mean, z.n))
+
+
+def reflect_diagonal(z: ProductPoint) -> ProductPoint:
+    """Reflection about the diagonal subspace, ``2 P z - z``; an involution."""
+    return z._new(2.0 * project_diagonal(z).data - z.data)
+
+
+# ---------------------------------------------------------------------------
+# primal-dual reference
+# ---------------------------------------------------------------------------
+
+def pds_fbs_reference(problem, tol: float = 1e-13, max_iters: int = 100_000) -> np.ndarray:
+    """Forward-backward run on the composite objective behind the primal-dual
+    instance of ``make_pds_small`` (valid because the coupling has
+    orthonormalized rows, giving the composite prox in closed form, and the
+    box stays inactive)."""
+    Q = problem.constants["Q"]
+    q = problem.constants["q"]
+    L = problem.constants["L"]
+    mu = problem.constants["mu"]
+    nu = float(np.linalg.eigvalsh(L @ L.T)[-1])
+    gamma = 1.0 / float(np.linalg.eigvalsh(Q)[-1])
+    x = np.zeros(Q.shape[0])
+    for _ in range(max_iters):
+        w = x - gamma * (Q @ x - q)
+        Lw = L @ w
+        x_new = w + (1.0 / nu) * (L.T @ (prox_l1(Lw, gamma * nu * mu) - Lw))
+        if np.linalg.norm(x_new - x) <= tol:
+            x = x_new
+            break
+        x = x_new
+    if np.max(np.abs(x)) >= 10.0:
+        raise UnavailableError("box constraint active; composite reference invalid")
+    return x

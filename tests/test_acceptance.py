@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kmcert.bounds import SubRegularityModel, verify_trace
+from kmcert.bounds import trace_series, verify_series
 from kmcert.cli import main as cli_main
 from kmcert.km import (
     RelaxationSchedule,
@@ -16,13 +16,7 @@ from kmcert.km import (
     run_km,
     run_km_nonstationary,
 )
-from kmcert.operators import (
-    OperatorSpec,
-    check_averaged,
-    check_firmly_nonexpansive,
-    prox_l1,
-    vector_operator,
-)
+from kmcert.operators import OperatorSpec, composition_alpha, prox_l1
 from kmcert.problems import (
     make_gfb_multiblock,
     make_lasso,
@@ -31,10 +25,16 @@ from kmcert.problems import (
     make_quadratic_gd,
     make_two_subspaces,
     make_zero_map,
-    pds_fbs_reference,
 )
-from kmcert.spaces import ProductSpace, reflect_diagonal
+from kmcert.spaces import ProductSpace
 from kmcert.splitting import GfbSpec, L1Block, LinearBlock
+from oracles import (
+    check_averaged,
+    check_firmly_nonexpansive,
+    pds_fbs_reference,
+    reflect_diagonal,
+    vector_operator,
+)
 
 SLACK = 1e-10
 HORIZON = 1000
@@ -100,7 +100,7 @@ def test_criterion_1_gd_rates():
     for gamma, obs_want, th_want in ((0.5, 0.60, np.sqrt(0.52)), (1.0, 0.20, 0.60)):
         t0 = time.monotonic()
         p = make_quadratic_gd(0.8, 1.0, 2, gamma)
-        observed = p.observed_rate(p.rate_run())
+        observed = p.observed_rate(p.exact_run(max_iters=p.rate_horizon))
         elapsed = time.monotonic() - t0
         results.append((gamma, observed, p.theoretical_rate, elapsed))
     ok = all(
@@ -123,11 +123,12 @@ def test_criterion_2_subspace_rates():
     gaps = []
     for theta in (np.pi / 6, np.pi / 4, np.pi / 3):
         p = make_two_subspaces(theta, 4)
-        observed = p.observed_rate(p.rate_run())
+        observed = p.observed_rate(p.exact_run(max_iters=p.rate_horizon))
         gaps.append(abs(observed - np.cos(theta) ** 2))
     ok = max(gaps) <= 1e-6
     p_relaxed = make_two_subspaces(np.pi / 4, 4, lam=0.5)
-    observed_r = p_relaxed.observed_rate(p_relaxed.rate_run())
+    observed_r = p_relaxed.observed_rate(
+        p_relaxed.exact_run(max_iters=p_relaxed.rate_horizon))
     want_r = 1.0 - 1.5 * 0.5 * np.sin(np.pi / 4) ** 2
     gap_r = abs(observed_r - want_r)
     elapsed = time.monotonic() - t0
@@ -147,8 +148,9 @@ def test_criterion_3_pointwise_certification(cert_bundle):
         for variant in ("exact", "inexact"):
             trace, constants, _ = data[variant]
             assert trace.n_steps >= HORIZON
-            issues = [v for v in verify_trace(trace, constants, slack=SLACK)
-                      if v.kind == "pointwise"]
+            checked = verify_series(trace_series(trace), constants, trace.alpha,
+                                    None, SLACK)[0]
+            issues = [v for v in checked if v.kind == "pointwise"]
             worst.append((label, variant, len(issues)))
     ok = all(n == 0 for _, _, n in worst)
     report(3, ok, f"pointwise violations across {len(worst)} runs of >= "
@@ -160,8 +162,9 @@ def test_criterion_4_ergodic_certification(cert_bundle):
     for label, data in cert_bundle.items():
         for variant in ("exact", "inexact"):
             trace, constants, _ = data[variant]
-            issues = [v for v in verify_trace(trace, constants, slack=SLACK)
-                      if v.kind == "ergodic"]
+            checked = verify_series(trace_series(trace), constants, trace.alpha,
+                                    None, SLACK)[0]
+            issues = [v for v in checked if v.kind == "ergodic"]
             total += len(issues)
     ok = total == 0
     report(4, ok, f"ergodic violations across the suite: {total}")
@@ -175,6 +178,7 @@ def _step_inequality_slacks(trace, rec, constants, z_star):
     """Worst slacks of the per-step inequalities over a whole run, from its
     recorded vectors."""
     sp = trace.space
+    exact = not trace.eps_norm.any()
     scale = 2.0 * (trace.alpha if trace.alpha is not None else 1.0)
     c = 1.0 if trace.alpha is None else 1.0 / trace.alpha
     diff_worst = -np.inf
@@ -189,10 +193,10 @@ def _step_inequality_slacks(trace, rec, constants, z_star):
         sq = (trace.res_norm[k + 1] ** 2 - trace.res_norm[k] ** 2
               - constants.nu2 * trace.eps_norm[k])
         sq_worst = max(sq_worst, sq)
-        if trace.is_exact:
+        if exact:
             mono_worst = max(mono_worst,
                              trace.res_norm[k + 1] - trace.res_norm[k])
-    if trace.is_exact and z_star is not None:
+    if exact and z_star is not None:
         for k in range(trace.n_steps):
             tau = trace.lam[k] * (c - trace.lam[k])
             lhs = sp.norm(rec.z_vecs[k + 1] - z_star) ** 2
@@ -240,10 +244,9 @@ def test_criterion_6_local_recursion():
     total = 0
     for p in problems:
         trace, constants, _ = p.certified_run(max_iters=HORIZON)
-        issues = [v for v in verify_trace(trace, constants,
-                                          model=SubRegularityModel(p.kappa),
-                                          slack=SLACK)
-                  if v.kind == "local"]
+        checked = verify_series(trace_series(trace), constants, trace.alpha,
+                                p.kappa, SLACK)[0]
+        issues = [v for v in checked if v.kind == "local"]
         total += len(issues)
     report(6, total == 0,
            f"squared-distance recursion violations over {len(problems)} "
@@ -314,8 +317,8 @@ def test_criterion_7_operator_properties(cert_bundle):
             if not rep.passed:
                 avg_fail.append((label, rep.max_violation))
 
-    # pairwise-composition certificate on 100 random pairs
-    from kmcert.operators import compose2
+    # pairwise-composition certificate on 100 random pairs, with the constant
+    # GFB certifies its step with
     rng = np.random.default_rng(7)
     comp_fail = 0
     sp = ProductSpace.single(3)
@@ -329,7 +332,9 @@ def test_criterion_7_operator_properties(cert_bundle):
 
     for i in range(100):
         a1, a2 = rng.uniform(0.05, 0.95, size=2)
-        T = compose2(affine(a1, 1000 + i), affine(a2, 2000 + i))
+        T1, T2 = affine(a1, 1000 + i), affine(a2, 2000 + i)
+        T = OperatorSpec(lambda z, T1=T1, T2=T2: T1(T2(z)), composition_alpha(a1, a2),
+                         "aff o aff", sp)
         if not check_averaged(T, T.alpha, samples=200, radius=10.0, seed=i,
                               tol=SLACK).passed:
             comp_fail += 1

@@ -5,15 +5,14 @@ from dataclasses import replace
 from kmcert.bounds import (
     BoundConstants,
     EmpiricalConstants,
-    SubRegularityModel,
     ergodic_bound,
     fit_tail_rate,
     gd_theoretical_rate,
     local_zeta,
     local_zeta_averaged,
     pointwise_bound,
-    trace_displacement_bounds,
-    verify_trace,
+    trace_series,
+    verify_series,
 )
 from kmcert.errors import ParameterError, UnavailableError
 from kmcert.km import RelaxationSchedule, StopRule, run_km
@@ -60,6 +59,10 @@ class TestEmpiricalConstants:
         assert bc.C1 >= bc.nu1 * S1
 
 
+def violations(tr, bc, kappa=None):
+    return verify_series(trace_series(tr), bc, tr.alpha, kappa)[0]
+
+
 class TestPointwiseBound:
     def test_arithmetic(self):
         bc = BoundConstants(1.0, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0)
@@ -89,7 +92,7 @@ class TestErgodicBound:
     def test_zero_map_closed_form(self, zero_exact):
         p, tr, bc, _ = zero_exact
         for k in range(tr.n_steps):
-            bound = ergodic_bound(k, bc, float(tr.lam_cumsum[k]))
+            bound = ergodic_bound(k, bc, float(np.sum(tr.lam[: k + 1])))
             assert bound == pytest.approx(4.0 / (k + 1.0))
             assert tr.erg_norm[k] <= bound + 1e-12
 
@@ -102,34 +105,17 @@ class TestErgodicBound:
 
 class TestDisplacementBounds:
     def test_zero_map_closed_forms(self, zero_exact):
+        # exact runs: ||z_k - z_{k+1}|| <= d0 / sqrt(tau_min (k+1)), and the
+        # mean displacement from the start is at most 2 d0 / (k+1)
         p, tr, bc, rec = zero_exact
-        pw, erg = trace_displacement_bounds(tr, bc)
+        ks = np.arange(tr.n_steps, dtype=float)
+        pw = bc.d0 / np.sqrt(bc.tau_min * (ks + 1.0))
+        erg = 2.0 * bc.d0 / (ks + 1.0)
         for k in range(tr.n_steps):
             assert tr.disp_norm[k] <= pw[k] + 1e-12
             mean_disp = np.linalg.norm(
                 rec.z_vecs[0].blocks[0] - rec.z_vecs[k + 1].blocks[0]) / (k + 1.0)
             assert mean_disp <= erg[k] + 1e-12
-
-    def test_k0_arithmetic(self, zero_exact):
-        p, tr, bc, _ = zero_exact
-        bc = replace(bc, d0=1.0, tau_min=0.25, tau_max=0.25)
-        pw, erg = trace_displacement_bounds(tr, bc)
-        assert pw[0] == pytest.approx(2.0)
-        assert erg[0] == pytest.approx(2.0)
-
-    def test_parameter_validation(self, zero_exact):
-        p, tr, bc, _ = zero_exact
-        bc = replace(bc, tau_min=0.0)
-        with pytest.raises(ParameterError):
-            trace_displacement_bounds(tr, bc)
-
-    def test_trace_variant_rejects_inexact(self, zero_exact, zero_inexact):
-        p, tr, bc, _ = zero_exact
-        pw, erg = trace_displacement_bounds(tr, bc)
-        assert np.all(tr.disp_norm <= pw + 1e-12)
-        pi, tri, bci = zero_inexact
-        with pytest.raises(ParameterError):
-            trace_displacement_bounds(tri, bci)
 
 
 class TestLocalZeta:
@@ -199,9 +185,11 @@ class TestFitTailRate:
 
     def test_gd_observed_rates(self):
         p = make_quadratic_gd(0.8, 1.0, 2, 0.5)
-        assert p.observed_rate(p.rate_run()) == pytest.approx(0.60, abs=0.01)
+        assert p.observed_rate(p.exact_run(max_iters=p.rate_horizon)) == pytest.approx(
+            0.60, abs=0.01)
         p2 = make_quadratic_gd(0.8, 1.0, 2, 1.0)
-        assert p2.observed_rate(p2.rate_run()) == pytest.approx(0.20, abs=0.01)
+        assert p2.observed_rate(p2.exact_run(max_iters=p2.rate_horizon)) == pytest.approx(
+            0.20, abs=0.01)
 
     def test_too_short(self):
         with pytest.raises(UnavailableError):
@@ -216,35 +204,35 @@ class TestFitTailRate:
 class TestVerifyTrace:
     def test_exact_run_clean(self, zero_exact):
         p, tr, bc, _ = zero_exact
-        assert verify_trace(tr, bc, model=SubRegularityModel(p.kappa)) == []
+        assert violations(tr, bc, kappa=p.kappa) == []
 
     def test_inexact_run_clean(self, zero_inexact):
         p, tr, bc = zero_inexact
-        assert verify_trace(tr, bc) == []
+        assert violations(tr, bc) == []
 
     def test_halved_error_budget_detected(self, zero_inexact):
         p, tr, bc = zero_inexact
         bad = replace(bc, C1=bc.C1 / 2.0)
-        issues = verify_trace(tr, bad)
+        issues = violations(tr, bad)
         assert issues and any(v.kind == "constants" for v in issues)
 
     def test_shrunken_distance_detected(self, zero_inexact):
         p, tr, bc = zero_inexact
         bad = replace(bc, d0=bc.d0 / 100.0, C1=0.0, nu1=0.0)
-        issues = verify_trace(tr, bad)
+        issues = violations(tr, bad)
         assert any(v.kind == "pointwise" for v in issues)
 
     def test_local_model_recursion_on_reflection_scheme(self):
         p = make_two_subspaces(np.pi / 4, 4)
         tr, bc, _ = p.certified_run(max_iters=200)
-        issues = verify_trace(tr, bc, model=SubRegularityModel(p.kappa))
+        issues = violations(tr, bc, kappa=p.kappa)
         assert issues == []
 
     def test_too_small_modulus_detected(self):
         # a modulus below the true one breaks the recursion somewhere
         p = make_two_subspaces(np.pi / 4, 4)
         tr, bc, _ = p.certified_run(max_iters=100)
-        issues = verify_trace(tr, bc, model=SubRegularityModel(p.kappa / 2.0))
+        issues = violations(tr, bc, kappa=p.kappa / 2.0)
         assert any(v.kind == "local" for v in issues)
 
 

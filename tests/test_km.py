@@ -11,14 +11,11 @@ from kmcert.km import (
     run_km,
     run_km_nonstationary,
 )
-from kmcert.operators import (
-    identity_operator,
-    vector_operator,
-    zero_operator,
-)
+from kmcert.operators import OperatorSpec, zero_operator
 from kmcert.spaces import ProductSpace
-from kmcert.splitting import build_gfb_nonstationary
+from kmcert.splitting import SubspaceBlock, build_gfb_nonstationary
 from kmcert.problems import make_multiblock_nonstationary
+from oracles import vector_operator
 
 
 def one_d_space():
@@ -65,10 +62,9 @@ class TestRunKmClosedForms:
         assert np.max(np.abs(recomputed - tr.disp_norm)) == 0.0
 
     def test_projector_converges_one_step(self):
-        from kmcert.operators import project_subspace
         sp = ProductSpace.single(2)
-        U = np.array([1.0, 0.0])
-        P = vector_operator(sp, lambda x: project_subspace(x, U), 0.5, "proj")
+        proj = SubspaceBlock(np.array([1.0, 0.0])).resolvent
+        P = vector_operator(sp, lambda x: proj(x, 1.0), 0.5, "proj")
         tr = run_km(P, sp.vector((0.0, 1.0)), RelaxationSchedule.constant(1.0),
                     stop=StopRule(10, 1e-10))
         assert tr.res_norm[0] == pytest.approx(1.0)
@@ -76,13 +72,12 @@ class TestRunKmClosedForms:
         assert tr.n_steps == 2
 
     def test_projector_residual_equals_distance(self):
-        from kmcert.operators import project_subspace
         sp = ProductSpace.single(3)
         rng = np.random.default_rng(0)
         U, _ = np.linalg.qr(rng.standard_normal((3, 2)))
-        P = vector_operator(sp, lambda x: project_subspace(x, U), 0.5, "proj")
-        fix = FixedPointSet.from_projector(
-            lambda z: sp.vector(project_subspace(z.blocks[0], U)))
+        proj = SubspaceBlock(U).resolvent
+        P = vector_operator(sp, lambda x: proj(x, 1.0), 0.5, "proj")
+        fix = FixedPointSet.from_projector(lambda z: sp.vector(proj(z.blocks[0], 1.0)))
         tr = run_km(P, sp.vector(rng.standard_normal(3) * 5.0),
                     RelaxationSchedule.constant(0.5), stop=StopRule(40, 0.0),
                     fix=fix)
@@ -91,30 +86,16 @@ class TestRunKmClosedForms:
 
 class TestSchedules:
     def test_relaxation_validation(self):
-        with pytest.raises(ParameterError):
-            RelaxationSchedule.constant(0.0)
+        for bad in (0.0, float("nan")):
+            with pytest.raises(ParameterError):
+                RelaxationSchedule.constant(bad)
         with pytest.raises(ParameterError):
             RelaxationSchedule.from_function(lambda k: 0.5, 0.7, 0.5)
 
-    def test_tau_bounds(self):
-        sched = RelaxationSchedule.constant(0.5)
-        lo, hi = sched.tau_bounds(1.0)
-        assert lo == pytest.approx(0.25) and hi == pytest.approx(0.25)
-        sched2 = RelaxationSchedule.from_function(lambda k: 0.2 + 0.6 / (k + 1), 0.2, 0.8)
-        lo2, hi2 = sched2.tau_bounds(1.0)
-        assert lo2 == pytest.approx(0.16)
-        assert hi2 == pytest.approx(0.25)
-
-    def test_error_schedule_flags(self):
-        assert ErrorSchedule.zero().is_k_eps_summable
-        s = ErrorSchedule.power(0.1, 3.0)
-        assert s.is_k_eps_summable and s.is_lam_eps_summable
-        s2 = ErrorSchedule.power(0.1, 1.5)
-        assert not s2.is_k_eps_summable and s2.is_lam_eps_summable
-        s3 = ErrorSchedule.power(0.1, 0.5)
-        assert not s3.is_k_eps_summable and not s3.is_lam_eps_summable
-        s4 = ErrorSchedule.explicit([1.0, 0.5, 0.0])
-        assert s4.is_k_eps_summable and s4.magnitude(1) == 0.5 and s4.magnitude(7) == 0.0
+    def test_error_law_validation(self):
+        for c, p in ((-0.1, 3.0), (0.1, -1.0), (float("nan"), 3.0), (0.1, float("nan"))):
+            with pytest.raises(ParameterError):
+                ErrorSchedule.power(c, p)
 
     def test_admissibility_enforced(self):
         sp = ProductSpace.single(2)
@@ -249,7 +230,7 @@ class TestErgodicRecompute:
     def test_constant_residual_average(self):
         # identity operator with constant injected error: e_k = 0 always
         sp = ProductSpace.single(2)
-        T = identity_operator(sp)
+        T = OperatorSpec(lambda z: z, None, "id", sp)
         tr = run_km(T, sp.vector((1.0, 1.0)), RelaxationSchedule.constant(0.5),
                     errors=ErrorSchedule.power(1.0, 0.0), stop=StopRule(25, 0.0))
         assert np.max(tr.res_norm) == 0.0
@@ -302,13 +283,6 @@ class TestNonstationary:
         assert tr.gamma is not None
         assert tr.gamma[0] == pytest.approx(sched.value(0))
         assert tr.gamma[7] == pytest.approx(sched.value(7))
-
-    def test_native_residual_mode(self):
-        fam, sched, statp = make_multiblock_nonstationary("geometric", d=6)
-        tr = run_km_nonstationary(fam, sched, statp.z0, statp.relaxation,
-                                  stop=StopRule(50, 0.0),
-                                  track_limit=False)
-        assert np.all(np.isnan(tr.pert_norm))
 
     def test_schedule_range_validated(self):
         from kmcert.problems import make_gfb_multiblock

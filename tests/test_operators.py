@@ -5,24 +5,14 @@ from kmcert.errors import ParameterError, StructuralError
 from kmcert.operators import (
     OperatorSpec,
     QuadraticFn,
-    check_averaged,
-    check_firmly_nonexpansive,
-    combine,
-    compose2,
+    composition_alpha,
     gradient_step,
-    identity_operator,
     moreau_envelope_gradient,
-    project_box,
-    project_subspace,
     prox_l1,
-    relax,
-    residual,
-    scaled_residual,
-    vector_operator,
-    zero_operator,
 )
 from kmcert.spaces import ProductSpace
-from kmcert.splitting import LinearBlock
+from kmcert.splitting import BoxBlock, LinearBlock, SubspaceBlock
+from oracles import check_averaged, check_firmly_nonexpansive, vector_operator
 
 
 def affine_averaged(space, alpha, seed):
@@ -40,50 +30,30 @@ def affine_averaged(space, alpha, seed):
     return vector_operator(space, fn, alpha, f"affine({alpha:.2f})")
 
 
-class TestRelax:
-    def test_identity_fixed(self):
-        sp = ProductSpace.single(3)
-        T = relax(identity_operator(sp), 0.7)
-        z = sp.vector((1.0, -2.0, 3.0))
-        assert sp.norm(T(z) - z) == 0.0
+def identity_operator(space):
+    return OperatorSpec(lambda z: z, None, "id", space)
 
-    def test_alpha_product(self):
-        sp = ProductSpace.single(2)
-        T = affine_averaged(sp, 0.5, seed=0)
-        assert relax(T, 1.0).alpha == pytest.approx(0.5)
-        out = relax(T, 1.5)
-        assert out.alpha == pytest.approx(0.75)
-        assert check_averaged(out, out.alpha, samples=300, seed=1).passed
 
-    def test_range_checked(self):
-        sp = ProductSpace.single(2)
-        T = affine_averaged(sp, 0.5, seed=0)
-        with pytest.raises(ParameterError):
-            relax(T, 2.0)
-        with pytest.raises(ParameterError):
-            relax(T, 0.0)
-        # plain non-expansive: cap is 1
-        with pytest.raises(ParameterError):
-            relax(zero_operator(ProductSpace.single(2)), 1.5)
+def compose(T1, T2):
+    """``T1 o T2``, certified with the constant GFB certifies its step with."""
+    return OperatorSpec(lambda z: T1(T2(z)), composition_alpha(T1.alpha, T2.alpha),
+                        f"({T1.label} o {T2.label})", T1.space)
 
 
 class TestCompose2:
+    """Two-factor compositions certified with :func:`composition_alpha`."""
+
     def test_two_firm_factors(self):
-        sp = ProductSpace.single(3)
-        T1 = affine_averaged(sp, 0.5, seed=1)
-        T2 = affine_averaged(sp, 0.5, seed=2)
-        out = compose2(T1, T2)
-        assert out.alpha == pytest.approx(2.0 / 3.0)
+        assert composition_alpha(0.5, 0.5) == pytest.approx(2.0 / 3.0)
 
     def test_forward_backward_constant(self):
-        # firm backward step composed with a half-range forward step gives 2/3
-        sp = ProductSpace.single(3)
-        T1 = affine_averaged(sp, 0.5, seed=3)
-        T2 = affine_averaged(sp, 0.5, seed=4)  # gamma/(2 beta) at gamma = beta
-        assert compose2(T1, T2).alpha == pytest.approx(2.0 / 3.0)
+        # firm backward step composed with the gamma/(2 beta)-averaged forward
+        # step: the closed form 2 beta / (4 beta - gamma), 2/3 at gamma = beta
         beta = 1.0
-        gamma = beta
-        assert 2.0 * beta / (4.0 * beta - gamma) == pytest.approx(2.0 / 3.0)
+        for gamma in (0.5, 1.0, 1.5):
+            assert composition_alpha(0.5, gamma / (2.0 * beta)) == pytest.approx(
+                2.0 * beta / (4.0 * beta - gamma))
+        assert composition_alpha(0.5, 0.5) == pytest.approx(2.0 / 3.0)
 
     def test_sampled_on_random_pairs(self):
         sp = ProductSpace.single(3)
@@ -92,59 +62,8 @@ class TestCompose2:
             a1, a2 = rng.uniform(0.1, 0.9, size=2)
             T1 = affine_averaged(sp, a1, seed=100 + i)
             T2 = affine_averaged(sp, a2, seed=200 + i)
-            out = compose2(T1, T2)
+            out = compose(T1, T2)
             assert check_averaged(out, out.alpha, samples=200, seed=i).passed
-
-    def test_rejects_uncertified(self):
-        sp = ProductSpace.single(2)
-        with pytest.raises(ParameterError):
-            compose2(zero_operator(sp), zero_operator(sp))
-
-
-class TestCombine:
-    def test_same_operator(self):
-        sp = ProductSpace.single(2)
-        T = affine_averaged(sp, 0.5, seed=6)
-        out = combine([T, T], [0.3, 0.7])
-        z = sp.vector((1.0, 2.0))
-        assert sp.norm(out(z) - T(z)) <= 1e-14
-
-    def test_max_alpha(self):
-        sp = ProductSpace.single(2)
-        T1 = affine_averaged(sp, 0.5, seed=7)
-        T2 = affine_averaged(sp, 0.75, seed=8)
-        out = combine([T1, T2], [0.5, 0.5])
-        assert out.alpha == pytest.approx(0.75)
-        assert check_averaged(out, 0.75, samples=300, seed=2).passed
-
-    def test_weight_sum_checked(self):
-        sp = ProductSpace.single(2)
-        T = affine_averaged(sp, 0.5, seed=9)
-        with pytest.raises(ParameterError):
-            combine([T, T], [0.5, 0.6])
-
-
-class TestResidual:
-    def test_identity_gives_zero_map(self):
-        sp = ProductSpace.single(3)
-        R = residual(identity_operator(sp))
-        z = sp.vector((1.0, 2.0, 3.0))
-        assert sp.norm(R(z)) == 0.0
-
-    def test_projector_residual_is_distance(self):
-        sp = ProductSpace.single(2)
-        U = np.array([1.0, 0.0])
-        P = vector_operator(sp, lambda x: project_subspace(x, U), 0.5, "proj")
-        R = residual(P)
-        z = sp.vector((3.0, 4.0))
-        assert sp.norm(R(z)) == pytest.approx(4.0)  # distance to the axis
-
-    def test_scaled_residual_firm(self):
-        sp = ProductSpace.single(3)
-        T = affine_averaged(sp, 0.8, seed=10)
-        S = scaled_residual(T)
-        assert S.alpha == 0.5
-        assert check_firmly_nonexpansive(S, samples=400, seed=3).passed
 
 
 class TestProxL1:
@@ -176,30 +95,35 @@ class TestProxL1:
 
 
 class TestProjections:
+    """The box and subspace resolvents are projections, whatever the
+    resolvent parameter."""
+
     def test_box(self):
-        assert project_box(np.array([3.0, -1.0]), 0.0, 2.0) == pytest.approx([2.0, 0.0])
+        box = BoxBlock(0.0, 2.0)
+        assert box.resolvent(np.array([3.0, -1.0]), 1.0) == pytest.approx([2.0, 0.0])
         with pytest.raises(ParameterError):
-            project_box(np.array([1.0]), 2.0, 0.0)
+            BoxBlock(2.0, 0.0)
 
     def test_subspace_closed_form(self):
         theta = np.pi / 3.0
         U = np.array([np.cos(theta), np.sin(theta)])
-        out = project_subspace(np.array([1.0, 0.0]), U)
+        out = SubspaceBlock(U).resolvent(np.array([1.0, 0.0]), 1.0)
         assert out == pytest.approx([0.25, 0.4330127018922193], abs=1e-12)
 
     def test_subspace_requires_orthonormal(self):
         with pytest.raises(ParameterError):
-            project_subspace(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+            SubspaceBlock(np.array([1.0, 1.0]))
 
     def test_idempotent_sampled(self):
         rng = np.random.default_rng(12)
         U, _ = np.linalg.qr(rng.standard_normal((5, 2)))
+        sub, box = SubspaceBlock(U), BoxBlock(-0.5, 0.5)
         for _ in range(20):
             x = rng.standard_normal(5)
-            p = project_subspace(x, U)
-            assert np.max(np.abs(project_subspace(p, U) - p)) <= 1e-12
-            b = project_box(x, -0.5, 0.5)
-            assert np.max(np.abs(project_box(b, -0.5, 0.5) - b)) == 0.0
+            p = sub.resolvent(x, 1.0)
+            assert np.max(np.abs(sub.resolvent(p, 0.5) - p)) <= 1e-12
+            b = box.resolvent(x, 1.0)
+            assert np.max(np.abs(box.resolvent(b, 0.5) - b)) == 0.0
 
 
 class TestGradientStep:
@@ -315,8 +239,8 @@ class TestSamplingChecks:
 
 
 class TestModuleInvariants:
-    """Every certified operator the algebra produces passes its own
-    certificate at 1000 seeded samples, and its scaled residual is firmly
+    """Every certified operator kmcert builds from these pieces passes its
+    own certificate at 1000 seeded samples, and its scaled residual is firmly
     non-expansive."""
 
     def produced_operators(self):
@@ -327,9 +251,7 @@ class TestModuleInvariants:
         rng = np.random.default_rng(23)
         G = rng.standard_normal((3, 3))
         return [
-            relax(base1, 1.4),
-            compose2(base1, base2),
-            combine([base1, base2], [0.3, 0.7]),
+            compose(base1, base2),
             gradient_step(f, 1.0),
             resolvent_linear(G.T @ G + (G - G.T), 0.8),
         ]
@@ -340,9 +262,11 @@ class TestModuleInvariants:
             assert rep.passed, (op.label, rep.max_violation)
 
     def test_scaled_residual_firm(self):
+        # T is alpha-averaged iff (Id - T) / (2 alpha) is firmly non-expansive
         for op in self.produced_operators():
-            rep = check_firmly_nonexpansive(scaled_residual(op), samples=1000,
-                                            seed=1)
+            s = 1.0 / (2.0 * op.alpha)
+            scaled = OperatorSpec(lambda z, op=op, s=s: (z - op(z)) * s, 0.5, op.label, op.space)
+            rep = check_firmly_nonexpansive(scaled, samples=1000, seed=1)
             assert rep.passed, (op.label, rep.max_violation)
 
 
@@ -353,7 +277,6 @@ class TestQuadraticFn:
             QuadraticFn(M, np.zeros(2))
 
     def test_eigen_extremes(self):
+        # the cocoercivity modulus is one over the largest eigenvalue
         f = QuadraticFn(np.diag([0.3, 2.0]), np.zeros(2))
-        assert f.delta_min == pytest.approx(0.3)
-        assert f.delta_max == pytest.approx(2.0)
         assert f.beta == pytest.approx(0.5)

@@ -62,25 +62,25 @@ class TestRates:
     @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 4, np.pi / 3])
     def test_two_subspaces_rate_matches_model(self, theta):
         p = make_two_subspaces(theta, 4)
-        observed = p.observed_rate(p.rate_run())
+        observed = p.observed_rate(p.exact_run(max_iters=p.rate_horizon))
         assert observed == pytest.approx(np.cos(theta) ** 2, abs=1e-6)
 
     def test_two_subspaces_relaxed_rate(self):
         p = make_two_subspaces(np.pi / 4, 4, lam=0.5)
-        observed = p.observed_rate(p.rate_run())
+        observed = p.observed_rate(p.exact_run(max_iters=p.rate_horizon))
         expected = 1.0 - 1.5 * 0.5 * np.sin(np.pi / 4) ** 2
         assert observed == pytest.approx(expected, abs=1e-4)
 
     def test_gd_rate_matches_spectral_oracle(self):
         for gamma in (0.5, 1.0):
             p = make_quadratic_gd(0.8, 1.0, 2, gamma)
-            observed = p.observed_rate(p.rate_run())
+            observed = p.observed_rate(p.exact_run(max_iters=p.rate_horizon))
             assert observed == pytest.approx(p.constants["spectral_rate"], abs=1e-2)
             assert observed <= p.theoretical_rate + 1e-10
 
     def test_gd_higher_dimension(self):
         p = make_quadratic_gd(0.8, 1.0, 5, 0.5)
-        observed = p.observed_rate(p.rate_run())
+        observed = p.observed_rate(p.exact_run(max_iters=p.rate_horizon))
         assert observed == pytest.approx(0.6, abs=1e-2)
 
     def test_gd_perfect_conditioning_one_step(self):
@@ -97,7 +97,7 @@ class TestLasso:
         mu_kill = float(np.max(np.abs(A.T @ y))) * 1.01
         p = make_lasso(20, 30, mu=mu_kill, seed=3)
         tr = p.exact_run(max_iters=2000, tol=1e-13)
-        x = p.built.consensus(tr.z_final)
+        x = tr.z_final.blocks[0]          # one block: its own consensus
         assert np.max(np.abs(x)) <= 1e-10
         # certificate at the zero solution stays inside the subgradient box
         step = gfb_certificate(p.built, tr.z_final)
@@ -108,7 +108,7 @@ class TestLasso:
         # the planted one
         p = make_lasso(40, 60, seed=1)
         tr = p.exact_run(max_iters=3000, tol=1e-13)
-        x = p.built.consensus(tr.z_final)
+        x = tr.z_final.blocks[0]          # one block: its own consensus
         support = set(np.flatnonzero(np.abs(x) > 1e-6))
         assert set(p.constants["support"]).issubset(support)
 

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kmcert.bounds import local_zeta, pointwise_bound, BoundConstants
-from kmcert.km import RelaxationSchedule
-from kmcert.operators import moreau_envelope_gradient, project_box, prox_l1
+from kmcert.operators import moreau_envelope_gradient, prox_l1
+from kmcert.splitting import BoxBlock
 
 finite_vec = arrays(np.float64, st.integers(1, 8),
                     elements=st.floats(-50.0, 50.0))
@@ -41,29 +41,16 @@ def test_envelope_gradient_bounded_by_threshold(x, mu):
 
 @given(finite_vec, st.floats(-5.0, 0.0), st.floats(0.0, 5.0))
 def test_project_box_idempotent_and_inside(x, lo, hi):
-    p = project_box(x, lo, hi)
+    box = BoxBlock(lo, hi)
+    p = box.resolvent(x, 1.0)
     assert np.all(p >= lo - 1e-15) and np.all(p <= hi + 1e-15)
-    assert np.array_equal(project_box(p, lo, hi), p)
+    assert np.array_equal(box.resolvent(p, 1.0), p)
 
 
 @given(st.floats(1e-9, 1e3), st.floats(1e-6, 1e3))
 def test_local_zeta_in_unit_interval(tau, kappa):
     z = local_zeta(tau, kappa)
     assert 0.0 <= z < 1.0
-
-
-@given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.floats(1.0, 2.0))
-def test_tau_bounds_cover_sampled_values(a, b, c):
-    lo, hi = min(a, b), max(a, b)
-    if hi > c:
-        return
-    sched = RelaxationSchedule.from_function(
-        lambda k, lo=lo, hi=hi: lo + (hi - lo) / (k + 1.0), lo, hi)
-    t_lo, t_hi = sched.tau_bounds(c)
-    for k in range(30):
-        lam = sched.value(k)
-        tau = lam * (c - lam)
-        assert t_lo - 1e-12 <= tau <= t_hi + 1e-12
 
 
 @settings(max_examples=50)

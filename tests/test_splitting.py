@@ -5,21 +5,15 @@ import scipy.linalg as sla
 from kmcert.bounds import EmpiricalConstants, pointwise_bound
 from kmcert.errors import ParameterError
 from kmcert.km import RelaxationSchedule, StopRule, run_km
-from kmcert.operators import (
-    OperatorSpec,
-    check_averaged,
-    check_firmly_nonexpansive,
-    prox_l1,
-)
+from kmcert.operators import OperatorSpec, prox_l1
 from kmcert.problems import (
     make_gfb_multiblock,
     make_lasso,
     make_multiblock_nonstationary,
     make_pds_small,
     make_two_subspaces,
-    pds_fbs_reference,
 )
-from kmcert.spaces import ProductSpace, reflect_diagonal
+from kmcert.spaces import ProductSpace
 from kmcert.splitting import (
     BoxBlock,
     CocoerciveMap,
@@ -33,15 +27,14 @@ from kmcert.splitting import (
     PdsSpec,
     SubspaceBlock,
     ZeroBlock,
-    GfbErgodicCertificates,
     _lu_factor,
     _lu_solve,
     build_gfb,
     build_pds,
-    drs_certificate,
     gfb_certificate,
     matrix_norm,
 )
+from oracles import check_averaged, check_firmly_nonexpansive, pds_fbs_reference, reflect_diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +241,17 @@ class TestGfbBuild:
 @pytest.fixture(scope="module")
 def lasso_run(record):
     """The certified lasso run, with the pointwise certificate series and,
-    from a second identical run, the ergodic one and the iterates."""
+    from a second identical run, the iterates."""
     p = make_lasso(40, 60, seed=1)
     tr, bc, series = p.certified_run(max_iters=400)
-    ergodic = GfbErgodicCertificates(p.built)
-    _, rec = record(p.exact_run, max_iters=400, also=[ergodic.observe])
-    return p, tr, bc, series, ergodic.series(tr, bc), rec
+    _, rec = record(p.exact_run, max_iters=400)
+    return p, tr, bc, series, rec
 
 
 class TestGfbCertificates:
 
     def test_subgradient_box_and_signs(self, lasso_run):
-        p, _, _, _, _, rec = lasso_run
+        p, _, _, _, rec = lasso_run
         mu = p.constants["mu"]
         step = gfb_certificate(p.built, rec.z_vecs[5])
         # certificate element must be a valid scaled-l1 subgradient at the
@@ -283,24 +275,6 @@ class TestGfbCertificates:
         assert np.all(series.values <= series.bounds + 1e-10)
         assert series.bounds[0] == pytest.approx(
             pointwise_bound(0, bc) / p.built.spec.gamma)
-
-    def test_ergodic_certificate(self, lasso_run):
-        p, tr, bc, _, series, _ = lasso_run
-        assert np.all(series.values <= series.bounds + 1e-10)
-        lam_min = float(tr.lam.min())
-        assert series.bounds[0] == pytest.approx(
-            2.0 * (bc.d0 + bc.C2) / (p.built.spec.gamma * lam_min))
-
-    def test_ergodic_certificate_zero_from_fixed_point(self, record):
-        p = make_lasso(20, 30, seed=4)
-        zstar = p.fix_reference().nearest(p.z0)
-        ergodic = GfbErgodicCertificates(p.built)
-        constants = EmpiricalConstants(p.fix_reference().nearest(zstar), p.operator.space)
-        tr, _ = record(run_km, p.operator, zstar, p.relaxation, stop=StopRule(20, 0.0),
-                       channel=p.make_channel(0.0, 3.0),
-                       also=[ergodic.observe, constants.observe])
-        series = ergodic.series(tr, constants.constants(tr))
-        assert np.max(series.values) <= 1e-10
 
     def test_multiblock_membership_exact(self):
         p = make_gfb_multiblock(3, 12, seed=2)
@@ -326,7 +300,7 @@ class TestGfbCertificates:
         z0 = built.space.point(tuple(0.3 * rng.standard_normal(d) for _ in range(2)))
         tr = run_km(built.operator, z0, RelaxationSchedule.constant(1.0),
                     stop=StopRule(2000, 1e-14))
-        x = built.consensus(tr.z_final)
+        x = built.evaluate(tr.z_final)[1][0]     # the consensus of the blocks
         assert np.linalg.norm(x) <= 1e-10
 
 
@@ -381,15 +355,6 @@ class TestDrs:
                        also=[cert.observe, constants.observe])
         series = cert.series(tr, constants.constants(tr))
         assert np.max(series.values) <= 1e-12
-
-    def test_single_step_accessor(self, record):
-        p = make_two_subspaces(np.pi / 4, 4)
-        tr, rec = record(p.exact_run, max_iters=30)
-        _, bc, _ = p.certified_run(max_iters=30)
-        step = drs_certificate(p.built, rec.z_vecs[3], rec.z_vecs[4], tr.lam[3])
-        bound = step.scale * pointwise_bound(3, bc) + step.offset
-        assert step.criterion <= bound + 1e-10
-        assert step.criterion == pytest.approx(np.linalg.norm(step.g))
 
     def test_inexact_certificate_includes_channel_term(self):
         p = make_two_subspaces(np.pi / 4, 4)

@@ -18,7 +18,7 @@ from kmcert.problems import (
     make_two_subspaces,
     make_zero_map,
 )
-from kmcert.splitting import GfbErgodicCertificates, gfb_certificate
+from kmcert.splitting import gfb_certificate
 
 STEPS = 200
 ERROR_LAW = (0.1, 3.0)
@@ -59,29 +59,6 @@ def two_pass_gfb(built, trace, rec, constants):
     return (np.array([s.criterion for s in steps]),
             pointwise_bound(np.arange(trace.n_steps), constants) / built.spec.gamma,
             max(members) if members else None)
-
-
-def two_pass_gfb_ergodic(built, trace, rec, constants):
-    spec = built.spec
-    lam_min = float(trace.lam.min())
-    x_sum = np.zeros(spec.dim)
-    u_sums = [np.zeros(spec.dim) for _ in range(spec.n)]
-    vals = np.empty(trace.n_steps)
-    bnds = np.empty(trace.n_steps)
-    for k in range(trace.n_steps):
-        x, _, _, u = built.evaluate(rec.z_vecs[k])[1]
-        x_sum += x
-        for i in range(spec.n):
-            u_sums[i] += u[i]
-        m = k + 1.0
-        xbar = x_sum / m
-        ubar = spec.weights[0] * (u_sums[0] / m)
-        for wi, us in zip(spec.weights[1:], u_sums[1:]):
-            ubar = ubar + wi * (us / m)
-        gbar = (xbar - ubar) / spec.gamma - built.smooth_at(xbar)
-        vals[k] = float(np.linalg.norm(gbar + built.smooth_at(ubar)))
-        bnds[k] = 2.0 * (constants.d0 + constants.C2) / (spec.gamma * lam_min * m)
-    return vals, bnds
 
 
 def two_pass_drs(built, trace, rec, constants):
@@ -137,15 +114,13 @@ def test_streamed_equals_two_pass(problems, record, label, law):
     problem = problems[label]
     trace, constants, cert = problem.certified_run(*law, max_iters=STEPS)
 
-    # the same run again, with its vectors recorded, the base-norm constants
-    # and, for the product-space splitting, the ergodic certificate streamed
+    # the same run again, with its vectors recorded and the base-norm
+    # constants streamed
     space = problem.operator.space
     z_star = problem.fix_reference().nearest(problem.z0)
     base = EmpiricalConstants(z_star, space, base_norm=True)
-    ergodic = GfbErgodicCertificates(problem.built) if problem.kind == "gfb" else None
-    hooks = [base.observe] + ([ergodic.observe] if ergodic else [])
     run = problem.inexact_run if law else problem.exact_run
-    again, rec = record(run, *law, max_iters=STEPS, also=hooks)
+    again, rec = record(run, *law, max_iters=STEPS, also=[base.observe])
     for name in ("lam", "eps_norm", "res_norm", "erg_norm", "disp_norm", "dist"):
         a, b = getattr(trace, name), getattr(again, name)
         assert (a is None and b is None) or np.array_equal(a, b)
@@ -161,10 +136,6 @@ def test_streamed_equals_two_pass(problems, record, label, law):
         return
     if problem.kind == "gfb":
         want = two_pass_gfb(problem.built, trace, rec, constants)
-        streamed = ergodic.series(trace, constants)
-        vals, bnds = two_pass_gfb_ergodic(problem.built, trace, rec, constants)
-        assert np.array_equal(streamed.values, vals)
-        assert np.array_equal(streamed.bounds, bnds)
     elif problem.kind == "drs":
         want = two_pass_drs(problem.built, trace, rec, constants)
     else:

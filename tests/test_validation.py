@@ -21,17 +21,7 @@ from kmcert.km import (
     run_km,
     run_km_nonstationary,
 )
-from kmcert.operators import (
-    OperatorSpec,
-    QuadraticFn,
-    check_averaged,
-    check_firmly_nonexpansive,
-    gradient_step,
-    project_box,
-    project_subspace,
-    vector_operator,
-    zero_operator,
-)
+from kmcert.operators import OperatorSpec, QuadraticFn, gradient_step, zero_operator
 from kmcert.problems import (
     _check_fixed_point,
     make_gfb_multiblock,
@@ -52,6 +42,7 @@ from kmcert.splitting import (
     build_gfb,
     build_gfb_nonstationary,
 )
+from oracles import check_averaged, check_firmly_nonexpansive, vector_operator
 
 
 def nan_operator(space):
@@ -92,16 +83,6 @@ class TestSpaces:
     def test_space_rejects_non_finite_weights(self):
         with pytest.raises(StructuralError):
             ProductSpace((1, 1), (1.0, np.inf))
-
-    def test_lift_vector_checks_layout(self):
-        sp = ProductSpace((3, 3), (0.5, 0.5))
-        z = sp.lift_vector([1.0, 2.0, 3.0])
-        assert z.weights is sp.weights
-        assert z.blocks[0] is not z.blocks[1]
-        with pytest.raises(StructuralError):
-            sp.lift_vector([1.0, 2.0])
-        with pytest.raises(StructuralError):
-            sp.lift_vector([1.0, np.nan, 3.0])
 
     def test_is_finite(self):
         sp = ProductSpace((2, 1), (0.5, 0.5))
@@ -190,14 +171,14 @@ class TestBlocks:
     def test_box_resolvent_matches_public_projection(self):
         lo, hi = np.array([-1.0, 0.0, -2.0]), np.array([1.0, 0.5, 2.0])
         v = np.array([3.0, -0.25, 0.7])
-        assert np.array_equal(BoxBlock(lo, hi).resolvent(v, 1.0), project_box(v, lo, hi))
+        assert np.array_equal(BoxBlock(lo, hi).resolvent(v, 1.0), np.clip(v, lo, hi))
         assert np.array_equal(BoxBlock(-0.8, 0.8).resolvent(v, 1.0),
-                              project_box(v, -0.8, 0.8))
+                              np.clip(v, -0.8, 0.8))
 
     def test_subspace_resolvent_matches_public_projection(self):
         U, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 2)))
         v = np.arange(5.0)
-        assert np.array_equal(SubspaceBlock(U).resolvent(v, 1.0), project_subspace(v, U))
+        assert np.array_equal(SubspaceBlock(U).resolvent(v, 1.0), U @ (U.T @ v))
 
     def test_blocks_check_bounds_and_basis_once(self):
         with pytest.raises(ParameterError):
@@ -206,8 +187,6 @@ class TestBlocks:
             BoxBlock(np.nan, 1.0)
         with pytest.raises(ParameterError):
             SubspaceBlock(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        with pytest.raises(ParameterError):
-            project_box([0.0], np.nan, 1.0)
 
 
 class TestFixedPointChecks:
@@ -462,6 +441,24 @@ class TestCli:
             self.set_cell(trace, k, "dist_fix", "")
         assert main(["verify", str(trace), str(report)]) == 2
         assert "'dist_fix' is blank" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem,line", [
+        ("zero-map", "max_iters = 2.5"),
+        ("multiblock", "n_blocks = 3.0"),
+        ("lasso", "rows = true"),
+        ("zero-map", "seed = -1"),
+        ("zero-map", "max_iters = -5"),
+        ("zero-map", "error_c = nan"),
+        ("two-subspaces", "lam = nan"),
+        ("zero-map", "tol = nan"),
+    ])
+    def test_bad_config_value_exits_2_naming_the_key(self, tmp_path, capsys, problem, line):
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text(f"problem = {problem}\n{line}\n")
+        assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+        key = line.split(" = ")[0]
+        assert f"config error: config key '{key}' must be" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_retain_key_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.txt"
