@@ -40,29 +40,25 @@ from .operators import (
     prox_l1,
     zero_operator,
 )
-from .spaces import (
-    ProductPoint,
-    ProductSpace,
-    weighted_inner,
-)
+from .spaces import ProductSpace
 from .splitting import (
     BoxBlock,
     CocoerciveMap,
+    DrsBuilt,
     DrsCertificates,
     DrsSpec,
     GfbCertificates,
     GfbSpec,
     L1Block,
     LinearBlock,
+    PdsBuilt,
     PdsCertificates,
     PdsDualTerm,
     PdsSpec,
     SubspaceBlock,
     ZeroBlock,
-    build_drs,
     build_gfb,
     build_gfb_nonstationary,
-    build_pds,
     gfb_certificate,
     matrix_norm,
 )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParameterError, UnavailableError
 from .km import IterationTrace
-from .spaces import ProductPoint, ProductSpace
+from .spaces import ProductSpace
 
 DEFAULT_SLACK = 1e-10
 
@@ -67,10 +67,10 @@ class EmpiricalConstants:
     :meth:`constants` finishes the sums from the trace's scalar columns.
     """
 
-    def __init__(self, z_star: ProductPoint, space: ProductSpace,
+    def __init__(self, z_star: np.ndarray, space: ProductSpace,
                  base_norm: bool = False):
-        self._z_star = z_star.data
-        self._norm = space._base_norm if base_norm else space._norm
+        self._z_star = z_star
+        self._measure = space.base_norm if base_norm else space.norm
         self._eps_norm = [] if base_norm else None
         self._d0 = 0.0
         self._sup_relaxed = 0.0     # sup ||z_k - lam_k e_k - z*||
@@ -78,7 +78,7 @@ class EmpiricalConstants:
         self._e_prev = None
 
     def observe(self, k, z, z_next, e, eps, lam, extras) -> None:
-        norm, z, e = self._norm, z.data, e.data
+        norm = self._measure
         if self._e_prev is None:
             self._d0 = norm(z - self._z_star)
         else:
@@ -86,7 +86,7 @@ class EmpiricalConstants:
         self._e_prev = e
         self._sup_relaxed = max(self._sup_relaxed, norm(z - e * lam - self._z_star))
         if self._eps_norm is not None:
-            self._eps_norm.append(norm(eps.data) if eps is not None else 0.0)
+            self._eps_norm.append(norm(eps) if eps is not None else 0.0)
 
     def constants(self, trace: IterationTrace) -> BoundConstants:
         eps_norm = trace.eps_norm if self._eps_norm is None else np.asarray(self._eps_norm)

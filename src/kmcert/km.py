@@ -25,7 +25,7 @@ from .errors import (
     StructuralError,
 )
 from .operators import OperatorSpec
-from .spaces import ProductPoint, ProductSpace
+from .spaces import ProductSpace
 
 _IDENTITY_TOL = 1e-12
 # custom schedule values may leave their declared interval by this much, the
@@ -86,10 +86,6 @@ class ErrorSchedule:
     kind: str  # zero | power
     c: float = 0.0
     p: float = 0.0
-
-    @staticmethod
-    def zero() -> "ErrorSchedule":
-        return ErrorSchedule("zero")
 
     @staticmethod
     def power(c: float, p: float) -> "ErrorSchedule":
@@ -214,7 +210,7 @@ class FixedPointSet:
         self._proj = proj
 
     @staticmethod
-    def from_point(z_star: ProductPoint) -> "FixedPointSet":
+    def from_point(z_star: np.ndarray) -> "FixedPointSet":
         return FixedPointSet("point", point=z_star)
 
     @staticmethod
@@ -222,16 +218,16 @@ class FixedPointSet:
         return FixedPointSet("projector", proj=proj)
 
     @staticmethod
-    def from_reference(z_star: ProductPoint) -> "FixedPointSet":
+    def from_reference(z_star: np.ndarray) -> "FixedPointSet":
         return FixedPointSet("reference", point=z_star)
 
-    def nearest(self, z: ProductPoint) -> ProductPoint:
+    def nearest(self, z: np.ndarray) -> np.ndarray:
         if self.kind in ("point", "reference"):
             return self._point
         return self._proj(z)
 
-    def distance(self, z: ProductPoint, space: ProductSpace) -> float:
-        return space._norm(z.data - self.nearest(z).data)
+    def distance(self, z: np.ndarray, space: ProductSpace) -> float:
+        return space.norm(z - self.nearest(z))
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +246,10 @@ class IterationTrace:
     res_norm: np.ndarray
     erg_norm: np.ndarray
     disp_norm: np.ndarray
-    z0: ProductPoint
-    z_final: ProductPoint
+    z0: np.ndarray
+    z_final: np.ndarray
     dist: Optional[np.ndarray] = None          # length n_steps + 1
     gamma: Optional[np.ndarray] = None
-    pert_norm: Optional[np.ndarray] = None
 
     @property
     def n_steps(self) -> int:
@@ -292,28 +287,25 @@ def _plain_evaluator(T: OperatorSpec, errors: Optional[ErrorSchedule]):
     return evalstep
 
 
-def _iterate(operator: OperatorSpec, evalstep, z0: ProductPoint,
+def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
              relaxation: RelaxationSchedule, stop: StopRule,
              fix: Optional[FixedPointSet], observe: Optional[Callable], seed: int,
              nonstationary: bool) -> IterationTrace:
     space = operator.space
-    if not space.compatible(z0):
-        raise StructuralError("starting point does not live in the operator's space")
-    if z0.weights is not space.weights or z0._slices is not space._slices:
-        # share the space's weights and layout so every compatibility check
-        # below is an identity test
-        z0 = space._wrap(z0.data)
+    if np.shape(z0) != (space.size,) or not np.isfinite(z0).all():
+        raise StructuralError(
+            f"the start point must be a finite array of shape ({space.size},) in the "
+            f"operator's space; got shape {np.shape(z0)}"
+        )
     _validate_admissible(relaxation, operator.alpha)
 
     rng = np.random.default_rng(seed)
     lam_l, epsn_l, res_l, erg_l, disp_l = [], [], [], [], []
-    gamma_l, pert_l, dist_l = [], [], []
-    # the bookkeeping runs on the flat data vectors; points are built only
-    # for the observe hook and the next evaluation
-    norm, wrap = space._norm, space._wrap
+    gamma_l, dist_l = [], []
+    norm = space.norm
 
     z = z0
-    S = np.zeros_like(z0.data)
+    S = np.zeros(space.size)
     lam_total = 0.0
     stop_reason = "max_iters"
 
@@ -323,41 +315,39 @@ def _iterate(operator: OperatorSpec, evalstep, z0: ProductPoint,
             dist_l.append(fix.distance(z, space))
 
         exact, tilde, eps_vec, extras = evalstep(k, z, rng)
-        if not tilde.is_finite() or (tilde is not exact and not exact.is_finite()):
+        if not np.isfinite(tilde).all() or (
+                tilde is not exact and not np.isfinite(exact).all()):
             raise NumericalError(f"non-finite operator output at step {k}")
 
-        zd = z.data
-        e = zd - exact.data
+        e = z - exact
         res = norm(e)
-        zn = zd + (tilde.data - zd) * lam
-        step = zd - zn
+        zn = z + (tilde - z) * lam
+        step = z - zn
 
         # cross-check the residual against its update-rule form; the test is
         # drift > tol * max(1, ||z||), with ||z|| only evaluated when needed
         back = step * (1.0 / lam)
-        e_rec = back + eps_vec.data if eps_vec is not None else back
+        e_rec = back + eps_vec if eps_vec is not None else back
         drift = norm(e - e_rec)
-        if drift > _IDENTITY_TOL and drift > _IDENTITY_TOL * norm(zd):
+        if drift > _IDENTITY_TOL and drift > _IDENTITY_TOL * norm(z):
             raise NumericalError(
                 f"residual identity violated at step {k}: drift {drift:.3e}"
             )
-        z_next = wrap(zn)
         if observe is not None:
-            observe(k, z, z_next, wrap(e), eps_vec, lam, extras)
+            observe(k, z, zn, e, eps_vec, lam, extras)
 
         S += e * lam            # S is the engine's own buffer, never shared
         lam_total += lam
 
         lam_l.append(lam)
-        epsn_l.append(norm(eps_vec.data) if eps_vec is not None else 0.0)
+        epsn_l.append(norm(eps_vec) if eps_vec is not None else 0.0)
         res_l.append(res)
         erg_l.append(norm(S) / lam_total)
         disp_l.append(norm(step))
         if nonstationary:
             gamma_l.append(extras["gamma"])
-            pert_l.append(extras["pert_norm"])
 
-        z = z_next
+        z = zn
         if norm(zn) > stop.divergence_norm:
             raise DivergenceError(
                 f"iterate norm exceeded {stop.divergence_norm:.1e} at step {k}"
@@ -382,11 +372,10 @@ def _iterate(operator: OperatorSpec, evalstep, z0: ProductPoint,
         z_final=z,
         dist=np.asarray(dist_l) if fix is not None else None,
         gamma=np.asarray(gamma_l) if nonstationary else None,
-        pert_norm=np.asarray(pert_l) if nonstationary else None,
     )
 
 
-def run_km(T: OperatorSpec, z0: ProductPoint, relaxation: RelaxationSchedule,
+def run_km(T: OperatorSpec, z0: np.ndarray, relaxation: RelaxationSchedule,
            errors: Optional[ErrorSchedule] = None, stop: Optional[StopRule] = None,
            *, channel=None, fix: Optional[FixedPointSet] = None,
            observe: Optional[Callable] = None, seed: int = 0) -> IterationTrace:
@@ -420,7 +409,7 @@ def run_km(T: OperatorSpec, z0: ProductPoint, relaxation: RelaxationSchedule,
 
 
 def run_km_nonstationary(
-    family, gamma_schedule: GammaSchedule, z0: ProductPoint,
+    family, gamma_schedule: GammaSchedule, z0: np.ndarray,
     relaxation: RelaxationSchedule, errors: Optional[ErrorSchedule] = None,
     stop: Optional[StopRule] = None, *, fix: Optional[FixedPointSet] = None,
     seed: int = 0,
@@ -446,18 +435,14 @@ def run_km_nonstationary(
         g = gamma_schedule.value(k)
         Tk = at(g)
         native = Tk(z)
-        if Tk is limit_op:
-            exact, pert = native, 0.0
-        else:
-            exact = limit_op(z)
-            pert = space.norm(native - exact)
+        exact = native if Tk is limit_op else limit_op(z)
         mag = errors.magnitude(k) if errors is not None else 0.0
         if mag != 0.0:
             tilde = native + space.unit_vector(rng) * mag
         else:
             tilde = native
         eps_total = tilde - exact if tilde is not exact else None
-        return exact, tilde, eps_total, {"gamma": g, "pert_norm": pert}
+        return exact, tilde, eps_total, {"gamma": g}
 
     return _iterate(limit_op, evalstep, z0, relaxation, stop, fix, None, seed,
                     nonstationary=True)

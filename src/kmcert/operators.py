@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .spaces import ProductPoint, ProductSpace
+from .spaces import ProductSpace
 
 
 class OperatorSpec:
@@ -38,7 +38,7 @@ class OperatorSpec:
         self.label = label
         self.space = space
 
-    def __call__(self, z: ProductPoint) -> ProductPoint:
+    def __call__(self, z: np.ndarray) -> np.ndarray:
         return self.fn(z)
 
     def __repr__(self):
@@ -111,21 +111,16 @@ class QuadraticFn:
         return self.H @ np.asarray(x, dtype=float) - self.b
 
 
-def gradient_step(f: QuadraticFn, gamma: float, space: ProductSpace = None) -> OperatorSpec:
+def gradient_step(f: QuadraticFn, gamma: float) -> OperatorSpec:
     """Explicit step ``x -> x - gamma grad f(x)``, certified ``gamma/(2 beta)``-averaged
     for ``gamma in (0, 2 beta)``."""
     gamma = float(gamma)
     beta = f.beta
     if not (0.0 < gamma < 2.0 * beta):
         raise ParameterError(f"step size {gamma} outside (0, {2.0 * beta})")
-    if space is None:
-        space = ProductSpace.single(f.b.size)
-    elif space.dims != (f.b.size,):
-        raise StructuralError(f"gradient step on R^{f.b.size} needs a single block of that size")
     alpha = gamma / (2.0 * beta)
 
-    def step(z: ProductPoint) -> ProductPoint:
-        x = z.data
-        return space._wrap(x - gamma * f.grad(x))
+    def step(z: np.ndarray) -> np.ndarray:
+        return z - gamma * f.grad(z)
 
-    return OperatorSpec(step, alpha, f"grad_step({gamma:g})", space)
+    return OperatorSpec(step, alpha, f"grad_step({gamma:g})", ProductSpace.single(f.b.size))

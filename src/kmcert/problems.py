@@ -20,25 +20,25 @@ from .km import (
     run_km,
 )
 from .operators import OperatorSpec, QuadraticFn, gradient_step, zero_operator
-from .spaces import ProductPoint, ProductSpace
+from .spaces import ProductSpace
 from .splitting import (
     BoxBlock,
     CocoerciveMap,
+    DrsBuilt,
     DrsCertificates,
     DrsSpec,
     GfbCertificates,
     GfbSpec,
     L1Block,
     LinearBlock,
+    PdsBuilt,
     PdsCertificates,
     PdsDualTerm,
     PdsSpec,
     SubspaceBlock,
     ZeroBlock,
-    build_drs,
     build_gfb,
     build_gfb_nonstationary,
-    build_pds,
 )
 
 CERT_HORIZON = 1000
@@ -53,7 +53,7 @@ class ProblemInstance:
     name: str
     kind: str                       # km | gfb | drs | pds
     operator: OperatorSpec
-    z0: ProductPoint
+    z0: np.ndarray
     relaxation: RelaxationSchedule
     fix: Optional[FixedPointSet] = None
     kappa: Optional[float] = None
@@ -141,7 +141,7 @@ class ProblemInstance:
         return self._ref
 
 
-def _check_fixed_point(operator: OperatorSpec, z_star: ProductPoint) -> None:
+def _check_fixed_point(operator: OperatorSpec, z_star: np.ndarray) -> None:
     res = operator.space.norm(z_star - operator(z_star))
     if not res <= 1e-10:
         raise ParameterError(f"claimed fixed point has residual {res:.3e}")
@@ -219,13 +219,13 @@ def make_two_subspaces(theta: float, d: int, lam: float = 1.0) -> ProblemInstanc
     e1 = np.zeros(d); e1[0] = 1.0
     v = np.zeros(d); v[0], v[1] = np.cos(theta), np.sin(theta)
     spec = DrsSpec(SubspaceBlock(e1), SubspaceBlock(v), gamma=1.0, dim=d)
-    built = build_drs(spec)
+    built = DrsBuilt(spec)
     space = built.space
 
-    def proj_fix(z: ProductPoint) -> ProductPoint:
-        out = z.data.copy()
+    def proj_fix(z: np.ndarray) -> np.ndarray:
+        out = z.copy()
         out[:2] = 0.0
-        return space._wrap(out)
+        return out
 
     fix = FixedPointSet.from_projector(proj_fix)
     rng = np.random.default_rng(99)
@@ -344,7 +344,7 @@ def make_pds_small(seed: int = 3) -> ProblemInstance:
         duals=[PdsDualTerm(block=L1Block(mu_l1), L=L, sigma=s, omega=1.0)],
         smooth=smooth,
     )
-    built = build_pds(spec)
+    built = PdsBuilt(spec)
     z0 = built.space.zeros()
     return ProblemInstance(
         name="pds-small", kind="pds", operator=built.operator, z0=z0,

@@ -1,18 +1,17 @@
 """Weighted product Hilbert-space primitives.
 
-A point of ``R^{d_1} x ... x R^{d_n}`` is one contiguous float64 vector
-``data`` with fixed block offsets; ``blocks`` are views into it, built on
-each access, and ``+``, ``-``, scalar ``*`` and negation are one numpy call.
-Nothing writes in place into an array a point may share (its data, a block
-view, an operator output wrapped as a point), so a point stays valid after
-the step that made it.  The inner product ``<x, y> = sum_i w_i <x_i, y_i>``
-is summed block by block in block order, never as one reordered reduction
-over ``data``, so every norm is bit-identical to the per-block formula.  A
-space may install a metric operator ``M`` (self-adjoint, positive in the
-weighted inner product), given as a map from a point's flat data to flat
-data; ``<x, y>_M = <x, M y>`` then replaces the plain inner product wherever
-the space is asked for one.  A space also draws the seeded Gaussian points
-and unit directions that the engine's error injection and the PDS
+A point of ``R^{d_1} x ... x R^{d_n}`` is a plain float64 array of length
+``space.size``, the blocks concatenated in block order; ``space.blocks(a)``
+returns views of its blocks.  Nothing writes in place into an array a point
+may share (an iterate, a block view, an operator output), so a point stays
+valid after the step that made it.  The inner product ``<x, y> = sum_i w_i
+<x_i, y_i>`` is summed block by block in block order, never as one reordered
+reduction over the whole array, so every norm is bit-identical to the
+per-block formula.  A space may install a metric operator ``M``
+(self-adjoint, positive in the weighted inner product), given as a map from
+arrays to arrays; ``||x||_M^2 = <x, M x>`` then replaces the plain norm
+wherever the space is asked for one.  A space also draws the seeded Gaussian
+points and unit directions that the engine's error injection and the PDS
 equivalence check use.
 """
 
@@ -58,90 +57,11 @@ def _weighted_sum(weights, rows: np.ndarray) -> np.ndarray:
     return acc
 
 
-class ProductPoint:
-    """Element of a weighted product of real coordinate spaces, stored as
-    one flat vector (see the module docstring for the layout contract)."""
-
-    __slots__ = ("data", "weights", "_slices")
-
-    def __init__(self, blocks, weights):
-        blocks = tuple(_as_block(b) for b in blocks)
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 1 or weights.size != len(blocks) or weights.size < 1:
-            raise StructuralError("need one positive weight per block")
-        if not (np.all(weights > 0) and np.all(np.isfinite(weights))):
-            raise StructuralError("weights must be positive and finite")
-        self.data = np.concatenate(blocks)
-        self.weights = weights
-        self._slices = _layout(tuple(b.size for b in blocks))
-
-    @classmethod
-    def _raw(cls, data, weights, slices):
-        # internal fast path: trusted flat data and layout, no validation
-        obj = object.__new__(cls)
-        obj.data = data
-        obj.weights = weights
-        obj._slices = slices
-        return obj
-
-    @property
-    def blocks(self) -> tuple:
-        return tuple(self.data[s] for s in self._slices)
-
-    @property
-    def n(self) -> int:
-        return len(self._slices)
-
-    @property
-    def dims(self):
-        return tuple(s.stop - s.start for s in self._slices)
-
-    def _new(self, data):
-        return ProductPoint._raw(data, self.weights, self._slices)
-
-    def __add__(self, other):
-        _require_compatible(self, other)
-        return self._new(self.data + other.data)
-
-    def __sub__(self, other):
-        _require_compatible(self, other)
-        return self._new(self.data - other.data)
-
-    def __mul__(self, scalar):
-        return self._new(self.data * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self._new(-self.data)
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.data).all())
-
-    def __repr__(self):
-        return f"ProductPoint(n={self.n}, dims={self.dims})"
-
-
-def _require_compatible(x: ProductPoint, y: ProductPoint) -> None:
-    if x.weights is y.weights and x._slices is y._slices:
-        return
-    if x.dims != y.dims or not np.array_equal(x.weights, y.weights):
-        raise StructuralError(
-            f"incompatible points: dims {x.dims} / {y.dims}, weights differ"
-        )
-
-
-def weighted_inner(x: ProductPoint, y: ProductPoint) -> float:
-    """Weighted inner product ``sum_i w_i <x_i, y_i>``."""
-    _require_compatible(x, y)
-    return _block_inner(x.weights, x._slices, x.data, y.data)
-
-
 class ProductSpace:
-    """Shape (block dimensions), weights and metric of a product space; the
-    underscored norms take the flat ``data`` of this space's points."""
+    """Shape (block dimensions), weights and metric of a product space; its
+    points are arrays of length ``size`` (see the module docstring)."""
 
-    __slots__ = ("dims", "weights", "metric_op", "_slices", "_w", "_dim_total")
+    __slots__ = ("dims", "weights", "metric_op", "size", "_slices", "_w")
 
     def __init__(self, dims, weights, metric_op=None):
         dims = tuple(int(d) for d in dims)
@@ -155,9 +75,9 @@ class ProductSpace:
         self.dims = dims
         self.weights = weights
         self.metric_op = metric_op
+        self.size = sum(dims)
         self._slices = _layout(dims)
         self._w = tuple(float(w) for w in weights)
-        self._dim_total = sum(dims)
 
     @classmethod
     def single(cls, d: int) -> "ProductSpace":
@@ -167,62 +87,47 @@ class ProductSpace:
     def n(self) -> int:
         return len(self.dims)
 
-    def point(self, blocks) -> ProductPoint:
+    def point(self, blocks) -> np.ndarray:
         """Validated point from user data: 1-D, finite, matching the layout."""
         blocks = tuple(_as_block(b) for b in blocks)
         dims = tuple(b.size for b in blocks)
         if dims != self.dims:
             raise StructuralError(f"expected dims {self.dims}, got {dims}")
-        return self._wrap(np.concatenate(blocks))
+        return np.concatenate(blocks)
 
-    def vector(self, x) -> ProductPoint:
+    def vector(self, x) -> np.ndarray:
         if self.n != 1:
             raise StructuralError("vector() is only defined on single-block spaces")
         return self.point((x,))
 
-    def _wrap(self, data: np.ndarray) -> ProductPoint:
-        # internal fast path for flat data computed from points of this space
-        # (operator and channel outputs): no validation, and the space's own
-        # weights and layout, so every compatibility check is an identity test
-        return ProductPoint._raw(data, self.weights, self._slices)
+    def blocks(self, a: np.ndarray) -> tuple:
+        """Views of the blocks of point ``a``, in block order."""
+        return tuple(a[s] for s in self._slices)
 
-    def zeros(self) -> ProductPoint:
-        return self._wrap(np.zeros(self._dim_total))
+    def zeros(self) -> np.ndarray:
+        return np.zeros(self.size)
 
-    def compatible(self, z: ProductPoint) -> bool:
-        return (z._slices is self._slices or z.dims == self.dims) and (
-            z.weights is self.weights or np.array_equal(z.weights, self.weights)
-        )
+    # -- norms -------------------------------------------------------------
 
-    # -- metric-aware inner product and norm ------------------------------
-
-    def _base_norm(self, a: np.ndarray) -> float:
+    def base_norm(self, a: np.ndarray) -> float:
+        """The weighted direct-sum norm, ignoring the metric."""
         return math.sqrt(max(_block_inner(self._w, self._slices, a, a), 0.0))
 
-    def _norm(self, a: np.ndarray) -> float:
+    def norm(self, a: np.ndarray) -> float:
+        """The space's norm: the metric norm when a metric is installed."""
         b = a if self.metric_op is None else self.metric_op(a)
         return math.sqrt(max(_block_inner(self._w, self._slices, a, b), 0.0))
 
-    def base_norm(self, x: ProductPoint) -> float:
-        return self._base_norm(x.data)
-
-    def inner(self, x: ProductPoint, y: ProductPoint) -> float:
-        m = self.metric_op
-        return weighted_inner(x, y if m is None else self._wrap(m(y.data)))
-
-    def norm(self, x: ProductPoint) -> float:
-        return self._norm(x.data)
-
     # -- sampling ----------------------------------------------------------
 
-    def gaussian(self, rng: np.random.Generator) -> ProductPoint:
+    def gaussian(self, rng: np.random.Generator) -> np.ndarray:
         # one draw of the whole vector is the per-block draws in block order
-        return self._wrap(rng.standard_normal(self._dim_total))
+        return rng.standard_normal(self.size)
 
-    def unit_vector(self, rng: np.random.Generator) -> ProductPoint:
+    def unit_vector(self, rng: np.random.Generator) -> np.ndarray:
         """Random direction of norm one (in the space's norm)."""
         while True:
-            g = rng.standard_normal(self._dim_total)
-            nrm = self._norm(g)
+            g = rng.standard_normal(self.size)
+            nrm = self.norm(g)
             if nrm > 1e-12:
-                return self._wrap(g * (1.0 / nrm))
+                return g * (1.0 / nrm)

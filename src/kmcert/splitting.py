@@ -30,7 +30,7 @@ from .operators import (
     moreau_envelope_gradient,
     prox_l1,
 )
-from .spaces import ProductPoint, ProductSpace, _layout, _weighted_sum
+from .spaces import ProductSpace, _layout, _weighted_sum
 
 
 def _recent(cache: dict, key, build):
@@ -292,8 +292,8 @@ class GfbBuilt:
         self.operator = OperatorSpec(lambda z: self.evaluate(z)[0], alpha, "gfb",
                                      self.space)
 
-    def _rows(self, z: ProductPoint) -> np.ndarray:
-        return z.data.reshape(self.spec.n, self.spec.dim)
+    def _rows(self, z: np.ndarray) -> np.ndarray:
+        return z.reshape(self.spec.n, self.spec.dim)
 
     def smooth_at(self, x: np.ndarray) -> np.ndarray:
         smooth = self.spec.smooth
@@ -309,7 +309,7 @@ class GfbBuilt:
     def alpha(self) -> float:
         return self.operator.alpha
 
-    def evaluate(self, z: ProductPoint):
+    def evaluate(self, z: np.ndarray):
         """``(T z, parts)``: the exact evaluation and its internals
         ``parts = (x, gx, args, u)``, the consensus, the smooth part at it,
         the per-block resolvent arguments and their outputs."""
@@ -318,7 +318,7 @@ class GfbBuilt:
         gx = self.smooth_at(x)
         args = 2.0 * x - Z - self.spec.gamma * gx
         u = self.resolve_all(args)
-        return self.space._wrap((Z + u - x).ravel()), (x, gx, args, u)
+        return (Z + u - x).ravel(), (x, gx, args, u)
 
     def channel(self, pre_law: ErrorSchedule, post_law: ErrorSchedule
                 ) -> "GfbChannelModel":
@@ -365,7 +365,7 @@ class GfbChannelModel(_ChannelModel):
             args + b_vec if b_vec is not None else args) - x
         if mag_a != 0.0:
             out += np.stack(a_vecs)
-        tilde = built.space._wrap(out.ravel())
+        tilde = out.ravel()
         return exact, tilde, tilde - exact, extras
 
 
@@ -403,14 +403,14 @@ class GfbCertStep:
     structural_only: tuple
 
 
-def gfb_certificate(built: GfbBuilt, z: ProductPoint, parts=None) -> GfbCertStep:
-    """Optimality certificate at the current iterate: an explicit element of
+def gfb_certificate(built: GfbBuilt, parts) -> GfbCertStep:
+    """Optimality certificate at an iterate ``z``: an explicit element of
     the summed block operators at the resolvent outputs, its per-block
     membership residual (recognized types), and the stationarity criterion
     ``||g + B(sum_i w_i u_i)||``.  ``parts`` are the internals of
-    ``built.evaluate(z)``; they are evaluated here when not given."""
+    ``built.evaluate(z)``."""
     spec = built.spec
-    x, gx, args, u = parts if parts is not None else built.evaluate(z)[1]
+    x, gx, args, u = parts
     ubar = _weighted_sum(built._w, u)
     g = (x - ubar) / spec.gamma - gx
     crit = _l2(g + built.smooth_at(ubar))
@@ -467,7 +467,7 @@ class GfbCertificates(_CertificateStream):
     structural_only: tuple = ()
 
     def observe(self, k, z, z_next, e, eps, lam, extras) -> None:
-        step = gfb_certificate(self.built, z, _parts(extras))
+        step = gfb_certificate(self.built, _parts(extras))
         self._record(step.criterion, step.membership)
         self.structural_only = step.structural_only
 
@@ -496,6 +496,8 @@ class DrsSpec:
 
 
 class DrsBuilt:
+    """The reflected-resolvent average, firmly non-expansive by construction."""
+
     def __init__(self, spec: DrsSpec):
         self.spec = spec
         self.space = ProductSpace.single(spec.dim)
@@ -505,15 +507,14 @@ class DrsBuilt:
         self.operator = OperatorSpec(lambda z: self.evaluate(z)[0], 0.5, "drs",
                                      self.space)
 
-    def evaluate(self, z: ProductPoint):
+    def evaluate(self, z: np.ndarray):
         """``(T z, parts)``: the reflected-resolvent average and its internals
         ``parts = (x, w, u)``, the shadow point ``x = j2(z)``, the reflection
         ``w = 2 x - z`` and ``u = j1(w)``."""
-        zv = z.data
-        x = self.j2(zv)
-        w = 2.0 * x - zv
+        x = self.j2(z)
+        w = 2.0 * x - z
         u = self.j1(w)
-        return self.space._wrap(0.5 * (2.0 * u - w + zv)), (x, w, u)
+        return 0.5 * (2.0 * u - w + z), (x, w, u)
 
     def channel(self, law1: ErrorSchedule, law2: ErrorSchedule) -> "DrsChannelModel":
         return DrsChannelModel(self, law1, law2)
@@ -540,18 +541,11 @@ class DrsChannelModel(_ChannelModel):
         if e2 is not None:
             w = w + 2.0 * e2
             parts = (x, w, built.j1(w))
-        tv = 0.5 * (2.0 * parts[2] - w + z.data)
+        tilde = 0.5 * (2.0 * parts[2] - w + z)
         if e1 is not None:
-            tv = tv + e1
-        tilde = built.space._wrap(tv)
+            tilde = tilde + e1
         return exact, tilde, tilde - exact, {"channel": {"eps1": e1, "eps2": e2},
                                              "parts": parts}
-
-
-def build_drs(spec: DrsSpec) -> DrsBuilt:
-    """Assemble the reflected-resolvent average, firmly non-expansive by
-    construction."""
-    return DrsBuilt(spec)
 
 
 @dataclass(frozen=True)
@@ -564,7 +558,7 @@ class DrsCertStep:
 
 
 def _drs_step(spec: DrsSpec, zv, znv, x, u, lam, e1, e2, v) -> DrsCertStep:
-    """Certificate of the step from data ``zv`` to ``znv``, with ``x =
+    """Certificate of the step from ``zv`` to ``znv``, with ``x =
     j2(z)`` exact, ``u`` and ``v = j2(z_next)``: an explicit element ``g`` of
     the summed operators at (u, v), its norm, the bound ``((1 + lam)/gamma)
     * pointwise bound + c_k`` as scale and offset (``c_k = (1/gamma)((2 +
@@ -611,7 +605,7 @@ class DrsCertificates(_CertificateStream):
         if self._pending is not None:
             self._complete(x)
         channel = extras.get("channel") or {}
-        self._pending = (z.data, z_next.data, x, u, lam,
+        self._pending = (z, z_next, x, u, lam,
                          channel.get("eps1"), channel.get("eps2"))
 
     def series(self, trace: IterationTrace, constants: BoundConstants) -> CertificateSeries:
@@ -697,6 +691,8 @@ class PdsBuilt:
     and the generic complexity bounds apply to the recorded quantities
     verbatim; the plain direct-sum norm stays available for the surrogate
     termination criterion, which carries the stated ``2 delta / eta`` factor.
+    Inadmissible step sizes raise a parameter error that gives the computed
+    preconditioner constants.
     """
 
     def __init__(self, spec: PdsSpec):
@@ -769,11 +765,11 @@ class PdsBuilt:
     def _smooth(self, x: np.ndarray) -> np.ndarray:
         return self.spec.smooth.fn(x) if self.spec.smooth is not None else np.zeros_like(x)
 
-    def block_step(self, z: ProductPoint, errs=None) -> ProductPoint:
+    def block_step(self, z: np.ndarray, errs=None) -> np.ndarray:
         """One exact evaluation of the fixed-point operator via the block
         recursion: primal resolvent, reflection, dual resolvents."""
         spec = self.spec
-        x, *vs = z.blocks
+        x, *vs = self.space.blocks(z)
         e1, e2, e3, e4 = errs if errs is not None else (None, None, None, None)
         s = np.zeros_like(x)
         for t, v in zip(spec.duals, vs):
@@ -796,13 +792,13 @@ class PdsBuilt:
             if e4 is not None and e4[i] is not None:
                 qi = qi + e4[i]
             q.append(qi)
-        return self.space._wrap(np.concatenate((p, *q)))
+        return np.concatenate((p, *q))
 
-    def abstract_step(self, z: ProductPoint) -> ProductPoint:
+    def abstract_step(self, z: np.ndarray) -> np.ndarray:
         """Same map through the preconditioned resolvent form: solve the
         metric system for the forward term, then apply the coupled resolvent."""
         spec = self.spec
-        x, *vs = z.blocks
+        x, *vs = self.space.blocks(z)
         ez = [self._smooth(x)]
         for t, v in zip(spec.duals, vs):
             ez.append(t.d_inv.fn(v) if t.d_inv is not None else np.zeros_like(v))
@@ -816,16 +812,15 @@ class PdsBuilt:
         y = 2.0 * p - wx
         q = [self._dual_resolvent(t, w + t.sigma * (t.L @ y - t.r))
              for t, w in zip(spec.duals, wv)]
-        return self.space._wrap(np.concatenate((p, *q)))
+        return np.concatenate((p, *q))
 
-    def _solve_metric(self, rhs: np.ndarray) -> list:
+    def _solve_metric(self, rhs: np.ndarray) -> tuple:
         """Blocks of ``M^{-1} rhs`` for the scheme's preconditioner ``M``,
         whose dense matrix is the space's metric applied to the unit vectors."""
         if not hasattr(self, "_metric_lu"):
             M = np.column_stack([self.space.metric_op(e) for e in np.eye(rhs.size)])
             self._metric_lu = _lu_factor(M)
-        sol = _lu_solve(self._metric_lu, rhs)
-        return [sol[s] for s in self.space._slices]
+        return self.space.blocks(_lu_solve(self._metric_lu, rhs))
 
     def _assert_abstract_equivalence(self, samples: int = 3, tol: float = 1e-12):
         rng = np.random.default_rng(1234)
@@ -872,12 +867,6 @@ class PdsChannelModel(_ChannelModel):
         return exact, tilde, eps, extras
 
 
-def build_pds(spec: PdsSpec) -> PdsBuilt:
-    """Assemble the primal-dual operator; raises a parameter error with the
-    computed preconditioner constants when the step sizes are inadmissible."""
-    return PdsBuilt(spec)
-
-
 class PdsCertificates(_CertificateStream):
     """Surrogate termination criterion: the plain direct-sum residual norm
     against ``(2 delta / eta) sqrt((d0^2 + C1)/(tau_min (k+1)))`` with the
@@ -885,7 +874,7 @@ class PdsCertificates(_CertificateStream):
     constants are not used.  Flagged surrogate: the certified quantity is
     the residual itself, not an explicit element of the operator sum."""
 
-    def __init__(self, built: PdsBuilt, fix_point: ProductPoint):
+    def __init__(self, built: PdsBuilt, fix_point: np.ndarray):
         super().__init__(built)
         self._constants = EmpiricalConstants(fix_point, built.space, base_norm=True)
 

@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from kmcert.spaces import ProductPoint
-
 
 class Recorder:
     """List-appending step observer for the engine's ``observe`` hook.
@@ -37,8 +35,7 @@ class Recorder:
         eps = self.eps_vecs[k]
         if eps is not None:
             return eps
-        e = self.e_vecs[k]
-        return ProductPoint(tuple(np.zeros_like(b) for b in e.blocks), e.weights)
+        return np.zeros_like(self.e_vecs[k])
 
 
 def _record(run, *args, also=(), **kwargs):

@@ -1,7 +1,8 @@
 """Test oracles that kmcert itself does not use: a plain-vector operator
-wrapper, seeded sampling checks of averagedness, the diagonal-subspace
-projector and reflector of a weighted product space, and an independent
-forward-backward reference for the primal-dual instance.
+wrapper, the inner product of a product space, seeded sampling checks of
+averagedness, the diagonal-subspace projector and reflector of a weighted
+product space, and an independent forward-backward reference for the
+primal-dual instance.
 
 The sampling checks are falsification tests, not the source of truth:
 sampling cannot prove averagedness.
@@ -13,7 +14,7 @@ import numpy as np
 
 from kmcert.errors import NumericalError, ParameterError, StructuralError, UnavailableError
 from kmcert.operators import OperatorSpec, prox_l1
-from kmcert.spaces import ProductPoint, ProductSpace, _weighted_sum
+from kmcert.spaces import ProductSpace, _block_inner, _weighted_sum
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -28,22 +29,29 @@ def vector_operator(space: ProductSpace, fn, alpha, label: str) -> OperatorSpec:
         raise StructuralError("vector_operator needs a single-block space")
     shape = space.dims
 
-    def apply(z: ProductPoint) -> ProductPoint:
-        out = np.asarray(fn(z.data), dtype=float)
+    def apply(z: np.ndarray) -> np.ndarray:
+        out = np.asarray(fn(z), dtype=float)
         if out.ndim == 0:
             out = out.reshape(1)
         if out.shape != shape:
             raise StructuralError(f"{label}: expected output shape {shape}, got {out.shape}")
-        return space._wrap(out)
+        return out
 
     return OperatorSpec(apply, alpha, label, space)
+
+
+def metric_inner(space: ProductSpace, a: np.ndarray, b: np.ndarray) -> float:
+    """The space's inner product ``<a, M b>``, or the weighted ``<a, b>``
+    without a metric, summed in block order."""
+    m = space.metric_op
+    return _block_inner(space._w, space._slices, a, b if m is None else m(b))
 
 
 # ---------------------------------------------------------------------------
 # sampling checks (seeded, deterministic)
 # ---------------------------------------------------------------------------
 
-def sample_ball(space: ProductSpace, rng: np.random.Generator, radius: float) -> ProductPoint:
+def sample_ball(space: ProductSpace, rng: np.random.Generator, radius: float) -> np.ndarray:
     """Draw uniformly from the ball of the given radius in the space's norm."""
     u = rng.uniform()
     r = radius * u ** (1.0 / sum(space.dims))
@@ -63,7 +71,7 @@ def _sample_pair(T: OperatorSpec, rng, radius: float):
     x = sample_ball(T.space, rng, radius)
     y = sample_ball(T.space, rng, radius)
     Tx, Ty = T(x), T(y)
-    if not (Tx.is_finite() and Ty.is_finite()):
+    if not (np.isfinite(Tx).all() and np.isfinite(Ty).all()):
         raise NumericalError(f"non-finite output of {T.label} at a sampled point")
     return x, y, Tx, Ty
 
@@ -82,8 +90,8 @@ def check_firmly_nonexpansive(
     for _ in range(samples):
         x, y, Tx, Ty = _sample_pair(T, rng, radius)
         dT = Tx - Ty
-        lhs = space.inner(dT, dT)
-        rhs = space.inner(dT, x - y)
+        lhs = metric_inner(space, dT, dT)
+        rhs = metric_inner(space, dT, x - y)
         worst = max(worst, lhs - rhs)
     return SamplingReport(worst, worst <= tol, samples, radius, seed)
 
@@ -117,27 +125,27 @@ def check_averaged(
 # the diagonal subspace of a weighted product space
 # ---------------------------------------------------------------------------
 
-def _require_diagonal_layout(z: ProductPoint) -> None:
-    if len(set(z.dims)) != 1:
+def _require_diagonal_layout(space: ProductSpace) -> None:
+    if len(set(space.dims)) != 1:
         raise StructuralError("diagonal-subspace operations require equal block dimensions")
-    if abs(float(np.sum(z.weights)) - 1.0) > WEIGHT_SUM_TOL:
+    if abs(float(np.sum(space.weights)) - 1.0) > WEIGHT_SUM_TOL:
         raise StructuralError("diagonal-subspace operations require weights summing to 1")
 
 
-def project_diagonal(z: ProductPoint) -> ProductPoint:
+def project_diagonal(space: ProductSpace, z: np.ndarray) -> np.ndarray:
     """Project onto the diagonal subspace: every block becomes ``sum_i w_i z_i``.
 
     Orthogonal (idempotent, self-adjoint) in the weighted inner product,
     which requires the weights to sum to one.
     """
-    _require_diagonal_layout(z)
-    mean = _weighted_sum(tuple(z.weights), z.data.reshape(z.n, -1))
-    return z._new(np.tile(mean, z.n))
+    _require_diagonal_layout(space)
+    mean = _weighted_sum(tuple(space.weights), z.reshape(space.n, -1))
+    return np.tile(mean, space.n)
 
 
-def reflect_diagonal(z: ProductPoint) -> ProductPoint:
+def reflect_diagonal(space: ProductSpace, z: np.ndarray) -> np.ndarray:
     """Reflection about the diagonal subspace, ``2 P z - z``; an involution."""
-    return z._new(2.0 * project_diagonal(z).data - z.data)
+    return 2.0 * project_diagonal(space, z) - z
 
 
 # ---------------------------------------------------------------------------

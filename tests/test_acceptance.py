@@ -31,6 +31,7 @@ from kmcert.splitting import GfbSpec, L1Block, LinearBlock
 from oracles import (
     check_averaged,
     check_firmly_nonexpansive,
+    metric_inner,
     pds_fbs_reference,
     reflect_diagonal,
     vector_operator,
@@ -187,8 +188,8 @@ def _step_inequality_slacks(trace, rec, constants, z_star):
     fejer_worst = -np.inf
     for k in range(trace.n_steps - 1):
         de = rec.e_vecs[k] - rec.e_vecs[k + 1]
-        lhs = sp.inner(de, de) / (scale * trace.lam[k])
-        rhs = sp.inner(rec.e_vecs[k] - rec.eps_vector(k), de)
+        lhs = metric_inner(sp, de, de) / (scale * trace.lam[k])
+        rhs = metric_inner(sp, rec.e_vecs[k] - rec.eps_vector(k), de)
         diff_worst = max(diff_worst, lhs - rhs)
         sq = (trace.res_norm[k + 1] ** 2 - trace.res_norm[k] ** 2
               - constants.nu2 * trace.eps_norm[k])
@@ -391,15 +392,12 @@ def test_criterion_9_reductions(cert_bundle, record):
     Q, q = A.T @ A, A.T @ y
     gamma = lasso.constants["beta"]
     sp = ProductSpace.single(A.shape[1])
-    hand = OperatorSpec(
-        lambda z: sp.vector(prox_l1(z.blocks[0] - gamma * (Q @ z.blocks[0] - q),
-                                    gamma * mu)),
-        None, "fbs-hand", sp)
+    hand = OperatorSpec(lambda x: prox_l1(x - gamma * (Q @ x - q), gamma * mu),
+                        None, "fbs-hand", sp)
     _, r_g = record(lasso.exact_run, max_iters=250)
     _, r_f = record(run_km, hand, sp.vector(np.zeros(A.shape[1])),
                     RelaxationSchedule.constant(1.0), stop=StopRule(250, 0.0))
-    fbs_gap = max(np.max(np.abs(a.blocks[0] - b.blocks[0]))
-                  for a, b in zip(r_g.z_vecs, r_f.z_vecs))
+    fbs_gap = max(np.max(np.abs(a - b)) for a, b in zip(r_g.z_vecs, r_f.z_vecs))
 
     # two-block scheme without smooth part vs hand product-space reflections
     rng = np.random.default_rng(5)
@@ -414,10 +412,9 @@ def test_criterion_9_reductions(cert_bundle, record):
     sp2 = built.space
 
     def hand2(z):
-        rs = reflect_diagonal(z)
-        ju = tuple(b.resolvent(x, 0.7 / wi)
-                   for b, x, wi in zip(blocks, rs.blocks, w))
-        ra = sp2.point(tuple(2.0 * u - x for u, x in zip(ju, rs.blocks)))
+        rs = sp2.blocks(reflect_diagonal(sp2, z))
+        ju = tuple(b.resolvent(x, 0.7 / wi) for b, x, wi in zip(blocks, rs, w))
+        ra = sp2.point(tuple(2.0 * u - x for u, x in zip(ju, rs)))
         return (ra + z) * 0.5
 
     T2 = OperatorSpec(hand2, 0.5, "hand", sp2)
@@ -426,15 +423,13 @@ def test_criterion_9_reductions(cert_bundle, record):
                    stop=StopRule(200, 0.0))
     _, rb = record(run_km, T2, z0, RelaxationSchedule.constant(1.0),
                    stop=StopRule(200, 0.0))
-    drs_gap = max(
-        max(np.max(np.abs(a.blocks[i] - b.blocks[i])) for i in range(2))
-        for a, b in zip(ra.z_vecs, rb.z_vecs))
+    drs_gap = max(np.max(np.abs(a - b)) for a, b in zip(ra.z_vecs, rb.z_vecs))
 
     # primal-dual reduction against the composite forward-backward reference
     pds = cert_bundle["pds"]["problem"]
     xref = pds_fbs_reference(pds)
     t_p = pds.exact_run(max_iters=20_000, tol=1e-12)
-    pds_gap = float(np.linalg.norm(t_p.z_final.blocks[0] - xref))
+    pds_gap = float(np.linalg.norm(pds.operator.space.blocks(t_p.z_final)[0] - xref))
 
     ok = fbs_gap <= 1e-12 and drs_gap <= 1e-12 and pds_gap <= 1e-6
     report(9, ok,
@@ -452,7 +447,7 @@ def test_criterion_10_nonstationary(ns_bundle):
     w = stationary.built.spec.weights
 
     def consensus(z):
-        return sum(wi * b for wi, b in zip(w, z.blocks))
+        return sum(wi * b for wi, b in zip(w, stationary.built.space.blocks(z)))
 
     gap = float(np.linalg.norm(consensus(runs["geometric"].z_final)
                                - consensus(runs["stationary"].z_final)))

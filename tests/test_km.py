@@ -15,7 +15,7 @@ from kmcert.operators import OperatorSpec, zero_operator
 from kmcert.spaces import ProductSpace
 from kmcert.splitting import SubspaceBlock, build_gfb_nonstationary
 from kmcert.problems import make_multiblock_nonstationary
-from oracles import vector_operator
+from oracles import metric_inner, vector_operator
 
 
 def one_d_space():
@@ -77,7 +77,7 @@ class TestRunKmClosedForms:
         U, _ = np.linalg.qr(rng.standard_normal((3, 2)))
         proj = SubspaceBlock(U).resolvent
         P = vector_operator(sp, lambda x: proj(x, 1.0), 0.5, "proj")
-        fix = FixedPointSet.from_projector(lambda z: sp.vector(proj(z.blocks[0], 1.0)))
+        fix = FixedPointSet.from_projector(lambda z: proj(z, 1.0))
         tr = run_km(P, sp.vector(rng.standard_normal(3) * 5.0),
                     RelaxationSchedule.constant(0.5), stop=StopRule(40, 0.0),
                     fix=fix)
@@ -147,8 +147,7 @@ class TestInexactRuns:
         assert np.array_equal(a.res_norm, b.res_norm)
         assert np.array_equal(a.erg_norm, b.erg_norm)
         assert np.array_equal(a.eps_norm, b.eps_norm)
-        assert all(np.array_equal(x.blocks[0], y.blocks[0])
-                   for x, y in zip(ra.z_vecs, rb.z_vecs))
+        assert all(np.array_equal(x, y) for x, y in zip(ra.z_vecs, rb.z_vecs))
 
     def test_seed_changes_directions(self):
         T, z0, _ = zero_problem(d=4, z0=(1.0, -1.0, 0.5, 2.0))
@@ -171,8 +170,8 @@ class TestStepInequalities:
         scale = 2.0 * (alpha if alpha is not None else 1.0)
         for k in range(tr.n_steps - 1):
             de = rec.e_vecs[k] - rec.e_vecs[k + 1]
-            lhs = sp.inner(de, de) / (scale * tr.lam[k])
-            rhs = sp.inner(rec.e_vecs[k] - rec.eps_vector(k), de)
+            lhs = metric_inner(sp, de, de) / (scale * tr.lam[k])
+            rhs = metric_inner(sp, rec.e_vecs[k] - rec.eps_vector(k), de)
             worst = max(worst, lhs - rhs)
         return worst
 
@@ -258,13 +257,13 @@ class TestNonstationary:
         assert np.array_equal(tr_ns.res_norm, tr_st.res_norm)
         assert np.array_equal(tr_ns.erg_norm, tr_st.erg_norm)
         assert np.array_equal(tr_ns.disp_norm, tr_st.disp_norm)
-        assert np.max(tr_ns.pert_norm) == 0.0
+        assert np.max(tr_ns.eps_norm) == 0.0
 
     def test_geometric_perturbations_summable(self):
         fam, sched, statp = make_multiblock_nonstationary("geometric", d=6)
         tr = run_km_nonstationary(fam, sched, statp.z0, statp.relaxation,
                                   stop=StopRule(600, 0.0))
-        sums = np.cumsum(tr.pert_norm)
+        sums = np.cumsum(tr.eps_norm)
         # the partial-sum tail past step 300 moves by less than 1e-8
         assert sums[-1] - sums[300] <= 1e-8
         assert np.isfinite(sums[-1])
@@ -273,7 +272,7 @@ class TestNonstationary:
         fam, sched, statp = make_multiblock_nonstationary("harmonic", d=6)
         tr = run_km_nonstationary(fam, sched, statp.z0, statp.relaxation,
                                   stop=StopRule(600, 0.0))
-        sums = np.cumsum(tr.pert_norm)
+        sums = np.cumsum(tr.eps_norm)
         assert sums[-1] - sums[-301] > 1e-4
 
     def test_gamma_column_recorded(self):

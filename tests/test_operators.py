@@ -139,7 +139,7 @@ class TestGradientStep:
         T = gradient_step(f, 0.5)
         assert T.alpha == pytest.approx(0.25)
         out = T(T.space.vector((1.0, 1.0)))
-        assert out.blocks[0] == pytest.approx([0.6, 0.5], abs=1e-15)
+        assert out == pytest.approx([0.6, 0.5], abs=1e-15)
 
     def test_certified_alpha_tight(self):
         # spectral oracle: R = (T - (1-a) Id)/a is diag((0.6-(1-a))/a, (0.5-(1-a))/a);
@@ -181,7 +181,7 @@ class TestResolventLinear:
     def test_identity_halves(self):
         J = resolvent_linear(np.eye(3), 1.0)
         z = J.space.vector((2.0, 4.0, -6.0))
-        assert J(z).blocks[0] == pytest.approx([1.0, 2.0, -3.0])
+        assert J(z) == pytest.approx([1.0, 2.0, -3.0])
 
     def test_monotonicity_checked(self):
         with pytest.raises(ParameterError):

@@ -47,7 +47,7 @@ class TestConstruction:
         a = make_lasso(20, 30, seed=9)
         b = make_lasso(20, 30, seed=9)
         assert np.array_equal(a.constants["A"], b.constants["A"])
-        assert np.array_equal(a.z0.blocks[0], b.z0.blocks[0])
+        assert np.array_equal(a.z0, b.z0)
         c = make_lasso(20, 30, seed=10)
         assert not np.array_equal(a.constants["A"], c.constants["A"])
 
@@ -97,10 +97,10 @@ class TestLasso:
         mu_kill = float(np.max(np.abs(A.T @ y))) * 1.01
         p = make_lasso(20, 30, mu=mu_kill, seed=3)
         tr = p.exact_run(max_iters=2000, tol=1e-13)
-        x = tr.z_final.blocks[0]          # one block: its own consensus
+        x = tr.z_final          # one block: its own consensus
         assert np.max(np.abs(x)) <= 1e-10
         # certificate at the zero solution stays inside the subgradient box
-        step = gfb_certificate(p.built, tr.z_final)
+        step = gfb_certificate(p.built, p.built.evaluate(tr.z_final)[1])
         assert np.all(np.abs(step.g) <= mu_kill + 1e-10)
 
     def test_planted_support_recovered(self):
@@ -108,7 +108,7 @@ class TestLasso:
         # the planted one
         p = make_lasso(40, 60, seed=1)
         tr = p.exact_run(max_iters=3000, tol=1e-13)
-        x = tr.z_final.blocks[0]          # one block: its own consensus
+        x = tr.z_final          # one block: its own consensus
         support = set(np.flatnonzero(np.abs(x) > 1e-6))
         assert set(p.constants["support"]).issubset(support)
 
@@ -130,7 +130,7 @@ class TestMultiblock:
     def test_consensus_inclusion_residual(self):
         p = make_gfb_multiblock(3, 12, seed=2)
         zstar = p.fix_reference().nearest(p.z0)
-        step = gfb_certificate(p.built, zstar)
+        step = gfb_certificate(p.built, p.built.evaluate(zstar)[1])
         assert step.criterion <= 1e-8
         assert step.membership <= 1e-8
 
@@ -144,7 +144,7 @@ class TestPdsSmall:
     def test_primal_inside_box(self):
         p = make_pds_small(seed=3)
         tr = p.exact_run(max_iters=5000, tol=1e-12)
-        assert np.max(np.abs(tr.z_final.blocks[0])) < 10.0
+        assert np.max(np.abs(p.operator.space.blocks(tr.z_final)[0])) < 10.0
 
 
 class TestReferenceSolution:
@@ -157,7 +157,7 @@ class TestReferenceSolution:
     def test_two_subspaces_plane_part_vanishes(self):
         p = make_two_subspaces(np.pi / 4, 4)
         ref = reference_solution(p)
-        z_star = ref.nearest(p.z0).blocks[0]
+        z_star = ref.nearest(p.z0)
         assert np.hypot(z_star[0], z_star[1]) <= 1e-9
 
     def test_certified_residual(self):

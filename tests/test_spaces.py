@@ -1,67 +1,51 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmcert.errors import StructuralError
-from kmcert.spaces import ProductPoint, ProductSpace, weighted_inner
-from oracles import project_diagonal, reflect_diagonal, sample_ball
-
-
-def weighted_norm(x):
-    return math.sqrt(max(weighted_inner(x, x), 0.0))
+from kmcert.spaces import ProductSpace
+from oracles import metric_inner, project_diagonal, reflect_diagonal, sample_ball
 
 
 def pp(blocks, weights):
-    return ProductPoint(blocks, weights)
+    """A space of the blocks' layout and the given weights, and the point."""
+    sp = ProductSpace(tuple(np.size(b) for b in blocks), weights)
+    return sp, sp.point(blocks)
 
 
-def random_pp(rng, n=3, d=4, weights=None):
-    if weights is None:
-        w = rng.uniform(0.2, 1.0, size=n)
-        weights = w / w.sum()
-    return ProductPoint([rng.standard_normal(d) for _ in range(n)], weights)
+def random_space(rng, n=3, d=4):
+    w = rng.uniform(0.2, 1.0, size=n)
+    return ProductSpace((d,) * n, w / w.sum())
 
 
 class TestWeightedInner:
     def test_orthonormal_blocks(self):
-        x = pp([(1.0, 0.0), (0.0, 1.0)], (0.5, 0.5))
-        assert weighted_inner(x, x) == pytest.approx(1.0, abs=1e-15)
+        sp, x = pp([(1.0, 0.0), (0.0, 1.0)], (0.5, 0.5))
+        assert metric_inner(sp, x, x) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal_blocks(self):
-        x = pp([(1.0, 0.0), (1.0, 0.0)], (0.3, 0.7))
-        y = pp([(0.0, 1.0), (0.0, 1.0)], (0.3, 0.7))
-        assert weighted_inner(x, y) == 0.0
+        sp, x = pp([(1.0, 0.0), (1.0, 0.0)], (0.3, 0.7))
+        y = sp.point([(0.0, 1.0), (0.0, 1.0)])
+        assert metric_inner(sp, x, y) == 0.0
 
     def test_against_flattened_oracle(self):
         # oracle: scale each block by its weight, flatten, take one dot product
         rng = np.random.default_rng(0)
         for _ in range(20):
-            x = random_pp(rng)
-            y = ProductPoint([rng.standard_normal(4) for _ in range(3)], x.weights)
-            flat = np.concatenate([w * b for w, b in zip(x.weights, x.blocks)])
-            oracle = float(flat @ np.concatenate(y.blocks))
-            assert weighted_inner(x, y) == pytest.approx(oracle, abs=1e-12)
+            sp = random_space(rng)
+            x, y = sp.gaussian(rng), sp.gaussian(rng)
+            flat = np.concatenate([w * b for w, b in zip(sp.weights, sp.blocks(x))])
+            oracle = float(flat @ y)
+            assert metric_inner(sp, x, y) == pytest.approx(oracle, abs=1e-12)
 
     def test_symmetry_and_bilinearity(self):
         rng = np.random.default_rng(1)
-        x, = [random_pp(rng)]
-        y = ProductPoint([rng.standard_normal(4) for _ in range(3)], x.weights)
-        z = ProductPoint([rng.standard_normal(4) for _ in range(3)], x.weights)
-        assert weighted_inner(x, y) == pytest.approx(weighted_inner(y, x), abs=1e-12)
-        lhs = weighted_inner(x, y + z * 2.0)
-        rhs = weighted_inner(x, y) + 2.0 * weighted_inner(x, z)
+        sp = random_space(rng)
+        x, y, z = sp.gaussian(rng), sp.gaussian(rng), sp.gaussian(rng)
+        assert metric_inner(sp, x, y) == pytest.approx(metric_inner(sp, y, x), abs=1e-12)
+        lhs = metric_inner(sp, x, y + z * 2.0)
+        rhs = metric_inner(sp, x, y) + 2.0 * metric_inner(sp, x, z)
         assert lhs == pytest.approx(rhs, abs=1e-10)
-
-    def test_mismatch_rejected(self):
-        x = pp([(1.0, 0.0)], (1.0,))
-        y = pp([(1.0, 0.0), (0.0, 1.0)], (0.5, 0.5))
-        with pytest.raises(StructuralError):
-            weighted_inner(x, y)
-        y2 = pp([(1.0, 0.0)], (0.5,))
-        with pytest.raises(StructuralError):
-            weighted_inner(x, y2)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(StructuralError):
@@ -70,70 +54,70 @@ class TestWeightedInner:
 
 class TestProjectDiagonal:
     def test_weighted_mean(self):
-        z = pp([(1.0,), (3.0,)], (0.5, 0.5))
-        out = project_diagonal(z)
-        assert out.blocks[0] == pytest.approx([2.0])
-        assert out.blocks[1] == pytest.approx([2.0])
+        sp, z = pp([(1.0,), (3.0,)], (0.5, 0.5))
+        out = sp.blocks(project_diagonal(sp, z))
+        assert out[0] == pytest.approx([2.0])
+        assert out[1] == pytest.approx([2.0])
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
-        z = random_pp(rng)
-        once = project_diagonal(z)
-        twice = project_diagonal(once)
-        for a, b in zip(once.blocks, twice.blocks):
-            assert np.max(np.abs(a - b)) <= 1e-14
+        sp = random_space(rng)
+        once = project_diagonal(sp, sp.gaussian(rng))
+        twice = project_diagonal(sp, once)
+        assert np.max(np.abs(once - twice)) <= 1e-14
 
     def test_self_adjoint_sampled(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            z = random_pp(rng)
-            w = ProductPoint([rng.standard_normal(4) for _ in range(3)], z.weights)
-            lhs = weighted_inner(project_diagonal(z), w)
-            rhs = weighted_inner(z, project_diagonal(w))
+            sp = random_space(rng)
+            z, w = sp.gaussian(rng), sp.gaussian(rng)
+            lhs = metric_inner(sp, project_diagonal(sp, z), w)
+            rhs = metric_inner(sp, z, project_diagonal(sp, w))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_pythagoras(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            z = random_pp(rng)
-            p = project_diagonal(z)
-            total = weighted_norm(z) ** 2
-            parts = weighted_norm(p) ** 2 + weighted_norm(z - p) ** 2
+            sp = random_space(rng)
+            z = sp.gaussian(rng)
+            p = project_diagonal(sp, z)
+            total = sp.norm(z) ** 2
+            parts = sp.norm(p) ** 2 + sp.norm(z - p) ** 2
             assert total == pytest.approx(parts, abs=1e-10)
 
     def test_nonexpansive_sampled(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            z = random_pp(rng)
-            assert weighted_norm(project_diagonal(z)) <= weighted_norm(z) + 1e-12
+            sp = random_space(rng)
+            z = sp.gaussian(rng)
+            assert sp.norm(project_diagonal(sp, z)) <= sp.norm(z) + 1e-12
 
     def test_unnormalized_weights_rejected(self):
-        z = pp([(1.0,), (3.0,)], (1.0, 1.0))
+        sp, z = pp([(1.0,), (3.0,)], (1.0, 1.0))
         with pytest.raises(StructuralError):
-            project_diagonal(z)
+            project_diagonal(sp, z)
 
 
 class TestReflectDiagonal:
     def test_swap_about_mean(self):
-        z = pp([(1.0,), (3.0,)], (0.5, 0.5))
-        out = reflect_diagonal(z)
-        assert out.blocks[0] == pytest.approx([3.0])
-        assert out.blocks[1] == pytest.approx([1.0])
+        sp, z = pp([(1.0,), (3.0,)], (0.5, 0.5))
+        out = sp.blocks(reflect_diagonal(sp, z))
+        assert out[0] == pytest.approx([3.0])
+        assert out[1] == pytest.approx([1.0])
 
     def test_fixes_diagonal(self):
-        z = pp([(1.0, -2.0)] * 3, (0.2, 0.3, 0.5))
-        out = reflect_diagonal(z)
-        for a, b in zip(out.blocks, z.blocks):
-            assert np.max(np.abs(a - b)) <= 1e-14
+        sp, z = pp([(1.0, -2.0)] * 3, (0.2, 0.3, 0.5))
+        assert np.max(np.abs(reflect_diagonal(sp, z) - z)) <= 1e-14
 
     def test_involution_and_isometry(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            z = random_pp(rng)
-            r = reflect_diagonal(z)
-            rr = reflect_diagonal(r)
-            assert weighted_norm(rr - z) <= 1e-12
-            assert weighted_norm(r) == pytest.approx(weighted_norm(z), abs=1e-12)
+            sp = random_space(rng)
+            z = sp.gaussian(rng)
+            r = reflect_diagonal(sp, z)
+            rr = reflect_diagonal(sp, r)
+            assert sp.norm(rr - z) <= 1e-12
+            assert sp.norm(r) == pytest.approx(sp.norm(z), abs=1e-12)
 
 
 class TestProductSpace:
@@ -199,7 +183,7 @@ def test_flat_points_match_per_block_formulas_bit_exactly(drawn):
     sp = ProductSpace(dims, w, metric_op=metric)
     x, y = sp.point(xs), sp.point(ys)
 
-    assert weighted_inner(x, y) == ref_inner(w, xs, ys)
+    assert metric_inner(ProductSpace(dims, w), x, y) == ref_inner(w, xs, ys)
     assert sp.base_norm(x) == ref_norm(w, xs, xs)
     my = ys if diag is None else [d * b for d, b in zip(diag, ys)]
     assert sp.norm(y) == ref_norm(w, ys, my)
@@ -209,9 +193,9 @@ def test_flat_points_match_per_block_formulas_bit_exactly(drawn):
                       (x * s, [a * s for a in xs]),
                       (s * x, [a * s for a in xs]),
                       (-x, [-a for a in xs])):
-        assert got.dims == tuple(dims)
-        for blk, ref in zip(got.blocks, want):
+        assert got.shape == (sp.size,)
+        for blk, ref in zip(sp.blocks(got), want):
             assert np.array_equal(blk, ref)
 
-    for blk, d in zip(x.blocks, dims):
-        assert blk.shape == (d,) and blk.base is x.data
+    for blk, d in zip(sp.blocks(x), dims):
+        assert blk.shape == (d,) and blk.base is x

@@ -23,6 +23,7 @@ from kmcert.splitting import (
     L1Block,
     LinearBlock,
     MonotoneBlock,
+    PdsBuilt,
     PdsDualTerm,
     PdsSpec,
     SubspaceBlock,
@@ -30,7 +31,6 @@ from kmcert.splitting import (
     _lu_factor,
     _lu_solve,
     build_gfb,
-    build_pds,
     gfb_certificate,
     matrix_norm,
 )
@@ -175,18 +175,14 @@ class TestGfbBuild:
         gamma = p.constants["beta"]
         sp = ProductSpace.single(60)
 
-        def fbs(z):
-            x = z.blocks[0]
-            return sp.vector(prox_l1(x - gamma * (Q @ x - q), gamma * mu))
+        def fbs(x):
+            return prox_l1(x - gamma * (Q @ x - q), gamma * mu)
 
         hand = OperatorSpec(fbs, None, "fbs-hand", sp)
         _, rec_g = record(p.exact_run, max_iters=300)
         _, rec_f = record(run_km, hand, sp.vector(np.zeros(60)),
                           RelaxationSchedule.constant(1.0), stop=StopRule(300, 0.0))
-        worst = max(
-            np.max(np.abs(a.blocks[0] - b.blocks[0]))
-            for a, b in zip(rec_g.z_vecs, rec_f.z_vecs)
-        )
+        worst = max(np.max(np.abs(a - b)) for a, b in zip(rec_g.z_vecs, rec_f.z_vecs))
         assert worst <= 1e-12
 
     def test_no_smooth_part_equals_product_reflection_scheme(self, record):
@@ -202,10 +198,9 @@ class TestGfbBuild:
         sp = built.space
 
         def hand(z):
-            rs = reflect_diagonal(z)
-            ju = tuple(b.resolvent(x, 0.7 / wi)
-                       for b, x, wi in zip(blocks, rs.blocks, w))
-            ra = sp.point(tuple(2.0 * u - x for u, x in zip(ju, rs.blocks)))
+            rs = sp.blocks(reflect_diagonal(sp, z))
+            ju = tuple(b.resolvent(x, 0.7 / wi) for b, x, wi in zip(blocks, rs, w))
+            ra = sp.point(tuple(2.0 * u - x for u, x in zip(ju, rs)))
             return (ra + z) * 0.5
 
         T = OperatorSpec(hand, 0.5, "hand", sp)
@@ -214,10 +209,7 @@ class TestGfbBuild:
                        stop=StopRule(200, 0.0))
         _, r2 = record(run_km, T, z0, RelaxationSchedule.constant(1.0),
                        stop=StopRule(200, 0.0))
-        worst = max(
-            max(np.max(np.abs(a.blocks[i] - b.blocks[i])) for i in range(2))
-            for a, b in zip(r1.z_vecs, r2.z_vecs)
-        )
+        worst = max(np.max(np.abs(a - b)) for a, b in zip(r1.z_vecs, r2.z_vecs))
         assert worst <= 1e-12
 
     def test_operator_passes_averagedness_sampling(self):
@@ -253,7 +245,7 @@ class TestGfbCertificates:
     def test_subgradient_box_and_signs(self, lasso_run):
         p, _, _, _, rec = lasso_run
         mu = p.constants["mu"]
-        step = gfb_certificate(p.built, rec.z_vecs[5])
+        step = gfb_certificate(p.built, p.built.evaluate(rec.z_vecs[5])[1])
         # certificate element must be a valid scaled-l1 subgradient at the
         # resolvent output the run's own step 5 computed
         u = rec.parts[5][3]
@@ -267,7 +259,7 @@ class TestGfbCertificates:
     def test_vanishes_at_fixed_point(self, lasso_run):
         p, tr = lasso_run[:2]
         zstar = p.fix_reference().nearest(tr.z0)
-        step = gfb_certificate(p.built, zstar)
+        step = gfb_certificate(p.built, p.built.evaluate(zstar)[1])
         assert step.criterion <= 1e-10
 
     def test_pointwise_domination(self, lasso_run):
@@ -287,7 +279,7 @@ class TestGfbCertificates:
         # residual of the summed operators at the consensus
         p = make_gfb_multiblock(3, 12, seed=2)
         zstar = p.fix_reference().nearest(p.z0)
-        step = gfb_certificate(p.built, zstar)
+        step = gfb_certificate(p.built, p.built.evaluate(zstar)[1])
         assert step.criterion <= 1e-8
 
     def test_all_zero_blocks_converge_to_lifted_origin(self):
@@ -335,7 +327,7 @@ class TestDrs:
             e2 = ch["eps2"] if ch["eps2"] is not None else np.zeros(4)
             n1, n2 = np.linalg.norm(e1), np.linalg.norm(e2)
             assert tr.eps_norm[k] <= n1 + n2 + 1e-12
-            eps = rec.eps_vector(k).blocks[0]
+            eps = rec.eps_vector(k)
             assert np.linalg.norm(eps - (e1 + e2)) <= 2.0 * n2 + 1e-12
 
     def test_certificate_membership_orthogonal_complement(self):
@@ -381,7 +373,7 @@ class TestPds:
                                omega=1.0)],
             smooth=CocoerciveMap.envelope_l1(1.0),
         )
-        built = build_pds(spec)
+        built = PdsBuilt(spec)
         assert built.eta == pytest.approx(1.0)
         assert built.beta == pytest.approx(1.0)
         assert 2.0 * built.eta * built.beta > 1.0
@@ -391,7 +383,7 @@ class TestPds:
 
     def test_inadmissible_steps_rejected_with_context(self):
         with pytest.raises(ParameterError) as exc:
-            build_pds(PdsSpec(
+            PdsBuilt(PdsSpec(
                 primal_block=ZeroBlock(), tau=0.45, dim_primal=3,
                 duals=[PdsDualTerm(block=L1Block(1.0), L=2.0 * np.eye(3),
                                    sigma=0.45, omega=1.0)],
@@ -416,7 +408,8 @@ class TestPds:
     def test_primal_matches_composite_reference(self, small):
         xref = pds_fbs_reference(small)
         tr = small.exact_run(max_iters=20000, tol=1e-12)
-        assert np.linalg.norm(tr.z_final.blocks[0] - xref) <= 1e-6
+        x_final = small.operator.space.blocks(tr.z_final)[0]
+        assert np.linalg.norm(x_final - xref) <= 1e-6
 
     def test_zero_coupling_decouples(self):
         base = make_pds_small(seed=3)
@@ -427,11 +420,11 @@ class TestPds:
                                sigma=0.4, omega=1.0)],
             smooth=CocoerciveMap.quadratic(Q, q),
         )
-        built = build_pds(spec)
+        built = PdsBuilt(spec)
         tr = run_km(built.operator, built.space.zeros(),
                     RelaxationSchedule.constant(1.0), stop=StopRule(5000, 1e-12))
         # dual block never leaves the origin
-        assert np.linalg.norm(tr.z_final.blocks[1]) == 0.0
+        assert np.linalg.norm(built.space.blocks(tr.z_final)[1]) == 0.0
 
     def test_certificate_series(self, small):
         tr, _, series = small.certified_run(max_iters=300)

@@ -54,7 +54,8 @@ def two_pass_constants(trace, rec, z_star, norm, eps_norm):
 
 
 def two_pass_gfb(built, trace, rec, constants):
-    steps = [gfb_certificate(built, rec.z_vecs[k]) for k in range(trace.n_steps)]
+    steps = [gfb_certificate(built, built.evaluate(rec.z_vecs[k])[1])
+             for k in range(trace.n_steps)]
     members = [s.membership for s in steps if s.membership is not None]
     return (np.array([s.criterion for s in steps]),
             pointwise_bound(np.arange(trace.n_steps), constants) / built.spec.gamma,
@@ -67,10 +68,9 @@ def two_pass_drs(built, trace, rec, constants):
     bnds = np.empty(trace.n_steps)
     members = []
     for k in range(trace.n_steps):
-        z, zn = rec.z_vecs[k], rec.z_vecs[k + 1]
+        zv, znv = rec.z_vecs[k], rec.z_vecs[k + 1]
         ch = rec.channel[k] or {}
         e1, e2 = ch.get("eps1"), ch.get("eps2")
-        zv, znv = z.blocks[0], zn.blocks[0]
         # shadow point x = j2(z) + e2; u = j1 at the channel's perturbed
         # reflection (2 j2(z) - z) + 2 e2; v = j2(z_{k+1})
         x = built.j2(zv)
