@@ -30,7 +30,6 @@ from .km import (
     RelaxationSchedule,
     StopRule,
     run_km,
-    run_km_nonstationary,
 )
 from .operators import (
     OperatorSpec,
@@ -58,7 +57,6 @@ from .splitting import (
     SubspaceBlock,
     ZeroBlock,
     build_gfb,
-    build_gfb_nonstationary,
     gfb_certificate,
     matrix_norm,
 )

@@ -31,7 +31,6 @@ from .errors import (
     StructuralError,
     UnavailableError,
 )
-from .km import ErrorSchedule, StopRule, run_km_nonstationary
 from .problems import (
     ProblemInstance,
     make_gfb_multiblock,
@@ -177,7 +176,7 @@ def resolve_config(preset: Optional[str] = None, config_path: Optional[str] = No
     return cfg
 
 
-def build_problem(cfg: dict) -> ProblemInstance:
+def _make_problem(cfg: dict) -> ProblemInstance:
     kind = cfg["problem"]
     if kind == "zero-map":
         return make_zero_map(d=cfg["dim"], seed=cfg["problem_seed"])
@@ -190,11 +189,29 @@ def build_problem(cfg: dict) -> ProblemInstance:
         mu = cfg["mu"] if cfg["mu"] > 0 else None
         return make_lasso(cfg["rows"], cfg["cols"], mu=mu, seed=cfg["problem_seed"])
     if kind == "multiblock":
+        if cfg["method"] == "gfb-nonstationary":
+            return make_multiblock_nonstationary(
+                cfg["gamma_schedule"], d=cfg["dim"], n_blocks=cfg["n_blocks"],
+                seed=cfg["problem_seed"])
         return make_gfb_multiblock(cfg["n_blocks"], cfg["dim"],
                                    seed=cfg["problem_seed"])
     if kind == "pds-small":
         return make_pds_small(seed=cfg["problem_seed"])
     raise ParameterError(f"unknown problem {kind!r}")
+
+
+def build_problem(cfg: dict) -> ProblemInstance:
+    """The configured problem; ``method`` may be blank, the problem's own
+    kind, or ``gfb-nonstationary`` on the multi-block problem."""
+    problem = _make_problem(cfg)
+    allowed = ["", problem.kind]
+    if cfg["problem"] == "multiblock":
+        allowed.append("gfb-nonstationary")
+    if cfg["method"] not in allowed:
+        raise ParameterError(
+            f"config key 'method' must be one of {allowed} for problem "
+            f"{cfg['problem']!r}, got {cfg['method']!r}")
+    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -330,24 +347,26 @@ def write_report(path: str, report: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def execute_run(cfg: dict):
-    """Run one configured experiment; returns (trace, report, csv columns)."""
-    method = cfg.get("method") or ""
-    if method == "gfb-nonstationary":
-        return _execute_nonstationary(cfg)
-
+    """Run one configured experiment; returns (trace, report, csv columns).
+    A stationary run is certified; a non-stationary one (a problem with a
+    step-size schedule) reports its schedule and is not checked."""
     problem = build_problem(cfg)
     if cfg["max_iters"] == -1:
         max_iters = problem.rate_horizon
     else:
         max_iters = cfg["max_iters"] or problem.cert_horizon
-    trace, constants, cert = problem.certified_run(
-        cfg["error_c"], cfg["error_p"], max_iters, cfg["tol"], cfg["seed"])
+    run = (cfg["error_c"], cfg["error_p"], max_iters, cfg["tol"])
+    schedule = problem.schedule
+    if schedule is None:
+        trace, constants, cert = problem.certified_run(*run, seed=cfg["seed"])
+    else:
+        trace, constants, cert = problem.inexact_run(*run, seed=cfg["seed"]), None, None
 
     columns: dict = {}
     report = {
         "config": cfg,
         "problem": problem.name,
-        "method": method or problem.kind,
+        "method": cfg["method"] or problem.kind,
         "steps": trace.n_steps,
         "stop_reason": trace.stop_reason,
         "final_residual": trace.final_residual,
@@ -355,7 +374,7 @@ def execute_run(cfg: dict):
         "kappa": problem.kappa,
         "theoretical_rate": problem.theoretical_rate,
         "observed_rate": None,
-        "constants": dataclasses.asdict(constants),
+        "constants": None if constants is None else dataclasses.asdict(constants),
         "violations": [],
         "certificates": None,
         "verdict": "pass",
@@ -368,6 +387,17 @@ def execute_run(cfg: dict):
         report["observed_rate"] = problem.observed_rate(trace)
     except (UnavailableError, KmcertError):
         report["observed_rate"] = None
+
+    if schedule is not None:
+        report["schedule"] = {
+            "kind": schedule.kind,
+            "limit": schedule.limit,
+            "abs_summable": schedule.abs_summable,
+            "k_summable": schedule.k_summable,
+            "note": schedule.summability_note,
+        }
+        columns["gamma"] = np.array([schedule.value(k) for k in range(trace.n_steps)])
+        return trace, report, columns
 
     series = trace_series(trace)
     if cert is not None:
@@ -397,44 +427,6 @@ def execute_run(cfg: dict):
     ]
     if violations:
         report["verdict"] = "fail"
-    return trace, report, columns
-
-
-def _execute_nonstationary(cfg: dict):
-    family, schedule, problem = make_multiblock_nonstationary(
-        cfg["gamma_schedule"], d=cfg["dim"], n_blocks=cfg["n_blocks"],
-        seed=cfg["problem_seed"])
-    max_iters = cfg["max_iters"] or 10_000
-    errors = (ErrorSchedule.power(cfg["error_c"], cfg["error_p"])
-              if cfg["error_c"] > 0 else None)
-    trace = run_km_nonstationary(
-        family, schedule, problem.z0, problem.relaxation, errors=errors,
-        stop=StopRule(max_iters=max_iters, residual_tol=cfg["tol"]),
-        seed=cfg["seed"])
-    report = {
-        "config": cfg,
-        "problem": problem.name,
-        "method": "gfb-nonstationary",
-        "steps": trace.n_steps,
-        "stop_reason": trace.stop_reason,
-        "final_residual": trace.final_residual,
-        "alpha": trace.alpha,
-        "kappa": None,
-        "theoretical_rate": None,
-        "observed_rate": None,
-        "constants": None,
-        "violations": [],
-        "certificates": None,
-        "schedule": {
-            "kind": schedule.kind,
-            "limit": schedule.limit,
-            "abs_summable": schedule.abs_summable,
-            "k_summable": schedule.k_summable,
-            "note": schedule.summability_note,
-        },
-        "verdict": "pass",
-    }
-    columns = {"gamma": trace.gamma}
     return trace, report, columns
 
 

@@ -5,10 +5,9 @@ One step is ``z+ = z + lam * (T z + eps - z)``.  The recorded residual is
 the engine cross-checks both forms against each other every iteration so an
 implementation drift in either path is caught immediately.
 
-In the non-stationary variant the operator depends on a per-step parameter.
-The residual is then measured against the declared *limit* operator and the
-engine error absorbs the non-stationarity:
-``pi = (T_k z - T z) + eps`` and ``e = (z - z+) / lam + pi``.
+A non-stationary iteration, whose operator depends on a per-step parameter,
+is an inexact one: its channel model measures the residual against the
+declared *limit* operator ``T`` and reports ``eps = (T_k z - T z) + eps_k``.
 """
 
 from __future__ import annotations
@@ -249,7 +248,6 @@ class IterationTrace:
     z0: np.ndarray
     z_final: np.ndarray
     dist: Optional[np.ndarray] = None          # length n_steps + 1
-    gamma: Optional[np.ndarray] = None
 
     @property
     def n_steps(self) -> int:
@@ -289,8 +287,8 @@ def _plain_evaluator(T: OperatorSpec, errors: Optional[ErrorSchedule]):
 
 def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
              relaxation: RelaxationSchedule, stop: StopRule,
-             fix: Optional[FixedPointSet], observe: Optional[Callable], seed: int,
-             nonstationary: bool) -> IterationTrace:
+             fix: Optional[FixedPointSet], observe: Optional[Callable],
+             seed: int) -> IterationTrace:
     space = operator.space
     if np.shape(z0) != (space.size,) or not np.isfinite(z0).all():
         raise StructuralError(
@@ -300,8 +298,7 @@ def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
     _validate_admissible(relaxation, operator.alpha)
 
     rng = np.random.default_rng(seed)
-    lam_l, epsn_l, res_l, erg_l, disp_l = [], [], [], [], []
-    gamma_l, dist_l = [], []
+    lam_l, epsn_l, res_l, erg_l, disp_l, dist_l = [], [], [], [], [], []
     norm = space.norm
 
     z = z0
@@ -344,8 +341,6 @@ def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
         res_l.append(res)
         erg_l.append(norm(S) / lam_total)
         disp_l.append(norm(step))
-        if nonstationary:
-            gamma_l.append(extras["gamma"])
 
         z = zn
         if norm(zn) > stop.divergence_norm:
@@ -371,7 +366,6 @@ def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
         z0=z0,
         z_final=z,
         dist=np.asarray(dist_l) if fix is not None else None,
-        gamma=np.asarray(gamma_l) if nonstationary else None,
     )
 
 
@@ -379,12 +373,15 @@ def run_km(T: OperatorSpec, z0: np.ndarray, relaxation: RelaxationSchedule,
            errors: Optional[ErrorSchedule] = None, stop: Optional[StopRule] = None,
            *, channel=None, fix: Optional[FixedPointSet] = None,
            observe: Optional[Callable] = None, seed: int = 0) -> IterationTrace:
-    """Run the stationary iteration of a single operator.
+    """Run the relaxed iteration of a single operator.
 
     ``errors`` injects synthetic error vectors (seeded direction, scheduled
     magnitude).  ``channel`` instead delegates each evaluation to a channel
     model from the splitting builders, which perturbs the evaluation
     internally and reports the induced error; the two are mutually exclusive.
+    The relaxation must be admissible for the operator and for every
+    averagedness constant in the channel's ``alphas`` (the per-step
+    operators of a non-stationary channel).
 
     ``observe(k, z, z_next, e, eps, lam, extras)`` is called once per step,
     after the residual-identity check, with the iterate ``z_k``, its
@@ -401,49 +398,10 @@ def run_km(T: OperatorSpec, z0: np.ndarray, relaxation: RelaxationSchedule,
             raise ParameterError("pass either synthetic errors or a channel model")
         operator = channel.operator
         evalstep = channel.evaluate
+        for alpha in channel.alphas:
+            _validate_admissible(relaxation, alpha)
     else:
         operator = T
         evalstep = _plain_evaluator(T, errors)
-    return _iterate(operator, evalstep, z0, relaxation, stop, fix, observe, seed,
-                    nonstationary=False)
-
-
-def run_km_nonstationary(
-    family, gamma_schedule: GammaSchedule, z0: np.ndarray,
-    relaxation: RelaxationSchedule, errors: Optional[ErrorSchedule] = None,
-    stop: Optional[StopRule] = None, *, fix: Optional[FixedPointSet] = None,
-    seed: int = 0,
-) -> IterationTrace:
-    """Run the non-stationary iteration of a parameterized operator family.
-
-    ``family`` maps a parameter value to an operator; the update applies the
-    per-step operator while the recorded residual refers to the limit
-    operator, one extra evaluation per step away from the limit.
-    """
-    if stop is None:
-        stop = StopRule()
-    at = family.at if hasattr(family, "at") else family
-    limit_op = at(gamma_schedule.limit)
-    space = limit_op.space
-    # every value lies in the declared interval (built-in schedules by
-    # construction, custom ones are checked at each step), so probing its
-    # endpoints covers the whole per-step averagedness range
-    for g_probe in sorted(set(gamma_schedule.interval)):
-        _validate_admissible(relaxation, at(g_probe).alpha)
-
-    def evalstep(k, z, rng):
-        g = gamma_schedule.value(k)
-        Tk = at(g)
-        native = Tk(z)
-        exact = native if Tk is limit_op else limit_op(z)
-        mag = errors.magnitude(k) if errors is not None else 0.0
-        if mag != 0.0:
-            tilde = native + space.unit_vector(rng) * mag
-        else:
-            tilde = native
-        eps_total = tilde - exact if tilde is not exact else None
-        return exact, tilde, eps_total, {"gamma": g}
-
-    return _iterate(limit_op, evalstep, z0, relaxation, stop, fix, None, seed,
-                    nonstationary=True)
+    return _iterate(operator, evalstep, z0, relaxation, stop, fix, observe, seed)
 

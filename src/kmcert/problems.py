@@ -3,7 +3,7 @@ rates.  Every generator is deterministic under a fixed seed."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -28,6 +28,7 @@ from .splitting import (
     DrsCertificates,
     DrsSpec,
     GfbCertificates,
+    GfbScheduleChannel,
     GfbSpec,
     L1Block,
     LinearBlock,
@@ -38,7 +39,6 @@ from .splitting import (
     SubspaceBlock,
     ZeroBlock,
     build_gfb,
-    build_gfb_nonstationary,
 )
 
 CERT_HORIZON = 1000
@@ -48,7 +48,9 @@ CERT_HORIZON = 1000
 class ProblemInstance:
     """Operator assembly plus what the certification harness needs: a
     fixed-point description, analytic constants when available, and the
-    recommended start / schedules."""
+    recommended start / schedules.  A problem with a step-size ``schedule``
+    is non-stationary: ``operator`` is its limit and its runs go through the
+    schedule's channel model."""
 
     name: str
     kind: str                       # km | gfb | drs | pds
@@ -63,6 +65,7 @@ class ProblemInstance:
     cert_horizon: int = CERT_HORIZON
     built: object = None
     constants: dict = field(default_factory=dict)
+    schedule: Optional[GammaSchedule] = None
     _ref: Optional[FixedPointSet] = field(default=None, repr=False)
 
     # -- run helpers --------------------------------------------------------
@@ -116,6 +119,8 @@ class ProblemInstance:
         return trace, bc, None if cert is None else cert.series(trace, bc)
 
     def make_channel(self, c: float, p: float):
+        if self.schedule is not None:
+            return GfbScheduleChannel(self.built, self.schedule, ErrorSchedule.power(c, p))
         if self.kind in ("gfb", "drs"):
             half = ErrorSchedule.power(c / 2.0, p)
             return self.built.channel(half, half)
@@ -288,10 +293,12 @@ def make_lasso(m: int, n: int, mu: Optional[float] = None, seed: int = 1,
     )
 
 
-def make_gfb_multiblock(n_blocks: int, d: int, seed: int = 2) -> ProblemInstance:
+def make_gfb_multiblock(n_blocks: int, d: int, seed: int = 2,
+                        gamma: float = 1.0) -> ProblemInstance:
     """Multi-block product-space instance mixing l1, box-indicator and affine
-    monotone blocks around a smoothed-l1 forcing term (modulus 1).  The
-    strongly monotone affine block makes the consensus solution unique."""
+    monotone blocks around a smoothed-l1 forcing term (modulus 1), at step
+    size ``gamma``.  The strongly monotone affine block makes the consensus
+    solution unique."""
     if n_blocks not in (2, 3, 4) or d > 100:
         raise ParameterError("n_blocks in {2,3,4} and d <= 100")
     rng = np.random.default_rng(seed)
@@ -305,14 +312,14 @@ def make_gfb_multiblock(n_blocks: int, d: int, seed: int = 2) -> ProblemInstance
         4: [L1Block(0.1), BoxBlock(-0.8, 0.8), linear, ZeroBlock()],
     }[n_blocks]
     weights = np.full(n_blocks, 1.0 / n_blocks)
-    spec = GfbSpec(blocks=blocks, weights=weights, gamma=1.0, dim=d,
+    spec = GfbSpec(blocks=blocks, weights=weights, gamma=gamma, dim=d,
                    smooth=CocoerciveMap.envelope_l1(0.3))
     built = build_gfb(spec)
     z0 = built.space.point(tuple(rng.standard_normal(d) for _ in range(n_blocks)))
     return ProblemInstance(
         name=f"multiblock(n={n_blocks})", kind="gfb", operator=built.operator,
         z0=z0, relaxation=RelaxationSchedule.constant(1.0), built=built,
-        constants={"gamma": 1.0, "beta": 1.0},
+        constants={"gamma": gamma, "beta": 1.0},
     )
 
 
@@ -355,17 +362,12 @@ def make_pds_small(seed: int = 3) -> ProblemInstance:
 
 
 def make_multiblock_nonstationary(kind: str, d: int = 10, n_blocks: int = 3,
-                                  seed: int = 2):
-    """Per-step-parameter variant of the multi-block instance: schedules
-    decay toward the stationary parameter from 95% of the admissible limit.
-    Returns (family, schedule, stationary problem)."""
-    base = make_gfb_multiblock(n_blocks, d, seed=seed)
-    beta = base.constants["beta"]
-    gamma0 = 1.5 * beta
-    hi = 1.9 * beta
-    spec = GfbSpec(blocks=base.built.spec.blocks, weights=base.built.spec.weights,
-                   gamma=gamma0, dim=d, smooth=base.built.spec.smooth)
-    stationary = build_gfb(spec)
+                                  seed: int = 2) -> ProblemInstance:
+    """Per-step-parameter variant of the multi-block instance: the step size
+    follows a schedule of the given kind that decays from 95% of the
+    admissible limit ``2 beta`` toward the limit operator's ``1.5 beta``."""
+    beta = 1.0      # modulus of the multi-block instance's smooth part
+    gamma0, hi = 1.5 * beta, 1.9 * beta
     schedules = {
         "geometric": GammaSchedule.geometric(gamma0, hi, ratio=1.1),
         "inverse-square": GammaSchedule.inverse_square(gamma0, hi),
@@ -374,13 +376,9 @@ def make_multiblock_nonstationary(kind: str, d: int = 10, n_blocks: int = 3,
     }
     if kind not in schedules:
         raise ParameterError(f"unknown schedule kind {kind!r}")
-    family, schedule = build_gfb_nonstationary(spec, schedules[kind])
-    problem = ProblemInstance(
-        name=f"multiblock-ns({kind})", kind="gfb", operator=stationary.operator,
-        z0=base.z0, relaxation=RelaxationSchedule.constant(1.0),
-        built=stationary, constants={"gamma": gamma0, "beta": beta},
-    )
-    return family, schedule, problem
+    base = make_gfb_multiblock(n_blocks, d, seed=seed, gamma=gamma0)
+    return replace(base, name=f"multiblock-ns({kind})", schedule=schedules[kind],
+                   cert_horizon=10_000)
 
 
 def reference_solution(problem: ProblemInstance, tol: float = 1e-13,

@@ -13,7 +13,6 @@ shadow point it certifies.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import List, Optional
@@ -31,18 +30,6 @@ from .operators import (
     prox_l1,
 )
 from .spaces import ProductSpace, _layout, _weighted_sum
-
-
-def _recent(cache: dict, key, build):
-    """Look ``key`` up in a cache that keeps the two most recently used
-    entries; on a miss, ``build()`` the value and evict the oldest entry."""
-    value = cache.pop(key, None)
-    if value is None:
-        value = build()
-        if len(cache) == 2:
-            del cache[next(iter(cache))]
-    cache[key] = value
-    return value
 
 
 def _lu_factor(A: np.ndarray):
@@ -179,8 +166,12 @@ class LinearBlock(MonotoneBlock):
         self._lu = {}
 
     def resolvent(self, v, c):
-        lu = _recent(self._lu, float(c),
-                     lambda: _lu_factor(np.eye(self.M.shape[0]) + c * self.M))
+        lu = self._lu.pop(c, None)
+        if lu is None:
+            lu = _lu_factor(np.eye(self.M.shape[0]) + c * self.M)
+            if len(self._lu) == 2:      # evict the least recently used
+                del self._lu[next(iter(self._lu))]
+        self._lu[c] = lu
         return _lu_solve(lu, np.asarray(v, dtype=float) + c * self.c0)
 
     def member_residual(self, u, g):
@@ -247,9 +238,6 @@ class GfbSpec:
             raise ParameterError("need one positive weight per block")
         if not abs(float(self.weights.sum()) - 1.0) <= 1e-12:
             raise ParameterError("block weights must sum to 1")
-        self._check_gamma()
-
-    def _check_gamma(self):
         if not self.gamma > 0:
             raise ParameterError("step size must be positive")
         if self.smooth is not None and not self.gamma < 2.0 * self.smooth.beta:
@@ -257,13 +245,13 @@ class GfbSpec:
                 f"step size {self.gamma} outside (0, {2.0 * self.smooth.beta})"
             )
 
-    def at_gamma(self, gamma: float) -> "GfbSpec":
-        """The same blocks, weights and smooth part at another step size;
-        only the step size is checked again."""
-        sub = copy.copy(self)
-        sub.gamma = gamma
-        sub._check_gamma()
-        return sub
+    def alpha_at(self, gamma: float) -> float:
+        """Averagedness of the splitting at step size ``gamma``: the
+        reflected-resolvent half is firmly non-expansive and the forward step
+        ``gamma/(2 beta)``-averaged; ``T`` is their composition."""
+        if self.smooth is None:
+            return 0.5
+        return composition_alpha(0.5, gamma / (2.0 * self.smooth.beta))
 
     @property
     def n(self) -> int:
@@ -279,18 +267,13 @@ class GfbBuilt:
     block stack; only the per-block resolvents loop over the blocks.
     """
 
-    def __init__(self, spec: GfbSpec, space: Optional[ProductSpace] = None):
+    def __init__(self, spec: GfbSpec):
         self.spec = spec
-        self.space = (space if space is not None
-                      else ProductSpace((spec.dim,) * spec.n, spec.weights))
+        self.space = ProductSpace((spec.dim,) * spec.n, spec.weights)
         self._w = tuple(float(wi) for wi in spec.weights)
         self._params = tuple(spec.gamma / wi for wi in self._w)
-        # the reflected-resolvent half is firmly non-expansive and the
-        # forward step gamma/(2 beta)-averaged; T is their composition
-        alpha = (0.5 if spec.smooth is None
-                 else composition_alpha(0.5, spec.gamma / (2.0 * spec.smooth.beta)))
-        self.operator = OperatorSpec(lambda z: self.evaluate(z)[0], alpha, "gfb",
-                                     self.space)
+        self.operator = OperatorSpec(lambda z: self.evaluate(z)[0],
+                                     spec.alpha_at(spec.gamma), "gfb", self.space)
 
     def _rows(self, z: np.ndarray) -> np.ndarray:
         return z.reshape(self.spec.n, self.spec.dim)
@@ -299,9 +282,9 @@ class GfbBuilt:
         smooth = self.spec.smooth
         return smooth.fn(x) if smooth is not None else np.zeros_like(x)
 
-    def resolve_all(self, args: np.ndarray) -> np.ndarray:
+    def resolve_all(self, args: np.ndarray, params: Optional[tuple] = None) -> np.ndarray:
         out = np.empty_like(args)
-        for i, (blk, c) in enumerate(zip(self.spec.blocks, self._params)):
+        for i, (blk, c) in enumerate(zip(self.spec.blocks, params or self._params)):
             out[i] = blk.resolvent(args[i], c)
         return out
 
@@ -309,15 +292,22 @@ class GfbBuilt:
     def alpha(self) -> float:
         return self.operator.alpha
 
-    def evaluate(self, z: np.ndarray):
+    def evaluate(self, z: np.ndarray, gamma: Optional[float] = None):
         """``(T z, parts)``: the exact evaluation and its internals
         ``parts = (x, gx, args, u)``, the consensus, the smooth part at it,
-        the per-block resolvent arguments and their outputs."""
+        the per-block resolvent arguments and their outputs.  With
+        ``gamma``, the same splitting at that step size (per-block
+        parameters ``gamma / w_i``)."""
+        params = None
+        if gamma is None:
+            gamma = self.spec.gamma
+        else:
+            params = tuple(gamma / wi for wi in self._w)
         Z = self._rows(z)
         x = _weighted_sum(self._w, Z)
         gx = self.smooth_at(x)
-        args = 2.0 * x - Z - self.spec.gamma * gx
-        u = self.resolve_all(args)
+        args = 2.0 * x - Z - gamma * gx
+        u = self.resolve_all(args, params)
         return (Z + u - x).ravel(), (x, gx, args, u)
 
     def channel(self, pre_law: ErrorSchedule, post_law: ErrorSchedule
@@ -328,7 +318,10 @@ class GfbBuilt:
 class _ChannelModel:
     """An assembled splitting with its error-magnitude laws; ``evaluate(k,
     z, rng)`` returns ``(T z, perturbed T z, their difference or None,
-    extras)``."""
+    extras)``.  ``alphas`` lists averagedness constants of per-step
+    operators other than ``operator``, for the engine's relaxation check."""
+
+    alphas: tuple = ()
 
     def __init__(self, built, *laws: ErrorSchedule):
         self.built = built
@@ -367,6 +360,44 @@ class GfbChannelModel(_ChannelModel):
             out += np.stack(a_vecs)
         tilde = out.ravel()
         return exact, tilde, tilde - exact, extras
+
+
+class GfbScheduleChannel(_ChannelModel):
+    """The non-stationary iteration as a channel model of the splitting
+    ``built`` at the schedule's limit: step ``k`` applies the splitting at
+    ``gamma_k`` plus an injected error of magnitude ``law(k)``, while the
+    residual refers to the limit operator, so the reported error is
+    ``(T_k z - T z) + eps_k``.  The schedule's declared range must lie in
+    ``(0, 2 beta)``; ``alphas`` are the averagedness constants at its ends,
+    which the engine checks the relaxation against."""
+
+    def __init__(self, built: GfbBuilt, schedule: GammaSchedule, law: ErrorSchedule):
+        spec = built.spec
+        beta = spec.smooth.beta if spec.smooth is not None else np.inf
+        lo, hi = schedule.interval
+        if not (0.0 < lo and hi < 2.0 * beta):
+            raise ParameterError(
+                f"schedule range [{lo}, {hi}] leaves the admissible interval "
+                f"(0, {2.0 * beta})"
+            )
+        if schedule.limit != spec.gamma:
+            raise ParameterError(f"schedule limit {schedule.limit} differs from the "
+                                 f"splitting's step size {spec.gamma}")
+        super().__init__(built, law)
+        self.schedule = schedule
+        # every value lies in the declared range (built-in schedules by
+        # construction, custom ones are checked at each step), and the
+        # averagedness grows with the step size, so its ends bound every step
+        self.alphas = tuple(spec.alpha_at(g) for g in sorted(set(schedule.interval)))
+
+    def evaluate(self, k, z, rng):
+        built = self.built
+        gamma = self.schedule.value(k)
+        exact, parts = built.evaluate(z)
+        native = exact if gamma == built.spec.gamma else built.evaluate(z, gamma)[0]
+        mag = self.laws[0].magnitude(k)
+        tilde = native + built.space.unit_vector(rng) * mag if mag != 0.0 else native
+        return exact, tilde, None if tilde is exact else tilde - exact, {"parts": parts}
 
 
 def _l2(x: np.ndarray) -> float:
@@ -887,47 +918,3 @@ class PdsCertificates(_CertificateStream):
         bounds = factor * pointwise_bound(np.arange(trace.n_steps),
                                           self._constants.constants(trace))
         return CertificateSeries(np.asarray(self._values), bounds, None, surrogate=True)
-
-
-# ---------------------------------------------------------------------------
-# non-stationary product-space splitting
-# ---------------------------------------------------------------------------
-
-class GfbFamily:
-    """Parameter-indexed family of product-space splitting operators sharing
-    the block set, the weights and one product space.
-
-    The operator at the family's own step size ``spec.gamma`` (the schedule's
-    limit, for a family from :func:`build_gfb_nonstationary`) stays resident;
-    operators at other values are cached for the two most recently used.
-    """
-
-    def __init__(self, spec: GfbSpec):
-        self.spec = spec
-        self.space = ProductSpace((spec.dim,) * spec.n, spec.weights)
-        self._resident = None
-        self._cache = {}
-
-    def at(self, gamma: float) -> OperatorSpec:
-        key = float(gamma)
-        if key == self.spec.gamma:
-            if self._resident is None:
-                self._resident = GfbBuilt(self.spec, self.space).operator
-            return self._resident
-        return _recent(self._cache, key,
-                       lambda: GfbBuilt(self.spec.at_gamma(key), self.space).operator)
-
-
-def build_gfb_nonstationary(spec: GfbSpec, schedule: GammaSchedule):
-    """Family plus schedule for the per-step-parameter iteration.  Validates
-    that the schedule's declared range stays inside (0, 2 beta); the family
-    is anchored at the schedule's limit.  The summability classification
-    travels on the schedule itself."""
-    beta = spec.smooth.beta if spec.smooth is not None else np.inf
-    lo, hi = schedule.interval
-    if not (0.0 < lo and hi < 2.0 * beta):
-        raise ParameterError(
-            f"schedule range [{lo}, {hi}] leaves the admissible interval "
-            f"(0, {2.0 * beta})"
-        )
-    return GfbFamily(spec.at_gamma(schedule.limit)), schedule

@@ -10,12 +10,7 @@ import pytest
 
 from kmcert.bounds import trace_series, verify_series
 from kmcert.cli import main as cli_main
-from kmcert.km import (
-    RelaxationSchedule,
-    StopRule,
-    run_km,
-    run_km_nonstationary,
-)
+from kmcert.km import RelaxationSchedule, StopRule, run_km
 from kmcert.operators import OperatorSpec, composition_alpha, prox_l1
 from kmcert.problems import (
     make_gfb_multiblock,
@@ -79,16 +74,15 @@ def cert_bundle():
 def ns_bundle():
     """Stationary baseline plus the three per-step-parameter schedules at the
     common horizon."""
-    _, _, stationary = make_multiblock_nonstationary("constant", d=10)
+    stationary = make_multiblock_nonstationary("constant", d=10)
     stop = StopRule(max_iters=10_000, residual_tol=0.0)
     runs = {"stationary": run_km(stationary.operator, stationary.z0,
                                  stationary.relaxation, stop=stop)}
     schedules = {}
     for kind in ("geometric", "inverse-square", "harmonic"):
-        family, schedule, _ = make_multiblock_nonstationary(kind, d=10)
-        runs[kind] = run_km_nonstationary(
-            family, schedule, stationary.z0, stationary.relaxation, stop=stop)
-        schedules[kind] = schedule
+        problem = make_multiblock_nonstationary(kind, d=10)
+        runs[kind] = problem.exact_run(max_iters=10_000)
+        schedules[kind] = problem.schedule
     return stationary, runs, schedules
 
 

@@ -49,8 +49,8 @@ class TestConfig:
     def test_all_presets_resolve(self):
         for name in PRESETS:
             cfg = resolve_config(preset=name)
-            if cfg.get("method") != "gfb-nonstationary":
-                build_problem(cfg)
+            problem = build_problem(cfg)
+            assert (problem.schedule is None) == (cfg["method"] != "gfb-nonstationary")
 
 
 class TestRunCommand:
@@ -241,3 +241,32 @@ class TestNonstationaryRuns:
         assert "not summable" in report["schedule"]["note"]
         _, cols = parse_trace_csv(str(tmp_path / "nsh.csv"))
         assert not np.isnan(cols["gamma"]).any()
+
+    def test_nonstationary_method_on_another_problem_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("problem = lasso\nmethod = gfb-nonstationary\n")
+        assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config key 'method' must be one of ['', 'gfb']" in err
+        assert "got 'gfb-nonstationary'" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_problem_kind_accepted_as_method(self, tmp_path):
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("problem = lasso\nmethod = gfb\nmax_iters = 20\nname = l\n")
+        assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "l.json").read_text())["method"] == "gfb"
+
+    def test_rate_horizon_run_takes_steps_and_writes_strict_json(self, tmp_path):
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("problem = multiblock\nmethod = gfb-nonstationary\n"
+                           "dim = 6\nmax_iters = -1\nname = nsr\n")
+        assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        report = json.loads((tmp_path / "nsr.json").read_text(), parse_constant=reject)
+        assert report["steps"] > 0
+        assert report["steps"] == build_problem(resolve_config(
+            overrides={"problem": "multiblock", "method": "gfb-nonstationary"})).rate_horizon

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,11 @@ from kmcert.km import (
     RelaxationSchedule,
     StopRule,
     run_km,
-    run_km_nonstationary,
 )
 from kmcert.operators import OperatorSpec, zero_operator
 from kmcert.spaces import ProductSpace
-from kmcert.splitting import SubspaceBlock, build_gfb_nonstationary
-from kmcert.problems import make_multiblock_nonstationary
+from kmcert.splitting import GfbScheduleChannel, GfbSpec, SubspaceBlock, build_gfb
+from kmcert.problems import make_gfb_multiblock, make_multiblock_nonstationary
 from oracles import metric_inner, vector_operator
 
 
@@ -250,43 +251,65 @@ class TestErgodicRecompute:
 
 class TestNonstationary:
     def test_constant_schedule_degenerates(self):
-        fam, sched, statp = make_multiblock_nonstationary("constant", d=6)
-        tr_ns = run_km_nonstationary(fam, sched, statp.z0, statp.relaxation,
-                                     stop=StopRule(200, 0.0))
-        tr_st = statp.exact_run(max_iters=200)
+        tr_ns = make_multiblock_nonstationary("constant", d=6).exact_run(max_iters=200)
+        tr_st = make_gfb_multiblock(3, 6, gamma=1.5).exact_run(max_iters=200)
         assert np.array_equal(tr_ns.res_norm, tr_st.res_norm)
         assert np.array_equal(tr_ns.erg_norm, tr_st.erg_norm)
         assert np.array_equal(tr_ns.disp_norm, tr_st.disp_norm)
         assert np.max(tr_ns.eps_norm) == 0.0
 
     def test_geometric_perturbations_summable(self):
-        fam, sched, statp = make_multiblock_nonstationary("geometric", d=6)
-        tr = run_km_nonstationary(fam, sched, statp.z0, statp.relaxation,
-                                  stop=StopRule(600, 0.0))
+        tr = make_multiblock_nonstationary("geometric", d=6).exact_run(max_iters=600)
         sums = np.cumsum(tr.eps_norm)
         # the partial-sum tail past step 300 moves by less than 1e-8
         assert sums[-1] - sums[300] <= 1e-8
         assert np.isfinite(sums[-1])
 
     def test_harmonic_perturbations_still_growing(self):
-        fam, sched, statp = make_multiblock_nonstationary("harmonic", d=6)
-        tr = run_km_nonstationary(fam, sched, statp.z0, statp.relaxation,
-                                  stop=StopRule(600, 0.0))
+        tr = make_multiblock_nonstationary("harmonic", d=6).exact_run(max_iters=600)
         sums = np.cumsum(tr.eps_norm)
         assert sums[-1] - sums[-301] > 1e-4
 
     def test_gamma_column_recorded(self):
-        fam, sched, statp = make_multiblock_nonstationary("geometric", d=6)
-        tr = run_km_nonstationary(fam, sched, statp.z0, statp.relaxation,
-                                  stop=StopRule(50, 0.0))
-        assert tr.gamma is not None
-        assert tr.gamma[0] == pytest.approx(sched.value(0))
-        assert tr.gamma[7] == pytest.approx(sched.value(7))
+        from kmcert.cli import execute_run, resolve_config
+        cfg = resolve_config(overrides={
+            "problem": "multiblock", "method": "gfb-nonstationary",
+            "gamma_schedule": "geometric", "dim": 6, "max_iters": 50})
+        trace, _, columns = execute_run(cfg)
+        sched = make_multiblock_nonstationary("geometric", d=6).schedule
+        assert columns["gamma"].shape == (trace.n_steps,) == (50,)
+        assert columns["gamma"][0] == sched.value(0)
+        assert columns["gamma"][7] == sched.value(7)
 
     def test_schedule_range_validated(self):
-        from kmcert.problems import make_gfb_multiblock
-        base = make_gfb_multiblock(2, 6)
-        from kmcert.km import GammaSchedule
+        base = make_gfb_multiblock(2, 6, gamma=1.5)
         bad = GammaSchedule.geometric(1.5, 2.5)  # exceeds 2 beta = 2
-        with pytest.raises(ParameterError):
-            build_gfb_nonstationary(base.built.spec, bad)
+        with pytest.raises(ParameterError, match="admissible interval"):
+            GfbScheduleChannel(base.built, bad, ErrorSchedule.power(0.0, 3.0))
+
+    @pytest.mark.parametrize("kind", ["geometric", "harmonic"])
+    def test_inexact_error_is_operator_drift_plus_injected_error(self, kind, record):
+        # eps_k - (T_{gamma_k} z_k - T z_k) is the injected error, of norm
+        # 0.1/(k+1)^3; T_{gamma_k} is assembled anew at each step size
+        p = make_multiblock_nonstationary(kind, d=6)
+        spec, norm = p.built.spec, p.operator.space.norm
+        trace, rec = record(p.inexact_run, 0.1, 3.0, 40)
+        assert trace.n_steps == 40
+        for k in range(trace.n_steps):
+            z = rec.z_vecs[k]
+            T_k = build_gfb(GfbSpec(spec.blocks, spec.weights, p.schedule.value(k),
+                                    spec.dim, spec.smooth)).operator
+            injected = norm(rec.eps_vector(k) - (T_k(z) - p.operator(z)))
+            mag = 0.1 / (k + 1.0) ** 3
+            assert abs(injected - mag) <= 1e-12 * max(mag, norm(z))
+
+    def test_relaxation_checked_at_the_range_ends(self):
+        # alpha = 2 beta / (4 beta - gamma) with beta = 1 caps the relaxation
+        # at 1.25 at the limit 1.5 and at 1.05 at the range's upper end 1.9
+        lam = RelaxationSchedule.constant(1.2)
+        stationary = make_gfb_multiblock(3, 6, gamma=1.5)
+        assert replace(stationary, relaxation=lam).inexact_run(0.1, 3.0, 5).n_steps == 5
+        for kind in ("geometric", "harmonic"):
+            p = replace(make_multiblock_nonstationary(kind, d=6), relaxation=lam)
+            with pytest.raises(ParameterError, match="admissible cap 1.05"):
+                p.inexact_run(0.1, 3.0, 5)

@@ -443,20 +443,28 @@ class TestPds:
 
 class TestNonstationaryFamily:
     def test_per_gamma_certificates(self):
-        fam, sched, statp = make_multiblock_nonstationary("geometric", d=6)
-        beta = statp.constants["beta"]
+        p = make_multiblock_nonstationary("geometric", d=6)
+        beta = p.constants["beta"]
+        spec = p.built.spec
         for g in (1.5, 1.7, 1.9):
-            op = fam.at(g)
-            assert op.alpha == pytest.approx(2.0 * beta / (4.0 * beta - g))
+            at_g = build_gfb(GfbSpec(spec.blocks, spec.weights, g, spec.dim, spec.smooth))
+            assert spec.alpha_at(g) == at_g.alpha == pytest.approx(2.0 * beta / (4.0 * beta - g))
+        assert p.make_channel(0.0, 3.0).alphas == (spec.alpha_at(1.5), spec.alpha_at(1.9))
 
-    def test_caching_gives_identity(self):
-        fam, _, _ = make_multiblock_nonstationary("geometric", d=6)
-        assert fam.at(1.6) is fam.at(1.6)
+    def test_evaluate_at_another_step_size_matches_a_fresh_build(self):
+        p = make_multiblock_nonstationary("harmonic", d=6)
+        spec = p.built.spec
+        z = p.built.space.gaussian(np.random.default_rng(5))
+        out, parts = p.built.evaluate(z, 1.7)
+        want, want_parts = build_gfb(GfbSpec(spec.blocks, spec.weights, 1.7, spec.dim,
+                                             spec.smooth)).evaluate(z)
+        assert np.array_equal(out, want)
+        assert all(np.array_equal(a, b) for a, b in zip(parts, want_parts))
 
     def test_schedule_classification_reported(self):
-        _, geo, _ = make_multiblock_nonstationary("geometric", d=6)
-        _, sq, _ = make_multiblock_nonstationary("inverse-square", d=6)
-        _, harm, _ = make_multiblock_nonstationary("harmonic", d=6)
+        geo = make_multiblock_nonstationary("geometric", d=6).schedule
+        sq = make_multiblock_nonstationary("inverse-square", d=6).schedule
+        harm = make_multiblock_nonstationary("harmonic", d=6).schedule
         assert geo.abs_summable and geo.k_summable
         assert sq.abs_summable and not sq.k_summable
         assert not harm.abs_summable and not harm.k_summable

@@ -6,6 +6,7 @@ and emitted trace cells and rows when they are read back.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,12 +15,12 @@ from kmcert import cli
 from kmcert.cli import CSV_COLUMNS, main, verify_files
 from kmcert.errors import NumericalError, ParameterError, StructuralError, UnavailableError
 from kmcert.km import (
+    ErrorSchedule,
     FixedPointSet,
     GammaSchedule,
     RelaxationSchedule,
     StopRule,
     run_km,
-    run_km_nonstationary,
 )
 from kmcert.operators import OperatorSpec, zero_operator
 from kmcert.problems import (
@@ -34,13 +35,14 @@ from kmcert.spaces import ProductSpace
 from kmcert.splitting import (
     BoxBlock,
     CocoerciveMap,
+    GfbBuilt,
+    GfbScheduleChannel,
     GfbSpec,
     L1Block,
     LinearBlock,
     SubspaceBlock,
     _lu_factor,
     build_gfb,
-    build_gfb_nonstationary,
 )
 from oracles import check_averaged, check_firmly_nonexpansive, vector_operator
 
@@ -211,26 +213,27 @@ class TestFixedPointChecks:
 
 
 class TestCaches:
-    def test_family_and_factorization_caches_stay_bounded(self):
-        fam, sched, statp = make_multiblock_nonstationary("harmonic", d=6)
-        tr = run_km_nonstationary(fam, sched, statp.z0, statp.relaxation,
-                                  stop=StopRule(200, 0.0))
-        assert tr.n_steps == 200
-        assert len(fam._cache) <= 2
-        linear = [b for b in fam.spec.blocks if isinstance(b, LinearBlock)]
+    def test_factorization_cache_stays_bounded(self):
+        p = make_multiblock_nonstationary("harmonic", d=6)
+        assert p.exact_run(max_iters=200).n_steps == 200
+        linear = [b for b in p.built.spec.blocks if isinstance(b, LinearBlock)]
         assert linear and all(len(b._lu) <= 2 for b in linear)
 
-    def test_limit_operator_stays_resident(self):
-        fam, sched, _ = make_multiblock_nonstationary("harmonic", d=6)
-        limit_op = fam.at(sched.limit)
-        for k in range(1, 10):
-            fam.at(sched.value(k))
-        assert fam.at(sched.limit) is limit_op
+    def test_limit_operator_stays_resident(self, monkeypatch):
+        # the limit evaluation is the problem's own splitting, and the
+        # per-step step sizes assemble no operator
+        p = make_multiblock_nonstationary("harmonic", d=6)
+        assert p.make_channel(0.0, 3.0).operator is p.operator
+        assembled = []
+        real_init = GfbBuilt.__init__
 
-    def test_members_share_the_family_space(self):
-        fam, sched, _ = make_multiblock_nonstationary("geometric", d=6)
-        spaces = {id(fam.at(sched.value(k)).space) for k in range(5)}
-        assert spaces == {id(fam.space)}
+        def counting_init(self, *args):
+            assembled.append(args)
+            real_init(self, *args)
+
+        monkeypatch.setattr(GfbBuilt, "__init__", counting_init)
+        assert p.exact_run(max_iters=20).n_steps == 20
+        assert assembled == []
 
     def test_lu_cache_keeps_two_most_recent(self):
         blk = LinearBlock(np.eye(3))
@@ -265,32 +268,30 @@ class TestScheduleRanges:
             GammaSchedule.from_function(lambda k: 1.5, 1.9, 1.2, 1.8)
 
     def test_custom_gamma_out_of_range_raises_at_step(self):
-        fam, _, statp = make_multiblock_nonstationary("constant", d=6)
+        p = make_multiblock_nonstationary("constant", d=6)
         sched = GammaSchedule.from_function(
             lambda k: 1.5 if k < 4 else 1.85, 1.5, 1.2, 1.8)
         with pytest.raises(ParameterError, match="step 4"):
-            run_km_nonstationary(fam, sched, statp.z0, statp.relaxation,
-                                 stop=StopRule(10, 0.0))
+            replace(p, schedule=sched).exact_run(max_iters=10)
 
     def test_custom_gamma_range_checked_against_admissible_interval(self):
-        base = make_gfb_multiblock(2, 6)
+        base = make_gfb_multiblock(2, 6, gamma=1.5)
         sched = GammaSchedule.from_function(lambda k: 1.5, 1.5, 1.2, 2.5)
-        with pytest.raises(ParameterError):
-            build_gfb_nonstationary(base.built.spec, sched)
+        with pytest.raises(ParameterError, match="admissible interval"):
+            GfbScheduleChannel(base.built, sched, ErrorSchedule.power(0.0, 3.0))
+
+    def test_schedule_limit_must_be_the_splittings_step_size(self):
+        base = make_gfb_multiblock(2, 6)
+        with pytest.raises(ParameterError, match="schedule limit 1.5"):
+            GfbScheduleChannel(base.built, GammaSchedule.constant(1.5),
+                               ErrorSchedule.power(0.0, 3.0))
 
     def test_admissibility_probed_at_both_ends(self):
-        fam, _, statp = make_multiblock_nonstationary("constant", d=6)
-        probed = []
-        real_at = fam.at
-
-        def at(g):
-            probed.append(g)
-            return real_at(g)
-
+        # alpha = 2 beta / (4 beta - gamma) with beta = 1
+        p = make_multiblock_nonstationary("constant", d=6)
         sched = GammaSchedule.from_function(lambda k: 1.5, 1.5, 1.2, 1.8)
-        run_km_nonstationary(at, sched, statp.z0, statp.relaxation,
-                             stop=StopRule(1, 0.0))
-        assert 1.2 in probed and 1.8 in probed
+        channel = replace(p, schedule=sched).make_channel(0.0, 3.0)
+        assert channel.alphas == pytest.approx((2.0 / 2.8, 2.0 / 2.2), rel=1e-15)
 
 
 class TestCli:
@@ -433,6 +434,10 @@ class TestCli:
         ("zero-map", "error_c = nan"),
         ("two-subspaces", "lam = nan"),
         ("zero-map", "tol = nan"),
+        ("lasso", "method = drs"),
+        ("zero-map", "method = gfb"),
+        ("lasso", "method = gfb-nonstationary"),
+        ("two-subspaces", "method = gfb-nonstationary"),
     ])
     def test_bad_config_value_exits_2_naming_the_key(self, tmp_path, capsys, problem, line):
         cfgfile = tmp_path / "cfg.txt"

@@ -57,9 +57,14 @@ TOL = 1e-12
 
 
 def configs(names=None):
-    """(key, config) for every suite member and preset, optionally only
-    those whose key is in ``names``; preset keys carry a ``preset:`` prefix."""
-    out = [(m["name"], m) for m in suite_members()]
+    """(key, config) for every suite member and preset, plus an inexact
+    variant (``error_c = 0.1``) of each non-stationary member, optionally
+    only those whose key is in ``names``; preset keys carry a ``preset:``
+    prefix and the inexact variants an ``inexact:`` prefix."""
+    members = suite_members()
+    out = [(m["name"], m) for m in members]
+    out += [(f"inexact:{m['name']}", dict(m, name=f"{m['name']}-inexact", error_c=0.1))
+            for m in members if m["name"].startswith("ns-")]
     out += [(f"preset:{p}", resolve_config(preset=p)) for p in sorted(PRESETS)]
     if names is not None:
         wanted = set(names)
