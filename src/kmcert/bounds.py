@@ -124,11 +124,14 @@ def ergodic_bound(k, constants: BoundConstants, lam_sum):
 def local_zeta(tau_k: float, kappa: float) -> float:
     """Squared-distance contraction factor of the local linear model:
     ``1 - tau/kappa^2`` when that ratio lies in (0, 1], else
-    ``kappa^2 / (kappa^2 + tau)``; always in [0, 1) for ``tau > 0``."""
+    ``kappa^2 / (kappa^2 + tau)``; in [0, 1] for ``tau > 0``, and 1 for a
+    modulus whose square would overflow (both forms round to 1 there)."""
     if kappa <= 0:
         raise ParameterError("modulus must be positive")
     if tau_k < 0:
         raise ParameterError("tau must be non-negative")
+    if kappa > 1e150:       # near sqrt(float max); both forms round to 1 past ~1e9
+        return 1.0
     ratio = tau_k / kappa ** 2
     if 0.0 < ratio <= 1.0:
         return 1.0 - ratio
@@ -156,15 +159,13 @@ def local_zeta_series(lam, alpha: Optional[float], kappa: float) -> np.ndarray:
 def gd_theoretical_rate(gamma: float, delta_m: float, delta_M: float) -> float:
     """Distance-rate ``sqrt(1 - t (2 - t) / cnd^2)`` of a gradient step with
     curvature bounds ``delta_m <= delta_M``, ``t = gamma delta_M`` and
-    ``cnd = delta_M / delta_m``."""
+    ``cnd = delta_M / delta_m``: the root of ``local_zeta(t (2 - t), cnd)``."""
     if not (0.0 < delta_m <= delta_M):
         raise ParameterError("need 0 < delta_m <= delta_M")
     if not (0.0 < gamma < 2.0 / delta_M):
         raise ParameterError("step size outside (0, 2/delta_M)")
     t = gamma * delta_M
-    cnd = delta_M / delta_m
-    zeta = 1.0 - t * (2.0 - t) / cnd ** 2
-    return float(np.sqrt(max(zeta, 0.0)))
+    return float(np.sqrt(local_zeta(t * (2.0 - t), delta_M / delta_m)))
 
 
 def fit_tail_rate(values, tail_fraction: float = 0.3) -> float:

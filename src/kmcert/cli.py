@@ -218,12 +218,6 @@ def build_problem(cfg: dict) -> ProblemInstance:
 # CSV trace emit / parse
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return ""
-    return format(float(x), ".17g")
-
-
 def emit_trace_csv(path: str, cfg: dict, trace, columns: dict) -> None:
     """Write the per-iteration table with the config echoed as comments.
     ``columns`` maps optional column names to arrays (or None)."""
@@ -232,30 +226,16 @@ def emit_trace_csv(path: str, cfg: dict, trace, columns: dict) -> None:
         lines.append(f"# {key} = {cfg[key]}")
     lines.append(",".join(CSV_COLUMNS))
     K = trace.n_steps
-    gamma = columns.get("gamma")
-    dist = columns.get("dist_fix")
-    pw = columns.get("pw_bound")
-    eb = columns.get("erg_bound")
-    lm = columns.get("local_model")
-    cv = columns.get("cert_value")
-    cb = columns.get("cert_bound")
-    for k in range(K):
-        row = [
-            str(k),
-            _fmt(trace.lam[k]),
-            _fmt(gamma[k]) if gamma is not None else "",
-            _fmt(trace.eps_norm[k]),
-            _fmt(trace.res_norm[k]),
-            _fmt(trace.erg_norm[k]),
-            _fmt(trace.disp_norm[k]),
-            _fmt(dist[k]) if dist is not None else "",
-            _fmt(pw[k]) if pw is not None else "",
-            _fmt(eb[k]) if eb is not None else "",
-            _fmt(lm[k]) if lm is not None else "",
-            _fmt(cv[k]) if cv is not None else "",
-            _fmt(cb[k]) if cb is not None else "",
-        ]
-        lines.append(",".join(row))
+    data = {**columns, "lambda": trace.lam, "err_norm": trace.eps_norm,
+            "res_norm": trace.res_norm, "erg_res_norm": trace.erg_norm,
+            "disp_norm": trace.disp_norm}
+    for lo in range(0, K, 1024):            # 1024 rows at a time bound the memory
+        hi = min(lo + 1024, K)
+        cells = [[str(k) for k in range(lo, hi)]]
+        for col in map(data.get, CSV_COLUMNS[1:]):      # NaN and absent cells are blank
+            cells.append([""] * (hi - lo) if col is None else
+                         ["" if v != v else "%.17g" % v for v in col[lo:hi].tolist()])
+        lines.extend(map(",".join, zip(*cells, strict=True)))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

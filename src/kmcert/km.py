@@ -12,6 +12,7 @@ declared *limit* operator ``T`` and reports ``eps = (T_k z - T z) + eps_k``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -285,6 +286,11 @@ def _plain_evaluator(T: OperatorSpec, errors: Optional[ErrorSchedule]):
     return evalstep
 
 
+def _check_output(k, exact, tilde) -> None:
+    if not np.isfinite(tilde).all() or (tilde is not exact and not np.isfinite(exact).all()):
+        raise NumericalError(f"non-finite operator output at step {k}")
+
+
 def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
              relaxation: RelaxationSchedule, stop: StopRule,
              fix: Optional[FixedPointSet], observe: Optional[Callable],
@@ -300,6 +306,7 @@ def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
     rng = np.random.default_rng(seed)
     lam_l, epsn_l, res_l, erg_l, disp_l, dist_l = [], [], [], [], [], []
     norm = space.norm
+    eager = space.metric_op is not None   # a metric may warn on or hide a non-finite input
 
     z = z0
     S = np.zeros(space.size)
@@ -312,14 +319,17 @@ def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
             dist_l.append(fix.distance(z, space))
 
         exact, tilde, eps_vec, extras = evalstep(k, z, rng)
-        if not np.isfinite(tilde).all() or (
-                tilde is not exact and not np.isfinite(exact).all()):
-            raise NumericalError(f"non-finite operator output at step {k}")
+        if eager:
+            _check_output(k, exact, tilde)
 
         e = z - exact
         res = norm(e)
         zn = z + (tilde - z) * lam
         step = z - zn
+        disp = norm(step)
+        # a non-finite exact output shows in res, a non-finite tilde in disp
+        if not (math.isfinite(res) and math.isfinite(disp)):
+            _check_output(k, exact, tilde)
 
         # cross-check the residual against its update-rule form; the test is
         # drift > tol * max(1, ||z||), with ||z|| only evaluated when needed
@@ -340,7 +350,7 @@ def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
         epsn_l.append(norm(eps_vec) if eps_vec is not None else 0.0)
         res_l.append(res)
         erg_l.append(norm(S) / lam_total)
-        disp_l.append(norm(step))
+        disp_l.append(disp)
 
         z = zn
         if norm(zn) > stop.divergence_norm:

@@ -5,9 +5,11 @@ A point of ``R^{d_1} x ... x R^{d_n}`` is a plain float64 array of length
 returns views of its blocks.  Nothing writes in place into an array a point
 may share (an iterate, a block view, an operator output), so a point stays
 valid after the step that made it.  The inner product ``<x, y> = sum_i w_i
-<x_i, y_i>`` is summed block by block in block order, never as one reordered
+<x_i, y_i>`` adds one dot per block in block order, never one reordered
 reduction over the whole array, so every norm is bit-identical to the
-per-block formula.  A space may install a metric operator ``M``
+per-block formula; one block takes a single dot, equal blocks the rows of
+one ``np.vecdot`` (each equals its ``x.dot(y)``), other layouts a dot per
+block slice.  A space may install a metric operator ``M``
 (self-adjoint, positive in the weighted inner product), given as a map from
 arrays to arrays; ``||x||_M^2 = <x, M x>`` then replaces the plain norm
 wherever the space is asked for one.  A space also draws the seeded Gaussian
@@ -48,6 +50,23 @@ def _block_inner(weights, slices, a: np.ndarray, b: np.ndarray) -> float:
     return acc
 
 
+def _inner_kernel(weights, dims, slices):
+    """The layout's ``inner(a, b)``, in the summation order of ``_block_inner``."""
+    if len(dims) == 1:
+        w0 = weights[0]
+        return lambda a, b: w0 * float(a.dot(b))
+    if len(set(dims)) > 1:
+        return lambda a, b: _block_inner(weights, slices, a, b)
+    shape = (len(dims), dims[0])
+
+    def inner(a, b):
+        acc = 0.0
+        for w, v in zip(weights, np.vecdot(a.reshape(shape), b.reshape(shape)).tolist()):
+            acc += w * v
+        return acc
+    return inner
+
+
 def _weighted_sum(weights, rows: np.ndarray) -> np.ndarray:
     """``w_0 rows[0] + w_1 rows[1] + ...``, accumulated in row order, for
     rows of one ``(n, d)`` block stack; unchecked."""
@@ -61,7 +80,7 @@ class ProductSpace:
     """Shape (block dimensions), weights and metric of a product space; its
     points are arrays of length ``size`` (see the module docstring)."""
 
-    __slots__ = ("dims", "weights", "metric_op", "size", "_slices", "_w")
+    __slots__ = ("dims", "weights", "metric_op", "size", "_slices", "_w", "_inner")
 
     def __init__(self, dims, weights, metric_op=None):
         dims = tuple(int(d) for d in dims)
@@ -78,6 +97,7 @@ class ProductSpace:
         self.size = sum(dims)
         self._slices = _layout(dims)
         self._w = tuple(float(w) for w in weights)
+        self._inner = _inner_kernel(self._w, dims, self._slices)
 
     @classmethod
     def single(cls, d: int) -> "ProductSpace":
@@ -109,14 +129,16 @@ class ProductSpace:
 
     # -- norms -------------------------------------------------------------
 
+    # ``0.0 if acc < 0.0 else acc`` is ``max(acc, 0.0)`` (NaN and -0.0 too)
     def base_norm(self, a: np.ndarray) -> float:
         """The weighted direct-sum norm, ignoring the metric."""
-        return math.sqrt(max(_block_inner(self._w, self._slices, a, a), 0.0))
+        acc = self._inner(a, a)
+        return math.sqrt(0.0 if acc < 0.0 else acc)
 
     def norm(self, a: np.ndarray) -> float:
         """The space's norm: the metric norm when a metric is installed."""
-        b = a if self.metric_op is None else self.metric_op(a)
-        return math.sqrt(max(_block_inner(self._w, self._slices, a, b), 0.0))
+        acc = self._inner(a, a if self.metric_op is None else self.metric_op(a))
+        return math.sqrt(0.0 if acc < 0.0 else acc)
 
     # -- sampling ----------------------------------------------------------
 

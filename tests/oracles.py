@@ -1,5 +1,6 @@
 """Test oracles that kmcert itself does not use: a plain-vector operator
-wrapper, the inner product of a product space, seeded sampling checks of
+wrapper, the inner product of a product space and its per-block norm, the
+cell-by-cell CSV row formatter, seeded sampling checks of
 averagedness, the diagonal-subspace projector and reflector of a weighted
 product space, and an independent forward-backward reference for the
 primal-dual instance.
@@ -8,6 +9,7 @@ The sampling checks are falsification tests, not the source of truth:
 sampling cannot prove averagedness.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +47,41 @@ def metric_inner(space: ProductSpace, a: np.ndarray, b: np.ndarray) -> float:
     without a metric, summed in block order."""
     m = space.metric_op
     return _block_inner(space._w, space._slices, a, b if m is None else m(b))
+
+
+def block_norm(space: ProductSpace, a: np.ndarray, metric: bool = True) -> float:
+    """``sqrt(max(<a, M a>, 0))`` with one dot per block slice, added in
+    block order; ``metric=False`` ignores the space's metric."""
+    m = space.metric_op if metric else None
+    return math.sqrt(max(_block_inner(space._w, space._slices, a, a if m is None else m(a)), 0.0))
+
+
+# ---------------------------------------------------------------------------
+# CSV rows, cell by cell
+# ---------------------------------------------------------------------------
+
+def _fmt(x) -> str:
+    if x is None or (isinstance(x, float) and math.isnan(x)):
+        return ""
+    return format(float(x), ".17g")
+
+
+def trace_rows(trace, columns: dict) -> list:
+    """The data rows of a CSV trace, formatted one cell at a time; the byte
+    oracle of ``emit_trace_csv``."""
+    names = ("gamma", "dist_fix", "pw_bound", "erg_bound", "local_model",
+             "cert_value", "cert_bound")
+    opt = {name: columns.get(name) for name in names}
+    rows = []
+    for k in range(trace.n_steps):
+        cell = {name: _fmt(col[k]) if col is not None else "" for name, col in opt.items()}
+        rows.append(",".join([
+            str(k), _fmt(trace.lam[k]), cell["gamma"], _fmt(trace.eps_norm[k]),
+            _fmt(trace.res_norm[k]), _fmt(trace.erg_norm[k]), _fmt(trace.disp_norm[k]),
+            cell["dist_fix"], cell["pw_bound"], cell["erg_bound"], cell["local_model"],
+            cell["cert_value"], cell["cert_bound"],
+        ]))
+    return rows
 
 
 # ---------------------------------------------------------------------------

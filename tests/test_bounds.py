@@ -133,6 +133,15 @@ class TestLocalZeta:
             z = local_zeta(rng.uniform(1e-6, 10.0), rng.uniform(0.1, 10.0))
             assert 0.0 <= z < 1.0
 
+    @pytest.mark.parametrize("kappa", [1e9, 1e100, 1e150, 1e154, 1e200, 1e300,
+                                       np.float64(1e300), np.inf])
+    def test_huge_modulus_gives_one(self, kappa):
+        # the formula already rounds to 1 past ~1e9; past sqrt(float max) its
+        # square overflows (OverflowError on a float, inf/inf on a float64)
+        for tau in (0.0, 1e-300, 0.09, 0.25):
+            assert local_zeta(tau, kappa) == 1.0
+        assert local_zeta_averaged(1.0, 0.5, kappa) == 1.0
+
 
 class TestLocalZetaAveraged:
     def test_reflection_scheme_unrelaxed(self):
@@ -169,6 +178,12 @@ class TestGdTheoreticalRate:
 
     def test_perfect_conditioning(self):
         assert gd_theoretical_rate(1.0, 1.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("gamma, delta_m, delta_M", [
+        (1.0, 1e-9, 1.0), (1.0, 1e-150, 1.0), (1.0, 1e-160, 1.0),
+        (1e-300, 0.8, 1e300), (1e-300, 1e-100, 1e300)])
+    def test_huge_condition_number_gives_one(self, gamma, delta_m, delta_M):
+        assert gd_theoretical_rate(gamma, delta_m, delta_M) == 1.0
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -1,8 +1,10 @@
 import filecmp
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kmcert.cli import (
     CSV_COLUMNS,
@@ -18,6 +20,7 @@ from kmcert.cli import (
     verify_files,
 )
 from kmcert.errors import ParameterError
+from oracles import _fmt, trace_rows
 
 
 class TestConfig:
@@ -145,6 +148,87 @@ class TestCsvRoundTrip:
             parse_trace_csv(str(path))
 
 
+ODD = [-0.0, 5e-324, 1.7976931348623157e308, 3.0, 1e16, 0.1, -2.5e-310, 12345678901234567.0]
+
+
+def fake_trace(cols: dict):
+    """A trace object holding just what ``emit_trace_csv`` reads."""
+    return SimpleNamespace(n_steps=len(cols["lambda"]), lam=np.array(cols["lambda"]),
+                           eps_norm=np.array(cols["err_norm"]),
+                           res_norm=np.array(cols["res_norm"]),
+                           erg_norm=np.array(cols["erg_res_norm"]),
+                           disp_norm=np.array(cols["disp_norm"]))
+
+
+def data_rows(path) -> list:
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return lines[1:]
+
+
+class TestCsvWriterBytes:
+    """The column-wise writer against the cell-by-cell ``_fmt`` oracle."""
+
+    def test_odd_values_blanks_and_absent_columns(self, tmp_path):
+        K = len(ODD)
+        rng = np.random.default_rng(5)
+        cols = {name: rng.permutation(ODD) for name in
+                ("lambda", "err_norm", "res_norm", "erg_res_norm", "disp_norm")}
+        cols["res_norm"][2] = np.nan             # NaN cells are blank, any column
+        columns = {"gamma": None, "dist_fix": np.append(rng.permutation(ODD), 7.0),
+                   "pw_bound": np.array([np.nan, *ODD[1:]]), "erg_bound": np.array(ODD),
+                   "local_model": np.full(K, np.nan), "cert_value": np.array(ODD)}
+        path = tmp_path / "odd.csv"                    # cert_bound absent
+        emit_trace_csv(str(path), {"name": "odd"}, fake_trace(cols), columns)
+        assert data_rows(path) == trace_rows(fake_trace(cols), columns)
+
+    def test_rows_across_formatting_blocks(self, tmp_path):
+        K = 2500                      # the writer formats 1024 rows at a time
+        rng = np.random.default_rng(6)
+
+        def draw():
+            return rng.standard_normal(K) * 10.0 ** rng.integers(-300, 300, K)
+
+        cols = {name: draw() for name in
+                ("lambda", "err_norm", "res_norm", "erg_res_norm", "disp_norm")}
+        columns = {"gamma": draw(), "dist_fix": draw(), "cert_bound": draw()}
+        columns["gamma"][rng.integers(0, K, 50)] = np.nan
+        path = tmp_path / "long.csv"
+        emit_trace_csv(str(path), {"name": "long"}, fake_trace(cols), columns)
+        assert data_rows(path) == trace_rows(fake_trace(cols), columns)
+
+    def test_run_outputs_match_the_oracle(self, tmp_path):
+        for preset in ("gd-fig1", "multiblock", "nonstationary-sq"):
+            cfg = resolve_config(preset=preset, overrides={"max_iters": 30})
+            trace, _, columns = execute_run(cfg)
+            path = tmp_path / f"{preset}.csv"
+            emit_trace_csv(str(path), cfg, trace, columns)
+            assert data_rows(path) == trace_rows(trace, columns)
+
+    def test_round_trip_is_exact(self, tmp_path):
+        cols = {name: np.array(ODD) for name in
+                ("lambda", "err_norm", "res_norm", "erg_res_norm", "disp_norm")}
+        columns = {"gamma": np.array(ODD[::-1]), "local_model": np.full(len(ODD), np.nan)}
+        path = tmp_path / "rt.csv"
+        emit_trace_csv(str(path), {"name": "rt"}, fake_trace(cols), columns)
+        _, parsed = parse_trace_csv(str(path))
+        for name, want in {**cols, "gamma": columns["gamma"]}.items():
+            # bit patterns, so -0.0 and the subnormal must survive
+            assert parsed[name].tobytes() == np.asarray(want, dtype=float).tobytes(), name
+        for name in ("dist_fix", "pw_bound", "local_model", "cert_bound"):
+            assert np.isnan(parsed[name]).all()
+
+    def test_short_column_raises(self, tmp_path):
+        cols = {name: np.array(ODD) for name in
+                ("lambda", "err_norm", "res_norm", "erg_res_norm", "disp_norm")}
+        with pytest.raises(ValueError):
+            emit_trace_csv(str(tmp_path / "short.csv"), {"name": "short"}, fake_trace(cols),
+                           {"pw_bound": np.array(ODD[:-1])})
+
+    @given(st.floats(allow_nan=False))
+    def test_percent_format_equals_format(self, v):
+        assert "%.17g" % v == _fmt(v)
+
+
 class TestVerifyCommand:
     def make_run(self, tmp_path):
         rc = main(["run", "--preset", "gd-fig1", "--out", str(tmp_path)])
@@ -270,3 +354,28 @@ class TestNonstationaryRuns:
         assert report["steps"] > 0
         assert report["steps"] == build_problem(resolve_config(
             overrides={"problem": "multiblock", "method": "gfb-nonstationary"})).rate_horizon
+
+
+class TestHugeModuli:
+    """A modulus whose square overflows: the local model's zeta is 1, so the
+    run checks it, exits by its verdict, and ``verify`` agrees."""
+
+    @pytest.mark.parametrize("config", [
+        "problem = gd\ndelta_m = 1e-160\n",
+        "problem = gd\ndelta_M = 1e300\ngamma = 1e-300\n",
+        "problem = two-subspaces\ntheta = 1e-300\n",
+    ])
+    def test_run_and_verify_agree(self, tmp_path, config):
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text(config + "max_iters = 50\nname = huge\n")
+        rc = main(["run", "--config", str(cfgfile), "--out", str(tmp_path)])
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        report = json.loads((tmp_path / "huge.json").read_text(), parse_constant=reject)
+        assert rc == (0 if report["verdict"] == "pass" else 1)
+        assert report["verdict"] == "pass"
+        _, cols = parse_trace_csv(str(tmp_path / "huge.csv"))
+        assert np.isfinite(cols["local_model"]).all()      # the local model was checked
+        assert main(["verify", str(tmp_path / "huge.csv"), str(tmp_path / "huge.json")]) == rc

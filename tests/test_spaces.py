@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from kmcert.errors import StructuralError
 from kmcert.spaces import ProductSpace
-from oracles import metric_inner, project_diagonal, reflect_diagonal, sample_ball
+from oracles import block_norm, metric_inner, project_diagonal, reflect_diagonal, sample_ball
 
 
 def pp(blocks, weights):
@@ -199,3 +199,44 @@ def test_flat_points_match_per_block_formulas_bit_exactly(drawn):
 
     for blk, d in zip(sp.blocks(x), dims):
         assert blk.shape == (d,) and blk.base is x
+
+
+# ---------------------------------------------------------------------------
+# the space's inner-product kernel: bit-exact against one dot per block slice
+# ---------------------------------------------------------------------------
+
+KERNEL_DIMS = (1, 2, 3, 4, 5, 7, 8, 10, 16, 17, 20, 33, 60, 64, 100)
+
+
+def spread(rng, size):
+    """Gaussian entries scaled by magnitudes drawn log-uniformly in [1e-8, 1e8]."""
+    return rng.standard_normal(size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
+
+
+@pytest.mark.parametrize("d", KERNEL_DIMS)
+def test_vecdot_rows_equal_per_row_dots(d):
+    # equal-block spaces sum row-wise np.vecdot: each row must be x.dot(y)
+    rng = np.random.default_rng(d)
+    for n in (1, 2, 3, 4):
+        for _ in range(20):
+            x, y = spread(rng, (n, d)), spread(rng, (n, d))
+            rows = np.vecdot(x, y).tolist()
+            assert rows == [float(a.dot(b)) for a, b in zip(x, y)]
+
+
+@pytest.mark.parametrize("d", KERNEL_DIMS)
+def test_norms_equal_the_per_block_oracle_bit_for_bit(d):
+    rng = np.random.default_rng(1000 + d)
+    for n in (1, 2, 3, 4):
+        # equal blocks (one block is its own kernel), and one block longer
+        for dims in ((d,) * n, (d,) * (n - 1) + (d + 1,)):
+            w = rng.uniform(0.01, 10.0, n)
+            diag = rng.uniform(0.1, 3.0, sum(dims))
+            plain = ProductSpace(dims, w)
+            metric = ProductSpace(dims, w, metric_op=lambda a: diag * a)
+            for _ in range(10):
+                a = spread(rng, sum(dims))
+                assert plain.norm(a) == block_norm(plain, a)
+                assert plain.base_norm(a) == block_norm(plain, a)
+                assert metric.norm(a) == block_norm(metric, a)
+                assert metric.base_norm(a) == block_norm(metric, a, metric=False)

@@ -6,6 +6,7 @@ and emitted trace cells and rows when they are read back.
 """
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,13 @@ import pytest
 
 from kmcert import cli
 from kmcert.cli import CSV_COLUMNS, main, verify_files
-from kmcert.errors import NumericalError, ParameterError, StructuralError, UnavailableError
+from kmcert.errors import (
+    DivergenceError,
+    NumericalError,
+    ParameterError,
+    StructuralError,
+    UnavailableError,
+)
 from kmcert.km import (
     ErrorSchedule,
     FixedPointSet,
@@ -149,6 +156,92 @@ class TestOperatorOutputs:
         T = zero_operator(ProductSpace.single(2))
         with pytest.raises(StructuralError, match=r"shape \(2,\)"):
             run_km(T, z0, RelaxationSchedule.constant(0.5), stop=StopRule(3, 0.0))
+
+
+class Poisoned:
+    """A problem's evaluation with ``value`` written at step 3 into entry
+    ``index`` of the exact output, the perturbed one or both (one array on
+    an exact step, so both are poisoned together)."""
+
+    def __init__(self, problem, value, index, which="both", c=0.0):
+        if problem.kind == "km":
+            T = problem.operator
+
+            def plain(k, z, rng):
+                out = T(z)
+                return out, out, None, None
+
+            self.inner, self.alphas = plain, ()
+        else:
+            channel = problem.make_channel(c, 3.0)
+            self.inner, self.alphas = channel.evaluate, channel.alphas
+        self.operator = problem.operator
+        self.value, self.index, self.which = value, index, which
+
+    def evaluate(self, k, z, rng):
+        exact, tilde, eps, extras = self.inner(k, z, rng)
+        if k == 3:
+            if self.which == "both":
+                exact = tilde = exact.copy()
+            elif self.which == "exact":
+                exact = exact.copy()
+            else:
+                tilde = tilde.copy()
+            (tilde if self.which == "tilde" else exact)[self.index] = self.value
+        return exact, tilde, eps, extras
+
+
+def run_poisoned(problem, *args, **kwargs):
+    channel = Poisoned(problem, *args, **kwargs)
+    return run_km(None, problem.z0, problem.relaxation, stop=StopRule(10, 0.0),
+                  channel=channel, fix=problem.fix)
+
+
+GUARD_PROBLEMS = {"zero-map": make_zero_map,               # one block
+                  "multiblock": lambda: make_gfb_multiblock(3, 4),   # equal blocks
+                  "pds-small": make_pds_small}              # a metric
+
+
+class TestNonFiniteGuard:
+    """The engine scans an operator output only when a norm of its step is
+    not finite (every step on a metric space); the error is the same."""
+
+    @pytest.mark.parametrize("name", sorted(GUARD_PROBLEMS))
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_non_finite_output_named_at_its_step(self, name, value, index):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError,
+                               match="^non-finite operator output at step 3$"):
+                run_poisoned(GUARD_PROBLEMS[name](), value, index)
+
+    @pytest.mark.parametrize("name", sorted(GUARD_PROBLEMS))
+    @pytest.mark.parametrize("which", ["exact", "tilde"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_one_non_finite_side_of_an_inexact_step(self, name, which, value):
+        # exact reaches the residual's norm, tilde only the displacement's
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError,
+                               match="^non-finite operator output at step 3$"):
+                run_poisoned(GUARD_PROBLEMS[name](), value, -1, which, c=0.1)
+
+    @pytest.mark.parametrize("name", sorted(GUARD_PROBLEMS))
+    @pytest.mark.parametrize("which, error, message", [
+        ("both", DivergenceError, "iterate norm exceeded 1.0e+12 at step 3"),
+        ("exact", NumericalError, "residual identity violated at step 3: drift inf"),
+        ("tilde", NumericalError, "residual identity violated at step 3: drift inf"),
+    ])
+    def test_finite_output_overflowing_a_norm_fails_as_before(self, name, which, error,
+                                                              message):
+        # a finite output passes the scan; the norm warns on its overflow and
+        # the later checks fail as they did when every output was scanned
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(error) as info:
+                run_poisoned(GUARD_PROBLEMS[name](), 1e200, 0, which,
+                             c=0.0 if which == "both" else 0.1)
+        assert str(info.value) == message
 
 
 class TestBlocks:
