@@ -58,7 +58,6 @@ from .splitting import (
     ZeroBlock,
     build_gfb,
     gfb_certificate,
-    matrix_norm,
 )
 
 __version__ = "0.1.0"

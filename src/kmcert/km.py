@@ -306,7 +306,7 @@ def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
     rng = np.random.default_rng(seed)
     lam_l, epsn_l, res_l, erg_l, disp_l, dist_l = [], [], [], [], [], []
     norm = space.norm
-    eager = space.metric_op is not None   # a metric may warn on or hide a non-finite input
+    eager = space.metric is not None   # M @ a warns on a non-finite a (0 * inf): scan first
 
     z = z0
     S = np.zeros(space.size)

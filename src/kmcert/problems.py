@@ -195,7 +195,7 @@ def make_quadratic_gd(delta_m: float, delta_M: float, d: int, gamma: float,
     _check_fixed_point(op, space.zeros())
 
     spectral = float(np.max(np.abs(1.0 - gamma * diag)))
-    res0 = gamma * float(np.linalg.norm(diag * z0_vec))
+    res0 = float(np.linalg.norm((gamma * diag) * z0_vec))   # gamma * diag <= 2: no overflow
     if 0.0 < spectral < 1.0:
         horizon = int(np.log(1e-12 / res0) / np.log(spectral))
     else:

@@ -9,12 +9,11 @@ valid after the step that made it.  The inner product ``<x, y> = sum_i w_i
 reduction over the whole array, so every norm is bit-identical to the
 per-block formula; one block takes a single dot, equal blocks the rows of
 one ``np.vecdot`` (each equals its ``x.dot(y)``), other layouts a dot per
-block slice.  A space may install a metric operator ``M``
-(self-adjoint, positive in the weighted inner product), given as a map from
-arrays to arrays; ``||x||_M^2 = <x, M x>`` then replaces the plain norm
-wherever the space is asked for one.  A space also draws the seeded Gaussian
-points and unit directions that the engine's error injection and the PDS
-equivalence check use.
+block slice.  A space may install a metric ``M``, a dense matrix of
+shape ``(size, size)`` (self-adjoint, positive in the weighted inner
+product); ``||x||_M^2 = <x, M x>`` then replaces the plain norm wherever the
+space is asked for one.  A space also draws the seeded unit directions that
+the engine's error injection uses.
 """
 
 from __future__ import annotations
@@ -80,9 +79,9 @@ class ProductSpace:
     """Shape (block dimensions), weights and metric of a product space; its
     points are arrays of length ``size`` (see the module docstring)."""
 
-    __slots__ = ("dims", "weights", "metric_op", "size", "_slices", "_w", "_inner")
+    __slots__ = ("dims", "weights", "metric", "size", "_slices", "_w", "_inner")
 
-    def __init__(self, dims, weights, metric_op=None):
+    def __init__(self, dims, weights, metric=None):
         dims = tuple(int(d) for d in dims)
         if len(dims) < 1 or any(d < 1 for d in dims):
             raise StructuralError("block dimensions must be positive")
@@ -93,7 +92,7 @@ class ProductSpace:
             raise StructuralError("weights must be positive and finite")
         self.dims = dims
         self.weights = weights
-        self.metric_op = metric_op
+        self.metric = metric
         self.size = sum(dims)
         self._slices = _layout(dims)
         self._w = tuple(float(w) for w in weights)
@@ -137,14 +136,10 @@ class ProductSpace:
 
     def norm(self, a: np.ndarray) -> float:
         """The space's norm: the metric norm when a metric is installed."""
-        acc = self._inner(a, a if self.metric_op is None else self.metric_op(a))
+        acc = self._inner(a, a if self.metric is None else self.metric @ a)
         return math.sqrt(0.0 if acc < 0.0 else acc)
 
     # -- sampling ----------------------------------------------------------
-
-    def gaussian(self, rng: np.random.Generator) -> np.ndarray:
-        # one draw of the whole vector is the per-block draws in block order
-        return rng.standard_normal(self.size)
 
     def unit_vector(self, rng: np.random.Generator) -> np.ndarray:
         """Random direction of norm one (in the space's norm)."""

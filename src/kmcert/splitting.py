@@ -693,27 +693,6 @@ class PdsSpec:
             raise ParameterError("dual weights must sum to 1")
 
 
-def matrix_norm(L, tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest singular value via power iteration on the Gram matrix."""
-    L = np.asarray(L, dtype=float)
-    G = L.T @ L
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(G.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = G @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        lam_new = float(v_new @ (G @ v_new))
-        if abs(lam_new - lam) <= tol * max(lam_new, 1e-30):
-            return float(np.sqrt(lam_new))
-        v, lam = v_new, lam_new
-    return float(np.sqrt(lam))
-
-
 class PdsBuilt:
     """Assembled primal-dual fixed-point operator on the direct sum space.
 
@@ -734,7 +713,7 @@ class PdsBuilt:
             if t.L.shape[1] != spec.dim_primal:
                 raise StructuralError("coupling matrix does not match primal dimension")
 
-        self.L_norms = [matrix_norm(t.L) for t in spec.duals]
+        self.L_norms = [float(np.linalg.norm(t.L, 2)) for t in spec.duals]
         inv_steps = [1.0 / spec.tau] + [1.0 / t.sigma for t in spec.duals]
         radicand = spec.tau * sum(
             t.sigma * t.omega * ln ** 2 for t, ln in zip(spec.duals, self.L_norms)
@@ -766,27 +745,19 @@ class PdsBuilt:
             hb = self.eta * self.beta
             self.alpha = 2.0 * hb / (4.0 * hb - 1.0)
 
+        # the preconditioner [[I/tau, -omega_i L_i^T], [-L_i, I/sigma_i]]
         s0, *sv = _layout(dims)
-        terms = tuple((t.omega, t.L, t.L.T, t.sigma, s) for t, s in zip(spec.duals, sv))
-
-        def metric(a: np.ndarray) -> np.ndarray:
-            # the preconditioner on flat data, block by block in block order
-            x = a[s0]
-            out = np.empty_like(a)
-            out_x = x / spec.tau
-            for omega, _, LT, _, s in terms:
-                out_x = out_x - omega * (LT @ a[s])
-            out[s0] = out_x
-            for _, L, _, sigma, s in terms:
-                out[s] = a[s] / sigma - L @ x
-            return out
-
-        self.space = ProductSpace(dims, weights, metric_op=metric)
+        M = np.zeros((sum(dims),) * 2)
+        M[s0, s0] = np.eye(spec.dim_primal) / spec.tau
+        for t, s in zip(spec.duals, sv):
+            M[s0, s] = -t.omega * t.L.T
+            M[s, s0] = -t.L
+            M[s, s] = np.eye(t.L.shape[0]) / t.sigma
+        self.space = ProductSpace(dims, weights, metric=M)
 
         self.operator = OperatorSpec(self.block_step, self.alpha, "pds", self.space)
-        self._assert_abstract_equivalence()
 
-    # -- evaluation paths --------------------------------------------------
+    # -- evaluation ----------------------------------------------------------
 
     def _dual_resolvent(self, term: PdsDualTerm, w: np.ndarray) -> np.ndarray:
         # resolvent of the inverse operator via the inversion identity
@@ -824,46 +795,6 @@ class PdsBuilt:
                 qi = qi + e4[i]
             q.append(qi)
         return np.concatenate((p, *q))
-
-    def abstract_step(self, z: np.ndarray) -> np.ndarray:
-        """Same map through the preconditioned resolvent form: solve the
-        metric system for the forward term, then apply the coupled resolvent."""
-        spec = self.spec
-        x, *vs = self.space.blocks(z)
-        ez = [self._smooth(x)]
-        for t, v in zip(spec.duals, vs):
-            ez.append(t.d_inv.fn(v) if t.d_inv is not None else np.zeros_like(v))
-        u = self._solve_metric(np.concatenate(ez))
-        wx = x - u[0]
-        wv = [v - uv for v, uv in zip(vs, u[1:])]
-        sw = np.zeros_like(wx)
-        for t, w in zip(spec.duals, wv):
-            sw = sw + t.omega * (t.L.T @ w)
-        p = spec.primal_block.resolvent(wx - spec.tau * sw, spec.tau)
-        y = 2.0 * p - wx
-        q = [self._dual_resolvent(t, w + t.sigma * (t.L @ y - t.r))
-             for t, w in zip(spec.duals, wv)]
-        return np.concatenate((p, *q))
-
-    def _solve_metric(self, rhs: np.ndarray) -> tuple:
-        """Blocks of ``M^{-1} rhs`` for the scheme's preconditioner ``M``,
-        whose dense matrix is the space's metric applied to the unit vectors."""
-        if not hasattr(self, "_metric_lu"):
-            M = np.column_stack([self.space.metric_op(e) for e in np.eye(rhs.size)])
-            self._metric_lu = _lu_factor(M)
-        return self.space.blocks(_lu_solve(self._metric_lu, rhs))
-
-    def _assert_abstract_equivalence(self, samples: int = 3, tol: float = 1e-12):
-        rng = np.random.default_rng(1234)
-        for _ in range(samples):
-            z = self.space.gaussian(rng)
-            a = self.block_step(z)
-            b = self.abstract_step(z)
-            scale = max(1.0, self.space.base_norm(z))
-            if not self.space.base_norm(a - b) <= tol * scale:
-                raise NumericalError(
-                    "block recursion and preconditioned resolvent form disagree"
-                )
 
     def channel(self, laws) -> "PdsChannelModel":
         return PdsChannelModel(self, laws)

@@ -2,8 +2,9 @@
 wrapper, the inner product of a product space and its per-block norm, the
 cell-by-cell CSV row formatter, seeded sampling checks of
 averagedness, the diagonal-subspace projector and reflector of a weighted
-product space, and an independent forward-backward reference for the
-primal-dual instance.
+product space, the primal-dual operator in its preconditioned resolvent form
+with its preconditioner applied block by block, and an independent
+forward-backward reference for the primal-dual instance.
 
 The sampling checks are falsification tests, not the source of truth:
 sampling cannot prove averagedness.
@@ -45,15 +46,15 @@ def vector_operator(space: ProductSpace, fn, alpha, label: str) -> OperatorSpec:
 def metric_inner(space: ProductSpace, a: np.ndarray, b: np.ndarray) -> float:
     """The space's inner product ``<a, M b>``, or the weighted ``<a, b>``
     without a metric, summed in block order."""
-    m = space.metric_op
-    return _block_inner(space._w, space._slices, a, b if m is None else m(b))
+    m = space.metric
+    return _block_inner(space._w, space._slices, a, b if m is None else m @ b)
 
 
 def block_norm(space: ProductSpace, a: np.ndarray, metric: bool = True) -> float:
     """``sqrt(max(<a, M a>, 0))`` with one dot per block slice, added in
     block order; ``metric=False`` ignores the space's metric."""
-    m = space.metric_op if metric else None
-    return math.sqrt(max(_block_inner(space._w, space._slices, a, a if m is None else m(a)), 0.0))
+    m = space.metric if metric else None
+    return math.sqrt(max(_block_inner(space._w, space._slices, a, a if m is None else m @ a), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +189,38 @@ def reflect_diagonal(space: ProductSpace, z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # primal-dual reference
 # ---------------------------------------------------------------------------
+
+def pds_metric_blocks(built, a: np.ndarray) -> np.ndarray:
+    """The preconditioner ``M`` applied block by block: ``x / tau - sum_i
+    omega_i L_i^T v_i`` on the primal block, ``v_i / sigma_i - L_i x`` on
+    dual block ``i``."""
+    spec = built.spec
+    x, *vs = built.space.blocks(a)
+    out_x = x / spec.tau
+    for t, v in zip(spec.duals, vs):
+        out_x = out_x - t.omega * (t.L.T @ v)
+    return np.concatenate([out_x] + [v / t.sigma - t.L @ x for t, v in zip(spec.duals, vs)])
+
+
+def pds_abstract_step(built, z: np.ndarray) -> np.ndarray:
+    """The primal-dual operator in its preconditioned resolvent form: solve
+    ``M u = B z`` for the single-valued forward terms ``B``, then apply the
+    coupled resolvent at ``z - u``.  The reference for ``block_step``, which
+    folds the solve into its block recursion."""
+    spec = built.spec
+    space = built.space
+    x, *vs = space.blocks(z)
+    forward = [built._smooth(x)] + [t.d_inv.fn(v) if t.d_inv is not None else np.zeros_like(v)
+                                    for t, v in zip(spec.duals, vs)]
+    wx, *wv = space.blocks(z - np.linalg.solve(space.metric, np.concatenate(forward)))
+    sw = np.zeros_like(wx)
+    for t, w in zip(spec.duals, wv):
+        sw = sw + t.omega * (t.L.T @ w)
+    p = spec.primal_block.resolvent(wx - spec.tau * sw, spec.tau)
+    y = 2.0 * p - wx
+    q = [built._dual_resolvent(t, w + t.sigma * (t.L @ y - t.r)) for t, w in zip(spec.duals, wv)]
+    return np.concatenate((p, *q))
+
 
 def pds_fbs_reference(problem, tol: float = 1e-13, max_iters: int = 100_000) -> np.ndarray:
     """Forward-backward run on the composite objective behind the primal-dual

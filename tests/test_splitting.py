@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from kmcert.bounds import EmpiricalConstants, pointwise_bound
 from kmcert.errors import ParameterError
@@ -32,9 +33,15 @@ from kmcert.splitting import (
     _lu_solve,
     build_gfb,
     gfb_certificate,
-    matrix_norm,
 )
-from oracles import check_averaged, check_firmly_nonexpansive, pds_fbs_reference, reflect_diagonal
+from oracles import (
+    check_averaged,
+    check_firmly_nonexpansive,
+    pds_abstract_step,
+    pds_fbs_reference,
+    pds_metric_blocks,
+    reflect_diagonal,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +398,23 @@ class TestPds:
             ))
         assert "eta" in str(exc.value) or ">= 1" in str(exc.value)
 
-    def test_block_and_resolvent_paths_agree(self, small):
-        rng = np.random.default_rng(42)
-        for _ in range(5):
-            z = small.operator.space.gaussian(rng)
-            a = small.built.block_step(z)
-            b = small.built.abstract_step(z)
-            assert small.operator.space.base_norm(a - b) <= 1e-12 * max(
-                1.0, small.operator.space.base_norm(z))
+    def test_close_top_singular_values_cannot_pass_an_inadmissible_spec(self):
+        # ||L|| has its top two singular values 1e-3 apart, and the second
+        # right singular vector is (almost) v0, the start vector a power
+        # iteration seeded at 0 would take: stopping early, it reads ||L||
+        # about 1e-3 low, and tau sigma ||L||^2 = 1.0005 would pass as < 1
+        v0 = np.random.default_rng(0).standard_normal(6)
+        v0 /= np.linalg.norm(v0)
+        rest = np.random.default_rng(1).standard_normal((6, 5))
+        basis, _ = np.linalg.qr(np.column_stack([v0, rest]))
+        first = basis[:, 1] + 1e-6 * v0
+        V = np.column_stack([first / np.linalg.norm(first), v0, basis[:, 2:]])
+        L = np.diag([1.0, 1.0 - 1e-3, 0.5, 0.4, 0.3, 0.2]) @ V.T
+        step = np.sqrt(1.0005) / np.linalg.norm(L, 2)
+        with pytest.raises(ParameterError, match="step sizes too large"):
+            PdsBuilt(PdsSpec(primal_block=ZeroBlock(), tau=step, dim_primal=6,
+                             duals=[PdsDualTerm(block=L1Block(1.0), L=L, sigma=step,
+                                                omega=1.0)]))
 
     def test_averagedness_sampling_in_metric(self, small):
         rep = check_averaged(small.operator, small.built.alpha,
@@ -431,10 +447,72 @@ class TestPds:
         assert series.surrogate
         assert np.all(series.values <= series.bounds + 1e-10)
 
-    def test_matrix_norm_power_iteration(self):
-        rng = np.random.default_rng(0)
-        L = rng.standard_normal((6, 9))
-        assert matrix_norm(L) == pytest.approx(np.linalg.norm(L, 2), rel=1e-9)
+
+
+@st.composite
+def pds_instances(draw):
+    """A primal-dual spec of 1-3 dual terms with random couplings, shifts
+    and weights summing to 1, random monotone blocks, and steps scaled so
+    that ``tau * sum sigma_i w_i ||L_i||^2`` is a drawn radicand in (0.1,
+    0.99); optional smooth and inverse parts get a modulus above the
+    ``1 / (2 eta)`` the scheme needs.  With a point to evaluate at."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_duals = draw(st.integers(1, 3))
+    radicand = draw(st.floats(0.1, 0.99))
+    d = int(rng.integers(1, 7))
+    Ls = [rng.standard_normal((int(rng.integers(1, 7)), d)) for _ in range(n_duals)]
+    omegas = rng.dirichlet(np.ones(n_duals))
+    tau, *sigmas = 10.0 ** rng.uniform(-1.0, 1.0, n_duals + 1)
+    scale = np.sqrt(radicand / (tau * sum(s * w * np.linalg.norm(L, 2) ** 2
+                                          for s, w, L in zip(sigmas, omegas, Ls))))
+    tau, sigmas = tau * scale, [s * scale for s in sigmas]
+    eta = min(1.0 / tau, *(1.0 / s for s in sigmas)) * (1.0 - np.sqrt(radicand))
+
+    def block():
+        return [ZeroBlock(), L1Block(rng.uniform(0.1, 2.0)), BoxBlock(-1.0, 1.0)][rng.integers(3)]
+
+    def cocoercive(m):
+        # a quadratic whose modulus is 1.5-5 times the 1 / (2 eta) needed
+        if not rng.integers(2):
+            return None
+        G = rng.standard_normal((m, m))
+        Q = G @ G.T
+        Q *= 2.0 * eta / (rng.uniform(1.5, 5.0) * np.linalg.eigvalsh(Q)[-1])
+        return CocoerciveMap.quadratic(Q, rng.standard_normal(m))
+
+    spec = PdsSpec(
+        primal_block=block(), tau=tau, dim_primal=d,
+        duals=[PdsDualTerm(block=block(), L=L, sigma=s, omega=w,
+                           r=rng.standard_normal(L.shape[0]), d_inv=cocoercive(L.shape[0]))
+               for L, s, w in zip(Ls, sigmas, omegas)],
+        smooth=cocoercive(d),
+    )
+    built = PdsBuilt(spec)
+    z = rng.standard_normal(built.space.size) * 10.0 ** rng.uniform(-2.0, 2.0)
+    return built, z
+
+
+@settings(max_examples=200, deadline=None)
+@given(pds_instances())
+def test_pds_block_step_metric_and_positivity_on_generated_instances(drawn):
+    built, z = drawn
+    space = built.space
+    M = space.metric
+    # the block recursion is the preconditioned resolvent form
+    gap = space.base_norm(built.block_step(z) - pds_abstract_step(built, z))
+    assert gap <= 1e-12 * max(1.0, space.base_norm(z))
+    # M is self-adjoint in the weighted inner product: W M is symmetric
+    WM = np.repeat(space.weights, space.dims)[:, None] * M
+    assert np.array_equal(WM, WM.T)
+    # and strongly positive with the constant the scheme reports, at z and
+    # in its weakest direction, the least eigenvalue of W^1/2 M W^-1/2 (one
+    # dual term with tau = sigma attains eta: allow eigvalsh's rounding)
+    assert space.norm(z) ** 2 >= built.eta * space.base_norm(z) ** 2
+    r = np.sqrt(np.repeat(space.weights, space.dims))
+    assert np.linalg.eigvalsh(WM / np.outer(r, r))[0] >= built.eta * (1.0 - 1e-9)
+    # the dense matrix is the preconditioner's block formula
+    dense, blocks = M @ z, pds_metric_blocks(built, z)
+    assert np.linalg.norm(dense - blocks) <= 1e-15 * np.linalg.norm(np.abs(M) @ np.abs(z))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +532,7 @@ class TestNonstationaryFamily:
     def test_evaluate_at_another_step_size_matches_a_fresh_build(self):
         p = make_multiblock_nonstationary("harmonic", d=6)
         spec = p.built.spec
-        z = p.built.space.gaussian(np.random.default_rng(5))
+        z = np.random.default_rng(5).standard_normal(p.built.space.size)
         out, parts = p.built.evaluate(z, 1.7)
         want, want_parts = build_gfb(GfbSpec(spec.blocks, spec.weights, 1.7, spec.dim,
                                              spec.smooth)).evaluate(z)
