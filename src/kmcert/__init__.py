@@ -32,8 +32,8 @@ from .km import (
     run_km,
 )
 from .operators import (
+    CocoerciveMap,
     OperatorSpec,
-    QuadraticFn,
     gradient_step,
     moreau_envelope_gradient,
     prox_l1,
@@ -42,10 +42,10 @@ from .operators import (
 from .spaces import ProductSpace
 from .splitting import (
     BoxBlock,
-    CocoerciveMap,
     DrsBuilt,
     DrsCertificates,
     DrsSpec,
+    GfbBuilt,
     GfbCertificates,
     GfbSpec,
     L1Block,
@@ -56,7 +56,6 @@ from .splitting import (
     PdsSpec,
     SubspaceBlock,
     ZeroBlock,
-    build_gfb,
     gfb_certificate,
 )
 

@@ -186,11 +186,12 @@ def fit_tail_rate(values, tail_fraction: float = 0.3) -> float:
 
 
 def trace_series(trace: IterationTrace) -> dict:
-    """The per-step columns of a trace under their CSV names; ``dist_fix``
-    keeps all ``n_steps + 1`` distances."""
+    """The per-step columns of a trace under their CSV names, as the CSV
+    holds them: ``dist_fix`` keeps the first ``n_steps`` distances."""
     return {"lambda": trace.lam, "err_norm": trace.eps_norm,
             "res_norm": trace.res_norm, "erg_res_norm": trace.erg_norm,
-            "dist_fix": trace.dist}
+            "disp_norm": trace.disp_norm,
+            "dist_fix": None if trace.dist is None else trace.dist[: trace.n_steps]}
 
 
 def verify_series(cols: dict, constants: BoundConstants,

@@ -6,8 +6,8 @@ its fully-defaulted config as a comment header in the CSV trace, so a trace
 file is self-describing and byte-identical across repeated executions with
 the same config and seed.
 
-Exit codes: 0 pass, 1 bound violation, 2 usage/schema error, 3 numerical
-failure.
+Exit codes: 0 pass, 1 bound violation, 2 usage/schema or output error, 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -219,16 +219,15 @@ def build_problem(cfg: dict) -> ProblemInstance:
 # ---------------------------------------------------------------------------
 
 def emit_trace_csv(path: str, cfg: dict, trace, columns: dict) -> None:
-    """Write the per-iteration table with the config echoed as comments.
-    ``columns`` maps optional column names to arrays (or None)."""
+    """Write the per-iteration table with the config echoed as comments: the
+    trace's own columns (:func:`trace_series`) and ``columns``, which maps
+    the other column names to arrays (or None)."""
     lines = ["# kmcert trace v1"]
     for key in sorted(cfg):
         lines.append(f"# {key} = {cfg[key]}")
     lines.append(",".join(CSV_COLUMNS))
     K = trace.n_steps
-    data = {**columns, "lambda": trace.lam, "err_norm": trace.eps_norm,
-            "res_norm": trace.res_norm, "erg_res_norm": trace.erg_norm,
-            "disp_norm": trace.disp_norm}
+    data = {**trace_series(trace), **columns}
     for lo in range(0, K, 1024):            # 1024 rows at a time bound the memory
         hi = min(lo + 1024, K)
         cells = [[str(k) for k in range(lo, hi)]]
@@ -360,9 +359,6 @@ def execute_run(cfg: dict):
         "verdict": "pass",
     }
 
-    if trace.dist is not None:
-        columns["dist_fix"] = trace.dist[: trace.n_steps]
-
     try:
         report["observed_rate"] = problem.observed_rate(trace)
     except (UnavailableError, KmcertError):
@@ -379,11 +375,12 @@ def execute_run(cfg: dict):
         columns["gamma"] = np.array([schedule.value(k) for k in range(trace.n_steps)])
         return trace, report, columns
 
-    series = trace_series(trace)
     if cert is not None:
-        series["cert_value"] = columns["cert_value"] = cert.values
-        series["cert_bound"] = columns["cert_bound"] = cert.bounds
-    checked, bound_columns = verify_series(series, constants, trace.alpha, problem.kappa)
+        columns["cert_value"] = cert.values
+        columns["cert_bound"] = cert.bounds
+    # the columns the CSV holds, so verify re-checks exactly what is checked here
+    checked, bound_columns = verify_series({**trace_series(trace), **columns}, constants,
+                                           trace.alpha, problem.kappa)
     columns.update(bound_columns)
     # certificate results are reported under "certificates"
     violations = [v for v in checked if v.kind != "certificate"]
@@ -429,8 +426,12 @@ def cmd_run(args) -> int:
         return 3
     out = args.out or "."
     base = os.path.join(out, cfg["name"])
-    emit_trace_csv(base + ".csv", cfg, trace, columns)
-    write_report(base + ".json", report)
+    try:
+        emit_trace_csv(base + ".csv", cfg, trace, columns)
+        write_report(base + ".json", report)
+    except OSError as exc:
+        print(f"output error: cannot write to {out}: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(report, sort_keys=True, default=_json_default))
     else:

@@ -28,6 +28,8 @@ from .operators import OperatorSpec
 from .spaces import ProductSpace
 
 _IDENTITY_TOL = 1e-12
+# an iterate norm past this is reported as divergence
+_DIVERGENCE_NORM = 1e12
 # custom schedule values may leave their declared interval by this much, the
 # rounding of an in-range expression; it matches the 1e-12 the admissibility
 # check grants the relaxation supremum
@@ -80,25 +82,23 @@ class RelaxationSchedule:
 
 @dataclass(frozen=True)
 class ErrorSchedule:
-    """Error-magnitude law ``c / (k+1)^p``, or zero; directions come from
-    the run's seeded generator."""
+    """Error-magnitude law ``c / (k+1)^p``, zero when ``c = 0``; directions
+    come from the run's seeded generator."""
 
-    kind: str  # zero | power
-    c: float = 0.0
-    p: float = 0.0
+    c: float
+    p: float
 
     @staticmethod
     def power(c: float, p: float) -> "ErrorSchedule":
         if not (c >= 0 and p >= 0):
             raise ParameterError(f"power law needs c >= 0 and p >= 0, got c={c}, p={p}")
-        if c == 0.0:
-            return ErrorSchedule("zero")
-        return ErrorSchedule("power", float(c), float(p))
+        return ErrorSchedule(float(c), float(p))
 
     def magnitude(self, k: int) -> float:
-        if self.kind == "zero":
-            return 0.0
-        return self.c / (k + 1.0) ** self.p
+        try:
+            return self.c / (k + 1.0) ** self.p
+        except OverflowError:   # (k+1)^p past the float range: via logs, for c > 0
+            return self.c and math.exp(math.log(self.c) - self.p * math.log(k + 1.0))
 
 
 @dataclass(frozen=True)
@@ -192,39 +192,23 @@ class StopRule:
 
     max_iters: int = 100_000
     residual_tol: float = 1e-10
-    divergence_norm: float = 1e12
 
 
 # ---------------------------------------------------------------------------
 # fixed-point set descriptors
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class FixedPointSet:
-    """Analytic point, analytic set projector, or oracle-run reference."""
+    """The fixed-point set through its nearest-point map: an analytic
+    projector, or the constant map of a single point (analytic, or the end
+    of a reference run)."""
 
-    __slots__ = ("kind", "_point", "_proj")
-
-    def __init__(self, kind, point=None, proj=None):
-        self.kind = kind
-        self._point = point
-        self._proj = proj
+    nearest: Callable[[np.ndarray], np.ndarray]
 
     @staticmethod
     def from_point(z_star: np.ndarray) -> "FixedPointSet":
-        return FixedPointSet("point", point=z_star)
-
-    @staticmethod
-    def from_projector(proj) -> "FixedPointSet":
-        return FixedPointSet("projector", proj=proj)
-
-    @staticmethod
-    def from_reference(z_star: np.ndarray) -> "FixedPointSet":
-        return FixedPointSet("reference", point=z_star)
-
-    def nearest(self, z: np.ndarray) -> np.ndarray:
-        if self.kind in ("point", "reference"):
-            return self._point
-        return self._proj(z)
+        return FixedPointSet(lambda z: z_star)
 
     def distance(self, z: np.ndarray, space: ProductSpace) -> float:
         return space.norm(z - self.nearest(z))
@@ -353,9 +337,9 @@ def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
         disp_l.append(disp)
 
         z = zn
-        if norm(zn) > stop.divergence_norm:
+        if norm(zn) > _DIVERGENCE_NORM:
             raise DivergenceError(
-                f"iterate norm exceeded {stop.divergence_norm:.1e} at step {k}"
+                f"iterate norm exceeded {_DIVERGENCE_NORM:.1e} at step {k}"
             )
         if stop.residual_tol > 0.0 and res <= stop.residual_tol:
             stop_reason = "residual_tol"

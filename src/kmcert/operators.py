@@ -80,47 +80,41 @@ def moreau_envelope_gradient(x, mu: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QuadraticFn:
-    """Quadratic ``f(x) = 0.5 <x, H x> - <b, x>`` with symmetric PSD ``H``."""
+class CocoerciveMap:
+    """Single-valued cocoercive map with its modulus."""
 
-    H: np.ndarray
-    b: np.ndarray
+    fn: callable
+    beta: float
+    label: str
 
-    def __post_init__(self):
-        H = np.asarray(self.H, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if H.ndim != 2 or H.shape[0] != H.shape[1] or b.shape != (H.shape[0],):
-            raise StructuralError("H must be square and b of matching length")
-        if np.max(np.abs(H - H.T)) > 1e-12:
-            raise StructuralError("H must be symmetric")
-        eigs = np.linalg.eigvalsh(H)
-        if eigs[0] < -1e-12:
-            raise StructuralError("H must be positive semi-definite")
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_eig_max", float(eigs[-1]))
+    @staticmethod
+    def quadratic(Q, q) -> "CocoerciveMap":
+        """The gradient ``x -> Q x - q`` of ``0.5 <x, Q x> - <q, x>``, with
+        ``Q`` symmetric, PSD and non-zero; its modulus is ``1 / lambda_max``."""
+        Q = np.asarray(Q, dtype=float)
+        q = np.asarray(q, dtype=float)
+        if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or q.shape != (Q.shape[0],):
+            raise StructuralError("Q must be square and q of matching length")
+        if np.max(np.abs(Q - Q.T)) > 1e-12:
+            raise StructuralError("Q must be symmetric")
+        eigs = np.linalg.eigvalsh(Q)
+        if eigs[0] < -1e-12 or eigs[-1] <= 0:
+            raise ParameterError("Q must be PSD and non-zero")
+        return CocoerciveMap(lambda x: Q @ x - q, 1.0 / float(eigs[-1]), "quadratic")
 
-    @property
-    def beta(self) -> float:
-        """Cocoercivity modulus of the gradient: 1 / largest eigenvalue."""
-        if self._eig_max <= 0:
-            raise ParameterError("zero quadratic has no finite Lipschitz modulus")
-        return 1.0 / self._eig_max
-
-    def grad(self, x) -> np.ndarray:
-        return self.H @ np.asarray(x, dtype=float) - self.b
+    @staticmethod
+    def envelope_l1(mu: float) -> "CocoerciveMap":
+        return CocoerciveMap(lambda x: moreau_envelope_gradient(x, mu), 1.0,
+                             f"env_l1({mu:g})")
 
 
-def gradient_step(f: QuadraticFn, gamma: float) -> OperatorSpec:
-    """Explicit step ``x -> x - gamma grad f(x)``, certified ``gamma/(2 beta)``-averaged
-    for ``gamma in (0, 2 beta)``."""
-    gamma = float(gamma)
-    beta = f.beta
-    if not (0.0 < gamma < 2.0 * beta):
-        raise ParameterError(f"step size {gamma} outside (0, {2.0 * beta})")
-    alpha = gamma / (2.0 * beta)
-
-    def step(z: np.ndarray) -> np.ndarray:
-        return z - gamma * f.grad(z)
-
-    return OperatorSpec(step, alpha, f"grad_step({gamma:g})", ProductSpace.single(f.b.size))
+def gradient_step(Q, q, gamma: float) -> OperatorSpec:
+    """Explicit step ``x -> x - gamma (Q x - q)`` on the space of ``q``,
+    certified ``gamma/(2 beta)``-averaged for ``gamma in (0, 2 beta)``, with
+    ``beta`` the modulus of :meth:`CocoerciveMap.quadratic`."""
+    grad, gamma = CocoerciveMap.quadratic(Q, q), float(gamma)
+    if not (0.0 < gamma < 2.0 * grad.beta):
+        raise ParameterError(f"step size {gamma} outside (0, {2.0 * grad.beta})")
+    fn = grad.fn
+    return OperatorSpec(lambda z: z - gamma * fn(z), gamma / (2.0 * grad.beta),
+                        f"grad_step({gamma:g})", ProductSpace.single(np.size(q)))

@@ -19,14 +19,14 @@ from .km import (
     StopRule,
     run_km,
 )
-from .operators import OperatorSpec, QuadraticFn, gradient_step, zero_operator
+from .operators import CocoerciveMap, OperatorSpec, gradient_step, zero_operator
 from .spaces import ProductSpace
 from .splitting import (
     BoxBlock,
-    CocoerciveMap,
     DrsBuilt,
     DrsCertificates,
     DrsSpec,
+    GfbBuilt,
     GfbCertificates,
     GfbScheduleChannel,
     GfbSpec,
@@ -38,7 +38,6 @@ from .splitting import (
     PdsSpec,
     SubspaceBlock,
     ZeroBlock,
-    build_gfb,
 )
 
 CERT_HORIZON = 1000
@@ -138,11 +137,11 @@ class ProblemInstance:
             return fit_tail_rate(trace.dist ** 2)
         raise UnavailableError("no rate convention declared for this problem")
 
-    def fix_reference(self, tol: float = 1e-13, factor: int = 10) -> FixedPointSet:
+    def fix_reference(self) -> FixedPointSet:
         if self.fix is not None:
             return self.fix
         if self._ref is None:
-            self._ref = reference_solution(self, tol=tol, factor=factor)
+            self._ref = reference_solution(self)
         return self._ref
 
 
@@ -184,8 +183,7 @@ def make_quadratic_gd(delta_m: float, delta_M: float, d: int, gamma: float,
     if not (0.0 < gamma < 2.0 / delta_M):
         raise ParameterError("step size outside (0, 2/delta_M)")
     diag = np.linspace(delta_m, delta_M, d)
-    f = QuadraticFn(np.diag(diag), np.zeros(d))
-    op = gradient_step(f, gamma)
+    op = gradient_step(np.diag(diag), np.zeros(d), gamma)
     space = op.space
 
     rng = np.random.default_rng(12345)
@@ -232,7 +230,7 @@ def make_two_subspaces(theta: float, d: int, lam: float = 1.0) -> ProblemInstanc
         out[:2] = 0.0
         return out
 
-    fix = FixedPointSet.from_projector(proj_fix)
+    fix = FixedPointSet(proj_fix)
     rng = np.random.default_rng(99)
     z0_vec = 10.0 * rng.standard_normal(d)
     if np.hypot(z0_vec[0], z0_vec[1]) < 1.0:
@@ -283,7 +281,7 @@ def make_lasso(m: int, n: int, mu: Optional[float] = None, seed: int = 1,
     gamma = smooth.beta
     spec = GfbSpec(blocks=[L1Block(mu)], weights=np.array([1.0]), gamma=gamma,
                    dim=n, smooth=smooth)
-    built = build_gfb(spec)
+    built = GfbBuilt(spec)
     z0 = built.space.point((np.zeros(n),))
     return ProblemInstance(
         name="lasso", kind="gfb", operator=built.operator, z0=z0,
@@ -314,7 +312,7 @@ def make_gfb_multiblock(n_blocks: int, d: int, seed: int = 2,
     weights = np.full(n_blocks, 1.0 / n_blocks)
     spec = GfbSpec(blocks=blocks, weights=weights, gamma=gamma, dim=d,
                    smooth=CocoerciveMap.envelope_l1(0.3))
-    built = build_gfb(spec)
+    built = GfbBuilt(spec)
     z0 = built.space.point(tuple(rng.standard_normal(d) for _ in range(n_blocks)))
     return ProblemInstance(
         name=f"multiblock(n={n_blocks})", kind="gfb", operator=built.operator,
@@ -393,4 +391,4 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-13,
         raise UnavailableError(
             f"reference run not converged: residual {res:.3e} > {tol * 10.0:.1e}"
         )
-    return FixedPointSet.from_reference(zf)
+    return FixedPointSet.from_point(zf)

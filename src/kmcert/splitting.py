@@ -23,12 +23,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from .bounds import BoundConstants, EmpiricalConstants, pointwise_bound
 from .errors import NumericalError, ParameterError, StructuralError
 from .km import ErrorSchedule, GammaSchedule, IterationTrace
-from .operators import (
-    OperatorSpec,
-    composition_alpha,
-    moreau_envelope_gradient,
-    prox_l1,
-)
+from .operators import CocoerciveMap, OperatorSpec, composition_alpha, prox_l1
 from .spaces import ProductSpace, _layout, _weighted_sum
 
 
@@ -188,29 +183,9 @@ class ZeroBlock(MonotoneBlock):
         return float(np.linalg.norm(g))
 
 
-@dataclass(frozen=True)
-class CocoerciveMap:
-    """Single-valued cocoercive map with its modulus."""
-
-    fn: callable
-    beta: float
-    label: str
-
-    @staticmethod
-    def quadratic(Q, q) -> "CocoerciveMap":
-        Q = np.asarray(Q, dtype=float)
-        q = np.asarray(q, dtype=float)
-        if np.max(np.abs(Q - Q.T)) > 1e-12:
-            raise StructuralError("Q must be symmetric")
-        eigs = np.linalg.eigvalsh(Q)
-        if eigs[0] < -1e-12 or eigs[-1] <= 0:
-            raise ParameterError("Q must be PSD and non-zero")
-        return CocoerciveMap(lambda x: Q @ x - q, 1.0 / float(eigs[-1]), "quadratic")
-
-    @staticmethod
-    def envelope_l1(mu: float) -> "CocoerciveMap":
-        return CocoerciveMap(lambda x: moreau_envelope_gradient(x, mu), 1.0,
-                             f"env_l1({mu:g})")
+def _smooth_at(smooth: Optional[CocoerciveMap], x: np.ndarray) -> np.ndarray:
+    """The smooth part at ``x``; zero when there is none."""
+    return smooth.fn(x) if smooth is not None else np.zeros_like(x)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +253,6 @@ class GfbBuilt:
     def _rows(self, z: np.ndarray) -> np.ndarray:
         return z.reshape(self.spec.n, self.spec.dim)
 
-    def smooth_at(self, x: np.ndarray) -> np.ndarray:
-        smooth = self.spec.smooth
-        return smooth.fn(x) if smooth is not None else np.zeros_like(x)
-
     def resolve_all(self, args: np.ndarray, params: Optional[tuple] = None) -> np.ndarray:
         out = np.empty_like(args)
         for i, (blk, c) in enumerate(zip(self.spec.blocks, params or self._params)):
@@ -305,7 +276,7 @@ class GfbBuilt:
             params = tuple(gamma / wi for wi in self._w)
         Z = self._rows(z)
         x = _weighted_sum(self._w, Z)
-        gx = self.smooth_at(x)
+        gx = _smooth_at(self.spec.smooth, x)
         args = 2.0 * x - Z - gamma * gx
         u = self.resolve_all(args, params)
         return (Z + u - x).ravel(), (x, gx, args, u)
@@ -414,18 +385,6 @@ def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
             return g / n
 
 
-def build_gfb(spec: GfbSpec) -> GfbBuilt:
-    """Assemble the product-space splitting operator; with a smooth part the
-    certificate is ``2 beta / (4 beta - gamma)``, without one it is 1/2."""
-    built = GfbBuilt(spec)
-    if spec.smooth is not None:
-        beta = spec.smooth.beta
-        expect = 2.0 * beta / (4.0 * beta - spec.gamma)
-        if abs(built.alpha - expect) > 1e-12:
-            raise NumericalError("composition certificate drifted from closed form")
-    return built
-
-
 @dataclass(frozen=True)
 class GfbCertStep:
     g: np.ndarray
@@ -444,7 +403,7 @@ def gfb_certificate(built: GfbBuilt, parts) -> GfbCertStep:
     x, gx, args, u = parts
     ubar = _weighted_sum(built._w, u)
     g = (x - ubar) / spec.gamma - gx
-    crit = _l2(g + built.smooth_at(ubar))
+    crit = _l2(g + _smooth_at(spec.smooth, ubar))
 
     vecs = (spec.weights[:, None] / spec.gamma) * (args - u)
     residuals, structural = [], []
@@ -764,9 +723,6 @@ class PdsBuilt:
         s = term.sigma
         return w - s * term.block.resolvent(w / s, 1.0 / s)
 
-    def _smooth(self, x: np.ndarray) -> np.ndarray:
-        return self.spec.smooth.fn(x) if self.spec.smooth is not None else np.zeros_like(x)
-
     def block_step(self, z: np.ndarray, errs=None) -> np.ndarray:
         """One exact evaluation of the fixed-point operator via the block
         recursion: primal resolvent, reflection, dual resolvents."""
@@ -776,7 +732,7 @@ class PdsBuilt:
         s = np.zeros_like(x)
         for t, v in zip(spec.duals, vs):
             s = s + t.omega * (t.L.T @ v)
-        fwd = s + self._smooth(x)
+        fwd = s + _smooth_at(spec.smooth, x)
         if e1 is not None:
             fwd = fwd + e1
         p = spec.primal_block.resolvent(x - spec.tau * fwd, spec.tau)

@@ -73,6 +73,8 @@ def trace_rows(trace, columns: dict) -> list:
     names = ("gamma", "dist_fix", "pw_bound", "erg_bound", "local_model",
              "cert_value", "cert_bound")
     opt = {name: columns.get(name) for name in names}
+    if "dist_fix" not in columns:           # the trace's distances, one per row
+        opt["dist_fix"] = trace.dist
     rows = []
     for k in range(trace.n_steps):
         cell = {name: _fmt(col[k]) if col is not None else "" for name, col in opt.items()}
@@ -210,8 +212,8 @@ def pds_abstract_step(built, z: np.ndarray) -> np.ndarray:
     spec = built.spec
     space = built.space
     x, *vs = space.blocks(z)
-    forward = [built._smooth(x)] + [t.d_inv.fn(v) if t.d_inv is not None else np.zeros_like(v)
-                                    for t, v in zip(spec.duals, vs)]
+    maps = [spec.smooth] + [t.d_inv for t in spec.duals]
+    forward = [f.fn(v) if f is not None else np.zeros_like(v) for f, v in zip(maps, (x, *vs))]
     wx, *wv = space.blocks(z - np.linalg.solve(space.metric, np.concatenate(forward)))
     sw = np.zeros_like(wx)
     for t, w in zip(spec.duals, wv):

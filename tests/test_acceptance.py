@@ -279,8 +279,8 @@ def _resolvent_inventory(bundle):
     spec0 = multi.built.spec
     backward = GfbSpec(blocks=spec0.blocks, weights=spec0.weights,
                        gamma=spec0.gamma, dim=spec0.dim, smooth=None)
-    from kmcert.splitting import build_gfb
-    out.append(("multiblock-backward", build_gfb(backward).operator))
+    from kmcert.splitting import GfbBuilt
+    out.append(("multiblock-backward", GfbBuilt(backward).operator))
 
     pds = bundle["pds"]["problem"]
     sph = ProductSpace.single(pds.built.spec.dim_primal)
@@ -400,9 +400,9 @@ def test_criterion_9_reductions(cert_bundle, record):
     blocks = [L1Block(0.2), LinearBlock(0.5 * np.eye(d) + 0.5 * (R - R.T),
                                         0.3 * rng.standard_normal(d))]
     w = np.array([0.4, 0.6])
-    from kmcert.splitting import build_gfb
-    built = build_gfb(GfbSpec(blocks=blocks, weights=w, gamma=0.7, dim=d,
-                              smooth=None))
+    from kmcert.splitting import GfbBuilt
+    built = GfbBuilt(GfbSpec(blocks=blocks, weights=w, gamma=0.7, dim=d,
+                             smooth=None))
     sp2 = built.space
 
     def hand2(z):

@@ -157,7 +157,7 @@ def fake_trace(cols: dict):
                            eps_norm=np.array(cols["err_norm"]),
                            res_norm=np.array(cols["res_norm"]),
                            erg_norm=np.array(cols["erg_res_norm"]),
-                           disp_norm=np.array(cols["disp_norm"]))
+                           disp_norm=np.array(cols["disp_norm"]), dist=None)
 
 
 def data_rows(path) -> list:

@@ -14,7 +14,7 @@ from kmcert.km import (
 )
 from kmcert.operators import OperatorSpec, zero_operator
 from kmcert.spaces import ProductSpace
-from kmcert.splitting import GfbScheduleChannel, GfbSpec, SubspaceBlock, build_gfb
+from kmcert.splitting import GfbBuilt, GfbScheduleChannel, GfbSpec, SubspaceBlock
 from kmcert.problems import make_gfb_multiblock, make_multiblock_nonstationary
 from oracles import metric_inner, vector_operator
 
@@ -78,7 +78,7 @@ class TestRunKmClosedForms:
         U, _ = np.linalg.qr(rng.standard_normal((3, 2)))
         proj = SubspaceBlock(U).resolvent
         P = vector_operator(sp, lambda x: proj(x, 1.0), 0.5, "proj")
-        fix = FixedPointSet.from_projector(lambda z: proj(z, 1.0))
+        fix = FixedPointSet(lambda z: proj(z, 1.0))
         tr = run_km(P, sp.vector(rng.standard_normal(3) * 5.0),
                     RelaxationSchedule.constant(0.5), stop=StopRule(40, 0.0),
                     fix=fix)
@@ -97,6 +97,14 @@ class TestSchedules:
         for c, p in ((-0.1, 3.0), (0.1, -1.0), (float("nan"), 3.0), (0.1, float("nan"))):
             with pytest.raises(ParameterError):
                 ErrorSchedule.power(c, p)
+
+    def test_error_law_past_the_float_range(self):
+        # (k+1)^p overflows: the magnitude is taken through logarithms
+        assert ErrorSchedule.power(0.0, 2000.0).magnitude(5) == 0.0
+        tiny = ErrorSchedule.power(1e300, 1100.0).magnitude(1)
+        assert tiny == pytest.approx(1e300 / 2.0 ** 550 / 2.0 ** 550, rel=1e-12)
+        assert 0.0 < tiny < 1e-31
+        assert ErrorSchedule.power(0.1, 2000.0).magnitude(4) == 0.0    # underflows
 
     def test_admissibility_enforced(self):
         sp = ProductSpace.single(2)
@@ -297,8 +305,8 @@ class TestNonstationary:
         assert trace.n_steps == 40
         for k in range(trace.n_steps):
             z = rec.z_vecs[k]
-            T_k = build_gfb(GfbSpec(spec.blocks, spec.weights, p.schedule.value(k),
-                                    spec.dim, spec.smooth)).operator
+            T_k = GfbBuilt(GfbSpec(spec.blocks, spec.weights, p.schedule.value(k),
+                                   spec.dim, spec.smooth)).operator
             injected = norm(rec.eps_vector(k) - (T_k(z) - p.operator(z)))
             mag = 0.1 / (k + 1.0) ** 3
             assert abs(injected - mag) <= 1e-12 * max(mag, norm(z))

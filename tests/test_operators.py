@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kmcert.errors import ParameterError, StructuralError
 from kmcert.operators import (
+    CocoerciveMap,
     OperatorSpec,
-    QuadraticFn,
     composition_alpha,
     gradient_step,
     moreau_envelope_gradient,
@@ -46,14 +47,17 @@ class TestCompose2:
     def test_two_firm_factors(self):
         assert composition_alpha(0.5, 0.5) == pytest.approx(2.0 / 3.0)
 
-    def test_forward_backward_constant(self):
+    @given(st.data())
+    def test_forward_backward_constant(self, data):
         # firm backward step composed with the gamma/(2 beta)-averaged forward
-        # step: the closed form 2 beta / (4 beta - gamma), 2/3 at gamma = beta
-        beta = 1.0
-        for gamma in (0.5, 1.0, 1.5):
-            assert composition_alpha(0.5, gamma / (2.0 * beta)) == pytest.approx(
-                2.0 * beta / (4.0 * beta - gamma))
-        assert composition_alpha(0.5, 0.5) == pytest.approx(2.0 / 3.0)
+        # step, the GFB certificate: the closed form 2 beta / (4 beta - gamma),
+        # 2/3 at gamma = beta
+        beta = data.draw(st.floats(1e-8, 1e8), label="beta")
+        gamma = data.draw(st.floats(0.0, 2.0 * beta, exclude_min=True, exclude_max=True),
+                          label="gamma")
+        assert composition_alpha(0.5, gamma / (2.0 * beta)) == pytest.approx(
+            2.0 * beta / (4.0 * beta - gamma), abs=1e-12)
+        assert composition_alpha(0.5, 0.5) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_sampled_on_random_pairs(self):
         sp = ProductSpace.single(3)
@@ -128,15 +132,13 @@ class TestProjections:
 
 class TestGradientStep:
     def test_identity_hessian_unit_step(self):
-        f = QuadraticFn(np.eye(2), np.zeros(2))
-        T = gradient_step(f, 1.0)
+        T = gradient_step(np.eye(2), np.zeros(2), 1.0)
         assert T.alpha == pytest.approx(0.5)
         z = T.space.vector((3.0, -1.0))
         assert T.space.norm(T(z)) == 0.0
 
     def test_diagonal_map_frozen(self):
-        f = QuadraticFn(np.diag([0.8, 1.0]), np.zeros(2))
-        T = gradient_step(f, 0.5)
+        T = gradient_step(np.diag([0.8, 1.0]), np.zeros(2), 0.5)
         assert T.alpha == pytest.approx(0.25)
         out = T(T.space.vector((1.0, 1.0)))
         assert out == pytest.approx([0.6, 0.5], abs=1e-15)
@@ -144,8 +146,7 @@ class TestGradientStep:
     def test_certified_alpha_tight(self):
         # spectral oracle: R = (T - (1-a) Id)/a is diag((0.6-(1-a))/a, (0.5-(1-a))/a);
         # non-expansive iff a >= 0.25, so 0.25 passes and 0.2 fails
-        f = QuadraticFn(np.diag([0.8, 1.0]), np.zeros(2))
-        T = gradient_step(f, 0.5)
+        T = gradient_step(np.diag([0.8, 1.0]), np.zeros(2), 0.5)
         assert check_averaged(T, 0.25, samples=300, seed=5).passed
         assert not check_averaged(T, 0.2, samples=300, seed=5).passed
 
@@ -153,15 +154,14 @@ class TestGradientStep:
         rng = np.random.default_rng(13)
         for i in range(5):
             G = rng.standard_normal((4, 4))
-            f = QuadraticFn(G.T @ G, rng.standard_normal(4))
-            gamma = rng.uniform(0.2, 1.8) * f.beta
-            T = gradient_step(f, gamma)
+            Q, q = G.T @ G, rng.standard_normal(4)
+            gamma = rng.uniform(0.2, 1.8) * CocoerciveMap.quadratic(Q, q).beta
+            T = gradient_step(Q, q, gamma)
             assert check_averaged(T, T.alpha, samples=200, seed=i).passed
 
     def test_range_checked(self):
-        f = QuadraticFn(np.eye(2), np.zeros(2))
         with pytest.raises(ParameterError):
-            gradient_step(f, 2.0)
+            gradient_step(np.eye(2), np.zeros(2), 2.0)
 
 
 def resolvent_linear(A, gamma):
@@ -247,12 +247,11 @@ class TestModuleInvariants:
         sp = ProductSpace.single(3)
         base1 = affine_averaged(sp, 0.5, seed=21)
         base2 = affine_averaged(sp, 0.7, seed=22)
-        f = QuadraticFn(np.diag([0.4, 0.9, 1.3]), np.array([0.1, -0.2, 0.0]))
         rng = np.random.default_rng(23)
         G = rng.standard_normal((3, 3))
         return [
             compose(base1, base2),
-            gradient_step(f, 1.0),
+            gradient_step(np.diag([0.4, 0.9, 1.3]), np.array([0.1, -0.2, 0.0]), 1.0),
             resolvent_linear(G.T @ G + (G - G.T), 0.8),
         ]
 
@@ -270,13 +269,23 @@ class TestModuleInvariants:
             assert rep.passed, (op.label, rep.max_violation)
 
 
-class TestQuadraticFn:
+class TestQuadraticMap:
     def test_symmetry_required(self):
         M = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(StructuralError):
-            QuadraticFn(M, np.zeros(2))
+            CocoerciveMap.quadratic(M, np.zeros(2))
 
     def test_eigen_extremes(self):
         # the cocoercivity modulus is one over the largest eigenvalue
-        f = QuadraticFn(np.diag([0.3, 2.0]), np.zeros(2))
+        f = CocoerciveMap.quadratic(np.diag([0.3, 2.0]), np.zeros(2))
         assert f.beta == pytest.approx(0.5)
+
+    def test_indefinite_or_zero_is_a_parameter_error(self):
+        for Q in (np.diag([1.0, -0.5]), np.zeros((2, 2))):
+            with pytest.raises(ParameterError):
+                CocoerciveMap.quadratic(Q, np.zeros(2))
+
+    def test_gradient_step_space_follows_q(self):
+        assert gradient_step(np.eye(3), np.zeros(3), 1.0).space.size == 3
+        with pytest.raises(StructuralError):
+            gradient_step(np.eye(3), np.zeros(2), 1.0)

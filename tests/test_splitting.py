@@ -20,6 +20,7 @@ from kmcert.splitting import (
     CocoerciveMap,
     DrsCertificates,
     DrsSpec,
+    GfbBuilt,
     GfbSpec,
     L1Block,
     LinearBlock,
@@ -31,7 +32,6 @@ from kmcert.splitting import (
     ZeroBlock,
     _lu_factor,
     _lu_solve,
-    build_gfb,
     gfb_certificate,
 )
 from oracles import (
@@ -200,7 +200,7 @@ class TestGfbBuild:
                                             0.3 * rng.standard_normal(d))]
         w = np.array([0.4, 0.6])
         spec = GfbSpec(blocks=blocks, weights=w, gamma=0.7, dim=d, smooth=None)
-        built = build_gfb(spec)
+        built = GfbBuilt(spec)
         assert built.alpha == 0.5
         sp = built.space
 
@@ -294,7 +294,7 @@ class TestGfbCertificates:
         blocks = [ZeroBlock(), ZeroBlock()]
         spec = GfbSpec(blocks=blocks, weights=np.array([0.5, 0.5]), gamma=1.0,
                        dim=d, smooth=CocoerciveMap.envelope_l1(0.5))
-        built = build_gfb(spec)
+        built = GfbBuilt(spec)
         rng = np.random.default_rng(0)
         z0 = built.space.point(tuple(0.3 * rng.standard_normal(d) for _ in range(2)))
         tr = run_km(built.operator, z0, RelaxationSchedule.constant(1.0),
@@ -525,7 +525,7 @@ class TestNonstationaryFamily:
         beta = p.constants["beta"]
         spec = p.built.spec
         for g in (1.5, 1.7, 1.9):
-            at_g = build_gfb(GfbSpec(spec.blocks, spec.weights, g, spec.dim, spec.smooth))
+            at_g = GfbBuilt(GfbSpec(spec.blocks, spec.weights, g, spec.dim, spec.smooth))
             assert spec.alpha_at(g) == at_g.alpha == pytest.approx(2.0 * beta / (4.0 * beta - g))
         assert p.make_channel(0.0, 3.0).alphas == (spec.alpha_at(1.5), spec.alpha_at(1.9))
 
@@ -534,8 +534,8 @@ class TestNonstationaryFamily:
         spec = p.built.spec
         z = np.random.default_rng(5).standard_normal(p.built.space.size)
         out, parts = p.built.evaluate(z, 1.7)
-        want, want_parts = build_gfb(GfbSpec(spec.blocks, spec.weights, 1.7, spec.dim,
-                                             spec.smooth)).evaluate(z)
+        want, want_parts = GfbBuilt(GfbSpec(spec.blocks, spec.weights, 1.7, spec.dim,
+                                            spec.smooth)).evaluate(z)
         assert np.array_equal(out, want)
         assert all(np.array_equal(a, b) for a, b in zip(parts, want_parts))
 

@@ -49,7 +49,6 @@ from kmcert.splitting import (
     LinearBlock,
     SubspaceBlock,
     _lu_factor,
-    build_gfb,
 )
 from oracles import check_averaged, check_firmly_nonexpansive, vector_operator
 
@@ -66,7 +65,7 @@ def inf_smooth_problem():
                    weights=np.array([0.5, 0.5]), gamma=1.0, dim=d,
                    smooth=CocoerciveMap(lambda x: np.full_like(x, np.inf), 1.0, "inf"))
     p = make_gfb_multiblock(2, d)
-    p.built = build_gfb(spec)
+    p.built = GfbBuilt(spec)
     p.operator = p.built.operator
     return p
 
@@ -532,6 +531,27 @@ class TestCli:
         key = line.split(" = ")[0]
         assert f"config error: config key '{key}' must be" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_large_error_power_exits_with_its_verdict(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("problem = zero-map\nerror_c = 0.1\nerror_p = 2000\n"
+                           "max_iters = 5\nname = steep\n")
+        rc = main(["run", "--config", str(cfgfile), "--out", str(tmp_path)])
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "steep.json").read_text())
+        assert rc == (0 if report["verdict"] == "pass" else 1)
+        assert report["steps"] == 5
+        rc_verify = main(["verify", str(tmp_path / "steep.csv"), str(tmp_path / "steep.json")])
+        assert rc_verify == (1 if report["violations"] else 0)
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        out = blocker / "sub"
+        assert main(["run", "--preset", "gd-fig1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "output error" in err and str(out) in err
+        assert "Traceback" not in err
 
     def test_retain_key_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.txt"

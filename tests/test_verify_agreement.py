@@ -15,7 +15,7 @@ from kmcert import cli
 from kmcert.bounds import BoundConstants, verify_series
 from kmcert.km import RelaxationSchedule
 from kmcert.problems import ProblemInstance
-from kmcert.splitting import BoxBlock, CocoerciveMap, GfbSpec, L1Block, build_gfb
+from kmcert.splitting import BoxBlock, CocoerciveMap, GfbBuilt, GfbSpec, L1Block
 
 EDITABLE = ("res_norm", "erg_res_norm", "dist_fix")
 
@@ -83,7 +83,7 @@ def test_run_and_verify_agree_on_generated_instances(drawn):
         _, parsed = cli.parse_trace_csv(csv_path)
         recorded = {"lambda": trace.lam, "err_norm": trace.eps_norm,
                     "res_norm": trace.res_norm, "erg_res_norm": trace.erg_norm,
-                    "disp_norm": trace.disp_norm, **columns}
+                    "disp_norm": trace.disp_norm, "dist_fix": trace.dist[:K], **columns}
         for name, values in recorded.items():
             assert np.array_equal(parsed[name], values), name
 
@@ -120,6 +120,27 @@ def test_member_verify_finds_the_runs_violations(member, tmp_path):
         assert certificates is not None and not certificates["ok"]
 
 
+@pytest.mark.parametrize("max_iters", [1, 2])
+def test_run_checks_only_the_local_transitions_its_trace_holds(max_iters, tmp_path,
+                                                               monkeypatch):
+    # a modulus 10% below the true one breaks the local model at every
+    # transition; the run must flag just those that verify can re-check
+    # from the K distances of the CSV
+    build = cli.build_problem
+
+    def tight_modulus(cfg):
+        p = build(cfg)
+        return dataclasses.replace(p, kappa=p.kappa * 0.9)
+
+    monkeypatch.setattr(cli, "build_problem", tight_modulus)
+    cfg = cli.resolve_config(preset="drs-subspaces", overrides={"max_iters": max_iters})
+    _, report, _, csv_path, report_path = emit(cfg, tmp_path)
+    found = kinds(cli.verify_files(csv_path, report_path))
+    own = {(v["k"], v["kind"]) for v in report["violations"]}
+    assert {f for f in found if f[1] != "certificate"} == own
+    assert {k for k, kind in own if kind == "local"} == set(range(max_iters - 1))
+
+
 @st.composite
 def gfb_instances(draw):
     """A generated product-space splitting instance: a random positive
@@ -138,7 +159,7 @@ def gfb_instances(draw):
     smooth = CocoerciveMap.quadratic(Q, rng.standard_normal(d))
     spec = GfbSpec(blocks=blocks, weights=raw_w / raw_w.sum(),
                    gamma=draw(st.floats(0.1, 1.9)) * smooth.beta, dim=d, smooth=smooth)
-    built = build_gfb(spec)
+    built = GfbBuilt(spec)
     lam = draw(st.floats(0.1, 0.95)) / built.alpha
     problem = ProblemInstance(
         name="gfb-generated", kind="gfb", operator=built.operator,
