@@ -95,10 +95,17 @@ class ErrorSchedule:
         return ErrorSchedule(float(c), float(p))
 
     def magnitude(self, k: int) -> float:
+        """The magnitude at step ``k``; one whose square overflows, so that no
+        error of it has a finite norm, raises ``NumericalError``."""
         try:
-            return self.c / (k + 1.0) ** self.p
+            mag = self.c / (k + 1.0) ** self.p
         except OverflowError:   # (k+1)^p past the float range: via logs, for c > 0
             return self.c and math.exp(math.log(self.c) - self.p * math.log(k + 1.0))
+        if mag * mag == math.inf:
+            raise NumericalError(
+                f"non-finite error norm at step {k}: the error magnitude {mag:.3e} "
+                f"squares past the float range")
+        return mag
 
 
 @dataclass(frozen=True)
@@ -308,19 +315,25 @@ def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
 
         e = z - exact
         res = norm(e)
+        epsn = norm(eps_vec) if eps_vec is not None else 0.0
         zn = z + (tilde - z) * lam
         step = z - zn
         disp = norm(step)
-        # a non-finite exact output shows in res, a non-finite tilde in disp
-        if not (math.isfinite(res) and math.isfinite(disp)):
+        # a non-finite exact output shows in res, a non-finite tilde in disp;
+        # the sum of the norms is finite unless one of them is, or it overflows
+        if not math.isfinite(res + disp + epsn):
             _check_output(k, exact, tilde)
+            if not math.isfinite(epsn):     # the outputs are finite, the error is not
+                raise NumericalError(f"non-finite error norm at step {k}")
 
         # cross-check the residual against its update-rule form; the test is
-        # drift > tol * max(1, ||z||), with ||z|| only evaluated when needed
+        # drift > tol * max(1, ||eps||, ||z||), with ||z|| only evaluated
+        # when needed
         back = step * (1.0 / lam)
         e_rec = back + eps_vec if eps_vec is not None else back
         drift = norm(e - e_rec)
-        if drift > _IDENTITY_TOL and drift > _IDENTITY_TOL * norm(z):
+        if (drift > _IDENTITY_TOL and drift > _IDENTITY_TOL * epsn
+                and drift > _IDENTITY_TOL * norm(z)):
             raise NumericalError(
                 f"residual identity violated at step {k}: drift {drift:.3e}"
             )
@@ -331,7 +344,7 @@ def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
         lam_total += lam
 
         lam_l.append(lam)
-        epsn_l.append(norm(eps_vec) if eps_vec is not None else 0.0)
+        epsn_l.append(epsn)
         res_l.append(res)
         erg_l.append(norm(S) / lam_total)
         disp_l.append(disp)

@@ -3,6 +3,8 @@ rates.  Every generator is deterministic under a fixed seed."""
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -41,6 +43,10 @@ from .splitting import (
 )
 
 CERT_HORIZON = 1000
+# fixed-point references solved in this process, least recently used first
+# (see ProblemInstance.fix_reference); a start point and a fixed point each
+_REFERENCE_CACHE_SIZE = 8
+_REFERENCES: dict = {}
 
 
 @dataclass
@@ -49,7 +55,11 @@ class ProblemInstance:
     fixed-point description, analytic constants when available, and the
     recommended start / schedules.  A problem with a step-size ``schedule``
     is non-stationary: ``operator`` is its limit and its runs go through the
-    schedule's channel model."""
+    schedule's channel model.  ``origin`` keys the fixed-point reference
+    (see :meth:`fix_reference`): the generator that built the instance and
+    its arguments, or a token of its own for an instance built any other
+    way (``dataclasses.replace`` included) or given a new operator or
+    relaxation."""
 
     name: str
     kind: str                       # km | gfb | drs | pds
@@ -65,7 +75,13 @@ class ProblemInstance:
     built: object = None
     constants: dict = field(default_factory=dict)
     schedule: Optional[GammaSchedule] = None
-    _ref: Optional[FixedPointSet] = field(default=None, repr=False)
+    origin: object = field(init=False, default_factory=object, repr=False)
+
+    def __setattr__(self, name, value):
+        # a new operator or relaxation is no longer what the generator built
+        if name in ("operator", "relaxation") and "origin" in self.__dict__:
+            super().__setattr__("origin", object())
+        super().__setattr__(name, value)
 
     # -- run helpers --------------------------------------------------------
 
@@ -138,11 +154,40 @@ class ProblemInstance:
         raise UnavailableError("no rate convention declared for this problem")
 
     def fix_reference(self) -> FixedPointSet:
+        """The analytic fixed-point set, or else the end point of a
+        :func:`reference_solution` run, solved once per process: it is kept
+        under the key of everything that fixes the operator, the start and
+        the reference stop rule (``origin``, the bytes of ``z0`` and
+        ``cert_horizon``)."""
         if self.fix is not None:
             return self.fix
-        if self._ref is None:
-            self._ref = reference_solution(self)
-        return self._ref
+        key = (self.origin, self.z0.tobytes(), self.cert_horizon)
+        ref = _REFERENCES.pop(key, None)
+        if ref is None:
+            ref = reference_solution(self)
+        _REFERENCES[key] = ref
+        if len(_REFERENCES) > _REFERENCE_CACHE_SIZE:
+            del _REFERENCES[next(iter(_REFERENCES))]
+        return ref
+
+
+def _generator(make):
+    """Set the ``origin`` of each instance ``make`` returns: its name and
+    its arguments with the defaults filled in, floats by their exact bits
+    (so ``0.0`` and ``-0.0`` differ).  For the generators whose fixed point
+    is not analytic, so that their instances share one reference."""
+    signature = inspect.signature(make)
+
+    @functools.wraps(make)
+    def generate(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        problem = make(*args, **kwargs)
+        problem.origin = (make.__name__, *(
+            (name, v.hex() if isinstance(v, float) else v)
+            for name, v in bound.arguments.items()))
+        return problem
+    return generate
 
 
 def _check_fixed_point(operator: OperatorSpec, z_star: np.ndarray) -> None:
@@ -257,6 +302,7 @@ def make_two_subspaces(theta: float, d: int, lam: float = 1.0) -> ProblemInstanc
     )
 
 
+@_generator
 def make_lasso(m: int, n: int, mu: Optional[float] = None, seed: int = 1,
                ) -> ProblemInstance:
     """Single-block product-space splitting (plain forward-backward) for an
@@ -291,6 +337,7 @@ def make_lasso(m: int, n: int, mu: Optional[float] = None, seed: int = 1,
     )
 
 
+@_generator
 def make_gfb_multiblock(n_blocks: int, d: int, seed: int = 2,
                         gamma: float = 1.0) -> ProblemInstance:
     """Multi-block product-space instance mixing l1, box-indicator and affine
@@ -321,6 +368,7 @@ def make_gfb_multiblock(n_blocks: int, d: int, seed: int = 2,
     )
 
 
+@_generator
 def make_pds_small(seed: int = 3) -> ProblemInstance:
     """Primal-dual instance with one dual block: box-constrained quadratic
     plus an l1 composite through a dense coupling with orthonormalized rows.
@@ -359,6 +407,7 @@ def make_pds_small(seed: int = 3) -> ProblemInstance:
     )
 
 
+@_generator
 def make_multiblock_nonstationary(kind: str, d: int = 10, n_blocks: int = 3,
                                   seed: int = 2) -> ProblemInstance:
     """Per-step-parameter variant of the multi-block instance: the step size
@@ -385,10 +434,11 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-13,
     re-evaluating the residual at the returned point."""
     stop = StopRule(max_iters=factor * problem.cert_horizon, residual_tol=tol)
     trace = run_km(problem.operator, problem.z0, problem.relaxation, stop=stop, seed=0)
-    zf = trace.z_final
+    zf = np.array(trace.z_final)    # a copy: a run of no steps ends at z0 itself
     res = problem.operator.space.norm(zf - problem.operator(zf))
     if not res <= tol * 10.0:
         raise UnavailableError(
             f"reference run not converged: residual {res:.3e} > {tol * 10.0:.1e}"
         )
+    zf.flags.writeable = False      # shared by every run of the problem
     return FixedPointSet.from_point(zf)

@@ -55,3 +55,13 @@ def _record(run, *args, also=(), **kwargs):
 @pytest.fixture(scope="session")
 def record():
     return _record
+
+
+@pytest.fixture
+def fresh_references(monkeypatch):
+    """An empty fixed-point reference cache for the test, so what it counts
+    does not depend on the tests that ran before it."""
+    from kmcert import problems
+
+    monkeypatch.setattr(problems, "_REFERENCES", {})
+    return problems._REFERENCES

@@ -384,3 +384,23 @@ class TestHugeModuli:
         _, cols = parse_trace_csv(str(tmp_path / "huge.csv"))
         assert np.isfinite(cols["local_model"]).all()      # the local model was checked
         assert main(["verify", str(tmp_path / "huge.csv"), str(tmp_path / "huge.json")]) == rc
+
+
+class TestLargeErrors:
+    def test_large_error_passes_and_verify_agrees(self, tmp_path):
+        # rounding at ||eps|| = 1e5 (drift 3.2e-12 at step 0) is within the
+        # residual identity's tolerance
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("problem = zero-map\nerror_c = 1e5\nmax_iters = 5\nname = big\n")
+        assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        assert main(["verify", str(tmp_path / "big.csv"), str(tmp_path / "big.json")]) == 0
+
+    @NO_RUNTIME_WARNING
+    @pytest.mark.parametrize("problem", ["zero-map", "lasso", "pds-small"])
+    def test_overflowing_error_exits_3_naming_its_norm(self, tmp_path, capsys, problem):
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text(f"problem = {problem}\nerror_c = 1e200\nmax_iters = 5\n"
+                           "name = over\n")
+        assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 3
+        assert "numerical failure: non-finite error norm at step 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("over.*"))

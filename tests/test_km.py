@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kmcert.errors import DivergenceError, ParameterError
+from kmcert.errors import DivergenceError, NumericalError, ParameterError
 from kmcert.km import (
     ErrorSchedule,
     FixedPointSet,
@@ -218,6 +218,48 @@ class TestDivergenceGuard:
         with pytest.raises(DivergenceError):
             run_km(bad, sp.vector((1.0,)), RelaxationSchedule.constant(1.0),
                    stop=StopRule(300, 0.0))
+
+
+class MisreportingChannel:
+    """The zero map with the error law ``c / (k+1)^3``, reporting each step's
+    error scaled by ``1 + rel``."""
+
+    def __init__(self, space, c, rel):
+        self.operator = zero_operator(space)
+        self.alphas = ()
+        self.errors = ErrorSchedule.power(c, 3.0)
+        self.rel = rel
+
+    def evaluate(self, k, z, rng):
+        exact = self.operator(z)
+        eps = self.operator.space.unit_vector(rng) * self.errors.magnitude(k)
+        return exact, exact + eps, eps * (1.0 + self.rel), None
+
+
+class TestResidualIdentity:
+    """The residual-identity check allows rounding relative to
+    ``max(1, ||z||, ||eps||)``, not more (a large error that passes is
+    ``test_cli.py::TestLargeErrors``)."""
+
+    @pytest.mark.parametrize("c", [0.1, 1e5])
+    def test_misreported_error_is_caught(self, c):
+        sp = ProductSpace.single(4)
+        channel = MisreportingChannel(sp, c, 1e-6)
+        with pytest.raises(NumericalError, match="residual identity violated at step 0"):
+            run_km(None, sp.vector(np.ones(4)), RelaxationSchedule.constant(0.5),
+                   stop=StopRule(5, 0.0), channel=channel)
+        channel.rel = 0.0
+        assert run_km(None, sp.vector(np.ones(4)), RelaxationSchedule.constant(0.5),
+                      stop=StopRule(5, 0.0), channel=channel).n_steps == 5
+
+    def test_non_finite_reported_error_is_named(self):
+        # finite outputs with a NaN error: the drift is NaN too, and no
+        # tolerance check would fail on it
+        sp = ProductSpace.single(4)
+        channel = MisreportingChannel(sp, 0.1, np.nan)
+        with pytest.raises(NumericalError, match="^non-finite error norm at step 0$"):
+            run_km(None, sp.vector(np.ones(4)), RelaxationSchedule.constant(0.5),
+                   stop=StopRule(5, 0.0), channel=channel)
 
 
 class TestErgodicRecompute:

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from kmcert import cli, problems
 from kmcert.errors import ParameterError
 from kmcert.problems import (
     make_gfb_multiblock,
@@ -166,3 +169,130 @@ class TestReferenceSolution:
         z_star = ref.nearest(p.z0)
         res = p.operator.space.norm(z_star - p.operator(z_star))
         assert res <= 1e-12
+
+
+@pytest.fixture
+def solves(fresh_references, monkeypatch):
+    """The problems whose reference is solved during the test, in order."""
+    solved = []
+    solve = problems.reference_solution
+
+    def counting(problem, *args, **kwargs):
+        solved.append(problem.name)
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(problems, "reference_solution", counting)
+    return solved
+
+
+def member(label, **overrides):
+    cfg = dict({m["name"]: m for m in cli.suite_members()}[label])
+    cfg.update(overrides)
+    return cfg
+
+
+SPLITTING = [f"cert-{p}-{m}" for p in ("lasso", "multiblock", "pds", "drs")
+             for m in ("exact", "inexact")]
+
+
+class TestReferenceCache:
+    """``fix_reference`` solves each problem's reference once per process,
+    keyed on the generator, its arguments, ``z0`` and ``cert_horizon``."""
+
+    def test_splitting_members_solve_three_references(self, solves):
+        # the run-only keys (seed, error law, horizon, tol, name) share one solve
+        for seed in (0, 1):
+            for name in SPLITTING:
+                cli.execute_run(member(name, seed=seed, max_iters=20))
+            cli.execute_run(member("cert-lasso-inexact", seed=seed, max_iters=30,
+                                   tol=1e-3, error_p=2.0, name="other"))
+        assert solves == ["lasso", "multiblock(n=3)", "pds-small"]
+
+    @pytest.mark.parametrize("base, key, value", [
+        ({"problem": "lasso", "rows": 10, "cols": 12}, "problem_seed", 2),
+        ({"problem": "lasso", "rows": 10, "cols": 12}, "rows", 11),
+        ({"problem": "lasso", "rows": 10, "cols": 12}, "mu", 0.05),
+        ({"problem": "multiblock", "n_blocks": 2, "dim": 5}, "dim", 6),
+        ({"problem": "multiblock", "n_blocks": 2, "dim": 5}, "n_blocks", 3),
+        ({"problem": "pds-small"}, "problem_seed", 4),
+    ])
+    def test_each_problem_key_gets_its_own_solve(self, solves, base, key, value):
+        first = cli.build_problem(cli.resolve_config(overrides=base))
+        other = cli.build_problem(cli.resolve_config(overrides={**base, key: value}))
+        for p in (first, other, first, other):
+            p.fix_reference()
+        assert len(solves) == 2
+        assert first.fix_reference() is not other.fix_reference()
+
+    def test_start_point_and_horizon_are_keys(self, solves):
+        p = make_lasso(10, 12, seed=3)
+        p.fix_reference()
+        p.z0 = p.z0 + 0.5
+        p.fix_reference()
+        p.cert_horizon = 500
+        p.fix_reference()
+        make_lasso(10, 12, seed=3).fix_reference()      # the first key again
+        assert len(solves) == 3
+
+    @pytest.mark.parametrize("attr", ["operator", "relaxation"])
+    def test_a_replaced_operator_or_relaxation_is_a_new_key(self, solves, attr):
+        p = make_lasso(10, 12, seed=3)
+        p.fix_reference()
+        origin = p.origin
+        setattr(p, attr, getattr(make_lasso(10, 12, mu=0.05, seed=3), attr))
+        assert p.origin is not origin
+        p.fix_reference()
+        assert len(solves) == 2
+
+    def test_analytic_fixed_points_solve_nothing(self, solves):
+        for make in ANALYTIC:
+            p = make()
+            assert p.fix_reference() is p.fix
+        assert solves == []
+
+    def test_instances_not_made_by_a_generator_share_nothing(self, solves):
+        p = make_lasso(10, 12, seed=3)
+        copy = replace(p)
+        direct = problems.ProblemInstance(
+            name="direct", kind="gfb", operator=p.operator, z0=p.z0,
+            relaxation=p.relaxation, built=p.built)
+        for q in (p, copy, direct, p, copy, direct):
+            q.fix_reference()
+        assert solves == ["lasso", "lasso", "direct"]
+        assert copy.origin is not p.origin
+
+    def test_cached_point_is_read_only(self, solves):
+        p = make_lasso(10, 12, seed=3)
+        z_star = p.fix_reference().nearest(p.z0)
+        with pytest.raises(ValueError, match="read-only"):
+            z_star[0] = 1.0
+        assert not z_star.flags.writeable
+
+    def test_cache_holds_at_most_its_cap(self, fresh_references, solves):
+        cap = problems._REFERENCE_CACHE_SIZE
+        made = [make_lasso(6, 8, seed=s) for s in range(cap + 3)]
+        for p in made:
+            p.fix_reference()
+            assert len(fresh_references) <= cap
+        assert len(solves) == cap + 3
+        made[3].fix_reference()               # the oldest held: no new solve
+        made[0].fix_reference()               # evicted: solved again, evicting made[4]
+        made[3].fix_reference()
+        assert len(solves) == cap + 4 and len(fresh_references) == cap
+        made[4].fix_reference()
+        assert len(solves) == cap + 5
+
+    @pytest.mark.parametrize("name", [f"cert-{p}-{m}" for p in ("lasso", "multiblock", "pds")
+                                      for m in ("exact", "inexact")])
+    def test_cold_and_warm_runs_write_the_same_bytes(self, tmp_path, solves, name):
+        outputs = []
+        for run in ("cold", "warm"):
+            cfg = member(name, max_iters=200)
+            trace, report, columns = cli.execute_run(cfg)
+            base = tmp_path / run
+            cli.emit_trace_csv(f"{base}.csv", cfg, trace, columns)
+            cli.write_report(f"{base}.json", report)
+            outputs.append((base.with_suffix(".csv").read_bytes(),
+                            base.with_suffix(".json").read_bytes()))
+        assert len(solves) == 1
+        assert outputs[0] == outputs[1]

@@ -2,7 +2,8 @@ import importlib.util
 import json
 import pathlib
 
-TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "trace_digests.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "trace_digests.py"
 
 
 def load_tool():
@@ -32,6 +33,18 @@ def test_trace_digests_record_and_compare(tmp_path, capsys):
     out.write_text(json.dumps(doc))
     assert tool.main(["--compare", str(out)]) == 1
     assert "MISMATCH preset:gd-fig1@seed1" in capsys.readouterr().out
+
+
+def test_reference_solving_members_match_recorded_digests(fresh_references, capsys):
+    # one process, the exact member first: each inexact member reuses its
+    # problem's reference, so the recorded bytes pin the warm path too
+    tool = load_tool()
+    members = [f"cert-{p}-{m}" for p in ("lasso", "multiblock", "pds")
+               for m in ("exact", "inexact")] + ["preset:pds-small"]
+    argv = ["--compare", str(ROOT / "digests-parent.json"), "--members", *members]
+    assert tool.main(argv) == 0
+    assert "14/14 digests match" in capsys.readouterr().out
+    assert len(fresh_references) == 4
 
 
 def _scale_cell(path, k, column, factor):

@@ -297,6 +297,7 @@ class TestFixedPointChecks:
             reference_solution(p, factor=1)
 
 
+@pytest.mark.usefixtures("fresh_references")
 class TestCaches:
     def test_factorization_cache_stays_bounded(self):
         p = make_multiblock_nonstationary("harmonic", d=6)
