@@ -56,7 +56,6 @@ from .splitting import (
     PdsSpec,
     SubspaceBlock,
     ZeroBlock,
-    gfb_certificate,
 )
 
 __version__ = "0.1.0"

@@ -57,9 +57,47 @@ class Violation(NamedTuple):
     margin: float
 
 
-class EmpiricalConstants:
-    """Bound constants measured over the executed horizon, accumulated one
-    step at a time through the engine's ``observe`` hook.
+# steps a certification hook keeps before it reduces them in one pass
+CHUNK = 256
+
+
+def stack_present(vectors) -> tuple:
+    """``(rows, stack)``: the indices of the entries of ``vectors`` that are
+    not None and those entries stacked (None when there are none)."""
+    rows = [i for i, v in enumerate(vectors) if v is not None]
+    return rows, np.stack([vectors[i] for i in rows]) if rows else None
+
+
+class StepChunks:
+    """An ``observe`` hook that reduces the run a chunk of steps at a time.
+
+    ``observe`` keeps each step's arguments (references: nothing writes in
+    place into a point, so they stay valid), and every ``CHUNK`` steps hands
+    the list to ``_reduce``, which computes the whole chunk with stacked
+    ``(C, ...)`` arrays and returns the steps it cannot finish yet (the DRS
+    certificate of a step needs the next step).  :meth:`_drain` reduces what
+    is left; a subclass calls it before it reports.
+    """
+
+    def __init__(self):
+        self._steps = []
+
+    def observe(self, k, z, z_next, e, eps, lam, extras) -> None:
+        self._steps.append((z, z_next, e, eps, lam, extras))
+        if len(self._steps) == CHUNK:
+            self._steps = self._reduce(self._steps, False)
+
+    def _drain(self) -> None:
+        if self._steps:
+            self._steps = self._reduce(self._steps, True)
+
+    def _reduce(self, steps: list, last: bool) -> list:
+        raise NotImplementedError
+
+
+class EmpiricalConstants(StepChunks):
+    """Bound constants measured over the executed horizon, accumulated
+    through the engine's ``observe`` hook a chunk of steps at a time.
 
     ``z_star`` is the fixed-point reference nearest the start, fixed before
     the run.  Norms are the space's or, with ``base_norm``, the plain
@@ -69,27 +107,43 @@ class EmpiricalConstants:
 
     def __init__(self, z_star: np.ndarray, space: ProductSpace,
                  base_norm: bool = False):
+        super().__init__()
         self._z_star = z_star
         self._measure = space.base_norm if base_norm else space.norm
+        self._space = space
+        self._base = base_norm
         self._eps_norm = [] if base_norm else None
         self._d0 = 0.0
         self._sup_relaxed = 0.0     # sup ||z_k - lam_k e_k - z*||
         self._sup_de = 0.0          # sup ||e_k - e_{k+1}||
         self._e_prev = None
 
-    def observe(self, k, z, z_next, e, eps, lam, extras) -> None:
-        norm = self._measure
+    def _reduce(self, steps: list, last: bool) -> list:
+        z, _, e, eps, lam, _ = zip(*steps)
+        Z = np.stack(z)
         if self._e_prev is None:
-            self._d0 = norm(z - self._z_star)
+            self._d0 = self._measure(z[0] - self._z_star)
         else:
-            self._sup_de = max(self._sup_de, norm(self._e_prev - e))
-        self._e_prev = e
-        self._sup_relaxed = max(self._sup_relaxed, norm(z - e * lam - self._z_star))
+            e = (self._e_prev, *e)
+        E = np.stack(e)
+        if len(E) > 1:
+            de = self._space.norms(E[:-1] - E[1:], self._base)
+            self._sup_de = max(self._sup_de, float(de.max()))
+        self._e_prev = e[-1]
+        relaxed = Z - E[-len(Z):] * np.array(lam)[:, None] - self._z_star
+        self._sup_relaxed = max(self._sup_relaxed,
+                                float(self._space.norms(relaxed, self._base).max()))
         if self._eps_norm is not None:
-            self._eps_norm.append(norm(eps) if eps is not None else 0.0)
+            out = np.zeros(len(Z))
+            rows, stack = stack_present(eps)
+            if rows:
+                out[rows] = self._space.norms(stack, self._base)
+            self._eps_norm.append(out)
+        return []
 
     def constants(self, trace: IterationTrace) -> BoundConstants:
-        eps_norm = trace.eps_norm if self._eps_norm is None else np.asarray(self._eps_norm)
+        self._drain()
+        eps_norm = trace.eps_norm if self._eps_norm is None else np.concatenate(self._eps_norm)
         c = 1.0 if trace.alpha is None else 1.0 / trace.alpha
         tau = trace.lam * (c - trace.lam)
         tau_max = float(tau.max())

@@ -395,8 +395,10 @@ def run_km(T: OperatorSpec, z0: np.ndarray, relaxation: RelaxationSchedule,
     successor, the residual ``e_k = z_k - T z_k``, the injected error (None
     for an exact step), the relaxation and the evaluation's extras (for a
     channel model, a dict with its channel vectors under ``"channel"``;
-    else None).  Constants and certificates are accumulated through it, so
-    no vector outlives its step.
+    else None).  Constants and certificates are accumulated through it; a
+    hook may keep the arrays it is given (nothing writes into them in place),
+    and the certification hooks keep a step's vectors for at most one chunk
+    of ``bounds.CHUNK`` steps, so memory stays bounded whatever the horizon.
     """
     if stop is None:
         stop = StopRule()

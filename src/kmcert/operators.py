@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .spaces import ProductSpace
+from .spaces import ProductSpace, apply_rows
 
 
 class OperatorSpec:
@@ -90,7 +90,8 @@ class CocoerciveMap:
     @staticmethod
     def quadratic(Q, q) -> "CocoerciveMap":
         """The gradient ``x -> Q x - q`` of ``0.5 <x, Q x> - <q, x>``, with
-        ``Q`` symmetric, PSD and non-zero; its modulus is ``1 / lambda_max``."""
+        ``Q`` symmetric, PSD and non-zero; its modulus is ``1 / lambda_max``.
+        It takes a point or a stack of points (row by row)."""
         Q = np.asarray(Q, dtype=float)
         q = np.asarray(q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or q.shape != (Q.shape[0],):
@@ -100,7 +101,7 @@ class CocoerciveMap:
         eigs = np.linalg.eigvalsh(Q)
         if eigs[0] < -1e-12 or eigs[-1] <= 0:
             raise ParameterError("Q must be PSD and non-zero")
-        return CocoerciveMap(lambda x: Q @ x - q, 1.0 / float(eigs[-1]), "quadratic")
+        return CocoerciveMap(lambda x: apply_rows(Q, x) - q, 1.0 / float(eigs[-1]), "quadratic")
 
     @staticmethod
     def envelope_l1(mu: float) -> "CocoerciveMap":

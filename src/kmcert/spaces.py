@@ -12,8 +12,12 @@ one ``np.vecdot`` (each equals its ``x.dot(y)``), other layouts a dot per
 block slice.  A space may install a metric ``M``, a dense matrix of
 shape ``(size, size)`` (self-adjoint, positive in the weighted inner
 product); ``||x||_M^2 = <x, M x>`` then replaces the plain norm wherever the
-space is asked for one.  A space also draws the seeded unit directions that
-the engine's error injection uses.
+space is asked for one.  The certification hooks take the norms of a
+``(C, size)`` stack of points at once (:meth:`ProductSpace.norms`), in the
+same order: one ``np.vecdot`` per block slice over the rows, added in block
+order, and ``np.matmul(M, X[..., None])`` for the metric, each row of which
+equals ``M @ x`` (``X @ M.T`` and ``einsum`` do not).  A space also draws
+the seeded unit directions that the engine's error injection uses.
 """
 
 from __future__ import annotations
@@ -64,6 +68,24 @@ def _inner_kernel(weights, dims, slices):
             acc += w * v
         return acc
     return inner
+
+
+def _rows_inner(weights, slices, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The inner products of the rows of two ``(C, size)`` stacks, each equal
+    to the layout's ``inner`` of that row pair."""
+    if len(slices) == 1:
+        return weights[0] * np.vecdot(A, B)
+    acc = np.zeros(A.shape[0])
+    for w, s in zip(weights, slices):
+        acc += w * np.vecdot(A[:, s], B[:, s])
+    return acc
+
+
+def apply_rows(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``A @ x`` for each row ``x`` of the stack ``X`` (or for ``X`` itself),
+    bit for bit: numpy applies a matrix to a vector as the stack's
+    matrix-vector products do, not as ``X @ A.T`` does."""
+    return np.matmul(A, X[..., None])[..., 0]
 
 
 def _weighted_sum(weights, rows: np.ndarray) -> np.ndarray:
@@ -138,6 +160,13 @@ class ProductSpace:
         """The space's norm: the metric norm when a metric is installed."""
         acc = self._inner(a, a if self.metric is None else self.metric @ a)
         return math.sqrt(0.0 if acc < 0.0 else acc)
+
+    def norms(self, A: np.ndarray, base: bool = False) -> np.ndarray:
+        """The norms of the rows of a ``(C, size)`` stack, each equal to
+        :meth:`norm` of its row (:meth:`base_norm` with ``base``)."""
+        B = A if base or self.metric is None else apply_rows(self.metric, A)
+        acc = _rows_inner(self._w, self._slices, A, B)
+        return np.sqrt(np.where(acc < 0.0, 0.0, acc))
 
     # -- sampling ----------------------------------------------------------
 

@@ -8,7 +8,9 @@ channel models pass these on in ``extras["parts"]``, and the certificates
 read them there.  They are the internals of the exact evaluation, so
 injected channel errors perturb only the iterate path; the exception is the
 inexact DRS certificate's first resolvent output, taken at the perturbed
-shadow point it certifies.
+shadow point it certifies.  The certificates reduce a chunk of steps at a
+time (:class:`~kmcert.bounds.StepChunks`): they stack the chunk's parts to
+``(C, ...)`` arrays, and a block's membership residual takes such stacks.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from typing import List, Optional
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .bounds import BoundConstants, EmpiricalConstants, pointwise_bound
+from .bounds import (BoundConstants, EmpiricalConstants, StepChunks, pointwise_bound,
+                     stack_present)
 from .errors import NumericalError, ParameterError, StructuralError
 from .km import ErrorSchedule, GammaSchedule, IterationTrace
 from .operators import CocoerciveMap, OperatorSpec, composition_alpha, prox_l1
-from .spaces import ProductSpace, _layout, _weighted_sum
+from .spaces import ProductSpace, _layout, _weighted_sum, apply_rows
 
 
 def _lu_factor(A: np.ndarray):
@@ -53,7 +56,9 @@ class MonotoneBlock:
     """A maximal monotone operator given through its resolvent family
     ``v -> (Id + c A)^{-1} v``.  Recognized block types can additionally
     verify ``g in A(u)`` exactly; others report membership as structural
-    only (guaranteed by construction, not re-verified)."""
+    only (guaranteed by construction, not re-verified).  ``member_residual``
+    takes ``(C, d)`` stacks of pairs ``(u, g)`` and returns the largest
+    residual among them."""
 
     kind = "abstract"
 
@@ -78,8 +83,6 @@ class L1Block(MonotoneBlock):
         return prox_l1(v, c * self.mu)
 
     def member_residual(self, u, g):
-        u = np.asarray(u, dtype=float)
-        g = np.asarray(g, dtype=float)
         res = np.where(u != 0.0, np.abs(g - self.mu * np.sign(u)),
                        np.maximum(np.abs(g) - self.mu, 0.0))
         return float(res.max()) if res.size else 0.0
@@ -103,8 +106,6 @@ class BoxBlock(MonotoneBlock):
         return np.clip(v, self.lo, self.hi)
 
     def member_residual(self, u, g):
-        u = np.asarray(u, dtype=float)
-        g = np.asarray(g, dtype=float)
         lo, hi = self.lo, self.hi
         outside = np.maximum(lo - u, 0.0) + np.maximum(u - hi, 0.0)
         at_lo = u <= lo + self._btol
@@ -135,10 +136,10 @@ class SubspaceBlock(MonotoneBlock):
         return self.U @ (self.U.T @ v)
 
     def member_residual(self, u, g):
-        u = np.asarray(u, dtype=float)
-        g = np.asarray(g, dtype=float)
-        feas = _l2(u - self.U @ (self.U.T @ u))
-        perp = _l2(self.U @ (self.U.T @ g))
+        def project(X):
+            return apply_rows(self.U, apply_rows(self.U.T, X))
+        feas = _l2_rows(u - project(u)).max()
+        perp = _l2_rows(project(g)).max()
         return float(max(feas, perp))
 
 
@@ -158,19 +159,20 @@ class LinearBlock(MonotoneBlock):
             raise ParameterError("M is not monotone")
         self.M = M
         self.c0 = np.zeros(M.shape[0]) if c0 is None else np.asarray(c0, dtype=float)
+        self._eye = np.eye(M.shape[0])
         self._lu = {}
 
     def resolvent(self, v, c):
         lu = self._lu.pop(c, None)
         if lu is None:
-            lu = _lu_factor(np.eye(self.M.shape[0]) + c * self.M)
+            lu = _lu_factor(self._eye + c * self.M)
             if len(self._lu) == 2:      # evict the least recently used
                 del self._lu[next(iter(self._lu))]
         self._lu[c] = lu
         return _lu_solve(lu, np.asarray(v, dtype=float) + c * self.c0)
 
     def member_residual(self, u, g):
-        return float(np.linalg.norm(g - (self.M @ u - self.c0)))
+        return float(_l2_rows(g - (apply_rows(self.M, u) - self.c0)).max())
 
 
 class ZeroBlock(MonotoneBlock):
@@ -180,7 +182,7 @@ class ZeroBlock(MonotoneBlock):
         return np.asarray(v, dtype=float)
 
     def member_residual(self, u, g):
-        return float(np.linalg.norm(g))
+        return float(_l2_rows(g).max())
 
 
 def _smooth_at(smooth: Optional[CocoerciveMap], x: np.ndarray) -> np.ndarray:
@@ -377,44 +379,18 @@ def _l2(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
+def _l2_rows(X: np.ndarray) -> np.ndarray:
+    """:func:`_l2` of each row of a ``(C, d)`` stack, bit for bit (a row of
+    ``np.vecdot`` is that row's ``x.dot(x)``)."""
+    return np.sqrt(np.vecdot(X, X))
+
+
 def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     while True:
         g = rng.standard_normal(dim)
         n = _l2(g)
         if n > 1e-12:
             return g / n
-
-
-@dataclass(frozen=True)
-class GfbCertStep:
-    g: np.ndarray
-    criterion: float
-    membership: Optional[float]
-    structural_only: tuple
-
-
-def gfb_certificate(built: GfbBuilt, parts) -> GfbCertStep:
-    """Optimality certificate at an iterate ``z``: an explicit element of
-    the summed block operators at the resolvent outputs, its per-block
-    membership residual (recognized types), and the stationarity criterion
-    ``||g + B(sum_i w_i u_i)||``.  ``parts`` are the internals of
-    ``built.evaluate(z)``."""
-    spec = built.spec
-    x, gx, args, u = parts
-    ubar = _weighted_sum(built._w, u)
-    g = (x - ubar) / spec.gamma - gx
-    crit = _l2(g + _smooth_at(spec.smooth, ubar))
-
-    vecs = (spec.weights[:, None] / spec.gamma) * (args - u)
-    residuals, structural = [], []
-    for blk, ui, vec in zip(spec.blocks, u, vecs):
-        r = blk.member_residual(ui, vec)
-        if r is None:
-            structural.append(blk.kind)
-        else:
-            residuals.append(r)
-    membership = max(residuals) if residuals else None
-    return GfbCertStep(g, crit, membership, tuple(structural))
 
 
 @dataclass
@@ -433,38 +409,64 @@ def _parts(extras) -> tuple:
     return extras["parts"]
 
 
-class _CertificateStream:
-    """Certificate values collected one step at a time through the engine's
-    ``observe`` hook, with the largest membership residual seen.
+class _CertificateStream(StepChunks):
+    """Certificate values reduced a chunk of steps at a time from the
+    engine's ``observe`` hook, with the largest membership residual seen.
     ``series(trace, constants)`` adds the bound column after the run."""
 
     def __init__(self, built):
+        super().__init__()
         self.built = built
         self._values = []
         self._membership = None
 
-    def _record(self, value: float, membership: Optional[float] = None) -> None:
-        self._values.append(value)
+    def _record(self, values: np.ndarray, membership: Optional[float] = None) -> None:
+        self._values.append(values)
         if membership is not None:
             self._membership = (membership if self._membership is None
                                 else max(self._membership, membership))
 
+    def _collected(self) -> np.ndarray:
+        """The values of every step, once the last chunk is reduced."""
+        self._drain()
+        return np.concatenate(self._values)
+
 
 class GfbCertificates(_CertificateStream):
-    """:func:`gfb_certificate` at every step, against ``(1/gamma) *
-    pointwise bound``."""
+    """The optimality certificate at every step, against ``(1/gamma) *
+    pointwise bound``.  At an iterate ``z`` it is an explicit element ``g =
+    (x - ubar)/gamma - B x`` of the summed block operators at the resolvent
+    outputs ``u_i`` (``ubar = sum_i w_i u_i``), with each block's membership
+    residual (recognized types); the value is the stationarity criterion
+    ``||g + B ubar||``.  It reads ``parts = (x, B x, args, u)`` of
+    ``built.evaluate(z)``."""
 
     structural_only: tuple = ()
 
-    def observe(self, k, z, z_next, e, eps, lam, extras) -> None:
-        step = gfb_certificate(self.built, _parts(extras))
-        self._record(step.criterion, step.membership)
-        self.structural_only = step.structural_only
+    def _reduce(self, steps: list, last: bool) -> list:
+        built = self.built
+        spec = built.spec
+        x, gx, args, u = (np.stack(a) for a in zip(*(_parts(s[5]) for s in steps)))
+        ubar = _weighted_sum(built._w, u.swapaxes(0, 1))
+        g = (x - ubar) / spec.gamma - gx
+        criterion = _l2_rows(g + _smooth_at(spec.smooth, ubar))
+
+        vecs = (spec.weights[:, None] / spec.gamma) * (args - u)
+        residuals, structural = [], []
+        for i, blk in enumerate(spec.blocks):
+            r = blk.member_residual(u[:, i], vecs[:, i])
+            if r is None:
+                structural.append(blk.kind)
+            else:
+                residuals.append(r)
+        self._record(criterion, max(residuals) if residuals else None)
+        self.structural_only = tuple(structural)
+        return []
 
     def series(self, trace: IterationTrace, constants: BoundConstants) -> CertificateSeries:
+        values = self._collected()
         bounds = pointwise_bound(np.arange(trace.n_steps), constants) / self.built.spec.gamma
-        return CertificateSeries(np.asarray(self._values), bounds, self._membership,
-                                 self.structural_only)
+        return CertificateSeries(values, bounds, self._membership, self.structural_only)
 
 
 # ---------------------------------------------------------------------------
@@ -538,72 +540,63 @@ class DrsChannelModel(_ChannelModel):
                                              "parts": parts}
 
 
-@dataclass(frozen=True)
-class DrsCertStep:
-    g: np.ndarray
-    criterion: float
-    scale: float       # the bound is scale * pointwise bound + offset
-    offset: float
-    membership: Optional[float]
-
-
-def _drs_step(spec: DrsSpec, zv, znv, x, u, lam, e1, e2, v) -> DrsCertStep:
-    """Certificate of the step from ``zv`` to ``znv``, with ``x =
-    j2(z)`` exact, ``u`` and ``v = j2(z_next)``: an explicit element ``g`` of
-    the summed operators at (u, v), its norm, the bound ``((1 + lam)/gamma)
-    * pointwise bound + c_k`` as scale and offset (``c_k = (1/gamma)((2 +
-    lam)||eps2|| + ||eps1||)``, 0 for an exact step), and the larger
-    membership residual of the two blocks (None when neither is recognized)."""
-    if e2 is not None:
-        x = x + e2
-    r1 = 2.0 * x - zv - u
-    r2 = znv - v
-    g = (r1 + r2) / spec.gamma
-    ck = (1.0 / spec.gamma) * (
-        (2.0 + lam) * (_l2(e2) if e2 is not None else 0.0)
-        + (_l2(e1) if e1 is not None else 0.0)
-    )
-    residuals = [r for r in (
-        spec.block1.member_residual(u, r1 / spec.gamma),
-        spec.block2.member_residual(v, r2 / spec.gamma),
-    ) if r is not None]
-    return DrsCertStep(g, _l2(g), (1.0 + lam) / spec.gamma,
-                       float(ck), max(residuals) if residuals else None)
-
-
 class DrsCertificates(_CertificateStream):
     """The DRS certificate at every step, from the step's evaluation parts
-    and channel errors.  ``v_k = j2(z_{k+1})`` is the next step's shadow
-    point, so each step is completed at the next ``observe``;
-    :meth:`series` evaluates ``j2`` once, for the last step."""
+    and channel errors.  Step ``k`` goes from ``z`` to ``z_next`` with ``x =
+    j2(z)`` exact, ``u`` and ``v = j2(z_next)``; its certificate is an
+    explicit element ``g`` of the summed operators at ``(u, v)``, its norm,
+    the bound ``((1 + lam)/gamma) * pointwise bound + c_k`` as scale and
+    offset (``c_k = (1/gamma)((2 + lam)||eps2|| + ||eps1||)``, 0 for an
+    exact step), and the larger membership residual of the two blocks (None
+    when neither is recognized).  ``v`` is the next step's shadow point, so
+    a chunk's last step waits for the next chunk; :meth:`series` evaluates
+    ``j2`` once, for the run's last step."""
 
     def __init__(self, built: DrsBuilt):
         super().__init__(built)
         self._scale = []
         self._offset = []
-        self._pending = None
 
-    def _complete(self, v: np.ndarray) -> None:
-        step = _drs_step(self.built.spec, *self._pending, v)
-        self._pending = None
-        self._record(step.criterion, step.membership)
-        self._scale.append(step.scale)
-        self._offset.append(step.offset)
+    def _reduce(self, steps: list, last: bool) -> list:
+        built = self.built
+        spec = built.spec
+        z, z_next, _, _, lam, extras = zip(*steps)
+        shadow, _, u = (np.stack(a) for a in zip(*(_parts(x) for x in extras)))
+        n = len(steps) if last else len(steps) - 1
+        v = shadow[1:]
+        if last:
+            v = np.concatenate((v, built.j2(z_next[-1])[None]))
+        channels = [extras[i].get("channel") or {} for i in range(n)]
+        rows1, e1 = stack_present([c.get("eps1") for c in channels])
+        rows2, e2 = stack_present([c.get("eps2") for c in channels])
+        lam = np.array(lam[:n])
+        u = u[:n]
 
-    def observe(self, k, z, z_next, e, eps, lam, extras) -> None:
-        x, _, u = _parts(extras)
-        if self._pending is not None:
-            self._complete(x)
-        channel = extras.get("channel") or {}
-        self._pending = (z, z_next, x, u, lam,
-                         channel.get("eps1"), channel.get("eps2"))
+        x = shadow[:n].copy()
+        if rows2:
+            x[rows2] += e2
+        r1 = 2.0 * x - np.stack(z[:n]) - u
+        r2 = np.stack(z_next[:n]) - v
+        norm1, norm2 = np.zeros(n), np.zeros(n)
+        if rows1:
+            norm1[rows1] = _l2_rows(e1)
+        if rows2:
+            norm2[rows2] = _l2_rows(e2)
+        residuals = [r for r in (
+            spec.block1.member_residual(u, r1 / spec.gamma),
+            spec.block2.member_residual(v, r2 / spec.gamma),
+        ) if r is not None]
+        self._record(_l2_rows((r1 + r2) / spec.gamma),
+                     max(residuals) if residuals else None)
+        self._scale.append((1.0 + lam) / spec.gamma)
+        self._offset.append((1.0 / spec.gamma) * ((2.0 + lam) * norm2 + norm1))
+        return steps[n:]
 
     def series(self, trace: IterationTrace, constants: BoundConstants) -> CertificateSeries:
-        if self._pending is not None:
-            self._complete(self.built.j2(self._pending[1]))
+        values = self._collected()
         pw = pointwise_bound(np.arange(trace.n_steps), constants)
-        bounds = np.asarray(self._scale) * pw + np.asarray(self._offset)
-        return CertificateSeries(np.asarray(self._values), bounds, self._membership)
+        bounds = np.concatenate(self._scale) * pw + np.concatenate(self._offset)
+        return CertificateSeries(values, bounds, self._membership)
 
 
 # ---------------------------------------------------------------------------
@@ -796,12 +789,14 @@ class PdsCertificates(_CertificateStream):
         super().__init__(built)
         self._constants = EmpiricalConstants(fix_point, built.space, base_norm=True)
 
-    def observe(self, k, z, z_next, e, eps, lam, extras) -> None:
-        self._constants.observe(k, z, z_next, e, eps, lam, extras)
-        self._record(self.built.space.base_norm(e))
+    def _reduce(self, steps: list, last: bool) -> list:
+        self._constants._reduce(steps, last)
+        self._record(self.built.space.norms(np.stack([s[2] for s in steps]), base=True))
+        return []
 
     def series(self, trace: IterationTrace, constants: BoundConstants) -> CertificateSeries:
+        values = self._collected()
         factor = 2.0 * self.built.delta / self.built.eta
         bounds = factor * pointwise_bound(np.arange(trace.n_steps),
                                           self._constants.constants(trace))
-        return CertificateSeries(np.asarray(self._values), bounds, None, surrogate=True)
+        return CertificateSeries(values, bounds, None, surrogate=True)

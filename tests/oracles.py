@@ -2,9 +2,11 @@
 wrapper, the inner product of a product space and its per-block norm, the
 cell-by-cell CSV row formatter, seeded sampling checks of
 averagedness, the diagonal-subspace projector and reflector of a weighted
-product space, the primal-dual operator in its preconditioned resolvent form
-with its preconditioner applied block by block, and an independent
-forward-backward reference for the primal-dual instance.
+product space, the per-step forms of the block membership residuals and of
+the GFB certificate (kmcert computes both on stacks of steps), the
+primal-dual operator in its preconditioned resolvent form with its
+preconditioner applied block by block, and an independent forward-backward
+reference for the primal-dual instance.
 
 The sampling checks are falsification tests, not the source of truth:
 sampling cannot prove averagedness.
@@ -18,6 +20,7 @@ import numpy as np
 from kmcert.errors import NumericalError, ParameterError, StructuralError, UnavailableError
 from kmcert.operators import OperatorSpec, prox_l1
 from kmcert.spaces import ProductSpace, _block_inner, _weighted_sum
+from kmcert.splitting import _smooth_at
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -186,6 +189,69 @@ def project_diagonal(space: ProductSpace, z: np.ndarray) -> np.ndarray:
 def reflect_diagonal(space: ProductSpace, z: np.ndarray) -> np.ndarray:
     """Reflection about the diagonal subspace, ``2 P z - z``; an involution."""
     return 2.0 * project_diagonal(space, z) - z
+
+
+# ---------------------------------------------------------------------------
+# certificates, one step at a time
+# ---------------------------------------------------------------------------
+
+def _l2(x: np.ndarray) -> float:
+    return math.sqrt(x.dot(x))
+
+
+def member_residual(block, u: np.ndarray, g: np.ndarray):
+    """The residual of ``g in A(u)`` for one pair of vectors, by the block's
+    kind; None for a kind that is not recognized."""
+    kind = block.kind
+    if kind == "l1":
+        res = np.where(u != 0.0, np.abs(g - block.mu * np.sign(u)),
+                       np.maximum(np.abs(g) - block.mu, 0.0))
+        return float(res.max())
+    if kind == "box":
+        lo, hi = block.lo, block.hi
+        outside = np.maximum(lo - u, 0.0) + np.maximum(u - hi, 0.0)
+        at_lo = u <= lo + block._btol
+        at_hi = u >= hi - block._btol
+        res = np.where(at_lo & at_hi, 0.0,
+                       np.where(at_hi, np.maximum(-g, 0.0),
+                                np.where(at_lo, np.maximum(g, 0.0), np.abs(g))))
+        return float(np.maximum(res, outside).max())
+    if kind == "subspace":
+        U = block.U
+        return float(max(_l2(u - U @ (U.T @ u)), _l2(U @ (U.T @ g))))
+    if kind == "linear":
+        return float(np.linalg.norm(g - (block.M @ u - block.c0)))
+    if kind == "zero":
+        return float(np.linalg.norm(g))
+    return None
+
+
+@dataclass(frozen=True)
+class GfbCertStep:
+    g: np.ndarray
+    criterion: float
+    membership: object       # the largest block residual, None if none is recognized
+    structural_only: tuple
+
+
+def gfb_certificate(built, parts) -> GfbCertStep:
+    """The GFB certificate of one step from ``parts = (x, B x, args, u)`` of
+    ``built.evaluate(z)``: ``g = (x - ubar)/gamma - B x``, the criterion
+    ``||g + B ubar||`` and the block membership residuals."""
+    spec = built.spec
+    x, gx, args, u = parts
+    ubar = _weighted_sum(built._w, u)
+    g = (x - ubar) / spec.gamma - gx
+    crit = _l2(g + _smooth_at(spec.smooth, ubar))
+    vecs = (spec.weights[:, None] / spec.gamma) * (args - u)
+    residuals, structural = [], []
+    for blk, ui, vec in zip(spec.blocks, u, vecs):
+        r = member_residual(blk, ui, vec)
+        if r is None:
+            structural.append(blk.kind)
+        else:
+            residuals.append(r)
+    return GfbCertStep(g, crit, max(residuals) if residuals else None, tuple(structural))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from kmcert.problems import (
     make_zero_map,
     reference_solution,
 )
-from kmcert.splitting import gfb_certificate
+from oracles import gfb_certificate
 
 
 ANALYTIC = [

@@ -237,3 +237,62 @@ def test_norms_equal_the_per_block_oracle_bit_for_bit(d):
                 assert plain.base_norm(a) == block_norm(plain, a)
                 assert metric.norm(a) == block_norm(metric, a)
                 assert metric.base_norm(a) == block_norm(metric, a, metric=False)
+
+
+# ---------------------------------------------------------------------------
+# stack kernels: the certification hooks' row norms and matrix applications
+# ---------------------------------------------------------------------------
+
+@st.composite
+def stacked_layouts(draw):
+    """A space of one of the layouts a kernel is picked for (one block,
+    equal blocks, mixed blocks), with or without a dense symmetric positive
+    definite metric, and a stack of rows in it."""
+    kind = draw(st.sampled_from(["single", "equal", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "single":
+        dims = (int(rng.integers(1, 61)),)
+    elif kind == "equal":
+        dims = (int(rng.integers(1, 31)),) * int(rng.integers(2, 5))
+    else:
+        dims = tuple(int(d) for d in rng.integers(1, 31, int(rng.integers(2, 5))))
+    weights = rng.uniform(1e-3, 10.0, len(dims))
+    metric = None
+    if draw(st.booleans()):
+        R = rng.standard_normal((sum(dims), sum(dims)))
+        metric = R @ R.T + sum(dims) * np.eye(sum(dims))
+    rows = int(rng.integers(1, 40))
+    return ProductSpace(dims, weights, metric=metric), spread(rng, (rows, sum(dims)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_layouts())
+def test_row_norms_equal_the_point_norms_bit_for_bit(drawn):
+    sp, A = drawn
+    assert sp.norms(A).tolist() == [sp.norm(a) for a in A]
+    assert sp.norms(A, base=True).tolist() == [sp.base_norm(a) for a in A]
+
+
+def test_stacked_matrix_application_equals_per_row_products():
+    # apply_rows(A, X) is np.matmul(A, X[..., None])[..., 0]; each row must be
+    # A @ x for the shapes the hooks apply: a quadratic's Q, a linear block's
+    # M, a subspace basis U and its transpose, and the PDS metric
+    from kmcert.problems import make_pds_small
+    from kmcert.spaces import apply_rows
+
+    rng = np.random.default_rng(14)
+    pds = make_pds_small(seed=3).operator.space.metric
+    for d in (1, 2, 4, 12, 20, 33, 60):
+        R = rng.standard_normal((d, d))
+        U, _ = np.linalg.qr(rng.standard_normal((d, max(1, d // 3))))
+        for A in (R @ R.T, 0.5 * np.eye(d) + 0.5 * (R - R.T), U, U.T, pds):
+            X = spread(rng, (50, A.shape[1]))
+            assert np.array_equal(apply_rows(A, X), np.array([A @ x for x in X]))
+            assert np.array_equal(apply_rows(A, X[0]), A @ X[0])
+
+    # the assumption is not vacuous: the two other stacked forms round
+    # differently on this draw, so a numpy where they agree shows here
+    A, X = rng.standard_normal((60, 60)), spread(rng, (50, 60))
+    per_row = np.array([A @ x for x in X])
+    assert not np.array_equal(X @ A.T, per_row)
+    assert not np.array_equal(np.einsum("ij,cj->ci", A, X), per_row)

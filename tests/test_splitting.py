@@ -32,11 +32,12 @@ from kmcert.splitting import (
     ZeroBlock,
     _lu_factor,
     _lu_solve,
-    gfb_certificate,
 )
 from oracles import (
     check_averaged,
     check_firmly_nonexpansive,
+    gfb_certificate,
+    member_residual,
     pds_abstract_step,
     pds_fbs_reference,
     pds_metric_blocks,
@@ -48,28 +49,33 @@ from oracles import (
 # monotone blocks
 # ---------------------------------------------------------------------------
 
+def stack(*rows):
+    """A ``(C, d)`` stack of the given vectors, as ``member_residual`` takes."""
+    return np.array(rows, dtype=float)
+
+
 class TestBlocks:
     def test_l1_membership(self):
         blk = L1Block(0.5)
-        u = np.array([1.0, 0.0, -2.0])
-        g = np.array([0.5, 0.2, -0.5])
+        u = stack([1.0, 0.0, -2.0])
+        g = stack([0.5, 0.2, -0.5])
         assert blk.member_residual(u, g) <= 1e-15
-        g_bad = np.array([0.4, 0.2, -0.5])
+        g_bad = stack([0.4, 0.2, -0.5])
         assert blk.member_residual(u, g_bad) == pytest.approx(0.1)
 
     def test_box_membership(self):
         blk = BoxBlock(-1.0, 1.0)
-        u = np.array([0.2, 1.0, -1.0])
-        g = np.array([0.0, 3.0, -0.7])
+        u = stack([0.2, 1.0, -1.0])
+        g = stack([0.0, 3.0, -0.7])
         assert blk.member_residual(u, g) <= 1e-15
-        g_bad = np.array([0.1, 3.0, -0.7])
+        g_bad = stack([0.1, 3.0, -0.7])
         assert blk.member_residual(u, g_bad) == pytest.approx(0.1)
 
     def test_subspace_membership(self):
         e1 = np.array([1.0, 0.0])
         blk = SubspaceBlock(e1)
-        assert blk.member_residual(np.array([2.0, 0.0]), np.array([0.0, 3.0])) <= 1e-15
-        assert blk.member_residual(np.array([2.0, 1.0]), np.array([0.0, 3.0])) == pytest.approx(1.0)
+        assert blk.member_residual(stack([2.0, 0.0]), stack([0.0, 3.0])) <= 1e-15
+        assert blk.member_residual(stack([2.0, 1.0]), stack([0.0, 3.0])) == pytest.approx(1.0)
 
     def test_linear_block_resolvent_and_membership(self):
         M = np.array([[2.0, 0.0], [0.0, 4.0]])
@@ -77,7 +83,28 @@ class TestBlocks:
         out = blk.resolvent(np.array([3.0, 5.0]), 1.0)
         assert out == pytest.approx([(3.0 + 1.0) / 3.0, 1.0])
         g = M @ out - np.array([1.0, 0.0])
-        assert blk.member_residual(out, g) <= 1e-14
+        assert blk.member_residual(stack(out), stack(g)) <= 1e-14
+
+    def test_stack_residual_is_the_largest_row_residual(self):
+        # the stack kernels against the one-pair forms, bit for bit, on
+        # stacks that hit every branch (zeros, both box faces, interiors)
+        rng = np.random.default_rng(0)
+        d = 6
+        R = rng.standard_normal((d, d))
+        basis, _ = np.linalg.qr(rng.standard_normal((d, 2)))
+        for blk, settle in (
+            (L1Block(0.3), lambda v: prox_l1(v, 0.3)),
+            (BoxBlock(-0.5, 0.5), lambda v: np.clip(v, -0.5, 0.5)),
+            (SubspaceBlock(basis), lambda v: v),
+            (LinearBlock(0.5 * np.eye(d) + 0.5 * (R - R.T), rng.standard_normal(d)),
+             lambda v: v),
+            (ZeroBlock(), lambda v: v),
+        ):
+            for rows in (1, 7, 64):
+                u = settle(rng.standard_normal((rows, d)))
+                g = rng.standard_normal((rows, d)) * 10.0 ** rng.uniform(-8, 2, (rows, 1))
+                want = max(member_residual(blk, a, b) for a, b in zip(u, g))
+                assert blk.member_residual(u, g) == want, blk.kind
 
     def test_linear_block_monotonicity_checked(self):
         with pytest.raises(ParameterError):
@@ -87,7 +114,7 @@ class TestBlocks:
         blk = ZeroBlock()
         v = np.array([1.0, -2.0])
         assert blk.resolvent(v, 3.0) == pytest.approx(v)
-        assert blk.member_residual(v, np.zeros(2)) == 0.0
+        assert blk.member_residual(stack(v), stack([0.0, 0.0])) == 0.0
 
     @pytest.mark.parametrize("d", [4, 10, 20])
     def test_lapack_lu_is_bit_identical_to_scipy_wrappers(self, d):

@@ -1,15 +1,19 @@
 """The constants and certificates streamed through the engine's step hook
 equal the two-pass formulas over the recorded vectors of the same run.
 
-Each formula below is the retained-vector computation written out: a first
-pass runs and keeps every vector, a second pass walks the lists.  The
-comparison is exact (``==``), on all six suite problems, exact and inexact.
+Each formula below is the retained-vector computation written out, one step
+at a time: a first pass runs and keeps every vector, a second pass walks
+the lists.  The comparison is exact (``==``), on all six suite problems,
+exact and inexact.  The hooks reduce ``CHUNK`` steps at a time, so the runs
+also end on either side of a chunk boundary and early, by the residual
+tolerance.
 """
 
 import numpy as np
 import pytest
 
-from kmcert.bounds import BoundConstants, EmpiricalConstants, pointwise_bound
+from kmcert.bounds import CHUNK, BoundConstants, EmpiricalConstants, pointwise_bound
+from kmcert.km import RelaxationSchedule
 from kmcert.problems import (
     make_gfb_multiblock,
     make_lasso,
@@ -18,7 +22,7 @@ from kmcert.problems import (
     make_two_subspaces,
     make_zero_map,
 )
-from kmcert.splitting import gfb_certificate
+from oracles import gfb_certificate, member_residual
 
 STEPS = 200
 ERROR_LAW = (0.1, 3.0)
@@ -88,8 +92,8 @@ def two_pass_drs(built, trace, rec, constants):
         vals[k] = float(np.linalg.norm(g))
         bnds[k] = (1.0 + lam) / spec.gamma * pointwise_bound(k, constants) + ck
         members += [r for r in (
-            spec.block1.member_residual(u, (2.0 * x - zv - u) / spec.gamma),
-            spec.block2.member_residual(v, (znv - v) / spec.gamma),
+            member_residual(spec.block1, u, (2.0 * x - zv - u) / spec.gamma),
+            member_residual(spec.block2, v, (znv - v) / spec.gamma),
         ) if r is not None]
     return vals, bnds, max(members) if members else None
 
@@ -98,7 +102,7 @@ def two_pass_pds(built, trace, rec, z_star):
     space = built.space
     eps_norm = np.array([space.base_norm(rec.eps_vector(k)) for k in range(trace.n_steps)])
     base = two_pass_constants(trace, rec, z_star, space.base_norm, eps_norm)
-    vals = np.array([space.base_norm(e) for e in rec.e_vecs])
+    vals = np.array([space.base_norm(e) for e in rec.e_vecs[: trace.n_steps]])
     bnds = 2.0 * built.delta / built.eta * pointwise_bound(np.arange(trace.n_steps), base)
     return vals, bnds, None
 
@@ -131,6 +135,12 @@ def test_streamed_equals_two_pass(problems, record, label, law):
     assert base.constants(trace) == two_pass_constants(trace, rec, z_star,
                                                        space.base_norm, base_eps)
 
+    assert_certificate(problem, trace, rec, constants, z_star, cert)
+
+
+def assert_certificate(problem, trace, rec, constants, z_star, cert):
+    """The streamed certificate series equals the two-pass one over the
+    first ``trace.n_steps`` recorded steps."""
     if problem.kind == "km":
         assert cert is None
         return
@@ -144,3 +154,40 @@ def test_streamed_equals_two_pass(problems, record, label, law):
     assert np.array_equal(cert.values, want[0])
     assert np.array_equal(cert.bounds, want[1])
     assert cert.membership_max == want[2]
+
+
+def zero_map_spiked():
+    """The zero map relaxed by 0.01 except at the last step of the first
+    chunk, 0.9: the largest residual jump ``||e_k - e_{k+1}||`` is the one
+    across the chunk boundary."""
+    p = make_zero_map(4)
+    p.relaxation = RelaxationSchedule.from_function(
+        lambda k: 0.9 if k == CHUNK - 1 else 0.01, 0.01, 0.9)
+    return p
+
+
+HORIZONS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+
+
+@pytest.mark.parametrize("law", [(), ERROR_LAW], ids=["exact", "inexact"])
+@pytest.mark.parametrize("label", [*MAKERS, "zero-map-spiked"])
+def test_chunk_boundaries_equal_the_per_step_oracles(problems, record, label, law):
+    # every run is a prefix of one recorded run of the longest horizon
+    problem = problems[label] if label in problems else zero_map_spiked()
+    space = problem.operator.space
+    z_star = problem.fix_reference().nearest(problem.z0)
+    run = problem.inexact_run if law else problem.exact_run
+    full, rec = record(run, *law, max_iters=HORIZONS[-1])
+    early = float(full.res_norm[CHUNK + 40])
+    assert early > 0.0
+
+    for horizon, tol in [(h, 0.0) for h in HORIZONS] + [(HORIZONS[-1], early)]:
+        trace, constants, cert = problem.certified_run(*law, max_iters=horizon, tol=tol)
+        n = trace.n_steps
+        assert n == horizon if tol == 0.0 else (trace.stop_reason == "residual_tol"
+                                                and n <= CHUNK + 41)
+        for name in ("lam", "eps_norm", "res_norm", "erg_norm", "disp_norm"):
+            assert np.array_equal(getattr(trace, name), getattr(full, name)[:n])
+        assert constants == two_pass_constants(trace, rec, z_star, space.norm,
+                                               trace.eps_norm)
+        assert_certificate(problem, trace, rec, constants, z_star, cert)

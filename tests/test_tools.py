@@ -47,6 +47,17 @@ def test_reference_solving_members_match_recorded_digests(fresh_references, caps
     assert len(fresh_references) == 4
 
 
+def test_analytic_members_match_recorded_digests(capsys):
+    # the certified kinds that solve no reference: plain KM (zero-map, gd)
+    # and DRS, exact and inexact, at both recorded seeds
+    tool = load_tool()
+    members = [f"cert-{p}-{m}" for p in ("zero-map", "gd", "drs")
+               for m in ("exact", "inexact")]
+    argv = ["--compare", str(ROOT / "digests-parent.json"), "--members", *members]
+    assert tool.main(argv) == 0
+    assert "12/12 digests match" in capsys.readouterr().out
+
+
 def _scale_cell(path, k, column, factor):
     """Multiply one CSV cell (row ``k`` of ``column``) by ``factor``."""
     from kmcert.cli import CSV_COLUMNS
