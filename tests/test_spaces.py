@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmcert.errors import StructuralError
-from kmcert.spaces import ProductSpace
+from kmcert.problems import make_pds_small
+from kmcert.spaces import ProductSpace, apply_rows
 from oracles import block_norm, metric_inner, project_diagonal, reflect_diagonal, sample_ball
 
 
@@ -277,9 +278,6 @@ def test_stacked_matrix_application_equals_per_row_products():
     # apply_rows(A, X) is np.matmul(A, X[..., None])[..., 0]; each row must be
     # A @ x for the shapes the hooks apply: a quadratic's Q, a linear block's
     # M, a subspace basis U and its transpose, and the PDS metric
-    from kmcert.problems import make_pds_small
-    from kmcert.spaces import apply_rows
-
     rng = np.random.default_rng(14)
     pds = make_pds_small(seed=3).operator.space.metric
     for d in (1, 2, 4, 12, 20, 33, 60):
