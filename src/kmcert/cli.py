@@ -107,14 +107,11 @@ def _coerce(text: str):
     low = t.lower()
     if low in ("true", "false"):
         return low == "true"
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        pass
+    for kind in (int, float):
+        try:
+            return kind(t)
+        except ValueError:
+            pass
     return t
 
 
@@ -180,6 +177,19 @@ def resolve_config(preset: Optional[str] = None, config_path: Optional[str] = No
     return cfg
 
 
+# the keys each problem reads besides RUN_KEYS, which every run reads (and
+# gamma_schedule only under gfb-nonstationary); any other key keeps its default
+RUN_KEYS = {"method", "name", "error_c", "error_p", "max_iters", "tol", "seed"}
+PROBLEM_KEYS = {
+    "zero-map": {"dim", "problem_seed"},
+    "gd": {"delta_m", "delta_M", "dim", "gamma"},
+    "two-subspaces": {"theta", "dim", "lam"},
+    "lasso": {"rows", "cols", "mu", "problem_seed"},
+    "multiblock": {"n_blocks", "dim", "problem_seed", "gamma_schedule"},
+    "pds-small": {"problem_seed"},
+}
+
+
 def _make_problem(cfg: dict) -> ProblemInstance:
     kind = cfg["problem"]
     if kind == "zero-map":
@@ -206,8 +216,16 @@ def _make_problem(cfg: dict) -> ProblemInstance:
 
 def build_problem(cfg: dict) -> ProblemInstance:
     """The configured problem; ``method`` may be blank, the problem's own
-    kind, or ``gfb-nonstationary`` on the multi-block problem."""
+    kind, or ``gfb-nonstationary`` on the multi-block problem.  A key the
+    problem does not read must keep its default."""
     problem = _make_problem(cfg)
+    read = RUN_KEYS | PROBLEM_KEYS[cfg["problem"]]
+    if cfg["method"] != "gfb-nonstationary":
+        read.discard("gamma_schedule")
+    unread = [key for key, default in DEFAULTS.items() if key not in read and cfg[key] != default]
+    if unread:
+        raise ParameterError(f"problem {cfg['problem']!r} does not read config key "
+                             f"{', '.join(map(repr, unread))}; leave it at its default")
     allowed = ["", problem.kind]
     if cfg["problem"] == "multiblock":
         allowed.append("gfb-nonstationary")
@@ -313,9 +331,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.floating, np.integer, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"not serializable: {type(obj)}")
 
@@ -334,10 +350,8 @@ def execute_run(cfg: dict):
     A stationary run is certified; a non-stationary one (a problem with a
     step-size schedule) reports its schedule and is not checked."""
     problem = build_problem(cfg)
-    if cfg["max_iters"] == -1:
-        max_iters = problem.rate_horizon
-    else:
-        max_iters = cfg["max_iters"] or problem.cert_horizon
+    max_iters = (problem.rate_horizon if cfg["max_iters"] == -1
+                 else cfg["max_iters"] or problem.cert_horizon)
     run = (cfg["error_c"], cfg["error_p"], max_iters, cfg["tol"])
     schedule = problem.schedule
     if schedule is None:
@@ -537,10 +551,7 @@ def suite_members():
     members = []
 
     def cfg(name, **kw):
-        c = dict(DEFAULTS)
-        c.update(kw)
-        c["name"] = name
-        return c
+        return dict(DEFAULTS, **kw, name=name)
 
     members.append(cfg("gd-rate-half", problem="gd", gamma=0.5, max_iters=-1))
     members.append(cfg("gd-rate-one", problem="gd", gamma=1.0, max_iters=-1))

@@ -2,8 +2,10 @@
 
 One step is ``z+ = z + lam * (T z + eps - z)``.  The recorded residual is
 ``e = z - T z``; by rearranging the step, ``e = (z - z+) / lam + eps``, and
-the engine cross-checks both forms against each other every iteration so an
-implementation drift in either path is caught immediately.
+the engine cross-checks both forms for every step.  Its loop keeps what the
+next evaluation needs: the evaluation, the update and the norm of ``z+``
+(the divergence guard).  The checks, the trace columns and the ergodic sums
+are taken over stacks of ``CHUNK`` steps, which ``observe`` then receives.
 
 A non-stationary iteration, whose operator depends on a per-step parameter,
 is an inexact one: its channel model measures the residual against the
@@ -13,7 +15,7 @@ declared *limit* operator ``T`` and reports ``eps = (T_k z - T z) + eps_k``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -34,8 +36,13 @@ _DIVERGENCE_NORM = 1e12
 # rounding of an in-range expression; it matches the 1e-12 the admissibility
 # check grants the relaxation supremum
 _RANGE_TOL = 1e-12
-# steps the engine buffers for an ``observe`` hook before it hands them over
+# steps the engine buffers before it takes their bookkeeping and hands them over
 CHUNK = 256
+
+
+def _stack(points) -> np.ndarray:
+    """``np.stack`` of a sequence of points, at a quarter of its cost."""
+    return np.concatenate(points).reshape(len(points), -1)
 
 
 def _in_range(value: float, lo: float, hi: float) -> bool:
@@ -210,17 +217,20 @@ class StopRule:
 @dataclass(frozen=True)
 class FixedPointSet:
     """The fixed-point set through its nearest-point map: an analytic
-    projector, or the constant map of a single point (analytic, or the end
-    of a reference run)."""
+    projector, or the constant map of a single ``point`` (analytic, or the
+    end of a reference run)."""
 
     nearest: Callable[[np.ndarray], np.ndarray]
+    point: Optional[np.ndarray] = field(default=None, compare=False)
 
     @staticmethod
     def from_point(z_star: np.ndarray) -> "FixedPointSet":
-        return FixedPointSet(lambda z: z_star)
+        return FixedPointSet(lambda z: z_star, z_star)
 
-    def distance(self, z: np.ndarray, space: ProductSpace) -> float:
-        return space.norm(z - self.nearest(z))
+    def distances(self, Z: np.ndarray, space: ProductSpace) -> np.ndarray:
+        """The distances of the rows of a ``(C, size)`` stack to the set."""
+        near = self.point if self.point is not None else _stack([self.nearest(z) for z in Z])
+        return space.norms(Z - near)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +308,34 @@ def _check_output(k, exact, tilde) -> None:
         raise NumericalError(f"non-finite operator output at step {k}")
 
 
+def _checked(k0: int, Z: np.ndarray, rows: list, space: ProductSpace):
+    """Check the buffered steps ``k0 ..`` (iterates ``Z``, rows ``(exact,
+    tilde, lam, eps, extras)``) over their stacks; return the residual stack,
+    columns and rows.  The earliest failing step raises, its checks in order:
+    non-finite output, non-finite error norm, ``e = (z - z+) / lam + eps``."""
+    exact, tilde, lam, eps, extras = zip(*rows)
+    lam, zero, Zk = np.array(lam), np.zeros(space.size), Z[:-1]
+    with np.errstate(invalid="ignore"):     # a non-finite step fails below
+        E, step = Zk - _stack(exact), Zk - Z[1:]
+        eps_stack = _stack([zero if v is None else v for v in eps])
+        res, epsn, disp, drift, znorm = map(space.norms, (
+            E, eps_stack, step, E - (step * (1.0 / lam)[:, None] + eps_stack), Zk))
+        # a non-finite exact output shows in res, a non-finite tilde in disp;
+        # the sum of the norms is finite unless one of them is, or it overflows
+        finite = np.isfinite(res + disp + epsn)
+        drifted = ((drift > _IDENTITY_TOL) & (drift > _IDENTITY_TOL * epsn)
+                   & (drift > _IDENTITY_TOL * znorm))     # tol * max(1, ||eps||, ||z||)
+    for r in np.flatnonzero(~finite | drifted).tolist():
+        k = k0 + r
+        if not finite[r]:
+            _check_output(k, exact[r], tilde[r])
+            if not math.isfinite(epsn[r]):      # the outputs are finite, the error is not
+                raise NumericalError(f"non-finite error norm at step {k}")
+        if drifted[r]:
+            raise NumericalError(f"residual identity violated at step {k}: drift {drift[r]:.3e}")
+    return E, lam, eps, extras, res, epsn, disp
+
+
 def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
              relaxation: RelaxationSchedule, stop: StopRule,
              fix: Optional[FixedPointSet], observe: Optional[Callable],
@@ -311,99 +349,58 @@ def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
     _validate_admissible(relaxation, operator.alpha)
 
     rng = np.random.default_rng(seed)
-    lam_l, epsn_l, res_l, erg_l, disp_l, dist_l = [], [], [], [], [], []
-    norm = space.norm
+    norm, tol = space.norm, stop.residual_tol
     eager = space.metric is not None   # M @ a warns on a non-finite a (0 * inf): scan first
+    zs, rows = [z0], []     # the chunk's iterates and (exact, tilde, lam, eps, extras)
+    cols, dists = [[np.empty(0)] for _ in range(5)], []
+    k0, S, lam_total = 0, np.zeros(space.size), 0.0
 
-    if observe is not None:
-        zs, rows = [z0], []     # the chunk's iterates and (e, lam, eps, extras)
-
-        def hand_over():
-            e_, lam_, eps_, extras_ = zip(*rows)
-            observe(Steps(np.stack(zs), np.stack(e_), np.array(lam_), list(eps_),
-                          list(extras_)))
-            del zs[:-1], rows[:]
-
-    z = z0
-    S = np.zeros(space.size)
-    lam_total = 0.0
-    stop_reason = "max_iters"
-
-    for k in range(stop.max_iters):
-        lam = relaxation.value(k)
+    def flush():
+        nonlocal k0, S, lam_total
+        Z, chunk = _stack(zs), rows[:]
+        del zs[:-1], rows[:]        # a chunk that fails is not checked again
+        E, lam, eps, extras, res, epsn, disp = _checked(k0, Z, chunk, space)
+        # the running sums S_k = sum lam_j e_j and sum lam_j, bit for bit
+        Sk = np.cumsum(np.vstack([S, E * lam[:, None]]), axis=0)[1:]
+        totals = np.cumsum(np.concatenate(([lam_total], lam)))[1:]
+        for col, v in zip(cols, (lam, epsn, res, space.norms(Sk) / totals, disp)):
+            col.append(v)
         if fix is not None:
-            dist_l.append(fix.distance(z, space))
-
-        exact, tilde, eps_vec, extras = evalstep(k, z, rng)
-        if eager:
-            _check_output(k, exact, tilde)
-
-        e = z - exact
-        res = norm(e)
-        epsn = norm(eps_vec) if eps_vec is not None else 0.0
-        zn = z + (tilde - z) * lam
-        step = z - zn
-        disp = norm(step)
-        # a non-finite exact output shows in res, a non-finite tilde in disp;
-        # the sum of the norms is finite unless one of them is, or it overflows
-        if not math.isfinite(res + disp + epsn):
-            _check_output(k, exact, tilde)
-            if not math.isfinite(epsn):     # the outputs are finite, the error is not
-                raise NumericalError(f"non-finite error norm at step {k}")
-
-        # cross-check the residual against its update-rule form; the test is
-        # drift > tol * max(1, ||eps||, ||z||), with ||z|| only evaluated
-        # when needed
-        back = step * (1.0 / lam)
-        e_rec = back + eps_vec if eps_vec is not None else back
-        drift = norm(e - e_rec)
-        if (drift > _IDENTITY_TOL and drift > _IDENTITY_TOL * epsn
-                and drift > _IDENTITY_TOL * norm(z)):
-            raise NumericalError(
-                f"residual identity violated at step {k}: drift {drift:.3e}"
-            )
+            dists.append(fix.distances(Z[:-1], space))
+        k0, S, lam_total = k0 + len(chunk), Sk[-1], totals[-1]
         if observe is not None:
+            observe(Steps(Z, E, lam, list(eps), list(extras)))
+
+    z, stop_reason = z0, "max_iters"
+    try:
+        for k in range(stop.max_iters):
+            lam = relaxation.value(k)
+            exact, tilde, eps_vec, extras = evalstep(k, z, rng)
+            if eager:
+                _check_output(k, exact, tilde)
+            zn = z + (tilde - z) * lam
             zs.append(zn)
-            rows.append((e, lam, eps_vec, extras))
+            rows.append((exact, tilde, lam, eps_vec, extras))
+            # also the finiteness test: no non-finite iterate is evaluated
+            if not norm(zn) <= _DIVERGENCE_NORM:
+                raise DivergenceError(
+                    f"iterate norm exceeded {_DIVERGENCE_NORM:.1e} at step {k}")
+            if tol > 0.0 and norm(z - exact) <= tol:
+                z, stop_reason = zn, "residual_tol"
+                break
+            z = zn
             if len(rows) == CHUNK:
-                hand_over()
+                flush()
+        if rows:
+            flush()
+    except Exception:
+        if rows:    # any failure, from a check or not, comes after those of earlier steps
+            _checked(k0, _stack(zs), rows, space)
+        raise
 
-        S += e * lam            # S is the engine's own buffer, never shared
-        lam_total += lam
-
-        lam_l.append(lam)
-        epsn_l.append(epsn)
-        res_l.append(res)
-        erg_l.append(norm(S) / lam_total)
-        disp_l.append(disp)
-
-        z = zn
-        if norm(zn) > _DIVERGENCE_NORM:
-            raise DivergenceError(
-                f"iterate norm exceeded {_DIVERGENCE_NORM:.1e} at step {k}"
-            )
-        if stop.residual_tol > 0.0 and res <= stop.residual_tol:
-            stop_reason = "residual_tol"
-            break
-
-    if fix is not None:
-        dist_l.append(fix.distance(z, space))
-    if observe is not None and rows:
-        hand_over()
-
-    return IterationTrace(
-        space=space,
-        alpha=operator.alpha,
-        stop_reason=stop_reason,
-        lam=np.asarray(lam_l),
-        eps_norm=np.asarray(epsn_l),
-        res_norm=np.asarray(res_l),
-        erg_norm=np.asarray(erg_l),
-        disp_norm=np.asarray(disp_l),
-        z0=z0,
-        z_final=z,
-        dist=np.asarray(dist_l) if fix is not None else None,
-    )
+    dist = None if fix is None else np.concatenate([*dists, fix.distances(z[None], space)])
+    return IterationTrace(space, operator.alpha, stop_reason, *map(np.concatenate, cols),
+                          z0, z, dist)
 
 
 def run_km(T: OperatorSpec, z0: np.ndarray, relaxation: RelaxationSchedule,
@@ -421,16 +418,16 @@ def run_km(T: OperatorSpec, z0: np.ndarray, relaxation: RelaxationSchedule,
     operators of a non-stationary channel).
 
     ``observe(steps)`` receives the run's step vectors as :class:`Steps`
-    records of ``CHUNK`` consecutive steps, after their residual-identity
-    checks, and once more with the steps left when the run ends (by its
-    horizon or its residual tolerance): every step is in exactly one record,
-    and consecutive records share their boundary iterate.  A step's extras
-    are, for a channel model, a dict with its channel vectors under
+    records of ``CHUNK`` consecutive steps, after all of their checks, and
+    once more with the steps left when the run ends (by its horizon or its
+    residual tolerance): every step is in exactly one record, and
+    consecutive records share their boundary iterate.  A step's extras are,
+    for a channel model, a dict with its channel vectors under
     ``"channel"`` (else None).  Constants and certificates are accumulated
-    through it.  The engine keeps a step's vectors for at most one chunk,
-    and only when ``observe`` is given, so memory stays bounded whatever the
-    horizon; a hook may keep the arrays it is given (nothing writes into
-    them in place).
+    through it.  The engine always buffers one chunk, ``observe`` or not,
+    and keeps no step vector past it; a hook may keep the arrays it is
+    given (nothing writes into them in place).  A failing run raises the
+    failure of its earliest failing step, as a check at every step would.
     """
     if stop is None:
         stop = StopRule()

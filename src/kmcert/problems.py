@@ -129,11 +129,11 @@ class ProblemInstance:
             cert = PdsCertificates(self.built, z_star)
         else:
             cert = None
-        hooks = [constants] if cert is None else [constants, cert]
 
         def observe(steps):
-            for hook in hooks:
-                hook.observe(steps)
+            constants.observe(steps)
+            if cert is not None:
+                cert.observe(steps)
 
         trace = self.inexact_run(c, p, max_iters, tol, observe=observe, seed=seed)
         bc = constants.constants(trace)
@@ -196,6 +196,13 @@ def _generator(make):
     return generate
 
 
+def _rate_horizon(rate: float, start: float, target: float, less: int = 0) -> int:
+    """The steps for ``start * rate^k`` to reach ``target``, minus ``less``,
+    within [20, 200]; 20 for a rate outside (0, 1)."""
+    steps = int(np.log(target / start) / np.log(rate)) - less if 0.0 < rate < 1.0 else 20
+    return int(np.clip(steps, 20, 200))
+
+
 def _check_fixed_point(operator: OperatorSpec, z_star: np.ndarray) -> None:
     res = operator.space.norm(z_star - operator(z_star))
     if not res <= 1e-10:
@@ -245,18 +252,13 @@ def make_quadratic_gd(delta_m: float, delta_M: float, d: int, gamma: float,
 
     spectral = float(np.max(np.abs(1.0 - gamma * diag)))
     res0 = float(np.linalg.norm((gamma * diag) * z0_vec))   # gamma * diag <= 2: no overflow
-    if 0.0 < spectral < 1.0:
-        horizon = int(np.log(1e-12 / res0) / np.log(spectral))
-    else:
-        horizon = 20
-    horizon = int(np.clip(horizon, 20, 200))
 
     return ProblemInstance(
         name=f"gd(gamma={gamma:g})", kind="km", operator=op, z0=z0,
         relaxation=RelaxationSchedule.constant(1.0), fix=fix,
         kappa=1.0 / (gamma * delta_m),
         theoretical_rate=gd_theoretical_rate(gamma, delta_m, delta_M),
-        rate_basis="residual", rate_horizon=horizon,
+        rate_basis="residual", rate_horizon=_rate_horizon(spectral, res0, 1e-12),
         constants={"delta_m": delta_m, "delta_M": delta_M, "gamma": gamma,
                    "spectral_rate": spectral},
     )
@@ -290,13 +292,8 @@ def make_two_subspaces(theta: float, d: int, lam: float = 1.0) -> ProblemInstanc
     _check_fixed_point(built.operator, proj_fix(z0))
 
     zeta = 1.0 - (2.0 - lam) * lam * np.sin(theta) ** 2
-    d_plane = float(np.hypot(z0_vec[0], z0_vec[1]))
-    step_factor = float(np.sqrt(zeta))
-    if 0.0 < step_factor < 1.0:
-        horizon = int(np.log(1e-7 / d_plane) / np.log(step_factor)) - 2
-    else:
-        horizon = 20
-    horizon = int(np.clip(horizon, 20, 200))
+    horizon = _rate_horizon(float(np.sqrt(zeta)), float(np.hypot(z0_vec[0], z0_vec[1])),
+                            1e-7, less=2)
 
     return ProblemInstance(
         name=f"two-subspaces(theta={theta:.4g},lam={lam:g})", kind="drs",

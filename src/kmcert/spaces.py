@@ -7,12 +7,11 @@ may share (an iterate, a block view, an operator output), so a point stays
 valid after the step that made it.  The inner product ``<x, y> = sum_i w_i
 <x_i, y_i>`` adds one dot per block in block order, never one reordered
 reduction over the whole array, so every norm is bit-identical to the
-per-block formula; one block takes a single dot, equal blocks the rows of
-one ``np.vecdot`` (each equals its ``x.dot(y)``), other layouts a dot per
-block slice.  A space may install a metric ``M``, a dense matrix of
+per-block formula: one dot per block slice, a single dot for one block.
+A space may install a metric ``M``, a dense matrix of
 shape ``(size, size)`` (self-adjoint, positive in the weighted inner
 product); ``||x||_M^2 = <x, M x>`` then replaces the plain norm wherever the
-space is asked for one.  The certification hooks take the norms of a
+space is asked for one.  The engine and its hooks take the norms of a
 ``(C, size)`` stack of points at once (:meth:`ProductSpace.norms`), in the
 same order: one ``np.vecdot`` per block slice over the rows, added in block
 order, and ``np.matmul(M, X[..., None])`` for the metric, each row of which
@@ -53,21 +52,12 @@ def _block_inner(weights, slices, a: np.ndarray, b: np.ndarray) -> float:
     return acc
 
 
-def _inner_kernel(weights, dims, slices):
+def _inner_kernel(weights, slices):
     """The layout's ``inner(a, b)``, in the summation order of ``_block_inner``."""
-    if len(dims) == 1:
+    if len(slices) == 1:
         w0 = weights[0]
         return lambda a, b: w0 * float(a.dot(b))
-    if len(set(dims)) > 1:
-        return lambda a, b: _block_inner(weights, slices, a, b)
-    shape = (len(dims), dims[0])
-
-    def inner(a, b):
-        acc = 0.0
-        for w, v in zip(weights, np.vecdot(a.reshape(shape), b.reshape(shape)).tolist()):
-            acc += w * v
-        return acc
-    return inner
+    return lambda a, b: _block_inner(weights, slices, a, b)
 
 
 def _rows_inner(weights, slices, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -118,7 +108,7 @@ class ProductSpace:
         self.size = sum(dims)
         self._slices = _layout(dims)
         self._w = tuple(float(w) for w in weights)
-        self._inner = _inner_kernel(self._w, dims, self._slices)
+        self._inner = _inner_kernel(self._w, self._slices)
 
     @classmethod
     def single(cls, d: int) -> "ProductSpace":

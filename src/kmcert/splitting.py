@@ -264,20 +264,22 @@ class GfbBuilt:
     def alpha(self) -> float:
         return self.operator.alpha
 
-    def evaluate(self, z: np.ndarray, gamma: Optional[float] = None):
+    def evaluate(self, z: np.ndarray):
         """``(T z, parts)``: the exact evaluation and its internals
         ``parts = (x, gx, args, u)``, the consensus, the smooth part at it,
-        the per-block resolvent arguments and their outputs.  With
-        ``gamma``, the same splitting at that step size (per-block
-        parameters ``gamma / w_i``)."""
+        the per-block resolvent arguments and their outputs."""
+        Z = self._rows(z)
+        x = _weighted_sum(self._w, Z)
+        return self._resolve(Z, x, _smooth_at(self.spec.smooth, x))
+
+    def _resolve(self, Z, x, gx, gamma: Optional[float] = None):
+        # the evaluation from its part that no step size enters, the block
+        # rows Z, x and gx = B x; with gamma, the splitting at that step size
         params = None
         if gamma is None:
             gamma = self.spec.gamma
         else:
             params = tuple(gamma / wi for wi in self._w)
-        Z = self._rows(z)
-        x = _weighted_sum(self._w, Z)
-        gx = _smooth_at(self.spec.smooth, x)
         args = 2.0 * x - Z - gamma * gx
         u = self.resolve_all(args, params)
         return (Z + u - x).ravel(), (x, gx, args, u)
@@ -366,7 +368,9 @@ class GfbScheduleChannel(_ChannelModel):
         built = self.built
         gamma = self.schedule.value(k)
         exact, parts = built.evaluate(z)
-        native = exact if gamma == built.spec.gamma else built.evaluate(z, gamma)[0]
+        # the same block rows, consensus and smooth part at gamma_k
+        native = (exact if gamma == built.spec.gamma
+                  else built._resolve(built._rows(z), *parts[:2], gamma)[0])
         mag = self.laws[0].magnitude(k)
         tilde = native + built.space.unit_vector(rng) * mag if mag != 0.0 else native
         return exact, tilde, None if tilde is exact else tilde - exact, {"parts": parts}

@@ -5,8 +5,9 @@ averagedness, the diagonal-subspace projector and reflector of a weighted
 product space, the per-step forms of the block membership residuals and of
 the GFB certificate (kmcert computes both on stacks of steps), the
 primal-dual operator in its preconditioned resolvent form with its
-preconditioner applied block by block, and an independent forward-backward
-reference for the primal-dual instance.
+preconditioner applied block by block, an independent forward-backward
+reference for the primal-dual instance, and the relaxed iteration with all
+of its bookkeeping done step by step.
 
 The sampling checks are falsification tests, not the source of truth:
 sampling cannot prove averagedness.
@@ -17,7 +18,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kmcert.errors import NumericalError, ParameterError, StructuralError, UnavailableError
+from kmcert.errors import (
+    DivergenceError,
+    NumericalError,
+    ParameterError,
+    StructuralError,
+    UnavailableError,
+)
+from kmcert.km import (
+    _DIVERGENCE_NORM,
+    _IDENTITY_TOL,
+    CHUNK,
+    IterationTrace,
+    RelaxationSchedule,
+    Steps,
+    StopRule,
+    _check_output,
+    _validate_admissible,
+)
 from kmcert.operators import OperatorSpec, prox_l1
 from kmcert.spaces import ProductSpace, _block_inner, _weighted_sum
 from kmcert.splitting import _smooth_at
@@ -313,3 +331,118 @@ def pds_fbs_reference(problem, tol: float = 1e-13, max_iters: int = 100_000) -> 
     if np.max(np.abs(x)) >= 10.0:
         raise UnavailableError("box constraint active; composite reference invalid")
     return x
+
+
+# ---------------------------------------------------------------------------
+# the engine, one step at a time
+# ---------------------------------------------------------------------------
+
+def per_step_run(operator: OperatorSpec, evalstep, z0: np.ndarray,
+                 relaxation: RelaxationSchedule, stop: StopRule,
+                 fix, observe, seed: int) -> IterationTrace:
+    """``kmcert.km._iterate`` as it ran before it took its bookkeeping a
+    chunk at a time: every norm and check at every step.  Its trace columns,
+    hand-overs to ``observe`` and failures (exception, step and message) are
+    what the chunked engine must reproduce."""
+    space = operator.space
+    if np.shape(z0) != (space.size,) or not np.isfinite(z0).all():
+        raise StructuralError(
+            f"the start point must be a finite array of shape ({space.size},) in the "
+            f"operator's space; got shape {np.shape(z0)}"
+        )
+    _validate_admissible(relaxation, operator.alpha)
+
+    rng = np.random.default_rng(seed)
+    lam_l, epsn_l, res_l, erg_l, disp_l, dist_l = [], [], [], [], [], []
+    norm = space.norm
+    eager = space.metric is not None   # M @ a warns on a non-finite a (0 * inf): scan first
+
+    if observe is not None:
+        zs, rows = [z0], []     # the chunk's iterates and (e, lam, eps, extras)
+
+        def hand_over():
+            e_, lam_, eps_, extras_ = zip(*rows)
+            observe(Steps(np.stack(zs), np.stack(e_), np.array(lam_), list(eps_),
+                          list(extras_)))
+            del zs[:-1], rows[:]
+
+    z = z0
+    S = np.zeros(space.size)
+    lam_total = 0.0
+    stop_reason = "max_iters"
+
+    for k in range(stop.max_iters):
+        lam = relaxation.value(k)
+        if fix is not None:
+            dist_l.append(space.norm(z - fix.nearest(z)))
+
+        exact, tilde, eps_vec, extras = evalstep(k, z, rng)
+        if eager:
+            _check_output(k, exact, tilde)
+
+        e = z - exact
+        res = norm(e)
+        epsn = norm(eps_vec) if eps_vec is not None else 0.0
+        zn = z + (tilde - z) * lam
+        step = z - zn
+        disp = norm(step)
+        # a non-finite exact output shows in res, a non-finite tilde in disp;
+        # the sum of the norms is finite unless one of them is, or it overflows
+        if not math.isfinite(res + disp + epsn):
+            _check_output(k, exact, tilde)
+            if not math.isfinite(epsn):     # the outputs are finite, the error is not
+                raise NumericalError(f"non-finite error norm at step {k}")
+
+        # cross-check the residual against its update-rule form; the test is
+        # drift > tol * max(1, ||eps||, ||z||), with ||z|| only evaluated
+        # when needed
+        back = step * (1.0 / lam)
+        e_rec = back + eps_vec if eps_vec is not None else back
+        drift = norm(e - e_rec)
+        if (drift > _IDENTITY_TOL and drift > _IDENTITY_TOL * epsn
+                and drift > _IDENTITY_TOL * norm(z)):
+            raise NumericalError(
+                f"residual identity violated at step {k}: drift {drift:.3e}"
+            )
+        if observe is not None:
+            zs.append(zn)
+            rows.append((e, lam, eps_vec, extras))
+            if len(rows) == CHUNK:
+                hand_over()
+
+        S += e * lam            # S is the engine's own buffer, never shared
+        lam_total += lam
+
+        lam_l.append(lam)
+        epsn_l.append(epsn)
+        res_l.append(res)
+        erg_l.append(norm(S) / lam_total)
+        disp_l.append(disp)
+
+        z = zn
+        if norm(zn) > _DIVERGENCE_NORM:
+            raise DivergenceError(
+                f"iterate norm exceeded {_DIVERGENCE_NORM:.1e} at step {k}"
+            )
+        if stop.residual_tol > 0.0 and res <= stop.residual_tol:
+            stop_reason = "residual_tol"
+            break
+
+    if fix is not None:
+        dist_l.append(space.norm(z - fix.nearest(z)))
+    if observe is not None and rows:
+        hand_over()
+
+    return IterationTrace(
+        space=space,
+        alpha=operator.alpha,
+        stop_reason=stop_reason,
+        lam=np.asarray(lam_l),
+        eps_norm=np.asarray(epsn_l),
+        res_norm=np.asarray(res_l),
+        erg_norm=np.asarray(erg_l),
+        disp_norm=np.asarray(disp_l),
+        z0=z0,
+        z_final=z,
+        dist=np.asarray(dist_l) if fix is not None else None,
+    )

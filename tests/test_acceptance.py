@@ -474,7 +474,7 @@ def test_criterion_11_determinism(tmp_path):
         checks.append(filecmp.cmp(a / f"{label}.csv", b / f"{label}.csv",
                                   shallow=False))
     cfg = tmp_path / "inexact.txt"
-    cfg.write_text("problem = zero-map\ndim = 4\nlam = 0.5\nerror_c = 0.1\n"
+    cfg.write_text("problem = zero-map\ndim = 4\nerror_c = 0.1\n"
                    "error_p = 3.0\nmax_iters = 500\nname = zi\n")
     a, b = tmp_path / "zi-a", tmp_path / "zi-b"
     for out in (a, b):

@@ -8,7 +8,10 @@ from hypothesis import given, strategies as st
 
 from kmcert.cli import (
     CSV_COLUMNS,
+    DEFAULTS,
     PRESETS,
+    PROBLEM_KEYS,
+    RUN_KEYS,
     build_problem,
     emit_trace_csv,
     execute_run,
@@ -56,6 +59,28 @@ class TestConfig:
             assert (problem.schedule is None) == (cfg["method"] != "gfb-nonstationary")
 
 
+def _non_default(default):
+    if isinstance(default, str):
+        return "harmonic"
+    return default + (1 if isinstance(default, int) else 0.25)
+
+
+# every key a problem does not read; plain multi-block runs read no schedule
+UNREAD = [(problem, key) for problem, read in sorted(PROBLEM_KEYS.items())
+          for key in DEFAULTS if key not in read | RUN_KEYS]
+UNREAD.append(("multiblock", "gamma_schedule"))
+
+
+@pytest.mark.parametrize("problem, key", UNREAD)
+def test_unread_key_at_a_non_default_value_exits_2(problem, key, tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text(f"problem = {problem}\n{key} = {_non_default(DEFAULTS[key])}\n")
+    assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+    assert (f"config error: problem {problem!r} does not read config key {key!r}"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("*.csv"))
+
+
 class TestRunCommand:
     def test_gd_fig1_report(self, tmp_path):
         rc = main(["run", "--preset", "gd-fig1", "--out", str(tmp_path)])
@@ -93,7 +118,7 @@ class TestRunCommand:
 
     def test_inexact_byte_identical(self, tmp_path):
         cfgfile = tmp_path / "cfg.txt"
-        cfgfile.write_text("problem = zero-map\ndim = 4\nlam = 0.5\n"
+        cfgfile.write_text("problem = zero-map\ndim = 4\n"
                            "error_c = 0.1\nerror_p = 3.0\nmax_iters = 200\n"
                            "name = zin\n")
         a = tmp_path / "a"

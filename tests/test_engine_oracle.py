@@ -1,0 +1,184 @@
+"""The chunked engine against the per-step oracle ``oracles.per_step_run``.
+
+``run_km`` takes its norms, checks and running sums over stacks of up to
+``CHUNK`` steps; the oracle takes each of them at its step.  Their traces,
+end points and hand-overs to ``observe`` must be equal, bit for bit, on the
+six certification problems, exact and inexact, for runs that end on either
+side of a chunk boundary or early by the residual tolerance.  A failing run
+must fail as the oracle fails: the same exception and message, which names
+the step.  Each failure is injected from a step on, so a check that reports
+a later bad row of its chunk than the first one names the wrong step.
+"""
+
+import warnings
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from kmcert import km
+from kmcert.errors import ParameterError
+from kmcert.km import CHUNK, ErrorSchedule, StopRule, run_km
+from kmcert.problems import (
+    make_gfb_multiblock,
+    make_lasso,
+    make_pds_small,
+    make_quadratic_gd,
+    make_two_subspaces,
+    make_zero_map,
+)
+from oracles import per_step_run
+
+HORIZONS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+ERROR_LAW = (0.1, 3.0)
+
+
+def lasso_with_its_reference():
+    problem = make_lasso(40, 60, seed=1)
+    return replace(problem, fix=problem.fix_reference())
+
+
+# the fixed-point set as a point (zero-map, gd and the lasso's reference),
+# as a projector (drs) and unknown (multiblock, pds)
+MAKERS = {
+    "zero-map": lambda: make_zero_map(4),
+    "gd": lambda: make_quadratic_gd(0.8, 1.0, 2, 0.5),
+    "drs": lambda: make_two_subspaces(np.pi / 4, 4),
+    "lasso": lasso_with_its_reference,
+    "multiblock": lambda: make_gfb_multiblock(3, 20, seed=2),
+    "pds": lambda: make_pds_small(seed=3),
+}
+
+
+@pytest.fixture(scope="module")
+def problems():
+    return {label: make() for label, make in MAKERS.items()}
+
+
+def outcome(monkeypatch, engine, run):
+    """``run()`` on ``engine`` in place of the engine's loop: ``(trace,
+    observe records)``, or the exception it raised."""
+    records = []
+    with monkeypatch.context() as patch:
+        patch.setattr(km, "_iterate", engine)
+        try:
+            return run(records.append), records
+        except Exception as exc:     # noqa: BLE001 - compared with the oracle's
+            return exc, None
+
+
+def assert_same(a, b):
+    """``a == b`` for arrays (shape, dtype and bytes), and element by element
+    inside dicts, lists and tuples."""
+    if isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray) and a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    elif isinstance(a, dict):
+        assert isinstance(b, dict) and a.keys() == b.keys()
+        for key in a:
+            assert_same(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    else:
+        assert a == b
+
+
+def assert_same_run(engine, oracle):
+    (trace, records), (want, want_records) = engine, oracle
+    for name in ("lam", "eps_norm", "res_norm", "erg_norm", "disp_norm", "dist",
+                 "z0", "z_final"):
+        if getattr(want, name) is None:
+            assert getattr(trace, name) is None
+        else:
+            assert_same(getattr(trace, name), getattr(want, name))
+    assert (trace.stop_reason, trace.alpha) == (want.stop_reason, want.alpha)
+    assert len(records) == len(want_records)
+    for steps, want_steps in zip(records, want_records):
+        for name in steps._fields:
+            assert_same(getattr(steps, name), getattr(want_steps, name))
+
+
+@pytest.mark.parametrize("law", [(0.0, 3.0), ERROR_LAW], ids=["exact", "inexact"])
+@pytest.mark.parametrize("label", sorted(MAKERS))
+def test_traces_and_hand_overs_equal_the_per_step_oracle(problems, monkeypatch, label, law):
+    problem = problems[label]
+
+    def runner(horizon, tol):
+        return lambda observe: problem.inexact_run(*law, horizon, tol, observe=observe)
+
+    for horizon in HORIZONS:
+        engine = outcome(monkeypatch, km._iterate, runner(horizon, 0.0))
+        assert_same_run(engine, outcome(monkeypatch, per_step_run, runner(horizon, 0.0)))
+        assert engine[0].n_steps == horizon
+    # a residual stop inside the second chunk of the longest run
+    tol = float(engine[0].res_norm[CHUNK + 40])
+    assert tol > 0.0
+    engine = outcome(monkeypatch, km._iterate, runner(HORIZONS[-1], tol))
+    assert_same_run(engine, outcome(monkeypatch, per_step_run, runner(HORIZONS[-1], tol)))
+    assert engine[0].stop_reason == "residual_tol" and engine[0].n_steps <= CHUNK + 41
+
+
+class Injected:
+    """A problem's inexact evaluation with a failure from step ``at`` on.
+
+    ``exact`` and ``tilde`` make that output non-finite, ``error-norm`` the
+    reported error alone; ``drift`` moves the perturbed output off its
+    reported error, ``divergence`` moves both far out; ``late-raise`` makes
+    the exact output non-finite at ``at`` and the next evaluation raise."""
+
+    KINDS = ("exact", "tilde", "error-norm", "drift", "divergence", "late-raise")
+
+    def __init__(self, problem, kind, at):
+        if problem.kind == "km":
+            self.evaluate_inner = km._plain_evaluator(problem.operator,
+                                                      ErrorSchedule.power(*ERROR_LAW))
+            self.alphas = ()
+        else:
+            channel = problem.make_channel(*ERROR_LAW)
+            self.evaluate_inner, self.alphas = channel.evaluate, channel.alphas
+        self.operator = problem.operator
+        self.kind, self.at = kind, at
+
+    def evaluate(self, k, z, rng):
+        exact, tilde, eps, extras = self.evaluate_inner(k, z, rng)
+        kind = self.kind
+        if k < self.at:
+            return exact, tilde, eps, extras
+        if kind == "late-raise" and k > self.at:
+            raise ParameterError(f"evaluation refused at step {k}")
+        if kind in ("exact", "late-raise"):
+            exact = exact.copy()
+            exact[-1] = np.inf
+        elif kind == "tilde":
+            tilde = tilde.copy()
+            tilde[0] = np.nan
+        elif kind == "error-norm":
+            eps = eps.copy()
+            eps[0] = np.inf
+        elif kind == "drift":
+            tilde = tilde + 1e-3
+        else:
+            tilde = tilde + 1e13
+            eps = tilde - exact
+        return exact, tilde, eps, extras
+
+
+@pytest.mark.parametrize("at", [0, CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("kind", Injected.KINDS)
+@pytest.mark.parametrize("maker", [make_zero_map, lambda: make_gfb_multiblock(3, 4)],
+                         ids=["zero-map", "multiblock"])
+def test_failures_land_at_their_step_across_chunk_boundaries(monkeypatch, maker, kind, at):
+    problem = maker()
+
+    def run(observe):
+        return run_km(None, problem.z0, problem.relaxation, stop=StopRule(CHUNK + 44, 0.0),
+                      channel=Injected(problem, kind, at), fix=problem.fix, observe=observe)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(monkeypatch, km._iterate, run)[0]
+        want = outcome(monkeypatch, per_step_run, run)[0]
+    assert isinstance(want, Exception) and f"at step {at}" in str(want)
+    assert type(got) is type(want) and str(got) == str(want)

@@ -213,7 +213,7 @@ def spread(rng, size):
 
 @pytest.mark.parametrize("d", KERNEL_DIMS)
 def test_vecdot_rows_equal_per_row_dots(d):
-    # equal-block spaces sum row-wise np.vecdot: each row must be x.dot(y)
+    # a stack's norms sum row-wise np.vecdot: each row must be x.dot(y)
     rng = np.random.default_rng(d)
     for n in (1, 2, 3, 4):
         for _ in range(20):
@@ -226,7 +226,7 @@ def test_vecdot_rows_equal_per_row_dots(d):
 def test_norms_equal_the_per_block_oracle_bit_for_bit(d):
     rng = np.random.default_rng(1000 + d)
     for n in (1, 2, 3, 4):
-        # equal blocks (one block is its own kernel), and one block longer
+        # equal blocks (one block has its own kernel), and one block longer
         for dims in ((d,) * n, (d,) * (n - 1) + (d + 1,)):
             w = rng.uniform(0.01, 10.0, n)
             diag = rng.uniform(0.1, 3.0, sum(dims))

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from kmcert.bounds import EmpiricalConstants, pointwise_bound
 from kmcert.errors import ParameterError
-from kmcert.km import RelaxationSchedule, StopRule, run_km
+from kmcert.km import ErrorSchedule, GammaSchedule, RelaxationSchedule, StopRule, run_km
 from kmcert.operators import OperatorSpec, prox_l1
 from kmcert.problems import (
     make_gfb_multiblock,
@@ -21,6 +21,7 @@ from kmcert.splitting import (
     DrsCertificates,
     DrsSpec,
     GfbBuilt,
+    GfbScheduleChannel,
     GfbSpec,
     L1Block,
     LinearBlock,
@@ -558,14 +559,18 @@ class TestNonstationaryFamily:
         assert p.make_channel(0.0, 3.0).alphas == (spec.alpha_at(1.5), spec.alpha_at(1.9))
 
     def test_evaluate_at_another_step_size_matches_a_fresh_build(self):
+        # an exact step of the schedule's channel at gamma_k = 1.7: the limit
+        # evaluation and, from its consensus, the splitting at 1.7
         p = make_multiblock_nonstationary("harmonic", d=6)
         spec = p.built.spec
+        channel = GfbScheduleChannel(p.built, GammaSchedule.from_function(
+            lambda k: 1.7, spec.gamma, 1.2, 1.8), ErrorSchedule.power(0.0, 3.0))
         z = np.random.default_rng(5).standard_normal(p.built.space.size)
-        out, parts = p.built.evaluate(z, 1.7)
-        want, want_parts = GfbBuilt(GfbSpec(spec.blocks, spec.weights, 1.7, spec.dim,
-                                            spec.smooth)).evaluate(z)
-        assert np.array_equal(out, want)
-        assert all(np.array_equal(a, b) for a, b in zip(parts, want_parts))
+        exact, out, eps, extras = channel.evaluate(0, z, np.random.default_rng(0))
+        assert np.array_equal(exact, p.built.evaluate(z)[0])
+        want = GfbBuilt(GfbSpec(spec.blocks, spec.weights, 1.7, spec.dim, spec.smooth))
+        assert np.array_equal(out, want.evaluate(z)[0])
+        assert np.array_equal(eps, out - exact)
 
     def test_schedule_classification_reported(self):
         geo = make_multiblock_nonstationary("geometric", d=6).schedule

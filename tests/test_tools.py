@@ -66,6 +66,16 @@ def test_analytic_members_match_recorded_digests(capsys):
     assert "28/28 digests match" in capsys.readouterr().out
 
 
+def test_nonstationary_members_match_recorded_digests(capsys):
+    # the cached limit operator (constant) and a fresh factorization every
+    # step (harmonic), exact and inexact, at both recorded seeds
+    tool = load_tool()
+    members = ["ns-constant", "ns-harmonic", "inexact:ns-constant"]
+    argv = ["--compare", str(ROOT / "digests-parent.json"), "--members", *members]
+    assert tool.main(argv) == 0
+    assert "6/6 digests match" in capsys.readouterr().out
+
+
 def _scale_cell(path, k, column, factor):
     """Multiply one CSV cell (row ``k`` of ``column``) by ``factor``."""
     from kmcert.cli import CSV_COLUMNS

@@ -61,9 +61,10 @@ def instances(draw):
 
 def with_drawn_relaxation(build):
     """`build_problem` whose constant relaxation is ``cfg["lam"]`` times the
-    problem's admissible cap (the zero-map and gd generators fix their own)."""
+    problem's admissible cap (the zero-map and gd generators fix their own,
+    and read no ``lam``, so the real builder gets its default)."""
     def patched(cfg):
-        p = build(cfg)
+        p = build(dict(cfg, lam=cli.DEFAULTS["lam"]))
         cap = 1.0 if p.operator.alpha is None else 1.0 / p.operator.alpha
         return dataclasses.replace(
             p, relaxation=RelaxationSchedule.constant(cfg["lam"] * cap))
