@@ -23,6 +23,7 @@ from .errors import (
     UnavailableError,
 )
 from .km import (
+    Channel,
     ErrorSchedule,
     FixedPointSet,
     GammaSchedule,

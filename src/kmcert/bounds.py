@@ -17,7 +17,8 @@ from .errors import ParameterError, UnavailableError
 from .km import IterationTrace, Steps
 from .spaces import ProductSpace
 
-DEFAULT_SLACK = 1e-10
+_SLACK = 1e-10
+_TAIL_FRACTION = 0.3
 
 
 @dataclass(frozen=True)
@@ -185,15 +186,13 @@ def gd_theoretical_rate(gamma: float, delta_m: float, delta_M: float) -> float:
     return float(np.sqrt(local_zeta(t * (2.0 - t), delta_M / delta_m)))
 
 
-def fit_tail_rate(values, tail_fraction: float = 0.3) -> float:
+def fit_tail_rate(values) -> float:
     """Least-squares geometric factor of the tail of a positive sequence:
-    ``exp(slope)`` of ``log values`` over the trailing window."""
+    ``exp(slope)`` of ``log values`` over its trailing ``_TAIL_FRACTION``."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size < 20:
         raise UnavailableError("need a sequence of at least 20 values")
-    if not (0.0 < tail_fraction <= 1.0):
-        raise ParameterError("tail fraction must lie in (0, 1]")
-    m = max(int(np.ceil(arr.size * tail_fraction)), 2)
+    m = max(int(np.ceil(arr.size * _TAIL_FRACTION)), 2)
     tail = arr[-m:]
     if tail.min() <= 1e-14:
         raise UnavailableError("tail has underflowed below 1e-14; shorten the run")
@@ -212,8 +211,7 @@ def trace_series(trace: IterationTrace) -> dict:
 
 
 def verify_series(cols: dict, constants: BoundConstants,
-                  alpha: Optional[float] = None, kappa: Optional[float] = None,
-                  slack: float = DEFAULT_SLACK):
+                  alpha: Optional[float] = None, kappa: Optional[float] = None):
     """Check per-step columns against the bounds; returns ``(violations,
     bound columns)``.  Empty violations = certified.
 
@@ -238,10 +236,10 @@ def verify_series(cols: dict, constants: BoundConstants,
     ks = np.arange(lam.size)
     pw = pointwise_bound(ks, constants)
     eb = ergodic_bound(ks, constants, np.cumsum(lam))
-    gaps = [("pointwise", cols["res_norm"] - (pw + slack)),
-            ("ergodic", cols["erg_res_norm"] - (eb + slack))]
+    gaps = [("pointwise", cols["res_norm"] - (pw + _SLACK)),
+            ("ergodic", cols["erg_res_norm"] - (eb + _SLACK))]
     if cols.get("cert_value") is not None:
-        gaps.append(("certificate", cols["cert_value"] - (cols["cert_bound"] + slack)))
+        gaps.append(("certificate", cols["cert_value"] - (cols["cert_bound"] + _SLACK)))
     for k in np.flatnonzero(np.any([g > 0 for _, g in gaps], axis=0)):
         out.extend(Violation(int(k), kind, float(g[k])) for kind, g in gaps if g[k] > 0)
     bounds = {"pw_bound": pw, "erg_bound": eb}
@@ -249,7 +247,7 @@ def verify_series(cols: dict, constants: BoundConstants,
     dist = cols.get("dist_fix")
     if kappa is not None and dist is not None and not err.any():
         zeta = local_zeta_series(lam, alpha, kappa)
-        gap = dist[1:] ** 2 - (zeta[: dist.size - 1] * dist[:-1] ** 2 + slack)
+        gap = dist[1:] ** 2 - (zeta[: dist.size - 1] * dist[:-1] ** 2 + _SLACK)
         out.extend(Violation(int(k), "local", float(gap[k]))
                    for k in np.flatnonzero(gap > 0))
         bounds["local_model"] = dist[0] * np.sqrt(

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import DEFAULT_SLACK, BoundConstants, trace_series, verify_series
+from .bounds import BoundConstants, trace_series, verify_series
 from .errors import (
     KmcertError,
     NumericalError,
@@ -357,7 +357,7 @@ def execute_run(cfg: dict):
     if schedule is None:
         trace, constants, cert = problem.certified_run(*run, seed=cfg["seed"])
     else:
-        trace, constants, cert = problem.inexact_run(*run, seed=cfg["seed"]), None, None
+        trace, constants, cert = problem.run(*run, seed=cfg["seed"]), None, None
 
     columns: dict = {}
     report = {
@@ -469,7 +469,7 @@ def _report_number(val, name: str) -> float:
     return float(val)
 
 
-def verify_files(trace_path: str, report_path: str, slack: float = DEFAULT_SLACK):
+def verify_files(trace_path: str, report_path: str):
     """Re-check an emitted trace against the constants, ``alpha`` and
     ``kappa`` of its report; returns a list of (k, kind, margin)."""
     _, cols = parse_trace_csv(trace_path)
@@ -509,7 +509,7 @@ def verify_files(trace_path: str, report_path: str, slack: float = DEFAULT_SLACK
     for n in required:
         if n not in series:
             raise ParameterError(f"column {n!r} is blank, but the report says it applies")
-    return verify_series(series, bc, alpha, kappa, slack)[0]
+    return verify_series(series, bc, alpha, kappa)[0]
 
 
 def cmd_verify(args) -> int:

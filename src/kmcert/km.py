@@ -7,9 +7,11 @@ next evaluation needs: the evaluation, the update and the norm of ``z+``
 (the divergence guard).  The checks, the trace columns and the ergodic sums
 are taken over stacks of ``CHUNK`` steps, which ``observe`` then receives.
 
-A non-stationary iteration, whose operator depends on a per-step parameter,
-is an inexact one: its channel model measures the residual against the
-declared *limit* operator ``T`` and reports ``eps = (T_k z - T z) + eps_k``.
+Each evaluation comes from a :class:`Channel`, the operator ``T`` with an
+error law; a splitting's channel model splits the law over its stages.  A
+non-stationary iteration is an inexact one: its channel measures the
+residual against the declared *limit* operator ``T`` and reports ``eps =
+(T_k z - T z) + eps_k``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ _DIVERGENCE_NORM = 1e12
 _RANGE_TOL = 1e-12
 # steps the engine buffers before it takes their bookkeeping and hands them over
 CHUNK = 256
+# |gamma_k - gamma| of a geometric schedule is |gamma_0 - gamma| / 1.1^k
+_GEOMETRIC_RATIO = 1.1
 
 
 def _stack(points) -> np.ndarray:
@@ -130,7 +134,6 @@ class GammaSchedule:
     kind: str
     limit: float
     start: float
-    ratio: float = 1.1
     abs_summable: Optional[bool] = None   # sum |gamma_k - gamma| finite
     k_summable: Optional[bool] = None     # sum (k+1) |gamma_k - gamma| finite
     _fn: Optional[Callable[[int], float]] = None
@@ -142,10 +145,8 @@ class GammaSchedule:
         return GammaSchedule("constant", g, g, abs_summable=True, k_summable=True)
 
     @staticmethod
-    def geometric(limit: float, start: float, ratio: float = 1.1) -> "GammaSchedule":
-        if ratio <= 1.0:
-            raise ParameterError("geometric ratio must exceed 1")
-        return GammaSchedule("geometric", float(limit), float(start), float(ratio),
+    def geometric(limit: float, start: float) -> "GammaSchedule":
+        return GammaSchedule("geometric", float(limit), float(start),
                              abs_summable=True, k_summable=True)
 
     @staticmethod
@@ -178,7 +179,7 @@ class GammaSchedule:
             return self.limit
         if self.kind == "geometric":
             # negative power underflows to zero instead of overflowing
-            return self.limit + gap * self.ratio ** (-k)
+            return self.limit + gap * _GEOMETRIC_RATIO ** (-k)
         if self.kind == "inverse-square":
             return self.limit + gap / max(k, 1) ** 2
         if self.kind == "harmonic":
@@ -289,18 +290,37 @@ def _validate_admissible(relaxation: RelaxationSchedule, alpha) -> None:
         )
 
 
-def _plain_evaluator(T: OperatorSpec, errors: Optional[ErrorSchedule]):
-    space = T.space
+class Channel:
+    """The bare channel: operator ``T`` and error law ``law``.  ``evaluate(k,
+    z, rng)`` returns ``(T z, T z + eps, eps, extras)``, ``eps`` of
+    magnitude ``law(k)`` in a uniformly drawn direction of unit space norm,
+    or ``(T z, T z, None, extras)`` without a draw when that is 0.
+    ``alphas`` lists the averagedness of per-step operators other than
+    ``operator``, which the engine checks the relaxation against."""
 
-    def evalstep(k, z, rng):
-        exact = T(z)
-        mag = errors.magnitude(k) if errors is not None else 0.0
-        if mag != 0.0:
-            eps = space.unit_vector(rng) * mag
-            return exact, exact + eps, eps, None
-        return exact, exact, None, None
+    alphas: tuple = ()
 
-    return evalstep
+    def __init__(self, operator: OperatorSpec, law: ErrorSchedule = ErrorSchedule(0.0, 3.0)):
+        self.operator = operator
+        self.law = law
+
+    def _space_draw(self, rng: np.random.Generator, mag: float) -> Optional[np.ndarray]:
+        """``mag`` times a drawn direction of unit space norm; None for 0."""
+        if mag == 0.0:
+            return None
+        space = self.operator.space
+        while True:
+            g = rng.standard_normal(space.size)
+            nrm = space.norm(g)
+            if nrm > 1e-12:
+                return g * (1.0 / nrm) * mag
+
+    def evaluate(self, k, z, rng):
+        exact = self.operator(z)
+        eps = self._space_draw(rng, self.law.magnitude(k))
+        if eps is None:
+            return exact, exact, None, None
+        return exact, exact + eps, eps, None
 
 
 def _check_output(k, exact, tilde) -> None:
@@ -403,43 +423,30 @@ def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
                           z0, z, dist)
 
 
-def run_km(T: OperatorSpec, z0: np.ndarray, relaxation: RelaxationSchedule,
-           errors: Optional[ErrorSchedule] = None, stop: Optional[StopRule] = None,
-           *, channel=None, fix: Optional[FixedPointSet] = None,
+def run_km(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
+           stop: Optional[StopRule] = None, *, fix: Optional[FixedPointSet] = None,
            observe: Optional[Callable] = None, seed: int = 0) -> IterationTrace:
-    """Run the relaxed iteration of a single operator.
-
-    ``errors`` injects synthetic error vectors (seeded direction, scheduled
-    magnitude).  ``channel`` instead delegates each evaluation to a channel
-    model from the splitting builders, which perturbs the evaluation
-    internally and reports the induced error; the two are mutually exclusive.
-    The relaxation must be admissible for the operator and for every
-    averagedness constant in the channel's ``alphas`` (the per-step
-    operators of a non-stationary channel).
+    """Run the relaxed iteration of ``channel.operator``, each step
+    evaluated by ``channel`` (a :class:`Channel`, bare or a splitting's
+    channel model) with the run's seeded generator.  The relaxation must be
+    admissible for the operator and for every averagedness constant in the
+    channel's ``alphas`` (the per-step operators of a non-stationary
+    channel).
 
     ``observe(steps)`` receives the run's step vectors as :class:`Steps`
     records of ``CHUNK`` consecutive steps, after all of their checks, and
     once more with the steps left when the run ends (by its horizon or its
     residual tolerance): every step is in exactly one record, and
-    consecutive records share their boundary iterate.  A step's extras are,
-    for a channel model, a dict with its channel vectors under
-    ``"channel"`` (else None).  Constants and certificates are accumulated
-    through it.  The engine always buffers one chunk, ``observe`` or not,
-    and keeps no step vector past it; a hook may keep the arrays it is
-    given (nothing writes into them in place).  A failing run raises the
-    failure of its earliest failing step, as a check at every step would.
+    consecutive records share their boundary iterate.  A step's extras are
+    the channel's (for a splitting's channel model, a dict with its channel
+    vectors under ``"channel"``; else None).  Constants and certificates are
+    accumulated through it.  The engine always buffers one chunk,
+    ``observe`` or not, and keeps no step vector past it; a hook may keep
+    the arrays it is given (nothing writes into them in place).  A failing
+    run raises the failure of its earliest failing step, as a check at every
+    step would.
     """
-    if stop is None:
-        stop = StopRule()
-    if channel is not None:
-        if errors is not None:
-            raise ParameterError("pass either synthetic errors or a channel model")
-        operator = channel.operator
-        evalstep = channel.evaluate
-        for alpha in channel.alphas:
-            _validate_admissible(relaxation, alpha)
-    else:
-        operator = T
-        evalstep = _plain_evaluator(T, errors)
-    return _iterate(operator, evalstep, z0, relaxation, stop, fix, observe, seed)
-
+    for alpha in channel.alphas:
+        _validate_admissible(relaxation, alpha)
+    return _iterate(channel.operator, channel.evaluate, z0, relaxation,
+                    stop or StopRule(), fix, observe, seed)

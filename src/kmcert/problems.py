@@ -13,6 +13,7 @@ import numpy as np
 from .bounds import EmpiricalConstants, fit_tail_rate, gd_theoretical_rate
 from .errors import ParameterError, UnavailableError
 from .km import (
+    Channel,
     ErrorSchedule,
     FixedPointSet,
     GammaSchedule,
@@ -27,15 +28,18 @@ from .splitting import (
     BoxBlock,
     DrsBuilt,
     DrsCertificates,
+    DrsChannelModel,
     DrsSpec,
     GfbBuilt,
     GfbCertificates,
+    GfbChannelModel,
     GfbScheduleChannel,
     GfbSpec,
     L1Block,
     LinearBlock,
     PdsBuilt,
     PdsCertificates,
+    PdsChannelModel,
     PdsDualTerm,
     PdsSpec,
     SubspaceBlock,
@@ -47,6 +51,9 @@ CERT_HORIZON = 1000
 # (see ProblemInstance.fix_reference); a start point and a fixed point each
 _REFERENCE_CACHE_SIZE = 8
 _REFERENCES: dict = {}
+# a reference run stops at this residual, or after this many cert_horizons
+_REFERENCE_TOL = 1e-13
+_REFERENCE_FACTOR = 10
 
 
 @dataclass
@@ -85,24 +92,13 @@ class ProblemInstance:
 
     # -- run helpers --------------------------------------------------------
 
-    def exact_run(self, max_iters: Optional[int] = None, tol: float = 0.0,
-                  observe=None, seed: int = 0) -> IterationTrace:
-        return self.inexact_run(0.0, 3.0, max_iters, tol, observe=observe, seed=seed)
-
-    def inexact_run(self, c: float = 0.1, p: float = 3.0,
-                    max_iters: Optional[int] = None, tol: float = 0.0,
-                    observe=None, seed: int = 0) -> IterationTrace:
-        """A run with the error law ``c / (k+1)^p``, exact when ``c = 0``.  A
-        splitting problem runs through its channel model either way, so each
-        step's evaluation internals reach ``observe`` in ``extras["parts"]``;
-        an exact channel draws no error and gives the plain run's trace."""
+    def run(self, c: float = 0.0, p: float = 3.0, max_iters: Optional[int] = None,
+            tol: float = 0.0, observe=None, seed: int = 0) -> IterationTrace:
+        """A run with the error law ``c / (k+1)^p`` (exact for ``c = 0``)
+        through :meth:`make_channel`, whose extras reach ``observe``."""
         stop = StopRule(max_iters=max_iters or self.cert_horizon, residual_tol=tol)
-        if self.kind == "km":
-            source = {"errors": ErrorSchedule.power(c, p)}
-        else:
-            source = {"channel": self.make_channel(c, p)}
-        return run_km(self.operator, self.z0, self.relaxation, stop=stop,
-                      fix=self.fix, observe=observe, seed=seed, **source)
+        return run_km(self.make_channel(c, p), self.z0, self.relaxation, stop,
+                      fix=self.fix, observe=observe, seed=seed)
 
     def certified_run(self, c: float = 0.0, p: float = 3.0,
                       max_iters: Optional[int] = None, tol: float = 0.0,
@@ -135,20 +131,20 @@ class ProblemInstance:
             if cert is not None:
                 cert.observe(steps)
 
-        trace = self.inexact_run(c, p, max_iters, tol, observe=observe, seed=seed)
+        trace = self.run(c, p, max_iters, tol, observe=observe, seed=seed)
         bc = constants.constants(trace)
         return trace, bc, None if cert is None else cert.series(trace, bc)
 
-    def make_channel(self, c: float, p: float):
+    def make_channel(self, c: float, p: float) -> Channel:
+        """The channel of the problem's runs with the error law ``c /
+        (k+1)^p``: its schedule's, its splitting's, or else the bare one."""
+        law = ErrorSchedule.power(c, p)
         if self.schedule is not None:
-            return GfbScheduleChannel(self.built, self.schedule, ErrorSchedule.power(c, p))
-        if self.kind in ("gfb", "drs"):
-            half = ErrorSchedule.power(c / 2.0, p)
-            return self.built.channel(half, half)
-        if self.kind == "pds":
-            quarter = ErrorSchedule.power(c / 4.0, p)
-            return self.built.channel([quarter] * 4)
-        raise ParameterError(f"no channel model for kind {self.kind!r}")
+            return GfbScheduleChannel(self.built, self.schedule, law)
+        if self.kind == "km":
+            return Channel(self.operator, law)
+        models = {"gfb": GfbChannelModel, "drs": DrsChannelModel, "pds": PdsChannelModel}
+        return models[self.kind](self.built, law)
 
     def observed_rate(self, trace: IterationTrace) -> float:
         if self.rate_basis == "residual":
@@ -419,7 +415,7 @@ def make_multiblock_nonstationary(kind: str, d: int = 10, n_blocks: int = 3,
     beta = 1.0      # modulus of the multi-block instance's smooth part
     gamma0, hi = 1.5 * beta, 1.9 * beta
     schedules = {
-        "geometric": GammaSchedule.geometric(gamma0, hi, ratio=1.1),
+        "geometric": GammaSchedule.geometric(gamma0, hi),
         "inverse-square": GammaSchedule.inverse_square(gamma0, hi),
         "harmonic": GammaSchedule.harmonic(gamma0, hi),
         "constant": GammaSchedule.constant(gamma0),
@@ -431,17 +427,17 @@ def make_multiblock_nonstationary(kind: str, d: int = 10, n_blocks: int = 3,
                    cert_horizon=10_000)
 
 
-def reference_solution(problem: ProblemInstance, tol: float = 1e-13,
-                       factor: int = 10) -> FixedPointSet:
+def reference_solution(problem: ProblemInstance) -> FixedPointSet:
     """Fixed-point reference from a longer, tighter exact run; certified by
     re-evaluating the residual at the returned point."""
-    stop = StopRule(max_iters=factor * problem.cert_horizon, residual_tol=tol)
-    trace = run_km(problem.operator, problem.z0, problem.relaxation, stop=stop, seed=0)
+    stop = StopRule(max_iters=_REFERENCE_FACTOR * problem.cert_horizon,
+                    residual_tol=_REFERENCE_TOL)
+    trace = run_km(Channel(problem.operator), problem.z0, problem.relaxation, stop, seed=0)
     zf = np.array(trace.z_final)    # a copy: a run of no steps ends at z0 itself
     res = problem.operator.space.norm(zf - problem.operator(zf))
-    if not res <= tol * 10.0:
+    if not res <= _REFERENCE_TOL * 10.0:
         raise UnavailableError(
-            f"reference run not converged: residual {res:.3e} > {tol * 10.0:.1e}"
+            f"reference run not converged: residual {res:.3e} > {_REFERENCE_TOL * 10.0:.1e}"
         )
     zf.flags.writeable = False      # shared by every run of the problem
     return FixedPointSet.from_point(zf)

@@ -15,8 +15,7 @@ space is asked for one.  The engine and its hooks take the norms of a
 ``(C, size)`` stack of points at once (:meth:`ProductSpace.norms`), in the
 same order: one ``np.vecdot`` per block slice over the rows, added in block
 order, and ``np.matmul(M, X[..., None])`` for the metric, each row of which
-equals ``M @ x`` (``X @ M.T`` and ``einsum`` do not).  A space also draws
-the seeded unit directions that the engine's error injection uses.
+equals ``M @ x`` (``X @ M.T`` and ``einsum`` do not).
 """
 
 from __future__ import annotations
@@ -157,13 +156,3 @@ class ProductSpace:
         B = A if base or self.metric is None else apply_rows(self.metric, A)
         acc = _rows_inner(self._w, self._slices, A, B)
         return np.sqrt(np.where(acc < 0.0, 0.0, acc))
-
-    # -- sampling ----------------------------------------------------------
-
-    def unit_vector(self, rng: np.random.Generator) -> np.ndarray:
-        """Random direction of norm one (in the space's norm)."""
-        while True:
-            g = rng.standard_normal(self.size)
-            nrm = self.norm(g)
-            if nrm > 1e-12:
-                return g * (1.0 / nrm)

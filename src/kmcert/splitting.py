@@ -24,7 +24,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .bounds import BoundConstants, EmpiricalConstants, pointwise_bound, stack_present
 from .errors import NumericalError, ParameterError, StructuralError
-from .km import ErrorSchedule, GammaSchedule, IterationTrace, Steps
+from .km import Channel, ErrorSchedule, GammaSchedule, IterationTrace, Steps
 from .operators import CocoerciveMap, OperatorSpec, composition_alpha, prox_l1
 from .spaces import ProductSpace, _layout, _weighted_sum, apply_rows
 
@@ -235,7 +235,7 @@ class GfbSpec:
 
 
 class GfbBuilt:
-    """Assembled operator, its one evaluation and the channel factory.
+    """Assembled operator and its one evaluation.
 
     ``T z = z + u - x`` blockwise, with the consensus ``x = sum_i w_i z_i``
     and the resolvent outputs ``u_i`` at ``2 x - z_i - gamma B x``.
@@ -284,66 +284,49 @@ class GfbBuilt:
         u = self.resolve_all(args, params)
         return (Z + u - x).ravel(), (x, gx, args, u)
 
-    def channel(self, pre_law: ErrorSchedule, post_law: ErrorSchedule
-                ) -> "GfbChannelModel":
-        return GfbChannelModel(self, pre_law, post_law)
 
+class _SplittingChannel(Channel):
+    """The channel of the splitting ``built``: the law ``c / (k+1)^p`` split
+    evenly over its error stages, each drawing ``(c / stages) / (k+1)^p``."""
 
-class _ChannelModel:
-    """An assembled splitting with its error-magnitude laws; ``evaluate(k,
-    z, rng)`` returns ``(T z, perturbed T z, their difference or None,
-    extras)``.  ``alphas`` lists averagedness constants of per-step
-    operators other than ``operator``, for the engine's relaxation check."""
+    stages = 2
 
-    alphas: tuple = ()
-
-    def __init__(self, built, *laws: ErrorSchedule):
+    def __init__(self, built, law: ErrorSchedule):
+        super().__init__(built.operator, law)
         self.built = built
-        self.laws = laws
-
-    @property
-    def operator(self) -> OperatorSpec:
-        return self.built.operator
+        self.stage_law = ErrorSchedule.power(law.c / self.stages, law.p)
 
 
-class GfbChannelModel(_ChannelModel):
+class GfbChannelModel(_SplittingChannel):
     """Injects a pre-resolvent error (shared across blocks, lifted onto the
-    diagonal) and per-block post-resolvent errors, reporting the induced
-    iteration error."""
+    diagonal) and then per-block post-resolvent errors, reporting the
+    induced iteration error."""
 
     def evaluate(self, k, z, rng):
         built = self.built
         exact, parts = built.evaluate(z)
         x, _, args, _ = parts
 
-        dim = built.spec.dim
-        pre_law, post_law = self.laws
-        mag_b = pre_law.magnitude(k)
-        b_vec = _unit(rng, dim) * mag_b if mag_b != 0.0 else None
-        mag_a = post_law.magnitude(k)
-        a_vecs = [_unit(rng, dim) * mag_a if mag_a != 0.0 else None
-                  for _ in range(built.spec.n)]
+        dim, mag = built.spec.dim, self.stage_law.magnitude(k)
+        b_vec = _draw(rng, mag, dim)
+        a_vecs = [_draw(rng, mag, dim) for _ in range(built.spec.n)]
         extras = {"channel": {"b": b_vec, "a": a_vecs}, "parts": parts}
-
-        if b_vec is None and mag_a == 0.0:
+        if b_vec is None:
             return exact, exact, None, extras
-
-        out = built._rows(z) + built.resolve_all(
-            args + b_vec if b_vec is not None else args) - x
-        if mag_a != 0.0:
-            out += np.stack(a_vecs)
+        out = built._rows(z) + built.resolve_all(args + b_vec) - x + np.stack(a_vecs)
         tilde = out.ravel()
         return exact, tilde, tilde - exact, extras
 
 
-class GfbScheduleChannel(_ChannelModel):
+class GfbScheduleChannel(Channel):
     """The non-stationary iteration as a channel model of the splitting
     ``built`` at the schedule's limit: step ``k`` applies the splitting at
-    ``gamma_k`` plus an injected error of magnitude ``law(k)``, while the
-    residual refers to the limit operator, so the reported error is
-    ``(T_k z - T z) + eps_k``.  The schedule's declared range must lie in
-    ``(0, 2 beta)``; ``alphas`` are the averagedness constants at its ends,
-    which the engine checks the relaxation against."""
+    ``gamma_k`` plus an error of the law's magnitude drawn as the bare
+    channel draws it, while the residual refers to the limit operator, so
+    the reported error is ``(T_k z - T z) + eps_k``.  The schedule's
+    declared range must lie in ``(0, 2 beta)``; ``alphas`` are the
+    averagedness constants at its ends, which the engine checks the
+    relaxation against."""
 
     def __init__(self, built: GfbBuilt, schedule: GammaSchedule, law: ErrorSchedule):
         spec = built.spec
@@ -357,8 +340,8 @@ class GfbScheduleChannel(_ChannelModel):
         if schedule.limit != spec.gamma:
             raise ParameterError(f"schedule limit {schedule.limit} differs from the "
                                  f"splitting's step size {spec.gamma}")
-        super().__init__(built, law)
-        self.schedule = schedule
+        super().__init__(built.operator, law)
+        self.built, self.schedule = built, schedule
         # every value lies in the declared range (built-in schedules by
         # construction, custom ones are checked at each step), and the
         # averagedness grows with the step size, so its ends bound every step
@@ -371,8 +354,8 @@ class GfbScheduleChannel(_ChannelModel):
         # the same block rows, consensus and smooth part at gamma_k
         native = (exact if gamma == built.spec.gamma
                   else built._resolve(built._rows(z), *parts[:2], gamma)[0])
-        mag = self.laws[0].magnitude(k)
-        tilde = native + built.space.unit_vector(rng) * mag if mag != 0.0 else native
+        eps = self._space_draw(rng, self.law.magnitude(k))
+        tilde = native if eps is None else native + eps
         return exact, tilde, None if tilde is exact else tilde - exact, {"parts": parts}
 
 
@@ -388,12 +371,16 @@ def _l2_rows(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(X, X))
 
 
-def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
+def _draw(rng: np.random.Generator, mag: float, dim: int) -> Optional[np.ndarray]:
+    """A stage's error: ``mag`` times a uniformly drawn Euclidean unit
+    vector of ``R^dim``; None, without a draw, for ``mag = 0``."""
+    if mag == 0.0:
+        return None
     while True:
         g = rng.standard_normal(dim)
         n = _l2(g)
         if n > 1e-12:
-            return g / n
+            return g / n * mag
 
 
 @dataclass
@@ -504,13 +491,11 @@ class DrsBuilt:
         u = self.j1(w)
         return 0.5 * (2.0 * u - w + z), (x, w, u)
 
-    def channel(self, law1: ErrorSchedule, law2: ErrorSchedule) -> "DrsChannelModel":
-        return DrsChannelModel(self, law1, law2)
 
-
-class DrsChannelModel(_ChannelModel):
-    """Relaxation-stage error (added to the averaged update) and shadow-point
-    error (perturbing the second resolvent output)."""
+class DrsChannelModel(_SplittingChannel):
+    """Relaxation-stage error ``eps1`` (added to the averaged update) and
+    then shadow-point error ``eps2`` (perturbing the second resolvent
+    output)."""
 
     def evaluate(self, k, z, rng):
         # parts: the exact x = j2(z), with w and u = j1(w) at the perturbed
@@ -519,21 +504,15 @@ class DrsChannelModel(_ChannelModel):
         exact, parts = built.evaluate(z)
         x, w, _ = parts
 
-        dim = built.spec.dim
-        m1, m2 = (law.magnitude(k) for law in self.laws)
-        e1 = _unit(rng, dim) * m1 if m1 != 0.0 else None
-        e2 = _unit(rng, dim) * m2 if m2 != 0.0 else None
-        if e1 is None and e2 is None:
-            return exact, exact, None, {"channel": {"eps1": None, "eps2": None},
-                                        "parts": parts}
-        if e2 is not None:
-            w = w + 2.0 * e2
-            parts = (x, w, built.j1(w))
-        tilde = 0.5 * (2.0 * parts[2] - w + z)
-        if e1 is not None:
-            tilde = tilde + e1
-        return exact, tilde, tilde - exact, {"channel": {"eps1": e1, "eps2": e2},
-                                             "parts": parts}
+        dim, mag = built.spec.dim, self.stage_law.magnitude(k)
+        e1, e2 = _draw(rng, mag, dim), _draw(rng, mag, dim)
+        channel = {"eps1": e1, "eps2": e2}
+        if e1 is None:
+            return exact, exact, None, {"channel": channel, "parts": parts}
+        w = w + 2.0 * e2
+        u = built.j1(w)
+        tilde = 0.5 * (2.0 * u - w + z) + e1
+        return exact, tilde, tilde - exact, {"channel": channel, "parts": (x, w, u)}
 
 
 class DrsCertificates(_CertificateStream):
@@ -736,37 +715,27 @@ class PdsBuilt:
             q.append(qi)
         return np.concatenate((p, *q))
 
-    def channel(self, laws) -> "PdsChannelModel":
-        return PdsChannelModel(self, laws)
 
+class PdsChannelModel(_SplittingChannel):
+    """Four error stages, in draw order: forward-term ``e1``,
+    post-primal-resolvent ``e2``, then the dual forward-term errors ``e3``
+    and the post-dual-resolvent errors ``e4``, one per dual term each."""
 
-class PdsChannelModel(_ChannelModel):
-    """Four error channels: forward-term, post-primal-resolvent, dual
-    forward-term and post-dual-resolvent (the latter two per dual block)."""
-
-    def __init__(self, built: PdsBuilt, laws):
-        if len(laws) != 4:
-            raise ParameterError("need exactly four channel laws")
-        super().__init__(built, *laws)
+    stages = 4
 
     def evaluate(self, k, z, rng):
         built = self.built
         spec = built.spec
         exact = built.block_step(z)
-        dH = spec.dim_primal
-        l1, l2, l3, l4 = (law.magnitude(k) for law in self.laws)
-        e1 = _unit(rng, dH) * l1 if l1 != 0.0 else None
-        e2 = _unit(rng, dH) * l2 if l2 != 0.0 else None
-        e3 = [(_unit(rng, t.L.shape[0]) * l3 if l3 != 0.0 else None)
-              for t in spec.duals]
-        e4 = [(_unit(rng, t.L.shape[0]) * l4 if l4 != 0.0 else None)
-              for t in spec.duals]
-        if e1 is None and e2 is None and all(v is None for v in e3 + e4):
+        dH, mag = spec.dim_primal, self.stage_law.magnitude(k)
+        e1, e2 = _draw(rng, mag, dH), _draw(rng, mag, dH)
+        e3 = [_draw(rng, mag, t.L.shape[0]) for t in spec.duals]
+        e4 = [_draw(rng, mag, t.L.shape[0]) for t in spec.duals]
+        if e1 is None:
             return exact, exact, None, {"channel": {}}
         tilde = built.block_step(z, errs=(e1, e2, e3, e4))
-        eps = tilde - exact
         extras = {"channel": {"eps1": e1, "eps2": e2, "eps3": e3, "eps4": e4}}
-        return exact, tilde, eps, extras
+        return exact, tilde, tilde - exact, extras
 
 
 class PdsCertificates(_CertificateStream):

@@ -39,7 +39,7 @@ class Recorder:
 
 
 def _record(run, *args, also=(), **kwargs):
-    """Call ``run`` (``run_km`` or a problem's ``exact_run``/``inexact_run``)
+    """Call ``run`` (``run_km`` or a problem's ``run``)
     with a fresh :class:`Recorder` as its hook, followed by the hooks in
     ``also``; returns (trace, recorder)."""
     rec = Recorder()

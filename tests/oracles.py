@@ -116,7 +116,11 @@ def sample_ball(space: ProductSpace, rng: np.random.Generator, radius: float) ->
     """Draw uniformly from the ball of the given radius in the space's norm."""
     u = rng.uniform()
     r = radius * u ** (1.0 / sum(space.dims))
-    return space.unit_vector(rng) * r
+    while True:     # the engine's error draw: a direction of unit space norm
+        g = rng.standard_normal(space.size)
+        nrm = space.norm(g)
+        if nrm > 1e-12:
+            return g * (1.0 / nrm) * r
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 
 from kmcert.bounds import trace_series, verify_series
 from kmcert.cli import main as cli_main
-from kmcert.km import RelaxationSchedule, StopRule, run_km
+from kmcert.km import Channel, RelaxationSchedule, StopRule, run_km
 from kmcert.operators import OperatorSpec, composition_alpha, prox_l1
 from kmcert.problems import (
     make_gfb_multiblock,
@@ -76,12 +76,12 @@ def ns_bundle():
     common horizon."""
     stationary = make_multiblock_nonstationary("constant", d=10)
     stop = StopRule(max_iters=10_000, residual_tol=0.0)
-    runs = {"stationary": run_km(stationary.operator, stationary.z0,
+    runs = {"stationary": run_km(Channel(stationary.operator), stationary.z0,
                                  stationary.relaxation, stop=stop)}
     schedules = {}
     for kind in ("geometric", "inverse-square", "harmonic"):
         problem = make_multiblock_nonstationary(kind, d=10)
-        runs[kind] = problem.exact_run(max_iters=10_000)
+        runs[kind] = problem.run(max_iters=10_000)
         schedules[kind] = problem.schedule
     return stationary, runs, schedules
 
@@ -95,7 +95,7 @@ def test_criterion_1_gd_rates():
     for gamma, obs_want, th_want in ((0.5, 0.60, np.sqrt(0.52)), (1.0, 0.20, 0.60)):
         t0 = time.monotonic()
         p = make_quadratic_gd(0.8, 1.0, 2, gamma)
-        observed = p.observed_rate(p.exact_run(max_iters=p.rate_horizon))
+        observed = p.observed_rate(p.run(max_iters=p.rate_horizon))
         elapsed = time.monotonic() - t0
         results.append((gamma, observed, p.theoretical_rate, elapsed))
     ok = all(
@@ -118,12 +118,12 @@ def test_criterion_2_subspace_rates():
     gaps = []
     for theta in (np.pi / 6, np.pi / 4, np.pi / 3):
         p = make_two_subspaces(theta, 4)
-        observed = p.observed_rate(p.exact_run(max_iters=p.rate_horizon))
+        observed = p.observed_rate(p.run(max_iters=p.rate_horizon))
         gaps.append(abs(observed - np.cos(theta) ** 2))
     ok = max(gaps) <= 1e-6
     p_relaxed = make_two_subspaces(np.pi / 4, 4, lam=0.5)
     observed_r = p_relaxed.observed_rate(
-        p_relaxed.exact_run(max_iters=p_relaxed.rate_horizon))
+        p_relaxed.run(max_iters=p_relaxed.rate_horizon))
     want_r = 1.0 - 1.5 * 0.5 * np.sin(np.pi / 4) ** 2
     gap_r = abs(observed_r - want_r)
     elapsed = time.monotonic() - t0
@@ -143,8 +143,7 @@ def test_criterion_3_pointwise_certification(cert_bundle):
         for variant in ("exact", "inexact"):
             trace, constants, _ = data[variant]
             assert trace.n_steps >= HORIZON
-            checked = verify_series(trace_series(trace), constants, trace.alpha,
-                                    None, SLACK)[0]
+            checked = verify_series(trace_series(trace), constants, trace.alpha)[0]
             issues = [v for v in checked if v.kind == "pointwise"]
             worst.append((label, variant, len(issues)))
     ok = all(n == 0 for _, _, n in worst)
@@ -157,8 +156,7 @@ def test_criterion_4_ergodic_certification(cert_bundle):
     for label, data in cert_bundle.items():
         for variant in ("exact", "inexact"):
             trace, constants, _ = data[variant]
-            checked = verify_series(trace_series(trace), constants, trace.alpha,
-                                    None, SLACK)[0]
+            checked = verify_series(trace_series(trace), constants, trace.alpha)[0]
             issues = [v for v in checked if v.kind == "ergodic"]
             total += len(issues)
     ok = total == 0
@@ -206,10 +204,9 @@ def test_criterion_5_step_inequalities(cert_bundle, record):
     for label, data in cert_bundle.items():
         problem = data["problem"]
         z_star = data["ref"].nearest(problem.z0)
-        for variant, run, law in (("exact", problem.exact_run, ()),
-                                  ("inexact", problem.inexact_run, ERROR_LAW)):
+        for variant, law in (("exact", ()), ("inexact", ERROR_LAW)):
             # the bundle's run again, deterministic, with its vectors recorded
-            trace, rec = record(run, *law, max_iters=HORIZON)
+            trace, rec = record(problem.run, *law, max_iters=HORIZON)
             constants = data[variant][1]
             d, m, s, f = _step_inequality_slacks(trace, rec, constants, z_star)
             worst["diff"] = max(worst["diff"], d)
@@ -239,8 +236,7 @@ def test_criterion_6_local_recursion():
     total = 0
     for p in problems:
         trace, constants, _ = p.certified_run(max_iters=HORIZON)
-        checked = verify_series(trace_series(trace), constants, trace.alpha,
-                                p.kappa, SLACK)[0]
+        checked = verify_series(trace_series(trace), constants, trace.alpha, p.kappa)[0]
         issues = [v for v in checked if v.kind == "local"]
         total += len(issues)
     report(6, total == 0,
@@ -388,8 +384,8 @@ def test_criterion_9_reductions(cert_bundle, record):
     sp = ProductSpace.single(A.shape[1])
     hand = OperatorSpec(lambda x: prox_l1(x - gamma * (Q @ x - q), gamma * mu),
                         None, "fbs-hand", sp)
-    _, r_g = record(lasso.exact_run, max_iters=250)
-    _, r_f = record(run_km, hand, sp.vector(np.zeros(A.shape[1])),
+    _, r_g = record(lasso.run, max_iters=250)
+    _, r_f = record(run_km, Channel(hand), sp.vector(np.zeros(A.shape[1])),
                     RelaxationSchedule.constant(1.0), stop=StopRule(250, 0.0))
     fbs_gap = max(np.max(np.abs(a - b)) for a, b in zip(r_g.z_vecs, r_f.z_vecs))
 
@@ -413,16 +409,16 @@ def test_criterion_9_reductions(cert_bundle, record):
 
     T2 = OperatorSpec(hand2, 0.5, "hand", sp2)
     z0 = sp2.point(tuple(rng.standard_normal(d) for _ in range(2)))
-    _, ra = record(run_km, built.operator, z0, RelaxationSchedule.constant(1.0),
+    _, ra = record(run_km, Channel(built.operator), z0, RelaxationSchedule.constant(1.0),
                    stop=StopRule(200, 0.0))
-    _, rb = record(run_km, T2, z0, RelaxationSchedule.constant(1.0),
+    _, rb = record(run_km, Channel(T2), z0, RelaxationSchedule.constant(1.0),
                    stop=StopRule(200, 0.0))
     drs_gap = max(np.max(np.abs(a - b)) for a, b in zip(ra.z_vecs, rb.z_vecs))
 
     # primal-dual reduction against the composite forward-backward reference
     pds = cert_bundle["pds"]["problem"]
     xref = pds_fbs_reference(pds)
-    t_p = pds.exact_run(max_iters=20_000, tol=1e-12)
+    t_p = pds.run(max_iters=20_000, tol=1e-12)
     pds_gap = float(np.linalg.norm(pds.operator.space.blocks(t_p.z_final)[0] - xref))
 
     ok = fbs_gap <= 1e-12 and drs_gap <= 1e-12 and pds_gap <= 1e-6

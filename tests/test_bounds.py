@@ -15,7 +15,7 @@ from kmcert.bounds import (
     verify_series,
 )
 from kmcert.errors import ParameterError, UnavailableError
-from kmcert.km import RelaxationSchedule, StopRule, run_km
+from kmcert.km import Channel, RelaxationSchedule, StopRule, run_km
 from kmcert.problems import make_quadratic_gd, make_two_subspaces, make_zero_map
 
 
@@ -25,7 +25,7 @@ def zero_exact(record):
     # overwrite start to the unit point for closed-form constants
     z0 = p.operator.space.vector((1.0,))
     acc = EmpiricalConstants(p.fix.nearest(z0), p.operator.space)
-    tr, rec = record(run_km, p.operator, z0, RelaxationSchedule.constant(0.5),
+    tr, rec = record(run_km, Channel(p.operator), z0, RelaxationSchedule.constant(0.5),
                      stop=StopRule(60, 0.0), fix=p.fix, also=[acc.observe])
     return p, tr, acc.constants(tr), rec
 
@@ -199,10 +199,10 @@ class TestFitTailRate:
 
     def test_gd_observed_rates(self):
         p = make_quadratic_gd(0.8, 1.0, 2, 0.5)
-        assert p.observed_rate(p.exact_run(max_iters=p.rate_horizon)) == pytest.approx(
+        assert p.observed_rate(p.run(max_iters=p.rate_horizon)) == pytest.approx(
             0.60, abs=0.01)
         p2 = make_quadratic_gd(0.8, 1.0, 2, 1.0)
-        assert p2.observed_rate(p2.exact_run(max_iters=p2.rate_horizon)) == pytest.approx(
+        assert p2.observed_rate(p2.run(max_iters=p2.rate_horizon)) == pytest.approx(
             0.20, abs=0.01)
 
     def test_too_short(self):
@@ -260,7 +260,7 @@ class TestResidualDistanceComparison:
         # exact runs: the residual never exceeds twice the distance to the
         # fixed-point set
         p = maker()
-        tr = p.exact_run(max_iters=300)
+        tr = p.run(max_iters=300)
         assert np.all(tr.res_norm <= 2.0 * tr.dist[:-1] + 1e-12)
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from kmcert import km
 from kmcert.errors import ParameterError
-from kmcert.km import CHUNK, ErrorSchedule, StopRule, run_km
+from kmcert.km import CHUNK, StopRule, run_km
 from kmcert.problems import (
     make_gfb_multiblock,
     make_lasso,
@@ -106,7 +106,7 @@ def test_traces_and_hand_overs_equal_the_per_step_oracle(problems, monkeypatch, 
     problem = problems[label]
 
     def runner(horizon, tol):
-        return lambda observe: problem.inexact_run(*law, horizon, tol, observe=observe)
+        return lambda observe: problem.run(*law, horizon, tol, observe=observe)
 
     for horizon in HORIZONS:
         engine = outcome(monkeypatch, km._iterate, runner(horizon, 0.0))
@@ -131,13 +131,8 @@ class Injected:
     KINDS = ("exact", "tilde", "error-norm", "drift", "divergence", "late-raise")
 
     def __init__(self, problem, kind, at):
-        if problem.kind == "km":
-            self.evaluate_inner = km._plain_evaluator(problem.operator,
-                                                      ErrorSchedule.power(*ERROR_LAW))
-            self.alphas = ()
-        else:
-            channel = problem.make_channel(*ERROR_LAW)
-            self.evaluate_inner, self.alphas = channel.evaluate, channel.alphas
+        channel = problem.make_channel(*ERROR_LAW)
+        self.evaluate_inner, self.alphas = channel.evaluate, channel.alphas
         self.operator = problem.operator
         self.kind, self.at = kind, at
 
@@ -173,8 +168,8 @@ def test_failures_land_at_their_step_across_chunk_boundaries(monkeypatch, maker,
     problem = maker()
 
     def run(observe):
-        return run_km(None, problem.z0, problem.relaxation, stop=StopRule(CHUNK + 44, 0.0),
-                      channel=Injected(problem, kind, at), fix=problem.fix, observe=observe)
+        return run_km(Injected(problem, kind, at), problem.z0, problem.relaxation,
+                      StopRule(CHUNK + 44, 0.0), fix=problem.fix, observe=observe)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -5,6 +5,7 @@ import pytest
 
 from kmcert.errors import DivergenceError, NumericalError, ParameterError
 from kmcert.km import (
+    Channel,
     ErrorSchedule,
     FixedPointSet,
     GammaSchedule,
@@ -32,7 +33,7 @@ class TestRunKmClosedForms:
     def test_zero_map_geometric(self):
         # z_{k+1} = z_k / 2 exactly, so both residual and iterate are 2^-k
         T, z0, fix = zero_problem()
-        tr = run_km(T, z0, RelaxationSchedule.constant(0.5),
+        tr = run_km(Channel(T), z0, RelaxationSchedule.constant(0.5),
                     stop=StopRule(40, 0.0), fix=fix)
         expected = 0.5 ** np.arange(40)
         assert np.max(np.abs(tr.res_norm - expected)) <= 1e-15
@@ -41,14 +42,14 @@ class TestRunKmClosedForms:
     def test_zero_map_ergodic_closed_form(self):
         # sum of lam_j e_j telescopes to 1 - 2^-(k+1); Lambda_k = (k+1)/2
         T, z0, _ = zero_problem()
-        tr = run_km(T, z0, RelaxationSchedule.constant(0.5), stop=StopRule(30, 0.0))
+        tr = run_km(Channel(T), z0, RelaxationSchedule.constant(0.5), stop=StopRule(30, 0.0))
         ks = np.arange(30)
         expected = (2.0 - 0.5 ** ks) / (ks + 1.0)
         assert np.max(np.abs(tr.erg_norm - expected)) <= 1e-14
 
     def test_zero_map_displacement(self, record):
         T, z0, _ = zero_problem()
-        tr, rec = record(run_km, T, z0, RelaxationSchedule.constant(0.5),
+        tr, rec = record(run_km, Channel(T), z0, RelaxationSchedule.constant(0.5),
                          stop=StopRule(20, 0.0))
         assert np.max(np.abs(tr.disp_norm - 0.5 * tr.res_norm)) <= 1e-15
         # ||z_k - z_{k+1}|| from the recorded iterates, checked against the
@@ -66,7 +67,7 @@ class TestRunKmClosedForms:
         sp = ProductSpace.single(2)
         proj = SubspaceBlock(np.array([1.0, 0.0])).resolvent
         P = vector_operator(sp, lambda x: proj(x, 1.0), 0.5, "proj")
-        tr = run_km(P, sp.vector((0.0, 1.0)), RelaxationSchedule.constant(1.0),
+        tr = run_km(Channel(P), sp.vector((0.0, 1.0)), RelaxationSchedule.constant(1.0),
                     stop=StopRule(10, 1e-10))
         assert tr.res_norm[0] == pytest.approx(1.0)
         assert tr.res_norm[1] == 0.0
@@ -79,7 +80,7 @@ class TestRunKmClosedForms:
         proj = SubspaceBlock(U).resolvent
         P = vector_operator(sp, lambda x: proj(x, 1.0), 0.5, "proj")
         fix = FixedPointSet(lambda z: proj(z, 1.0))
-        tr = run_km(P, sp.vector(rng.standard_normal(3) * 5.0),
+        tr = run_km(Channel(P), sp.vector(rng.standard_normal(3) * 5.0),
                     RelaxationSchedule.constant(0.5), stop=StopRule(40, 0.0),
                     fix=fix)
         assert np.max(np.abs(tr.res_norm - tr.dist[:-1])) <= 1e-12
@@ -110,7 +111,7 @@ class TestSchedules:
         sp = ProductSpace.single(2)
         T = zero_operator(sp)  # non-expansive only: cap 1
         with pytest.raises(ParameterError):
-            run_km(T, sp.vector((1.0, 0.0)), RelaxationSchedule.constant(1.5))
+            run_km(Channel(T), sp.vector((1.0, 0.0)), RelaxationSchedule.constant(1.5))
 
     def test_gamma_schedule_values_and_flags(self):
         g = GammaSchedule.geometric(1.5, 1.9)
@@ -129,16 +130,16 @@ class TestSchedules:
 class TestInexactRuns:
     def test_recorded_magnitudes_follow_law(self):
         T, z0, _ = zero_problem(d=4, z0=(1.0, 0.0, 0.0, 0.0))
-        tr = run_km(T, z0, RelaxationSchedule.constant(0.5),
-                    errors=ErrorSchedule.power(0.1, 3.0), stop=StopRule(50, 0.0))
+        tr = run_km(Channel(T, ErrorSchedule.power(0.1, 3.0)), z0,
+                    RelaxationSchedule.constant(0.5), stop=StopRule(50, 0.0))
         ks = np.arange(50)
         assert np.max(np.abs(tr.eps_norm - 0.1 / (ks + 1.0) ** 3)) <= 1e-15
 
     def test_update_identity_recomputed(self, record):
         # z_{k+1} - z_k must equal lam (eps_k - e_k) from the recorded vectors
         T, z0, _ = zero_problem(d=3, z0=(1.0, 2.0, -1.0))
-        tr, rec = record(run_km, T, z0, RelaxationSchedule.constant(0.7),
-                         errors=ErrorSchedule.power(0.2, 2.0), stop=StopRule(40, 0.0))
+        tr, rec = record(run_km, Channel(T, ErrorSchedule.power(0.2, 2.0)), z0,
+                         RelaxationSchedule.constant(0.7), stop=StopRule(40, 0.0))
         sp = T.space
         for k in range(tr.n_steps):
             step = rec.z_vecs[k + 1] - rec.z_vecs[k]
@@ -147,12 +148,10 @@ class TestInexactRuns:
 
     def test_determinism(self, record):
         T, z0, _ = zero_problem(d=4, z0=(1.0, -1.0, 0.5, 2.0))
-        a, ra = record(run_km, T, z0, RelaxationSchedule.constant(0.5),
-                       errors=ErrorSchedule.power(0.1, 3.0), stop=StopRule(60, 0.0),
-                       seed=5)
-        b, rb = record(run_km, T, z0, RelaxationSchedule.constant(0.5),
-                       errors=ErrorSchedule.power(0.1, 3.0), stop=StopRule(60, 0.0),
-                       seed=5)
+        a, ra = record(run_km, Channel(T, ErrorSchedule.power(0.1, 3.0)), z0,
+                       RelaxationSchedule.constant(0.5), stop=StopRule(60, 0.0), seed=5)
+        b, rb = record(run_km, Channel(T, ErrorSchedule.power(0.1, 3.0)), z0,
+                       RelaxationSchedule.constant(0.5), stop=StopRule(60, 0.0), seed=5)
         assert np.array_equal(a.res_norm, b.res_norm)
         assert np.array_equal(a.erg_norm, b.erg_norm)
         assert np.array_equal(a.eps_norm, b.eps_norm)
@@ -160,10 +159,10 @@ class TestInexactRuns:
 
     def test_seed_changes_directions(self):
         T, z0, _ = zero_problem(d=4, z0=(1.0, -1.0, 0.5, 2.0))
-        a = run_km(T, z0, RelaxationSchedule.constant(0.5),
-                   errors=ErrorSchedule.power(0.1, 3.0), stop=StopRule(30, 0.0), seed=1)
-        b = run_km(T, z0, RelaxationSchedule.constant(0.5),
-                   errors=ErrorSchedule.power(0.1, 3.0), stop=StopRule(30, 0.0), seed=2)
+        a = run_km(Channel(T, ErrorSchedule.power(0.1, 3.0)), z0,
+                   RelaxationSchedule.constant(0.5), stop=StopRule(30, 0.0), seed=1)
+        b = run_km(Channel(T, ErrorSchedule.power(0.1, 3.0)), z0,
+                   RelaxationSchedule.constant(0.5), stop=StopRule(30, 0.0), seed=2)
         assert not np.array_equal(a.res_norm, b.res_norm)
         # magnitudes still follow the same law (up to unit-vector rounding)
         assert np.max(np.abs(a.eps_norm - b.eps_norm)) <= 1e-15
@@ -186,24 +185,24 @@ class TestStepInequalities:
 
     def test_residual_difference_inequality_exact(self, record):
         T, z0, _ = zero_problem(d=3, z0=(1.0, 2.0, 3.0))
-        tr, rec = record(run_km, T, z0, RelaxationSchedule.constant(0.5),
+        tr, rec = record(run_km, Channel(T), z0, RelaxationSchedule.constant(0.5),
                          stop=StopRule(40, 0.0))
         assert self.residual_difference_slack(tr, rec) <= 1e-10
 
     def test_residual_difference_inequality_inexact(self, record):
         T, z0, _ = zero_problem(d=3, z0=(1.0, 2.0, 3.0))
-        tr, rec = record(run_km, T, z0, RelaxationSchedule.constant(0.5),
-                         errors=ErrorSchedule.power(0.1, 3.0), stop=StopRule(100, 0.0))
+        tr, rec = record(run_km, Channel(T, ErrorSchedule.power(0.1, 3.0)), z0,
+                         RelaxationSchedule.constant(0.5), stop=StopRule(100, 0.0))
         assert self.residual_difference_slack(tr, rec) <= 1e-10
 
     def test_exact_residual_monotone(self):
         T, z0, _ = zero_problem(d=2, z0=(3.0, -4.0))
-        tr = run_km(T, z0, RelaxationSchedule.constant(0.7), stop=StopRule(50, 0.0))
+        tr = run_km(Channel(T), z0, RelaxationSchedule.constant(0.7), stop=StopRule(50, 0.0))
         assert np.all(tr.res_norm[1:] <= tr.res_norm[:-1] + 1e-12)
 
     def test_distance_decrease_exact(self):
         T, z0, fix = zero_problem(d=2, z0=(3.0, -4.0))
-        tr = run_km(T, z0, RelaxationSchedule.constant(0.5), stop=StopRule(50, 0.0),
+        tr = run_km(Channel(T), z0, RelaxationSchedule.constant(0.5), stop=StopRule(50, 0.0),
                     fix=fix)
         tau = tr.lam * (1.0 - tr.lam)
         lhs = tr.dist[1:] ** 2
@@ -216,24 +215,21 @@ class TestDivergenceGuard:
         sp = ProductSpace.single(1)
         bad = vector_operator(sp, lambda x: 3.0 * x, None, "triple")  # false claim
         with pytest.raises(DivergenceError):
-            run_km(bad, sp.vector((1.0,)), RelaxationSchedule.constant(1.0),
+            run_km(Channel(bad), sp.vector((1.0,)), RelaxationSchedule.constant(1.0),
                    stop=StopRule(300, 0.0))
 
 
-class MisreportingChannel:
+class MisreportingChannel(Channel):
     """The zero map with the error law ``c / (k+1)^3``, reporting each step's
     error scaled by ``1 + rel``."""
 
     def __init__(self, space, c, rel):
-        self.operator = zero_operator(space)
-        self.alphas = ()
-        self.errors = ErrorSchedule.power(c, 3.0)
+        super().__init__(zero_operator(space), ErrorSchedule.power(c, 3.0))
         self.rel = rel
 
     def evaluate(self, k, z, rng):
-        exact = self.operator(z)
-        eps = self.operator.space.unit_vector(rng) * self.errors.magnitude(k)
-        return exact, exact + eps, eps * (1.0 + self.rel), None
+        exact, tilde, eps, extras = super().evaluate(k, z, rng)
+        return exact, tilde, eps * (1.0 + self.rel), extras
 
 
 class TestResidualIdentity:
@@ -246,11 +242,11 @@ class TestResidualIdentity:
         sp = ProductSpace.single(4)
         channel = MisreportingChannel(sp, c, 1e-6)
         with pytest.raises(NumericalError, match="residual identity violated at step 0"):
-            run_km(None, sp.vector(np.ones(4)), RelaxationSchedule.constant(0.5),
-                   stop=StopRule(5, 0.0), channel=channel)
+            run_km(channel, sp.vector(np.ones(4)), RelaxationSchedule.constant(0.5),
+                   stop=StopRule(5, 0.0))
         channel.rel = 0.0
-        assert run_km(None, sp.vector(np.ones(4)), RelaxationSchedule.constant(0.5),
-                      stop=StopRule(5, 0.0), channel=channel).n_steps == 5
+        assert run_km(channel, sp.vector(np.ones(4)), RelaxationSchedule.constant(0.5),
+                      stop=StopRule(5, 0.0)).n_steps == 5
 
     def test_non_finite_reported_error_is_named(self):
         # finite outputs with a NaN error: the drift is NaN too, and no
@@ -258,15 +254,15 @@ class TestResidualIdentity:
         sp = ProductSpace.single(4)
         channel = MisreportingChannel(sp, 0.1, np.nan)
         with pytest.raises(NumericalError, match="^non-finite error norm at step 0$"):
-            run_km(None, sp.vector(np.ones(4)), RelaxationSchedule.constant(0.5),
-                   stop=StopRule(5, 0.0), channel=channel)
+            run_km(channel, sp.vector(np.ones(4)), RelaxationSchedule.constant(0.5),
+                   stop=StopRule(5, 0.0))
 
 
 class TestErgodicRecompute:
     def test_matches_engine_column(self, record):
         T, z0, _ = zero_problem(d=3, z0=(1.0, -2.0, 0.5))
-        tr, rec = record(run_km, T, z0, RelaxationSchedule.constant(0.5),
-                         errors=ErrorSchedule.power(0.05, 3.0), stop=StopRule(60, 0.0))
+        tr, rec = record(run_km, Channel(T, ErrorSchedule.power(0.05, 3.0)), z0,
+                         RelaxationSchedule.constant(0.5), stop=StopRule(60, 0.0))
         # relaxation-weighted running average of the recorded residuals
         S = tr.space.zeros()
         total = 0.0
@@ -281,8 +277,8 @@ class TestErgodicRecompute:
         # identity operator with constant injected error: e_k = 0 always
         sp = ProductSpace.single(2)
         T = OperatorSpec(lambda z: z, None, "id", sp)
-        tr = run_km(T, sp.vector((1.0, 1.0)), RelaxationSchedule.constant(0.5),
-                    errors=ErrorSchedule.power(1.0, 0.0), stop=StopRule(25, 0.0))
+        tr = run_km(Channel(T, ErrorSchedule.power(1.0, 0.0)), sp.vector((1.0, 1.0)),
+                    RelaxationSchedule.constant(0.5), stop=StopRule(25, 0.0))
         assert np.max(tr.res_norm) == 0.0
         assert np.max(tr.erg_norm) == 0.0
 
@@ -292,7 +288,7 @@ class TestErgodicRecompute:
         sp = ProductSpace.single(2)
         flip = vector_operator(sp, lambda x: -x, None, "flip")
         z0 = sp.vector((3.0, 4.0))
-        tr = run_km(flip, z0, RelaxationSchedule.constant(1.0),
+        tr = run_km(Channel(flip), z0, RelaxationSchedule.constant(1.0),
                     stop=StopRule(20, 0.0))
         ks = np.arange(20)
         expected = np.where(ks % 2 == 0, 10.0 / (ks + 1.0), 0.0)
@@ -301,22 +297,22 @@ class TestErgodicRecompute:
 
 class TestNonstationary:
     def test_constant_schedule_degenerates(self):
-        tr_ns = make_multiblock_nonstationary("constant", d=6).exact_run(max_iters=200)
-        tr_st = make_gfb_multiblock(3, 6, gamma=1.5).exact_run(max_iters=200)
+        tr_ns = make_multiblock_nonstationary("constant", d=6).run(max_iters=200)
+        tr_st = make_gfb_multiblock(3, 6, gamma=1.5).run(max_iters=200)
         assert np.array_equal(tr_ns.res_norm, tr_st.res_norm)
         assert np.array_equal(tr_ns.erg_norm, tr_st.erg_norm)
         assert np.array_equal(tr_ns.disp_norm, tr_st.disp_norm)
         assert np.max(tr_ns.eps_norm) == 0.0
 
     def test_geometric_perturbations_summable(self):
-        tr = make_multiblock_nonstationary("geometric", d=6).exact_run(max_iters=600)
+        tr = make_multiblock_nonstationary("geometric", d=6).run(max_iters=600)
         sums = np.cumsum(tr.eps_norm)
         # the partial-sum tail past step 300 moves by less than 1e-8
         assert sums[-1] - sums[300] <= 1e-8
         assert np.isfinite(sums[-1])
 
     def test_harmonic_perturbations_still_growing(self):
-        tr = make_multiblock_nonstationary("harmonic", d=6).exact_run(max_iters=600)
+        tr = make_multiblock_nonstationary("harmonic", d=6).run(max_iters=600)
         sums = np.cumsum(tr.eps_norm)
         assert sums[-1] - sums[-301] > 1e-4
 
@@ -343,7 +339,7 @@ class TestNonstationary:
         # 0.1/(k+1)^3; T_{gamma_k} is assembled anew at each step size
         p = make_multiblock_nonstationary(kind, d=6)
         spec, norm = p.built.spec, p.operator.space.norm
-        trace, rec = record(p.inexact_run, 0.1, 3.0, 40)
+        trace, rec = record(p.run, 0.1, 3.0, 40)
         assert trace.n_steps == 40
         for k in range(trace.n_steps):
             z = rec.z_vecs[k]
@@ -358,8 +354,8 @@ class TestNonstationary:
         # at 1.25 at the limit 1.5 and at 1.05 at the range's upper end 1.9
         lam = RelaxationSchedule.constant(1.2)
         stationary = make_gfb_multiblock(3, 6, gamma=1.5)
-        assert replace(stationary, relaxation=lam).inexact_run(0.1, 3.0, 5).n_steps == 5
+        assert replace(stationary, relaxation=lam).run(0.1, 3.0, 5).n_steps == 5
         for kind in ("geometric", "harmonic"):
             p = replace(make_multiblock_nonstationary(kind, d=6), relaxation=lam)
             with pytest.raises(ParameterError, match="admissible cap 1.05"):
-                p.inexact_run(0.1, 3.0, 5)
+                p.run(0.1, 3.0, 5)

@@ -65,30 +65,30 @@ class TestRates:
     @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 4, np.pi / 3])
     def test_two_subspaces_rate_matches_model(self, theta):
         p = make_two_subspaces(theta, 4)
-        observed = p.observed_rate(p.exact_run(max_iters=p.rate_horizon))
+        observed = p.observed_rate(p.run(max_iters=p.rate_horizon))
         assert observed == pytest.approx(np.cos(theta) ** 2, abs=1e-6)
 
     def test_two_subspaces_relaxed_rate(self):
         p = make_two_subspaces(np.pi / 4, 4, lam=0.5)
-        observed = p.observed_rate(p.exact_run(max_iters=p.rate_horizon))
+        observed = p.observed_rate(p.run(max_iters=p.rate_horizon))
         expected = 1.0 - 1.5 * 0.5 * np.sin(np.pi / 4) ** 2
         assert observed == pytest.approx(expected, abs=1e-4)
 
     def test_gd_rate_matches_spectral_oracle(self):
         for gamma in (0.5, 1.0):
             p = make_quadratic_gd(0.8, 1.0, 2, gamma)
-            observed = p.observed_rate(p.exact_run(max_iters=p.rate_horizon))
+            observed = p.observed_rate(p.run(max_iters=p.rate_horizon))
             assert observed == pytest.approx(p.constants["spectral_rate"], abs=1e-2)
             assert observed <= p.theoretical_rate + 1e-10
 
     def test_gd_higher_dimension(self):
         p = make_quadratic_gd(0.8, 1.0, 5, 0.5)
-        observed = p.observed_rate(p.exact_run(max_iters=p.rate_horizon))
+        observed = p.observed_rate(p.run(max_iters=p.rate_horizon))
         assert observed == pytest.approx(0.6, abs=1e-2)
 
     def test_gd_perfect_conditioning_one_step(self):
         p = make_quadratic_gd(1.0, 1.0, 2, 1.0)
-        tr = p.exact_run(max_iters=5)
+        tr = p.run(max_iters=5)
         assert tr.res_norm[1] == 0.0
         assert p.theoretical_rate == 0.0
 
@@ -99,7 +99,7 @@ class TestLasso:
         A, y = base.constants["A"], base.constants["y"]
         mu_kill = float(np.max(np.abs(A.T @ y))) * 1.01
         p = make_lasso(20, 30, mu=mu_kill, seed=3)
-        tr = p.exact_run(max_iters=2000, tol=1e-13)
+        tr = p.run(max_iters=2000, tol=1e-13)
         x = tr.z_final          # one block: its own consensus
         assert np.max(np.abs(x)) <= 1e-10
         # certificate at the zero solution stays inside the subgradient box
@@ -110,7 +110,7 @@ class TestLasso:
         # informational: with a small penalty the converged support contains
         # the planted one
         p = make_lasso(40, 60, seed=1)
-        tr = p.exact_run(max_iters=3000, tol=1e-13)
+        tr = p.run(max_iters=3000, tol=1e-13)
         x = tr.z_final          # one block: its own consensus
         support = set(np.flatnonzero(np.abs(x) > 1e-6))
         assert set(p.constants["support"]).issubset(support)
@@ -146,7 +146,7 @@ class TestPdsSmall:
 
     def test_primal_inside_box(self):
         p = make_pds_small(seed=3)
-        tr = p.exact_run(max_iters=5000, tol=1e-12)
+        tr = p.run(max_iters=5000, tol=1e-12)
         assert np.max(np.abs(p.operator.space.blocks(tr.z_final)[0])) < 10.0
 
 

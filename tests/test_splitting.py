@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kmcert.bounds import EmpiricalConstants, pointwise_bound
 from kmcert.errors import ParameterError
-from kmcert.km import ErrorSchedule, GammaSchedule, RelaxationSchedule, StopRule, run_km
+from kmcert.km import (
+    Channel,
+    ErrorSchedule,
+    GammaSchedule,
+    RelaxationSchedule,
+    StopRule,
+    run_km,
+)
 from kmcert.operators import OperatorSpec, prox_l1
 from kmcert.problems import (
     make_gfb_multiblock,
@@ -13,20 +20,24 @@ from kmcert.problems import (
     make_multiblock_nonstationary,
     make_pds_small,
     make_two_subspaces,
+    make_zero_map,
 )
 from kmcert.spaces import ProductSpace
 from kmcert.splitting import (
     BoxBlock,
     CocoerciveMap,
     DrsCertificates,
+    DrsChannelModel,
     DrsSpec,
     GfbBuilt,
+    GfbChannelModel,
     GfbScheduleChannel,
     GfbSpec,
     L1Block,
     LinearBlock,
     MonotoneBlock,
     PdsBuilt,
+    PdsChannelModel,
     PdsDualTerm,
     PdsSpec,
     SubspaceBlock,
@@ -215,8 +226,8 @@ class TestGfbBuild:
             return prox_l1(x - gamma * (Q @ x - q), gamma * mu)
 
         hand = OperatorSpec(fbs, None, "fbs-hand", sp)
-        _, rec_g = record(p.exact_run, max_iters=300)
-        _, rec_f = record(run_km, hand, sp.vector(np.zeros(60)),
+        _, rec_g = record(p.run, max_iters=300)
+        _, rec_f = record(run_km, Channel(hand), sp.vector(np.zeros(60)),
                           RelaxationSchedule.constant(1.0), stop=StopRule(300, 0.0))
         worst = max(np.max(np.abs(a - b)) for a, b in zip(rec_g.z_vecs, rec_f.z_vecs))
         assert worst <= 1e-12
@@ -241,9 +252,9 @@ class TestGfbBuild:
 
         T = OperatorSpec(hand, 0.5, "hand", sp)
         z0 = sp.point(tuple(rng.standard_normal(d) for _ in range(2)))
-        _, r1 = record(run_km, built.operator, z0, RelaxationSchedule.constant(1.0),
+        _, r1 = record(run_km, Channel(built.operator), z0, RelaxationSchedule.constant(1.0),
                        stop=StopRule(200, 0.0))
-        _, r2 = record(run_km, T, z0, RelaxationSchedule.constant(1.0),
+        _, r2 = record(run_km, Channel(T), z0, RelaxationSchedule.constant(1.0),
                        stop=StopRule(200, 0.0))
         worst = max(np.max(np.abs(a - b)) for a, b in zip(r1.z_vecs, r2.z_vecs))
         assert worst <= 1e-12
@@ -255,7 +266,7 @@ class TestGfbBuild:
 
     def test_channel_error_bounded_by_channels(self, record):
         p = make_gfb_multiblock(3, 8, seed=2)
-        tr, rec = record(p.inexact_run, c=0.2, p=2.0, max_iters=50)
+        tr, rec = record(p.run, c=0.2, p=2.0, max_iters=50)
         for k in range(tr.n_steps):
             ch = rec.channel[k]
             b = ch["b"]
@@ -272,7 +283,7 @@ def lasso_run(record):
     from a second identical run, the iterates."""
     p = make_lasso(40, 60, seed=1)
     tr, bc, series = p.certified_run(max_iters=400)
-    _, rec = record(p.exact_run, max_iters=400)
+    _, rec = record(p.run, max_iters=400)
     return p, tr, bc, series, rec
 
 
@@ -326,7 +337,7 @@ class TestGfbCertificates:
         built = GfbBuilt(spec)
         rng = np.random.default_rng(0)
         z0 = built.space.point(tuple(0.3 * rng.standard_normal(d) for _ in range(2)))
-        tr = run_km(built.operator, z0, RelaxationSchedule.constant(1.0),
+        tr = run_km(Channel(built.operator), z0, RelaxationSchedule.constant(1.0),
                     stop=StopRule(2000, 1e-14))
         x = built.evaluate(tr.z_final)[1][0]     # the consensus of the blocks
         assert np.linalg.norm(x) <= 1e-10
@@ -339,7 +350,7 @@ class TestGfbCertificates:
 class TestDrs:
     def test_orthogonal_lines_converge_in_one_step(self):
         p = make_two_subspaces(np.pi / 2, 2)
-        tr = p.exact_run(max_iters=5, tol=1e-14)
+        tr = p.run(max_iters=5, tol=1e-14)
         assert tr.res_norm[1] <= 1e-14
 
     def test_operator_firmly_nonexpansive(self):
@@ -355,7 +366,7 @@ class TestDrs:
         # the induced error is bounded by the channel norms, and its gap to
         # their sum is at most twice the shadow-point error
         p = make_two_subspaces(np.pi / 4, 4)
-        tr, rec = record(p.inexact_run, c=0.2, p=2.0, max_iters=60)
+        tr, rec = record(p.run, c=0.2, p=2.0, max_iters=60)
         sp = p.operator.space
         for k in range(tr.n_steps):
             ch = rec.channel[k]
@@ -378,9 +389,8 @@ class TestDrs:
         zstar = sp.vector(np.array([0.0, 0.0, 1.0, -2.0]))  # in the fixed set
         cert = DrsCertificates(p.built)
         constants = EmpiricalConstants(p.fix.nearest(zstar), sp)
-        tr, _ = record(run_km, p.operator, zstar, p.relaxation, stop=StopRule(5, 0.0),
-                       channel=p.make_channel(0.0, 3.0),
-                       also=[cert.observe, constants.observe])
+        tr, _ = record(run_km, p.make_channel(0.0, 3.0), zstar, p.relaxation,
+                       stop=StopRule(5, 0.0), also=[cert.observe, constants.observe])
         series = cert.series(tr, constants.constants(tr))
         assert np.max(series.values) <= 1e-12
 
@@ -452,7 +462,7 @@ class TestPds:
 
     def test_primal_matches_composite_reference(self, small):
         xref = pds_fbs_reference(small)
-        tr = small.exact_run(max_iters=20000, tol=1e-12)
+        tr = small.run(max_iters=20000, tol=1e-12)
         x_final = small.operator.space.blocks(tr.z_final)[0]
         assert np.linalg.norm(x_final - xref) <= 1e-6
 
@@ -466,7 +476,7 @@ class TestPds:
             smooth=CocoerciveMap.quadratic(Q, q),
         )
         built = PdsBuilt(spec)
-        tr = run_km(built.operator, built.space.zeros(),
+        tr = run_km(Channel(built.operator), built.space.zeros(),
                     RelaxationSchedule.constant(1.0), stop=StopRule(5000, 1e-12))
         # dual block never leaves the origin
         assert np.linalg.norm(built.space.blocks(tr.z_final)[1]) == 0.0
@@ -521,15 +531,33 @@ def pds_instances(draw):
     return built, z
 
 
+def recorded_pds_instance():
+    """A drawn instance whose output dwarfs its input: one dual term, ``d =
+    1``, box blocks, a quadratic ``d_inv``, radicand 0.497, ``z = [1.227,
+    0.0871]`` mapped to about ``[1, 29878.7]``.  ``block_step`` and the
+    resolvent form differ there by 7.3e-12, two ulps of the output."""
+    spec = PdsSpec(
+        primal_block=BoxBlock(-1.0, 1.0), tau=2.06e3, dim_primal=1,
+        duals=[PdsDualTerm(block=BoxBlock(-1.0, 1.0), L=np.array([[-1.43e-4]]),
+                           sigma=1.18e4, omega=1.0, r=np.array([-2.0991]),
+                           d_inv=CocoerciveMap.quadratic(np.array([[1.6e-5]]),
+                                                         np.array([1.4331])))],
+    )
+    return PdsBuilt(spec), np.array([1.227, 0.0871])
+
+
 @settings(max_examples=200, deadline=None)
 @given(pds_instances())
+@example(recorded_pds_instance())
 def test_pds_block_step_metric_and_positivity_on_generated_instances(drawn):
     built, z = drawn
     space = built.space
     M = space.metric
-    # the block recursion is the preconditioned resolvent form
-    gap = space.base_norm(built.block_step(z) - pds_abstract_step(built, z))
-    assert gap <= 1e-12 * max(1.0, space.base_norm(z))
+    # the block recursion is the preconditioned resolvent form, up to
+    # rounding on the scale of the larger of the input and the output
+    out = built.block_step(z)
+    gap = space.base_norm(out - pds_abstract_step(built, z))
+    assert gap <= 1e-12 * max(1.0, space.base_norm(z), space.base_norm(out))
     # M is self-adjoint in the weighted inner product: W M is symmetric
     WM = np.repeat(space.weights, space.dims)[:, None] * M
     assert np.array_equal(WM, WM.T)
@@ -579,3 +607,76 @@ class TestNonstationaryFamily:
         assert geo.abs_summable and geo.k_summable
         assert sq.abs_summable and not sq.k_summable
         assert not harm.abs_summable and not harm.k_summable
+
+
+# ---------------------------------------------------------------------------
+# the error-channel contract
+# ---------------------------------------------------------------------------
+
+class RecordingGenerator:
+    """A seeded generator that records the size of each ``standard_normal``
+    draw, the only draws a channel makes."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        return self._rng.standard_normal(size)
+
+
+def two_dual_pds(law):
+    """The primal-dual channel of a splitting with two dual terms of
+    different sizes (2 and 4) on a primal block of size 3."""
+    rng = np.random.default_rng(4)
+    duals = [PdsDualTerm(block=L1Block(1.0), L=0.1 * rng.standard_normal((m, 3)),
+                         sigma=0.5, omega=0.5) for m in (2, 4)]
+    built = PdsBuilt(PdsSpec(primal_block=ZeroBlock(), tau=0.5, dim_primal=3, duals=duals))
+    return PdsChannelModel(built, law)
+
+
+# label: (channel of a law, its stage errors from (eps, extras["channel"]) in
+# draw order, the draw sizes, the share of the law per stage, and whether a
+# stage is drawn in the space norm rather than the Euclidean one)
+CHANNELS = {
+    "bare": (lambda law: Channel(make_zero_map(d=4).operator, law),
+             lambda eps, ch: [eps], [4], 1.0, True),
+    "gfb": (lambda law: GfbChannelModel(make_gfb_multiblock(3, 5).built, law),
+            lambda eps, ch: [ch["b"], *ch["a"]], [5, 5, 5, 5], 2.0, False),
+    "drs": (lambda law: DrsChannelModel(make_two_subspaces(np.pi / 4, 3).built, law),
+            lambda eps, ch: [ch["eps1"], ch["eps2"]], [3, 3], 2.0, False),
+    "pds": (two_dual_pds,
+            lambda eps, ch: [ch["eps1"], ch["eps2"], *ch["eps3"], *ch["eps4"]],
+            [3, 3, 2, 4, 2, 4], 4.0, False),
+    # gamma_k = gamma: the reported error is the injected one
+    "gfb-schedule": (lambda law: GfbScheduleChannel(
+        make_multiblock_nonstationary("constant", d=5).built,
+        GammaSchedule.constant(1.5), law), lambda eps, ch: [eps], [15], 1.0, True),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CHANNELS))
+def test_channel_draws_its_stages_in_order_at_their_share_of_the_law(label):
+    # batched seeds rely on this order: one rng stream, stage by stage
+    make, stages, sizes, share, in_space_norm = CHANNELS[label]
+    c, p, k = 0.3, 2.0, 2
+    channel = make(ErrorSchedule.power(c, p))
+    norm = channel.operator.space.norm if in_space_norm else np.linalg.norm
+    z = np.random.default_rng(1).standard_normal(channel.operator.space.size)
+    rng = RecordingGenerator(7)
+    exact, tilde, eps, extras = channel.evaluate(k, z, rng)
+    assert rng.sizes == sizes
+    mag = c / share / (k + 1.0) ** p
+    replay = np.random.default_rng(7)
+    drawn = stages(eps, (extras or {}).get("channel"))
+    assert len(drawn) == len(sizes)
+    for got, size in zip(drawn, sizes):
+        g = replay.standard_normal(size)
+        np.testing.assert_allclose(got, g / norm(g) * mag, rtol=1e-12, atol=1e-15)
+        assert norm(got) == pytest.approx(mag, rel=1e-12)
+    assert np.array_equal(eps, tilde - exact)
+    # an exact channel draws nothing and reports no error
+    quiet = RecordingGenerator(7)
+    exact, tilde, eps, _ = make(ErrorSchedule.power(0.0, p)).evaluate(k, z, quiet)
+    assert quiet.sizes == [] and eps is None and tilde is exact

@@ -125,8 +125,7 @@ def test_streamed_equals_two_pass(problems, record, label, law):
     space = problem.operator.space
     z_star = problem.fix_reference().nearest(problem.z0)
     base = EmpiricalConstants(z_star, space, base_norm=True)
-    run = problem.inexact_run if law else problem.exact_run
-    again, rec = record(run, *law, max_iters=STEPS, also=[base.observe])
+    again, rec = record(problem.run, *law, max_iters=STEPS, also=[base.observe])
     for name in ("lam", "eps_norm", "res_norm", "erg_norm", "disp_norm", "dist"):
         a, b = getattr(trace, name), getattr(again, name)
         assert (a is None and b is None) or np.array_equal(a, b)
@@ -214,8 +213,7 @@ def test_chunk_boundaries_equal_the_per_step_oracles(problems, record, handed_ov
     problem = problems[label] if label in problems else zero_map_spiked()
     space = problem.operator.space
     z_star = problem.fix_reference().nearest(problem.z0)
-    run = problem.inexact_run if law else problem.exact_run
-    full, rec = record(run, *law, max_iters=HORIZONS[-1])
+    full, rec = record(problem.run, *law, max_iters=HORIZONS[-1])
     early = float(full.res_norm[CHUNK + 40])
     assert early > 0.0
 

@@ -16,7 +16,6 @@ import kmcert
 PACKAGE = pathlib.Path(kmcert.__file__).resolve().parent
 
 ALLOWED = {
-    "exact_run": "the exact run of a generated problem, for library callers",
     "from_function": "custom relaxation and parameter schedules, for library callers",
 }
 

@@ -22,6 +22,7 @@ from kmcert.errors import (
     UnavailableError,
 )
 from kmcert.km import (
+    Channel,
     ErrorSchedule,
     FixedPointSet,
     GammaSchedule,
@@ -110,7 +111,7 @@ class TestOperatorOutputs:
     def test_engine_raises_numerical_error_on_non_finite_output(self):
         sp = ProductSpace.single(2)
         with pytest.raises(NumericalError, match="step 0"):
-            run_km(nan_operator(sp), sp.vector([1.0, 2.0]),
+            run_km(Channel(nan_operator(sp)), sp.vector([1.0, 2.0]),
                    RelaxationSchedule.constant(0.5), stop=StopRule(5, 0.0))
 
     def test_non_finite_output_exits_3(self, tmp_path, monkeypatch, capsys):
@@ -129,7 +130,7 @@ class TestOperatorOutputs:
         # finiteness check; the engine's check names the step
         p = inf_smooth_problem()
         with pytest.raises(NumericalError, match="non-finite operator output at step 0"):
-            p.exact_run(max_iters=5)
+            p.run(max_iters=5)
 
     def test_non_finite_resolvent_input_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "build_problem", lambda cfg: inf_smooth_problem())
@@ -154,7 +155,7 @@ class TestOperatorOutputs:
     def test_engine_rejects_bad_start_point(self, z0):
         T = zero_operator(ProductSpace.single(2))
         with pytest.raises(StructuralError, match=r"shape \(2,\)"):
-            run_km(T, z0, RelaxationSchedule.constant(0.5), stop=StopRule(3, 0.0))
+            run_km(Channel(T), z0, RelaxationSchedule.constant(0.5), stop=StopRule(3, 0.0))
 
 
 class Poisoned:
@@ -163,17 +164,8 @@ class Poisoned:
     an exact step, so both are poisoned together)."""
 
     def __init__(self, problem, value, index, which="both", c=0.0):
-        if problem.kind == "km":
-            T = problem.operator
-
-            def plain(k, z, rng):
-                out = T(z)
-                return out, out, None, None
-
-            self.inner, self.alphas = plain, ()
-        else:
-            channel = problem.make_channel(c, 3.0)
-            self.inner, self.alphas = channel.evaluate, channel.alphas
+        channel = problem.make_channel(c, 3.0)
+        self.inner, self.alphas = channel.evaluate, channel.alphas
         self.operator = problem.operator
         self.value, self.index, self.which = value, index, which
 
@@ -192,8 +184,7 @@ class Poisoned:
 
 def run_poisoned(problem, *args, **kwargs):
     channel = Poisoned(problem, *args, **kwargs)
-    return run_km(None, problem.z0, problem.relaxation, stop=StopRule(10, 0.0),
-                  channel=channel, fix=problem.fix)
+    return run_km(channel, problem.z0, problem.relaxation, StopRule(10, 0.0), fix=problem.fix)
 
 
 GUARD_PROBLEMS = {"zero-map": make_zero_map,               # one block
@@ -293,15 +284,16 @@ class TestFixedPointChecks:
             return trace
 
         monkeypatch.setattr(problems, "run_km", run_then_poison)
+        monkeypatch.setattr(problems, "_REFERENCE_FACTOR", 1)
         with pytest.raises(UnavailableError):
-            reference_solution(p, factor=1)
+            reference_solution(p)
 
 
 @pytest.mark.usefixtures("fresh_references")
 class TestCaches:
     def test_factorization_cache_stays_bounded(self):
         p = make_multiblock_nonstationary("harmonic", d=6)
-        assert p.exact_run(max_iters=200).n_steps == 200
+        assert p.run(max_iters=200).n_steps == 200
         linear = [b for b in p.built.spec.blocks if isinstance(b, LinearBlock)]
         assert linear and all(len(b._lu) <= 2 for b in linear)
 
@@ -318,7 +310,7 @@ class TestCaches:
             real_init(self, *args)
 
         monkeypatch.setattr(GfbBuilt, "__init__", counting_init)
-        assert p.exact_run(max_iters=20).n_steps == 20
+        assert p.run(max_iters=20).n_steps == 20
         assert assembled == []
 
     def test_lu_cache_keeps_two_most_recent(self):
@@ -335,7 +327,7 @@ class TestScheduleRanges:
             lambda k: 0.5 if k < 3 else 1.9, 0.5, 1.0)
         sp = ProductSpace.single(1)
         with pytest.raises(ParameterError, match="step 3"):
-            run_km(zero_operator(sp), sp.vector([1.0]), sched, stop=StopRule(10, 0.0))
+            run_km(Channel(zero_operator(sp)), sp.vector([1.0]), sched, stop=StopRule(10, 0.0))
 
     def test_relaxation_nan_raises(self):
         sched = RelaxationSchedule.from_function(lambda k: float("nan"), 0.5, 1.0)
@@ -358,7 +350,7 @@ class TestScheduleRanges:
         sched = GammaSchedule.from_function(
             lambda k: 1.5 if k < 4 else 1.85, 1.5, 1.2, 1.8)
         with pytest.raises(ParameterError, match="step 4"):
-            replace(p, schedule=sched).exact_run(max_iters=10)
+            replace(p, schedule=sched).run(max_iters=10)
 
     def test_custom_gamma_range_checked_against_admissible_interval(self):
         base = make_gfb_multiblock(2, 6, gamma=1.5)
