@@ -8,7 +8,8 @@ next evaluation needs: the evaluation, the update and the norm of ``z+``
 are taken over stacks of ``CHUNK`` steps, which ``observe`` then receives.
 
 Each evaluation comes from a :class:`Channel`, the operator ``T`` with an
-error law; a splitting's channel model splits the law over its stages.  A
+error law; a splitting's channel model splits the law over its stages, and
+its :meth:`~Channel.draws` stream draws ``CHUNK`` steps of errors at once.  A
 non-stationary iteration is an inexact one: its channel measures the
 residual against the declared *limit* operator ``T`` and reports ``eps =
 (T_k z - T z) + eps_k``.
@@ -96,7 +97,7 @@ class RelaxationSchedule:
 @dataclass(frozen=True)
 class ErrorSchedule:
     """Error-magnitude law ``c / (k+1)^p``, zero when ``c = 0``; directions
-    come from the run's seeded generator."""
+    come from the run's :meth:`Channel.draws`."""
 
     c: float
     p: float
@@ -292,35 +293,58 @@ def _validate_admissible(relaxation: RelaxationSchedule, alpha) -> None:
 
 class Channel:
     """The bare channel: operator ``T`` and error law ``law``.  ``evaluate(k,
-    z, rng)`` returns ``(T z, T z + eps, eps, extras)``, ``eps`` of
+    z, draws)`` returns ``(T z, T z + eps, eps, extras)``, ``eps`` of
     magnitude ``law(k)`` in a uniformly drawn direction of unit space norm,
-    or ``(T z, T z, None, extras)`` without a draw when that is 0.
-    ``alphas`` lists the averagedness of per-step operators other than
-    ``operator``, which the engine checks the relaxation against."""
+    or ``(T z, T z, None, extras)`` when that is 0.  A step's errors are a
+    row of ``segments`` from the run's :meth:`draws` times ``stage_law(k)``;
+    magnitude 0 takes none.  ``alphas`` lists the averagedness of per-step
+    operators other than ``operator``, which the engine checks the
+    relaxation against."""
 
     alphas: tuple = ()
 
     def __init__(self, operator: OperatorSpec, law: ErrorSchedule = ErrorSchedule(0.0, 3.0)):
         self.operator = operator
-        self.law = law
+        self.stage_law = law
+        self.segments = (operator.space.size,)
 
-    def _space_draw(self, rng: np.random.Generator, mag: float) -> Optional[np.ndarray]:
-        """``mag`` times a drawn direction of unit space norm; None for 0."""
-        if mag == 0.0:
-            return None
-        space = self.operator.space
+    def draws(self, rng: np.random.Generator):
+        """A run's unit error directions, one row of ``segments`` per step,
+        in the order of one ``rng.standard_normal`` call per segment and
+        step, drawn ``CHUNK`` steps at once by one ``(CHUNK, sum(segments))``
+        call (numpy fills an array value by value).  A segment of norm at
+        most 1e-12 is discarded and its stage draws again from the values
+        after it."""
+        sizes, flat = self.segments, np.empty(0)    # flat: the values no step has taken
+        width = sum(sizes)
         while True:
-            g = rng.standard_normal(space.size)
-            nrm = space.norm(g)
-            if nrm > 1e-12:
-                return g * (1.0 / nrm) * mag
+            if flat.size < CHUNK * width:
+                flat = np.append(flat, rng.standard_normal((CHUNK, width)))
+            G = flat[:CHUNK * width].reshape(CHUNK, width)
+            N = self._segment_norms(G)
+            small = np.flatnonzero(~(N > 1e-12))
+            if small.size:      # the first small segment goes
+                r, s = divmod(int(small[0]), len(sizes))
+                start = r * width + sum(sizes[:s])
+                flat = np.delete(flat, np.s_[start:start + sizes[s]])
+            else:
+                yield from self._unit_rows(G, N)
+                flat = flat[G.size:]
 
-    def evaluate(self, k, z, rng):
-        exact = self.operator(z)
-        eps = self._space_draw(rng, self.law.magnitude(k))
-        if eps is None:
-            return exact, exact, None, None
-        return exact, exact + eps, eps, None
+    def _segment_norms(self, G: np.ndarray) -> np.ndarray:
+        return self.operator.space.norms(G)[:, None]
+
+    def _unit_rows(self, G: np.ndarray, N: np.ndarray) -> np.ndarray:
+        return G * (1.0 / N)    # each row is g * (1.0 / ||g||)
+
+    def _errors(self, k: int, draws) -> Optional[np.ndarray]:
+        """The step's errors, its segments in one row; None for magnitude 0."""
+        mag = self.stage_law.magnitude(k)
+        return None if mag == 0.0 else next(draws) * mag
+
+    def evaluate(self, k, z, draws):
+        exact, eps = self.operator(z), self._errors(k, draws)
+        return exact, exact if eps is None else exact + eps, eps, None
 
 
 def _check_output(k, exact, tilde) -> None:
@@ -359,7 +383,7 @@ def _checked(k0: int, Z: np.ndarray, rows: list, space: ProductSpace):
 def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
              relaxation: RelaxationSchedule, stop: StopRule,
              fix: Optional[FixedPointSet], observe: Optional[Callable],
-             seed: int) -> IterationTrace:
+             draws) -> IterationTrace:
     space = operator.space
     if np.shape(z0) != (space.size,) or not np.isfinite(z0).all():
         raise StructuralError(
@@ -368,7 +392,6 @@ def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
         )
     _validate_admissible(relaxation, operator.alpha)
 
-    rng = np.random.default_rng(seed)
     norm, tol = space.norm, stop.residual_tol
     eager = space.metric is not None   # M @ a warns on a non-finite a (0 * inf): scan first
     zs, rows = [z0], []     # the chunk's iterates and (exact, tilde, lam, eps, extras)
@@ -395,7 +418,7 @@ def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
     try:
         for k in range(stop.max_iters):
             lam = relaxation.value(k)
-            exact, tilde, eps_vec, extras = evalstep(k, z, rng)
+            exact, tilde, eps_vec, extras = evalstep(k, z, draws)
             if eager:
                 _check_output(k, exact, tilde)
             zn = z + (tilde - z) * lam
@@ -428,10 +451,10 @@ def run_km(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
            observe: Optional[Callable] = None, seed: int = 0) -> IterationTrace:
     """Run the relaxed iteration of ``channel.operator``, each step
     evaluated by ``channel`` (a :class:`Channel`, bare or a splitting's
-    channel model) with the run's seeded generator.  The relaxation must be
-    admissible for the operator and for every averagedness constant in the
-    channel's ``alphas`` (the per-step operators of a non-stationary
-    channel).
+    channel model), which draws its errors from its :meth:`~Channel.draws`
+    of ``default_rng(seed)``.  The relaxation must be admissible for the
+    operator and for every averagedness constant in the channel's
+    ``alphas`` (the per-step operators of a non-stationary channel).
 
     ``observe(steps)`` receives the run's step vectors as :class:`Steps`
     records of ``CHUNK`` consecutive steps, after all of their checks, and
@@ -449,4 +472,5 @@ def run_km(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
     for alpha in channel.alphas:
         _validate_admissible(relaxation, alpha)
     return _iterate(channel.operator, channel.evaluate, z0, relaxation,
-                    stop or StopRule(), fix, observe, seed)
+                    stop or StopRule(), fix, observe,
+                    channel.draws(np.random.default_rng(seed)))

@@ -54,6 +54,12 @@ _REFERENCES: dict = {}
 # a reference run stops at this residual, or after this many cert_horizons
 _REFERENCE_TOL = 1e-13
 _REFERENCE_FACTOR = 10
+# each splitting kind: its channel model of (built, law) and certificate of (built, z_star)
+_SPLITTINGS = {
+    "gfb": (GfbChannelModel, lambda built, z_star: GfbCertificates(built)),
+    "drs": (DrsChannelModel, lambda built, z_star: DrsCertificates(built)),
+    "pds": (PdsChannelModel, PdsCertificates),
+}
 
 
 @dataclass
@@ -117,14 +123,8 @@ class ProblemInstance:
                 f"admissible cap {cap} of a certified run (tau_min > 0)")
         z_star = self.fix_reference().nearest(self.z0)
         constants = EmpiricalConstants(z_star, self.operator.space)
-        if self.kind == "gfb":
-            cert = GfbCertificates(self.built)
-        elif self.kind == "drs":
-            cert = DrsCertificates(self.built)
-        elif self.kind == "pds":
-            cert = PdsCertificates(self.built, z_star)
-        else:
-            cert = None
+        cert = (_SPLITTINGS[self.kind][1](self.built, z_star)
+                if self.kind in _SPLITTINGS else None)
 
         def observe(steps):
             constants.observe(steps)
@@ -143,8 +143,7 @@ class ProblemInstance:
             return GfbScheduleChannel(self.built, self.schedule, law)
         if self.kind == "km":
             return Channel(self.operator, law)
-        models = {"gfb": GfbChannelModel, "drs": DrsChannelModel, "pds": PdsChannelModel}
-        return models[self.kind](self.built, law)
+        return _SPLITTINGS[self.kind][0](self.built, law)
 
     def observed_rate(self, trace: IterationTrace) -> float:
         if self.rate_basis == "residual":

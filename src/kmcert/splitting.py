@@ -15,7 +15,6 @@ steps (:class:`~kmcert.km.Steps`) and stack each chunk's parts to ``(C,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -287,7 +286,8 @@ class GfbBuilt:
 
 class _SplittingChannel(Channel):
     """The channel of the splitting ``built``: the law ``c / (k+1)^p`` split
-    evenly over its error stages, each drawing ``(c / stages) / (k+1)^p``."""
+    evenly over its error stages, each drawing ``(c / stages) / (k+1)^p``
+    in Euclidean unit directions, one per segment of ``segments_of(spec)``."""
 
     stages = 2
 
@@ -295,27 +295,33 @@ class _SplittingChannel(Channel):
         super().__init__(built.operator, law)
         self.built = built
         self.stage_law = ErrorSchedule.power(law.c / self.stages, law.p)
+        self.segments = self.segments_of(built.spec)
+        self._slices = _layout(self.segments)
+
+    def _segment_norms(self, G: np.ndarray) -> np.ndarray:
+        return np.column_stack([_l2_rows(G[:, s]) for s in self._slices])
+
+    def _unit_rows(self, G: np.ndarray, N: np.ndarray) -> np.ndarray:
+        return G / np.repeat(N, self.segments, axis=1)   # each segment is g / ||g||
 
 
 class GfbChannelModel(_SplittingChannel):
     """Injects a pre-resolvent error (shared across blocks, lifted onto the
     diagonal) and then per-block post-resolvent errors, reporting the
-    induced iteration error."""
+    induced iteration error; ``a`` is the ``(n, d)`` block of the latter."""
 
-    def evaluate(self, k, z, rng):
+    segments_of = staticmethod(lambda spec: (spec.dim,) * (spec.n + 1))
+
+    def evaluate(self, k, z, draws):
         built = self.built
         exact, parts = built.evaluate(z)
         x, _, args, _ = parts
-
-        dim, mag = built.spec.dim, self.stage_law.magnitude(k)
-        b_vec = _draw(rng, mag, dim)
-        a_vecs = [_draw(rng, mag, dim) for _ in range(built.spec.n)]
-        extras = {"channel": {"b": b_vec, "a": a_vecs}, "parts": parts}
-        if b_vec is None:
-            return exact, exact, None, extras
-        out = built._rows(z) + built.resolve_all(args + b_vec) - x + np.stack(a_vecs)
-        tilde = out.ravel()
-        return exact, tilde, tilde - exact, extras
+        errs = self._errors(k, draws)
+        if errs is None:
+            return exact, exact, None, {"channel": {"b": None, "a": None}, "parts": parts}
+        b_vec, a_vecs = errs[:built.spec.dim], built._rows(errs[built.spec.dim:])
+        tilde = (built._rows(z) + built.resolve_all(args + b_vec) - x + a_vecs).ravel()
+        return exact, tilde, tilde - exact, {"channel": {"b": b_vec, "a": a_vecs}, "parts": parts}
 
 
 class GfbScheduleChannel(Channel):
@@ -347,40 +353,22 @@ class GfbScheduleChannel(Channel):
         # averagedness grows with the step size, so its ends bound every step
         self.alphas = tuple(spec.alpha_at(g) for g in sorted(set(schedule.interval)))
 
-    def evaluate(self, k, z, rng):
+    def evaluate(self, k, z, draws):
         built = self.built
         gamma = self.schedule.value(k)
         exact, parts = built.evaluate(z)
         # the same block rows, consensus and smooth part at gamma_k
         native = (exact if gamma == built.spec.gamma
                   else built._resolve(built._rows(z), *parts[:2], gamma)[0])
-        eps = self._space_draw(rng, self.law.magnitude(k))
+        eps = self._errors(k, draws)
         tilde = native if eps is None else native + eps
         return exact, tilde, None if tilde is exact else tilde - exact, {"parts": parts}
 
 
-def _l2(x: np.ndarray) -> float:
-    """Euclidean norm of a contiguous 1-D vector, computed as
-    ``np.linalg.norm`` computes it (``sqrt(x . x)``), without its overhead."""
-    return math.sqrt(x.dot(x))
-
-
 def _l2_rows(X: np.ndarray) -> np.ndarray:
-    """:func:`_l2` of each row of a ``(C, d)`` stack, bit for bit (a row of
-    ``np.vecdot`` is that row's ``x.dot(x)``)."""
+    """The Euclidean norm ``sqrt(x . x)`` of each row ``x`` of a ``(C, d)``
+    stack, bit for bit (a row of ``np.vecdot`` is that row's ``x.dot(x)``)."""
     return np.sqrt(np.vecdot(X, X))
-
-
-def _draw(rng: np.random.Generator, mag: float, dim: int) -> Optional[np.ndarray]:
-    """A stage's error: ``mag`` times a uniformly drawn Euclidean unit
-    vector of ``R^dim``; None, without a draw, for ``mag = 0``."""
-    if mag == 0.0:
-        return None
-    while True:
-        g = rng.standard_normal(dim)
-        n = _l2(g)
-        if n > 1e-12:
-            return g / n * mag
 
 
 @dataclass
@@ -497,22 +485,23 @@ class DrsChannelModel(_SplittingChannel):
     then shadow-point error ``eps2`` (perturbing the second resolvent
     output)."""
 
-    def evaluate(self, k, z, rng):
+    segments_of = staticmethod(lambda spec: (spec.dim, spec.dim))
+
+    def evaluate(self, k, z, draws):
         # parts: the exact x = j2(z), with w and u = j1(w) at the perturbed
         # reflection w + 2 e2 when a shadow-point error e2 was injected
         built = self.built
         exact, parts = built.evaluate(z)
         x, w, _ = parts
-
-        dim, mag = built.spec.dim, self.stage_law.magnitude(k)
-        e1, e2 = _draw(rng, mag, dim), _draw(rng, mag, dim)
-        channel = {"eps1": e1, "eps2": e2}
-        if e1 is None:
-            return exact, exact, None, {"channel": channel, "parts": parts}
+        errs = self._errors(k, draws)
+        if errs is None:
+            return exact, exact, None, {"channel": {"eps1": None, "eps2": None}, "parts": parts}
+        e1, e2 = errs[:built.spec.dim], errs[built.spec.dim:]
         w = w + 2.0 * e2
         u = built.j1(w)
         tilde = 0.5 * (2.0 * u - w + z) + e1
-        return exact, tilde, tilde - exact, {"channel": channel, "parts": (x, w, u)}
+        return exact, tilde, tilde - exact, {"channel": {"eps1": e1, "eps2": e2},
+                                             "parts": (x, w, u)}
 
 
 class DrsCertificates(_CertificateStream):
@@ -696,10 +685,10 @@ class PdsBuilt:
         for t, v in zip(spec.duals, vs):
             s = s + t.omega * (t.L.T @ v)
         fwd = s + _smooth_at(spec.smooth, x)
-        if e1 is not None:
+        if errs is not None:
             fwd = fwd + e1
         p = spec.primal_block.resolvent(x - spec.tau * fwd, spec.tau)
-        if e2 is not None:
+        if errs is not None:
             p = p + e2
         y = 2.0 * p - x
         q = []
@@ -707,10 +696,10 @@ class PdsBuilt:
             inner = t.L @ y - t.r
             if t.d_inv is not None:
                 inner = inner - t.d_inv.fn(v)
-            if e3 is not None and e3[i] is not None:
+            if errs is not None:
                 inner = inner - e3[i]
             qi = self._dual_resolvent(t, v + t.sigma * inner)
-            if e4 is not None and e4[i] is not None:
+            if errs is not None:
                 qi = qi + e4[i]
             q.append(qi)
         return np.concatenate((p, *q))
@@ -723,16 +712,17 @@ class PdsChannelModel(_SplittingChannel):
 
     stages = 4
 
-    def evaluate(self, k, z, rng):
+    segments_of = staticmethod(lambda spec: 2 * (spec.dim_primal,)
+                               + 2 * tuple(t.L.shape[0] for t in spec.duals))
+
+    def evaluate(self, k, z, draws):
         built = self.built
-        spec = built.spec
         exact = built.block_step(z)
-        dH, mag = spec.dim_primal, self.stage_law.magnitude(k)
-        e1, e2 = _draw(rng, mag, dH), _draw(rng, mag, dH)
-        e3 = [_draw(rng, mag, t.L.shape[0]) for t in spec.duals]
-        e4 = [_draw(rng, mag, t.L.shape[0]) for t in spec.duals]
-        if e1 is None:
+        errs = self._errors(k, draws)
+        if errs is None:
             return exact, exact, None, {"channel": {}}
+        e1, e2, *duals = (errs[s] for s in self._slices)
+        e3, e4 = duals[:len(duals) // 2], duals[len(duals) // 2:]
         tilde = built.block_step(z, errs=(e1, e2, e3, e4))
         extras = {"channel": {"eps1": e1, "eps2": e2, "eps3": e3, "eps4": e4}}
         return exact, tilde, tilde - exact, extras

@@ -2,8 +2,9 @@
 wrapper, the inner product of a product space and its per-block norm, the
 cell-by-cell CSV row formatter, seeded sampling checks of
 averagedness, the diagonal-subspace projector and reflector of a weighted
-product space, the per-step forms of the block membership residuals and of
-the GFB certificate (kmcert computes both on stacks of steps), the
+product space, an error stage drawn a draw at a time (kmcert draws a chunk
+of steps at once), the per-step forms of the block membership residuals
+and of the GFB certificate (kmcert computes both on stacks of steps), the
 primal-dual operator in its preconditioned resolvent form with its
 preconditioner applied block by block, an independent forward-backward
 reference for the primal-dual instance, and the relaxed iteration with all
@@ -115,12 +116,7 @@ def trace_rows(trace, columns: dict) -> list:
 def sample_ball(space: ProductSpace, rng: np.random.Generator, radius: float) -> np.ndarray:
     """Draw uniformly from the ball of the given radius in the space's norm."""
     u = rng.uniform()
-    r = radius * u ** (1.0 / sum(space.dims))
-    while True:     # the engine's error draw: a direction of unit space norm
-        g = rng.standard_normal(space.size)
-        nrm = space.norm(g)
-        if nrm > 1e-12:
-            return g * (1.0 / nrm) * r
+    return per_draw_stage(rng, space.size, radius * u ** (1.0 / sum(space.dims)), space)
 
 
 @dataclass(frozen=True)
@@ -213,13 +209,31 @@ def reflect_diagonal(space: ProductSpace, z: np.ndarray) -> np.ndarray:
     return 2.0 * project_diagonal(space, z) - z
 
 
-# ---------------------------------------------------------------------------
-# certificates, one step at a time
-# ---------------------------------------------------------------------------
-
 def _l2(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
+
+# ---------------------------------------------------------------------------
+# error draws, one stage at a time
+# ---------------------------------------------------------------------------
+
+def per_draw_stage(rng, size: int, mag: float, space=None) -> np.ndarray:
+    """One error stage as a channel drew it with a ``standard_normal`` call
+    of its own: ``mag`` times the first draw of ``size`` values whose norm
+    exceeds 1e-12, a smaller one discarded and drawn again from the next
+    values.  In the norm of ``space`` as ``g * (1.0 / n) * mag`` (the bare
+    and schedule channels), or without one in the Euclidean norm as ``g / n
+    * mag`` (a splitting's stages)."""
+    while True:
+        g = rng.standard_normal(size)
+        n = _l2(g) if space is None else space.norm(g)
+        if n > 1e-12:
+            return g / n * mag if space is None else g * (1.0 / n) * mag
+
+
+# ---------------------------------------------------------------------------
+# certificates, one step at a time
+# ---------------------------------------------------------------------------
 
 def member_residual(block, u: np.ndarray, g: np.ndarray):
     """The residual of ``g in A(u)`` for one pair of vectors, by the block's
@@ -343,7 +357,7 @@ def pds_fbs_reference(problem, tol: float = 1e-13, max_iters: int = 100_000) -> 
 
 def per_step_run(operator: OperatorSpec, evalstep, z0: np.ndarray,
                  relaxation: RelaxationSchedule, stop: StopRule,
-                 fix, observe, seed: int) -> IterationTrace:
+                 fix, observe, draws) -> IterationTrace:
     """``kmcert.km._iterate`` as it ran before it took its bookkeeping a
     chunk at a time: every norm and check at every step.  Its trace columns,
     hand-overs to ``observe`` and failures (exception, step and message) are
@@ -356,7 +370,6 @@ def per_step_run(operator: OperatorSpec, evalstep, z0: np.ndarray,
         )
     _validate_admissible(relaxation, operator.alpha)
 
-    rng = np.random.default_rng(seed)
     lam_l, epsn_l, res_l, erg_l, disp_l, dist_l = [], [], [], [], [], []
     norm = space.norm
     eager = space.metric is not None   # M @ a warns on a non-finite a (0 * inf): scan first
@@ -380,7 +393,7 @@ def per_step_run(operator: OperatorSpec, evalstep, z0: np.ndarray,
         if fix is not None:
             dist_l.append(space.norm(z - fix.nearest(z)))
 
-        exact, tilde, eps_vec, extras = evalstep(k, z, rng)
+        exact, tilde, eps_vec, extras = evalstep(k, z, draws)
         if eager:
             _check_output(k, exact, tilde)
 

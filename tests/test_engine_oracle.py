@@ -133,6 +133,7 @@ class Injected:
     def __init__(self, problem, kind, at):
         channel = problem.make_channel(*ERROR_LAW)
         self.evaluate_inner, self.alphas = channel.evaluate, channel.alphas
+        self.draws = channel.draws
         self.operator = problem.operator
         self.kind, self.at = kind, at
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from kmcert.bounds import EmpiricalConstants, pointwise_bound
 from kmcert.errors import ParameterError
 from kmcert.km import (
+    CHUNK,
     Channel,
     ErrorSchedule,
     GammaSchedule,
@@ -53,6 +54,7 @@ from oracles import (
     pds_abstract_step,
     pds_fbs_reference,
     pds_metric_blocks,
+    per_draw_stage,
     reflect_diagonal,
 )
 
@@ -594,7 +596,7 @@ class TestNonstationaryFamily:
         channel = GfbScheduleChannel(p.built, GammaSchedule.from_function(
             lambda k: 1.7, spec.gamma, 1.2, 1.8), ErrorSchedule.power(0.0, 3.0))
         z = np.random.default_rng(5).standard_normal(p.built.space.size)
-        exact, out, eps, extras = channel.evaluate(0, z, np.random.default_rng(0))
+        exact, out, eps, extras = channel.evaluate(0, z, channel.draws(np.random.default_rng(0)))
         assert np.array_equal(exact, p.built.evaluate(z)[0])
         want = GfbBuilt(GfbSpec(spec.blocks, spec.weights, 1.7, spec.dim, spec.smooth))
         assert np.array_equal(out, want.evaluate(z)[0])
@@ -613,17 +615,38 @@ class TestNonstationaryFamily:
 # the error-channel contract
 # ---------------------------------------------------------------------------
 
-class RecordingGenerator:
-    """A seeded generator that records the size of each ``standard_normal``
-    draw, the only draws a channel makes."""
+class ZeroingGenerator:
+    """A seeded generator whose normal stream, counted value by value across
+    its calls, reads 0 at the positions ``zeros``; ``calls`` counts its
+    ``standard_normal`` calls (the only draws a channel makes) and
+    ``position`` the values drawn."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, zeros=()):
         self._rng = np.random.default_rng(seed)
-        self.sizes = []
+        self._zeros = np.array(sorted(zeros), dtype=int)
+        self.calls = self.position = 0
 
     def standard_normal(self, size):
-        self.sizes.append(size)
-        return self._rng.standard_normal(size)
+        out = self._rng.standard_normal(size)
+        flat = out.reshape(-1)
+        at = self._zeros[(self._zeros >= self.position)
+                         & (self._zeros < self.position + flat.size)]
+        flat[at - self.position] = 0.0
+        self.calls += 1
+        self.position += flat.size
+        return out
+
+
+def rejected_positions(sizes, rejections):
+    """The stream positions that zero ``count`` successive draws of stage
+    ``stage`` at step ``step``, for each ``(step, stage, count)`` in stream
+    order, in a channel with stage sizes ``sizes`` whose steps all draw."""
+    offsets, positions, shift = np.cumsum((0,) + tuple(sizes)), [], 0
+    for step, stage, count in rejections:
+        start = step * sum(sizes) + int(offsets[stage]) + shift
+        positions.extend(range(start, start + count * sizes[stage]))
+        shift += count * sizes[stage]
+    return positions
 
 
 def two_dual_pds(law):
@@ -637,7 +660,7 @@ def two_dual_pds(law):
 
 
 # label: (channel of a law, its stage errors from (eps, extras["channel"]) in
-# draw order, the draw sizes, the share of the law per stage, and whether a
+# draw order, the stage sizes, the share of the law per stage, and whether a
 # stage is drawn in the space norm rather than the Euclidean one)
 CHANNELS = {
     "bare": (lambda law: Channel(make_zero_map(d=4).operator, law),
@@ -649,7 +672,7 @@ CHANNELS = {
     "pds": (two_dual_pds,
             lambda eps, ch: [ch["eps1"], ch["eps2"], *ch["eps3"], *ch["eps4"]],
             [3, 3, 2, 4, 2, 4], 4.0, False),
-    # gamma_k = gamma: the reported error is the injected one
+    # gamma_k = gamma: the reported error is (exact + injected) - exact
     "gfb-schedule": (lambda law: GfbScheduleChannel(
         make_multiblock_nonstationary("constant", d=5).built,
         GammaSchedule.constant(1.5), law), lambda eps, ch: [eps], [15], 1.0, True),
@@ -658,25 +681,38 @@ CHANNELS = {
 
 @pytest.mark.parametrize("label", sorted(CHANNELS))
 def test_channel_draws_its_stages_in_order_at_their_share_of_the_law(label):
-    # batched seeds rely on this order: one rng stream, stage by stage
+    # batched seeds rely on this order: one rng stream, stage by stage, as if
+    # each stage had its own standard_normal call; the stream takes a chunk
+    # of steps at once, so the run covers three chunks, with discarded
+    # segments at a chunk's first segment, at a middle stage, and twice in a
+    # row at a chunk's last segment
     make, stages, sizes, share, in_space_norm = CHANNELS[label]
-    c, p, k = 0.3, 2.0, 2
+    c, p = 0.3, 2.0
     channel = make(ErrorSchedule.power(c, p))
-    norm = channel.operator.space.norm if in_space_norm else np.linalg.norm
+    space = channel.operator.space if in_space_norm else None
     z = np.random.default_rng(1).standard_normal(channel.operator.space.size)
-    rng = RecordingGenerator(7)
-    exact, tilde, eps, extras = channel.evaluate(k, z, rng)
-    assert rng.sizes == sizes
-    mag = c / share / (k + 1.0) ** p
-    replay = np.random.default_rng(7)
-    drawn = stages(eps, (extras or {}).get("channel"))
-    assert len(drawn) == len(sizes)
-    for got, size in zip(drawn, sizes):
-        g = replay.standard_normal(size)
-        np.testing.assert_allclose(got, g / norm(g) * mag, rtol=1e-12, atol=1e-15)
-        assert norm(got) == pytest.approx(mag, rel=1e-12)
-    assert np.array_equal(eps, tilde - exact)
+    zeros = rejected_positions(sizes, [(0, 0, 1), (5, len(sizes) // 2, 1),
+                                       (CHUNK - 1, len(sizes) - 1, 2), (CHUNK, 0, 1)])
+    draws, replay = channel.draws(ZeroingGenerator(7, zeros)), ZeroingGenerator(7, zeros)
+    steps = 2 * CHUNK + 3
+    for k in range(steps):
+        exact, tilde, eps, extras = channel.evaluate(k, z, draws)
+        mag = c / share / (k + 1.0) ** p
+        drawn = stages(eps, (extras or {}).get("channel"))
+        assert len(drawn) == len(sizes)
+        for got, size in zip(drawn, sizes):
+            want = per_draw_stage(replay, size, mag, space)
+            if space is not None:   # the whole error, reported as tilde - exact
+                want = (exact + want) - exact
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(eps, tilde - exact)
+    # the oracle discarded every zeroed segment
+    assert replay.position == steps * sum(sizes) + len(zeros)
     # an exact channel draws nothing and reports no error
-    quiet = RecordingGenerator(7)
-    exact, tilde, eps, _ = make(ErrorSchedule.power(0.0, p)).evaluate(k, z, quiet)
-    assert quiet.sizes == [] and eps is None and tilde is exact
+    quiet = ZeroingGenerator(7)
+    exact_channel = make(ErrorSchedule.power(0.0, p))
+    draws = exact_channel.draws(quiet)
+    for k in range(3):
+        exact, tilde, eps, _ = exact_channel.evaluate(k, z, draws)
+        assert eps is None and tilde is exact
+    assert quiet.calls == 0

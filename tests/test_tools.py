@@ -68,13 +68,16 @@ def test_analytic_members_match_recorded_digests(capsys):
 
 def test_nonstationary_members_match_recorded_digests(capsys):
     # the cached limit operator (constant) and a fresh factorization every
-    # step (harmonic), exact and inexact, at both recorded seeds; the
-    # inexact harmonic run draws its errors at gamma_k != gamma
+    # step (harmonic), exact and inexact, and every other schedule's inexact
+    # run, at both recorded seeds: with the certified entries, every entry
+    # that draws an error; the inexact runs other than the constant one
+    # draw their errors at gamma_k != gamma
     tool = load_tool()
-    members = ["ns-constant", "ns-harmonic", "inexact:ns-constant", "inexact:ns-harmonic"]
+    members = ["ns-constant", "ns-harmonic", "inexact:ns-constant", "inexact:ns-harmonic",
+               "inexact:ns-geometric", "inexact:ns-inverse-square"]
     argv = ["--compare", str(ROOT / "digests-parent.json"), "--members", *members]
     assert tool.main(argv) == 0
-    assert "8/8 digests match" in capsys.readouterr().out
+    assert "12/12 digests match" in capsys.readouterr().out
 
 
 def _scale_cell(path, k, column, factor):

@@ -165,7 +165,7 @@ class Poisoned:
 
     def __init__(self, problem, value, index, which="both", c=0.0):
         channel = problem.make_channel(c, 3.0)
-        self.inner, self.alphas = channel.evaluate, channel.alphas
+        self.inner, self.alphas, self.draws = channel.evaluate, channel.alphas, channel.draws
         self.operator = problem.operator
         self.value, self.index, self.which = value, index, which
 
