@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -74,8 +75,9 @@ DEFAULTS = {
     "n_blocks": 3,
     "problem_seed": 1,
 }
-# seeds feed numpy's generator, which takes no negative seed
-INT_MINIMUM = {"seed": 0, "problem_seed": 0, "max_iters": -1}
+# seeds feed numpy's generator, which takes no negative seed; a residual
+# tolerance below 0 would stop nothing and still be echoed
+MINIMUM = {"seed": 0, "problem_seed": 0, "max_iters": -1, "tol": 0}
 
 PRESETS = {
     "gd-fig1": {"problem": "gd", "delta_m": 0.8, "delta_M": 1.0, "dim": 2,
@@ -140,9 +142,9 @@ def _check_value(key: str, val, default) -> None:
         want = "a finite number"
     if not ok:
         raise ParameterError(f"config key {key!r} must be {want}, got {val!r}")
-    if key in INT_MINIMUM and val < INT_MINIMUM[key]:
+    if key in MINIMUM and val < MINIMUM[key]:
         raise ParameterError(
-            f"config key {key!r} must be >= {INT_MINIMUM[key]}, got {val!r}")
+            f"config key {key!r} must be >= {MINIMUM[key]}, got {val!r}")
 
 
 def resolve_config(preset: Optional[str] = None, config_path: Optional[str] = None,
@@ -177,63 +179,53 @@ def resolve_config(preset: Optional[str] = None, config_path: Optional[str] = No
     return cfg
 
 
-# the keys each problem reads besides RUN_KEYS, which every run reads (and
-# gamma_schedule only under gfb-nonstationary); any other key keeps its default
+# each (problem, method): its generator and the config key behind each of the
+# generator's arguments; the first row of a problem is its blank method.  A
+# run reads its row's keys and RUN_KEYS; any other key keeps its default
 RUN_KEYS = {"method", "name", "error_c", "error_p", "max_iters", "tol", "seed"}
-PROBLEM_KEYS = {
-    "zero-map": {"dim", "problem_seed"},
-    "gd": {"delta_m", "delta_M", "dim", "gamma"},
-    "two-subspaces": {"theta", "dim", "lam"},
-    "lasso": {"rows", "cols", "mu", "problem_seed"},
-    "multiblock": {"n_blocks", "dim", "problem_seed", "gamma_schedule"},
-    "pds-small": {"problem_seed"},
+PROBLEMS = {
+    ("zero-map", "km"): (make_zero_map, {"d": "dim", "seed": "problem_seed"}),
+    ("gd", "km"): (make_quadratic_gd, {"delta_m": "delta_m", "delta_M": "delta_M",
+                                       "d": "dim", "gamma": "gamma"}),
+    ("two-subspaces", "drs"): (make_two_subspaces, {"theta": "theta", "d": "dim",
+                                                    "lam": "lam"}),
+    ("lasso", "gfb"): (make_lasso, {"m": "rows", "n": "cols", "mu": "mu",
+                                    "seed": "problem_seed"}),
+    ("multiblock", "gfb"): (make_gfb_multiblock, {"n_blocks": "n_blocks", "d": "dim",
+                                                  "seed": "problem_seed"}),
+    ("multiblock", "gfb-nonstationary"): (
+        make_multiblock_nonstationary, {"kind": "gamma_schedule", "d": "dim",
+                                        "n_blocks": "n_blocks", "seed": "problem_seed"}),
+    ("pds-small", "pds"): (make_pds_small, {"seed": "problem_seed"}),
 }
 
 
-def _make_problem(cfg: dict) -> ProblemInstance:
-    kind = cfg["problem"]
-    if kind == "zero-map":
-        return make_zero_map(d=cfg["dim"], seed=cfg["problem_seed"])
-    if kind == "gd":
-        return make_quadratic_gd(cfg["delta_m"], cfg["delta_M"], cfg["dim"],
-                                 cfg["gamma"])
-    if kind == "two-subspaces":
-        return make_two_subspaces(cfg["theta"], cfg["dim"], lam=cfg["lam"])
-    if kind == "lasso":
-        mu = cfg["mu"] if cfg["mu"] > 0 else None
-        return make_lasso(cfg["rows"], cfg["cols"], mu=mu, seed=cfg["problem_seed"])
-    if kind == "multiblock":
-        if cfg["method"] == "gfb-nonstationary":
-            return make_multiblock_nonstationary(
-                cfg["gamma_schedule"], d=cfg["dim"], n_blocks=cfg["n_blocks"],
-                seed=cfg["problem_seed"])
-        return make_gfb_multiblock(cfg["n_blocks"], cfg["dim"],
-                                   seed=cfg["problem_seed"])
-    if kind == "pds-small":
-        return make_pds_small(seed=cfg["problem_seed"])
-    raise ParameterError(f"unknown problem {kind!r}")
-
-
 def build_problem(cfg: dict) -> ProblemInstance:
-    """The configured problem; ``method`` may be blank, the problem's own
-    kind, or ``gfb-nonstationary`` on the multi-block problem.  A key the
-    problem does not read must keep its default."""
-    problem = _make_problem(cfg)
-    read = RUN_KEYS | PROBLEM_KEYS[cfg["problem"]]
-    if cfg["method"] != "gfb-nonstationary":
-        read.discard("gamma_schedule")
-    unread = [key for key, default in DEFAULTS.items() if key not in read and cfg[key] != default]
+    """The configured problem; ``method`` may be blank or one of the
+    problem's rows in :data:`PROBLEMS`.  A key the problem does not read must
+    keep its default.  Configs that agree on the keys the problem reads share
+    one instance, and with it one fixed-point reference."""
+    methods = [m for problem, m in PROBLEMS if problem == cfg["problem"]]
+    if not methods:
+        raise ParameterError(f"unknown problem {cfg['problem']!r}")
+    if cfg["method"] not in ["", *methods]:
+        raise ParameterError(
+            f"config key 'method' must be one of {['', *methods]} for problem "
+            f"{cfg['problem']!r}, got {cfg['method']!r}")
+    row = (cfg["problem"], cfg["method"] or methods[0])
+    keys = PROBLEMS[row][1].values()
+    unread = [key for key, default in DEFAULTS.items()
+              if key not in RUN_KEYS and key not in keys and cfg[key] != default]
     if unread:
         raise ParameterError(f"problem {cfg['problem']!r} does not read config key "
                              f"{', '.join(map(repr, unread))}; leave it at its default")
-    allowed = ["", problem.kind]
-    if cfg["problem"] == "multiblock":
-        allowed.append("gfb-nonstationary")
-    if cfg["method"] not in allowed:
-        raise ParameterError(
-            f"config key 'method' must be one of {allowed} for problem "
-            f"{cfg['problem']!r}, got {cfg['method']!r}")
-    return problem
+    return _built(row, *(cfg[key] for key in keys))
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _built(row: tuple, *values) -> ProblemInstance:
+    make, keys = PROBLEMS[row]
+    return make(**dict(zip(keys, values)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +371,7 @@ def execute_run(cfg: dict):
 
     try:
         report["observed_rate"] = problem.observed_rate(trace)
-    except (UnavailableError, KmcertError):
+    except UnavailableError:
         report["observed_rate"] = None
 
     if schedule is not None:
@@ -664,7 +656,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (NumericalError,) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -3,8 +3,6 @@ rates.  Every generator is deterministic under a fixed seed."""
 
 from __future__ import annotations
 
-import functools
-import inspect
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -47,10 +45,6 @@ from .splitting import (
 )
 
 CERT_HORIZON = 1000
-# fixed-point references solved in this process, least recently used first
-# (see ProblemInstance.fix_reference); a start point and a fixed point each
-_REFERENCE_CACHE_SIZE = 8
-_REFERENCES: dict = {}
 # a reference run stops at this residual, or after this many cert_horizons
 _REFERENCE_TOL = 1e-13
 _REFERENCE_FACTOR = 10
@@ -62,17 +56,15 @@ _SPLITTINGS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemInstance:
     """Operator assembly plus what the certification harness needs: a
     fixed-point description, analytic constants when available, and the
     recommended start / schedules.  A problem with a step-size ``schedule``
     is non-stationary: ``operator`` is its limit and its runs go through the
-    schedule's channel model.  ``origin`` keys the fixed-point reference
-    (see :meth:`fix_reference`): the generator that built the instance and
-    its arguments, or a token of its own for an instance built any other
-    way (``dataclasses.replace`` included) or given a new operator or
-    relaxation."""
+    schedule's channel model.  Frozen, since runs share an instance and the
+    fixed-point reference it holds (see :meth:`fix_reference`); a variant is
+    made with ``dataclasses.replace`` and solves its own reference."""
 
     name: str
     kind: str                       # km | gfb | drs | pds
@@ -88,13 +80,8 @@ class ProblemInstance:
     built: object = None
     constants: dict = field(default_factory=dict)
     schedule: Optional[GammaSchedule] = None
-    origin: object = field(init=False, default_factory=object, repr=False)
-
-    def __setattr__(self, name, value):
-        # a new operator or relaxation is no longer what the generator built
-        if name in ("operator", "relaxation") and "origin" in self.__dict__:
-            super().__setattr__("origin", object())
-        super().__setattr__(name, value)
+    _reference: Optional[FixedPointSet] = field(init=False, default=None, repr=False,
+                                                compare=False)
 
     # -- run helpers --------------------------------------------------------
 
@@ -156,39 +143,13 @@ class ProblemInstance:
 
     def fix_reference(self) -> FixedPointSet:
         """The analytic fixed-point set, or else the end point of a
-        :func:`reference_solution` run, solved once per process: it is kept
-        under the key of everything that fixes the operator, the start and
-        the reference stop rule (``origin``, the bytes of ``z0`` and
-        ``cert_horizon``)."""
+        :func:`reference_solution` run, solved on the first call and kept on
+        the instance."""
         if self.fix is not None:
             return self.fix
-        key = (self.origin, self.z0.tobytes(), self.cert_horizon)
-        ref = _REFERENCES.pop(key, None)
-        if ref is None:
-            ref = reference_solution(self)
-        _REFERENCES[key] = ref
-        if len(_REFERENCES) > _REFERENCE_CACHE_SIZE:
-            del _REFERENCES[next(iter(_REFERENCES))]
-        return ref
-
-
-def _generator(make):
-    """Set the ``origin`` of each instance ``make`` returns: its name and
-    its arguments with the defaults filled in, floats by their exact bits
-    (so ``0.0`` and ``-0.0`` differ).  For the generators whose fixed point
-    is not analytic, so that their instances share one reference."""
-    signature = inspect.signature(make)
-
-    @functools.wraps(make)
-    def generate(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        problem = make(*args, **kwargs)
-        problem.origin = (make.__name__, *(
-            (name, v.hex() if isinstance(v, float) else v)
-            for name, v in bound.arguments.items()))
-        return problem
-    return generate
+        if self._reference is None:
+            object.__setattr__(self, "_reference", reference_solution(self))
+        return self._reference
 
 
 def _rate_horizon(rate: float, start: float, target: float, less: int = 0) -> int:
@@ -300,12 +261,11 @@ def make_two_subspaces(theta: float, d: int, lam: float = 1.0) -> ProblemInstanc
     )
 
 
-@_generator
-def make_lasso(m: int, n: int, mu: Optional[float] = None, seed: int = 1,
-               ) -> ProblemInstance:
+def make_lasso(m: int, n: int, mu: float = 0.0, seed: int = 1) -> ProblemInstance:
     """Single-block product-space splitting (plain forward-backward) for an
     l1-penalized least-squares instance with a planted sparse solution and a
-    seeded, column-normalized design."""
+    seeded, column-normalized design; l1 weight ``mu``, or for ``mu = 0``
+    a fifth of ``max |A^T y|``."""
     if m > 200 or n > 200 or m < 1 or n < 1:
         raise ParameterError("desk scale only: m, n <= 200")
     rng = np.random.default_rng(seed)
@@ -320,7 +280,7 @@ def make_lasso(m: int, n: int, mu: Optional[float] = None, seed: int = 1,
     Q = A.T @ A
     q = A.T @ y
     smooth = CocoerciveMap.quadratic(Q, q)
-    if mu is None:
+    if mu == 0:
         mu = 0.2 * float(np.max(np.abs(q)))
     gamma = smooth.beta
     spec = GfbSpec(blocks=[L1Block(mu)], weights=np.array([1.0]), gamma=gamma,
@@ -335,7 +295,6 @@ def make_lasso(m: int, n: int, mu: Optional[float] = None, seed: int = 1,
     )
 
 
-@_generator
 def make_gfb_multiblock(n_blocks: int, d: int, seed: int = 2,
                         gamma: float = 1.0) -> ProblemInstance:
     """Multi-block product-space instance mixing l1, box-indicator and affine
@@ -366,7 +325,6 @@ def make_gfb_multiblock(n_blocks: int, d: int, seed: int = 2,
     )
 
 
-@_generator
 def make_pds_small(seed: int = 3) -> ProblemInstance:
     """Primal-dual instance with one dual block: box-constrained quadratic
     plus an l1 composite through a dense coupling with orthonormalized rows.
@@ -405,7 +363,6 @@ def make_pds_small(seed: int = 3) -> ProblemInstance:
     )
 
 
-@_generator
 def make_multiblock_nonstationary(kind: str, d: int = 10, n_blocks: int = 3,
                                   seed: int = 2) -> ProblemInstance:
     """Per-step-parameter variant of the multi-block instance: the step size

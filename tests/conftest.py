@@ -2,6 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+from kmcert import cli, problems
+
+# a run draws only what its test and its explicit examples name: no example
+# database carried between runs, and a failure prints its reproduction blob
+settings.register_profile("kmcert", database=None, print_blob=True)
+settings.load_profile("kmcert")
 
 
 class Recorder:
@@ -58,10 +66,24 @@ def record():
 
 
 @pytest.fixture
-def fresh_references(monkeypatch):
-    """An empty fixed-point reference cache for the test, so what it counts
-    does not depend on the tests that ran before it."""
-    from kmcert import problems
+def fresh_references():
+    """An empty memo of CLI-built problems, and so of their fixed-point
+    references, before and after the test, so what it counts does not
+    depend on the tests that ran before it."""
+    cli._built.cache_clear()
+    yield
+    cli._built.cache_clear()
 
-    monkeypatch.setattr(problems, "_REFERENCES", {})
-    return problems._REFERENCES
+
+@pytest.fixture
+def solves(fresh_references, monkeypatch):
+    """The problems whose reference is solved during the test, in order."""
+    solved = []
+    solve = problems.reference_solution
+
+    def counting(problem, *args, **kwargs):
+        solved.append(problem.name)
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(problems, "reference_solution", counting)
+    return solved

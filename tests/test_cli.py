@@ -1,4 +1,5 @@
 import filecmp
+import inspect
 import json
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from kmcert.cli import (
     CSV_COLUMNS,
     DEFAULTS,
     PRESETS,
-    PROBLEM_KEYS,
+    PROBLEMS,
     RUN_KEYS,
     build_problem,
     emit_trace_csv,
@@ -65,16 +66,33 @@ def _non_default(default):
     return default + (1 if isinstance(default, int) else 0.25)
 
 
-# every key a problem does not read; plain multi-block runs read no schedule
-UNREAD = [(problem, key) for problem, read in sorted(PROBLEM_KEYS.items())
-          for key in DEFAULTS if key not in read | RUN_KEYS]
-UNREAD.append(("multiblock", "gamma_schedule"))
+# every key a row of the problem table does not read
+UNREAD = [(row, key) for row, (_, keys) in PROBLEMS.items()
+          for key in DEFAULTS if key not in RUN_KEYS | set(keys.values())]
 
 
-@pytest.mark.parametrize("problem, key", UNREAD)
-def test_unread_key_at_a_non_default_value_exits_2(problem, key, tmp_path, capsys):
+# generator arguments no config key sets: the multi-block step size, which
+# the CLI leaves at 1.0 and the non-stationary generator sets itself
+LIBRARY_ONLY = {("multiblock", "gfb"): {"gamma"}}
+
+
+@pytest.mark.parametrize("row", PROBLEMS, ids="/".join)
+def test_each_generator_argument_has_one_config_key(row):
+    make, keys = PROBLEMS[row]
+    params = inspect.signature(make).parameters
+    assert set(keys) | LIBRARY_ONLY.get(row, set()) == set(params)
+    assert all(params[name].default is not params[name].empty
+               for name in LIBRARY_ONLY.get(row, ()))
+    assert len(set(keys.values())) == len(keys)
+    assert set(keys.values()) <= set(DEFAULTS) - RUN_KEYS
+
+
+@pytest.mark.parametrize("row, key", UNREAD, ids=[f"{p}/{m}-{k}" for (p, m), k in UNREAD])
+def test_unread_key_at_a_non_default_value_exits_2(row, key, tmp_path, capsys):
+    problem, method = row
     cfgfile = tmp_path / "cfg.txt"
-    cfgfile.write_text(f"problem = {problem}\n{key} = {_non_default(DEFAULTS[key])}\n")
+    cfgfile.write_text(f"problem = {problem}\nmethod = {method}\n"
+                       f"{key} = {_non_default(DEFAULTS[key])}\n")
     assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
     assert (f"config error: problem {problem!r} does not read config key {key!r}"
             in capsys.readouterr().err)
@@ -358,6 +376,23 @@ class TestNonstationaryRuns:
         err = capsys.readouterr().err
         assert "config key 'method' must be one of ['', 'gfb']" in err
         assert "got 'gfb-nonstationary'" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_negative_l1_weight_exits_2(self, tmp_path, capsys):
+        # only mu = 0 stands for the generator's own weight
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("problem = lasso\nmu = -0.5\n")
+        assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+        assert "config error: l1 weight must be positive" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("argv", [["--tol", "-1.0"], ["--config", "cfg.txt"]])
+    def test_negative_tol_exits_2_naming_the_key(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.txt").write_text("problem = zero-map\ntol = -1.0\n")
+        assert main(["run", "--preset", "gd-fig1", *argv]) == 2
+        assert ("config error: config key 'tol' must be >= 0, got -1.0"
+                in capsys.readouterr().err)
         assert not list(tmp_path.glob("*.csv"))
 
     def test_problem_kind_accepted_as_method(self, tmp_path):

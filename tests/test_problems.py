@@ -1,10 +1,11 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from kmcert import cli, problems
 from kmcert.errors import ParameterError
+from kmcert.km import RelaxationSchedule
 from kmcert.problems import (
     make_gfb_multiblock,
     make_lasso,
@@ -171,20 +172,6 @@ class TestReferenceSolution:
         assert res <= 1e-12
 
 
-@pytest.fixture
-def solves(fresh_references, monkeypatch):
-    """The problems whose reference is solved during the test, in order."""
-    solved = []
-    solve = problems.reference_solution
-
-    def counting(problem, *args, **kwargs):
-        solved.append(problem.name)
-        return solve(problem, *args, **kwargs)
-
-    monkeypatch.setattr(problems, "reference_solution", counting)
-    return solved
-
-
 def member(label, **overrides):
     cfg = dict({m["name"]: m for m in cli.suite_members()}[label])
     cfg.update(overrides)
@@ -196,8 +183,9 @@ SPLITTING = [f"cert-{p}-{m}" for p in ("lasso", "multiblock", "pds", "drs")
 
 
 class TestReferenceCache:
-    """``fix_reference`` solves each problem's reference once per process,
-    keyed on the generator, its arguments, ``z0`` and ``cert_horizon``."""
+    """``fix_reference`` solves each instance's reference once, and
+    ``cli.build_problem`` shares one instance between the configs that agree
+    on the keys the problem reads."""
 
     def test_splitting_members_solve_three_references(self, solves):
         # the run-only keys (seed, error law, horizon, tol, name) share one solve
@@ -224,24 +212,62 @@ class TestReferenceCache:
         assert len(solves) == 2
         assert first.fix_reference() is not other.fix_reference()
 
-    def test_start_point_and_horizon_are_keys(self, solves):
-        p = make_lasso(10, 12, seed=3)
-        p.fix_reference()
-        p.z0 = p.z0 + 0.5
-        p.fix_reference()
-        p.cert_horizon = 500
-        p.fix_reference()
-        make_lasso(10, 12, seed=3).fix_reference()      # the first key again
-        assert len(solves) == 3
+    @pytest.mark.parametrize("row", list(cli.PROBLEMS), ids="/".join)
+    def test_the_memo_keys_on_exactly_the_keys_a_problem_reads(self, fresh_references,
+                                                               row):
+        problem, method = row
+        base = cli.resolve_config(overrides={"problem": problem, "method": method})
+        first = cli.build_problem(base)
+        for key, value in [("seed", 5), ("error_c", 0.1), ("error_p", 2.0),
+                           ("max_iters", 7), ("tol", 1e-3), ("name", "other")]:
+            assert cli.build_problem({**base, key: value}) is first
+        changed = {"theta": 1.0, "delta_m": 0.5, "delta_M": 2.0, "gamma": 1.0,
+                   "lam": 0.5, "mu": 0.05, "rows": 41, "cols": 61, "n_blocks": 2,
+                   "dim": 3, "problem_seed": 2, "gamma_schedule": "harmonic"}
+        keys = cli.PROBLEMS[row][1].values()
+        for key in keys:
+            other = cli.build_problem({**base, key: changed[key]})
+            assert other is not first
+            assert cli.build_problem({**base, key: changed[key]}) is other
+        assert cli._built.cache_info().misses == 1 + len(keys)
 
-    @pytest.mark.parametrize("attr", ["operator", "relaxation"])
-    def test_a_replaced_operator_or_relaxation_is_a_new_key(self, solves, attr):
+    @pytest.mark.parametrize("problem, key", [("gd", "gamma"), ("two-subspaces", "lam"),
+                                              ("lasso", "mu")])
+    def test_the_memo_tells_an_int_from_a_float(self, fresh_references, problem, key):
+        built = [cli.build_problem(cli.resolve_config(overrides={"problem": problem,
+                                                                 key: value}))
+                 for value in (1, 1.0)]
+        assert built[0] is not built[1]
+
+    def test_the_memo_holds_at_most_eight(self, fresh_references, solves):
+        def build(seed):
+            return cli.build_problem(cli.resolve_config(overrides={
+                "problem": "lasso", "rows": 6, "cols": 8, "problem_seed": seed}))
+
+        made = [build(s) for s in range(11)]
+        assert cli._built.cache_info().currsize == 8
+        assert build(3) is made[3]                  # the oldest held
+        assert build(0) is not made[0]              # evicted: built again
+        assert build(4) is not made[4]              # evicted by made[0]'s rebuild
+        assert solves == []                         # building solves nothing
+
+    def test_an_instance_is_frozen(self):
+        p = make_lasso(10, 12, seed=3)
+        with pytest.raises(FrozenInstanceError):
+            p.z0 = p.z0 + 0.5
+
+    @pytest.mark.parametrize("change", [
+        lambda p: {"z0": p.z0 + 0.5},
+        lambda p: {"cert_horizon": 500},
+        lambda p: {"relaxation": RelaxationSchedule.constant(0.5)},
+        lambda p: {"operator": make_lasso(10, 12, mu=0.05, seed=3).operator},
+    ], ids=["z0", "cert_horizon", "relaxation", "operator"])
+    def test_a_replaced_instance_solves_again(self, solves, change):
         p = make_lasso(10, 12, seed=3)
         p.fix_reference()
-        origin = p.origin
-        setattr(p, attr, getattr(make_lasso(10, 12, mu=0.05, seed=3), attr))
-        assert p.origin is not origin
-        p.fix_reference()
+        q = replace(p, **change(p))
+        assert q.fix_reference() is not p.fix_reference()
+        q.fix_reference()
         assert len(solves) == 2
 
     def test_analytic_fixed_points_solve_nothing(self, solves):
@@ -250,16 +276,16 @@ class TestReferenceCache:
             assert p.fix_reference() is p.fix
         assert solves == []
 
-    def test_instances_not_made_by_a_generator_share_nothing(self, solves):
+    def test_each_instance_solves_once(self, solves):
+        # a generator called twice builds two instances, and each solves
         p = make_lasso(10, 12, seed=3)
-        copy = replace(p)
+        again = make_lasso(10, 12, seed=3)
         direct = problems.ProblemInstance(
             name="direct", kind="gfb", operator=p.operator, z0=p.z0,
             relaxation=p.relaxation, built=p.built)
-        for q in (p, copy, direct, p, copy, direct):
+        for q in (p, again, direct, p, again, direct):
             q.fix_reference()
         assert solves == ["lasso", "lasso", "direct"]
-        assert copy.origin is not p.origin
 
     def test_cached_point_is_read_only(self, solves):
         p = make_lasso(10, 12, seed=3)
@@ -267,20 +293,6 @@ class TestReferenceCache:
         with pytest.raises(ValueError, match="read-only"):
             z_star[0] = 1.0
         assert not z_star.flags.writeable
-
-    def test_cache_holds_at_most_its_cap(self, fresh_references, solves):
-        cap = problems._REFERENCE_CACHE_SIZE
-        made = [make_lasso(6, 8, seed=s) for s in range(cap + 3)]
-        for p in made:
-            p.fix_reference()
-            assert len(fresh_references) <= cap
-        assert len(solves) == cap + 3
-        made[3].fix_reference()               # the oldest held: no new solve
-        made[0].fix_reference()               # evicted: solved again, evicting made[4]
-        made[3].fix_reference()
-        assert len(solves) == cap + 4 and len(fresh_references) == cap
-        made[4].fix_reference()
-        assert len(solves) == cap + 5
 
     @pytest.mark.parametrize("name", [f"cert-{p}-{m}" for p in ("lasso", "multiblock", "pds")
                                       for m in ("exact", "inexact")])

@@ -163,7 +163,6 @@ class Counting(MonotoneBlock):
         return self.inner.member_residual(u, g)
 
 
-@pytest.mark.usefixtures("fresh_references")
 class TestEvaluationCounts:
     """A certified step evaluates its operator once: the certificates read
     the step's internals instead of evaluating resolvents again."""

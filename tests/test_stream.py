@@ -10,6 +10,8 @@ residual tolerance, and every hand-over is checked against the contract of
 ``run_km``'s ``observe``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -161,10 +163,8 @@ def zero_map_spiked():
     """The zero map relaxed by 0.01 except at the last step of the first
     chunk, 0.9: the largest residual jump ``||e_k - e_{k+1}||`` is the one
     across the chunk boundary."""
-    p = make_zero_map(4)
-    p.relaxation = RelaxationSchedule.from_function(
-        lambda k: 0.9 if k == CHUNK - 1 else 0.01, 0.01, 0.9)
-    return p
+    return replace(make_zero_map(4), relaxation=RelaxationSchedule.from_function(
+        lambda k: 0.9 if k == CHUNK - 1 else 0.01, 0.01, 0.9))
 
 
 HORIZONS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)

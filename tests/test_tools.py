@@ -35,7 +35,7 @@ def test_trace_digests_record_and_compare(tmp_path, capsys):
     assert "MISMATCH preset:gd-fig1@seed1" in capsys.readouterr().out
 
 
-def test_reference_solving_members_match_recorded_digests(fresh_references, capsys):
+def test_reference_solving_members_match_recorded_digests(solves, capsys):
     # one process, the exact member first: each inexact member reuses its
     # problem's reference, so the recorded bytes pin the warm path too
     tool = load_tool()
@@ -47,7 +47,7 @@ def test_reference_solving_members_match_recorded_digests(fresh_references, caps
     assert "18/18 digests match" in capsys.readouterr().out
     # one reference per distinct problem: lasso, multiblock at problem seeds
     # 1 (suite) and 2 (preset), pds-small at problem seeds 1 and 3
-    assert len(fresh_references) == 5
+    assert len(solves) == 5
 
 
 def test_analytic_members_match_recorded_digests(capsys):

@@ -65,10 +65,8 @@ def inf_smooth_problem():
     spec = GfbSpec(blocks=[L1Block(0.1), LinearBlock(np.eye(d))],
                    weights=np.array([0.5, 0.5]), gamma=1.0, dim=d,
                    smooth=CocoerciveMap(lambda x: np.full_like(x, np.inf), 1.0, "inf"))
-    p = make_gfb_multiblock(2, d)
-    p.built = GfbBuilt(spec)
-    p.operator = p.built.operator
-    return p
+    built = GfbBuilt(spec)
+    return replace(make_gfb_multiblock(2, d), built=built, operator=built.operator)
 
 
 class TestSpaces:
@@ -117,8 +115,7 @@ class TestOperatorOutputs:
     def test_non_finite_output_exits_3(self, tmp_path, monkeypatch, capsys):
         def nan_problem(cfg):
             p = make_zero_map(d=2)
-            p.operator = nan_operator(p.operator.space)
-            return p
+            return replace(p, operator=nan_operator(p.operator.space))
 
         monkeypatch.setattr(cli, "build_problem", nan_problem)
         rc = main(["run", "--preset", "gd-fig1", "--out", str(tmp_path)])
@@ -275,7 +272,7 @@ class TestFixedPointChecks:
                 return out * np.nan
             return out
 
-        p.operator = OperatorSpec(fn, op.alpha, "poisoned", op.space)
+        p = replace(p, operator=OperatorSpec(fn, op.alpha, "poisoned", op.space))
         real_run_km = problems.run_km
 
         def run_then_poison(*args, **kwargs):
@@ -289,7 +286,6 @@ class TestFixedPointChecks:
             reference_solution(p)
 
 
-@pytest.mark.usefixtures("fresh_references")
 class TestCaches:
     def test_factorization_cache_stays_bounded(self):
         p = make_multiblock_nonstationary("harmonic", d=6)
