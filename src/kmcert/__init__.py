@@ -45,16 +45,13 @@ from .splitting import (
     BoxBlock,
     DrsBuilt,
     DrsCertificates,
-    DrsSpec,
     GfbBuilt,
     GfbCertificates,
-    GfbSpec,
     L1Block,
     LinearBlock,
     PdsBuilt,
     PdsCertificates,
     PdsDualTerm,
-    PdsSpec,
     SubspaceBlock,
     ZeroBlock,
 )

@@ -27,19 +27,16 @@ from .splitting import (
     DrsBuilt,
     DrsCertificates,
     DrsChannelModel,
-    DrsSpec,
     GfbBuilt,
     GfbCertificates,
     GfbChannelModel,
     GfbScheduleChannel,
-    GfbSpec,
     L1Block,
     LinearBlock,
     PdsBuilt,
     PdsCertificates,
     PdsChannelModel,
     PdsDualTerm,
-    PdsSpec,
     SubspaceBlock,
     ZeroBlock,
 )
@@ -172,6 +169,8 @@ def _check_fixed_point(operator: OperatorSpec, z_star: np.ndarray) -> None:
 def make_zero_map(d: int = 4, seed: int = 7) -> ProblemInstance:
     """Constant-zero operator, certified non-expansive only; the baseline
     sanity problem with fixed point at the origin."""
+    if d > 200:
+        raise ParameterError("desk scale only: d <= 200")
     space = ProductSpace.single(d)
     rng = np.random.default_rng(seed)
     z0 = space.vector(rng.standard_normal(d))
@@ -192,6 +191,8 @@ def make_quadratic_gd(delta_m: float, delta_M: float, d: int, gamma: float,
     origin, the residual-to-distance modulus is ``1/(gamma delta_m)`` and the
     starting point is a fixed non-axis-aligned seeded vector so the slow
     eigendirection is excited."""
+    if d > 200:
+        raise ParameterError("desk scale only: d <= 200")
     if not (0.0 < delta_m <= delta_M) or d < 2:
         raise ParameterError("need 0 < delta_m <= delta_M and d >= 2")
     if not (0.0 < gamma < 2.0 / delta_M):
@@ -226,12 +227,15 @@ def make_two_subspaces(theta: float, d: int, lam: float = 1.0) -> ProblemInstanc
     complement of the plane the lines span; the residual-to-distance modulus
     is ``1/sin(theta)`` and the squared-distance contraction per step is
     exactly ``1 - (2 - lam) lam sin^2(theta)``."""
+    if d > 200:
+        raise ParameterError("desk scale only: d <= 200")
     if not (0.0 < theta <= np.pi / 2.0) or d < 2:
         raise ParameterError("need theta in (0, pi/2] and d >= 2")
+    if theta < np.finfo(float).tiny:
+        raise ParameterError(f"theta {theta:g} is subnormal: the modulus 1/sin(theta) overflows")
     e1 = np.zeros(d); e1[0] = 1.0
     v = np.zeros(d); v[0], v[1] = np.cos(theta), np.sin(theta)
-    spec = DrsSpec(SubspaceBlock(e1), SubspaceBlock(v), gamma=1.0, dim=d)
-    built = DrsBuilt(spec)
+    built = DrsBuilt(SubspaceBlock(e1), SubspaceBlock(v), gamma=1.0, dim=d)
     space = built.space
 
     def proj_fix(z: np.ndarray) -> np.ndarray:
@@ -283,9 +287,8 @@ def make_lasso(m: int, n: int, mu: float = 0.0, seed: int = 1) -> ProblemInstanc
     if mu == 0:
         mu = 0.2 * float(np.max(np.abs(q)))
     gamma = smooth.beta
-    spec = GfbSpec(blocks=[L1Block(mu)], weights=np.array([1.0]), gamma=gamma,
-                   dim=n, smooth=smooth)
-    built = GfbBuilt(spec)
+    built = GfbBuilt(blocks=[L1Block(mu)], weights=np.array([1.0]), gamma=gamma,
+                     dim=n, smooth=smooth)
     z0 = built.space.point((np.zeros(n),))
     return ProblemInstance(
         name="lasso", kind="gfb", operator=built.operator, z0=z0,
@@ -314,9 +317,8 @@ def make_gfb_multiblock(n_blocks: int, d: int, seed: int = 2,
         4: [L1Block(0.1), BoxBlock(-0.8, 0.8), linear, ZeroBlock()],
     }[n_blocks]
     weights = np.full(n_blocks, 1.0 / n_blocks)
-    spec = GfbSpec(blocks=blocks, weights=weights, gamma=gamma, dim=d,
-                   smooth=CocoerciveMap.envelope_l1(0.3))
-    built = GfbBuilt(spec)
+    built = GfbBuilt(blocks=blocks, weights=weights, gamma=gamma, dim=d,
+                     smooth=CocoerciveMap.envelope_l1(0.3))
     z0 = built.space.point(tuple(rng.standard_normal(d) for _ in range(n_blocks)))
     return ProblemInstance(
         name=f"multiblock(n={n_blocks})", kind="gfb", operator=built.operator,
@@ -348,12 +350,11 @@ def make_pds_small(seed: int = 3) -> ProblemInstance:
 
     L_norm = 1.5
     s = 0.8 / (L_norm + 1.0 / (2.0 * smooth.beta))
-    spec = PdsSpec(
+    built = PdsBuilt(
         primal_block=BoxBlock(-10.0, 10.0), tau=s, dim_primal=dH,
         duals=[PdsDualTerm(block=L1Block(mu_l1), L=L, sigma=s, omega=1.0)],
         smooth=smooth,
     )
-    built = PdsBuilt(spec)
     z0 = built.space.zeros()
     return ProblemInstance(
         name="pds-small", kind="pds", operator=built.operator, z0=z0,

@@ -192,33 +192,38 @@ def _smooth_at(smooth: Optional[CocoerciveMap], x: np.ndarray) -> np.ndarray:
 # generalized forward-backward on the weighted product space
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GfbSpec:
-    """Blocks, smooth part and parameters of the product-space splitting.
+class GfbBuilt:
+    """The product-space splitting of ``blocks``, assembled as an operator
+    with its one evaluation.
 
     The smooth part may be None (pure reflection scheme); the step size must
     satisfy ``0 < gamma < 2 beta`` whenever a smooth part is present.
+    ``T z = z + u - x`` blockwise, with the consensus ``x = sum_i w_i z_i``
+    and the resolvent outputs ``u_i`` at ``2 x - z_i - gamma B x``.
+    :meth:`evaluate` and the channel model compute on a point's ``(n, d)``
+    block stack; only the per-block resolvents loop over the blocks.
     """
 
-    blocks: List[MonotoneBlock]
-    weights: np.ndarray
-    gamma: float
-    dim: int
-    smooth: Optional[CocoerciveMap] = None
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        n = len(self.blocks)
-        if n < 1 or self.weights.shape != (n,) or np.any(self.weights <= 0):
+    def __init__(self, blocks: List[MonotoneBlock], weights, gamma: float, dim: int,
+                 smooth: Optional[CocoerciveMap] = None):
+        weights = np.asarray(weights, dtype=float)
+        n = len(blocks)
+        if n < 1 or weights.shape != (n,) or np.any(weights <= 0):
             raise ParameterError("need one positive weight per block")
-        if not abs(float(self.weights.sum()) - 1.0) <= 1e-12:
+        if not abs(float(weights.sum()) - 1.0) <= 1e-12:
             raise ParameterError("block weights must sum to 1")
-        if not self.gamma > 0:
+        if not gamma > 0:
             raise ParameterError("step size must be positive")
-        if self.smooth is not None and not self.gamma < 2.0 * self.smooth.beta:
-            raise ParameterError(
-                f"step size {self.gamma} outside (0, {2.0 * self.smooth.beta})"
-            )
+        if smooth is not None and not gamma < 2.0 * smooth.beta:
+            raise ParameterError(f"step size {gamma} outside (0, {2.0 * smooth.beta})")
+        self.blocks, self.weights, self.gamma, self.dim, self.smooth = (
+            blocks, weights, gamma, dim, smooth)
+        self.n = n
+        self.space = ProductSpace((dim,) * n, weights)
+        self._w = tuple(float(wi) for wi in weights)
+        self._params = tuple(gamma / wi for wi in self._w)
+        self.operator = OperatorSpec(lambda z: self.evaluate(z)[0],
+                                     self.alpha_at(gamma), "gfb", self.space)
 
     def alpha_at(self, gamma: float) -> float:
         """Averagedness of the splitting at step size ``gamma``: the
@@ -228,40 +233,14 @@ class GfbSpec:
             return 0.5
         return composition_alpha(0.5, gamma / (2.0 * self.smooth.beta))
 
-    @property
-    def n(self) -> int:
-        return len(self.blocks)
-
-
-class GfbBuilt:
-    """Assembled operator and its one evaluation.
-
-    ``T z = z + u - x`` blockwise, with the consensus ``x = sum_i w_i z_i``
-    and the resolvent outputs ``u_i`` at ``2 x - z_i - gamma B x``.
-    :meth:`evaluate` and the channel model compute on a point's ``(n, d)``
-    block stack; only the per-block resolvents loop over the blocks.
-    """
-
-    def __init__(self, spec: GfbSpec):
-        self.spec = spec
-        self.space = ProductSpace((spec.dim,) * spec.n, spec.weights)
-        self._w = tuple(float(wi) for wi in spec.weights)
-        self._params = tuple(spec.gamma / wi for wi in self._w)
-        self.operator = OperatorSpec(lambda z: self.evaluate(z)[0],
-                                     spec.alpha_at(spec.gamma), "gfb", self.space)
-
     def _rows(self, z: np.ndarray) -> np.ndarray:
-        return z.reshape(self.spec.n, self.spec.dim)
+        return z.reshape(self.n, self.dim)
 
     def resolve_all(self, args: np.ndarray, params: Optional[tuple] = None) -> np.ndarray:
         out = np.empty_like(args)
-        for i, (blk, c) in enumerate(zip(self.spec.blocks, params or self._params)):
+        for i, (blk, c) in enumerate(zip(self.blocks, params or self._params)):
             out[i] = blk.resolvent(args[i], c)
         return out
-
-    @property
-    def alpha(self) -> float:
-        return self.operator.alpha
 
     def evaluate(self, z: np.ndarray):
         """``(T z, parts)``: the exact evaluation and its internals
@@ -269,14 +248,14 @@ class GfbBuilt:
         the per-block resolvent arguments and their outputs."""
         Z = self._rows(z)
         x = _weighted_sum(self._w, Z)
-        return self._resolve(Z, x, _smooth_at(self.spec.smooth, x))
+        return self._resolve(Z, x, _smooth_at(self.smooth, x))
 
     def _resolve(self, Z, x, gx, gamma: Optional[float] = None):
         # the evaluation from its part that no step size enters, the block
         # rows Z, x and gx = B x; with gamma, the splitting at that step size
         params = None
         if gamma is None:
-            gamma = self.spec.gamma
+            gamma = self.gamma
         else:
             params = tuple(gamma / wi for wi in self._w)
         args = 2.0 * x - Z - gamma * gx
@@ -287,7 +266,7 @@ class GfbBuilt:
 class _SplittingChannel(Channel):
     """The channel of the splitting ``built``: the law ``c / (k+1)^p`` split
     evenly over its error stages, each drawing ``(c / stages) / (k+1)^p``
-    in Euclidean unit directions, one per segment of ``segments_of(spec)``."""
+    in Euclidean unit directions, one per segment of ``segments_of(built)``."""
 
     stages = 2
 
@@ -295,7 +274,7 @@ class _SplittingChannel(Channel):
         super().__init__(built.operator, law)
         self.built = built
         self.stage_law = ErrorSchedule.power(law.c / self.stages, law.p)
-        self.segments = self.segments_of(built.spec)
+        self.segments = self.segments_of(built)
         self._slices = _layout(self.segments)
 
     def _segment_norms(self, G: np.ndarray) -> np.ndarray:
@@ -310,7 +289,7 @@ class GfbChannelModel(_SplittingChannel):
     diagonal) and then per-block post-resolvent errors, reporting the
     induced iteration error; ``a`` is the ``(n, d)`` block of the latter."""
 
-    segments_of = staticmethod(lambda spec: (spec.dim,) * (spec.n + 1))
+    segments_of = staticmethod(lambda built: (built.dim,) * (built.n + 1))
 
     def evaluate(self, k, z, draws):
         built = self.built
@@ -319,7 +298,7 @@ class GfbChannelModel(_SplittingChannel):
         errs = self._errors(k, draws)
         if errs is None:
             return exact, exact, None, {"channel": {"b": None, "a": None}, "parts": parts}
-        b_vec, a_vecs = errs[:built.spec.dim], built._rows(errs[built.spec.dim:])
+        b_vec, a_vecs = errs[:built.dim], built._rows(errs[built.dim:])
         tilde = (built._rows(z) + built.resolve_all(args + b_vec) - x + a_vecs).ravel()
         return exact, tilde, tilde - exact, {"channel": {"b": b_vec, "a": a_vecs}, "parts": parts}
 
@@ -335,30 +314,29 @@ class GfbScheduleChannel(Channel):
     relaxation against."""
 
     def __init__(self, built: GfbBuilt, schedule: GammaSchedule, law: ErrorSchedule):
-        spec = built.spec
-        beta = spec.smooth.beta if spec.smooth is not None else np.inf
+        beta = built.smooth.beta if built.smooth is not None else np.inf
         lo, hi = schedule.interval
         if not (0.0 < lo and hi < 2.0 * beta):
             raise ParameterError(
                 f"schedule range [{lo}, {hi}] leaves the admissible interval "
                 f"(0, {2.0 * beta})"
             )
-        if schedule.limit != spec.gamma:
+        if schedule.limit != built.gamma:
             raise ParameterError(f"schedule limit {schedule.limit} differs from the "
-                                 f"splitting's step size {spec.gamma}")
+                                 f"splitting's step size {built.gamma}")
         super().__init__(built.operator, law)
         self.built, self.schedule = built, schedule
         # every value lies in the declared range (built-in schedules by
         # construction, custom ones are checked at each step), and the
         # averagedness grows with the step size, so its ends bound every step
-        self.alphas = tuple(spec.alpha_at(g) for g in sorted(set(schedule.interval)))
+        self.alphas = tuple(built.alpha_at(g) for g in sorted(set(schedule.interval)))
 
     def evaluate(self, k, z, draws):
         built = self.built
         gamma = self.schedule.value(k)
         exact, parts = built.evaluate(z)
         # the same block rows, consensus and smooth part at gamma_k
-        native = (exact if gamma == built.spec.gamma
+        native = (exact if gamma == built.gamma
                   else built._resolve(built._rows(z), *parts[:2], gamma)[0])
         eps = self._errors(k, draws)
         tilde = native if eps is None else native + eps
@@ -417,15 +395,14 @@ class GfbCertificates(_CertificateStream):
 
     def observe(self, steps: Steps) -> None:
         built = self.built
-        spec = built.spec
         x, gx, args, u = (np.stack(a) for a in zip(*map(_parts, steps.extras)))
         ubar = _weighted_sum(built._w, u.swapaxes(0, 1))
-        g = (x - ubar) / spec.gamma - gx
-        criterion = _l2_rows(g + _smooth_at(spec.smooth, ubar))
+        g = (x - ubar) / built.gamma - gx
+        criterion = _l2_rows(g + _smooth_at(built.smooth, ubar))
 
-        vecs = (spec.weights[:, None] / spec.gamma) * (args - u)
+        vecs = (built.weights[:, None] / built.gamma) * (args - u)
         residuals, structural = [], []
-        for i, blk in enumerate(spec.blocks):
+        for i, blk in enumerate(built.blocks):
             r = blk.member_residual(u[:, i], vecs[:, i])
             if r is None:
                 structural.append(blk.kind)
@@ -436,7 +413,7 @@ class GfbCertificates(_CertificateStream):
 
     def series(self, trace: IterationTrace, constants: BoundConstants) -> CertificateSeries:
         values = np.concatenate(self._values)
-        bounds = pointwise_bound(np.arange(trace.n_steps), constants) / self.built.spec.gamma
+        bounds = pointwise_bound(np.arange(trace.n_steps), constants) / self.built.gamma
         return CertificateSeries(values, bounds, self._membership, self.structural_only)
 
 
@@ -444,29 +421,19 @@ class GfbCertificates(_CertificateStream):
 # Douglas-Rachford
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DrsSpec:
-    """Two resolvents at a common positive parameter on a single block."""
-
-    block1: MonotoneBlock
-    block2: MonotoneBlock
-    gamma: float
-    dim: int
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ParameterError("step size must be positive")
-
-
 class DrsBuilt:
-    """The reflected-resolvent average, firmly non-expansive by construction."""
+    """The reflected-resolvent average of two resolvents at a common
+    positive parameter on a single block, firmly non-expansive by
+    construction."""
 
-    def __init__(self, spec: DrsSpec):
-        self.spec = spec
-        self.space = ProductSpace.single(spec.dim)
-        g = spec.gamma
-        self.j1 = lambda v: spec.block1.resolvent(v, g)
-        self.j2 = lambda v: spec.block2.resolvent(v, g)
+    def __init__(self, block1: MonotoneBlock, block2: MonotoneBlock, gamma: float,
+                 dim: int):
+        if gamma <= 0:
+            raise ParameterError("step size must be positive")
+        self.block1, self.block2, self.gamma, self.dim = block1, block2, gamma, dim
+        self.space = ProductSpace.single(dim)
+        self.j1 = lambda v: self.block1.resolvent(v, gamma)
+        self.j2 = lambda v: self.block2.resolvent(v, gamma)
         self.operator = OperatorSpec(lambda z: self.evaluate(z)[0], 0.5, "drs",
                                      self.space)
 
@@ -485,7 +452,7 @@ class DrsChannelModel(_SplittingChannel):
     then shadow-point error ``eps2`` (perturbing the second resolvent
     output)."""
 
-    segments_of = staticmethod(lambda spec: (spec.dim, spec.dim))
+    segments_of = staticmethod(lambda built: (built.dim, built.dim))
 
     def evaluate(self, k, z, draws):
         # parts: the exact x = j2(z), with w and u = j1(w) at the perturbed
@@ -496,7 +463,7 @@ class DrsChannelModel(_SplittingChannel):
         errs = self._errors(k, draws)
         if errs is None:
             return exact, exact, None, {"channel": {"eps1": None, "eps2": None}, "parts": parts}
-        e1, e2 = errs[:built.spec.dim], errs[built.spec.dim:]
+        e1, e2 = errs[:built.dim], errs[built.dim:]
         w = w + 2.0 * e2
         u = built.j1(w)
         tilde = 0.5 * (2.0 * u - w + z) + e1
@@ -523,7 +490,6 @@ class DrsCertificates(_CertificateStream):
 
     def observe(self, steps: Steps) -> None:
         built = self.built
-        spec = built.spec
         z, lam = steps.z, steps.lam
         parts = [_parts(ex) for ex in steps.extras]
         x = np.stack([p[0] for p in parts])
@@ -543,13 +509,13 @@ class DrsCertificates(_CertificateStream):
         if rows2:
             norm2[rows2] = _l2_rows(e2)
         residuals = [r for r in (
-            spec.block1.member_residual(u, r1 / spec.gamma),
-            spec.block2.member_residual(v, r2 / spec.gamma),
+            built.block1.member_residual(u, r1 / built.gamma),
+            built.block2.member_residual(v, r2 / built.gamma),
         ) if r is not None]
-        self._record(_l2_rows((r1 + r2) / spec.gamma),
+        self._record(_l2_rows((r1 + r2) / built.gamma),
                      max(residuals) if residuals else None)
-        self._scale.append((1.0 + lam) / spec.gamma)
-        self._offset.append((1.0 / spec.gamma) * ((2.0 + lam) * norm2 + norm1))
+        self._scale.append((1.0 + lam) / built.gamma)
+        self._offset.append((1.0 / built.gamma) * ((2.0 + lam) * norm2 + norm1))
 
     def series(self, trace: IterationTrace, constants: BoundConstants) -> CertificateSeries:
         values = np.concatenate(self._values)
@@ -586,24 +552,6 @@ class PdsDualTerm:
             self.r = np.asarray(self.r, dtype=float)
 
 
-@dataclass
-class PdsSpec:
-    primal_block: MonotoneBlock
-    tau: float
-    dim_primal: int
-    duals: List[PdsDualTerm]
-    smooth: Optional[CocoerciveMap] = None
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ParameterError("primal step must be positive")
-        if not self.duals:
-            raise ParameterError("need at least one dual term")
-        wsum = sum(t.omega for t in self.duals)
-        if abs(wsum - 1.0) > 1e-12:
-            raise ParameterError("dual weights must sum to 1")
-
-
 class PdsBuilt:
     """Assembled primal-dual fixed-point operator on the direct sum space.
 
@@ -616,18 +564,26 @@ class PdsBuilt:
     preconditioner constants.
     """
 
-    def __init__(self, spec: PdsSpec):
-        self.spec = spec
-        dims = (spec.dim_primal,) + tuple(t.L.shape[0] for t in spec.duals)
-        weights = np.array([1.0] + [t.omega for t in spec.duals])
-        for t in spec.duals:
-            if t.L.shape[1] != spec.dim_primal:
+    def __init__(self, primal_block: MonotoneBlock, tau: float, dim_primal: int,
+                 duals: List[PdsDualTerm], smooth: Optional[CocoerciveMap] = None):
+        if tau <= 0:
+            raise ParameterError("primal step must be positive")
+        if not duals:
+            raise ParameterError("need at least one dual term")
+        if abs(sum(t.omega for t in duals) - 1.0) > 1e-12:
+            raise ParameterError("dual weights must sum to 1")
+        for t in duals:
+            if t.L.shape[1] != dim_primal:
                 raise StructuralError("coupling matrix does not match primal dimension")
+        self.primal_block, self.tau, self.dim_primal, self.duals, self.smooth = (
+            primal_block, tau, dim_primal, duals, smooth)
+        dims = (dim_primal,) + tuple(t.L.shape[0] for t in duals)
+        weights = np.array([1.0] + [t.omega for t in duals])
 
-        self.L_norms = [float(np.linalg.norm(t.L, 2)) for t in spec.duals]
-        inv_steps = [1.0 / spec.tau] + [1.0 / t.sigma for t in spec.duals]
-        radicand = spec.tau * sum(
-            t.sigma * t.omega * ln ** 2 for t, ln in zip(spec.duals, self.L_norms)
+        self.L_norms = [float(np.linalg.norm(t.L, 2)) for t in duals]
+        inv_steps = [1.0 / tau] + [1.0 / t.sigma for t in duals]
+        radicand = tau * sum(
+            t.sigma * t.omega * ln ** 2 for t, ln in zip(duals, self.L_norms)
         )
         if radicand >= 1.0:
             raise ParameterError(
@@ -636,9 +592,9 @@ class PdsBuilt:
         self.eta = min(inv_steps) * (1.0 - np.sqrt(radicand))
         self.delta = max(inv_steps)
         moduli = []
-        if spec.smooth is not None:
-            moduli.append(spec.smooth.beta)
-        for t in spec.duals:
+        if smooth is not None:
+            moduli.append(smooth.beta)
+        for t in duals:
             if t.d_inv is not None:
                 moduli.append(t.d_inv.beta)
         self.beta = min(moduli) if moduli else np.inf
@@ -650,8 +606,8 @@ class PdsBuilt:
                 raise ParameterError(
                     f"preconditioner too weak: 2 eta beta = "
                     f"{2.0 * self.eta * self.beta:.6g} <= 1 "
-                    f"(eta={self.eta:.6g}, beta={self.beta:.6g}, tau={spec.tau}, "
-                    f"sigmas={[t.sigma for t in spec.duals]})"
+                    f"(eta={self.eta:.6g}, beta={self.beta:.6g}, tau={tau}, "
+                    f"sigmas={[t.sigma for t in duals]})"
                 )
             hb = self.eta * self.beta
             self.alpha = 2.0 * hb / (4.0 * hb - 1.0)
@@ -659,8 +615,8 @@ class PdsBuilt:
         # the preconditioner [[I/tau, -omega_i L_i^T], [-L_i, I/sigma_i]]
         s0, *sv = _layout(dims)
         M = np.zeros((sum(dims),) * 2)
-        M[s0, s0] = np.eye(spec.dim_primal) / spec.tau
-        for t, s in zip(spec.duals, sv):
+        M[s0, s0] = np.eye(dim_primal) / tau
+        for t, s in zip(duals, sv):
             M[s0, s] = -t.omega * t.L.T
             M[s, s0] = -t.L
             M[s, s] = np.eye(t.L.shape[0]) / t.sigma
@@ -678,21 +634,20 @@ class PdsBuilt:
     def block_step(self, z: np.ndarray, errs=None) -> np.ndarray:
         """One exact evaluation of the fixed-point operator via the block
         recursion: primal resolvent, reflection, dual resolvents."""
-        spec = self.spec
         x, *vs = self.space.blocks(z)
         e1, e2, e3, e4 = errs if errs is not None else (None, None, None, None)
         s = np.zeros_like(x)
-        for t, v in zip(spec.duals, vs):
+        for t, v in zip(self.duals, vs):
             s = s + t.omega * (t.L.T @ v)
-        fwd = s + _smooth_at(spec.smooth, x)
+        fwd = s + _smooth_at(self.smooth, x)
         if errs is not None:
             fwd = fwd + e1
-        p = spec.primal_block.resolvent(x - spec.tau * fwd, spec.tau)
+        p = self.primal_block.resolvent(x - self.tau * fwd, self.tau)
         if errs is not None:
             p = p + e2
         y = 2.0 * p - x
         q = []
-        for i, (t, v) in enumerate(zip(spec.duals, vs)):
+        for i, (t, v) in enumerate(zip(self.duals, vs)):
             inner = t.L @ y - t.r
             if t.d_inv is not None:
                 inner = inner - t.d_inv.fn(v)
@@ -712,8 +667,8 @@ class PdsChannelModel(_SplittingChannel):
 
     stages = 4
 
-    segments_of = staticmethod(lambda spec: 2 * (spec.dim_primal,)
-                               + 2 * tuple(t.L.shape[0] for t in spec.duals))
+    segments_of = staticmethod(lambda built: 2 * (built.dim_primal,)
+                               + 2 * tuple(t.L.shape[0] for t in built.duals))
 
     def evaluate(self, k, z, draws):
         built = self.built

@@ -274,14 +274,13 @@ def gfb_certificate(built, parts) -> GfbCertStep:
     """The GFB certificate of one step from ``parts = (x, B x, args, u)`` of
     ``built.evaluate(z)``: ``g = (x - ubar)/gamma - B x``, the criterion
     ``||g + B ubar||`` and the block membership residuals."""
-    spec = built.spec
     x, gx, args, u = parts
     ubar = _weighted_sum(built._w, u)
-    g = (x - ubar) / spec.gamma - gx
-    crit = _l2(g + _smooth_at(spec.smooth, ubar))
-    vecs = (spec.weights[:, None] / spec.gamma) * (args - u)
+    g = (x - ubar) / built.gamma - gx
+    crit = _l2(g + _smooth_at(built.smooth, ubar))
+    vecs = (built.weights[:, None] / built.gamma) * (args - u)
     residuals, structural = [], []
-    for blk, ui, vec in zip(spec.blocks, u, vecs):
+    for blk, ui, vec in zip(built.blocks, u, vecs):
         r = member_residual(blk, ui, vec)
         if r is None:
             structural.append(blk.kind)
@@ -298,12 +297,11 @@ def pds_metric_blocks(built, a: np.ndarray) -> np.ndarray:
     """The preconditioner ``M`` applied block by block: ``x / tau - sum_i
     omega_i L_i^T v_i`` on the primal block, ``v_i / sigma_i - L_i x`` on
     dual block ``i``."""
-    spec = built.spec
     x, *vs = built.space.blocks(a)
-    out_x = x / spec.tau
-    for t, v in zip(spec.duals, vs):
+    out_x = x / built.tau
+    for t, v in zip(built.duals, vs):
         out_x = out_x - t.omega * (t.L.T @ v)
-    return np.concatenate([out_x] + [v / t.sigma - t.L @ x for t, v in zip(spec.duals, vs)])
+    return np.concatenate([out_x] + [v / t.sigma - t.L @ x for t, v in zip(built.duals, vs)])
 
 
 def pds_abstract_step(built, z: np.ndarray) -> np.ndarray:
@@ -311,18 +309,17 @@ def pds_abstract_step(built, z: np.ndarray) -> np.ndarray:
     ``M u = B z`` for the single-valued forward terms ``B``, then apply the
     coupled resolvent at ``z - u``.  The reference for ``block_step``, which
     folds the solve into its block recursion."""
-    spec = built.spec
     space = built.space
     x, *vs = space.blocks(z)
-    maps = [spec.smooth] + [t.d_inv for t in spec.duals]
+    maps = [built.smooth] + [t.d_inv for t in built.duals]
     forward = [f.fn(v) if f is not None else np.zeros_like(v) for f, v in zip(maps, (x, *vs))]
     wx, *wv = space.blocks(z - np.linalg.solve(space.metric, np.concatenate(forward)))
     sw = np.zeros_like(wx)
-    for t, w in zip(spec.duals, wv):
+    for t, w in zip(built.duals, wv):
         sw = sw + t.omega * (t.L.T @ w)
-    p = spec.primal_block.resolvent(wx - spec.tau * sw, spec.tau)
+    p = built.primal_block.resolvent(wx - built.tau * sw, built.tau)
     y = 2.0 * p - wx
-    q = [built._dual_resolvent(t, w + t.sigma * (t.L @ y - t.r)) for t, w in zip(spec.duals, wv)]
+    q = [built._dual_resolvent(t, w + t.sigma * (t.L @ y - t.r)) for t, w in zip(built.duals, wv)]
     return np.concatenate((p, *q))
 
 

@@ -22,7 +22,7 @@ from kmcert.problems import (
     make_zero_map,
 )
 from kmcert.spaces import ProductSpace
-from kmcert.splitting import GfbSpec, L1Block, LinearBlock
+from kmcert.splitting import GfbBuilt, L1Block, LinearBlock
 from oracles import (
     check_averaged,
     check_firmly_nonexpansive,
@@ -252,39 +252,38 @@ def _resolvent_inventory(bundle):
     """Every resolvent/prox the suite constructs, wrapped as operators."""
     out = []
     lasso = bundle["lasso"]["problem"]
-    n = lasso.built.spec.dim
+    n = lasso.built.dim
     sp = ProductSpace.single(n)
-    g = lasso.built.spec.gamma
-    blk = lasso.built.spec.blocks[0]
+    g = lasso.built.gamma
+    blk = lasso.built.blocks[0]
     out.append(("lasso-prox", vector_operator(
         sp, lambda v: blk.resolvent(v, g), 0.5, "prox")))
 
     drs = bundle["drs"]["problem"]
     spd = ProductSpace.single(4)
-    for i, b in enumerate((drs.built.spec.block1, drs.built.spec.block2)):
+    for i, b in enumerate((drs.built.block1, drs.built.block2)):
         out.append((f"drs-proj{i + 1}", vector_operator(
             spd, lambda v, b=b: b.resolvent(v, 1.0), 0.5, "proj")))
 
     multi = bundle["multiblock"]["problem"]
-    spm = ProductSpace.single(multi.built.spec.dim)
-    for i, b in enumerate(multi.built.spec.blocks):
-        c = multi.built.spec.gamma / multi.built.spec.weights[i]
+    spm = ProductSpace.single(multi.built.dim)
+    for i, b in enumerate(multi.built.blocks):
+        c = multi.built.gamma / multi.built.weights[i]
         out.append((f"multiblock-res{i + 1}", vector_operator(
             spm, lambda v, b=b, c=c: b.resolvent(v, c), 0.5, "res")))
     # the half-averaged product-space backward step is itself firm
-    spec0 = multi.built.spec
-    backward = GfbSpec(blocks=spec0.blocks, weights=spec0.weights,
-                       gamma=spec0.gamma, dim=spec0.dim, smooth=None)
-    from kmcert.splitting import GfbBuilt
-    out.append(("multiblock-backward", GfbBuilt(backward).operator))
+    built0 = multi.built
+    backward = GfbBuilt(blocks=built0.blocks, weights=built0.weights,
+                        gamma=built0.gamma, dim=built0.dim, smooth=None)
+    out.append(("multiblock-backward", backward.operator))
 
     pds = bundle["pds"]["problem"]
-    sph = ProductSpace.single(pds.built.spec.dim_primal)
-    cblk = pds.built.spec.primal_block
-    tau = pds.built.spec.tau
+    sph = ProductSpace.single(pds.built.dim_primal)
+    cblk = pds.built.primal_block
+    tau = pds.built.tau
     out.append(("pds-primal-res", vector_operator(
         sph, lambda v: cblk.resolvent(v, tau), 0.5, "res")))
-    term = pds.built.spec.duals[0]
+    term = pds.built.duals[0]
     spg = ProductSpace.single(term.L.shape[0])
     out.append(("pds-dual-res", vector_operator(
         spg, lambda v: pds.built._dual_resolvent(term, v), 0.5, "res")))
@@ -396,9 +395,7 @@ def test_criterion_9_reductions(cert_bundle, record):
     blocks = [L1Block(0.2), LinearBlock(0.5 * np.eye(d) + 0.5 * (R - R.T),
                                         0.3 * rng.standard_normal(d))]
     w = np.array([0.4, 0.6])
-    from kmcert.splitting import GfbBuilt
-    built = GfbBuilt(GfbSpec(blocks=blocks, weights=w, gamma=0.7, dim=d,
-                             smooth=None))
+    built = GfbBuilt(blocks=blocks, weights=w, gamma=0.7, dim=d, smooth=None)
     sp2 = built.space
 
     def hand2(z):
@@ -434,7 +431,7 @@ def test_criterion_9_reductions(cert_bundle, record):
 
 def test_criterion_10_nonstationary(ns_bundle):
     stationary, runs, schedules = ns_bundle
-    w = stationary.built.spec.weights
+    w = stationary.built.weights
 
     def consensus(z):
         return sum(wi * b for wi, b in zip(w, stationary.built.space.blocks(z)))

@@ -395,6 +395,17 @@ class TestNonstationaryRuns:
                 in capsys.readouterr().err)
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("problem, dim", [("zero-map", 201), ("gd", 1_000_000),
+                                              ("two-subspaces", 201)])
+    def test_dim_past_desk_scale_exits_2_naming_the_limit(self, tmp_path, capsys,
+                                                          problem, dim):
+        # checked before anything of the dimension is allocated
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text(f"problem = {problem}\ndim = {dim}\n")
+        assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+        assert "config error: desk scale only: d <= 200" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_problem_kind_accepted_as_method(self, tmp_path):
         cfgfile = tmp_path / "cfg.txt"
         cfgfile.write_text("problem = lasso\nmethod = gfb\nmax_iters = 20\nname = l\n")
@@ -444,6 +455,14 @@ class TestHugeModuli:
         _, cols = parse_trace_csv(str(tmp_path / "huge.csv"))
         assert np.isfinite(cols["local_model"]).all()      # the local model was checked
         assert main(["verify", str(tmp_path / "huge.csv"), str(tmp_path / "huge.json")]) == rc
+
+    @pytest.mark.parametrize("theta", ["5e-324", "1e-310"])
+    def test_subnormal_angle_exits_2(self, tmp_path, capsys, theta):
+        # its modulus 1/sin(theta) would overflow to inf
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text(f"problem = two-subspaces\ntheta = {theta}\n")
+        assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+        assert "is subnormal: the modulus 1/sin(theta) overflows" in capsys.readouterr().err
 
 
 class TestLargeErrors:

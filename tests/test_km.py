@@ -15,7 +15,7 @@ from kmcert.km import (
 )
 from kmcert.operators import OperatorSpec, zero_operator
 from kmcert.spaces import ProductSpace
-from kmcert.splitting import GfbBuilt, GfbScheduleChannel, GfbSpec, SubspaceBlock
+from kmcert.splitting import GfbBuilt, GfbScheduleChannel, SubspaceBlock
 from kmcert.problems import make_gfb_multiblock, make_multiblock_nonstationary
 from oracles import metric_inner, vector_operator
 
@@ -338,13 +338,13 @@ class TestNonstationary:
         # eps_k - (T_{gamma_k} z_k - T z_k) is the injected error, of norm
         # 0.1/(k+1)^3; T_{gamma_k} is assembled anew at each step size
         p = make_multiblock_nonstationary(kind, d=6)
-        spec, norm = p.built.spec, p.operator.space.norm
+        built, norm = p.built, p.operator.space.norm
         trace, rec = record(p.run, 0.1, 3.0, 40)
         assert trace.n_steps == 40
         for k in range(trace.n_steps):
             z = rec.z_vecs[k]
-            T_k = GfbBuilt(GfbSpec(spec.blocks, spec.weights, p.schedule.value(k),
-                                   spec.dim, spec.smooth)).operator
+            T_k = GfbBuilt(built.blocks, built.weights, p.schedule.value(k),
+                           built.dim, built.smooth).operator
             injected = norm(rec.eps_vector(k) - (T_k(z) - p.operator(z)))
             mag = 0.1 / (k + 1.0) ** 3
             assert abs(injected - mag) <= 1e-12 * max(mag, norm(z))

@@ -125,7 +125,7 @@ class TestMultiblock:
     def test_block_counts(self):
         for n in (2, 3, 4):
             p = make_gfb_multiblock(n, 10, seed=2)
-            assert p.built.spec.n == n
+            assert p.built.n == n
 
     def test_invalid_count(self):
         with pytest.raises(ParameterError):

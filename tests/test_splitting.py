@@ -4,7 +4,7 @@ import scipy.linalg as sla
 from hypothesis import example, given, settings, strategies as st
 
 from kmcert.bounds import EmpiricalConstants, pointwise_bound
-from kmcert.errors import ParameterError
+from kmcert.errors import ParameterError, StructuralError
 from kmcert.km import (
     CHUNK,
     Channel,
@@ -27,20 +27,18 @@ from kmcert.spaces import ProductSpace
 from kmcert.splitting import (
     BoxBlock,
     CocoerciveMap,
+    DrsBuilt,
     DrsCertificates,
     DrsChannelModel,
-    DrsSpec,
     GfbBuilt,
     GfbChannelModel,
     GfbScheduleChannel,
-    GfbSpec,
     L1Block,
     LinearBlock,
     MonotoneBlock,
     PdsBuilt,
     PdsChannelModel,
     PdsDualTerm,
-    PdsSpec,
     SubspaceBlock,
     ZeroBlock,
     _lu_factor,
@@ -172,25 +170,25 @@ class TestEvaluationCounts:
     def test_gfb_step_calls_each_resolvent_once_per_evaluation(self, law, per_step):
         p = make_gfb_multiblock(3, 8, seed=2)
         p.fix_reference()          # the reference solve is not counted
-        spec = p.built.spec
-        spec.blocks = [Counting(b) for b in spec.blocks]
+        built = p.built
+        built.blocks = [Counting(b) for b in built.blocks]
         tr, _, series = p.certified_run(*law, max_iters=40)
         assert tr.n_steps == 40 and series.values.size == 40
         # an inexact step evaluates the perturbed resolvents once more
-        assert [b.calls for b in spec.blocks] == [per_step * 40] * 3
+        assert [b.calls for b in built.blocks] == [per_step * 40] * 3
 
     @pytest.mark.parametrize("tol", [0.0, 1e-6], ids=["horizon", "residual_tol"])
     def test_drs_run_makes_k_first_and_k_plus_one_second_resolvents(self, tol):
         p = make_two_subspaces(np.pi / 4, 4)
-        spec = p.built.spec
-        spec.block1, spec.block2 = Counting(spec.block1), Counting(spec.block2)
+        built = p.built
+        built.block1, built.block2 = Counting(built.block1), Counting(built.block2)
         tr, _, series = p.certified_run(max_iters=200, tol=tol)
         K = tr.n_steps
         assert (K == 200) == (tol == 0.0)
         assert tr.stop_reason == ("max_iters" if tol == 0.0 else "residual_tol")
         # v_k = j2(z_{k+1}) is the next step's shadow point; only the last
         # step's is evaluated by the certificate itself
-        assert (spec.block1.calls, spec.block2.calls) == (K, K + 1)
+        assert (built.block1.calls, built.block2.calls) == (K, K + 1)
         assert series.values.size == K
 
 
@@ -202,18 +200,18 @@ class TestGfbBuild:
     def test_averagedness_constant(self):
         p = make_lasso(20, 30, seed=0)
         beta = p.constants["beta"]
-        gamma = p.built.spec.gamma
-        assert p.built.alpha == pytest.approx(2.0 * beta / (4.0 * beta - gamma))
+        gamma = p.built.gamma
+        assert p.built.operator.alpha == pytest.approx(2.0 * beta / (4.0 * beta - gamma))
 
     def test_step_size_validated(self):
-        with pytest.raises(ParameterError):
-            GfbSpec(blocks=[L1Block(1.0)], weights=np.array([1.0]), gamma=3.0,
-                    dim=2, smooth=CocoerciveMap.envelope_l1(1.0))
+        with pytest.raises(ParameterError, match=r"step size 3\.0 outside \(0, 2\.0\)"):
+            GfbBuilt(blocks=[L1Block(1.0)], weights=np.array([1.0]), gamma=3.0,
+                     dim=2, smooth=CocoerciveMap.envelope_l1(1.0))
 
     def test_weight_sum_validated(self):
-        with pytest.raises(ParameterError):
-            GfbSpec(blocks=[L1Block(1.0), ZeroBlock()],
-                    weights=np.array([0.5, 0.6]), gamma=0.5, dim=2)
+        with pytest.raises(ParameterError, match="block weights must sum to 1"):
+            GfbBuilt(blocks=[L1Block(1.0), ZeroBlock()],
+                     weights=np.array([0.5, 0.6]), gamma=0.5, dim=2)
 
     def test_single_block_equals_forward_backward(self, record):
         # independent assembly: prox after an explicit gradient step
@@ -240,9 +238,8 @@ class TestGfbBuild:
         blocks = [L1Block(0.2), LinearBlock(0.5 * np.eye(d) + 0.5 * (R - R.T),
                                             0.3 * rng.standard_normal(d))]
         w = np.array([0.4, 0.6])
-        spec = GfbSpec(blocks=blocks, weights=w, gamma=0.7, dim=d, smooth=None)
-        built = GfbBuilt(spec)
-        assert built.alpha == 0.5
+        built = GfbBuilt(blocks=blocks, weights=w, gamma=0.7, dim=d, smooth=None)
+        assert built.operator.alpha == 0.5
         sp = built.space
 
         def hand(z):
@@ -274,7 +271,7 @@ class TestGfbBuild:
             pre = np.linalg.norm(b) if b is not None else 0.0
             post = np.sqrt(sum(
                 w * (np.linalg.norm(a) ** 2 if a is not None else 0.0)
-                for w, a in zip(p.built.spec.weights, ch["a"])))
+                for w, a in zip(p.built.weights, ch["a"])))
             assert tr.eps_norm[k] <= pre + post + 1e-12
 
 
@@ -314,7 +311,7 @@ class TestGfbCertificates:
         p, tr, bc, series = lasso_run[:4]
         assert np.all(series.values <= series.bounds + 1e-10)
         assert series.bounds[0] == pytest.approx(
-            pointwise_bound(0, bc) / p.built.spec.gamma)
+            pointwise_bound(0, bc) / p.built.gamma)
 
     def test_multiblock_membership_exact(self):
         p = make_gfb_multiblock(3, 12, seed=2)
@@ -333,9 +330,8 @@ class TestGfbCertificates:
     def test_all_zero_blocks_converge_to_lifted_origin(self):
         d = 6
         blocks = [ZeroBlock(), ZeroBlock()]
-        spec = GfbSpec(blocks=blocks, weights=np.array([0.5, 0.5]), gamma=1.0,
-                       dim=d, smooth=CocoerciveMap.envelope_l1(0.5))
-        built = GfbBuilt(spec)
+        built = GfbBuilt(blocks=blocks, weights=np.array([0.5, 0.5]), gamma=1.0,
+                         dim=d, smooth=CocoerciveMap.envelope_l1(0.5))
         rng = np.random.default_rng(0)
         z0 = built.space.point(tuple(0.3 * rng.standard_normal(d) for _ in range(2)))
         tr = run_km(Channel(built.operator), z0, RelaxationSchedule.constant(1.0),
@@ -359,9 +355,9 @@ class TestDrs:
         assert check_firmly_nonexpansive(p.operator, samples=400, seed=1).passed
 
     def test_gamma_validated(self):
-        with pytest.raises(ParameterError):
-            DrsSpec(SubspaceBlock(np.array([1.0, 0.0])),
-                    SubspaceBlock(np.array([0.0, 1.0])), gamma=0.0, dim=2)
+        with pytest.raises(ParameterError, match="step size must be positive"):
+            DrsBuilt(SubspaceBlock(np.array([1.0, 0.0])),
+                     SubspaceBlock(np.array([0.0, 1.0])), gamma=0.0, dim=2)
 
     def test_error_bookkeeping(self, record):
         # the induced error is bounded by the channel norms, and its gap to
@@ -414,13 +410,12 @@ class TestPds:
 
     def test_preconditioner_hand_value(self):
         # identity coupling with tau = sigma = 1/2: eta = 2 (1 - 1/2) = 1
-        spec = PdsSpec(
+        built = PdsBuilt(
             primal_block=ZeroBlock(), tau=0.5, dim_primal=3,
             duals=[PdsDualTerm(block=L1Block(1.0), L=np.eye(3), sigma=0.5,
                                omega=1.0)],
             smooth=CocoerciveMap.envelope_l1(1.0),
         )
-        built = PdsBuilt(spec)
         assert built.eta == pytest.approx(1.0)
         assert built.beta == pytest.approx(1.0)
         assert 2.0 * built.eta * built.beta > 1.0
@@ -430,12 +425,12 @@ class TestPds:
 
     def test_inadmissible_steps_rejected_with_context(self):
         with pytest.raises(ParameterError) as exc:
-            PdsBuilt(PdsSpec(
+            PdsBuilt(
                 primal_block=ZeroBlock(), tau=0.45, dim_primal=3,
                 duals=[PdsDualTerm(block=L1Block(1.0), L=2.0 * np.eye(3),
                                    sigma=0.45, omega=1.0)],
                 smooth=CocoerciveMap.envelope_l1(1.0),
-            ))
+            )
         assert "eta" in str(exc.value) or ">= 1" in str(exc.value)
 
     def test_close_top_singular_values_cannot_pass_an_inadmissible_spec(self):
@@ -452,9 +447,22 @@ class TestPds:
         L = np.diag([1.0, 1.0 - 1e-3, 0.5, 0.4, 0.3, 0.2]) @ V.T
         step = np.sqrt(1.0005) / np.linalg.norm(L, 2)
         with pytest.raises(ParameterError, match="step sizes too large"):
-            PdsBuilt(PdsSpec(primal_block=ZeroBlock(), tau=step, dim_primal=6,
-                             duals=[PdsDualTerm(block=L1Block(1.0), L=L, sigma=step,
-                                                omega=1.0)]))
+            PdsBuilt(primal_block=ZeroBlock(), tau=step, dim_primal=6,
+                     duals=[PdsDualTerm(block=L1Block(1.0), L=L, sigma=step,
+                                        omega=1.0)])
+
+    @pytest.mark.parametrize("tau, omegas, error, message", [
+        (0.0, (1.0,), ParameterError, "primal step must be positive"),
+        (0.5, (), ParameterError, "need at least one dual term"),
+        (0.5, (0.5,), ParameterError, "dual weights must sum to 1"),
+        (0.5, (1.0,), StructuralError, "coupling matrix does not match primal dimension"),
+    ])
+    def test_parameter_checks_run_before_the_shape_check(self, tau, omegas, error, message):
+        # every coupling here has 4 columns against a primal block of 3
+        duals = [PdsDualTerm(block=ZeroBlock(), L=np.ones((2, 4)), sigma=0.5, omega=w)
+                 for w in omegas]
+        with pytest.raises(error, match=message):
+            PdsBuilt(primal_block=ZeroBlock(), tau=tau, dim_primal=3, duals=duals)
 
     def test_averagedness_sampling_in_metric(self, small):
         rep = check_averaged(small.operator, small.built.alpha,
@@ -470,13 +478,12 @@ class TestPds:
     def test_zero_coupling_decouples(self):
         base = make_pds_small(seed=3)
         Q, q = base.constants["Q"], base.constants["q"]
-        spec = PdsSpec(
+        built = PdsBuilt(
             primal_block=BoxBlock(-10.0, 10.0), tau=0.4, dim_primal=30,
             duals=[PdsDualTerm(block=L1Block(0.3), L=np.zeros((20, 30)),
                                sigma=0.4, omega=1.0)],
             smooth=CocoerciveMap.quadratic(Q, q),
         )
-        built = PdsBuilt(spec)
         tr = run_km(Channel(built.operator), built.space.zeros(),
                     RelaxationSchedule.constant(1.0), stop=StopRule(5000, 1e-12))
         # dual block never leaves the origin
@@ -491,7 +498,7 @@ class TestPds:
 
 @st.composite
 def pds_instances(draw):
-    """A primal-dual spec of 1-3 dual terms with random couplings, shifts
+    """A primal-dual splitting of 1-3 dual terms with random couplings, shifts
     and weights summing to 1, random monotone blocks, and steps scaled so
     that ``tau * sum sigma_i w_i ||L_i||^2`` is a drawn radicand in (0.1,
     0.99); optional smooth and inverse parts get a modulus above the
@@ -520,14 +527,13 @@ def pds_instances(draw):
         Q *= 2.0 * eta / (rng.uniform(1.5, 5.0) * np.linalg.eigvalsh(Q)[-1])
         return CocoerciveMap.quadratic(Q, rng.standard_normal(m))
 
-    spec = PdsSpec(
+    built = PdsBuilt(
         primal_block=block(), tau=tau, dim_primal=d,
         duals=[PdsDualTerm(block=block(), L=L, sigma=s, omega=w,
                            r=rng.standard_normal(L.shape[0]), d_inv=cocoercive(L.shape[0]))
                for L, s, w in zip(Ls, sigmas, omegas)],
         smooth=cocoercive(d),
     )
-    built = PdsBuilt(spec)
     z = rng.standard_normal(built.space.size) * 10.0 ** rng.uniform(-2.0, 2.0)
     return built, z
 
@@ -537,14 +543,14 @@ def recorded_pds_instance():
     1``, box blocks, a quadratic ``d_inv``, radicand 0.497, ``z = [1.227,
     0.0871]`` mapped to about ``[1, 29878.7]``.  ``block_step`` and the
     resolvent form differ there by 7.3e-12, two ulps of the output."""
-    spec = PdsSpec(
+    built = PdsBuilt(
         primal_block=BoxBlock(-1.0, 1.0), tau=2.06e3, dim_primal=1,
         duals=[PdsDualTerm(block=BoxBlock(-1.0, 1.0), L=np.array([[-1.43e-4]]),
                            sigma=1.18e4, omega=1.0, r=np.array([-2.0991]),
                            d_inv=CocoerciveMap.quadratic(np.array([[1.6e-5]]),
                                                          np.array([1.4331])))],
     )
-    return PdsBuilt(spec), np.array([1.227, 0.0871])
+    return built, np.array([1.227, 0.0871])
 
 
 @settings(max_examples=200, deadline=None)
@@ -581,23 +587,24 @@ class TestNonstationaryFamily:
     def test_per_gamma_certificates(self):
         p = make_multiblock_nonstationary("geometric", d=6)
         beta = p.constants["beta"]
-        spec = p.built.spec
+        built = p.built
         for g in (1.5, 1.7, 1.9):
-            at_g = GfbBuilt(GfbSpec(spec.blocks, spec.weights, g, spec.dim, spec.smooth))
-            assert spec.alpha_at(g) == at_g.alpha == pytest.approx(2.0 * beta / (4.0 * beta - g))
-        assert p.make_channel(0.0, 3.0).alphas == (spec.alpha_at(1.5), spec.alpha_at(1.9))
+            at_g = GfbBuilt(built.blocks, built.weights, g, built.dim, built.smooth)
+            assert (built.alpha_at(g) == at_g.operator.alpha
+                    == pytest.approx(2.0 * beta / (4.0 * beta - g)))
+        assert p.make_channel(0.0, 3.0).alphas == (built.alpha_at(1.5), built.alpha_at(1.9))
 
     def test_evaluate_at_another_step_size_matches_a_fresh_build(self):
         # an exact step of the schedule's channel at gamma_k = 1.7: the limit
         # evaluation and, from its consensus, the splitting at 1.7
         p = make_multiblock_nonstationary("harmonic", d=6)
-        spec = p.built.spec
-        channel = GfbScheduleChannel(p.built, GammaSchedule.from_function(
-            lambda k: 1.7, spec.gamma, 1.2, 1.8), ErrorSchedule.power(0.0, 3.0))
+        built = p.built
+        channel = GfbScheduleChannel(built, GammaSchedule.from_function(
+            lambda k: 1.7, built.gamma, 1.2, 1.8), ErrorSchedule.power(0.0, 3.0))
         z = np.random.default_rng(5).standard_normal(p.built.space.size)
         exact, out, eps, extras = channel.evaluate(0, z, channel.draws(np.random.default_rng(0)))
         assert np.array_equal(exact, p.built.evaluate(z)[0])
-        want = GfbBuilt(GfbSpec(spec.blocks, spec.weights, 1.7, spec.dim, spec.smooth))
+        want = GfbBuilt(built.blocks, built.weights, 1.7, built.dim, built.smooth)
         assert np.array_equal(out, want.evaluate(z)[0])
         assert np.array_equal(eps, out - exact)
 
@@ -654,7 +661,7 @@ def two_dual_pds(law):
     rng = np.random.default_rng(4)
     duals = [PdsDualTerm(block=L1Block(1.0), L=0.1 * rng.standard_normal((m, 3)),
                          sigma=0.5, omega=0.5) for m in (2, 4)]
-    built = PdsBuilt(PdsSpec(primal_block=ZeroBlock(), tau=0.5, dim_primal=3, duals=duals))
+    built = PdsBuilt(primal_block=ZeroBlock(), tau=0.5, dim_primal=3, duals=duals)
     return PdsChannelModel(built, law)
 
 

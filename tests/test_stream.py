@@ -66,12 +66,11 @@ def two_pass_gfb(built, trace, rec, constants):
              for k in range(trace.n_steps)]
     members = [s.membership for s in steps if s.membership is not None]
     return (np.array([s.criterion for s in steps]),
-            pointwise_bound(np.arange(trace.n_steps), constants) / built.spec.gamma,
+            pointwise_bound(np.arange(trace.n_steps), constants) / built.gamma,
             max(members) if members else None)
 
 
 def two_pass_drs(built, trace, rec, constants):
-    spec = built.spec
     vals = np.empty(trace.n_steps)
     bnds = np.empty(trace.n_steps)
     members = []
@@ -88,16 +87,16 @@ def two_pass_drs(built, trace, rec, constants):
             w = w + 2.0 * e2
         u = built.j1(w)
         v = built.j2(znv)
-        g = ((2.0 * x - zv - u) + (znv - v)) / spec.gamma
+        g = ((2.0 * x - zv - u) + (znv - v)) / built.gamma
         lam = float(trace.lam[k])
-        ck = (1.0 / spec.gamma) * (
+        ck = (1.0 / built.gamma) * (
             (2.0 + lam) * (np.linalg.norm(e2) if e2 is not None else 0.0)
             + (np.linalg.norm(e1) if e1 is not None else 0.0))
         vals[k] = float(np.linalg.norm(g))
-        bnds[k] = (1.0 + lam) / spec.gamma * pointwise_bound(k, constants) + ck
+        bnds[k] = (1.0 + lam) / built.gamma * pointwise_bound(k, constants) + ck
         members += [r for r in (
-            member_residual(spec.block1, u, (2.0 * x - zv - u) / spec.gamma),
-            member_residual(spec.block2, v, (znv - v) / spec.gamma),
+            member_residual(built.block1, u, (2.0 * x - zv - u) / built.gamma),
+            member_residual(built.block2, v, (znv - v) / built.gamma),
         ) if r is not None]
     return vals, bnds, max(members) if members else None
 

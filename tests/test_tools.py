@@ -1,4 +1,6 @@
 import importlib.util
+import io
+import itertools
 import json
 import pathlib
 
@@ -78,6 +80,28 @@ def test_nonstationary_members_match_recorded_digests(capsys):
     argv = ["--compare", str(ROOT / "digests-parent.json"), "--members", *members]
     assert tool.main(argv) == 0
     assert "12/12 digests match" in capsys.readouterr().out
+
+
+def test_each_problem_runs_its_entries_back_to_back(monkeypatch):
+    # the CLI's memo holds the 8 most recent problems: with each problem's
+    # entries contiguous, none is evicted and solved again between them.
+    # The runs are recorded, not executed
+    tool = load_tool()
+    order = []
+
+    def record(cfg, base):
+        order.append(cfg)
+        return {"error": "not run"}
+
+    monkeypatch.setattr(tool, "digest", record)
+    tool.collect([0], out=io.StringIO())
+    problems = [cfg["problem"] for cfg in order]
+    assert len(order) == len(tool.configs())
+    runs = [p for p, _ in itertools.groupby(problems)]
+    assert len(runs) == len(set(runs))
+    names = [cfg["name"] for cfg in order]
+    for p in ("zero-map", "gd", "drs", "lasso", "multiblock", "pds"):
+        assert names.index(f"cert-{p}-exact") < names.index(f"cert-{p}-inexact")
 
 
 def _scale_cell(path, k, column, factor):

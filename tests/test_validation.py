@@ -45,7 +45,6 @@ from kmcert.splitting import (
     CocoerciveMap,
     GfbBuilt,
     GfbScheduleChannel,
-    GfbSpec,
     L1Block,
     LinearBlock,
     SubspaceBlock,
@@ -62,10 +61,9 @@ def inf_smooth_problem():
     """A GFB instance with a linear block whose smooth part returns inf, so
     the linear resolvent's input is not finite."""
     d = 3
-    spec = GfbSpec(blocks=[L1Block(0.1), LinearBlock(np.eye(d))],
-                   weights=np.array([0.5, 0.5]), gamma=1.0, dim=d,
-                   smooth=CocoerciveMap(lambda x: np.full_like(x, np.inf), 1.0, "inf"))
-    built = GfbBuilt(spec)
+    built = GfbBuilt(blocks=[L1Block(0.1), LinearBlock(np.eye(d))],
+                     weights=np.array([0.5, 0.5]), gamma=1.0, dim=d,
+                     smooth=CocoerciveMap(lambda x: np.full_like(x, np.inf), 1.0, "inf"))
     return replace(make_gfb_multiblock(2, d), built=built, operator=built.operator)
 
 
@@ -290,7 +288,7 @@ class TestCaches:
     def test_factorization_cache_stays_bounded(self):
         p = make_multiblock_nonstationary("harmonic", d=6)
         assert p.run(max_iters=200).n_steps == 200
-        linear = [b for b in p.built.spec.blocks if isinstance(b, LinearBlock)]
+        linear = [b for b in p.built.blocks if isinstance(b, LinearBlock)]
         assert linear and all(len(b._lu) <= 2 for b in linear)
 
     def test_limit_operator_stays_resident(self, monkeypatch):
@@ -301,9 +299,9 @@ class TestCaches:
         assembled = []
         real_init = GfbBuilt.__init__
 
-        def counting_init(self, *args):
-            assembled.append(args)
-            real_init(self, *args)
+        def counting_init(self, *args, **kwargs):
+            assembled.append((args, kwargs))
+            real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(GfbBuilt, "__init__", counting_init)
         assert p.run(max_iters=20).n_steps == 20

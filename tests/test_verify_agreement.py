@@ -1,9 +1,11 @@
 """`kmcert run` and `kmcert verify` agree: the run's own bound check and
 `verify_files` on the emitted trace and report find the same violations, on
-generated instances (single-block maps and product-space splittings) and on
-every suite member that carries constants."""
+generated instances (single-block maps, two-subspace Douglas-Rachford,
+primal-dual and product-space splittings) and on every suite member that
+carries constants."""
 
 import dataclasses
+import math
 import pathlib
 import tempfile
 
@@ -15,7 +17,7 @@ from kmcert import cli
 from kmcert.bounds import BoundConstants, verify_series
 from kmcert.km import RelaxationSchedule
 from kmcert.problems import ProblemInstance
-from kmcert.splitting import BoxBlock, CocoerciveMap, GfbBuilt, GfbSpec, L1Block
+from kmcert.splitting import BoxBlock, CocoerciveMap, GfbBuilt, L1Block
 
 EDITABLE = ("res_norm", "erg_res_norm", "dist_fix")
 
@@ -43,27 +45,41 @@ def set_cell(path, k, column, value):
 
 @st.composite
 def instances(draw):
-    """A `zero-map` or `gd` config; ``lam`` is drawn as a fraction of the
-    admissible cap ``1/alpha`` (1 when only non-expansiveness is certified)
-    and scaled once the problem is built."""
-    problem = draw(st.sampled_from(["zero-map", "gd"]))
-    cfg = dict(cli.DEFAULTS, problem=problem, name="prop",
-               dim=draw(st.integers(1 if problem == "zero-map" else 2, 6)),
-               lam=draw(st.floats(0.05, 0.95)),
+    """A `zero-map`, `gd`, `two-subspaces` or `pds-small` config.  For
+    `zero-map` and `gd`, ``lam`` is drawn as a fraction of the admissible cap
+    ``1/alpha`` (1 when only non-expansiveness is certified) and scaled once
+    the problem is built; `two-subspaces` reads ``lam`` itself, a fraction of
+    its cap 2, with ``theta`` in (0, pi/2] down to the smallest normal float
+    (a subnormal angle exits 2); `pds-small` draws its ``problem_seed``."""
+    problem = draw(st.sampled_from(["zero-map", "gd", "two-subspaces", "pds-small"]))
+    editable = EDITABLE
+    if problem == "two-subspaces":
+        keys = {"theta": draw(st.floats(float(np.finfo(float).tiny), math.pi / 2)),
+                "dim": draw(st.integers(2, 6)), "lam": 2.0 * draw(st.floats(0.05, 0.95))}
+    elif problem == "pds-small":
+        keys = {"problem_seed": draw(st.integers(0, 39))}
+        editable = EDITABLE[:2]     # no analytic fixed point: no dist_fix column
+    else:
+        keys = {"dim": draw(st.integers(1 if problem == "zero-map" else 2, 6)),
+                "lam": draw(st.floats(0.05, 0.95))}
+    cfg = dict(cli.DEFAULTS, problem=problem, name="prop", **keys,
                error_c=draw(st.sampled_from([0.0, 0.2]) | st.floats(0.0, 0.2)),
                error_p=draw(st.floats(2.0, 4.0, exclude_min=True)),
                max_iters=draw(st.integers(1, 150)),
                seed=draw(st.integers(0, 2 ** 16)))
-    edit = draw(st.none() | st.tuples(st.sampled_from(EDITABLE),
+    edit = draw(st.none() | st.tuples(st.sampled_from(editable),
                                       st.integers(0, 149), st.floats(0.0, 1e3)))
     return cfg, edit
 
 
 def with_drawn_relaxation(build):
-    """`build_problem` whose constant relaxation is ``cfg["lam"]`` times the
-    problem's admissible cap (the zero-map and gd generators fix their own,
-    and read no ``lam``, so the real builder gets its default)."""
+    """`build_problem` whose constant relaxation, for `zero-map` and `gd`, is
+    ``cfg["lam"]`` times the problem's admissible cap (these generators fix
+    their own, and read no ``lam``, so the real builder gets its default);
+    the other problems are built as configured."""
     def patched(cfg):
+        if cfg["problem"] not in ("zero-map", "gd"):
+            return build(cfg)
         p = build(dict(cfg, lam=cli.DEFAULTS["lam"]))
         cap = 1.0 if p.operator.alpha is None else 1.0 / p.operator.alpha
         return dataclasses.replace(
@@ -71,7 +87,7 @@ def with_drawn_relaxation(build):
     return patched
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(instances())
 def test_run_and_verify_agree_on_generated_instances(drawn):
     cfg, edit = drawn
@@ -82,16 +98,20 @@ def test_run_and_verify_agree_on_generated_instances(drawn):
 
         # CSV emit then parse is bit-exact
         _, parsed = cli.parse_trace_csv(csv_path)
+        dist = {} if trace.dist is None else {"dist_fix": trace.dist[:K]}
         recorded = {"lambda": trace.lam, "err_norm": trace.eps_norm,
                     "res_norm": trace.res_norm, "erg_res_norm": trace.erg_norm,
-                    "disp_norm": trace.disp_norm, "dist_fix": trace.dist[:K], **columns}
+                    "disp_norm": trace.disp_norm, **dist, **columns}
         for name, values in recorded.items():
             assert np.array_equal(parsed[name], values), name
 
+        # the splittings' certificate columns are checked as recorded
         cols = {"lambda": trace.lam, "err_norm": trace.eps_norm,
                 "res_norm": trace.res_norm.copy(),
                 "erg_res_norm": trace.erg_norm.copy(),
-                "dist_fix": trace.dist[:K].copy()}
+                **{name: v.copy() for name, v in dist.items()},
+                **{name: columns[name] for name in ("cert_value", "cert_bound")
+                   if name in columns}}
         if edit is None:
             assert report["violations"] == []
         else:
@@ -158,10 +178,9 @@ def gfb_instances(draw):
     blocks = [BoxBlock(-rng.uniform(0.2, 2.0, d), rng.uniform(0.2, 2.0, d))
               if kind == "box" else L1Block(rng.uniform(0.01, 0.5)) for kind in kinds_]
     smooth = CocoerciveMap.quadratic(Q, rng.standard_normal(d))
-    spec = GfbSpec(blocks=blocks, weights=raw_w / raw_w.sum(),
-                   gamma=draw(st.floats(0.1, 1.9)) * smooth.beta, dim=d, smooth=smooth)
-    built = GfbBuilt(spec)
-    lam = draw(st.floats(0.1, 0.95)) / built.alpha
+    built = GfbBuilt(blocks=blocks, weights=raw_w / raw_w.sum(),
+                     gamma=draw(st.floats(0.1, 1.9)) * smooth.beta, dim=d, smooth=smooth)
+    lam = draw(st.floats(0.1, 0.95)) / built.operator.alpha
     problem = ProblemInstance(
         name="gfb-generated", kind="gfb", operator=built.operator,
         z0=built.space.point([3.0 * rng.standard_normal(d) for _ in blocks]),

@@ -97,12 +97,16 @@ def digest(cfg: dict, base: str) -> dict:
 
 def collect(seeds, max_iters=None, names=None, out=sys.stdout, keep=None) -> dict:
     """Digests of every config at every seed; with ``keep``, each run's files
-    stay in that directory under the entry's key."""
+    stay in that directory under the entry's key.  The configs run sorted by
+    ``(problem, method)``, a stable sort, so the entries of one problem run
+    back to back (exact before inexact) and share its instance and reference
+    in the CLI's memo of recent problems."""
     digests = {}
+    runs = sorted(configs(names), key=lambda kc: (kc[1]["problem"], kc[1]["method"]))
     with tempfile.TemporaryDirectory(prefix="kmcert-digests-") as workdir:
         if keep is not None:
             os.makedirs(keep, exist_ok=True)
-        for key, base_cfg in configs(names):
+        for key, base_cfg in runs:
             for seed in seeds:
                 cfg = dict(base_cfg, seed=seed)
                 if max_iters is not None:
