@@ -18,7 +18,9 @@ from .km import IterationTrace, Steps
 from .spaces import ProductSpace
 
 _SLACK = 1e-10
+MEMBERSHIP_TOL = 1e-8       # largest certificate membership residual that passes
 _TAIL_FRACTION = 0.3
+CHECKS = ("constants", "pointwise", "ergodic", "certificate", "local", "membership")
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,8 @@ class BoundConstants:
 
 
 class Violation(NamedTuple):
-    k: int        # -1 for the constants check
-    kind: str     # pointwise | ergodic | certificate | local | constants
+    k: int        # -1 for the constants, membership and report checks
+    kind: str     # one of CHECKS, or report
     margin: float
 
 
@@ -63,6 +65,29 @@ def stack_present(vectors) -> tuple:
     not None and those entries stacked (None when there are none)."""
     rows = [i for i, v in enumerate(vectors) if v is not None]
     return rows, np.stack([vectors[i] for i in rows]) if rows else None
+
+
+class Certification(list):
+    """A run's record (see :func:`certify`): the list of the violations
+    found, with ``checks``, each of :data:`CHECKS` mapped to None when it
+    ran or to the reason it was skipped, and the bound ``columns``."""
+
+    def __init__(self, violations, checks: dict, columns: dict):
+        super().__init__(violations)
+        self.checks, self.columns = checks, columns
+
+    @property
+    def verdict(self) -> str:
+        return "fail" if self else "pass"
+
+    @property
+    def reported(self) -> list:
+        """The violations a report lists; ``certificates`` sums up the rest."""
+        return [v for v in self if v.kind not in ("certificate", "membership")]
+
+    @property
+    def certificates_ok(self) -> bool:
+        return not any(v.kind in ("certificate", "membership") for v in self)
 
 
 class EmpiricalConstants:
@@ -254,3 +279,35 @@ def verify_series(cols: dict, constants: BoundConstants,
             np.cumprod(np.concatenate(([1.0], zeta)))[: lam.size])
     return out, bounds
 
+
+def certify(series: dict, constants: Optional[BoundConstants], alpha: Optional[float] = None,
+            kappa: Optional[float] = None, membership_max: Optional[float] = None,
+            certified: bool = False) -> Certification:
+    """The one decision of what a run checked and whether it passed:
+    ``series`` (CSV column names to arrays, None or absent when blank) by
+    one :func:`verify_series` call, and the certificate's largest membership
+    residual, if it has one, against :data:`MEMBERSHIP_TOL`.  A run with a
+    certificate (``certified``) fills both ``cert_*`` columns, one without
+    neither; one with a modulus fills ``dist_fix``.  Without constants (a
+    scheduled problem) every check is skipped."""
+    if constants is None:
+        why = "scheduled problem: no certified constants (ROADMAP item 1)"
+        return Certification([], dict.fromkeys(CHECKS, why), {})
+    for name in ("cert_value", "cert_bound"):
+        if (series.get(name) is None) == certified:
+            raise ParameterError(f"column {name!r} is {'blank' if certified else 'filled'}: "
+                                 "'cert_value' and 'cert_bound' are filled together, "
+                                 "for a run with a certificate")
+    if kappa is not None and series.get("dist_fix") is None:
+        raise ParameterError("column 'dist_fix' is blank, but the run has a modulus")
+    violations, columns = verify_series(series, constants, alpha, kappa)
+    checks = dict.fromkeys(CHECKS)
+    if not certified:
+        checks["certificate"] = checks["membership"] = "no certificate"
+    elif membership_max is None:
+        checks["membership"] = "no membership residual"
+    elif not membership_max <= MEMBERSHIP_TOL:
+        violations.append(Violation(-1, "membership", membership_max - MEMBERSHIP_TOL))
+    if "local_model" not in columns:
+        checks["local"] = "no modulus" if kappa is None else "inexact run"
+    return Certification(violations, checks, columns)

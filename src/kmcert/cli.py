@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import BoundConstants, trace_series, verify_series
+from .bounds import BoundConstants, Certification, Violation, certify, trace_series
 from .errors import (
     KmcertError,
     NumericalError,
@@ -50,8 +50,6 @@ CSV_COLUMNS = [
 ]
 # written at every step; the other columns are written for all rows or none
 REQUIRED_COLUMNS = ("lambda", "err_norm", "res_norm", "erg_res_norm", "disp_norm")
-
-MEMBERSHIP_TOL = 1e-8
 
 DEFAULTS = {
     "method": "",
@@ -339,19 +337,29 @@ def write_report(path: str, report: dict) -> None:
 
 def execute_run(cfg: dict):
     """Run one configured experiment; returns (trace, report, csv columns).
-    A stationary run is certified; a non-stationary one (a problem with a
-    step-size schedule) reports its schedule and is not checked."""
+    The report's verdict, violations and ``certificates.ok`` are those of
+    :func:`~kmcert.bounds.certify` on the columns the CSV holds, the record
+    that `kmcert verify` rebuilds from the files.  A non-stationary run (a
+    problem with a step-size schedule) reports its schedule; it has no
+    certified constants, so its record skips every check."""
     problem = build_problem(cfg)
     max_iters = (problem.rate_horizon if cfg["max_iters"] == -1
                  else cfg["max_iters"] or problem.cert_horizon)
     run = (cfg["error_c"], cfg["error_p"], max_iters, cfg["tol"])
     schedule = problem.schedule
+    columns: dict = {}
     if schedule is None:
         trace, constants, cert = problem.certified_run(*run, seed=cfg["seed"])
     else:
         trace, constants, cert = problem.run(*run, seed=cfg["seed"]), None, None
+        columns["gamma"] = np.array([schedule.value(k) for k in range(trace.n_steps)])
+    if cert is not None:
+        columns.update(cert_value=cert.values, cert_bound=cert.bounds)
+    record = certify({**trace_series(trace), **columns}, constants, trace.alpha,
+                     problem.kappa, None if cert is None else cert.membership_max,
+                     cert is not None)
+    columns.update(record.columns)
 
-    columns: dict = {}
     report = {
         "config": cfg,
         "problem": problem.name,
@@ -364,16 +372,21 @@ def execute_run(cfg: dict):
         "theoretical_rate": problem.theoretical_rate,
         "observed_rate": None,
         "constants": None if constants is None else dataclasses.asdict(constants),
-        "violations": [],
-        "certificates": None,
-        "verdict": "pass",
+        "violations": [v._asdict() for v in record.reported],
+        "certificates": None if cert is None else {
+            "max_value": float(cert.values.max()),
+            "worst_margin": float(np.max(cert.values - cert.bounds)),
+            "membership_max": cert.membership_max,
+            "structural_only": list(cert.structural_only),
+            "surrogate": cert.surrogate,
+            "ok": record.certificates_ok,
+        },
+        "verdict": record.verdict,
     }
-
     try:
         report["observed_rate"] = problem.observed_rate(trace)
     except UnavailableError:
-        report["observed_rate"] = None
-
+        pass
     if schedule is not None:
         report["schedule"] = {
             "kind": schedule.kind,
@@ -382,38 +395,6 @@ def execute_run(cfg: dict):
             "k_summable": schedule.k_summable,
             "note": schedule.summability_note,
         }
-        columns["gamma"] = np.array([schedule.value(k) for k in range(trace.n_steps)])
-        return trace, report, columns
-
-    if cert is not None:
-        columns["cert_value"] = cert.values
-        columns["cert_bound"] = cert.bounds
-    # the columns the CSV holds, so verify re-checks exactly what is checked here
-    checked, bound_columns = verify_series({**trace_series(trace), **columns}, constants,
-                                           trace.alpha, problem.kappa)
-    columns.update(bound_columns)
-    # certificate results are reported under "certificates"
-    violations = [v for v in checked if v.kind != "certificate"]
-    if cert is not None:
-        cert_ok = len(violations) == len(checked)  # no certificate violation
-        if cert.membership_max is not None:
-            cert_ok = cert_ok and cert.membership_max <= MEMBERSHIP_TOL
-        report["certificates"] = {
-            "max_value": float(cert.values.max()),
-            "worst_margin": float(np.max(cert.values - cert.bounds)),
-            "membership_max": cert.membership_max,
-            "structural_only": list(cert.structural_only),
-            "surrogate": cert.surrogate,
-            "ok": cert_ok,
-        }
-        if not cert_ok:
-            report["verdict"] = "fail"
-
-    report["violations"] = [
-        {"k": v.k, "kind": v.kind, "margin": v.margin} for v in violations
-    ]
-    if violations:
-        report["verdict"] = "fail"
     return trace, report, columns
 
 
@@ -455,15 +436,24 @@ def cmd_run(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _report_number(val, name: str) -> float:
+def _report_number(val, name: str, null: bool = False) -> Optional[float]:
+    if null and val is None:
+        return None
     if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
-        raise ParameterError(f"report {name} {val!r} is not a finite number")
+        raise ParameterError(f"report field {name!r} must be a finite number"
+                             f"{' or null' if null else ''}, got {val!r}")
     return float(val)
 
 
-def verify_files(trace_path: str, report_path: str):
-    """Re-check an emitted trace against the constants, ``alpha`` and
-    ``kappa`` of its report; returns a list of (k, kind, margin)."""
+def certify_files(trace_path: str, report_path: str) -> Certification:
+    """Rebuild a run's record (:func:`~kmcert.bounds.certify`) from its
+    emitted trace and the constants, ``alpha``, ``kappa`` and certificate
+    membership residual of its report; the trace holds no membership
+    residual, so that one is taken from the report.  The record's verdict,
+    listed violations and ``certificates.ok`` must equal the report's; where
+    they differ, a ``report`` violation (``k = -1``, margin 1) is added.  A
+    scheduled run's report carries no constants; it is accepted when its
+    ``gamma`` column is filled, and its record checks nothing."""
     _, cols = parse_trace_csv(trace_path)
     with open(report_path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
@@ -475,47 +465,68 @@ def verify_files(trace_path: str, report_path: str):
         first = f"; first unmatched row k={min(K, steps)}" if type(steps) is int else ""
         raise ParameterError(
             f"trace holds {K} data rows but the report says steps = {steps!r}{first}")
-    consts = report.get("constants")
-    if not isinstance(consts, dict):
-        raise ParameterError("report carries no constants to verify against")
-    names = ("d0", "tau_min", "tau_max", "nu1", "nu2", "C1", "C2")
-    for n in names:
-        if n not in consts:
-            raise ParameterError(f"report constants lack {n!r}")
-    bc = BoundConstants(*(_report_number(consts[n], n) for n in names),
-                        consts.get("source", "empirical"))
-    alpha, kappa = (None if report.get(n) is None else _report_number(report[n], n)
-                    for n in ("alpha", "kappa"))
-    # a column left blank in every row does not apply to the run, unless the
-    # report says it does: a certified run writes both certificate columns,
-    # and a run with a modulus has an analytic fixed point, hence distances
+    verdict = report.get("verdict")
+    if verdict not in ("pass", "fail"):
+        raise ParameterError(f"report field 'verdict' must be 'pass' or 'fail', got {verdict!r}")
+    claimed = report.get("violations")
+    if not isinstance(claimed, list) or not all(
+            isinstance(v, dict) and sorted(v) == ["k", "kind", "margin"] and type(v["k"]) is int
+            and type(v["kind"]) is str and type(v["margin"]) in (int, float) for v in claimed):
+        raise ParameterError("report field 'violations' must be a list of "
+                             "{k, kind, margin} objects")
+    claimed = [(v["k"], v["kind"], v["margin"]) for v in claimed]
+    certificates = report.get("certificates")
+    if certificates is not None and not isinstance(certificates, dict):
+        raise ParameterError("report field 'certificates' must be an object or null")
+    membership = _report_number((certificates or {}).get("membership_max"),
+                                "certificates.membership_max", null=True)
+    # a column left blank in every row is absent
     series = {n: c for n, c in cols.items() if not np.isnan(c).all()}
-    if ("cert_value" in series) != ("cert_bound" in series):
-        raise ParameterError("columns 'cert_value' and 'cert_bound' must be "
-                             "filled together or left blank together")
-    required = []
-    if report.get("certificates") is not None:
-        required += ["cert_value", "cert_bound"]
-    if kappa is not None:
-        required.append("dist_fix")
-    for n in required:
-        if n not in series:
-            raise ParameterError(f"column {n!r} is blank, but the report says it applies")
-    return verify_series(series, bc, alpha, kappa)[0]
+    consts = report.get("constants")
+    if consts is None and isinstance(report.get("schedule"), dict) and "gamma" in series:
+        bc = None
+    elif not isinstance(consts, dict):
+        raise ParameterError("report carries no constants to verify against")
+    else:
+        names = ("d0", "tau_min", "tau_max", "nu1", "nu2", "C1", "C2")
+        for n in names:
+            if n not in consts:
+                raise ParameterError(f"report constants lack {n!r}")
+        bc = BoundConstants(*(_report_number(consts[n], n) for n in names),
+                            consts.get("source", "empirical"))
+    alpha, kappa = (_report_number(report.get(n), n, null=True) for n in ("alpha", "kappa"))
+    record = certify(series, bc, alpha, kappa, membership, certificates is not None)
+    if (verdict != record.verdict or claimed != record.reported or certificates is not None
+            and certificates.get("ok") != record.certificates_ok):
+        record.append(Violation(-1, "report", 1.0))
+    return record
+
+
+def verify_files(trace_path: str, report_path: str) -> list:
+    """The bound violations (:func:`~kmcert.bounds.verify_series`) of the
+    record :func:`certify_files` rebuilds: what the run's own check finds in
+    the emitted columns, without the comparison with the report."""
+    return [v for v in certify_files(trace_path, report_path)
+            if v.kind not in ("membership", "report")]
 
 
 def cmd_verify(args) -> int:
     try:
-        issues = verify_files(args.trace, args.report)
+        record = certify_files(args.trace, args.report)
     except (ParameterError, OSError, json.JSONDecodeError, KeyError,
             ValueError) as exc:
         print(f"verify error: {exc}", file=sys.stderr)
         return 2
-    if issues:
-        for k, kind, margin in issues:
-            print(f"violation at k={k}: {kind} margin {margin:.3e}")
+    for name, why in record.checks.items():
+        print(f"{name}: {'skipped, ' + why if why else 'checked'}")
+    if record.checks["membership"] is None:
+        print("(the membership residual is the report's: the trace does not hold it)")
+    for k, kind, margin in record:
+        print(f"violation at k={k}: {kind} margin {margin:.3e}")
+    if record:
         return 1
-    print("verified: no violations")
+    checked = None in record.checks.values()
+    print("verified: no violations" + ("" if checked else "; no bound was checked"))
     return 0
 
 

@@ -302,6 +302,37 @@ class TestVerifyCommand:
         _, report = self.make_run(tmp_path)
         assert main(["verify", str(bad), str(report)]) == 2
 
+    # each check that ran, and each skipped one with its reason, from the record
+    CHECKED = {
+        "gd-fig1": [
+            "constants: checked", "pointwise: checked", "ergodic: checked",
+            "certificate: skipped, no certificate", "local: checked",
+            "membership: skipped, no certificate", "verified: no violations"],
+        "drs-subspaces-inexact": [
+            "constants: checked", "pointwise: checked", "ergodic: checked",
+            "certificate: checked", "local: skipped, inexact run", "membership: checked",
+            "(the membership residual is the report's: the trace does not hold it)",
+            "verified: no violations"],
+        "lasso": [
+            "constants: checked", "pointwise: checked", "ergodic: checked",
+            "certificate: checked", "local: skipped, no modulus", "membership: checked",
+            "(the membership residual is the report's: the trace does not hold it)",
+            "verified: no violations"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHECKED))
+    def test_verify_says_what_it_checked(self, name, tmp_path, capsys):
+        preset, inexact = name.removesuffix("-inexact"), name.endswith("-inexact")
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text(f"name = {name}\nmax_iters = 40\n"
+                           + ("error_c = 0.1\n" if inexact else ""))
+        argv = ["run", "--preset", preset, "--config", str(cfgfile), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        files = [str(tmp_path / f"{name}.{ext}") for ext in ("csv", "json")]
+        assert main(["verify", *files]) == 0
+        assert capsys.readouterr().out.splitlines() == self.CHECKED[name]
+
     def test_verify_idempotent_with_embedded_verification(self, tmp_path):
         trace, report = self.make_run(tmp_path)
         assert verify_files(str(trace), str(report)) == []
@@ -368,6 +399,39 @@ class TestNonstationaryRuns:
         assert "not summable" in report["schedule"]["note"]
         _, cols = parse_trace_csv(str(tmp_path / "nsh.csv"))
         assert not np.isnan(cols["gamma"]).any()
+
+    def test_verify_accepts_a_scheduled_run_and_checks_nothing(self, tmp_path, capsys):
+        argv = ["--preset", "nonstationary-harm", "--max-iters", "300", "--out", str(tmp_path)]
+        assert main(["run", *argv]) == 0
+        files = [str(tmp_path / f"nonstationary-harm.{ext}") for ext in ("csv", "json")]
+        capsys.readouterr()
+        assert main(["verify", *files]) == 0
+        why = "skipped, scheduled problem: no certified constants (ROADMAP item 1)"
+        checks = ("constants", "pointwise", "ergodic", "certificate", "local", "membership")
+        assert capsys.readouterr().out.splitlines() == [
+            *(f"{name}: {why}" for name in checks),
+            "verified: no violations; no bound was checked"]
+
+    @pytest.mark.parametrize("edit", ["blank gamma", "no schedule"])
+    def test_verify_refuses_constants_null_without_a_schedule(self, tmp_path, capsys, edit):
+        argv = ["--preset", "nonstationary-harm", "--max-iters", "30", "--out", str(tmp_path)]
+        assert main(["run", *argv]) == 0
+        trace, report = tmp_path / "nonstationary-harm.csv", tmp_path / "nonstationary-harm.json"
+        if edit == "no schedule":
+            doc = json.loads(report.read_text())
+            del doc["schedule"]
+            report.write_text(json.dumps(doc))
+        else:
+            lines = trace.read_text().splitlines()
+            at = CSV_COLUMNS.index("gamma")
+            for i, line in enumerate(lines):
+                if not line.startswith("#") and line[0].isdigit():
+                    row = line.split(",")
+                    row[at] = ""
+                    lines[i] = ",".join(row)
+            trace.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(trace), str(report)]) == 2
+        assert "report carries no constants" in capsys.readouterr().err
 
     def test_nonstationary_method_on_another_problem_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.txt"

@@ -37,6 +37,27 @@ def test_trace_digests_record_and_compare(tmp_path, capsys):
     assert "MISMATCH preset:gd-fig1@seed1" in capsys.readouterr().out
 
 
+def test_trace_digests_fail_a_run_that_verify_disagrees_with(monkeypatch, capsys):
+    # every written run is read back by certify_files; a report whose verdict
+    # the files do not bear out fails the tool, digests or not
+    tool = load_tool()
+    run = tool.execute_run
+
+    def flipped(cfg):
+        trace, report, columns = run(cfg)
+        report["verdict"] = "fail"
+        return trace, report, columns
+
+    argv = ["--seeds", "0", "--max-iters", "20", "--members", "preset:gd-fig1", "cert-pds-exact"]
+    assert tool.main(argv) == 0
+    assert "2/2 runs verify in agreement" in capsys.readouterr().out
+    monkeypatch.setattr(tool, "execute_run", flipped)
+    assert tool.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "DISAGREE preset:gd-fig1@seed0: the re-check disagrees with the report" in out
+    assert "0/2 runs verify in agreement" in out
+
+
 def test_reference_solving_members_match_recorded_digests(solves, capsys):
     # one process, the exact member first: each inexact member reuses its
     # problem's reference, so the recorded bytes pin the warm path too

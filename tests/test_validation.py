@@ -479,6 +479,31 @@ class TestCli:
         assert main(["verify", str(trace), str(report)]) == 2
         assert "report carries no constants" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path,value", [
+        ("verdict", "maybe"), ("verdict", None), ("verdict", True),
+        ("violations", {}), ("violations", None), ("violations", [3]),
+        ("violations", [{"k": 0, "kind": "pointwise"}]),
+        ("violations", [{"k": "0", "kind": "pointwise", "margin": 1.0}]),
+        ("violations", [{"k": 0, "kind": "pointwise", "margin": "1"}]),
+        ("violations", [{"k": 0, "kind": "pointwise", "margin": 1.0, "why": "x"}]),
+        ("certificates", [1.0]),
+        ("certificates.membership_max", "tiny"),
+        ("certificates.membership_max", float("nan")),
+        ("certificates.membership_max", True),
+        ("certificates.membership_max", [0.0]),
+    ])
+    def test_malformed_report_field_exits_2_naming_it(self, tmp_path, capsys, path, value):
+        trace, report = self.drs_run(tmp_path)
+        doc = json.loads(report.read_text())
+        *outer, key = path.split(".")
+        target = doc
+        for name in outer:
+            target = target[name]
+        target[key] = value
+        report.write_text(json.dumps(doc))
+        assert main(["verify", str(trace), str(report)]) == 2
+        assert f"verify error: report field {path!r} must be" in capsys.readouterr().err
+
     def test_blank_certificate_pair_exits_2_when_certified(self, tmp_path, capsys):
         trace, report = self.drs_run(tmp_path)
         assert json.loads(report.read_text())["certificates"] is not None

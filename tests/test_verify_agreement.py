@@ -2,9 +2,12 @@
 `verify_files` on the emitted trace and report find the same violations, on
 generated instances (single-block maps, two-subspace Douglas-Rachford,
 primal-dual and product-space splittings) and on every suite member that
-carries constants."""
+carries constants; and a report whose verdict, violations, certificate
+``ok`` or membership residual was edited fails `verify`."""
 
+import copy
 import dataclasses
+import json
 import math
 import pathlib
 import tempfile
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmcert import cli
-from kmcert.bounds import BoundConstants, verify_series
+from kmcert.bounds import CHECKS, MEMBERSHIP_TOL, BoundConstants, verify_series
 from kmcert.km import RelaxationSchedule
 from kmcert.problems import ProblemInstance
 from kmcert.splitting import BoxBlock, CocoerciveMap, GfbBuilt, L1Block
@@ -123,6 +126,9 @@ def test_run_and_verify_agree_on_generated_instances(drawn):
         own, _ = verify_series(cols, constants, report["alpha"], report["kappa"])
         found = cli.verify_files(csv_path, report_path)
         assert kinds(own) == kinds(found)
+        # the run passed, so an edit that breaks a bound contradicts its report
+        record = cli.certify_files(csv_path, report_path)
+        assert ((-1, "report") in kinds(record)) == bool(own)
         if edit is None:
             assert found == []
 
@@ -141,19 +147,21 @@ def test_member_verify_finds_the_runs_violations(member, tmp_path):
         assert certificates is not None and not certificates["ok"]
 
 
+def tight_modulus(build):
+    """`build_problem` with the modulus 10% below the true one, which breaks
+    the local model at every transition of an exact run."""
+    def patched(cfg):
+        p = build(cfg)
+        return dataclasses.replace(p, kappa=p.kappa * 0.9)
+    return patched
+
+
 @pytest.mark.parametrize("max_iters", [1, 2])
 def test_run_checks_only_the_local_transitions_its_trace_holds(max_iters, tmp_path,
                                                                monkeypatch):
-    # a modulus 10% below the true one breaks the local model at every
-    # transition; the run must flag just those that verify can re-check
-    # from the K distances of the CSV
-    build = cli.build_problem
-
-    def tight_modulus(cfg):
-        p = build(cfg)
-        return dataclasses.replace(p, kappa=p.kappa * 0.9)
-
-    monkeypatch.setattr(cli, "build_problem", tight_modulus)
+    # the run must flag just the broken transitions that verify can
+    # re-check from the K distances of the CSV
+    monkeypatch.setattr(cli, "build_problem", tight_modulus(cli.build_problem))
     cfg = cli.resolve_config(preset="drs-subspaces", overrides={"max_iters": max_iters})
     _, report, _, csv_path, report_path = emit(cfg, tmp_path)
     found = kinds(cli.verify_files(csv_path, report_path))
@@ -220,3 +228,69 @@ def test_generated_gfb_runs_certify_and_verify_agrees(drawn):
                                report["alpha"], report["kappa"])
         found = cli.verify_files(csv_path, report_path)
         assert kinds(found) == kinds(own) == set()
+
+
+@pytest.fixture(scope="module")
+def short_runs(tmp_path_factory):
+    """name -> (trace path, report) for a 30-step run of every suite member
+    and preset, and of `drs-subspaces` with a tight modulus, whose report
+    lists local violations; verify agrees with each."""
+    out = tmp_path_factory.mktemp("short-runs")
+    cfgs = [dict(m, max_iters=30) for m in cli.suite_members()]
+    cfgs += [cli.resolve_config(preset=p, overrides={"max_iters": 30}) for p in cli.PRESETS]
+    runs = {}
+    for cfg in cfgs:
+        _, report, _, csv_path, _ = emit(cfg, out)
+        runs[cfg["name"]] = csv_path, report
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "build_problem", tight_modulus(cli.build_problem))
+        cfg = cli.resolve_config(preset="drs-subspaces",
+                                 overrides={"max_iters": 30, "name": "drs-tight"})
+        _, report, _, csv_path, _ = emit(cfg, out)
+        runs["drs-tight"] = csv_path, report
+    assert runs["drs-tight"][1]["violations"]
+    for csv_path, report in runs.values():
+        record = cli.certify_files(csv_path, f"{csv_path[:-4]}.json")
+        assert record.reported == [tuple(v.values()) for v in report["violations"]]
+        assert record.verdict == report["verdict"] and "report" not in kinds(record)
+    return runs
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_verify_fails_a_tampered_report(short_runs, data, tmp_path_factory):
+    name = data.draw(st.sampled_from(sorted(short_runs)), label="run")
+    csv_path, report = short_runs[name]
+    doc = copy.deepcopy(report)
+    listed = doc["violations"]
+    edits = ["verdict", "add"] + (["drop", "alter"] if listed else [])
+    if doc["certificates"] is not None:
+        edits.append("ok")
+    if isinstance((doc["certificates"] or {}).get("membership_max"), float):
+        edits.append("membership")
+    edit = data.draw(st.sampled_from(edits), label="edit")
+    margins = st.floats(0.0, 1e3, exclude_min=True)
+    if edit == "verdict":
+        doc["verdict"] = "pass" if doc["verdict"] == "fail" else "fail"
+    elif edit == "add":
+        listed.insert(data.draw(st.integers(0, len(listed))),
+                      {"k": data.draw(st.integers(-1, doc["steps"] - 1)),
+                       "kind": data.draw(st.sampled_from(CHECKS)),
+                       "margin": data.draw(margins)})
+    elif edit == "drop":
+        del listed[data.draw(st.integers(0, len(listed) - 1))]
+    elif edit == "alter":
+        entry = listed[data.draw(st.integers(0, len(listed) - 1))]
+        field = data.draw(st.sampled_from(["k", "kind", "margin"]))
+        values = {"k": st.integers(-1, doc["steps"]), "kind": st.sampled_from(CHECKS),
+                  "margin": margins}[field]
+        entry[field] = data.draw(values.filter(lambda v: v != entry[field]))
+    elif edit == "ok":
+        doc["certificates"]["ok"] = not doc["certificates"]["ok"]
+    else:
+        doc["certificates"]["membership_max"] = data.draw(
+            st.floats(MEMBERSHIP_TOL, 1.0, exclude_min=True))
+    report_path = tmp_path_factory.getbasetemp() / "tampered.json"
+    report_path.write_text(json.dumps(doc))
+    assert (-1, "report") in kinds(cli.certify_files(csv_path, str(report_path)))
+    assert cli.main(["verify", csv_path, str(report_path)]) == 1

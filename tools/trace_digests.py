@@ -12,6 +12,10 @@ A run that raises records the exception instead of two digests.
 exits 1 if any digest differs or any recorded entry is missing.  Run it from
 the repository root; `src/` is put on the import path.
 
+Every run it writes is also read back by `certify_files`, which rebuilds
+the run's record from the two files; the tool exits 1 if that record disagrees
+with the report (a `report` violation) or the files fail to verify at all.
+
 A declared numerics change is checked by value instead of by digest:
 
     python tools/trace_digests.py --seeds 0 3 --write before/   # old code
@@ -44,6 +48,7 @@ import numpy as np  # noqa: E402
 
 from kmcert.cli import (  # noqa: E402
     PRESETS,
+    certify_files,
     emit_trace_csv,
     execute_run,
     parse_trace_csv,
@@ -95,13 +100,25 @@ def digest(cfg: dict, base: str) -> dict:
     return {"csv": _sha256(base + ".csv"), "json": _sha256(base + ".json")}
 
 
-def collect(seeds, max_iters=None, names=None, out=sys.stdout, keep=None) -> dict:
-    """Digests of every config at every seed; with ``keep``, each run's files
+def disagreement(base: str):
+    """Why `certify_files` disagrees with the run written at ``base``, or None."""
+    try:
+        issues = certify_files(base + ".csv", base + ".json")
+    except KmcertError as exc:
+        return f"verify raised {type(exc).__name__}: {exc}"
+    report = [v for v in issues if v.kind == "report"]
+    return f"the re-check disagrees with the report: {issues[:5]}" if report else None
+
+
+def collect(seeds, max_iters=None, names=None, out=sys.stdout, keep=None):
+    """``(digests, disagreements)``: the digests of every config at every
+    seed, and the keys whose files `certify_files` disagrees with (see
+    :func:`disagreement`); with ``keep``, each run's files
     stay in that directory under the entry's key.  The configs run sorted by
     ``(problem, method)``, a stable sort, so the entries of one problem run
     back to back (exact before inexact) and share its instance and reference
     in the CLI's memo of recent problems."""
-    digests = {}
+    digests, disagreements = {}, []
     runs = sorted(configs(names), key=lambda kc: (kc[1]["problem"], kc[1]["method"]))
     with tempfile.TemporaryDirectory(prefix="kmcert-digests-") as workdir:
         if keep is not None:
@@ -118,7 +135,13 @@ def collect(seeds, max_iters=None, names=None, out=sys.stdout, keep=None) -> dic
                 digests[entry_key] = entry
                 shown = entry.get("error") or f"{entry['csv']}  {entry['json']}"
                 print(f"{key:28s} {seed:>4d}  {shown}", file=out, flush=True)
-    return digests
+                why = None if "error" in entry else disagreement(base)
+                if why is not None:
+                    disagreements.append(entry_key)
+                    print(f"DISAGREE {entry_key}: {why}", file=out, flush=True)
+    print(f"{len(digests) - len(disagreements)}/{len(digests)} runs verify in agreement "
+          f"with their reports", file=out)
+    return digests, disagreements
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +281,7 @@ def main(argv=None) -> int:
         members = members or recorded["members"]
     seeds = seeds or [0]
 
-    digests = collect(seeds, max_iters, members, keep=args.write)
+    digests, disagreements = collect(seeds, max_iters, members, keep=args.write)
     doc = {"seeds": seeds, "max_iters": max_iters, "members": members,
            "digests": digests}
     if args.out:
@@ -266,7 +289,7 @@ def main(argv=None) -> int:
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
     if recorded is None:
-        return 0
+        return 1 if disagreements else 0
     expected = {}
     for key, entry in recorded["digests"].items():
         name, seed = key.rsplit("@seed", 1)
@@ -276,7 +299,7 @@ def main(argv=None) -> int:
     for key in bad:
         print(f"MISMATCH {key}: recorded {expected[key]}, now {digests.get(key)}")
     print(f"{len(expected) - len(bad)}/{len(expected)} digests match")
-    return 1 if bad else 0
+    return 1 if bad or disagreements else 0
 
 
 if __name__ == "__main__":
