@@ -335,6 +335,11 @@ def write_report(path: str, report: dict) -> None:
 # run orchestration
 # ---------------------------------------------------------------------------
 
+def _certificate_summary(values: np.ndarray, bounds: np.ndarray) -> tuple:
+    """The report's ``(max_value, worst_margin)`` of a certificate series."""
+    return float(values.max()), float(np.max(values - bounds))
+
+
 def execute_run(cfg: dict):
     """Run one configured experiment; returns (trace, report, csv columns).
     The report's verdict, violations and ``certificates.ok`` are those of
@@ -359,6 +364,7 @@ def execute_run(cfg: dict):
                      problem.kappa, None if cert is None else cert.membership_max,
                      cert is not None)
     columns.update(record.columns)
+    summary = None if cert is None else _certificate_summary(cert.values, cert.bounds)
 
     report = {
         "config": cfg,
@@ -374,8 +380,8 @@ def execute_run(cfg: dict):
         "constants": None if constants is None else dataclasses.asdict(constants),
         "violations": [v._asdict() for v in record.reported],
         "certificates": None if cert is None else {
-            "max_value": float(cert.values.max()),
-            "worst_margin": float(np.max(cert.values - cert.bounds)),
+            "max_value": summary[0],
+            "worst_margin": summary[1],
             "membership_max": cert.membership_max,
             "structural_only": list(cert.structural_only),
             "surrogate": cert.surrogate,
@@ -450,7 +456,8 @@ def certify_files(trace_path: str, report_path: str) -> Certification:
     emitted trace and the constants, ``alpha``, ``kappa`` and certificate
     membership residual of its report; the trace holds no membership
     residual, so that one is taken from the report.  The record's verdict,
-    listed violations and ``certificates.ok`` must equal the report's; where
+    listed violations and ``certificates.ok``, and the largest certificate
+    value and margin of the trace's columns, must equal the report's; where
     they differ, a ``report`` violation (``k = -1``, margin 1) is added.  A
     scheduled run's report carries no constants; it is accepted when its
     ``gamma`` column is filled, and its record checks nothing."""
@@ -497,7 +504,9 @@ def certify_files(trace_path: str, report_path: str) -> Certification:
     alpha, kappa = (_report_number(report.get(n), n, null=True) for n in ("alpha", "kappa"))
     record = certify(series, bc, alpha, kappa, membership, certificates is not None)
     if (verdict != record.verdict or claimed != record.reported or certificates is not None
-            and certificates.get("ok") != record.certificates_ok):
+            and (certificates.get("ok") != record.certificates_ok
+                 or _certificate_summary(cols["cert_value"], cols["cert_bound"])
+                 != (certificates.get("max_value"), certificates.get("worst_margin")))):
         record.append(Violation(-1, "report", 1.0))
     return record
 
@@ -599,7 +608,7 @@ def run_suite(as_json: bool = False, out=sys.stdout) -> int:
                    "final_residual": None, "note": None}
         if row["verdict"] != "pass":
             failed += 1
-        if row["name"].startswith("ns-"):
+        if row["name"].startswith("ns-") and row["final_residual"] is not None:
             ns_residuals[row["name"]] = row["final_residual"]
         rows.append(row)
 

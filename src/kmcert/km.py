@@ -12,7 +12,11 @@ error law; a splitting's channel model splits the law over its stages, and
 its :meth:`~Channel.draws` stream draws ``CHUNK`` steps of errors at once.  A
 non-stationary iteration is an inexact one: its channel measures the
 residual against the declared *limit* operator ``T`` and reports ``eps =
-(T_k z - T z) + eps_k``.
+(T_k z - T z) + eps_k``.  Where the next iterate does not need ``T z`` (an
+inexact GFB step, a scheduled step at ``gamma_k != gamma``), the channel
+leaves it to the chunk: the engine finishes those rows with one stacked
+evaluation when it takes the chunk's bookkeeping, and at once when the
+residual stop needs ``||z - T z||``.
 """
 
 from __future__ import annotations
@@ -269,13 +273,16 @@ class Steps(NamedTuple):
     them: ``z`` stacks the iterates ``z_k .. z_{k+C}`` (``C+1`` rows, the
     successors are ``z[1:]``), ``e`` the residuals ``e_k = z_k - T z_k`` and
     ``lam`` the relaxations; ``eps`` lists the injected errors (None for an
-    exact step) and ``extras`` the evaluations' extras."""
+    exact step) and ``extras`` the evaluations' extras.  ``parts`` are the
+    internals of the chunk's stacked exact evaluation, ``(C, ...)`` arrays,
+    from a channel with :attr:`~Channel.evaluate_rows` (else None)."""
 
     z: np.ndarray
     e: np.ndarray
     lam: np.ndarray
     eps: list
     extras: list
+    parts: Optional[tuple]
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +306,16 @@ class Channel:
     row of ``segments`` from the run's :meth:`draws` times ``stage_law(k)``;
     magnitude 0 takes none.  ``alphas`` lists the averagedness of per-step
     operators other than ``operator``, which the engine checks the
-    relaxation against."""
+    relaxation against.
+
+    A channel with ``evaluate_rows``, the stacked exact evaluation ``Z ->
+    (T Z, parts)`` of a ``(C, size)`` stack of points, row for row equal to
+    ``T z``, may leave a step's exact output to the chunk: ``evaluate`` then
+    returns ``(None, tilde, None, extras)``, and the engine fills in ``T z``
+    and ``eps = tilde - T z``.  The bare channel never does."""
 
     alphas: tuple = ()
+    evaluate_rows = None
 
     def __init__(self, operator: OperatorSpec, law: ErrorSchedule = ErrorSchedule(0.0, 3.0)):
         self.operator = operator
@@ -380,10 +394,48 @@ def _checked(k0: int, Z: np.ndarray, rows: list, space: ProductSpace):
     return E, lam, eps, extras, res, epsn, disp
 
 
-def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
-             relaxation: RelaxationSchedule, stop: StopRule,
-             fix: Optional[FixedPointSet], observe: Optional[Callable],
+def _finished(row: tuple, exact: np.ndarray) -> tuple:
+    """A buffered row with the exact output its step left to the chunk."""
+    tilde = row[1]
+    return (exact, tilde, row[2], tilde - exact, row[4])
+
+
+def _complete(k0: int, Z: np.ndarray, rows: list, evaluate_rows, every: bool,
+              space: ProductSpace) -> Optional[tuple]:
+    """Finish in place the buffered steps ``k0 ..`` (iterates ``Z``, rows as
+    :func:`_checked` takes them) that left their exact output to the chunk,
+    by one stacked ``evaluate_rows`` of those rows, or of ``every`` row;
+    return its parts, or None when it had no rows.  A stacked evaluation
+    that raises is taken again a row at a time, and the first row that
+    raises does so after the checks of the rows before it, as at its step."""
+    if evaluate_rows is None:       # the channel leaves nothing to the chunk
+        return None
+    todo = range(len(rows)) if every else [r for r, row in enumerate(rows) if row[0] is None]
+    if not todo:
+        return None
+    try:
+        exact, parts = evaluate_rows(Z[:-1] if every else Z[todo])
+    except Exception:
+        for r in todo:
+            try:
+                x = evaluate_rows(Z[r:r + 1])[0][0]
+            except Exception:
+                if r:
+                    _checked(k0, Z[:r + 1], rows[:r], space)
+                raise
+            if rows[r][0] is None:
+                rows[r] = _finished(rows[r], x)
+        raise
+    for r, x in zip(todo, exact):
+        if rows[r][0] is None:
+            rows[r] = _finished(rows[r], x)
+    return parts
+
+
+def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
+             stop: StopRule, fix: Optional[FixedPointSet], observe: Optional[Callable],
              draws) -> IterationTrace:
+    operator, evaluate, evaluate_rows = channel.operator, channel.evaluate, channel.evaluate_rows
     space = operator.space
     if np.shape(z0) != (space.size,) or not np.isfinite(z0).all():
         raise StructuralError(
@@ -394,6 +446,8 @@ def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
 
     norm, tol = space.norm, stop.residual_tol
     eager = space.metric is not None   # M @ a warns on a non-finite a (0 * inf): scan first
+    # an observed run takes the parts of every step from the stacked evaluation
+    every = observe is not None and evaluate_rows is not None
     zs, rows = [z0], []     # the chunk's iterates and (exact, tilde, lam, eps, extras)
     cols, dists = [[np.empty(0)] for _ in range(5)], []
     k0, S, lam_total = 0, np.zeros(space.size), 0.0
@@ -402,6 +456,7 @@ def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
         nonlocal k0, S, lam_total
         Z, chunk = _stack(zs), rows[:]
         del zs[:-1], rows[:]        # a chunk that fails is not checked again
+        parts = _complete(k0, Z, chunk, evaluate_rows, every, space)
         E, lam, eps, extras, res, epsn, disp = _checked(k0, Z, chunk, space)
         # the running sums S_k = sum lam_j e_j and sum lam_j, bit for bit
         Sk = np.cumsum(np.vstack([S, E * lam[:, None]]), axis=0)[1:]
@@ -412,13 +467,16 @@ def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
             dists.append(fix.distances(Z[:-1], space))
         k0, S, lam_total = k0 + len(chunk), Sk[-1], totals[-1]
         if observe is not None:
-            observe(Steps(Z, E, lam, list(eps), list(extras)))
+            observe(Steps(Z, E, lam, list(eps), list(extras), parts))
 
     z, stop_reason = z0, "max_iters"
     try:
         for k in range(stop.max_iters):
             lam = relaxation.value(k)
-            exact, tilde, eps_vec, extras = evalstep(k, z, draws)
+            exact, tilde, eps_vec, extras = evaluate(k, z, draws)
+            if exact is None and tol > 0.0:     # the stop needs it now: finish it at once
+                exact = evaluate_rows(z[None])[0][0]
+                eps_vec = tilde - exact
             if eager:
                 _check_output(k, exact, tilde)
             zn = z + (tilde - z) * lam
@@ -438,7 +496,9 @@ def _iterate(operator: OperatorSpec, evalstep, z0: np.ndarray,
             flush()
     except Exception:
         if rows:    # any failure, from a check or not, comes after those of earlier steps
-            _checked(k0, _stack(zs), rows, space)
+            Z = _stack(zs)
+            _complete(k0, Z, rows, evaluate_rows, False, space)
+            _checked(k0, Z, rows, space)
         raise
 
     dist = None if fix is None else np.concatenate([*dists, fix.distances(z[None], space)])
@@ -463,14 +523,17 @@ def run_km(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
     consecutive records share their boundary iterate.  A step's extras are
     the channel's (for a splitting's channel model, a dict with its channel
     vectors under ``"channel"``; else None).  Constants and certificates are
-    accumulated through it.  The engine always buffers one chunk,
-    ``observe`` or not, and keeps no step vector past it; a hook may keep
-    the arrays it is given (nothing writes into them in place).  A failing
-    run raises the failure of its earliest failing step, as a check at every
-    step would.
+    accumulated through it.  The exact outputs a channel left to the chunk
+    are finished by one stacked :attr:`~Channel.evaluate_rows` before the
+    chunk's checks; in an observed run that evaluation takes every step of
+    the chunk, and its parts reach ``observe``.  The engine always buffers
+    one chunk, ``observe`` or not, and keeps no step vector past it; a hook
+    may keep the arrays it is given (nothing writes into them in place).  A
+    failing run raises the failure of its earliest failing step, as a check
+    at every step would, a deferred exact evaluation that raises or is not
+    finite included.
     """
     for alpha in channel.alphas:
         _validate_admissible(relaxation, alpha)
-    return _iterate(channel.operator, channel.evaluate, z0, relaxation,
-                    stop or StopRule(), fix, observe,
+    return _iterate(channel, z0, relaxation, stop or StopRule(), fix, observe,
                     channel.draws(np.random.default_rng(seed)))

@@ -2,15 +2,20 @@
 Douglas-Rachford (DRS) and a primal-dual scheme, each built as a certified
 averaged fixed-point operator with termination certificates.
 
-One evaluation per step feeds the iterate and its certificate: the GFB and
-DRS ``evaluate`` methods return ``T z`` with the step's internals, the
-channel models pass these on in ``extras["parts"]``, and the certificates
-read them there.  They are the internals of the exact evaluation, so
-injected channel errors perturb only the iterate path; the exception is the
-inexact DRS certificate's first resolvent output, taken at the perturbed
-shadow point it certifies.  The certificates take the engine's chunks of
-steps (:class:`~kmcert.km.Steps`) and stack each chunk's parts to ``(C,
-...)`` arrays once; a block's membership residual takes such stacks.
+The GFB and DRS ``evaluate`` methods return ``T z`` with the step's
+internals, its parts, which the certificates read; they are the internals
+of the exact evaluation, so injected channel errors perturb only the
+iterate path.  A GFB evaluation takes a point or a ``(C, size)`` stack of
+points, row for row the same bits.  The GFB channels leave the exact output
+of a step whose iterate does not need it (an inexact step, a scheduled step
+at ``gamma_k != gamma``) to the chunk, and the engine finishes it with one
+stacked evaluation (:attr:`~kmcert.km.Channel.evaluate_rows`) per chunk,
+whose ``(C, ...)`` parts reach the certificate as ``Steps.parts``.  The DRS
+channel passes its parts on per step in ``extras["parts"]``; the exception
+to the exact internals is the inexact DRS certificate's first resolvent
+output, taken at the perturbed shadow point it certifies.  The certificates
+take the engine's chunks of steps (:class:`~kmcert.km.Steps`); a block's
+membership residual takes ``(C, d)`` stacks.
 """
 
 from __future__ import annotations
@@ -52,11 +57,12 @@ def _lu_solve(factors, b: np.ndarray) -> np.ndarray:
 
 class MonotoneBlock:
     """A maximal monotone operator given through its resolvent family
-    ``v -> (Id + c A)^{-1} v``.  Recognized block types can additionally
-    verify ``g in A(u)`` exactly; others report membership as structural
-    only (guaranteed by construction, not re-verified).  ``member_residual``
-    takes ``(C, d)`` stacks of pairs ``(u, g)`` and returns the largest
-    residual among them."""
+    ``v -> (Id + c A)^{-1} v``, which takes a vector or a ``(C, d)`` stack
+    of them (row for row the same bits).  Recognized block types can
+    additionally verify ``g in A(u)`` exactly; others report membership as
+    structural only (guaranteed by construction, not re-verified).
+    ``member_residual`` takes ``(C, d)`` stacks of pairs ``(u, g)`` and
+    returns the largest residual among them."""
 
     kind = "abstract"
 
@@ -130,7 +136,10 @@ class SubspaceBlock(MonotoneBlock):
         self.U = U
 
     def resolvent(self, v, c):
-        # orthonormality was checked once, in __init__
+        # orthonormality was checked once, in __init__; a stack goes row by
+        # row through apply_rows, whose rows are the vector's bits
+        if v.ndim > 1:
+            return apply_rows(self.U, apply_rows(self.U.T, v))
         return self.U @ (self.U.T @ v)
 
     def member_residual(self, u, g):
@@ -167,7 +176,12 @@ class LinearBlock(MonotoneBlock):
             if len(self._lu) == 2:      # evict the least recently used
                 del self._lu[next(iter(self._lu))]
         self._lu[c] = lu
-        return _lu_solve(lu, np.asarray(v, dtype=float) + c * self.c0)
+        b = np.asarray(v, dtype=float) + c * self.c0
+        if b.ndim == 1:
+            return _lu_solve(lu, b)
+        # a stack row by row: a multi-right-hand-side getrs rounds differently
+        return np.concatenate([_lu_solve(lu, r) for r in b.reshape(-1, b.shape[-1])]
+                              ).reshape(b.shape)
 
     def member_residual(self, u, g):
         return float(_l2_rows(g - (apply_rows(self.M, u) - self.c0)).max())
@@ -200,8 +214,9 @@ class GfbBuilt:
     satisfy ``0 < gamma < 2 beta`` whenever a smooth part is present.
     ``T z = z + u - x`` blockwise, with the consensus ``x = sum_i w_i z_i``
     and the resolvent outputs ``u_i`` at ``2 x - z_i - gamma B x``.
-    :meth:`evaluate` and the channel model compute on a point's ``(n, d)``
-    block stack; only the per-block resolvents loop over the blocks.
+    :meth:`evaluate` and the channel models compute on a point's ``(n, d)``
+    block stack, or a ``(C, n, d)`` stack of them; only the per-block
+    resolvents loop over the blocks.
     """
 
     def __init__(self, blocks: List[MonotoneBlock], weights, gamma: float, dim: int,
@@ -234,33 +249,35 @@ class GfbBuilt:
         return composition_alpha(0.5, gamma / (2.0 * self.smooth.beta))
 
     def _rows(self, z: np.ndarray) -> np.ndarray:
-        return z.reshape(self.n, self.dim)
+        return z.reshape(z.shape[:-1] + (self.n, self.dim))
 
     def resolve_all(self, args: np.ndarray, params: Optional[tuple] = None) -> np.ndarray:
         out = np.empty_like(args)
+        # views with the blocks first: row i is block i (of every point)
+        blocks_in, blocks_out = args.swapaxes(0, -2), out.swapaxes(0, -2)
         for i, (blk, c) in enumerate(zip(self.blocks, params or self._params)):
-            out[i] = blk.resolvent(args[i], c)
+            blocks_out[i] = blk.resolvent(blocks_in[i], c)
         return out
 
-    def evaluate(self, z: np.ndarray):
-        """``(T z, parts)``: the exact evaluation and its internals
-        ``parts = (x, gx, args, u)``, the consensus, the smooth part at it,
-        the per-block resolvent arguments and their outputs."""
+    def _arguments(self, z: np.ndarray, gamma: float):
+        """``(Z, x, gx, args)`` of a point or a ``(C, size)`` stack: the
+        block rows, the consensus, the smooth part at it and the resolvent
+        arguments at step size ``gamma``."""
         Z = self._rows(z)
-        x = _weighted_sum(self._w, Z)
-        return self._resolve(Z, x, _smooth_at(self.smooth, x))
+        x = _weighted_sum(self._w, Z.swapaxes(0, -2))     # the blocks first
+        gx = _smooth_at(self.smooth, x)
+        return Z, x, gx, 2.0 * x[..., None, :] - Z - gamma * gx[..., None, :]
 
-    def _resolve(self, Z, x, gx, gamma: Optional[float] = None):
-        # the evaluation from its part that no step size enters, the block
-        # rows Z, x and gx = B x; with gamma, the splitting at that step size
-        params = None
-        if gamma is None:
-            gamma = self.gamma
-        else:
-            params = tuple(gamma / wi for wi in self._w)
-        args = 2.0 * x - Z - gamma * gx
+    def evaluate(self, z: np.ndarray, gamma: Optional[float] = None):
+        """``(T z, parts)``: the exact evaluation of a point or a ``(C,
+        size)`` stack, at the step size ``gamma`` (the splitting's own by
+        default), and its internals ``parts = (x, gx, args, u)``, the
+        consensus, the smooth part at it, the per-block resolvent arguments
+        and their outputs."""
+        params = None if gamma is None else tuple(gamma / wi for wi in self._w)
+        Z, x, gx, args = self._arguments(z, self.gamma if gamma is None else gamma)
         u = self.resolve_all(args, params)
-        return (Z + u - x).ravel(), (x, gx, args, u)
+        return (Z + u - x[..., None, :]).reshape(z.shape), (x, gx, args, u)
 
 
 class _SplittingChannel(Channel):
@@ -287,20 +304,24 @@ class _SplittingChannel(Channel):
 class GfbChannelModel(_SplittingChannel):
     """Injects a pre-resolvent error (shared across blocks, lifted onto the
     diagonal) and then per-block post-resolvent errors, reporting the
-    induced iteration error; ``a`` is the ``(n, d)`` block of the latter."""
+    induced iteration error; ``a`` is the ``(n, d)`` block of the latter.
+    The exact output of an inexact step is left to the chunk."""
 
     segments_of = staticmethod(lambda built: (built.dim,) * (built.n + 1))
 
+    def evaluate_rows(self, Z):
+        return self.built.evaluate(Z)
+
     def evaluate(self, k, z, draws):
         built = self.built
-        exact, parts = built.evaluate(z)
-        x, _, args, _ = parts
         errs = self._errors(k, draws)
         if errs is None:
-            return exact, exact, None, {"channel": {"b": None, "a": None}, "parts": parts}
+            exact = built.evaluate(z)[0]
+            return exact, exact, None, {"channel": {"b": None, "a": None}}
+        Z, x, _, args = built._arguments(z, built.gamma)
         b_vec, a_vecs = errs[:built.dim], built._rows(errs[built.dim:])
-        tilde = (built._rows(z) + built.resolve_all(args + b_vec) - x + a_vecs).ravel()
-        return exact, tilde, tilde - exact, {"channel": {"b": b_vec, "a": a_vecs}, "parts": parts}
+        tilde = (Z + built.resolve_all(args + b_vec) - x + a_vecs).ravel()
+        return None, tilde, None, {"channel": {"b": b_vec, "a": a_vecs}}
 
 
 class GfbScheduleChannel(Channel):
@@ -311,7 +332,8 @@ class GfbScheduleChannel(Channel):
     the reported error is ``(T_k z - T z) + eps_k``.  The schedule's
     declared range must lie in ``(0, 2 beta)``; ``alphas`` are the
     averagedness constants at its ends, which the engine checks the
-    relaxation against."""
+    relaxation against.  The limit operator's output at a step with
+    ``gamma_k != gamma`` is left to the chunk."""
 
     def __init__(self, built: GfbBuilt, schedule: GammaSchedule, law: ErrorSchedule):
         beta = built.smooth.beta if built.smooth is not None else np.inf
@@ -331,16 +353,19 @@ class GfbScheduleChannel(Channel):
         # averagedness grows with the step size, so its ends bound every step
         self.alphas = tuple(built.alpha_at(g) for g in sorted(set(schedule.interval)))
 
+    def evaluate_rows(self, Z):
+        return self.built.evaluate(Z)
+
     def evaluate(self, k, z, draws):
         built = self.built
         gamma = self.schedule.value(k)
-        exact, parts = built.evaluate(z)
-        # the same block rows, consensus and smooth part at gamma_k
-        native = (exact if gamma == built.gamma
-                  else built._resolve(built._rows(z), *parts[:2], gamma)[0])
+        if gamma == built.gamma:
+            native = exact = built.evaluate(z)[0]
+        else:
+            native, exact = built.evaluate(z, gamma)[0], None
         eps = self._errors(k, draws)
         tilde = native if eps is None else native + eps
-        return exact, tilde, None if tilde is exact else tilde - exact, {"parts": parts}
+        return exact, tilde, None if exact is None or tilde is exact else tilde - exact, None
 
 
 def _l2_rows(X: np.ndarray) -> np.ndarray:
@@ -356,13 +381,6 @@ class CertificateSeries:
     membership_max: Optional[float]
     structural_only: tuple = ()
     surrogate: bool = False
-
-
-def _parts(extras) -> tuple:
-    if not extras or "parts" not in extras:
-        raise StructuralError("a certificate needs extras['parts']: run "
-                              "through the splitting's channel model")
-    return extras["parts"]
 
 
 class _CertificateStream:
@@ -388,14 +406,14 @@ class GfbCertificates(_CertificateStream):
     (x - ubar)/gamma - B x`` of the summed block operators at the resolvent
     outputs ``u_i`` (``ubar = sum_i w_i u_i``), with each block's membership
     residual (recognized types); the value is the stationarity criterion
-    ``||g + B ubar||``.  It reads ``parts = (x, B x, args, u)`` of
-    ``built.evaluate(z)``."""
+    ``||g + B ubar||``.  It reads the stacked ``parts = (x, B x, args, u)``
+    of ``built.evaluate`` that the engine hands over in ``Steps.parts``."""
 
     structural_only: tuple = ()
 
     def observe(self, steps: Steps) -> None:
         built = self.built
-        x, gx, args, u = (np.stack(a) for a in zip(*map(_parts, steps.extras)))
+        x, gx, args, u = steps.parts
         ubar = _weighted_sum(built._w, u.swapaxes(0, 1))
         g = (x - ubar) / built.gamma - gx
         criterion = _l2_rows(g + _smooth_at(built.smooth, ubar))
@@ -491,7 +509,7 @@ class DrsCertificates(_CertificateStream):
     def observe(self, steps: Steps) -> None:
         built = self.built
         z, lam = steps.z, steps.lam
-        parts = [_parts(ex) for ex in steps.extras]
+        parts = [ex["parts"] for ex in steps.extras]
         x = np.stack([p[0] for p in parts])
         u = np.stack([p[2] for p in parts])
         v = np.concatenate((x[1:], built.j2(z[-1])[None]))

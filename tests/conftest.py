@@ -17,9 +17,10 @@ class Recorder:
 
     The engine keeps no vectors past a chunk; tests that recompute a
     quantity from the iterates, residuals, errors, channel vectors or
-    evaluation parts of a run record them here, one row per step: ``z_vecs`` holds ``z_0 .. z_K``, the other lists
-    one entry per step (``eps_vecs`` holds None for an exact step, ``parts``
-    None for an evaluation that reports none).
+    evaluation parts of a run record them here, one row per step:
+    ``z_vecs`` holds ``z_0 .. z_K``, the other lists one entry per step
+    (``eps_vecs`` holds None for an exact step, ``parts`` the step's row of
+    the chunk's stacked parts, or None for a channel that reports none).
     """
 
     def __init__(self):
@@ -36,7 +37,10 @@ class Recorder:
         self.e_vecs.extend(steps.e)
         self.eps_vecs.extend(steps.eps)
         self.channel.extend((ex or {}).get("channel") for ex in steps.extras)
-        self.parts.extend((ex or {}).get("parts") for ex in steps.extras)
+        if steps.parts is None:
+            self.parts.extend([None] * len(steps.lam))
+        else:
+            self.parts.extend(zip(*steps.parts))
 
     def eps_vector(self, k):
         """The error of step k, zero for an exact step."""

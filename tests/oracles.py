@@ -352,13 +352,15 @@ def pds_fbs_reference(problem, tol: float = 1e-13, max_iters: int = 100_000) -> 
 # the engine, one step at a time
 # ---------------------------------------------------------------------------
 
-def per_step_run(operator: OperatorSpec, evalstep, z0: np.ndarray,
-                 relaxation: RelaxationSchedule, stop: StopRule,
-                 fix, observe, draws) -> IterationTrace:
+def per_step_run(channel, z0: np.ndarray, relaxation: RelaxationSchedule,
+                 stop: StopRule, fix, observe, draws) -> IterationTrace:
     """``kmcert.km._iterate`` as it ran before it took its bookkeeping a
-    chunk at a time: every norm and check at every step.  Its trace columns,
-    hand-overs to ``observe`` and failures (exception, step and message) are
-    what the chunked engine must reproduce."""
+    chunk at a time: every norm and check at every step, and a step's exact
+    output and parts from ``channel.evaluate_rows`` of that step's point
+    alone (a stack of one row).  Its trace columns, hand-overs to
+    ``observe`` and failures (exception, step and message) are what the
+    chunked engine must reproduce."""
+    operator, evaluate_rows = channel.operator, channel.evaluate_rows
     space = operator.space
     if np.shape(z0) != (space.size,) or not np.isfinite(z0).all():
         raise StructuralError(
@@ -371,13 +373,16 @@ def per_step_run(operator: OperatorSpec, evalstep, z0: np.ndarray,
     norm = space.norm
     eager = space.metric is not None   # M @ a warns on a non-finite a (0 * inf): scan first
 
+    stacked = observe is not None and evaluate_rows is not None
     if observe is not None:
-        zs, rows = [z0], []     # the chunk's iterates and (e, lam, eps, extras)
+        # the chunk's iterates and (e, lam, eps, extras, parts)
+        zs, rows = [z0], []
 
         def hand_over():
-            e_, lam_, eps_, extras_ = zip(*rows)
+            e_, lam_, eps_, extras_, parts_ = zip(*rows)
+            parts = tuple(map(np.concatenate, zip(*parts_))) if stacked else None
             observe(Steps(np.stack(zs), np.stack(e_), np.array(lam_), list(eps_),
-                          list(extras_)))
+                          list(extras_), parts))
             del zs[:-1], rows[:]
 
     z = z0
@@ -390,7 +395,13 @@ def per_step_run(operator: OperatorSpec, evalstep, z0: np.ndarray,
         if fix is not None:
             dist_l.append(space.norm(z - fix.nearest(z)))
 
-        exact, tilde, eps_vec, extras = evalstep(k, z, draws)
+        exact, tilde, eps_vec, extras = channel.evaluate(k, z, draws)
+        parts = None
+        if exact is None or stacked:
+            out, parts = evaluate_rows(z[None])
+            if exact is None:       # left to the chunk: finished at its step
+                exact = out[0]
+                eps_vec = tilde - exact
         if eager:
             _check_output(k, exact, tilde)
 
@@ -420,7 +431,7 @@ def per_step_run(operator: OperatorSpec, evalstep, z0: np.ndarray,
             )
         if observe is not None:
             zs.append(zn)
-            rows.append((e, lam, eps_vec, extras))
+            rows.append((e, lam, eps_vec, extras, parts))
             if len(rows) == CHUNK:
                 hand_over()
 

@@ -333,6 +333,22 @@ class TestVerifyCommand:
         assert main(["verify", *files]) == 0
         assert capsys.readouterr().out.splitlines() == self.CHECKED[name]
 
+    @pytest.mark.parametrize("field, value", [("max_value", 1e9), ("worst_margin", 5.0)])
+    def test_certificate_summary_must_match_the_trace(self, field, value, tmp_path):
+        # the report's largest certificate value and margin are the trace's
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("max_iters = 60\nerror_c = 0.1\n")
+        assert main(["run", "--preset", "multiblock", "--config", str(cfgfile),
+                     "--out", str(tmp_path)]) == 0
+        trace, report = tmp_path / "multiblock.csv", tmp_path / "multiblock.json"
+        assert main(["verify", str(trace), str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert doc["certificates"][field] != value
+        doc["certificates"][field] = value
+        report.write_text(json.dumps(doc))
+        assert main(["verify", str(trace), str(report)]) == 1
+        assert verify_files(str(trace), str(report)) == []
+
     def test_verify_idempotent_with_embedded_verification(self, tmp_path):
         trace, report = self.make_run(tmp_path)
         assert verify_files(str(trace), str(report)) == []
@@ -383,6 +399,39 @@ class TestFullSuite:
         # the non-summable schedule is flagged but not failed
         assert "not summable" in names["ns-harmonic"]["note"]
         assert names["ns-harmonic"]["verdict"] == "pass"
+
+
+class TestSuiteErrors:
+    def test_an_erring_ns_member_is_a_failure_row(self, monkeypatch):
+        # a member that ends in an error has no final residual: the residual
+        # ordering it takes part in is unknown, not a crash
+        import io
+
+        from kmcert import cli
+        from kmcert.errors import NumericalError
+
+        members = [dict(m, max_iters=40) for m in suite_members()
+                   if m["name"] in ("ns-geometric", "ns-harmonic")]
+        run = cli.execute_run
+
+        def failing(cfg):
+            if cfg["name"] == "ns-harmonic":
+                raise NumericalError("non-finite operator output at step 7")
+            return run(cfg)
+
+        monkeypatch.setattr(cli, "suite_members", lambda: members)
+        monkeypatch.setattr(cli, "execute_run", failing)
+        buf = io.StringIO()
+        assert cli.run_suite(out=buf) == 1
+        lines = buf.getvalue().splitlines()
+        assert lines[-1] == "1 failures"
+        assert any(ln.startswith("ns-harmonic") and ln.endswith(
+            "-1 error: non-finite operator output at step 7") for ln in lines)
+        assert not any("residual ordering" in ln for ln in lines)
+        buf = io.StringIO()
+        assert cli.run_suite(as_json=True, out=buf) == 1
+        aggregate = json.loads(buf.getvalue())
+        assert aggregate["failures"] == 1 and aggregate["ns_residual_ordering_ok"] is None
 
 
 class TestNonstationaryRuns:

@@ -1,13 +1,17 @@
 """The chunked engine against the per-step oracle ``oracles.per_step_run``.
 
 ``run_km`` takes its norms, checks and running sums over stacks of up to
-``CHUNK`` steps; the oracle takes each of them at its step.  Their traces,
-end points and hand-overs to ``observe`` must be equal, bit for bit, on the
-six certification problems, exact and inexact, for runs that end on either
-side of a chunk boundary or early by the residual tolerance.  A failing run
-must fail as the oracle fails: the same exception and message, which names
-the step.  Each failure is injected from a step on, so a check that reports
-a later bad row of its chunk than the first one names the wrong step.
+``CHUNK`` steps, and finishes the exact outputs a channel left to the chunk
+with one stacked evaluation; the oracle takes each of them at its step, the
+exact output and parts from an evaluation of that step's point alone.
+Their traces, end points and hand-overs to ``observe`` (the stacked parts
+included) must be equal, bit for bit, on the six certification problems and
+a harmonic step-size schedule, exact and inexact, for runs that end on
+either side of a chunk boundary or early by the residual tolerance.  A
+failing run must fail as the oracle fails: the same exception and message,
+which names the step.  Each failure is injected from a step on, so a check
+that reports a later bad row of its chunk than the first one names the
+wrong step.
 """
 
 import warnings
@@ -22,6 +26,7 @@ from kmcert.km import CHUNK, StopRule, run_km
 from kmcert.problems import (
     make_gfb_multiblock,
     make_lasso,
+    make_multiblock_nonstationary,
     make_pds_small,
     make_quadratic_gd,
     make_two_subspaces,
@@ -38,8 +43,14 @@ def lasso_with_its_reference():
     return replace(problem, fix=problem.fix_reference())
 
 
+def harmonic_schedule():
+    return make_multiblock_nonstationary("harmonic", d=4)
+
+
 # the fixed-point set as a point (zero-map, gd and the lasso's reference),
-# as a projector (drs) and unknown (multiblock, pds)
+# as a projector (drs) and unknown (multiblock, pds, the schedule); the
+# inexact lasso and multiblock steps and every scheduled step leave their
+# exact output to the chunk
 MAKERS = {
     "zero-map": lambda: make_zero_map(4),
     "gd": lambda: make_quadratic_gd(0.8, 1.0, 2, 0.5),
@@ -47,6 +58,7 @@ MAKERS = {
     "lasso": lasso_with_its_reference,
     "multiblock": lambda: make_gfb_multiblock(3, 20, seed=2),
     "pds": lambda: make_pds_small(seed=3),
+    "ns-harmonic": harmonic_schedule,
 }
 
 
@@ -126,28 +138,65 @@ class Injected:
     ``exact`` and ``tilde`` make that output non-finite, ``error-norm`` the
     reported error alone; ``drift`` moves the perturbed output off its
     reported error, ``divergence`` moves both far out; ``late-raise`` makes
-    the exact output non-finite at ``at`` and the next evaluation raise."""
+    the exact output non-finite at ``at`` and the next evaluation raise.
+    ``raise`` makes the exact evaluation raise; ``exact-raise`` makes the
+    exact output non-finite at ``at`` and its evaluation raise after it.
 
-    KINDS = ("exact", "tilde", "error-norm", "drift", "divergence", "late-raise")
+    Where the channel leaves a step's exact output to the chunk, the exact
+    output is made non-finite, or its evaluation raises, in the channel's
+    stacked ``evaluate_rows``, on the rows whose points those steps
+    evaluated; the kinds that edit the reported error finish such a step at
+    once, as the engine would."""
+
+    KINDS = ("exact", "tilde", "error-norm", "drift", "divergence", "late-raise",
+             "raise", "exact-raise")
 
     def __init__(self, problem, kind, at):
         channel = problem.make_channel(*ERROR_LAW)
         self.evaluate_inner, self.alphas = channel.evaluate, channel.alphas
         self.draws = channel.draws
         self.operator = problem.operator
+        self.rows_inner = channel.evaluate_rows
+        if channel.evaluate_rows is not None:
+            self.evaluate_rows = self.rows
         self.kind, self.at = kind, at
+        # the first step whose exact output is not finite, or whose exact
+        # evaluation raises
+        self.poisoned = at if kind in ("exact", "late-raise", "exact-raise") else None
+        self.refused = {"raise": at, "exact-raise": at + 1}.get(kind)
+        self.step_of = {}       # a point's bytes: the step that evaluated it
+
+    evaluate_rows = None
+
+    def rows(self, Z):
+        exact, parts = self.rows_inner(Z)
+        steps = [self.step_of[z.tobytes()] for z in Z]
+        if self.refused is not None and max(steps) >= self.refused:
+            k = next(k for k in steps if k >= self.refused)
+            raise ParameterError(f"exact evaluation refused at step {k}")
+        if self.poisoned is not None:
+            exact = exact.copy()
+            exact[[k >= self.poisoned for k in steps], -1] = np.inf
+        return exact, parts
 
     def evaluate(self, k, z, rng):
         exact, tilde, eps, extras = self.evaluate_inner(k, z, rng)
+        self.step_of[z.tobytes()] = k
         kind = self.kind
         if k < self.at:
             return exact, tilde, eps, extras
         if kind == "late-raise" and k > self.at:
             raise ParameterError(f"evaluation refused at step {k}")
-        if kind in ("exact", "late-raise"):
-            exact = exact.copy()
-            exact[-1] = np.inf
-        elif kind == "tilde":
+        if exact is None and kind in ("error-norm", "drift", "divergence"):
+            exact = self.rows_inner(z[None])[0][0]
+            eps = tilde - exact
+        if exact is not None:       # the exact output is this step's own
+            if self.refused is not None and k >= self.refused:
+                raise ParameterError(f"exact evaluation refused at step {k}")
+            if self.poisoned is not None:
+                exact = exact.copy()
+                exact[-1] = np.inf
+        if kind == "tilde":
             tilde = tilde.copy()
             tilde[0] = np.nan
         elif kind == "error-norm":
@@ -155,7 +204,7 @@ class Injected:
             eps[0] = np.inf
         elif kind == "drift":
             tilde = tilde + 1e-3
-        else:
+        elif kind == "divergence":
             tilde = tilde + 1e13
             eps = tilde - exact
         return exact, tilde, eps, extras
@@ -163,8 +212,9 @@ class Injected:
 
 @pytest.mark.parametrize("at", [0, CHUNK - 1, CHUNK, CHUNK + 1])
 @pytest.mark.parametrize("kind", Injected.KINDS)
-@pytest.mark.parametrize("maker", [make_zero_map, lambda: make_gfb_multiblock(3, 4)],
-                         ids=["zero-map", "multiblock"])
+@pytest.mark.parametrize("maker", [make_zero_map, lambda: make_gfb_multiblock(3, 4),
+                                   harmonic_schedule],
+                         ids=["zero-map", "multiblock", "ns-harmonic"])
 def test_failures_land_at_their_step_across_chunk_boundaries(monkeypatch, maker, kind, at):
     problem = maker()
 

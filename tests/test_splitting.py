@@ -148,13 +148,15 @@ class TestBlocks:
 
 
 class Counting(MonotoneBlock):
-    """A block that counts its resolvent evaluations."""
+    """A block that counts its resolvent calls and the vectors they resolve
+    (a ``(C, d)`` stack is one call of ``C`` vectors)."""
 
     def __init__(self, inner: MonotoneBlock):
-        self.inner, self.kind, self.calls = inner, inner.kind, 0
+        self.inner, self.kind, self.calls, self.vectors = inner, inner.kind, 0, 0
 
     def resolvent(self, v, c):
         self.calls += 1
+        self.vectors += int(np.prod(np.shape(v)[:-1]))
         return self.inner.resolvent(v, c)
 
     def member_residual(self, u, g):
@@ -162,20 +164,22 @@ class Counting(MonotoneBlock):
 
 
 class TestEvaluationCounts:
-    """A certified step evaluates its operator once: the certificates read
-    the step's internals instead of evaluating resolvents again."""
+    """A certified step evaluates its operator once for the iterate, and the
+    certificates read the internals of the evaluations instead of
+    evaluating resolvents again."""
 
-    @pytest.mark.parametrize("law, per_step", [((), 1), ((0.1, 3.0), 2)],
-                             ids=["exact", "inexact"])
-    def test_gfb_step_calls_each_resolvent_once_per_evaluation(self, law, per_step):
+    @pytest.mark.parametrize("law", [(), (0.1, 3.0)], ids=["exact", "inexact"])
+    def test_gfb_step_calls_each_resolvent_once_per_evaluation(self, law):
         p = make_gfb_multiblock(3, 8, seed=2)
         p.fix_reference()          # the reference solve is not counted
         built = p.built
         built.blocks = [Counting(b) for b in built.blocks]
         tr, _, series = p.certified_run(*law, max_iters=40)
         assert tr.n_steps == 40 and series.values.size == 40
-        # an inexact step evaluates the perturbed resolvents once more
-        assert [b.calls for b in built.blocks] == [per_step * 40] * 3
+        # each step resolves once for its iterate (the exact or the perturbed
+        # argument); the chunk's exact outputs and the certificate's parts
+        # come from one stacked call over its 40 points
+        assert [(b.calls, b.vectors) for b in built.blocks] == [(41, 80)] * 3
 
     @pytest.mark.parametrize("tol", [0.0, 1e-6], ids=["horizon", "residual_tol"])
     def test_drs_run_makes_k_first_and_k_plus_one_second_resolvents(self, tol):
@@ -595,18 +599,19 @@ class TestNonstationaryFamily:
         assert p.make_channel(0.0, 3.0).alphas == (built.alpha_at(1.5), built.alpha_at(1.9))
 
     def test_evaluate_at_another_step_size_matches_a_fresh_build(self):
-        # an exact step of the schedule's channel at gamma_k = 1.7: the limit
-        # evaluation and, from its consensus, the splitting at 1.7
+        # an exact step of the schedule's channel at gamma_k = 1.7: the
+        # splitting at 1.7, and the limit evaluation left to the chunk
         p = make_multiblock_nonstationary("harmonic", d=6)
         built = p.built
         channel = GfbScheduleChannel(built, GammaSchedule.from_function(
             lambda k: 1.7, built.gamma, 1.2, 1.8), ErrorSchedule.power(0.0, 3.0))
         z = np.random.default_rng(5).standard_normal(p.built.space.size)
         exact, out, eps, extras = channel.evaluate(0, z, channel.draws(np.random.default_rng(0)))
-        assert np.array_equal(exact, p.built.evaluate(z)[0])
+        # the limit's output is left to the chunk's stacked evaluation
+        assert exact is None and eps is None
+        assert np.array_equal(channel.evaluate_rows(z[None])[0][0], p.built.evaluate(z)[0])
         want = GfbBuilt(built.blocks, built.weights, 1.7, built.dim, built.smooth)
         assert np.array_equal(out, want.evaluate(z)[0])
-        assert np.array_equal(eps, out - exact)
 
     def test_schedule_classification_reported(self):
         geo = make_multiblock_nonstationary("geometric", d=6).schedule
@@ -615,6 +620,87 @@ class TestNonstationaryFamily:
         assert geo.abs_summable and geo.k_summable
         assert sq.abs_summable and not sq.k_summable
         assert not harm.abs_summable and not harm.k_summable
+
+
+# ---------------------------------------------------------------------------
+# the stacked evaluation
+# ---------------------------------------------------------------------------
+
+def bits(a: np.ndarray) -> tuple:
+    return a.shape, a.dtype, a.tobytes()
+
+
+@st.composite
+def gfb_stacks(draw):
+    """A multiblock (2-4 blocks, ``d`` 2-12, a drawn problem seed) or lasso
+    instance, a stack of 1-40 points on a drawn scale and a step size: the
+    splitting's own (None) or one in ``(0, 2 beta)``."""
+    seed = draw(st.integers(0, 2 ** 16))
+    if draw(st.booleans()):
+        built = make_gfb_multiblock(draw(st.integers(2, 4)), draw(st.integers(2, 12)),
+                                    seed=seed).built
+    else:
+        built = make_lasso(draw(st.integers(2, 20)), draw(st.integers(2, 24)), seed=seed).built
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    Z = rng.standard_normal((draw(st.integers(1, 40)), built.space.size))
+    gamma = draw(st.none() | st.floats(0.05, 1.95).map(lambda f: f * built.smooth.beta))
+    return built, Z * 10.0 ** rng.uniform(-2.0, 2.0), gamma
+
+
+@settings(max_examples=80, deadline=None)
+@given(gfb_stacks())
+def test_stacked_gfb_evaluation_is_the_point_evaluation_row_by_row(drawn):
+    # the engine finishes a chunk's deferred steps with the stacked kernel:
+    # each row, output and parts, carries the bits of the point's evaluation
+    built, Z, gamma = drawn
+    exact, parts = built.evaluate(Z, gamma)
+    assert exact.shape == Z.shape
+    for r, z in enumerate(Z):
+        want, want_parts = built.evaluate(z, gamma)
+        assert bits(exact[r]) == bits(want)
+        assert [bits(p[r]) for p in parts] == [bits(p) for p in want_parts]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_block_resolvents_take_a_stack_row_by_row(d, C, seed):
+    # LinearBlock solves each row with its own getrs call, as a vector is
+    # solved; a multi-right-hand-side solve would round differently
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((d, d))
+    M = 0.5 * np.eye(d) + 0.5 * (R - R.T)
+    c = float(rng.uniform(0.1, 5.0))
+    V = rng.standard_normal((C, d)) * 10.0 ** rng.uniform(-2.0, 2.0)
+    linear = LinearBlock(M, rng.standard_normal(d))
+    lu = _lu_factor(np.eye(d) + c * M)
+    out = linear.resolvent(V, c)
+    assert out.shape == V.shape
+    for r, v in enumerate(V):
+        assert bits(out[r]) == bits(_lu_solve(lu, v + c * linear.c0))
+    U = np.linalg.qr(rng.standard_normal((d, max(1, d // 2))))[0]
+    for blk in (L1Block(0.3), BoxBlock(-0.5, 0.8), SubspaceBlock(U), ZeroBlock()):
+        out = blk.resolvent(V, c)
+        assert [bits(row) for row in out] == [bits(blk.resolvent(v, c)) for v in V]
+
+
+def test_harmonic_run_refactors_the_limit_once_per_chunk(monkeypatch):
+    # a scheduled step factors its own step size's matrix; the limit's, which
+    # the steps' evaluations evict from the two-entry cache, is factored
+    # again once per chunk for the stacked evaluation, not once per step
+    calls = []
+
+    def counting(A):
+        calls.append(A.shape)
+        return _lu_factor(A)
+
+    monkeypatch.setattr("kmcert.splitting._lu_factor", counting)
+    p = make_multiblock_nonstationary("harmonic")
+    steps = 2000
+    tr = p.run(0.0, 3.0, steps)
+    assert tr.n_steps == steps
+    own = len({p.schedule.value(k) for k in range(steps)})     # gamma_0 = gamma_1
+    chunks = -(-steps // CHUNK)
+    assert len(calls) == own + chunks
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +789,9 @@ def test_channel_draws_its_stages_in_order_at_their_share_of_the_law(label):
     steps = 2 * CHUNK + 3
     for k in range(steps):
         exact, tilde, eps, extras = channel.evaluate(k, z, draws)
+        if exact is None:       # left to the chunk: the engine finishes it so
+            exact = channel.evaluate_rows(z[None])[0][0]
+            eps = tilde - exact
         mag = c / share / (k + 1.0) ** p
         drawn = stages(eps, (extras or {}).get("channel"))
         assert len(drawn) == len(sizes)

@@ -156,16 +156,24 @@ class TestOperatorOutputs:
 class Poisoned:
     """A problem's evaluation with ``value`` written at step 3 into entry
     ``index`` of the exact output, the perturbed one or both (one array on
-    an exact step, so both are poisoned together)."""
+    an exact step, so both are poisoned together).  A step whose exact
+    output the channel left to the chunk is finished here, at once, so the
+    error it reports is that of the output before the poison."""
+
+    evaluate_rows = None
 
     def __init__(self, problem, value, index, which="both", c=0.0):
         channel = problem.make_channel(c, 3.0)
         self.inner, self.alphas, self.draws = channel.evaluate, channel.alphas, channel.draws
+        self.finish = channel.evaluate_rows
         self.operator = problem.operator
         self.value, self.index, self.which = value, index, which
 
     def evaluate(self, k, z, rng):
         exact, tilde, eps, extras = self.inner(k, z, rng)
+        if exact is None:
+            exact = self.finish(z[None])[0][0]
+            eps = tilde - exact
         if k == 3:
             if self.which == "both":
                 exact = tilde = exact.copy()

@@ -268,6 +268,8 @@ def test_verify_fails_a_tampered_report(short_runs, data, tmp_path_factory):
         edits.append("ok")
     if isinstance((doc["certificates"] or {}).get("membership_max"), float):
         edits.append("membership")
+    if doc["certificates"] is not None:
+        edits += ["max_value", "worst_margin"]
     edit = data.draw(st.sampled_from(edits), label="edit")
     margins = st.floats(0.0, 1e3, exclude_min=True)
     if edit == "verdict":
@@ -287,6 +289,10 @@ def test_verify_fails_a_tampered_report(short_runs, data, tmp_path_factory):
         entry[field] = data.draw(values.filter(lambda v: v != entry[field]))
     elif edit == "ok":
         doc["certificates"]["ok"] = not doc["certificates"]["ok"]
+    elif edit in ("max_value", "worst_margin"):
+        old = doc["certificates"][edit]
+        doc["certificates"][edit] = data.draw(
+            st.floats(-1e3, 1e3).filter(lambda v: v != old), label=edit)
     else:
         doc["certificates"]["membership_max"] = data.draw(
             st.floats(MEMBERSHIP_TOL, 1.0, exclude_min=True))
