@@ -282,8 +282,7 @@ def parse_trace_csv(path: str):
     if header is None or not rows:
         raise ParameterError("trace file holds no data rows")
     cols = {}
-    for j, name in enumerate(CSV_COLUMNS):
-        vals = [r[j] for r in rows]
+    for name, vals in zip(CSV_COLUMNS, zip(*rows)):
         if name == "k":
             ks = np.array([int(v) for v in vals])
             off = np.flatnonzero(ks != np.arange(ks.size))
@@ -294,7 +293,10 @@ def parse_trace_csv(path: str):
                     f"must run k = 0..K-1 in order")
             cols[name] = ks
             continue
-        col = np.array([float(v) if v != "" else np.nan for v in vals])
+        try:
+            col = np.array(list(map(float, vals)))
+        except ValueError:      # a blank cell, or one that is no number
+            col = np.array([float(v) if v != "" else np.nan for v in vals])
         bad = np.flatnonzero(~np.isfinite(col))
         blank_ok = name not in REQUIRED_COLUMNS and bad.size == col.size
         if bad.size and not blank_ok:

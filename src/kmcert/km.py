@@ -13,10 +13,11 @@ its :meth:`~Channel.draws` stream draws ``CHUNK`` steps of errors at once.  A
 non-stationary iteration is an inexact one: its channel measures the
 residual against the declared *limit* operator ``T`` and reports ``eps =
 (T_k z - T z) + eps_k``.  Where the next iterate does not need ``T z`` (an
-inexact GFB step, a scheduled step at ``gamma_k != gamma``), the channel
-leaves it to the chunk: the engine finishes those rows with one stacked
-evaluation when it takes the chunk's bookkeeping, and at once when the
-residual stop needs ``||z - T z||``.
+inexact GFB, DRS or PDS step, a scheduled step at ``gamma_k != gamma``), the
+channel leaves it to the chunk: the engine finishes those rows with one
+stacked evaluation when it takes the chunk's bookkeeping, and at once when
+the residual stop needs ``||z - T z||``.  On a metric space (PDS) those rows
+are scanned for finiteness before any metric norm touches them.
 """
 
 from __future__ import annotations
@@ -275,7 +276,8 @@ class Steps(NamedTuple):
     ``lam`` the relaxations; ``eps`` lists the injected errors (None for an
     exact step) and ``extras`` the evaluations' extras.  ``parts`` are the
     internals of the chunk's stacked exact evaluation, ``(C, ...)`` arrays,
-    from a channel with :attr:`~Channel.evaluate_rows` (else None)."""
+    from a channel whose parts a hook reads (:attr:`~Channel.observed_parts`;
+    else None)."""
 
     z: np.ndarray
     e: np.ndarray
@@ -312,10 +314,16 @@ class Channel:
     (T Z, parts)`` of a ``(C, size)`` stack of points, row for row equal to
     ``T z``, may leave a step's exact output to the chunk: ``evaluate`` then
     returns ``(None, tilde, None, extras)``, and the engine fills in ``T z``
-    and ``eps = tilde - T z``.  The bare channel never does."""
+    and ``eps = tilde - T z``.  The bare channel never does.  The GFB
+    channels do so for an inexact or scheduled step, and the DRS and PDS
+    channel models for an inexact step.  Where a hook reads the stacked
+    parts (``observed_parts``, the GFB channels), an observed run stacks
+    every row of its chunk for ``Steps.parts``; any other channel stacks
+    only the rows it left, so that no step is evaluated twice."""
 
     alphas: tuple = ()
     evaluate_rows = None
+    observed_parts = False
 
     def __init__(self, operator: OperatorSpec, law: ErrorSchedule = ErrorSchedule(0.0, 3.0)):
         self.operator = operator
@@ -362,7 +370,10 @@ class Channel:
 
 
 def _check_output(k, exact, tilde) -> None:
-    if not np.isfinite(tilde).all() or (tilde is not exact and not np.isfinite(exact).all()):
+    """Raise for a non-finite output of step ``k``; an exact output left to
+    the chunk (None) is checked when the chunk finishes it."""
+    if not np.isfinite(tilde).all() or (
+            exact is not tilde and exact is not None and not np.isfinite(exact).all()):
         raise NumericalError(f"non-finite operator output at step {k}")
 
 
@@ -370,11 +381,21 @@ def _checked(k0: int, Z: np.ndarray, rows: list, space: ProductSpace):
     """Check the buffered steps ``k0 ..`` (iterates ``Z``, rows ``(exact,
     tilde, lam, eps, extras)``) over their stacks; return the residual stack,
     columns and rows.  The earliest failing step raises, its checks in order:
-    non-finite output, non-finite error norm, ``e = (z - z+) / lam + eps``."""
+    non-finite output, non-finite error norm, ``e = (z - z+) / lam + eps``.
+    On a metric space the loop has scanned every output but the exact ones
+    left to the chunk, and those are scanned here before any metric norm,
+    for the loop's reason: ``M @ a`` of a non-finite ``a`` meets ``0 *
+    inf``, and the norm's clamp at 0 can hide a ``-inf``."""
     exact, tilde, lam, eps, extras = zip(*rows)
+    X = _stack(exact)
+    if space.metric is not None and not np.isfinite(X).all():
+        r = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
+        if r:       # the steps before it fail first
+            _checked(k0, Z[:r + 1], rows[:r], space)
+        raise NumericalError(f"non-finite operator output at step {k0 + r}")
     lam, zero, Zk = np.array(lam), np.zeros(space.size), Z[:-1]
     with np.errstate(invalid="ignore"):     # a non-finite step fails below
-        E, step = Zk - _stack(exact), Zk - Z[1:]
+        E, step = Zk - X, Zk - Z[1:]
         eps_stack = _stack([zero if v is None else v for v in eps])
         res, epsn, disp, drift, znorm = map(space.norms, (
             E, eps_stack, step, E - (step * (1.0 / lam)[:, None] + eps_stack), Zk))
@@ -446,8 +467,9 @@ def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
 
     norm, tol = space.norm, stop.residual_tol
     eager = space.metric is not None   # M @ a warns on a non-finite a (0 * inf): scan first
-    # an observed run takes the parts of every step from the stacked evaluation
-    every = observe is not None and evaluate_rows is not None
+    # an observed run takes the parts of every step from the stacked
+    # evaluation, where a hook reads them
+    every = observe is not None and channel.observed_parts
     zs, rows = [z0], []     # the chunk's iterates and (exact, tilde, lam, eps, extras)
     cols, dists = [[np.empty(0)] for _ in range(5)], []
     k0, S, lam_total = 0, np.zeros(space.size), 0.0
@@ -467,7 +489,7 @@ def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
             dists.append(fix.distances(Z[:-1], space))
         k0, S, lam_total = k0 + len(chunk), Sk[-1], totals[-1]
         if observe is not None:
-            observe(Steps(Z, E, lam, list(eps), list(extras), parts))
+            observe(Steps(Z, E, lam, list(eps), list(extras), parts if every else None))
 
     z, stop_reason = z0, "max_iters"
     try:
@@ -525,7 +547,8 @@ def run_km(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
     vectors under ``"channel"``; else None).  Constants and certificates are
     accumulated through it.  The exact outputs a channel left to the chunk
     are finished by one stacked :attr:`~Channel.evaluate_rows` before the
-    chunk's checks; in an observed run that evaluation takes every step of
+    chunk's checks; in an observed run of a channel whose parts a hook reads
+    (:attr:`~Channel.observed_parts`) that evaluation takes every step of
     the chunk, and its parts reach ``observe``.  The engine always buffers
     one chunk, ``observe`` or not, and keeps no step vector past it; a hook
     may keep the arrays it is given (nothing writes into them in place).  A

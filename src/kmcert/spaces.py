@@ -71,9 +71,11 @@ def _rows_inner(weights, slices, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def apply_rows(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``A @ x`` for each row ``x`` of the stack ``X`` (or for ``X`` itself),
-    bit for bit: numpy applies a matrix to a vector as the stack's
+    """``A @ x`` for each row ``x`` of the stack ``X`` (or for a vector ``X``
+    itself), bit for bit: numpy applies a matrix to a vector as the stack's
     matrix-vector products do, not as ``X @ A.T`` does."""
+    if X.ndim == 1:
+        return A @ X
     return np.matmul(A, X[..., None])[..., 0]
 
 

@@ -5,17 +5,20 @@ averaged fixed-point operator with termination certificates.
 The GFB and DRS ``evaluate`` methods return ``T z`` with the step's
 internals, its parts, which the certificates read; they are the internals
 of the exact evaluation, so injected channel errors perturb only the
-iterate path.  A GFB evaluation takes a point or a ``(C, size)`` stack of
-points, row for row the same bits.  The GFB channels leave the exact output
-of a step whose iterate does not need it (an inexact step, a scheduled step
-at ``gamma_k != gamma``) to the chunk, and the engine finishes it with one
-stacked evaluation (:attr:`~kmcert.km.Channel.evaluate_rows`) per chunk,
-whose ``(C, ...)`` parts reach the certificate as ``Steps.parts``.  The DRS
-channel passes its parts on per step in ``extras["parts"]``; the exception
-to the exact internals is the inexact DRS certificate's first resolvent
-output, taken at the perturbed shadow point it certifies.  The certificates
-take the engine's chunks of steps (:class:`~kmcert.km.Steps`); a block's
-membership residual takes ``(C, d)`` stacks.
+iterate path.  The GFB and DRS evaluations and the PDS ``block_step`` take
+a point or a ``(C, size)`` stack of points, row for row the same bits.
+Every channel model leaves the exact output of a step whose iterate does
+not need it (an inexact step, a scheduled step at ``gamma_k != gamma``) to
+the chunk, and the engine finishes it with one stacked evaluation
+(:attr:`~kmcert.km.Channel.evaluate_rows`) per chunk.  The GFB channels'
+``(C, ...)`` parts reach the certificate as ``Steps.parts``, so an observed
+GFB run stacks every step (``observed_parts``); a DRS or PDS run stacks
+only the steps left to it.  The DRS channel passes its parts on per step in
+``extras["parts"]``; the exception to the exact internals is the inexact
+DRS certificate's first resolvent output, taken at the perturbed shadow
+point it certifies.  The certificates take the engine's chunks of steps
+(:class:`~kmcert.km.Steps`); a block's membership residual takes ``(C,
+d)`` stacks.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .bounds import BoundConstants, EmpiricalConstants, pointwise_bound, stack_present
 from .errors import NumericalError, ParameterError, StructuralError
-from .km import Channel, ErrorSchedule, GammaSchedule, IterationTrace, Steps
+from .km import Channel, ErrorSchedule, GammaSchedule, IterationTrace, Steps, _stack
 from .operators import CocoerciveMap, OperatorSpec, composition_alpha, prox_l1
 from .spaces import ProductSpace, _layout, _weighted_sum, apply_rows
 
@@ -138,9 +141,7 @@ class SubspaceBlock(MonotoneBlock):
     def resolvent(self, v, c):
         # orthonormality was checked once, in __init__; a stack goes row by
         # row through apply_rows, whose rows are the vector's bits
-        if v.ndim > 1:
-            return apply_rows(self.U, apply_rows(self.U.T, v))
-        return self.U @ (self.U.T @ v)
+        return apply_rows(self.U, apply_rows(self.U.T, v))
 
     def member_residual(self, u, g):
         def project(X):
@@ -308,6 +309,7 @@ class GfbChannelModel(_SplittingChannel):
     The exact output of an inexact step is left to the chunk."""
 
     segments_of = staticmethod(lambda built: (built.dim,) * (built.n + 1))
+    observed_parts = True
 
     def evaluate_rows(self, Z):
         return self.built.evaluate(Z)
@@ -352,6 +354,8 @@ class GfbScheduleChannel(Channel):
         # construction, custom ones are checked at each step), and the
         # averagedness grows with the step size, so its ends bound every step
         self.alphas = tuple(built.alpha_at(g) for g in sorted(set(schedule.interval)))
+
+    observed_parts = True
 
     def evaluate_rows(self, Z):
         return self.built.evaluate(Z)
@@ -458,7 +462,8 @@ class DrsBuilt:
     def evaluate(self, z: np.ndarray):
         """``(T z, parts)``: the reflected-resolvent average and its internals
         ``parts = (x, w, u)``, the shadow point ``x = j2(z)``, the reflection
-        ``w = 2 x - z`` and ``u = j1(w)``."""
+        ``w = 2 x - z`` and ``u = j1(w)``; of a point or a ``(C, size)``
+        stack of points, row for row the same bits."""
         x = self.j2(z)
         w = 2.0 * x - z
         u = self.j1(w)
@@ -468,25 +473,27 @@ class DrsBuilt:
 class DrsChannelModel(_SplittingChannel):
     """Relaxation-stage error ``eps1`` (added to the averaged update) and
     then shadow-point error ``eps2`` (perturbing the second resolvent
-    output)."""
+    output).  The exact output of an inexact step is left to the chunk."""
 
     segments_of = staticmethod(lambda built: (built.dim, built.dim))
+
+    def evaluate_rows(self, Z):
+        return self.built.evaluate(Z)
 
     def evaluate(self, k, z, draws):
         # parts: the exact x = j2(z), with w and u = j1(w) at the perturbed
         # reflection w + 2 e2 when a shadow-point error e2 was injected
         built = self.built
-        exact, parts = built.evaluate(z)
-        x, w, _ = parts
         errs = self._errors(k, draws)
         if errs is None:
+            exact, parts = built.evaluate(z)
             return exact, exact, None, {"channel": {"eps1": None, "eps2": None}, "parts": parts}
         e1, e2 = errs[:built.dim], errs[built.dim:]
-        w = w + 2.0 * e2
+        x = built.j2(z)
+        w = 2.0 * x - z + 2.0 * e2
         u = built.j1(w)
         tilde = 0.5 * (2.0 * u - w + z) + e1
-        return exact, tilde, tilde - exact, {"channel": {"eps1": e1, "eps2": e2},
-                                             "parts": (x, w, u)}
+        return None, tilde, None, {"channel": {"eps1": e1, "eps2": e2}, "parts": (x, w, u)}
 
 
 class DrsCertificates(_CertificateStream):
@@ -510,8 +517,8 @@ class DrsCertificates(_CertificateStream):
         built = self.built
         z, lam = steps.z, steps.lam
         parts = [ex["parts"] for ex in steps.extras]
-        x = np.stack([p[0] for p in parts])
-        u = np.stack([p[2] for p in parts])
+        x = _stack([p[0] for p in parts])
+        u = _stack([p[2] for p in parts])
         v = np.concatenate((x[1:], built.j2(z[-1])[None]))
         channels = [ex.get("channel") or {} for ex in steps.extras]
         rows1, e1 = stack_present([c.get("eps1") for c in channels])
@@ -650,13 +657,15 @@ class PdsBuilt:
         return w - s * term.block.resolvent(w / s, 1.0 / s)
 
     def block_step(self, z: np.ndarray, errs=None) -> np.ndarray:
-        """One exact evaluation of the fixed-point operator via the block
-        recursion: primal resolvent, reflection, dual resolvents."""
-        x, *vs = self.space.blocks(z)
+        """The fixed-point operator via the block recursion: primal
+        resolvent, reflection, dual resolvents; of a point or a ``(C,
+        size)`` stack of points, row for row the same bits.  ``errs = (e1,
+        e2, e3, e4)`` perturbs a point's evaluation by the channel's stages."""
+        x, *vs = (z[..., s] for s in self.space._slices)
         e1, e2, e3, e4 = errs if errs is not None else (None, None, None, None)
         s = np.zeros_like(x)
         for t, v in zip(self.duals, vs):
-            s = s + t.omega * (t.L.T @ v)
+            s = s + t.omega * apply_rows(t.L.T, v)
         fwd = s + _smooth_at(self.smooth, x)
         if errs is not None:
             fwd = fwd + e1
@@ -666,7 +675,7 @@ class PdsBuilt:
         y = 2.0 * p - x
         q = []
         for i, (t, v) in enumerate(zip(self.duals, vs)):
-            inner = t.L @ y - t.r
+            inner = apply_rows(t.L, y) - t.r
             if t.d_inv is not None:
                 inner = inner - t.d_inv.fn(v)
             if errs is not None:
@@ -675,30 +684,33 @@ class PdsBuilt:
             if errs is not None:
                 qi = qi + e4[i]
             q.append(qi)
-        return np.concatenate((p, *q))
+        return np.concatenate((p, *q), axis=-1)
 
 
 class PdsChannelModel(_SplittingChannel):
     """Four error stages, in draw order: forward-term ``e1``,
     post-primal-resolvent ``e2``, then the dual forward-term errors ``e3``
-    and the post-dual-resolvent errors ``e4``, one per dual term each."""
+    and the post-dual-resolvent errors ``e4``, one per dual term each.  The
+    exact output of an inexact step is left to the chunk."""
 
     stages = 4
 
     segments_of = staticmethod(lambda built: 2 * (built.dim_primal,)
                                + 2 * tuple(t.L.shape[0] for t in built.duals))
 
+    def evaluate_rows(self, Z):
+        return self.built.block_step(Z), None
+
     def evaluate(self, k, z, draws):
         built = self.built
-        exact = built.block_step(z)
         errs = self._errors(k, draws)
         if errs is None:
+            exact = built.block_step(z)
             return exact, exact, None, {"channel": {}}
         e1, e2, *duals = (errs[s] for s in self._slices)
         e3, e4 = duals[:len(duals) // 2], duals[len(duals) // 2:]
         tilde = built.block_step(z, errs=(e1, e2, e3, e4))
-        extras = {"channel": {"eps1": e1, "eps2": e2, "eps3": e3, "eps4": e4}}
-        return exact, tilde, tilde - exact, extras
+        return None, tilde, None, {"channel": {"eps1": e1, "eps2": e2, "eps3": e3, "eps4": e4}}
 
 
 class PdsCertificates(_CertificateStream):

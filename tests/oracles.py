@@ -356,10 +356,11 @@ def per_step_run(channel, z0: np.ndarray, relaxation: RelaxationSchedule,
                  stop: StopRule, fix, observe, draws) -> IterationTrace:
     """``kmcert.km._iterate`` as it ran before it took its bookkeeping a
     chunk at a time: every norm and check at every step, and a step's exact
-    output and parts from ``channel.evaluate_rows`` of that step's point
-    alone (a stack of one row).  Its trace columns, hand-overs to
-    ``observe`` and failures (exception, step and message) are what the
-    chunked engine must reproduce."""
+    output left to the chunk, and in an observed run of a channel whose
+    parts a hook reads every step's parts, from ``channel.evaluate_rows`` of
+    that step's point alone (a stack of one row).  Its trace columns,
+    hand-overs to ``observe`` and failures (exception, step and message)
+    are what the chunked engine must reproduce."""
     operator, evaluate_rows = channel.operator, channel.evaluate_rows
     space = operator.space
     if np.shape(z0) != (space.size,) or not np.isfinite(z0).all():
@@ -373,7 +374,8 @@ def per_step_run(channel, z0: np.ndarray, relaxation: RelaxationSchedule,
     norm = space.norm
     eager = space.metric is not None   # M @ a warns on a non-finite a (0 * inf): scan first
 
-    stacked = observe is not None and evaluate_rows is not None
+    # every step's parts from its own evaluation, where a hook reads them
+    stacked = observe is not None and channel.observed_parts
     if observe is not None:
         # the chunk's iterates and (e, lam, eps, extras, parts)
         zs, rows = [z0], []
@@ -406,11 +408,12 @@ def per_step_run(channel, z0: np.ndarray, relaxation: RelaxationSchedule,
             _check_output(k, exact, tilde)
 
         e = z - exact
-        res = norm(e)
-        epsn = norm(eps_vec) if eps_vec is not None else 0.0
         zn = z + (tilde - z) * lam
         step = z - zn
-        disp = norm(step)
+        with np.errstate(invalid="ignore"):     # a non-finite step fails below
+            res = norm(e)
+            epsn = norm(eps_vec) if eps_vec is not None else 0.0
+            disp = norm(step)
         # a non-finite exact output shows in res, a non-finite tilde in disp;
         # the sum of the norms is finite unless one of them is, or it overflows
         if not math.isfinite(res + disp + epsn):

@@ -49,8 +49,8 @@ def harmonic_schedule():
 
 # the fixed-point set as a point (zero-map, gd and the lasso's reference),
 # as a projector (drs) and unknown (multiblock, pds, the schedule); the
-# inexact lasso and multiblock steps and every scheduled step leave their
-# exact output to the chunk
+# inexact lasso, multiblock, drs and pds steps and every scheduled step
+# leave their exact output to the chunk
 MAKERS = {
     "zero-map": lambda: make_zero_map(4),
     "gd": lambda: make_quadratic_gd(0.8, 1.0, 2, 0.5),
@@ -146,7 +146,8 @@ class Injected:
     output is made non-finite, or its evaluation raises, in the channel's
     stacked ``evaluate_rows``, on the rows whose points those steps
     evaluated; the kinds that edit the reported error finish such a step at
-    once, as the engine would."""
+    once, as the engine would.  On the primal-dual metric space a
+    non-finite deferred row must fail without a warning from the metric."""
 
     KINDS = ("exact", "tilde", "error-norm", "drift", "divergence", "late-raise",
              "raise", "exact-raise")
@@ -156,7 +157,7 @@ class Injected:
         self.evaluate_inner, self.alphas = channel.evaluate, channel.alphas
         self.draws = channel.draws
         self.operator = problem.operator
-        self.rows_inner = channel.evaluate_rows
+        self.rows_inner, self.observed_parts = channel.evaluate_rows, channel.observed_parts
         if channel.evaluate_rows is not None:
             self.evaluate_rows = self.rows
         self.kind, self.at = kind, at
@@ -213,8 +214,8 @@ class Injected:
 @pytest.mark.parametrize("at", [0, CHUNK - 1, CHUNK, CHUNK + 1])
 @pytest.mark.parametrize("kind", Injected.KINDS)
 @pytest.mark.parametrize("maker", [make_zero_map, lambda: make_gfb_multiblock(3, 4),
-                                   harmonic_schedule],
-                         ids=["zero-map", "multiblock", "ns-harmonic"])
+                                   harmonic_schedule, MAKERS["drs"], MAKERS["pds"]],
+                         ids=["zero-map", "multiblock", "ns-harmonic", "drs", "pds"])
 def test_failures_land_at_their_step_across_chunk_boundaries(monkeypatch, maker, kind, at):
     problem = maker()
 

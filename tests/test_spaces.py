@@ -275,9 +275,10 @@ def test_row_norms_equal_the_point_norms_bit_for_bit(drawn):
 
 
 def test_stacked_matrix_application_equals_per_row_products():
-    # apply_rows(A, X) is np.matmul(A, X[..., None])[..., 0]; each row must be
-    # A @ x for the shapes the hooks apply: a quadratic's Q, a linear block's
-    # M, a subspace basis U and its transpose, and the PDS metric
+    # apply_rows(A, X) is np.matmul(A, X[..., None])[..., 0], or A @ X for a
+    # vector X; each row must be A @ x for the shapes the hooks and kernels
+    # apply: a quadratic's Q, a linear block's M, a subspace basis U and its
+    # transpose, and the PDS metric
     rng = np.random.default_rng(14)
     pds = make_pds_small(seed=3).operator.space.metric
     for d in (1, 2, 4, 12, 20, 33, 60):
@@ -286,7 +287,10 @@ def test_stacked_matrix_application_equals_per_row_products():
         for A in (R @ R.T, 0.5 * np.eye(d) + 0.5 * (R - R.T), U, U.T, pds):
             X = spread(rng, (50, A.shape[1]))
             assert np.array_equal(apply_rows(A, X), np.array([A @ x for x in X]))
-            assert np.array_equal(apply_rows(A, X[0]), A @ X[0])
+            # a vector takes A @ x itself: the bits of its row in a stack
+            x = apply_rows(A, X[0])
+            for want in (A @ X[0], apply_rows(A, X[:1])[0]):
+                assert (x.shape, x.tobytes()) == (want.shape, want.tobytes())
 
     # the assumption is not vacuous: the two other stacked forms round
     # differently on this draw, so a numpy where they agree shows here

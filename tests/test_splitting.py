@@ -195,6 +195,34 @@ class TestEvaluationCounts:
         assert (built.block1.calls, built.block2.calls) == (K, K + 1)
         assert series.values.size == K
 
+    def test_inexact_drs_step_resolves_once_and_its_chunk_once_more(self):
+        # an inexact step resolves for its perturbed iterate only; the exact
+        # outputs of the run's one chunk come from one stacked call per block
+        p = make_two_subspaces(np.pi / 4, 4)
+        built = p.built
+        built.block1, built.block2 = Counting(built.block1), Counting(built.block2)
+        tr, _, series = p.certified_run(0.1, 3.0, max_iters=200)
+        assert tr.n_steps == 200 and series.values.size == 200
+        # the certificate's j2 of the chunk's last iterate is one more
+        assert [(b.calls, b.vectors) for b in (built.block1, built.block2)] == [
+            (201, 400), (202, 401)]
+
+    @pytest.mark.parametrize("law", [(), (0.1, 3.0)], ids=["exact", "inexact"])
+    def test_pds_step_evaluates_once(self, law):
+        # an exact step is evaluated once, for its iterate and its residual;
+        # an inexact one once for its iterate, and the chunk's exact outputs
+        # come from one stacked call over its 40 points
+        p = make_pds_small(seed=3)
+        p.fix_reference()
+        built = p.built
+        built.primal_block = Counting(built.primal_block)
+        built.duals[0].block = Counting(built.duals[0].block)
+        tr, _, series = p.certified_run(*law, max_iters=40)
+        assert tr.n_steps == 40 and series.values.size == 40
+        want = (41, 80) if law else (40, 40)
+        assert [(b.calls, b.vectors) for b in (built.primal_block, built.duals[0].block)] == [
+            want, want]
+
 
 # ---------------------------------------------------------------------------
 # product-space forward-backward
@@ -681,6 +709,69 @@ def test_block_resolvents_take_a_stack_row_by_row(d, C, seed):
     for blk in (L1Block(0.3), BoxBlock(-0.5, 0.8), SubspaceBlock(U), ZeroBlock()):
         out = blk.resolvent(V, c)
         assert [bits(row) for row in out] == [bits(blk.resolvent(v, c)) for v in V]
+
+
+def two_dual_pds_with_forward_terms():
+    """The two dual terms of :func:`two_dual_pds` (sizes 2 and 4 on a primal
+    block of size 3) with shifts, a quadratic ``d_inv`` on each and a
+    quadratic smooth part, and a point to evaluate at."""
+    rng = np.random.default_rng(4)
+    Ls = [0.1 * rng.standard_normal((m, 3)) for m in (2, 4)]
+
+    def quadratic(m):
+        G = rng.standard_normal((m, m))
+        Q = G @ G.T
+        return CocoerciveMap.quadratic(Q / np.linalg.eigvalsh(Q)[-1], rng.standard_normal(m))
+
+    duals = [PdsDualTerm(block=L1Block(1.0), L=L, sigma=0.5, omega=0.5,
+                         r=rng.standard_normal(L.shape[0]), d_inv=quadratic(L.shape[0]))
+             for L in Ls]
+    built = PdsBuilt(primal_block=BoxBlock(-0.5, 0.5), tau=0.5, dim_primal=3,
+                     duals=duals, smooth=quadratic(3))
+    return built, rng.standard_normal(built.space.size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pds_instances(), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+@example(two_dual_pds_with_forward_terms(), 7, 0)
+def test_stacked_pds_block_step_is_the_point_block_step_row_by_row(drawn, C, seed):
+    # the engine finishes an inexact PDS step's exact output with the
+    # stacked block recursion: each row carries the bits of its point's
+    built, z = drawn
+    rng = np.random.default_rng(seed)
+    Z = np.vstack([z, rng.standard_normal((C - 1, z.size)) * 10.0 ** rng.uniform(-2.0, 2.0)])
+    out = built.block_step(Z)
+    assert out.shape == Z.shape
+    assert [bits(row) for row in out] == [bits(built.block_step(z)) for z in Z]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_stacked_drs_evaluation_is_the_point_evaluation_row_by_row(d, C, seed):
+    # the engine finishes an inexact DRS step's exact output with the
+    # stacked evaluation: each row, output and parts, carries the bits of
+    # its point's, over subspace, linear, l1 and box blocks
+    rng = np.random.default_rng(seed)
+
+    def block():
+        kind = rng.integers(4)
+        if kind == 0:
+            return SubspaceBlock(np.linalg.qr(rng.standard_normal((d, max(1, d // 2))))[0])
+        if kind == 1:
+            R = rng.standard_normal((d, d))
+            return LinearBlock(0.5 * np.eye(d) + 0.5 * (R - R.T), rng.standard_normal(d))
+        if kind == 2:
+            return L1Block(rng.uniform(0.1, 2.0))
+        return BoxBlock(-rng.uniform(0.1, 2.0, d), rng.uniform(0.1, 2.0, d))
+
+    built = DrsBuilt(block(), block(), float(rng.uniform(0.1, 5.0)), d)
+    Z = rng.standard_normal((C, d)) * 10.0 ** rng.uniform(-2.0, 2.0)
+    exact, parts = built.evaluate(Z)
+    assert exact.shape == Z.shape
+    for r, z in enumerate(Z):
+        want, want_parts = built.evaluate(z)
+        assert bits(exact[r]) == bits(want)
+        assert [bits(p[r]) for p in parts] == [bits(p) for p in want_parts]
 
 
 def test_harmonic_run_refactors_the_limit_once_per_chunk(monkeypatch):
