@@ -180,9 +180,9 @@ class GammaSchedule:
         return min(self.start, self.limit), max(self.start, self.limit)
 
     def value(self, k: int) -> float:
-        gap = self.start - self.limit
         if self.kind == "constant":
             return self.limit
+        gap = self.start - self.limit
         if self.kind == "geometric":
             # negative power underflows to zero instead of overflowing
             return self.limit + gap * _GEOMETRIC_RATIO ** (-k)
@@ -361,7 +361,7 @@ class Channel:
 
     def _errors(self, k: int, draws) -> Optional[np.ndarray]:
         """The step's errors, its segments in one row; None for magnitude 0."""
-        mag = self.stage_law.magnitude(k)
+        mag = self.stage_law.c and self.stage_law.magnitude(k)     # 0 for an exact law
         return None if mag == 0.0 else next(draws) * mag
 
     def evaluate(self, k, z, draws):
@@ -466,6 +466,9 @@ def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
     _validate_admissible(relaxation, operator.alpha)
 
     norm, tol = space.norm, stop.residual_tol
+    cap = _DIVERGENCE_NORM ** 2 / space.dot_scale     # below it, norm(zn) is too
+    constant = relaxation.kind == "constant"   # its one value is read once
+    lam = relaxation.value(0) if constant else None
     eager = space.metric is not None   # M @ a warns on a non-finite a (0 * inf): scan first
     # an observed run takes the parts of every step from the stacked
     # evaluation, where a hook reads them
@@ -494,7 +497,8 @@ def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
     z, stop_reason = z0, "max_iters"
     try:
         for k in range(stop.max_iters):
-            lam = relaxation.value(k)
+            if not constant:
+                lam = relaxation.value(k)
             exact, tilde, eps_vec, extras = evaluate(k, z, draws)
             if exact is None and tol > 0.0:     # the stop needs it now: finish it at once
                 exact = evaluate_rows(z[None])[0][0]
@@ -504,8 +508,9 @@ def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
             zn = z + (tilde - z) * lam
             zs.append(zn)
             rows.append((exact, tilde, lam, eps_vec, extras))
-            # also the finiteness test: no non-finite iterate is evaluated
-            if not norm(zn) <= _DIVERGENCE_NORM:
+            # also the finiteness test: no non-finite iterate is evaluated; the
+            # norm decides where zn.dot(zn) fails the cap (as NaN and inf do)
+            if not zn.dot(zn) <= cap and not norm(zn) <= _DIVERGENCE_NORM:
                 raise DivergenceError(
                     f"iterate norm exceeded {_DIVERGENCE_NORM:.1e} at step {k}")
             if tol > 0.0 and norm(z - exact) <= tol:

@@ -61,12 +61,16 @@ def composition_alpha(a1: float, a2: float) -> float:
 # prox toolbox (vector level)
 # ---------------------------------------------------------------------------
 
+def _soft(x: np.ndarray, mu: float) -> np.ndarray:
+    # the soft threshold of a float array at a threshold checked by the caller
+    return np.sign(x) * np.maximum(np.abs(x) - mu, 0.0)
+
+
 def prox_l1(x, mu: float) -> np.ndarray:
     """Componentwise soft threshold ``sign(x) max(|x| - mu, 0)``."""
     if mu <= 0:
         raise ParameterError("threshold must be positive")
-    x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.maximum(np.abs(x) - mu, 0.0)
+    return _soft(np.asarray(x, dtype=float), mu)
 
 
 def moreau_envelope_gradient(x, mu: float) -> np.ndarray:
@@ -105,8 +109,11 @@ class CocoerciveMap:
 
     @staticmethod
     def envelope_l1(mu: float) -> "CocoerciveMap":
-        return CocoerciveMap(lambda x: moreau_envelope_gradient(x, mu), 1.0,
-                             f"env_l1({mu:g})")
+        """:func:`moreau_envelope_gradient` at the weight ``mu > 0``, checked
+        here once; it takes a float point or stack of points."""
+        if not mu > 0:
+            raise ParameterError(f"smoothing weight must be positive, got {mu}")
+        return CocoerciveMap(lambda x: x - _soft(x, mu), 1.0, f"env_l1({mu:g})")
 
 
 def gradient_step(Q, q, gamma: float) -> OperatorSpec:

@@ -92,7 +92,7 @@ class ProductSpace:
     """Shape (block dimensions), weights and metric of a product space; its
     points are arrays of length ``size`` (see the module docstring)."""
 
-    __slots__ = ("dims", "weights", "metric", "size", "_slices", "_w", "_inner")
+    __slots__ = ("dims", "weights", "metric", "size", "dot_scale", "_slices", "_w", "_inner")
 
     def __init__(self, dims, weights, metric=None):
         dims = tuple(int(d) for d in dims)
@@ -110,6 +110,10 @@ class ProductSpace:
         self._slices = _layout(dims)
         self._w = tuple(float(w) for w in weights)
         self._inner = _inner_kernel(self._w, self._slices)
+        # norm(a)**2 <= max w_i * ||a|| * ||M a|| <= max w_i * ||M||_F * a.dot(a),
+        # and the factor 1 + 1e-6 covers the rounding of both sides
+        self.dot_scale = max(self._w) * (1.0 + 1e-6) * (
+            1.0 if metric is None else float(np.linalg.norm(metric)))
 
     @classmethod
     def single(cls, d: int) -> "ProductSpace":

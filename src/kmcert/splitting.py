@@ -32,7 +32,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from .bounds import BoundConstants, EmpiricalConstants, pointwise_bound, stack_present
 from .errors import NumericalError, ParameterError, StructuralError
 from .km import Channel, ErrorSchedule, GammaSchedule, IterationTrace, Steps, _stack
-from .operators import CocoerciveMap, OperatorSpec, composition_alpha, prox_l1
+from .operators import CocoerciveMap, OperatorSpec, _soft, composition_alpha
 from .spaces import ProductSpace, _layout, _weighted_sum, apply_rows
 
 
@@ -82,12 +82,13 @@ class L1Block(MonotoneBlock):
     kind = "l1"
 
     def __init__(self, mu: float):
-        if mu <= 0:
+        if not mu > 0:
             raise ParameterError("l1 weight must be positive")
         self.mu = float(mu)
 
     def resolvent(self, v, c):
-        return prox_l1(v, c * self.mu)
+        # the weight was checked once, in __init__
+        return _soft(v, c * self.mu)
 
     def member_residual(self, u, g):
         res = np.where(u != 0.0, np.abs(g - self.mu * np.sign(u)),
@@ -103,14 +104,15 @@ class BoxBlock(MonotoneBlock):
     def __init__(self, lo, hi):
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        if not np.all(lo <= hi):
-            raise ParameterError("box bounds must satisfy lo <= hi")
+        if not (np.all(lo <= hi) and np.all(lo < np.inf) and np.all(hi > -np.inf)):
+            raise ParameterError("box bounds must satisfy lo <= hi, lo < inf and hi > -inf")
         self.lo, self.hi = lo, hi
         self._btol = 1e-12 * (1.0 + float(np.max(hi - lo, initial=0.0)))
 
     def resolvent(self, v, c):
-        # bounds were checked once, in __init__
-        return np.clip(v, self.lo, self.hi)
+        # bounds were checked once, in __init__; the method is np.clip
+        # without its wrapper (np.minimum(np.maximum(...)) signs zeros otherwise)
+        return v.clip(self.lo, self.hi)
 
     def member_residual(self, u, g):
         lo, hi = self.lo, self.hi
@@ -153,9 +155,9 @@ class SubspaceBlock(MonotoneBlock):
 
 class LinearBlock(MonotoneBlock):
     """Affine monotone map ``u -> M u - c0`` (symmetric part PSD); resolvent
-    solves a dense factorization, cached for the two most recently used
-    parameter values (a non-stationary run alternates between the current
-    and the limit parameter)."""
+    solves a dense factorization, cached with its shift ``c * c0`` for the
+    two most recently used parameter values (a non-stationary run alternates
+    between the current and the limit parameter)."""
 
     kind = "linear"
 
@@ -171,13 +173,14 @@ class LinearBlock(MonotoneBlock):
         self._lu = {}
 
     def resolvent(self, v, c):
-        lu = self._lu.pop(c, None)
-        if lu is None:
-            lu = _lu_factor(self._eye + c * self.M)
+        entry = self._lu.pop(c, None)
+        if entry is None:
+            entry = _lu_factor(self._eye + c * self.M), c * self.c0
             if len(self._lu) == 2:      # evict the least recently used
                 del self._lu[next(iter(self._lu))]
-        self._lu[c] = lu
-        b = np.asarray(v, dtype=float) + c * self.c0
+        self._lu[c] = entry
+        lu, shift = entry
+        b = v + shift
         if b.ndim == 1:
             return _lu_solve(lu, b)
         # a stack row by row: a multi-right-hand-side getrs rounds differently
@@ -275,7 +278,7 @@ class GfbBuilt:
         default), and its internals ``parts = (x, gx, args, u)``, the
         consensus, the smooth part at it, the per-block resolvent arguments
         and their outputs."""
-        params = None if gamma is None else tuple(gamma / wi for wi in self._w)
+        params = None if gamma is None else [gamma / wi for wi in self._w]
         Z, x, gx, args = self._arguments(z, self.gamma if gamma is None else gamma)
         u = self.resolve_all(args, params)
         return (Z + u - x[..., None, :]).reshape(z.shape), (x, gx, args, u)

@@ -21,8 +21,9 @@ import numpy as np
 import pytest
 
 from kmcert import km
-from kmcert.errors import ParameterError
-from kmcert.km import CHUNK, StopRule, run_km
+from kmcert.errors import DivergenceError, ParameterError
+from kmcert.km import CHUNK, Channel, RelaxationSchedule, StopRule, run_km
+from kmcert.operators import OperatorSpec
 from kmcert.problems import (
     make_gfb_multiblock,
     make_lasso,
@@ -32,6 +33,7 @@ from kmcert.problems import (
     make_two_subspaces,
     make_zero_map,
 )
+from kmcert.spaces import ProductSpace
 from oracles import per_step_run
 
 HORIZONS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
@@ -229,3 +231,41 @@ def test_failures_land_at_their_step_across_chunk_boundaries(monkeypatch, maker,
         want = outcome(monkeypatch, per_step_run, run)[0]
     assert isinstance(want, Exception) and f"at step {at}" in str(want)
     assert type(got) is type(want) and str(got) == str(want)
+
+
+# spaces where the space norm and the Euclidean norm of an iterate cross
+# 1e12 at different steps: the mass of the start point in the block of
+# weight 4 (norm about twice ||z||), a metric that scales the norm by 100,
+# and one that scales it by 1/100 (||z|| crosses first)
+GUARD_SPACES = {
+    "unequal-weights": (ProductSpace((2, 3), (0.5, 4.0)), [0.1, -0.1, 1.0, 1.0, -1.0]),
+    "metric-norm-first": (ProductSpace((2, 1), (1.0, 2.0), metric=np.diag([1e4, 1e4, 5e3])),
+                          [1.0, -1.0, 1.0]),
+    "euclidean-first": (ProductSpace((3,), (1.0,), metric=1e-4 * np.eye(3)),
+                        [1.0, 2.0, -1.0]),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.13, 1.29])
+@pytest.mark.parametrize("label", sorted(GUARD_SPACES))
+def test_divergence_guard_raises_at_the_oracles_step(monkeypatch, label, scale):
+    # the engine tests zn.dot(zn) against a cap before it takes the norm;
+    # the oracle takes the norm at every step
+    space, start = GUARD_SPACES[label]
+    grow = OperatorSpec(lambda z: 1.5 * z, None, "grow", space)
+
+    def run(observe):
+        return run_km(Channel(grow), scale * np.array(start), RelaxationSchedule.constant(1.0),
+                      StopRule(500, 0.0), observe=observe)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(monkeypatch, km._iterate, run)[0]
+        want = outcome(monkeypatch, per_step_run, run)[0]
+    assert isinstance(want, DivergenceError)
+    assert type(got) is type(want) and str(got) == str(want)
+    # the two norms of the first iterate past the guard sit on either side
+    k = int(str(want).rsplit(" ", 1)[1])
+    z = scale * np.array(start) * 1.5 ** (k + 1)
+    assert space.norm(z) > 1e12
+    assert (np.linalg.norm(z) > 1e12) == (label == "euclidean-first")

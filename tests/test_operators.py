@@ -12,7 +12,7 @@ from kmcert.operators import (
     prox_l1,
 )
 from kmcert.spaces import ProductSpace
-from kmcert.splitting import BoxBlock, LinearBlock, SubspaceBlock
+from kmcert.splitting import BoxBlock, L1Block, LinearBlock, SubspaceBlock
 from oracles import check_averaged, check_firmly_nonexpansive, vector_operator
 
 
@@ -214,6 +214,26 @@ class TestMoreauEnvelopeGradient:
             lhs = float((bx - by) @ (x - y))
             rhs = float((bx - by) @ (bx - by))
             assert lhs >= rhs - 1e-12
+
+    @pytest.mark.parametrize("mu", [0.0, -0.5, np.nan])
+    def test_weight_checked_at_construction(self, mu):
+        # the built term never checks its weight again; the public function does
+        with pytest.raises(ParameterError):
+            CocoerciveMap.envelope_l1(mu)
+        with pytest.raises(ParameterError):
+            L1Block(mu)
+        if not np.isnan(mu):
+            with pytest.raises(ParameterError):
+                moreau_envelope_gradient(np.ones(2), mu)
+            with pytest.raises(ParameterError):
+                prox_l1(np.ones(2), mu)
+
+    def test_built_term_is_the_public_gradient(self):
+        x = np.random.default_rng(16).standard_normal((3, 5)) * 2.0
+        x[0, :2] = (0.7, -0.7)      # at the threshold
+        term = CocoerciveMap.envelope_l1(0.7)
+        assert term.fn(x).tobytes() == moreau_envelope_gradient(x, 0.7).tobytes()
+        assert term.fn(x[1]).tobytes() == moreau_envelope_gradient(x[1], 0.7).tobytes()
 
 
 class TestSamplingChecks:

@@ -1,7 +1,7 @@
 """Property tests for the pure numeric kernels."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -45,6 +45,43 @@ def test_project_box_idempotent_and_inside(x, lo, hi):
     p = box.resolvent(x, 1.0)
     assert np.all(p >= lo - 1e-15) and np.all(p <= hi + 1e-15)
     assert np.array_equal(box.resolvent(p, 1.0), p)
+
+
+# signed zeros, infinities and NaN, at the bounds and off them
+EDGE = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf])
+VALUE = EDGE | st.sampled_from([np.nan, -np.nan]) | st.floats(-3.0, 3.0)
+
+
+@st.composite
+def boxes_and_stacks(draw):
+    """``(lo, hi, V)``: the bounds of a box, ``-inf <= lo <= hi <= inf``
+    with finite ``lo == hi`` and either order of two signed zeros included,
+    and a ``(C, d)`` stack of values."""
+    d, C = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    pairs = [sorted(draw(st.lists(EDGE | st.floats(-2.0, 2.0), min_size=2, max_size=2)))
+             for _ in range(d)]
+    pairs = [(-np.inf if lo == np.inf else lo, np.inf if hi == -np.inf else hi)
+             for lo, hi in pairs]      # a box holds a real point
+    V = np.array(draw(st.lists(st.lists(VALUE, min_size=d, max_size=d),
+                               min_size=C, max_size=C)))
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]), V
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# np.minimum(np.maximum(v, lo), hi) gives +0.0 here
+@example((np.array([0.0]), np.array([0.0]), np.array([[-0.0]])))
+@given(boxes_and_stacks())
+def test_box_resolvent_is_clip_bit_for_bit(case):
+    lo, hi, V = case
+    box = BoxBlock(lo, hi)
+    assert same_bits(box.resolvent(V[0], 1.0), np.clip(V[0], lo, hi))
+    assert same_bits(box.resolvent(V, 1.0), np.clip(V, lo, hi))
+    # the strided rows a product-space evaluation hands over
+    S = np.stack([np.zeros_like(V), V], axis=1)[:, 1]
+    assert same_bits(box.resolvent(S, 1.0), np.clip(S, lo, hi))
 
 
 @given(st.floats(1e-9, 1e3), st.floats(1e-6, 1e3))

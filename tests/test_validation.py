@@ -255,6 +255,9 @@ class TestBlocks:
             BoxBlock(1.0, 0.0)
         with pytest.raises(ParameterError):
             BoxBlock(np.nan, 1.0)
+        for lo, hi in ((np.inf, np.inf), (-np.inf, -np.inf), ([0.0, np.inf], [1.0, np.inf])):
+            with pytest.raises(ParameterError):       # no real point inside
+                BoxBlock(lo, hi)
         with pytest.raises(ParameterError):
             SubspaceBlock(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
@@ -321,6 +324,18 @@ class TestCaches:
         for c in (1.0, 2.0, 1.0, 3.0):
             blk.resolvent(v, c)
         assert list(blk._lu) == [1.0, 3.0]
+
+    def test_lu_cache_keeps_each_shift_with_its_factors(self):
+        # entries come and go as three values alternate; each solve is that
+        # of a fresh block, so c * c0 stays with the factors of its own c
+        rng = np.random.default_rng(8)
+        R = rng.standard_normal((4, 4))
+        M, c0 = 0.5 * np.eye(4) + 0.5 * (R - R.T), rng.standard_normal(4)
+        blk, V = LinearBlock(M, c0), rng.standard_normal((3, 4))
+        for c in (1.0, 2.0, 3.0, 1.0, 3.0, 2.0, 0.5, 2.0, 1.0):
+            for v in (V[0], V):
+                want = LinearBlock(M, c0).resolvent(v, c)
+                assert blk.resolvent(v, c).tobytes() == want.tobytes()
 
 
 class TestScheduleRanges:

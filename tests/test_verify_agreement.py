@@ -5,8 +5,10 @@ primal-dual and product-space splittings) and on every suite member that
 carries constants; and a report whose verdict, violations, certificate
 ``ok`` or membership residual was edited fails `verify`."""
 
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import math
 import pathlib
@@ -14,10 +16,11 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kmcert import cli
 from kmcert.bounds import CHECKS, MEMBERSHIP_TOL, BoundConstants, verify_series
+from kmcert.errors import UnavailableError
 from kmcert.km import RelaxationSchedule
 from kmcert.problems import ProblemInstance
 from kmcert.splitting import BoxBlock, CocoerciveMap, GfbBuilt, L1Block
@@ -170,43 +173,68 @@ def test_run_checks_only_the_local_transitions_its_trace_holds(max_iters, tmp_pa
     assert {k for k, kind in own if kind == "local"} == set(range(max_iters - 1))
 
 
-@st.composite
-def gfb_instances(draw):
-    """A generated product-space splitting instance: a random positive
-    definite quadratic smooth part, 1-3 box and l1 blocks with drawn
-    weights, a step size inside (0, 2 beta), a relaxation inside the
-    admissible (0, 1/alpha) and an error law with p in (2, 4]."""
-    d = draw(st.integers(1, 5))
-    kinds_ = draw(st.lists(st.sampled_from(["box", "l1"]), min_size=1, max_size=3))
-    raw_w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(kinds_),
-                                   max_size=len(kinds_))))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+def gfb_instance(d, kinds_, raw_w, rng_seed, gamma_share, lam_share, error_c, error_p,
+                 max_iters, seed):
+    """``(config, problem)`` of a product-space splitting instance: a random
+    positive definite quadratic smooth part and the box and l1 blocks of
+    ``kinds_`` from ``default_rng(rng_seed)``, the weights ``raw_w``
+    normalized, the step size ``gamma_share * beta`` and the relaxation
+    ``lam_share / alpha``."""
+    raw_w = np.array(raw_w)
+    rng = np.random.default_rng(rng_seed)
     G = rng.standard_normal((d, d))
     Q = G.T @ G / max(1.0, float(np.linalg.eigvalsh(G.T @ G)[-1])) + 0.2 * np.eye(d)
     blocks = [BoxBlock(-rng.uniform(0.2, 2.0, d), rng.uniform(0.2, 2.0, d))
               if kind == "box" else L1Block(rng.uniform(0.01, 0.5)) for kind in kinds_]
     smooth = CocoerciveMap.quadratic(Q, rng.standard_normal(d))
     built = GfbBuilt(blocks=blocks, weights=raw_w / raw_w.sum(),
-                     gamma=draw(st.floats(0.1, 1.9)) * smooth.beta, dim=d, smooth=smooth)
-    lam = draw(st.floats(0.1, 0.95)) / built.operator.alpha
+                     gamma=gamma_share * smooth.beta, dim=d, smooth=smooth)
     problem = ProblemInstance(
         name="gfb-generated", kind="gfb", operator=built.operator,
         z0=built.space.point([3.0 * rng.standard_normal(d) for _ in blocks]),
-        relaxation=RelaxationSchedule.constant(lam), built=built)
-    cfg = dict(cli.DEFAULTS, problem="multiblock", name="prop-gfb",
-               error_c=draw(st.sampled_from([0.0, 0.2]) | st.floats(0.0, 0.2)),
-               error_p=draw(st.floats(2.0, 4.0, exclude_min=True)),
-               max_iters=draw(st.integers(1, 120)),
-               seed=draw(st.integers(0, 2 ** 16)))
+        relaxation=RelaxationSchedule.constant(lam_share / built.operator.alpha),
+        built=built)
+    cfg = dict(cli.DEFAULTS, problem="multiblock", name="prop-gfb", error_c=error_c,
+               error_p=error_p, max_iters=max_iters, seed=seed)
     return cfg, problem
 
 
+@st.composite
+def gfb_instances(draw):
+    """A generated :func:`gfb_instance`: 1-3 box and l1 blocks with drawn
+    weights, a step size inside (0, 2 beta), a relaxation inside the
+    admissible (0, 1/alpha) and an error law with p in (2, 4]."""
+    d = draw(st.integers(1, 5))
+    kinds_ = draw(st.lists(st.sampled_from(["box", "l1"]), min_size=1, max_size=3))
+    raw_w = draw(st.lists(st.floats(0.1, 1.0), min_size=len(kinds_), max_size=len(kinds_)))
+    return gfb_instance(d, kinds_, raw_w, draw(st.integers(0, 2 ** 32 - 1)),
+                        draw(st.floats(0.1, 1.9)), draw(st.floats(0.1, 0.95)),
+                        draw(st.sampled_from([0.0, 0.2]) | st.floats(0.0, 0.2)),
+                        draw(st.floats(2.0, 4.0, exclude_min=True)),
+                        draw(st.integers(1, 120)), draw(st.integers(0, 2 ** 16)))
+
+
+# a slowly contracting draw whose reference solve does not converge
+@example(gfb_instance(1, ["box"] * 3, [1.0] * 3, 11395, 1.5, 0.5, 0.0, 3.0, 1, 0))
 @settings(max_examples=40, deadline=None)
 @given(gfb_instances())
 def test_generated_gfb_runs_certify_and_verify_agrees(drawn):
     cfg, problem = drawn
+    try:
+        problem.fix_reference()     # solved once, kept on the instance for the run
+        converged = True
+    except UnavailableError as exc:
+        assert "reference run not converged" in str(exc)
+        converged = False
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
         mp.setattr(cli, "build_problem", lambda _cfg: problem)
+        if not converged:       # the run fails as documented: exit 3, saying why
+            mp.setattr(cli, "resolve_config", lambda *_args: cfg)
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                assert cli.main(["run", "--out", out]) == 3
+            assert "numerical failure: reference run not converged" in stderr.getvalue()
+            return
         trace, report, columns, csv_path, report_path = emit(cfg, out)
 
         assert report["verdict"] == "pass"
