@@ -62,9 +62,11 @@ def boxes_and_stacks(draw):
              for _ in range(d)]
     pairs = [(-np.inf if lo == np.inf else lo, np.inf if hi == -np.inf else hi)
              for lo, hi in pairs]      # a box holds a real point
-    V = np.array(draw(st.lists(st.lists(VALUE, min_size=d, max_size=d),
+    lo, hi = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    at_bounds = st.sampled_from([*lo, *hi, *-lo, *-hi])     # signs flipped too
+    V = np.array(draw(st.lists(st.lists(VALUE | at_bounds, min_size=d, max_size=d),
                                min_size=C, max_size=C)))
-    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]), V
+    return lo, hi, V
 
 
 def same_bits(a, b):
