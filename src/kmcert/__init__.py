@@ -36,8 +36,6 @@ from .operators import (
     CocoerciveMap,
     OperatorSpec,
     gradient_step,
-    moreau_envelope_gradient,
-    prox_l1,
     zero_operator,
 )
 from .spaces import ProductSpace

@@ -1,4 +1,4 @@
-"""Operator abstraction with averagedness certificates and a prox toolbox.
+"""Operator abstraction with averagedness certificates and the soft threshold.
 
 An operator carries an averagedness certificate ``alpha`` established *by
 construction*: a gradient step from its step size and cocoercivity modulus,
@@ -57,30 +57,10 @@ def composition_alpha(a1: float, a2: float) -> float:
     return (a1 + a2 - 2.0 * a1 * a2) / (1.0 - a1 * a2)
 
 
-# ---------------------------------------------------------------------------
-# prox toolbox (vector level)
-# ---------------------------------------------------------------------------
-
 def _soft(x: np.ndarray, mu: float) -> np.ndarray:
-    # the soft threshold of a float array at a threshold checked by the caller
+    # the soft threshold sign(x) max(|x| - mu, 0) of a float array, the prox
+    # of mu * l1, at a threshold checked by the caller
     return np.sign(x) * np.maximum(np.abs(x) - mu, 0.0)
-
-
-def prox_l1(x, mu: float) -> np.ndarray:
-    """Componentwise soft threshold ``sign(x) max(|x| - mu, 0)``."""
-    if mu <= 0:
-        raise ParameterError("threshold must be positive")
-    return _soft(np.asarray(x, dtype=float), mu)
-
-
-def moreau_envelope_gradient(x, mu: float) -> np.ndarray:
-    """Gradient of the unit-index smoothing of ``mu * l1``: ``x - soft(x, mu)``.
-
-    Firmly non-expansive, hence 1-cocoercive; a convenient smooth forcing
-    term for splitting tests.
-    """
-    x = np.asarray(x, dtype=float)
-    return x - prox_l1(x, mu)
 
 
 @dataclass(frozen=True)
@@ -109,8 +89,10 @@ class CocoerciveMap:
 
     @staticmethod
     def envelope_l1(mu: float) -> "CocoerciveMap":
-        """:func:`moreau_envelope_gradient` at the weight ``mu > 0``, checked
-        here once; it takes a float point or stack of points."""
+        """The gradient ``x - soft(x, mu)`` of the unit-index smoothing of
+        ``mu * l1``, firmly non-expansive and so 1-cocoercive, at the weight
+        ``mu > 0``, checked here once; it takes a float point or stack of
+        points."""
         if not mu > 0:
             raise ParameterError(f"smoothing weight must be positive, got {mu}")
         return CocoerciveMap(lambda x: x - _soft(x, mu), 1.0, f"env_l1({mu:g})")

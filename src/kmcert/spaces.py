@@ -73,9 +73,11 @@ def _rows_inner(weights, slices, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def apply_rows(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``A @ x`` for each row ``x`` of the stack ``X`` (or for a vector ``X``
     itself), bit for bit: numpy applies a matrix to a vector as the stack's
-    matrix-vector products do, not as ``X @ A.T`` does."""
+    matrix-vector products do, not as ``X @ A.T`` does.  A vector goes
+    through ``ndarray.dot``, the same gemv as ``@`` without its ufunc
+    dispatch."""
     if X.ndim == 1:
-        return A @ X
+        return A.dot(X)
     return np.matmul(A, X[..., None])[..., 0]
 
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .bounds import BoundConstants, EmpiricalConstants, pointwise_bound, stack_present
 from .errors import NumericalError, ParameterError, StructuralError
@@ -36,9 +35,22 @@ from .operators import CocoerciveMap, OperatorSpec, _soft, composition_alpha
 from .spaces import ProductSpace, _layout, _weighted_sum, apply_rows
 
 
+# scipy's LAPACK wrappers, loaded by the first LinearBlock (or a direct
+# _lu_factor call): importing scipy.linalg takes most of kmcert's start-up
+# time and memory, and only a linear block factors
+dgetrf = dgetrs = None
+
+
+def _load_lapack() -> None:
+    global dgetrf, dgetrs
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
+
 def _lu_factor(A: np.ndarray):
     # LAPACK getrf as scipy.linalg.lu_factor calls it, minus the wrapper's
     # checks: the same bits (pinned by a test)
+    if dgetrf is None:
+        _load_lapack()
     lu, piv, info = dgetrf(A)
     if info != 0:
         raise NumericalError(f"LU factorization failed (LAPACK getrf info {info})")
@@ -171,6 +183,7 @@ class LinearBlock(MonotoneBlock):
         self.c0 = np.zeros(M.shape[0]) if c0 is None else np.asarray(c0, dtype=float)
         self._eye = np.eye(M.shape[0])
         self._lu = {}
+        _load_lapack()      # the build, not the first solve, pays the import
 
     def resolvent(self, v, c):
         entry = self._lu.pop(c, None)

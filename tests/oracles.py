@@ -1,6 +1,8 @@
 """Test oracles that kmcert itself does not use: a plain-vector operator
-wrapper, the inner product of a product space and its per-block norm, the
-cell-by-cell CSV row formatter, seeded sampling checks of
+wrapper, the checked soft threshold and smoothed-l1 gradient (kmcert's
+blocks check their weights once and apply an unchecked kernel), the inner
+product of a product space and its per-block norm, the cell-by-cell CSV
+row formatter, seeded sampling checks of
 averagedness, the diagonal-subspace projector and reflector of a weighted
 product space, an error stage drawn a draw at a time (kmcert draws a chunk
 of steps at once), the per-step forms of the block membership residuals
@@ -37,7 +39,7 @@ from kmcert.km import (
     _check_output,
     _validate_admissible,
 )
-from kmcert.operators import OperatorSpec, prox_l1
+from kmcert.operators import OperatorSpec
 from kmcert.spaces import ProductSpace, _block_inner, _weighted_sum
 from kmcert.splitting import _smooth_at
 
@@ -63,6 +65,22 @@ def vector_operator(space: ProductSpace, fn, alpha, label: str) -> OperatorSpec:
         return out
 
     return OperatorSpec(apply, alpha, label, space)
+
+
+def prox_l1(x, mu: float) -> np.ndarray:
+    """Componentwise soft threshold ``sign(x) max(|x| - mu, 0)``, the prox of
+    ``mu * l1``, for a threshold ``mu > 0``."""
+    if not mu > 0:
+        raise ParameterError("threshold must be positive")
+    x = np.asarray(x, dtype=float)
+    return np.sign(x) * np.maximum(np.abs(x) - mu, 0.0)
+
+
+def moreau_envelope_gradient(x, mu: float) -> np.ndarray:
+    """Gradient ``x - soft(x, mu)`` of the unit-index smoothing of
+    ``mu * l1``: firmly non-expansive, hence 1-cocoercive."""
+    x = np.asarray(x, dtype=float)
+    return x - prox_l1(x, mu)
 
 
 def metric_inner(space: ProductSpace, a: np.ndarray, b: np.ndarray) -> float:

@@ -11,7 +11,7 @@ import pytest
 from kmcert.bounds import trace_series, verify_series
 from kmcert.cli import main as cli_main
 from kmcert.km import Channel, RelaxationSchedule, StopRule, run_km
-from kmcert.operators import OperatorSpec, composition_alpha, prox_l1
+from kmcert.operators import OperatorSpec, composition_alpha
 from kmcert.problems import (
     make_gfb_multiblock,
     make_lasso,
@@ -28,6 +28,7 @@ from oracles import (
     check_firmly_nonexpansive,
     metric_inner,
     pds_fbs_reference,
+    prox_l1,
     reflect_diagonal,
     vector_operator,
 )

@@ -8,12 +8,25 @@ from kmcert.operators import (
     OperatorSpec,
     composition_alpha,
     gradient_step,
-    moreau_envelope_gradient,
-    prox_l1,
 )
 from kmcert.spaces import ProductSpace
 from kmcert.splitting import BoxBlock, L1Block, LinearBlock, SubspaceBlock
-from oracles import check_averaged, check_firmly_nonexpansive, vector_operator
+from oracles import (
+    check_averaged,
+    check_firmly_nonexpansive,
+    moreau_envelope_gradient,
+    vector_operator,
+)
+
+
+def soft(x, mu):
+    """kmcert's soft threshold, as the l1 block's resolvent applies it."""
+    return L1Block(mu).resolvent(np.asarray(x, dtype=float), 1.0)
+
+
+def envelope(x, mu):
+    """kmcert's smoothed-l1 gradient, as its built term applies it."""
+    return CocoerciveMap.envelope_l1(mu).fn(np.asarray(x, dtype=float))
 
 
 def affine_averaged(space, alpha, seed):
@@ -72,17 +85,17 @@ class TestCompose2:
 
 class TestProxL1:
     def test_shrink(self):
-        out = prox_l1(np.array([2.0, -0.5]), 1.0)
+        out = soft(np.array([2.0, -0.5]), 1.0)
         assert out == pytest.approx([1.0, 0.0])
 
     def test_small_threshold_limit(self):
         x = np.array([1.0, -2.0, 0.3])
-        out = prox_l1(x, 1e-15)
+        out = soft(x, 1e-15)
         assert np.max(np.abs(out - x)) <= 1e-14
 
     def test_firmly_nonexpansive_sampled(self):
         sp = ProductSpace.single(4)
-        P = vector_operator(sp, lambda x: prox_l1(x, 1.0), 0.5, "prox_l1")
+        P = vector_operator(sp, lambda x: soft(x, 1.0), 0.5, "soft")
         assert check_firmly_nonexpansive(P, samples=1000, seed=4).passed
 
     def test_optimality(self):
@@ -91,7 +104,7 @@ class TestProxL1:
         for _ in range(50):
             x = rng.standard_normal(6) * 3.0
             mu = rng.uniform(0.1, 2.0)
-            u = prox_l1(x, mu)
+            u = soft(x, mu)
             g = (x - u) / mu
             assert np.all(np.abs(g) <= 1.0 + 1e-12)
             on = u != 0.0
@@ -200,35 +213,30 @@ class TestResolventLinear:
 
 class TestMoreauEnvelopeGradient:
     def test_inside_threshold(self):
-        assert moreau_envelope_gradient(np.array([0.5]), 1.0) == pytest.approx([0.5])
+        assert envelope(np.array([0.5]), 1.0) == pytest.approx([0.5])
 
     def test_outside_threshold(self):
-        assert moreau_envelope_gradient(np.array([2.0]), 1.0) == pytest.approx([1.0])
+        assert envelope(np.array([2.0]), 1.0) == pytest.approx([1.0])
 
     def test_cocoercive_sampled(self):
         rng = np.random.default_rng(15)
         for _ in range(200):
             x, y = rng.standard_normal((2, 5)) * 4.0
-            bx = moreau_envelope_gradient(x, 0.7)
-            by = moreau_envelope_gradient(y, 0.7)
+            bx = envelope(x, 0.7)
+            by = envelope(y, 0.7)
             lhs = float((bx - by) @ (x - y))
             rhs = float((bx - by) @ (bx - by))
             assert lhs >= rhs - 1e-12
 
     @pytest.mark.parametrize("mu", [0.0, -0.5, np.nan])
     def test_weight_checked_at_construction(self, mu):
-        # the built term never checks its weight again; the public function does
+        # the built term and the block never check their weight again
         with pytest.raises(ParameterError):
             CocoerciveMap.envelope_l1(mu)
         with pytest.raises(ParameterError):
             L1Block(mu)
-        if not np.isnan(mu):
-            with pytest.raises(ParameterError):
-                moreau_envelope_gradient(np.ones(2), mu)
-            with pytest.raises(ParameterError):
-                prox_l1(np.ones(2), mu)
 
-    def test_built_term_is_the_public_gradient(self):
+    def test_built_term_is_the_oracle_gradient(self):
         x = np.random.default_rng(16).standard_normal((3, 5)) * 2.0
         x[0, :2] = (0.7, -0.7)      # at the threshold
         term = CocoerciveMap.envelope_l1(0.7)

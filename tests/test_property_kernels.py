@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kmcert.bounds import local_zeta, pointwise_bound, BoundConstants
-from kmcert.operators import moreau_envelope_gradient, prox_l1
-from kmcert.splitting import BoxBlock
+from kmcert.operators import CocoerciveMap
+from kmcert.splitting import BoxBlock, L1Block
 
 finite_vec = arrays(np.float64, st.integers(1, 8),
                     elements=st.floats(-50.0, 50.0))
@@ -15,7 +15,7 @@ finite_vec = arrays(np.float64, st.integers(1, 8),
 
 @given(finite_vec, st.floats(1e-3, 10.0))
 def test_prox_l1_subgradient_optimality(x, mu):
-    u = prox_l1(x, mu)
+    u = L1Block(mu).resolvent(x, 1.0)
     g = (x - u) / mu
     # the division amplifies the cancellation in x - u by |x|/mu ulps
     tol = 1e-12 + 4.0 * np.finfo(float).eps * float(np.max(np.abs(x), initial=1.0)) / mu
@@ -29,13 +29,14 @@ def test_prox_l1_firmly_nonexpansive(x, y, mu):
     # truncate to a common dimension so the pair is comparable
     d = min(x.size, y.size)
     x, y = x[:d], y[:d]
-    du = prox_l1(x, mu) - prox_l1(y, mu)
+    blk = L1Block(mu)
+    du = blk.resolvent(x, 1.0) - blk.resolvent(y, 1.0)
     assert float(du @ du) <= float(du @ (x - y)) + 1e-9
 
 
 @given(finite_vec, st.floats(1e-3, 5.0))
 def test_envelope_gradient_bounded_by_threshold(x, mu):
-    g = moreau_envelope_gradient(x, mu)
+    g = CocoerciveMap.envelope_l1(mu).fn(x)
     assert np.all(np.abs(g) <= mu + 1e-12)
 
 

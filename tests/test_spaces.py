@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmcert.errors import StructuralError
-from kmcert.problems import make_pds_small
+from kmcert.problems import (
+    make_gfb_multiblock,
+    make_lasso,
+    make_multiblock_nonstationary,
+    make_pds_small,
+    make_two_subspaces,
+)
 from kmcert.spaces import ProductSpace, apply_rows
 from oracles import block_norm, metric_inner, project_diagonal, reflect_diagonal, sample_ball
 
@@ -274,23 +280,45 @@ def test_row_norms_equal_the_point_norms_bit_for_bit(drawn):
     assert sp.norms(A, base=True).tolist() == [sp.base_norm(a) for a in A]
 
 
+def generator_matrices():
+    """The matrices the problem generators apply through ``apply_rows``:
+    subspace bases and their transposed views, the quadratics' ``Q``, the
+    linear blocks' ``M``, the PDS coupling ``L`` and its transposed view,
+    and the PDS metric."""
+    drs = make_two_subspaces(np.pi / 4.0, 4).built
+    lasso = make_lasso(40, 60)
+    pds = make_pds_small(seed=3)
+    L = pds.built.duals[0].L
+    linear = [next(b for b in p.built.blocks if b.kind == "linear").M
+              for p in (make_gfb_multiblock(3, 20), make_multiblock_nonstationary("harmonic"))]
+    return [drs.block1.U, drs.block1.U.T, drs.block2.U, drs.block2.U.T,
+            lasso.constants["A"].T @ lasso.constants["A"], pds.constants["Q"],
+            L, L.T, pds.operator.space.metric, *linear]
+
+
 def test_stacked_matrix_application_equals_per_row_products():
-    # apply_rows(A, X) is np.matmul(A, X[..., None])[..., 0], or A @ X for a
-    # vector X; each row must be A @ x for the shapes the hooks and kernels
-    # apply: a quadratic's Q, a linear block's M, a subspace basis U and its
-    # transpose, and the PDS metric
+    # apply_rows(A, X) is np.matmul(A, X[..., None])[..., 0], or A.dot(X) for a
+    # vector X; each row must be A @ x, and each vector's product must keep
+    # the bits of A @ x and of its row in a stack, for random shapes and the
+    # generators' own matrices
     rng = np.random.default_rng(14)
     pds = make_pds_small(seed=3).operator.space.metric
+    mats = generator_matrices()
+    # both layouts occur: the PDS coupling L is Fortran-ordered (a scaled
+    # transposed slice), so L.T is C-ordered
+    assert {A.flags.c_contiguous for A in mats} == {True, False}
     for d in (1, 2, 4, 12, 20, 33, 60):
         R = rng.standard_normal((d, d))
         U, _ = np.linalg.qr(rng.standard_normal((d, max(1, d // 3))))
-        for A in (R @ R.T, 0.5 * np.eye(d) + 0.5 * (R - R.T), U, U.T, pds):
-            X = spread(rng, (50, A.shape[1]))
-            assert np.array_equal(apply_rows(A, X), np.array([A @ x for x in X]))
-            # a vector takes A @ x itself: the bits of its row in a stack
-            x = apply_rows(A, X[0])
-            for want in (A @ X[0], apply_rows(A, X[:1])[0]):
-                assert (x.shape, x.tobytes()) == (want.shape, want.tobytes())
+        mats += [R @ R.T, 0.5 * np.eye(d) + 0.5 * (R - R.T), U, U.T, pds]
+    for A in mats:
+        X = spread(rng, (200, A.shape[1]))
+        rows = apply_rows(A, X)
+        assert np.array_equal(rows, np.array([A @ x for x in X]))
+        for x, row in zip(X, rows):
+            got = apply_rows(A, x)
+            for want in (A @ x, row):
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
     # the assumption is not vacuous: the two other stacked forms round
     # differently on this draw, so a numpy where they agree shows here

@@ -14,7 +14,7 @@ from kmcert.km import (
     StopRule,
     run_km,
 )
-from kmcert.operators import OperatorSpec, prox_l1
+from kmcert.operators import OperatorSpec
 from kmcert.problems import (
     make_gfb_multiblock,
     make_lasso,
@@ -53,6 +53,7 @@ from oracles import (
     pds_fbs_reference,
     pds_metric_blocks,
     per_draw_stage,
+    prox_l1,
     reflect_diagonal,
 )
 

@@ -18,8 +18,6 @@ PACKAGE = pathlib.Path(kmcert.__file__).resolve().parent
 ALLOWED = {
     "from_function": "custom relaxation and parameter schedules, for library callers",
     "verify_files": "the benchmark's agreement gate (perfbench/worker.py) reads its list",
-    "moreau_envelope_gradient": "the checked envelope gradient, for library callers; "
-                                "CocoerciveMap.envelope_l1 checks its weight once instead",
 }
 
 
