@@ -394,16 +394,15 @@ def _checked(k0: int, Z: np.ndarray, rows: list, space: ProductSpace):
             _checked(k0, Z[:r + 1], rows[:r], space)
         raise NumericalError(f"non-finite operator output at step {k0 + r}")
     lam, zero, Zk = np.array(lam), np.zeros(space.size), Z[:-1]
-    with np.errstate(invalid="ignore"):     # a non-finite step fails below
-        E, step = Zk - X, Zk - Z[1:]
-        eps_stack = _stack([zero if v is None else v for v in eps])
-        res, epsn, disp, drift, znorm = map(space.norms, (
-            E, eps_stack, step, E - (step * (1.0 / lam)[:, None] + eps_stack), Zk))
-        # a non-finite exact output shows in res, a non-finite tilde in disp;
-        # the sum of the norms is finite unless one of them is, or it overflows
-        finite = np.isfinite(res + disp + epsn)
-        drifted = ((drift > _IDENTITY_TOL) & (drift > _IDENTITY_TOL * epsn)
-                   & (drift > _IDENTITY_TOL * znorm))     # tol * max(1, ||eps||, ||z||)
+    E, step = Zk - X, Zk - Z[1:]    # a non-finite step fails below
+    eps_stack = _stack([zero if v is None else v for v in eps])
+    res, epsn, disp, drift, znorm = map(space.norms, (
+        E, eps_stack, step, E - (step * (1.0 / lam)[:, None] + eps_stack), Zk))
+    # a non-finite exact output shows in res, a non-finite tilde in disp;
+    # the sum of the norms is finite unless one of them is, or it overflows
+    finite = np.isfinite(res + disp + epsn)
+    drifted = ((drift > _IDENTITY_TOL) & (drift > _IDENTITY_TOL * epsn)
+               & (drift > _IDENTITY_TOL * znorm))     # tol * max(1, ||eps||, ||z||)
     for r in np.flatnonzero(~finite | drifted).tolist():
         k = k0 + r
         if not finite[r]:
@@ -469,7 +468,7 @@ def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
     cap = _DIVERGENCE_NORM ** 2 / space.dot_scale     # below it, norm(zn) is too
     constant = relaxation.kind == "constant"   # its one value is read once
     lam = relaxation.value(0) if constant else None
-    eager = space.metric is not None   # M @ a warns on a non-finite a (0 * inf): scan first
+    eager = space.metric is not None   # a metric norm can hide a non-finite a: scan first
     # an observed run takes the parts of every step from the stacked
     # evaluation, where a hook reads them
     every = observe is not None and channel.observed_parts
@@ -563,5 +562,8 @@ def run_km(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
     """
     for alpha in channel.alphas:
         _validate_admissible(relaxation, alpha)
-    return _iterate(channel, z0, relaxation, stop or StopRule(), fix, observe,
-                    channel.draws(np.random.default_rng(seed)))
+    # invalid operations (0 * inf, as where a linear resolvent's inverse meets
+    # a non-finite input) make NaNs, which the engine's checks report by step
+    with np.errstate(invalid="ignore"):
+        return _iterate(channel, z0, relaxation, stop or StopRule(), fix, observe,
+                        channel.draws(np.random.default_rng(seed)))

@@ -35,35 +35,11 @@ from .operators import CocoerciveMap, OperatorSpec, _soft, composition_alpha
 from .spaces import ProductSpace, _layout, _weighted_sum, apply_rows
 
 
-# scipy's LAPACK wrappers, loaded by the first LinearBlock (or a direct
-# _lu_factor call): importing scipy.linalg takes most of kmcert's start-up
-# time and memory, and only a linear block factors
-dgetrf = dgetrs = None
-
-
-def _load_lapack() -> None:
-    global dgetrf, dgetrs
-    from scipy.linalg.lapack import dgetrf, dgetrs
-
-
-def _lu_factor(A: np.ndarray):
-    # LAPACK getrf as scipy.linalg.lu_factor calls it, minus the wrapper's
-    # checks: the same bits (pinned by a test)
-    if dgetrf is None:
-        _load_lapack()
-    lu, piv, info = dgetrf(A)
-    if info != 0:
-        raise NumericalError(f"LU factorization failed (LAPACK getrf info {info})")
-    return lu, piv
-
-
-def _lu_solve(factors, b: np.ndarray) -> np.ndarray:
-    # a non-finite b gives a non-finite solution, which the engine's
-    # finiteness check reports as a numerical failure
-    x, info = dgetrs(*factors, b)
-    if info != 0:
-        raise NumericalError(f"LU solve failed (LAPACK getrs info {info})")
-    return x
+def _inverse(A: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"linear block matrix not invertible ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -167,38 +143,38 @@ class SubspaceBlock(MonotoneBlock):
 
 class LinearBlock(MonotoneBlock):
     """Affine monotone map ``u -> M u - c0`` (symmetric part PSD); resolvent
-    solves a dense factorization, cached with its shift ``c * c0`` for the
-    two most recently used parameter values (a non-stationary run alternates
-    between the current and the limit parameter)."""
+    applies the inverse of ``I + c M``, cached with its shift ``c * c0`` for
+    the two most recently used parameter values (a non-stationary run
+    alternates between the current and the limit parameter)."""
 
     kind = "linear"
 
     def __init__(self, M, c0=None):
         M = np.asarray(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise StructuralError("M must be square")
+        if M.ndim != 2 or M.shape[0] != M.shape[1] or not np.isfinite(M).all():
+            raise StructuralError("M must be a finite square matrix")
+        d = M.shape[0]
+        c0 = np.zeros(d) if c0 is None else np.asarray(c0, dtype=float)
+        if c0.shape != (d,) or not np.isfinite(c0).all():
+            raise StructuralError(f"c0 must be a finite vector of shape ({d},)")
         if np.linalg.eigvalsh(0.5 * (M + M.T))[0] < -1e-12:
             raise ParameterError("M is not monotone")
-        self.M = M
-        self.c0 = np.zeros(M.shape[0]) if c0 is None else np.asarray(c0, dtype=float)
-        self._eye = np.eye(M.shape[0])
-        self._lu = {}
-        _load_lapack()      # the build, not the first solve, pays the import
+        self.M, self.c0 = M, c0
+        self._eye = np.eye(d)
+        self._inverses = {}
 
     def resolvent(self, v, c):
-        entry = self._lu.pop(c, None)
+        # a stack goes row by row through apply_rows, whose rows are the
+        # vector's bits; a non-finite v gives a non-finite output, which the
+        # engine's finiteness check reports as a numerical failure
+        entry = self._inverses.pop(c, None)
         if entry is None:
-            entry = _lu_factor(self._eye + c * self.M), c * self.c0
-            if len(self._lu) == 2:      # evict the least recently used
-                del self._lu[next(iter(self._lu))]
-        self._lu[c] = entry
-        lu, shift = entry
-        b = v + shift
-        if b.ndim == 1:
-            return _lu_solve(lu, b)
-        # a stack row by row: a multi-right-hand-side getrs rounds differently
-        return np.concatenate([_lu_solve(lu, r) for r in b.reshape(-1, b.shape[-1])]
-                              ).reshape(b.shape)
+            entry = _inverse(self._eye + c * self.M), c * self.c0
+            if len(self._inverses) == 2:    # evict the least recently used
+                del self._inverses[next(iter(self._inverses))]
+        self._inverses[c] = entry
+        inv, shift = entry
+        return apply_rows(inv, v + shift)
 
     def member_residual(self, u, g):
         return float(_l2_rows(g - (apply_rows(self.M, u) - self.c0)).max())

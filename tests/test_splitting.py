@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from hypothesis import example, given, settings, strategies as st
 
 from kmcert.bounds import EmpiricalConstants, pointwise_bound
@@ -41,8 +40,7 @@ from kmcert.splitting import (
     PdsDualTerm,
     SubspaceBlock,
     ZeroBlock,
-    _lu_factor,
-    _lu_solve,
+    _inverse,
 )
 from oracles import (
     check_averaged,
@@ -123,6 +121,20 @@ class TestBlocks:
         with pytest.raises(ParameterError):
             LinearBlock(-np.eye(2))
 
+    @pytest.mark.parametrize("M, c0", [
+        (np.ones((2, 3)), None),                     # not square
+        (np.ones(2), None),                          # not a matrix
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), None),   # eigvalsh gives NaN, not a failure
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), None),
+        (np.eye(2), [0.0, np.inf]),
+        (np.eye(2), [0.0, np.nan]),
+        (np.eye(2), [0.0, 1.0, 2.0]),                # wrong length
+        (np.eye(2), [[0.0, 1.0]]),                   # not a vector
+    ])
+    def test_linear_block_data_checked_at_construction(self, M, c0):
+        with pytest.raises(StructuralError):
+            LinearBlock(M, c0)
+
     def test_zero_block(self):
         blk = ZeroBlock()
         v = np.array([1.0, -2.0])
@@ -130,22 +142,18 @@ class TestBlocks:
         assert blk.member_residual(stack(v), stack([0.0, 0.0])) == 0.0
 
     @pytest.mark.parametrize("d", [4, 10, 20])
-    def test_lapack_lu_is_bit_identical_to_scipy_wrappers(self, d):
-        # the trace contract rests on this: a scipy whose lu_factor/lu_solve
-        # stop being plain getrf/getrs calls must fail here, not in a digest
+    def test_linear_resolvent_is_the_inverse_applied_bit_for_bit(self, d):
+        # the trace contract rests on this: a vector and each row of a stack
+        # get np.linalg.inv(I + c M).dot(v + c * c0), on the generators' blocks
+        blk = next(b for b in make_gfb_multiblock(3, d).built.blocks
+                   if isinstance(b, LinearBlock))
         rng = np.random.default_rng(d)
-        for c in (0.5, 1.0, 1.9):
-            R = rng.standard_normal((d, d))
-            M = 0.5 * np.eye(d) + 0.5 * (R - R.T) + 0.1 * (R @ R.T)
-            A = np.eye(d) + c * M
-            lu, piv = _lu_factor(A)
-            lu_ref, piv_ref = sla.lu_factor(A)
-            assert np.array_equal(lu, lu_ref) and np.array_equal(piv, piv_ref)
-            b = rng.standard_normal(d)
-            assert np.array_equal(_lu_solve((lu, piv), b), sla.lu_solve((lu_ref, piv_ref), b))
-            blk = LinearBlock(M, rng.standard_normal(d))
-            assert np.array_equal(blk.resolvent(b, c),
-                                  sla.lu_solve(sla.lu_factor(A), b + c * blk.c0))
+        for c in (0.5, 3.0, 4.5, 5.7):
+            inv = np.linalg.inv(np.eye(d) + c * blk.M)
+            V = rng.standard_normal((7, d))
+            want = [bits(inv.dot(v + c * blk.c0)) for v in V]
+            assert [bits(blk.resolvent(v, c)) for v in V] == want
+            assert [bits(row) for row in blk.resolvent(V, c)] == want
 
 
 class Counting(MonotoneBlock):
@@ -693,19 +701,18 @@ def test_stacked_gfb_evaluation_is_the_point_evaluation_row_by_row(drawn):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
 def test_block_resolvents_take_a_stack_row_by_row(d, C, seed):
-    # LinearBlock solves each row with its own getrs call, as a vector is
-    # solved; a multi-right-hand-side solve would round differently
+    # LinearBlock applies its inverse to each row of a stack as to a vector
     rng = np.random.default_rng(seed)
     R = rng.standard_normal((d, d))
     M = 0.5 * np.eye(d) + 0.5 * (R - R.T)
     c = float(rng.uniform(0.1, 5.0))
     V = rng.standard_normal((C, d)) * 10.0 ** rng.uniform(-2.0, 2.0)
     linear = LinearBlock(M, rng.standard_normal(d))
-    lu = _lu_factor(np.eye(d) + c * M)
+    inv = _inverse(np.eye(d) + c * M)
     out = linear.resolvent(V, c)
     assert out.shape == V.shape
     for r, v in enumerate(V):
-        assert bits(out[r]) == bits(_lu_solve(lu, v + c * linear.c0))
+        assert bits(out[r]) == bits(inv.dot(v + c * linear.c0))
     U = np.linalg.qr(rng.standard_normal((d, max(1, d // 2))))[0]
     for blk in (L1Block(0.3), BoxBlock(-0.5, 0.8), SubspaceBlock(U), ZeroBlock()):
         out = blk.resolvent(V, c)
@@ -776,16 +783,16 @@ def test_stacked_drs_evaluation_is_the_point_evaluation_row_by_row(d, C, seed):
 
 
 def test_harmonic_run_refactors_the_limit_once_per_chunk(monkeypatch):
-    # a scheduled step factors its own step size's matrix; the limit's, which
-    # the steps' evaluations evict from the two-entry cache, is factored
+    # a scheduled step inverts its own step size's matrix; the limit's, which
+    # the steps' evaluations evict from the two-entry cache, is inverted
     # again once per chunk for the stacked evaluation, not once per step
     calls = []
 
     def counting(A):
         calls.append(A.shape)
-        return _lu_factor(A)
+        return _inverse(A)
 
-    monkeypatch.setattr("kmcert.splitting._lu_factor", counting)
+    monkeypatch.setattr("kmcert.splitting._inverse", counting)
     p = make_multiblock_nonstationary("harmonic")
     steps = 2000
     tr = p.run(0.0, 3.0, steps)

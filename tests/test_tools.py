@@ -90,7 +90,7 @@ def test_analytic_members_match_recorded_digests(capsys):
 
 
 def test_nonstationary_members_match_recorded_digests(capsys):
-    # the cached limit operator (constant) and a fresh factorization every
+    # the cached limit operator (constant) and a fresh inverse every
     # step (harmonic), exact and inexact, and every other schedule's inexact
     # run, at both recorded seeds: with the certified entries, every entry
     # that draws an error; the inexact runs other than the constant one

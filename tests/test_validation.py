@@ -48,7 +48,7 @@ from kmcert.splitting import (
     L1Block,
     LinearBlock,
     SubspaceBlock,
-    _lu_factor,
+    _inverse,
 )
 from oracles import check_averaged, check_firmly_nonexpansive, vector_operator
 
@@ -121,8 +121,8 @@ class TestOperatorOutputs:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_non_finite_resolvent_input_raises_numerical_error(self):
-        # the linear resolvent solves through LAPACK without scipy's
-        # finiteness check; the engine's check names the step
+        # the linear resolvent's inverse turns an inf into NaNs (0 * inf)
+        # without a warning; the engine's check names the step
         p = inf_smooth_problem()
         with pytest.raises(NumericalError, match="non-finite operator output at step 0"):
             p.run(max_iters=5)
@@ -135,8 +135,17 @@ class TestOperatorOutputs:
         assert "numerical failure: non-finite operator output at step 0" in err
 
     def test_singular_factorization_raises_numerical_error(self):
-        with pytest.raises(NumericalError, match="getrf info"):
-            _lu_factor(np.zeros((2, 2)))
+        with pytest.raises(NumericalError, match="not invertible"):
+            _inverse(np.zeros((2, 2)))
+
+    def test_bad_linear_block_data_exits_2(self, tmp_path, monkeypatch, capsys):
+        # bad block data is bad input, refused at construction (exit 2), not
+        # a broadcasting ValueError at the first resolvent (exit 1)
+        monkeypatch.setattr(cli, "build_problem",
+                            lambda cfg: LinearBlock(np.eye(3), np.zeros(2)))
+        rc = main(["run", "--preset", "multiblock", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "c0 must be a finite vector of shape (3,)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("check", [check_averaged, check_firmly_nonexpansive])
     def test_sampling_checks_reject_non_finite_output(self, check):
@@ -300,7 +309,7 @@ class TestCaches:
         p = make_multiblock_nonstationary("harmonic", d=6)
         assert p.run(max_iters=200).n_steps == 200
         linear = [b for b in p.built.blocks if isinstance(b, LinearBlock)]
-        assert linear and all(len(b._lu) <= 2 for b in linear)
+        assert linear and all(len(b._inverses) <= 2 for b in linear)
 
     def test_limit_operator_stays_resident(self, monkeypatch):
         # the limit evaluation is the problem's own splitting, and the
@@ -323,11 +332,11 @@ class TestCaches:
         v = np.ones(3)
         for c in (1.0, 2.0, 1.0, 3.0):
             blk.resolvent(v, c)
-        assert list(blk._lu) == [1.0, 3.0]
+        assert list(blk._inverses) == [1.0, 3.0]
 
     def test_lu_cache_keeps_each_shift_with_its_factors(self):
         # entries come and go as three values alternate; each solve is that
-        # of a fresh block, so c * c0 stays with the factors of its own c
+        # of a fresh block, so c * c0 stays with the inverse of its own c
         rng = np.random.default_rng(8)
         R = rng.standard_normal((4, 4))
         M, c0 = 0.5 * np.eye(4) + 0.5 * (R - R.T), rng.standard_normal(4)
