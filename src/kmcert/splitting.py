@@ -30,9 +30,15 @@ import numpy as np
 
 from .bounds import BoundConstants, EmpiricalConstants, pointwise_bound, stack_present
 from .errors import NumericalError, ParameterError, StructuralError
-from .km import Channel, ErrorSchedule, GammaSchedule, IterationTrace, Steps, _stack
+from .km import CHUNK, Channel, ErrorSchedule, GammaSchedule, IterationTrace, Steps, _stack
 from .operators import CocoerciveMap, OperatorSpec, _soft, composition_alpha
 from .spaces import ProductSpace, _layout, _weighted_sum, apply_rows
+
+# bytes of d x d inverses a scheduled GFB run sets up in one stack: per
+# matrix, a stack of d=10 inverses costs about 40% of a single inversion, and
+# stacks past about 256 KB cost more again (d=60: 32 of them, 900 KB, cost
+# 20% more than single inversions)
+_WINDOW_BYTES = 128 * 1024
 
 
 def _inverse(A: np.ndarray) -> np.ndarray:
@@ -59,6 +65,10 @@ class MonotoneBlock:
 
     def resolvent(self, v: np.ndarray, c: float) -> np.ndarray:
         raise NotImplementedError
+
+    def prepare(self, cs) -> None:
+        """Announce ``cs``, the parameters of the coming resolvents; a block
+        that can set them up together does (none by default)."""
 
     def member_residual(self, u: np.ndarray, g: np.ndarray) -> Optional[float]:
         return None  # structural only
@@ -145,7 +155,12 @@ class LinearBlock(MonotoneBlock):
     """Affine monotone map ``u -> M u - c0`` (symmetric part PSD); resolvent
     applies the inverse of ``I + c M``, cached with its shift ``c * c0`` for
     the two most recently used parameter values (a non-stationary run
-    alternates between the current and the limit parameter)."""
+    alternates between the current and the limit parameter).
+    :meth:`prepare` inverts the announced values the cache does not hold in
+    one stacked ``np.linalg.inv``, the same LAPACK call on each matrix, into
+    a window store that the next announcement replaces; a resolvent that
+    misses the cache takes its entry from there.  A stack that cannot be
+    inverted is left to the resolvents, which raise at their own value."""
 
     kind = "linear"
 
@@ -162,6 +177,18 @@ class LinearBlock(MonotoneBlock):
         self.M, self.c0 = M, c0
         self._eye = np.eye(d)
         self._inverses = {}
+        self._window = {}
+
+    def prepare(self, cs):
+        fresh = [c for c in dict.fromkeys(cs) if c not in self._inverses]
+        self._window = {}
+        if fresh:
+            # each c * M is the same product in the stack as alone
+            try:
+                inverses = _inverse(self._eye + np.multiply.outer(fresh, self.M))
+            except NumericalError:
+                return      # each resolvent inverts its own matrix, and raises there
+            self._window = {c: (inv, c * self.c0) for c, inv in zip(fresh, inverses)}
 
     def resolvent(self, v, c):
         # a stack goes row by row through apply_rows, whose rows are the
@@ -169,7 +196,9 @@ class LinearBlock(MonotoneBlock):
         # engine's finiteness check reports as a numerical failure
         entry = self._inverses.pop(c, None)
         if entry is None:
-            entry = _inverse(self._eye + c * self.M), c * self.c0
+            entry = self._window.get(c)
+            if entry is None:
+                entry = _inverse(self._eye + c * self.M), c * self.c0
             if len(self._inverses) == 2:    # evict the least recently used
                 del self._inverses[next(iter(self._inverses))]
         self._inverses[c] = entry
@@ -327,7 +356,14 @@ class GfbScheduleChannel(Channel):
     declared range must lie in ``(0, 2 beta)``; ``alphas`` are the
     averagedness constants at its ends, which the engine checks the
     relaxation against.  The limit operator's output at a step with
-    ``gamma_k != gamma`` is left to the chunk."""
+    ``gamma_k != gamma`` is left to the chunk.
+
+    The schedule is read a window of steps ahead, each value once, and the
+    window's block parameters ``gamma_j / w_i`` are announced to the blocks
+    (:meth:`MonotoneBlock.prepare`), so a linear block inverts them in one
+    stack.  The window holds ``_WINDOW_BYTES`` of ``d x d`` inverses, at
+    most ``CHUNK`` steps.  Reading stops before the first value that
+    raises, which its own step raises in turn, after every earlier step."""
 
     def __init__(self, built: GfbBuilt, schedule: GammaSchedule, law: ErrorSchedule):
         beta = built.smooth.beta if built.smooth is not None else np.inf
@@ -346,15 +382,33 @@ class GfbScheduleChannel(Channel):
         # construction, custom ones are checked at each step), and the
         # averagedness grows with the step size, so its ends bound every step
         self.alphas = tuple(built.alpha_at(g) for g in sorted(set(schedule.interval)))
+        self._width = max(1, min(CHUNK, _WINDOW_BYTES // (8 * built.dim ** 2)))
+        self._k0, self._gammas = 0, []
 
     observed_parts = True
 
     def evaluate_rows(self, Z):
         return self.built.evaluate(Z)
 
+    def _read(self, k: int) -> None:
+        value = self.schedule.value
+        gammas = [value(k)]
+        try:
+            for j in range(k + 1, k + self._width):
+                gammas.append(value(j))
+        except Exception:
+            pass        # step j raises it, after the steps before it have run
+        self._k0, self._gammas = k, gammas
+        for blk, w in zip(self.built.blocks, self.built._w):
+            blk.prepare([g / w for g in gammas])
+
     def evaluate(self, k, z, draws):
         built = self.built
-        gamma = self.schedule.value(k)
+        i = k - self._k0
+        if not 0 <= i < len(self._gammas):
+            self._read(k)
+            i = 0
+        gamma = self._gammas[i]
         if gamma == built.gamma:
             native = exact = built.evaluate(z)[0]
         else:

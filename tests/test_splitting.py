@@ -783,13 +783,18 @@ def test_stacked_drs_evaluation_is_the_point_evaluation_row_by_row(d, C, seed):
 
 
 def test_harmonic_run_refactors_the_limit_once_per_chunk(monkeypatch):
-    # a scheduled step inverts its own step size's matrix; the limit's, which
-    # the steps' evaluations evict from the two-entry cache, is inverted
-    # again once per chunk for the stacked evaluation, not once per step
-    calls = []
+    # the steps' own matrices are inverted a window of step sizes at a time,
+    # one stacked call per window, each matrix once (the last window also
+    # inverts its unused tail); the limit's, which the steps' inverses evict
+    # from the two-entry cache, is inverted again once per chunk for the
+    # stacked evaluation, not once per step
+    inverted, stacks = {}, []
 
     def counting(A):
-        calls.append(A.shape)
+        if A.ndim == 3:
+            stacks.append(len(A))
+        for m in A.reshape((-1,) + A.shape[-2:]):
+            inverted[m.tobytes()] = inverted.get(m.tobytes(), 0) + 1
         return _inverse(A)
 
     monkeypatch.setattr("kmcert.splitting._inverse", counting)
@@ -797,9 +802,21 @@ def test_harmonic_run_refactors_the_limit_once_per_chunk(monkeypatch):
     steps = 2000
     tr = p.run(0.0, 3.0, steps)
     assert tr.n_steps == steps
-    own = len({p.schedule.value(k) for k in range(steps)})     # gamma_0 = gamma_1
-    chunks = -(-steps // CHUNK)
-    assert len(calls) == own + chunks
+    i = next(i for i, b in enumerate(p.built.blocks) if isinstance(b, LinearBlock))
+    M, w = p.built.blocks[i].M, p.built._w[i]
+
+    def matrix(gamma):
+        return (np.eye(len(M)) + (gamma / w) * M).tobytes()
+
+    own = {matrix(p.schedule.value(k)) for k in range(steps)}     # gamma_0 = gamma_1
+    limit = matrix(p.schedule.limit)
+    assert limit not in own and inverted.pop(limit) == -(-steps // CHUNK)
+    assert all(inverted.pop(m) == 1 for m in own)
+    width = p.make_channel(0.0, 3.0)._width
+    assert 1 < width < steps
+    assert len(stacks) == -(-steps // width)
+    # the unused tail: the steps past the horizon that the last window read
+    assert set(inverted.values()) <= {1} and len(inverted) == len(stacks) * width - steps
 
 
 # ---------------------------------------------------------------------------

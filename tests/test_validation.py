@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kmcert import cli
 from kmcert.cli import CSV_COLUMNS, main, verify_files
@@ -22,6 +23,7 @@ from kmcert.errors import (
     UnavailableError,
 )
 from kmcert.km import (
+    CHUNK,
     Channel,
     ErrorSchedule,
     FixedPointSet,
@@ -346,6 +348,34 @@ class TestCaches:
                 want = LinearBlock(M, c0).resolvent(v, c)
                 assert blk.resolvent(v, c).tobytes() == want.tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, CHUNK), st.integers(0, 2**32 - 1))
+    def test_stacked_inverses_are_those_of_each_matrix_alone(self, d, width, seed):
+        # a window of values, some repeated, inverted in one stack: each
+        # matrix, and each prepared resolvent, has the bits of its own
+        rng = np.random.default_rng(seed)
+        R = rng.standard_normal((d, d))
+        M, c0 = 0.5 * np.eye(d) + 0.5 * (R - R.T), rng.standard_normal(d)
+        cs = rng.choice(rng.uniform(0.05, 5.0, rng.integers(1, width + 1)), width).tolist()
+        stack = _inverse(np.stack([np.eye(d) + c * M for c in cs]))
+        for c, inv in zip(cs, stack):
+            assert inv.tobytes() == _inverse(np.eye(d) + c * M).tobytes()
+        blk, V = LinearBlock(M, c0), rng.standard_normal((3, d))
+        blk.prepare(cs)
+        assert len(blk._window) == len(set(cs))
+        for c in cs:
+            for v in (V[0], V):
+                want = LinearBlock(M, c0).resolvent(v, c)
+                assert blk.resolvent(v, c).tobytes() == want.tobytes()
+
+    def test_window_and_cache_stay_bounded(self):
+        p = make_multiblock_nonstationary("harmonic", d=6)
+        width = p.make_channel(0.0, 3.0)._width
+        assert p.run(max_iters=3000).n_steps == 3000
+        linear = [b for b in p.built.blocks if isinstance(b, LinearBlock)]
+        assert linear and all(len(b._inverses) <= 2 and len(b._window) <= width
+                              for b in linear)
+
 
 class TestScheduleRanges:
     def test_relaxation_out_of_range_raises_at_step(self):
@@ -377,6 +407,53 @@ class TestScheduleRanges:
             lambda k: 1.5 if k < 4 else 1.85, 1.5, 1.2, 1.8)
         with pytest.raises(ParameterError, match="step 4"):
             replace(p, schedule=sched).run(max_iters=10)
+
+    def test_earlier_relaxation_failure_wins_over_a_later_gamma_one(self):
+        # the window read ahead meets gamma_5 out of range; step 2 fails first
+        p = make_multiblock_nonstationary("constant", d=6)
+        sched = GammaSchedule.from_function(
+            lambda k: 1.5 if k < 5 else 1.85, 1.5, 1.2, 1.8)
+        relaxation = RelaxationSchedule.from_function(
+            lambda k: 1.05 if k == 2 else 0.9, 0.5, 1.0)
+        with pytest.raises(ParameterError, match="relaxation 1.05 at step 2"):
+            replace(p, schedule=sched, relaxation=relaxation).run(max_iters=10)
+
+    def test_raising_gamma_function_raises_at_its_step(self):
+        ran = []
+
+        def gamma(k):
+            if k == 3:
+                raise RuntimeError("no value at step 3")
+            return 1.5
+
+        def lam(k):
+            ran.append(k)
+            return 0.9
+
+        p = make_multiblock_nonstationary("constant", d=6)
+        p = replace(p, schedule=GammaSchedule.from_function(gamma, 1.5, 1.2, 1.8),
+                    relaxation=RelaxationSchedule.from_function(lam, 0.5, 1.0))
+        with pytest.raises(RuntimeError, match="step 3"):
+            p.run(max_iters=10)
+        assert ran == [0, 1, 2, 3]      # step 3 reads its relaxation, then fails
+
+    def test_failed_stacked_inversion_leaves_the_trace(self, monkeypatch):
+        # a window whose stack cannot be inverted goes step by step
+        def run():
+            tr = make_multiblock_nonstationary("harmonic").run(0.1, 3.0, 600)
+            return [tr.stop_reason] + [a.tobytes() for a in (
+                tr.lam, tr.eps_norm, tr.res_norm, tr.erg_norm, tr.disp_norm, tr.z_final)]
+
+        want, refused = run(), []
+
+        def singles_only(A):
+            if A.ndim == 3:
+                refused.append(len(A))
+                raise NumericalError("no stacks")
+            return _inverse(A)
+
+        monkeypatch.setattr("kmcert.splitting._inverse", singles_only)
+        assert run() == want and refused
 
     def test_custom_gamma_range_checked_against_admissible_interval(self):
         base = make_gfb_multiblock(2, 6, gamma=1.5)
