@@ -153,14 +153,13 @@ class SubspaceBlock(MonotoneBlock):
 
 class LinearBlock(MonotoneBlock):
     """Affine monotone map ``u -> M u - c0`` (symmetric part PSD); resolvent
-    applies the inverse of ``I + c M``, cached with its shift ``c * c0`` for
-    the two most recently used parameter values (a non-stationary run
-    alternates between the current and the limit parameter).
-    :meth:`prepare` inverts the announced values the cache does not hold in
-    one stacked ``np.linalg.inv``, the same LAPACK call on each matrix, into
-    a window store that the next announcement replaces; a resolvent that
-    misses the cache takes its entry from there.  A stack that cannot be
-    inverted is left to the resolvents, which raise at their own value."""
+    applies the inverse of ``I + c M`` to ``v + c * c0``, both kept in one
+    store keyed by ``c``.  :meth:`prepare` makes the store exactly the
+    announced values: those it holds stay, and the others are inverted in
+    one stacked ``np.linalg.inv``, the same LAPACK call on each matrix.  A
+    resolvent at a value the store lacks inverts its own matrix, which
+    becomes the store's one entry.  A stack that cannot be inverted leaves
+    only the kept entries; each resolvent then raises at its own value."""
 
     kind = "linear"
 
@@ -177,31 +176,27 @@ class LinearBlock(MonotoneBlock):
         self.M, self.c0 = M, c0
         self._eye = np.eye(d)
         self._inverses = {}
-        self._window = {}
 
     def prepare(self, cs):
-        fresh = [c for c in dict.fromkeys(cs) if c not in self._inverses]
-        self._window = {}
+        cs = dict.fromkeys(cs)
+        self._inverses = {c: e for c, e in self._inverses.items() if c in cs}
+        fresh = [c for c in cs if c not in self._inverses]
         if fresh:
             # each c * M is the same product in the stack as alone
             try:
                 inverses = _inverse(self._eye + np.multiply.outer(fresh, self.M))
             except NumericalError:
                 return      # each resolvent inverts its own matrix, and raises there
-            self._window = {c: (inv, c * self.c0) for c, inv in zip(fresh, inverses)}
+            self._inverses.update((c, (inv, c * self.c0)) for c, inv in zip(fresh, inverses))
 
     def resolvent(self, v, c):
         # a stack goes row by row through apply_rows, whose rows are the
         # vector's bits; a non-finite v gives a non-finite output, which the
         # engine's finiteness check reports as a numerical failure
-        entry = self._inverses.pop(c, None)
+        entry = self._inverses.get(c)
         if entry is None:
-            entry = self._window.get(c)
-            if entry is None:
-                entry = _inverse(self._eye + c * self.M), c * self.c0
-            if len(self._inverses) == 2:    # evict the least recently used
-                del self._inverses[next(iter(self._inverses))]
-        self._inverses[c] = entry
+            entry = _inverse(self._eye + c * self.M), c * self.c0
+            self._inverses = {c: entry}
         inv, shift = entry
         return apply_rows(inv, v + shift)
 
@@ -360,10 +355,12 @@ class GfbScheduleChannel(Channel):
 
     The schedule is read a window of steps ahead, each value once, and the
     window's block parameters ``gamma_j / w_i`` are announced to the blocks
-    (:meth:`MonotoneBlock.prepare`), so a linear block inverts them in one
-    stack.  The window holds ``_WINDOW_BYTES`` of ``d x d`` inverses, at
-    most ``CHUNK`` steps.  Reading stops before the first value that
-    raises, which its own step raises in turn, after every earlier step."""
+    (:meth:`MonotoneBlock.prepare`) with the limit's ``gamma / w_i``, so a
+    linear block inverts the window in one stack and keeps the limit's
+    inverse for the whole run.  The window holds ``_WINDOW_BYTES`` of ``d x
+    d`` inverses, at most ``CHUNK`` steps.  Reading stops before the first
+    value that raises, which its own step raises in turn, after every
+    earlier step."""
 
     def __init__(self, built: GfbBuilt, schedule: GammaSchedule, law: ErrorSchedule):
         beta = built.smooth.beta if built.smooth is not None else np.inf
@@ -400,7 +397,7 @@ class GfbScheduleChannel(Channel):
             pass        # step j raises it, after the steps before it have run
         self._k0, self._gammas = k, gammas
         for blk, w in zip(self.built.blocks, self.built._w):
-            blk.prepare([g / w for g in gammas])
+            blk.prepare([g / w for g in gammas] + [self.built.gamma / w])
 
     def evaluate(self, k, z, draws):
         built = self.built
@@ -496,7 +493,7 @@ class DrsBuilt:
 
     def __init__(self, block1: MonotoneBlock, block2: MonotoneBlock, gamma: float,
                  dim: int):
-        if gamma <= 0:
+        if not gamma > 0:
             raise ParameterError("step size must be positive")
         self.block1, self.block2, self.gamma, self.dim = block1, block2, gamma, dim
         self.space = ProductSpace.single(dim)
@@ -613,14 +610,14 @@ class PdsDualTerm:
 
     def __post_init__(self):
         self.L = np.asarray(self.L, dtype=float)
-        if self.L.ndim != 2:
-            raise StructuralError("coupling must be a matrix")
-        if self.sigma <= 0 or self.omega <= 0:
+        if self.L.ndim != 2 or not np.isfinite(self.L).all():
+            raise StructuralError("coupling must be a finite matrix")
+        if not (self.sigma > 0 and self.omega > 0):
             raise ParameterError("dual step and weight must be positive")
-        if self.r is None:
-            self.r = np.zeros(self.L.shape[0])
-        else:
-            self.r = np.asarray(self.r, dtype=float)
+        rows = self.L.shape[0]
+        self.r = np.zeros(rows) if self.r is None else np.asarray(self.r, dtype=float)
+        if self.r.shape != (rows,) or not np.isfinite(self.r).all():
+            raise StructuralError(f"shift r must be a finite vector of shape ({rows},)")
 
 
 class PdsBuilt:
@@ -637,11 +634,11 @@ class PdsBuilt:
 
     def __init__(self, primal_block: MonotoneBlock, tau: float, dim_primal: int,
                  duals: List[PdsDualTerm], smooth: Optional[CocoerciveMap] = None):
-        if tau <= 0:
+        if not tau > 0:
             raise ParameterError("primal step must be positive")
         if not duals:
             raise ParameterError("need at least one dual term")
-        if abs(sum(t.omega for t in duals) - 1.0) > 1e-12:
+        if not abs(sum(t.omega for t in duals) - 1.0) <= 1e-12:
             raise ParameterError("dual weights must sum to 1")
         for t in duals:
             if t.L.shape[1] != dim_primal:

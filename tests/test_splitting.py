@@ -135,6 +135,43 @@ class TestBlocks:
         with pytest.raises(StructuralError):
             LinearBlock(M, c0)
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan])
+    def test_drs_step_size_checked_at_construction(self, gamma):
+        # a NaN passes `gamma <= 0`, and was accepted
+        with pytest.raises(ParameterError, match="step size must be positive"):
+            DrsBuilt(ZeroBlock(), ZeroBlock(), gamma, 2)
+
+    @pytest.mark.parametrize("tau", [0.0, np.nan])
+    def test_pds_primal_step_checked_at_construction(self, tau):
+        dual = PdsDualTerm(block=ZeroBlock(), L=np.eye(2), sigma=0.5, omega=1.0)
+        with pytest.raises(ParameterError, match="primal step must be positive"):
+            PdsBuilt(primal_block=ZeroBlock(), tau=tau, dim_primal=2, duals=[dual])
+
+    @pytest.mark.parametrize("changes, error", [
+        ({"sigma": np.nan}, ParameterError),
+        ({"omega": np.nan}, ParameterError),
+        ({"sigma": 0.0}, ParameterError),
+        ({"L": [[1.0, np.nan], [0.0, 1.0]]}, StructuralError),  # failed at a step, in inv
+        ({"L": [[np.inf, 0.0], [0.0, 1.0]]}, StructuralError),
+        ({"L": np.ones(2)}, StructuralError),                   # not a matrix
+        ({"r": [0.0, 1.0, 2.0]}, StructuralError),              # failed at a step
+        ({"r": [[0.0, 1.0]]}, StructuralError),                 # not a vector
+        ({"r": [0.0, np.nan]}, StructuralError),
+        ({"r": [np.inf, 0.0]}, StructuralError),
+    ])
+    def test_pds_dual_term_data_checked_at_construction(self, changes, error):
+        term = dict(block=ZeroBlock(), L=np.eye(2), sigma=0.5, omega=1.0, r=None)
+        with pytest.raises(error):
+            PdsDualTerm(**dict(term, **changes))
+
+    def test_pds_weight_sum_rejects_nan(self):
+        # the dual term checks its own weight; a NaN set afterwards still
+        # fails the sum, which `abs(nan - 1) > 1e-12` let through
+        dual = PdsDualTerm(block=ZeroBlock(), L=np.eye(2), sigma=0.5, omega=1.0)
+        dual.omega = np.nan
+        with pytest.raises(ParameterError, match="dual weights must sum to 1"):
+            PdsBuilt(primal_block=ZeroBlock(), tau=0.5, dim_primal=2, duals=[dual])
+
     def test_zero_block(self):
         blk = ZeroBlock()
         v = np.array([1.0, -2.0])
@@ -782,15 +819,15 @@ def test_stacked_drs_evaluation_is_the_point_evaluation_row_by_row(d, C, seed):
         assert [bits(p[r]) for p in parts] == [bits(p) for p in want_parts]
 
 
-def test_harmonic_run_refactors_the_limit_once_per_chunk(monkeypatch):
+def test_harmonic_run_inverts_the_limit_once(monkeypatch):
     # the steps' own matrices are inverted a window of step sizes at a time,
     # one stacked call per window, each matrix once (the last window also
-    # inverts its unused tail); the limit's, which the steps' inverses evict
-    # from the two-entry cache, is inverted again once per chunk for the
-    # stacked evaluation, not once per step
-    inverted, stacks = {}, []
+    # inverts its unused tail); the limit's, announced with every window,
+    # joins the first stack and stays for the run, and no step inverts alone
+    inverted, stacks, calls = {}, [], []
 
     def counting(A):
+        calls.append(A.ndim)
         if A.ndim == 3:
             stacks.append(len(A))
         for m in A.reshape((-1,) + A.shape[-2:]):
@@ -810,13 +847,31 @@ def test_harmonic_run_refactors_the_limit_once_per_chunk(monkeypatch):
 
     own = {matrix(p.schedule.value(k)) for k in range(steps)}     # gamma_0 = gamma_1
     limit = matrix(p.schedule.limit)
-    assert limit not in own and inverted.pop(limit) == -(-steps // CHUNK)
+    assert limit not in own and inverted.pop(limit) == 1
     assert all(inverted.pop(m) == 1 for m in own)
     width = p.make_channel(0.0, 3.0)._width
     assert 1 < width < steps
-    assert len(stacks) == -(-steps // width)
+    assert len(stacks) == -(-steps // width) and calls == [3] * len(stacks)
     # the unused tail: the steps past the horizon that the last window read
     assert set(inverted.values()) <= {1} and len(inverted) == len(stacks) * width - steps
+
+
+@pytest.mark.parametrize("d, width", [(20, 40), (60, 4)])
+def test_generator_windows_leave_the_trace(monkeypatch, d, width):
+    # the generators' larger blocks, the limit in every stack: a run whose
+    # steps each invert their own matrix writes the same trace bytes
+    def run():
+        p = make_multiblock_nonstationary("harmonic", d=d)
+        assert p.make_channel(0.1, 3.0)._width == width
+        tr = p.run(0.1, 3.0, 300)
+        return [tr.stop_reason] + [a.tobytes() for a in (
+            tr.lam, tr.eps_norm, tr.res_norm, tr.erg_norm, tr.disp_norm, tr.z_final)]
+
+    stacked, stacks = run(), []
+    monkeypatch.setattr(LinearBlock, "prepare", MonotoneBlock.prepare)
+    monkeypatch.setattr("kmcert.splitting._inverse",
+                        lambda A: stacks.append(A.ndim) or _inverse(A))
+    assert run() == stacked and stacks and 3 not in stacks
 
 
 # ---------------------------------------------------------------------------

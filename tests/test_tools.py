@@ -29,12 +29,27 @@ def test_trace_digests_record_and_compare(tmp_path, capsys):
     assert entry != doc["digests"]["cert-zero-map-inexact@seed1"]
 
     assert tool.main(["--compare", str(out)]) == 0
-    assert "4/4 digests match" in capsys.readouterr().out
+    shown = capsys.readouterr().out
+    assert "4/4 digests match" in shown and "OpenBLAS kernel" not in shown
 
     doc["digests"]["preset:gd-fig1@seed1"]["csv"] = "0" * 64
     out.write_text(json.dumps(doc))
     assert tool.main(["--compare", str(out)]) == 1
-    assert "MISMATCH preset:gd-fig1@seed1" in capsys.readouterr().out
+    shown = capsys.readouterr().out
+    assert "MISMATCH preset:gd-fig1@seed1" in shown
+    assert f"OpenBLAS kernel: {tool.blas_core()}\n" in shown
+
+
+def test_blas_core_names_the_kernel_or_unknown(monkeypatch):
+    tool = load_tool()
+    name = tool.blas_core()
+    assert name and name.isprintable() and " " not in name
+
+    def unloadable(path):
+        raise OSError(f"cannot load {path}")
+
+    monkeypatch.setattr(tool.ctypes, "CDLL", unloadable)
+    assert tool.blas_core() == "unknown"
 
 
 def test_trace_digests_fail_a_run_that_verify_disagrees_with(monkeypatch, capsys):

@@ -307,12 +307,6 @@ class TestFixedPointChecks:
 
 
 class TestCaches:
-    def test_factorization_cache_stays_bounded(self):
-        p = make_multiblock_nonstationary("harmonic", d=6)
-        assert p.run(max_iters=200).n_steps == 200
-        linear = [b for b in p.built.blocks if isinstance(b, LinearBlock)]
-        assert linear and all(len(b._inverses) <= 2 for b in linear)
-
     def test_limit_operator_stays_resident(self, monkeypatch):
         # the limit evaluation is the problem's own splitting, and the
         # per-step step sizes assemble no operator
@@ -329,13 +323,6 @@ class TestCaches:
         assert p.run(max_iters=20).n_steps == 20
         assert assembled == []
 
-    def test_lu_cache_keeps_two_most_recent(self):
-        blk = LinearBlock(np.eye(3))
-        v = np.ones(3)
-        for c in (1.0, 2.0, 1.0, 3.0):
-            blk.resolvent(v, c)
-        assert list(blk._inverses) == [1.0, 3.0]
-
     def test_lu_cache_keeps_each_shift_with_its_factors(self):
         # entries come and go as three values alternate; each solve is that
         # of a fresh block, so c * c0 stays with the inverse of its own c
@@ -348,8 +335,20 @@ class TestCaches:
                 want = LinearBlock(M, c0).resolvent(v, c)
                 assert blk.resolvent(v, c).tobytes() == want.tobytes()
 
+    def test_direct_resolvents_keep_one_entry(self):
+        # with no announcement, each value the store lacks replaces it
+        rng = np.random.default_rng(5)
+        R = rng.standard_normal((5, 5))
+        M, c0 = 0.5 * np.eye(5) + 0.5 * (R - R.T), rng.standard_normal(5)
+        blk, v = LinearBlock(M, c0), rng.standard_normal(5)
+        for c in rng.uniform(0.05, 5.0, 50):
+            want = LinearBlock(M, c0).resolvent(v, c)
+            assert blk.resolvent(v, c).tobytes() == want.tobytes()
+            assert list(blk._inverses) == [c]
+
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 12), st.integers(1, CHUNK), st.integers(0, 2**32 - 1))
+    @given(st.sampled_from([*range(1, 13), 20, 60]), st.integers(1, CHUNK),
+           st.integers(0, 2**32 - 1))
     def test_stacked_inverses_are_those_of_each_matrix_alone(self, d, width, seed):
         # a window of values, some repeated, inverted in one stack: each
         # matrix, and each prepared resolvent, has the bits of its own
@@ -362,19 +361,29 @@ class TestCaches:
             assert inv.tobytes() == _inverse(np.eye(d) + c * M).tobytes()
         blk, V = LinearBlock(M, c0), rng.standard_normal((3, d))
         blk.prepare(cs)
-        assert len(blk._window) == len(set(cs))
+        assert len(blk._inverses) == len(set(cs))
         for c in cs:
             for v in (V[0], V):
                 want = LinearBlock(M, c0).resolvent(v, c)
                 assert blk.resolvent(v, c).tobytes() == want.tobytes()
 
-    def test_window_and_cache_stay_bounded(self):
-        p = make_multiblock_nonstationary("harmonic", d=6)
-        width = p.make_channel(0.0, 3.0)._width
-        assert p.run(max_iters=3000).n_steps == 3000
-        linear = [b for b in p.built.blocks if isinstance(b, LinearBlock)]
-        assert linear and all(len(b._inverses) <= 2 and len(b._window) <= width
-                              for b in linear)
+    def test_window_and_cache_stay_bounded(self, monkeypatch):
+        # the store holds the announced window and the limit, at every
+        # announcement, over a short and a long horizon
+        sizes, real_prepare = [], LinearBlock.prepare
+
+        def recording(blk, cs):
+            real_prepare(blk, cs)
+            sizes.append(len(blk._inverses))
+
+        monkeypatch.setattr(LinearBlock, "prepare", recording)
+        for steps in (200, 3000):
+            p = make_multiblock_nonstationary("harmonic", d=6)
+            width = p.make_channel(0.0, 3.0)._width
+            assert p.run(max_iters=steps).n_steps == steps
+            linear = [b for b in p.built.blocks if isinstance(b, LinearBlock)]
+            assert linear and all(len(b._inverses) <= width + 1 for b in linear)
+        assert sizes and max(sizes) == width + 1
 
 
 class TestScheduleRanges:

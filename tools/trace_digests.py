@@ -9,8 +9,10 @@ A run that raises records the exception instead of two digests.
     python tools/trace_digests.py --compare digests.json
 
 `--compare FILE` re-runs the members, seeds and horizon recorded in FILE and
-exits 1 if any digest differs or any recorded entry is missing.  Run it from
-the repository root; `src/` is put on the import path.
+exits 1 if any digest differs or any recorded entry is missing; on a mismatch
+it also prints the OpenBLAS kernel the runs used (`SkylakeX`, `Haswell`,
+...), since the digests are recorded on one.  Run it from the repository
+root; `src/` is put on the import path.
 
 Every run it writes is also read back by `certify_files`, which rebuilds
 the run's record from the two files; the tool exits 1 if that record disagrees
@@ -36,6 +38,7 @@ over its scale, and exits 1 on any failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -247,6 +250,19 @@ def diff_dirs(dir_a: str, dir_b: str, out=sys.stdout) -> int:
     return 1 if failed else 0
 
 
+def blas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS runs on, read through its
+    ``scipy_openblas_get_corename64_``, or ``unknown`` when it cannot be."""
+    try:
+        libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+        name = next(f for f in sorted(os.listdir(libs)) if "openblas" in f)
+        corename = ctypes.CDLL(os.path.join(libs, name)).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    except Exception:
+        return "unknown"
+
+
 def compare(recorded: dict, current: dict) -> list:
     """Keys whose entries differ, including keys missing from ``current``."""
     return sorted(k for k in recorded if recorded[k] != current.get(k))
@@ -298,6 +314,8 @@ def main(argv=None) -> int:
     bad = compare(expected, digests)
     for key in bad:
         print(f"MISMATCH {key}: recorded {expected[key]}, now {digests.get(key)}")
+    if bad:
+        print(f"OpenBLAS kernel: {blas_core()}")
     print(f"{len(expected) - len(bad)}/{len(expected)} digests match")
     return 1 if bad or disagreements else 0
 
