@@ -230,34 +230,77 @@ def _built(row: tuple, *values) -> ProblemInstance:
 # CSV trace emit / parse
 # ---------------------------------------------------------------------------
 
+# the writer formats and the reader converts this many data rows at a time,
+# so neither holds a whole trace's text
+_BLOCK_ROWS = 1024
+
+
 def emit_trace_csv(path: str, cfg: dict, trace, columns: dict) -> None:
     """Write the per-iteration table with the config echoed as comments: the
     trace's own columns (:func:`trace_series`) and ``columns``, which maps
-    the other column names to arrays (or None)."""
-    lines = ["# kmcert trace v1"]
-    for key in sorted(cfg):
-        lines.append(f"# {key} = {cfg[key]}")
-    lines.append(",".join(CSV_COLUMNS))
+    the other column names to arrays (or None).  The header and then each
+    block of rows go to the file as they are formatted."""
     K = trace.n_steps
     data = {**trace_series(trace), **columns}
-    for lo in range(0, K, 1024):            # 1024 rows at a time bound the memory
-        hi = min(lo + 1024, K)
-        cells = [[str(k) for k in range(lo, hi)]]
-        for col in map(data.get, CSV_COLUMNS[1:]):      # NaN and absent cells are blank
-            cells.append([""] * (hi - lo) if col is None else
-                         ["" if v != v else "%.17g" % v for v in col[lo:hi].tolist()])
-        lines.extend(map(",".join, zip(*cells, strict=True)))
-    _atomic_write(path, "\n".join(lines) + "\n")
+
+    def pieces():
+        yield "\n".join(["# kmcert trace v1", *(f"# {key} = {cfg[key]}" for key in sorted(cfg)),
+                         ",".join(CSV_COLUMNS)]) + "\n"
+        for lo in range(0, K, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, K)
+            cells = [[str(k) for k in range(lo, hi)]]
+            for col in map(data.get, CSV_COLUMNS[1:]):  # NaN and absent cells are blank
+                cells.append([""] * (hi - lo) if col is None else
+                             ["" if v != v else "%.17g" % v for v in col[lo:hi].tolist()])
+            yield "\n".join(map(",".join, zip(*cells, strict=True))) + "\n"
+
+    _atomic_write(path, pieces())
 
 
 def parse_trace_csv(path: str):
     """Return (config echo dict, column dict of float arrays with NaN for
     blanks).  The ``k`` column must run 0..K-1 in order.  Every cell must be
     blank or finite; the required columns may not be blank, and any other
-    column is either blank in every row or in none."""
+    column is either blank in every row or in none.
+
+    Rows are converted to arrays a block at a time.  A row of the wrong
+    length raises as it is read; the other checks run on the whole columns
+    after the last block, column by column, so a file with several faults
+    reports the same one whatever the block size."""
     cfg = {}
-    rows = []
     header = None
+    rows = []                       # the block being read
+    chunks = {name: [] for name in CSV_COLUMNS}
+    rejected = {}                   # column -> message of its first unparsable cell
+    nonfinite = {}                  # column -> (row, k text, text) of its first non-finite cell
+
+    def number(kind, text, name):
+        if kind is float and text == "":
+            return np.nan
+        try:
+            return kind(text)
+        except ValueError as exc:
+            rejected.setdefault(name, str(exc))
+            return 0            # a stand-in: the column raises after the last block
+
+    def convert():
+        start = len(chunks["k"]) * _BLOCK_ROWS
+        cells = list(zip(*rows))
+        for name, vals in zip(CSV_COLUMNS, cells):
+            kind = int if name == "k" else float
+            try:
+                col = np.array(list(map(kind, vals)))
+            except ValueError:      # a blank cell, or one that is no number
+                col = (np.full(len(vals), np.nan) if kind is float and not any(vals)
+                       else np.array([number(kind, v, name) for v in vals]))
+            if kind is float and name not in nonfinite:
+                bad = np.flatnonzero(~np.isfinite(col))
+                if bad.size:
+                    i = int(bad[0])
+                    nonfinite[name] = (start + i, cells[0][i], vals[i])
+            chunks[name].append(col)
+        rows.clear()
+
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.rstrip("\n")
@@ -279,42 +322,42 @@ def parse_trace_csv(path: str):
                 raise ParameterError(
                     f"malformed trace row with {len(fields)} fields")
             rows.append(fields)
-    if header is None or not rows:
+            if len(rows) == _BLOCK_ROWS:
+                convert()
+    if rows:
+        convert()
+    if not chunks["k"]:
         raise ParameterError("trace file holds no data rows")
-    cols = {}
-    for name, vals in zip(CSV_COLUMNS, zip(*rows)):
+    # each column's chunks are released as it is joined
+    cols = {name: np.concatenate(chunks.pop(name)) for name in CSV_COLUMNS}
+    for name, col in cols.items():
+        if name in rejected:
+            raise ValueError(rejected[name])
         if name == "k":
-            ks = np.array([int(v) for v in vals])
-            off = np.flatnonzero(ks != np.arange(ks.size))
+            off = np.flatnonzero(col != np.arange(col.size))
             if off.size:
                 i = int(off[0])
                 raise ParameterError(
-                    f"data row {i} holds k={ks[i]}, expected k={i}: the rows "
+                    f"data row {i} holds k={col[i]}, expected k={i}: the rows "
                     f"must run k = 0..K-1 in order")
-            cols[name] = ks
-            continue
-        try:
-            col = np.array(list(map(float, vals)))
-        except ValueError:      # a blank cell, or one that is no number
-            col = np.array([float(v) if v != "" else np.nan for v in vals])
-        bad = np.flatnonzero(~np.isfinite(col))
-        blank_ok = name not in REQUIRED_COLUMNS and bad.size == col.size
-        if bad.size and not blank_ok:
-            i = int(bad[0])
+        elif name in nonfinite and (name in REQUIRED_COLUMNS or np.isfinite(col).any()):
+            i, k, text = nonfinite[name]
             raise ParameterError(
-                f"data row {i} (k={rows[i][0]}): column {name!r} holds "
-                f"{vals[i]!r}, expected a finite number")
-        cols[name] = col
+                f"data row {i} (k={k}): column {name!r} holds "
+                f"{text!r}, expected a finite number")
     return cfg, cols
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, pieces) -> None:
+    """Write the text ``pieces`` one at a time to a temp file beside
+    ``path``, which replaces ``path`` once all are written; on any failure
+    the temp file is removed and ``path`` is left as it was."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".kmcert-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -329,8 +372,8 @@ def _json_default(obj):
 
 
 def write_report(path: str, report: dict) -> None:
-    _atomic_write(path, json.dumps(report, indent=2, sort_keys=True,
-                                   default=_json_default) + "\n")
+    _atomic_write(path, [json.dumps(report, indent=2, sort_keys=True,
+                                    default=_json_default) + "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +402,8 @@ def execute_run(cfg: dict):
         trace, constants, cert = problem.certified_run(*run, seed=cfg["seed"])
     else:
         trace, constants, cert = problem.run(*run, seed=cfg["seed"]), None, None
-        columns["gamma"] = np.array([schedule.value(k) for k in range(trace.n_steps)])
+        columns["gamma"] = np.fromiter(map(schedule.value, range(trace.n_steps)), float,
+                                       count=trace.n_steps)
     if cert is not None:
         columns.update(cert_value=cert.values, cert_bound=cert.bounds)
     record = certify({**trace_series(trace), **columns}, constants, trace.alpha,

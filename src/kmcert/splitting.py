@@ -244,8 +244,8 @@ class GfbBuilt:
             raise ParameterError("need one positive weight per block")
         if not abs(float(weights.sum()) - 1.0) <= 1e-12:
             raise ParameterError("block weights must sum to 1")
-        if not gamma > 0:
-            raise ParameterError("step size must be positive")
+        if not 0 < gamma < np.inf:
+            raise ParameterError(f"step size must be positive and finite, got {gamma}")
         if smooth is not None and not gamma < 2.0 * smooth.beta:
             raise ParameterError(f"step size {gamma} outside (0, {2.0 * smooth.beta})")
         self.blocks, self.weights, self.gamma, self.dim, self.smooth = (
@@ -493,8 +493,8 @@ class DrsBuilt:
 
     def __init__(self, block1: MonotoneBlock, block2: MonotoneBlock, gamma: float,
                  dim: int):
-        if not gamma > 0:
-            raise ParameterError("step size must be positive")
+        if not 0 < gamma < np.inf:
+            raise ParameterError(f"step size must be positive and finite, got {gamma}")
         self.block1, self.block2, self.gamma, self.dim = block1, block2, gamma, dim
         self.space = ProductSpace.single(dim)
         self.j1 = lambda v: self.block1.resolvent(v, gamma)
@@ -612,8 +612,9 @@ class PdsDualTerm:
         self.L = np.asarray(self.L, dtype=float)
         if self.L.ndim != 2 or not np.isfinite(self.L).all():
             raise StructuralError("coupling must be a finite matrix")
-        if not (self.sigma > 0 and self.omega > 0):
-            raise ParameterError("dual step and weight must be positive")
+        if not (0 < self.sigma < np.inf and self.omega > 0):
+            raise ParameterError(f"dual step and weight must be positive and the step finite, "
+                                 f"got sigma = {self.sigma}, omega = {self.omega}")
         rows = self.L.shape[0]
         self.r = np.zeros(rows) if self.r is None else np.asarray(self.r, dtype=float)
         if self.r.shape != (rows,) or not np.isfinite(self.r).all():
@@ -634,8 +635,8 @@ class PdsBuilt:
 
     def __init__(self, primal_block: MonotoneBlock, tau: float, dim_primal: int,
                  duals: List[PdsDualTerm], smooth: Optional[CocoerciveMap] = None):
-        if not tau > 0:
-            raise ParameterError("primal step must be positive")
+        if not 0 < tau < np.inf:
+            raise ParameterError(f"primal step must be positive and finite, got {tau}")
         if not duals:
             raise ParameterError("need at least one dual term")
         if not abs(sum(t.omega for t in duals) - 1.0) <= 1e-12:

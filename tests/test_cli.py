@@ -1,6 +1,7 @@
 import filecmp
 import inspect
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from kmcert.cli import (
     DEFAULTS,
     PRESETS,
     PROBLEMS,
+    REQUIRED_COLUMNS,
     RUN_KEYS,
     build_problem,
     emit_trace_csv,
@@ -260,16 +262,135 @@ class TestCsvWriterBytes:
         for name in ("dist_fix", "pw_bound", "local_model", "cert_bound"):
             assert np.isnan(parsed[name]).all()
 
+    @pytest.mark.parametrize("K", [1, 1023, 1024, 1025, 2048])
+    def test_file_bytes_at_block_edges(self, K, tmp_path):
+        rng = np.random.default_rng(K)
+
+        def draw():
+            return rng.standard_normal(K) * 10.0 ** rng.integers(-300, 300, K)
+
+        cols = {name: draw() for name in REQUIRED_COLUMNS}
+        columns = {"gamma": draw(), "cert_value": draw(), "local_model": np.full(K, np.nan)}
+        columns["gamma"][-1] = np.nan
+        path = tmp_path / "edge.csv"
+        emit_trace_csv(str(path), {"name": "edge", "seed": 3}, fake_trace(cols), columns)
+        head = ["# kmcert trace v1", "# name = edge", "# seed = 3", ",".join(CSV_COLUMNS)]
+        want = "".join(f"{line}\n" for line in head + trace_rows(fake_trace(cols), columns))
+        assert path.read_bytes() == want.encode()
+
     def test_short_column_raises(self, tmp_path):
-        cols = {name: np.array(ODD) for name in
-                ("lambda", "err_norm", "res_norm", "erg_res_norm", "disp_norm")}
+        # the column runs out in the third block, after two blocks went to
+        # the temp file; neither it nor the target is left behind
+        cols = {name: np.resize(ODD, 2500) for name in REQUIRED_COLUMNS}
         with pytest.raises(ValueError):
             emit_trace_csv(str(tmp_path / "short.csv"), {"name": "short"}, fake_trace(cols),
-                           {"pw_bound": np.array(ODD[:-1])})
+                           {"pw_bound": np.resize(ODD, 2499)})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_emission_keeps_the_existing_file(self, tmp_path):
+        path = tmp_path / "kept.csv"
+        path.write_text("the previous run\n")
+        cols = {name: np.resize(ODD, 2500) for name in REQUIRED_COLUMNS}
+        with pytest.raises(ValueError):
+            emit_trace_csv(str(path), {"name": "kept"}, fake_trace(cols),
+                           {"pw_bound": np.resize(ODD, 2499)})
+        assert path.read_text() == "the previous run\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     @given(st.floats(allow_nan=False))
     def test_percent_format_equals_format(self, v):
         assert "%.17g" % v == _fmt(v)
+
+
+def peak_bytes(fn, *args) -> int:
+    """The Python heap's peak while ``fn(*args)`` runs, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def long_trace(K: int):
+    """A fake trace of ``K`` rows with random values in the required columns."""
+    rng = np.random.default_rng(K)
+    return fake_trace({name: rng.standard_normal(K) for name in REQUIRED_COLUMNS})
+
+
+class TestCsvMemory:
+    """The writer and the reader hold one block of rows, not the whole text."""
+
+    def test_peaks_do_not_grow_with_the_rows(self, tmp_path):
+        emitted, parsed = {}, {}
+        for K in (1024, 20_000, 80_000):
+            path = str(tmp_path / f"{K}.csv")
+            emitted[K] = peak_bytes(emit_trace_csv, path, {"name": "long"}, long_trace(K), {})
+            parsed[K] = peak_bytes(parse_trace_csv, path)
+        # joining the rows first would add about 6 MB here
+        assert emitted[80_000] - emitted[20_000] <= 64 * 1024, emitted
+        # the returned arrays, twice over while each column is joined, plus
+        # what a one-block file takes to read
+        grown = 2 * len(CSV_COLUMNS) * 8 * 60_000 + parsed[1024]
+        assert parsed[80_000] - parsed[20_000] <= grown, parsed
+
+
+class TestCsvReaderBlocks:
+    """Faults past the reader's first block of 1024 rows are found and
+    named as in the first; with several faults, the one reported is that
+    of the first column checked, whatever its row."""
+
+    K = 3500
+
+    def write(self, tmp_path, edit):
+        path = tmp_path / "long.csv"
+        columns = {"gamma": np.linspace(1.0, 2.0, self.K)}
+        emit_trace_csv(str(path), {"name": "long"}, long_trace(self.K), columns)
+        lines = path.read_text().splitlines()
+        first = lines.index(",".join(CSV_COLUMNS)) + 1
+        rows = [line.split(",") for line in lines[first:]]
+        edit(rows)
+        path.write_text("\n".join(lines[:first] + [",".join(r) for r in rows]) + "\n")
+        return str(path)
+
+    @staticmethod
+    def set_cell(rows, k, column, text):
+        rows[k][CSV_COLUMNS.index(column)] = text
+
+    def test_bad_cell_in_the_second_block_names_its_row(self, tmp_path):
+        path = self.write(tmp_path, lambda rows: self.set_cell(rows, 1500, "res_norm", "inf"))
+        with pytest.raises(ParameterError, match=r"^data row 1500 \(k=1500\): column "
+                                                 r"'res_norm' holds 'inf', expected"):
+            parse_trace_csv(path)
+
+    def test_optional_column_blank_past_the_first_block_rejected(self, tmp_path):
+        def edit(rows):
+            for k in range(1024, self.K):
+                self.set_cell(rows, k, "gamma", "")
+        with pytest.raises(ParameterError, match=r"^data row 1024 \(k=1024\): column "
+                                                 r"'gamma' holds '', expected"):
+            parse_trace_csv(self.write(tmp_path, edit))
+
+    def test_k_order_is_checked_before_a_later_column(self, tmp_path):
+        def edit(rows):
+            rows[3000], rows[3001] = rows[3001], rows[3000]
+            self.set_cell(rows, 10, "res_norm", "")
+        with pytest.raises(ParameterError, match="^data row 3000 holds k=3001, expected k=3000"):
+            parse_trace_csv(self.write(tmp_path, edit))
+
+    def test_short_row_in_the_third_block_raises_as_read(self, tmp_path):
+        # the unparsable k in the first block would be reported after the
+        # last block; the short row stops the reading before that
+        def edit(rows):
+            self.set_cell(rows, 5, "k", "five")
+            rows[2100].pop()
+        with pytest.raises(ParameterError, match="^malformed trace row with 12 fields"):
+            parse_trace_csv(self.write(tmp_path, edit))
+
+    def test_unparsable_cell_raises_what_float_raises(self, tmp_path):
+        path = self.write(tmp_path, lambda rows: self.set_cell(rows, 2500, "gamma", "abc"))
+        with pytest.raises(ValueError, match="^could not convert string to float: 'abc'$"):
+            parse_trace_csv(path)
 
 
 class TestVerifyCommand:

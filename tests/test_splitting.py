@@ -135,20 +135,32 @@ class TestBlocks:
         with pytest.raises(StructuralError):
             LinearBlock(M, c0)
 
-    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
     def test_drs_step_size_checked_at_construction(self, gamma):
-        # a NaN passes `gamma <= 0`, and was accepted
-        with pytest.raises(ParameterError, match="step size must be positive"):
+        # a NaN passes `gamma <= 0`, and was accepted; an infinite step
+        # passes `gamma > 0`, and the first evaluation returned NaNs
+        with pytest.raises(ParameterError,
+                           match=f"step size must be positive and finite, got {gamma}"):
             DrsBuilt(ZeroBlock(), ZeroBlock(), gamma, 2)
 
-    @pytest.mark.parametrize("tau", [0.0, np.nan])
+    @pytest.mark.parametrize("gamma", [0.0, np.nan, np.inf])
+    def test_gfb_step_size_checked_at_construction(self, gamma):
+        # without a smooth part no `gamma < 2 beta` check bounds the step
+        with pytest.raises(ParameterError,
+                           match=f"step size must be positive and finite, got {gamma}"):
+            GfbBuilt(blocks=[ZeroBlock()], weights=[1.0], gamma=gamma, dim=2)
+
+    @pytest.mark.parametrize("tau", [0.0, np.nan, np.inf])
     def test_pds_primal_step_checked_at_construction(self, tau):
+        # an infinite step was caught only by the radicand ("... = inf >= 1")
         dual = PdsDualTerm(block=ZeroBlock(), L=np.eye(2), sigma=0.5, omega=1.0)
-        with pytest.raises(ParameterError, match="primal step must be positive"):
+        with pytest.raises(ParameterError,
+                           match=f"primal step must be positive and finite, got {tau}"):
             PdsBuilt(primal_block=ZeroBlock(), tau=tau, dim_primal=2, duals=[dual])
 
     @pytest.mark.parametrize("changes, error", [
         ({"sigma": np.nan}, ParameterError),
+        ({"sigma": np.inf}, ParameterError),
         ({"omega": np.nan}, ParameterError),
         ({"sigma": 0.0}, ParameterError),
         ({"L": [[1.0, np.nan], [0.0, 1.0]]}, StructuralError),  # failed at a step, in inv
