@@ -271,16 +271,17 @@ def parse_trace_csv(path: str):
     header = None
     rows = []                       # the block being read
     chunks = {name: [] for name in CSV_COLUMNS}
-    rejected = {}                   # column -> message of its first unparsable cell
-    nonfinite = {}                  # column -> (row, k text, text) of its first non-finite cell
+    # column -> (row, k text, text, what was expected) of its first
+    # unparsable cell, and of its first non-finite cell
+    rejected, nonfinite = {}, {}
 
-    def number(kind, text, name):
+    def number(kind, text, name, at):
         if kind is float and text == "":
             return np.nan
         try:
             return kind(text)
-        except ValueError as exc:
-            rejected.setdefault(name, str(exc))
+        except ValueError:
+            rejected.setdefault(name, at + (text, "an integer" if kind is int else "a number"))
             return 0            # a stand-in: the column raises after the last block
 
     def convert():
@@ -292,12 +293,13 @@ def parse_trace_csv(path: str):
                 col = np.array(list(map(kind, vals)))
             except ValueError:      # a blank cell, or one that is no number
                 col = (np.full(len(vals), np.nan) if kind is float and not any(vals)
-                       else np.array([number(kind, v, name) for v in vals]))
+                       else np.array([number(kind, v, name, (start + i, cells[0][i]))
+                                      for i, v in enumerate(vals)]))
             if kind is float and name not in nonfinite:
                 bad = np.flatnonzero(~np.isfinite(col))
                 if bad.size:
                     i = int(bad[0])
-                    nonfinite[name] = (start + i, cells[0][i], vals[i])
+                    nonfinite[name] = (start + i, cells[0][i], vals[i], "a finite number")
             chunks[name].append(col)
         rows.clear()
 
@@ -331,9 +333,7 @@ def parse_trace_csv(path: str):
     # each column's chunks are released as it is joined
     cols = {name: np.concatenate(chunks.pop(name)) for name in CSV_COLUMNS}
     for name, col in cols.items():
-        if name in rejected:
-            raise ValueError(rejected[name])
-        if name == "k":
+        if name == "k" and name not in rejected:
             off = np.flatnonzero(col != np.arange(col.size))
             if off.size:
                 i = int(off[0])
@@ -341,10 +341,11 @@ def parse_trace_csv(path: str):
                     f"data row {i} holds k={col[i]}, expected k={i}: the rows "
                     f"must run k = 0..K-1 in order")
         elif name in nonfinite and (name in REQUIRED_COLUMNS or np.isfinite(col).any()):
-            i, k, text = nonfinite[name]
-            raise ParameterError(
-                f"data row {i} (k={k}): column {name!r} holds "
-                f"{text!r}, expected a finite number")
+            rejected.setdefault(name, nonfinite[name])
+        if name in rejected:
+            i, k, text, expected = rejected[name]
+            raise ParameterError(f"data row {i} (k={k}): column {name!r} holds "
+                                 f"{text!r}, expected {expected}")
     return cfg, cols
 
 

@@ -58,9 +58,9 @@ def composition_alpha(a1: float, a2: float) -> float:
 
 
 def _soft(x: np.ndarray, mu: float) -> np.ndarray:
-    # the soft threshold sign(x) max(|x| - mu, 0) of a float array, the prox
-    # of mu * l1, at a threshold checked by the caller
-    return np.sign(x) * np.maximum(np.abs(x) - mu, 0.0)
+    # the soft threshold sign(x) max(|x| - mu, 0), the prox of mu * l1, at a
+    # threshold checked by the caller (+0.0 where that form gives -0.0)
+    return x - x.clip(-mu, mu)
 
 
 @dataclass(frozen=True)

@@ -81,13 +81,12 @@ def apply_rows(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.matmul(A, X[..., None])[..., 0]
 
 
-def _weighted_sum(weights, rows: np.ndarray) -> np.ndarray:
-    """``w_0 rows[0] + w_1 rows[1] + ...``, accumulated in row order, for
-    rows of one ``(n, d)`` block stack; unchecked."""
-    acc = weights[0] * rows[0]
-    for w, r in zip(weights[1:], rows[1:]):
-        acc += w * r
-    return acc
+def _weighted_sum(W: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``sum_i W[i] rows[..., i, :]`` of an ``(..., n, d)`` block stack as a
+    ``(..., 1, d)`` row, with ``W`` of shape ``(n, 1)``; unchecked.  The
+    accumulate adds in block order for any shape; ``np.add.reduce`` sums
+    pairwise once the block axis is innermost (``d = 1``, ``n > 8``)."""
+    return np.add.accumulate(W * rows, axis=-2)[..., -1:, :]
 
 
 class ProductSpace:

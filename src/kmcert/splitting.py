@@ -253,6 +253,7 @@ class GfbBuilt:
         self.n = n
         self.space = ProductSpace((dim,) * n, weights)
         self._w = tuple(float(wi) for wi in weights)
+        self._W = weights[:, None]
         self._params = tuple(gamma / wi for wi in self._w)
         self.operator = OperatorSpec(lambda z: self.evaluate(z)[0],
                                      self.alpha_at(gamma), "gfb", self.space)
@@ -270,20 +271,18 @@ class GfbBuilt:
 
     def resolve_all(self, args: np.ndarray, params: Optional[tuple] = None) -> np.ndarray:
         out = np.empty_like(args)
-        # views with the blocks first: row i is block i (of every point)
-        blocks_in, blocks_out = args.swapaxes(0, -2), out.swapaxes(0, -2)
         for i, (blk, c) in enumerate(zip(self.blocks, params or self._params)):
-            blocks_out[i] = blk.resolvent(blocks_in[i], c)
+            out[..., i, :] = blk.resolvent(args[..., i, :], c)
         return out
 
     def _arguments(self, z: np.ndarray, gamma: float):
         """``(Z, x, gx, args)`` of a point or a ``(C, size)`` stack: the
-        block rows, the consensus, the smooth part at it and the resolvent
-        arguments at step size ``gamma``."""
+        block rows, the consensus and the smooth part at it as ``(..., 1,
+        d)`` rows, and the resolvent arguments at step size ``gamma``."""
         Z = self._rows(z)
-        x = _weighted_sum(self._w, Z.swapaxes(0, -2))     # the blocks first
+        x = _weighted_sum(self._W, Z)
         gx = _smooth_at(self.smooth, x)
-        return Z, x, gx, 2.0 * x[..., None, :] - Z - gamma * gx[..., None, :]
+        return Z, x, gx, 2.0 * x - Z - gamma * gx
 
     def evaluate(self, z: np.ndarray, gamma: Optional[float] = None):
         """``(T z, parts)``: the exact evaluation of a point or a ``(C,
@@ -294,7 +293,7 @@ class GfbBuilt:
         params = None if gamma is None else [gamma / wi for wi in self._w]
         Z, x, gx, args = self._arguments(z, self.gamma if gamma is None else gamma)
         u = self.resolve_all(args, params)
-        return (Z + u - x[..., None, :]).reshape(z.shape), (x, gx, args, u)
+        return (Z + u - x).reshape(z.shape), (x[..., 0, :], gx[..., 0, :], args, u)
 
 
 class _SplittingChannel(Channel):
@@ -461,7 +460,7 @@ class GfbCertificates(_CertificateStream):
     def observe(self, steps: Steps) -> None:
         built = self.built
         x, gx, args, u = steps.parts
-        ubar = _weighted_sum(built._w, u.swapaxes(0, 1))
+        ubar = _weighted_sum(built._W, u)[:, 0]
         g = (x - ubar) / built.gamma - gx
         criterion = _l2_rows(g + _smooth_at(built.smooth, ubar))
 

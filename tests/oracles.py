@@ -5,7 +5,8 @@ product of a product space and its per-block norm, the cell-by-cell CSV
 row formatter, seeded sampling checks of
 averagedness, the diagonal-subspace projector and reflector of a weighted
 product space, an error stage drawn a draw at a time (kmcert draws a chunk
-of steps at once), the per-step forms of the block membership residuals
+of steps at once), the GFB step of one point with its consensus added a
+block at a time, the per-step forms of the block membership residuals
 and of the GFB certificate (kmcert computes both on stacks of steps), the
 primal-dual operator in its preconditioned resolvent form with its
 preconditioner applied block by block, an independent forward-backward
@@ -40,7 +41,7 @@ from kmcert.km import (
     _validate_admissible,
 )
 from kmcert.operators import OperatorSpec
-from kmcert.spaces import ProductSpace, _block_inner, _weighted_sum
+from kmcert.spaces import ProductSpace, _block_inner
 from kmcert.splitting import _smooth_at
 
 WEIGHT_SUM_TOL = 1e-12
@@ -81,6 +82,16 @@ def moreau_envelope_gradient(x, mu: float) -> np.ndarray:
     ``mu * l1``: firmly non-expansive, hence 1-cocoercive."""
     x = np.asarray(x, dtype=float)
     return x - prox_l1(x, mu)
+
+
+def weighted_sum(weights, rows) -> np.ndarray:
+    """``w_0 rows[0] + w_1 rows[1] + ...``, one product and one addition
+    per row, added in row order (kmcert sums a stack with one
+    ``np.add.accumulate``)."""
+    acc = weights[0] * rows[0]
+    for w, r in zip(weights[1:], rows[1:]):
+        acc += w * r
+    return acc
 
 
 def metric_inner(space: ProductSpace, a: np.ndarray, b: np.ndarray) -> float:
@@ -218,7 +229,7 @@ def project_diagonal(space: ProductSpace, z: np.ndarray) -> np.ndarray:
     which requires the weights to sum to one.
     """
     _require_diagonal_layout(space)
-    mean = _weighted_sum(tuple(space.weights), z.reshape(space.n, -1))
+    mean = weighted_sum(tuple(space.weights), z.reshape(space.n, -1))
     return np.tile(mean, space.n)
 
 
@@ -247,6 +258,39 @@ def per_draw_stage(rng, size: int, mag: float, space=None) -> np.ndarray:
         n = _l2(g) if space is None else space.norm(g)
         if n > 1e-12:
             return g / n * mag if space is None else g * (1.0 / n) * mag
+
+
+# ---------------------------------------------------------------------------
+# the GFB step, one point at a time
+# ---------------------------------------------------------------------------
+
+def gfb_arguments(built, z: np.ndarray, gamma: float):
+    """``(Z, x, B x, args)`` of the GFB splitting ``built`` at one point
+    ``z``: its block rows, their consensus :func:`weighted_sum`, the smooth
+    part there and the resolvent arguments ``2 x - z_i - gamma B x``."""
+    Z = z.reshape(built.n, built.dim)
+    x = weighted_sum(built._w, Z)
+    gx = _smooth_at(built.smooth, x)
+    return Z, x, gx, 2.0 * x - Z - gamma * gx
+
+
+def gfb_resolve(built, args: np.ndarray, params) -> np.ndarray:
+    """Block ``i``'s resolvent at ``params[i]`` of row ``i`` of ``args``, the
+    l1 block's as the sign form :func:`prox_l1`."""
+    u = np.empty_like(args)
+    for i, (blk, c) in enumerate(zip(built.blocks, params)):
+        u[i] = prox_l1(args[i], c * blk.mu) if blk.kind == "l1" else blk.resolvent(args[i], c)
+    return u
+
+
+def gfb_step(built, z: np.ndarray, gamma=None):
+    """``(T z, (x, B x, args, u))`` of the GFB splitting ``built`` at one
+    point ``z``, at the step size ``gamma`` (the splitting's own by
+    default), with the resolvents at ``gamma / w_i``."""
+    gamma = built.gamma if gamma is None else gamma
+    Z, x, gx, args = gfb_arguments(built, z, gamma)
+    u = gfb_resolve(built, args, [gamma / w for w in built._w])
+    return (Z + u - x).ravel(), (x, gx, args, u)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +337,7 @@ def gfb_certificate(built, parts) -> GfbCertStep:
     ``built.evaluate(z)``: ``g = (x - ubar)/gamma - B x``, the criterion
     ``||g + B ubar||`` and the block membership residuals."""
     x, gx, args, u = parts
-    ubar = _weighted_sum(built._w, u)
+    ubar = weighted_sum(built._w, u)
     g = (x - ubar) / built.gamma - gx
     crit = _l2(g + _smooth_at(built.smooth, ubar))
     vecs = (built.weights[:, None] / built.gamma) * (args - u)

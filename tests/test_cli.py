@@ -387,10 +387,33 @@ class TestCsvReaderBlocks:
         with pytest.raises(ParameterError, match="^malformed trace row with 12 fields"):
             parse_trace_csv(self.write(tmp_path, edit))
 
-    def test_unparsable_cell_raises_what_float_raises(self, tmp_path):
+    def test_unparsable_cell_names_its_row_and_column(self, tmp_path):
         path = self.write(tmp_path, lambda rows: self.set_cell(rows, 2500, "gamma", "abc"))
-        with pytest.raises(ValueError, match="^could not convert string to float: 'abc'$"):
+        with pytest.raises(ParameterError, match=r"^data row 2500 \(k=2500\): column "
+                                                 r"'gamma' holds 'abc', expected a number$"):
             parse_trace_csv(path)
+
+    def test_unparsable_k_names_its_row(self, tmp_path):
+        path = self.write(tmp_path, lambda rows: self.set_cell(rows, 1100, "k", "1100.0"))
+        with pytest.raises(ParameterError, match=r"^data row 1100 \(k=1100.0\): column "
+                                                 r"'k' holds '1100.0', expected an integer$"):
+            parse_trace_csv(path)
+
+    def test_first_column_checked_reports_before_an_earlier_row(self, tmp_path):
+        # an unparsable cell, a non-finite one and a k out of order: the
+        # column first in CSV_COLUMNS order reports, then its first row
+        def edit(rows):
+            self.set_cell(rows, 20, "res_norm", "abc")
+            self.set_cell(rows, 3100, "gamma", "nan")
+            self.set_cell(rows, 2900, "gamma", "x1")
+            self.set_cell(rows, 2000, "lambda", "inf")
+        with pytest.raises(ParameterError, match=r"^data row 2000 \(k=2000\): column "
+                                                 r"'lambda' holds 'inf', expected a finite"):
+            parse_trace_csv(self.write(tmp_path, edit))
+        with pytest.raises(ParameterError, match=r"^data row 2900 \(k=2900\): column "
+                                                 r"'gamma' holds 'x1', expected a number$"):
+            parse_trace_csv(self.write(tmp_path, lambda rows: (
+                edit(rows), self.set_cell(rows, 2000, "lambda", "1"))))
 
 
 class TestVerifyCommand:
@@ -422,6 +445,20 @@ class TestVerifyCommand:
         bad.write_text("not,a,trace\n")
         _, report = self.make_run(tmp_path)
         assert main(["verify", str(bad), str(report)]) == 2
+
+    def test_unparsable_cell_exit_2_with_its_location(self, tmp_path, capsys):
+        trace, report = self.make_run(tmp_path)
+        lines = trace.read_text().splitlines()
+        header_at = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        row = lines[header_at + 1 + 5].split(",")
+        row[CSV_COLUMNS.index("res_norm")] = "abc"
+        lines[header_at + 1 + 5] = ",".join(row)
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(trace), str(report)]) == 2
+        assert capsys.readouterr().err == (
+            "verify error: data row 5 (k=5): column 'res_norm' holds 'abc', "
+            "expected a number\n")
 
     # each check that ran, and each skipped one with its reason, from the record
     CHECKED = {

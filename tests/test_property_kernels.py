@@ -1,13 +1,16 @@
 """Property tests for the pure numeric kernels."""
 
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kmcert.bounds import local_zeta, pointwise_bound, BoundConstants
-from kmcert.operators import CocoerciveMap
+from kmcert.operators import CocoerciveMap, _soft
 from kmcert.splitting import BoxBlock, L1Block
+from oracles import prox_l1
 
 finite_vec = arrays(np.float64, st.integers(1, 8),
                     elements=st.floats(-50.0, 50.0))
@@ -85,6 +88,51 @@ def test_box_resolvent_is_clip_bit_for_bit(case):
     # the strided rows a product-space evaluation hands over
     S = np.stack([np.zeros_like(V), V], axis=1)[:, 1]
     assert same_bits(box.resolvent(S, 1.0), np.clip(S, lo, hi))
+
+
+TINY, HUGE = 5e-324, np.finfo(float).max
+
+
+@st.composite
+def thresholds_and_stacks(draw):
+    """``(mu, V)``: a threshold ``mu > 0``, subnormal to huge, and a ``(C,
+    d)`` stack of values: signed zeros, ``+-mu`` and their neighbours,
+    infinities, NaN, subnormals, huge values and any other float."""
+    mu = draw(st.sampled_from([TINY, 1e-310, 0.3, 1.0, 1e300, HUGE / 2])
+              | st.floats(TINY, HUGE, exclude_min=False))
+    edges = [0.0, -0.0, mu, -mu, math.nextafter(mu, 0.0), math.nextafter(mu, math.inf),
+             -math.nextafter(mu, math.inf), np.inf, -np.inf, np.nan, -np.nan, TINY, -TINY,
+             2.2e-308, -1e-310, HUGE, -HUGE]
+    value = st.sampled_from(edges) | st.floats(allow_nan=True, allow_infinity=True)
+    d, C = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    V = np.array(draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                               min_size=C, max_size=C)))
+    return mu, V
+
+
+def same_soft(out, want):
+    # bit for bit where the threshold is a non-zero number, == 0 where it is
+    # 0, NaN where it is NaN: the sign form's NaN sign bit depends on the
+    # array's length (a -nan reads +nan in a row of ten), not on the value
+    zero, nan = want == 0.0, np.isnan(want)
+    num = ~(zero | nan)
+    return (out.shape == want.shape and np.array_equal(out == 0.0, zero)
+            and np.array_equal(np.isnan(out), nan) and same_bits(out[num], want[num]))
+
+
+# the sign form gives -0.0 at -mu <= x < 0, and +0.0 at x = -0.0
+@example((1.0, np.array([[-0.0, 0.0, -1.0, 1.0, -0.5]])))
+@given(thresholds_and_stacks())
+def test_soft_threshold_is_the_sign_form_up_to_signed_zeros(case):
+    mu, V = case
+    blk = L1Block(mu)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert same_soft(blk.resolvent(V[0], 1.0), prox_l1(V[0], mu))
+        assert same_soft(blk.resolvent(V, 1.0), prox_l1(V, mu))
+        # the strided rows a product-space evaluation hands over
+        S = np.stack([np.zeros_like(V), V], axis=1)[:, 1]
+        assert same_soft(blk.resolvent(S, 1.0), prox_l1(S, mu))
+        assert same_soft(_soft(S, mu), prox_l1(S, mu))
 
 
 @given(st.floats(1e-9, 1e3), st.floats(1e-6, 1e3))

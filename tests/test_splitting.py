@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kmcert import cli
 from kmcert.bounds import EmpiricalConstants, pointwise_bound
 from kmcert.errors import ParameterError, StructuralError
 from kmcert.km import (
@@ -45,7 +46,10 @@ from kmcert.splitting import (
 from oracles import (
     check_averaged,
     check_firmly_nonexpansive,
+    gfb_arguments,
     gfb_certificate,
+    gfb_resolve,
+    gfb_step,
     member_residual,
     pds_abstract_step,
     pds_fbs_reference,
@@ -53,6 +57,7 @@ from oracles import (
     per_draw_stage,
     prox_l1,
     reflect_diagonal,
+    weighted_sum,
 )
 
 
@@ -745,6 +750,98 @@ def test_stacked_gfb_evaluation_is_the_point_evaluation_row_by_row(drawn):
         want, want_parts = built.evaluate(z, gamma)
         assert bits(exact[r]) == bits(want)
         assert [bits(p[r]) for p in parts] == [bits(p) for p in want_parts]
+
+
+def gfb_splitting(n, d, smooth, seed):
+    """A GFB splitting of ``n`` blocks of dimension ``d``, each an l1, box,
+    linear, subspace or zero block, with drawn weights, its smooth part a
+    quadratic (``"quadratic"``), a smoothed l1 (``"envelope"``) or none, and
+    a drawn step size in ``(0, 2 beta)``."""
+    rng = np.random.default_rng(seed)
+
+    def block():
+        kind = rng.integers(5)
+        if kind == 0:
+            return L1Block(rng.uniform(0.05, 2.0))
+        if kind == 1:
+            return BoxBlock(-rng.uniform(0.1, 2.0, d), rng.uniform(0.1, 2.0, d))
+        if kind == 2:
+            R = rng.standard_normal((d, d))
+            return LinearBlock(0.5 * np.eye(d) + 0.5 * (R - R.T), rng.standard_normal(d))
+        if kind == 3:
+            return SubspaceBlock(np.linalg.qr(rng.standard_normal((d, max(1, d // 2))))[0])
+        return ZeroBlock()
+
+    blocks = [block() for _ in range(n)]
+    w = rng.uniform(0.2, 1.0, n)
+    if smooth == "quadratic":
+        G = rng.standard_normal((d, d))
+        smooth = CocoerciveMap.quadratic(G @ G.T + 0.1 * np.eye(d), rng.standard_normal(d))
+    elif smooth == "envelope":
+        smooth = CocoerciveMap.envelope_l1(rng.uniform(0.05, 1.0))
+    beta = smooth.beta if smooth is not None else 1.0
+    return GfbBuilt(blocks, w / w.sum(), rng.uniform(0.05, 1.95) * beta, d, smooth)
+
+
+def value_bits(a: np.ndarray) -> tuple:
+    # the bits of a, with -0.0 read as +0.0 (adding +0.0 changes nothing else)
+    return bits(a + 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 20), st.sampled_from([None, "quadratic", "envelope"]),
+       st.integers(1, 9), st.none() | st.floats(0.05, 1.95), st.integers(0, 2 ** 32 - 1))
+@example(9, 1, None, 3, None, 0)          # the block axis innermost: reduce sums pairwise
+@example(9, 1, "envelope", 1, 1.2, 1)
+@example(3, 1, "quadratic", 2, None, 2)
+def test_gfb_evaluation_is_the_block_by_block_step(n, d, smooth, C, gamma, seed):
+    # the consensus added a block at a time, the sign-form soft threshold:
+    # the same bits at a point and in each row of a stack, zeros as values
+    built = gfb_splitting(n, d, smooth, seed)
+    if gamma is not None:
+        gamma *= built.smooth.beta if built.smooth is not None else 1.0
+    rng = np.random.default_rng(seed + 1)
+    Z = rng.standard_normal((C, built.space.size)) * 10.0 ** rng.uniform(-2.0, 2.0)
+    exact, parts = built.evaluate(Z, gamma)
+    for r, z in enumerate(Z):
+        want, want_parts = gfb_step(built, z, gamma)
+        got, got_parts = built.evaluate(z, gamma)
+        assert value_bits(got) == value_bits(exact[r]) == value_bits(want)
+        assert ([value_bits(p) for p in got_parts] == [value_bits(p[r]) for p in parts]
+                == [value_bits(p) for p in want_parts])
+
+
+@pytest.mark.parametrize("name", ["ns-harmonic", "cert-multiblock-inexact"])
+@pytest.mark.parametrize("n_blocks", [2, 3, 4])
+def test_one_dimensional_blocks_write_the_block_by_block_trace(
+        fresh_references, tmp_path, monkeypatch, name, n_blocks):
+    # d = 1, off the digests' shapes: the whole evaluation, in its exact and
+    # inexact steps and the certificate's consensus, replaced by the oracle's
+    # block-by-block form writes the same trace and report bytes
+    cfg = dict(next(m for m in cli.suite_members() if m["name"] == name),
+               dim=1, n_blocks=n_blocks, max_iters=300)
+
+    def run(tag):
+        cli._built.cache_clear()        # its own problem and reference
+        trace, report, columns = cli.execute_run(cfg)
+        cli.emit_trace_csv(str(tmp_path / f"{tag}.csv"), cfg, trace, columns)
+        cli.write_report(str(tmp_path / f"{tag}.json"), report)
+        return [(tmp_path / f"{tag}.{ext}").read_bytes() for ext in ("csv", "json")]
+
+    def evaluate(self, z, gamma=None):
+        if z.ndim == 1:
+            return gfb_step(self, z, gamma)
+        outs, parts = zip(*(gfb_step(self, row, gamma) for row in z))
+        return np.stack(outs), tuple(map(np.stack, zip(*parts)))
+
+    kernel = run("kernel")
+    monkeypatch.setattr(GfbBuilt, "evaluate", evaluate)
+    monkeypatch.setattr(GfbBuilt, "_arguments", gfb_arguments)
+    monkeypatch.setattr(GfbBuilt, "resolve_all", lambda self, args, params=None: (
+        gfb_resolve(self, args, params or self._params)))
+    monkeypatch.setattr("kmcert.splitting._weighted_sum", lambda W, rows: (
+        weighted_sum(W[:, 0], np.moveaxis(rows, -2, 0))[..., None, :]))
+    assert run("oracle") == kernel
 
 
 @settings(max_examples=60, deadline=None)
