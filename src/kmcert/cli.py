@@ -116,7 +116,7 @@ def _coerce(text: str):
 
 
 def parse_config_text(text: str) -> dict:
-    cfg = {}
+    cfg, lines = {}, {}     # lines: the line that set each key
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -124,7 +124,10 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ParameterError(f"line {ln}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
-        cfg[key.strip()] = _coerce(val)
+        key = key.strip()
+        if key in lines:
+            raise ParameterError(f"line {ln}: key {key!r} already set on line {lines[key]}")
+        cfg[key], lines[key] = _coerce(val), ln
     return cfg
 
 
@@ -239,20 +242,36 @@ def emit_trace_csv(path: str, cfg: dict, trace, columns: dict) -> None:
     """Write the per-iteration table with the config echoed as comments: the
     trace's own columns (:func:`trace_series`) and ``columns``, which maps
     the other column names to arrays (or None).  The header and then each
-    block of rows go to the file as they are formatted."""
+    block of rows go to the file as they are formatted: one row template
+    applied with one ``%`` to the block's values, taken row by row, with
+    ``%d`` for ``k``, ``%.17g`` for a filled column and an empty field for
+    an absent or all-NaN one.  A column with NaN in some rows of the block
+    is formatted cell by cell, NaN blank, and enters the template as ``%s``."""
     K = trace.n_steps
     data = {**trace_series(trace), **columns}
+    names = [name for name in CSV_COLUMNS[1:] if data.get(name) is not None]
+
+    def block(lo: int, hi: int) -> str:
+        # k and the given columns; a short column raises here
+        V = np.column_stack([np.arange(lo, hi), *(data[name][lo:hi] for name in names)])
+        nan = np.isnan(V)
+        shown = ~nan.all(axis=0)
+        values, width = V[:, shown].ravel().tolist(), int(shown.sum())
+        fields, j = dict.fromkeys(CSV_COLUMNS, ""), 1
+        fields["k"] = "%d"
+        for name, show, partial in zip(names, shown[1:], nan.any(axis=0)[1:]):
+            if not show:        # all NaN: a blank field
+                continue
+            if partial:         # NaN cells blank, the others one at a time
+                values[j::width] = ["" if v != v else "%.17g" % v for v in values[j::width]]
+            fields[name], j = "%s" if partial else "%.17g", j + 1
+        return ((",".join(fields.values()) + "\n") * (hi - lo)) % tuple(values)
 
     def pieces():
         yield "\n".join(["# kmcert trace v1", *(f"# {key} = {cfg[key]}" for key in sorted(cfg)),
                          ",".join(CSV_COLUMNS)]) + "\n"
         for lo in range(0, K, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, K)
-            cells = [[str(k) for k in range(lo, hi)]]
-            for col in map(data.get, CSV_COLUMNS[1:]):  # NaN and absent cells are blank
-                cells.append([""] * (hi - lo) if col is None else
-                             ["" if v != v else "%.17g" % v for v in col[lo:hi].tolist()])
-            yield "\n".join(map(",".join, zip(*cells, strict=True))) + "\n"
+            yield block(lo, min(lo + _BLOCK_ROWS, K))
 
     _atomic_write(path, pieces())
 

@@ -9,7 +9,8 @@ are taken over stacks of ``CHUNK`` steps, which ``observe`` then receives.
 
 Each evaluation comes from a :class:`Channel`, the operator ``T`` with an
 error law; a splitting's channel model splits the law over its stages, and
-its :meth:`~Channel.draws` stream draws ``CHUNK`` steps of errors at once.  A
+its :meth:`~Channel.draws` stream draws ``CHUNK`` steps of errors at once,
+which the run's :class:`ErrorStream` scales a window of steps at a time.  A
 non-stationary iteration is an inexact one: its channel measures the
 residual against the declared *limit* operator ``T`` and reports ``eps =
 (T_k z - T z) + eps_k``.  Where the next iterate does not need ``T z`` (an
@@ -102,7 +103,7 @@ class RelaxationSchedule:
 @dataclass(frozen=True)
 class ErrorSchedule:
     """Error-magnitude law ``c / (k+1)^p``, zero when ``c = 0``; directions
-    come from the run's :meth:`Channel.draws`."""
+    come from the run's :meth:`Channel.errors`."""
 
     c: float
     p: float
@@ -225,7 +226,8 @@ class StopRule:
 class FixedPointSet:
     """The fixed-point set through its nearest-point map: an analytic
     projector, or the constant map of a single ``point`` (analytic, or the
-    end of a reference run)."""
+    end of a reference run).  ``nearest`` takes a point or a ``(C, size)``
+    stack of points, row for row the point's bits."""
 
     nearest: Callable[[np.ndarray], np.ndarray]
     point: Optional[np.ndarray] = field(default=None, compare=False)
@@ -236,8 +238,7 @@ class FixedPointSet:
 
     def distances(self, Z: np.ndarray, space: ProductSpace) -> np.ndarray:
         """The distances of the rows of a ``(C, size)`` stack to the set."""
-        near = self.point if self.point is not None else _stack([self.nearest(z) for z in Z])
-        return space.norms(Z - near)
+        return space.norms(Z - (self.point if self.point is not None else self.nearest(Z)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +303,13 @@ def _validate_admissible(relaxation: RelaxationSchedule, alpha) -> None:
 
 class Channel:
     """The bare channel: operator ``T`` and error law ``law``.  ``evaluate(k,
-    z, draws)`` returns ``(T z, T z + eps, eps, extras)``, ``eps`` of
+    z, errors)`` returns ``(T z, T z + eps, eps, extras)``, ``eps`` of
     magnitude ``law(k)`` in a uniformly drawn direction of unit space norm,
-    or ``(T z, T z, None, extras)`` when that is 0.  A step's errors are a
-    row of ``segments`` from the run's :meth:`draws` times ``stage_law(k)``;
-    magnitude 0 takes none.  ``alphas`` lists the averagedness of per-step
-    operators other than ``operator``, which the engine checks the
-    relaxation against.
+    or ``(T z, T z, None, extras)`` when that is 0.  A step's errors are
+    ``errors(k)`` of the run's :meth:`errors` stream, a row of ``segments``
+    from :meth:`draws` times ``stage_law(k)``; magnitude 0 takes none.
+    ``alphas`` lists the averagedness of per-step operators other than
+    ``operator``, which the engine checks the relaxation against.
 
     A channel with ``evaluate_rows``, the stacked exact evaluation ``Z ->
     (T Z, parts)`` of a ``(C, size)`` stack of points, row for row equal to
@@ -334,9 +335,9 @@ class Channel:
         """A run's unit error directions, one row of ``segments`` per step,
         in the order of one ``rng.standard_normal`` call per segment and
         step, drawn ``CHUNK`` steps at once by one ``(CHUNK, sum(segments))``
-        call (numpy fills an array value by value).  A segment of norm at
-        most 1e-12 is discarded and its stage draws again from the values
-        after it."""
+        call (numpy fills an array value by value), and yielded as one
+        array of ``CHUNK`` unit rows.  A segment of norm at most 1e-12 is
+        discarded and its stage draws again from the values after it."""
         sizes, flat = self.segments, np.empty(0)    # flat: the values no step has taken
         width = sum(sizes)
         while True:
@@ -350,8 +351,12 @@ class Channel:
                 start = r * width + sum(sizes[:s])
                 flat = np.delete(flat, np.s_[start:start + sizes[s]])
             else:
-                yield from self._unit_rows(G, N)
+                yield self._unit_rows(G, N)
                 flat = flat[G.size:]
+
+    def errors(self, rng: np.random.Generator) -> "ErrorStream":
+        """The run's error stream: :meth:`draws` of ``rng`` at ``stage_law``."""
+        return ErrorStream(self.stage_law, self.draws(rng), sum(self.segments))
 
     def _segment_norms(self, G: np.ndarray) -> np.ndarray:
         return self.operator.space.norms(G)[:, None]
@@ -359,14 +364,51 @@ class Channel:
     def _unit_rows(self, G: np.ndarray, N: np.ndarray) -> np.ndarray:
         return G * (1.0 / N)    # each row is g * (1.0 / ||g||)
 
-    def _errors(self, k: int, draws) -> Optional[np.ndarray]:
-        """The step's errors, its segments in one row; None for magnitude 0."""
-        mag = self.stage_law.c and self.stage_law.magnitude(k)     # 0 for an exact law
-        return None if mag == 0.0 else next(draws) * mag
-
-    def evaluate(self, k, z, draws):
-        exact, eps = self.operator(z), self._errors(k, draws)
+    def evaluate(self, k, z, errors):
+        exact, eps = self.operator(z), errors(k)
         return exact, exact if eps is None else exact + eps, eps, None
+
+
+class ErrorStream:
+    """A run's errors: ``errors(k)`` is step ``k``'s errors, its segments in
+    one row, or None for magnitude 0; steps come in order.  The law is read
+    ``CHUNK`` steps ahead, each magnitude once and in step order, and the
+    window's non-zero magnitudes scale the next unit rows of ``draws`` in one
+    product, row ``r`` times the ``r``-th of them (each row is ``unit_row *
+    magnitude``).  A step of magnitude 0 takes no row, so an exact law never
+    draws.  Reading stops before the first magnitude that raises, which its
+    own step raises in turn, after every earlier step."""
+
+    def __init__(self, law: ErrorSchedule, draws, width: int):
+        self._law, self._draws = law, draws
+        self._units = np.empty((0, width))      # unit rows no step has taken
+        self._k0, self._rows = 0, []
+
+    def __call__(self, k: int) -> Optional[np.ndarray]:
+        i = k - self._k0
+        if not 0 <= i < len(self._rows):
+            self._read(k)
+            i = 0
+        return self._rows[i]
+
+    def _read(self, k: int) -> None:
+        if not self._law.c:     # an exact law: no magnitude to read, no row to take
+            self._k0, self._rows = k, [None] * CHUNK
+            return
+        magnitude = self._law.magnitude
+        mags = [magnitude(k)]
+        try:
+            for j in range(k + 1, k + CHUNK):
+                mags.append(magnitude(j))
+        except NumericalError:
+            pass        # step j raises it, after the steps before it have run
+        scale = [m for m in mags if m != 0.0]
+        units = self._units
+        if len(units) < len(scale):
+            units = np.concatenate((units, next(self._draws)))
+        self._units = units[len(scale):]
+        rows = iter(units[:len(scale)] * np.array(scale)[:, None])
+        self._k0, self._rows = k, [None if m == 0.0 else next(rows) for m in mags]
 
 
 def _check_output(k, exact, tilde) -> None:
@@ -454,7 +496,7 @@ def _complete(k0: int, Z: np.ndarray, rows: list, evaluate_rows, every: bool,
 
 def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
              stop: StopRule, fix: Optional[FixedPointSet], observe: Optional[Callable],
-             draws) -> IterationTrace:
+             errors) -> IterationTrace:
     operator, evaluate, evaluate_rows = channel.operator, channel.evaluate, channel.evaluate_rows
     space = operator.space
     if np.shape(z0) != (space.size,) or not np.isfinite(z0).all():
@@ -498,7 +540,7 @@ def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
         for k in range(stop.max_iters):
             if not constant:
                 lam = relaxation.value(k)
-            exact, tilde, eps_vec, extras = evaluate(k, z, draws)
+            exact, tilde, eps_vec, extras = evaluate(k, z, errors)
             if exact is None and tol > 0.0:     # the stop needs it now: finish it at once
                 exact = evaluate_rows(z[None])[0][0]
                 eps_vec = tilde - exact
@@ -537,7 +579,7 @@ def run_km(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
            observe: Optional[Callable] = None, seed: int = 0) -> IterationTrace:
     """Run the relaxed iteration of ``channel.operator``, each step
     evaluated by ``channel`` (a :class:`Channel`, bare or a splitting's
-    channel model), which draws its errors from its :meth:`~Channel.draws`
+    channel model), which takes its errors from its :meth:`~Channel.errors`
     of ``default_rng(seed)``.  The relaxation must be admissible for the
     operator and for every averagedness constant in the channel's
     ``alphas`` (the per-step operators of a non-stationary channel).
@@ -566,4 +608,4 @@ def run_km(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
     # a non-finite input) make NaNs, which the engine's checks report by step
     with np.errstate(invalid="ignore"):
         return _iterate(channel, z0, relaxation, stop or StopRule(), fix, observe,
-                        channel.draws(np.random.default_rng(seed)))
+                        channel.errors(np.random.default_rng(seed)))

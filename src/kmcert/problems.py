@@ -238,9 +238,9 @@ def make_two_subspaces(theta: float, d: int, lam: float = 1.0) -> ProblemInstanc
     built = DrsBuilt(SubspaceBlock(e1), SubspaceBlock(v), gamma=1.0, dim=d)
     space = built.space
 
-    def proj_fix(z: np.ndarray) -> np.ndarray:
+    def proj_fix(z: np.ndarray) -> np.ndarray:    # a point or a stack of points
         out = z.copy()
-        out[:2] = 0.0
+        out[..., :2] = 0.0
         return out
 
     fix = FixedPointSet(proj_fix)

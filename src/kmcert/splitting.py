@@ -329,9 +329,9 @@ class GfbChannelModel(_SplittingChannel):
     def evaluate_rows(self, Z):
         return self.built.evaluate(Z)
 
-    def evaluate(self, k, z, draws):
+    def evaluate(self, k, z, errors):
         built = self.built
-        errs = self._errors(k, draws)
+        errs = errors(k)
         if errs is None:
             exact = built.evaluate(z)[0]
             return exact, exact, None, {"channel": {"b": None, "a": None}}
@@ -398,7 +398,7 @@ class GfbScheduleChannel(Channel):
         for blk, w in zip(self.built.blocks, self.built._w):
             blk.prepare([g / w for g in gammas] + [self.built.gamma / w])
 
-    def evaluate(self, k, z, draws):
+    def evaluate(self, k, z, errors):
         built = self.built
         i = k - self._k0
         if not 0 <= i < len(self._gammas):
@@ -409,7 +409,7 @@ class GfbScheduleChannel(Channel):
             native = exact = built.evaluate(z)[0]
         else:
             native, exact = built.evaluate(z, gamma)[0], None
-        eps = self._errors(k, draws)
+        eps = errors(k)
         tilde = native if eps is None else native + eps
         return exact, tilde, None if exact is None or tilde is exact else tilde - exact, None
 
@@ -522,11 +522,11 @@ class DrsChannelModel(_SplittingChannel):
     def evaluate_rows(self, Z):
         return self.built.evaluate(Z)
 
-    def evaluate(self, k, z, draws):
+    def evaluate(self, k, z, errors):
         # parts: the exact x = j2(z), with w and u = j1(w) at the perturbed
         # reflection w + 2 e2 when a shadow-point error e2 was injected
         built = self.built
-        errs = self._errors(k, draws)
+        errs = errors(k)
         if errs is None:
             exact, parts = built.evaluate(z)
             return exact, exact, None, {"channel": {"eps1": None, "eps2": None}, "parts": parts}
@@ -744,9 +744,9 @@ class PdsChannelModel(_SplittingChannel):
     def evaluate_rows(self, Z):
         return self.built.block_step(Z), None
 
-    def evaluate(self, k, z, draws):
+    def evaluate(self, k, z, errors):
         built = self.built
-        errs = self._errors(k, draws)
+        errs = errors(k)
         if errs is None:
             exact = built.block_step(z)
             return exact, exact, None, {"channel": {}}

@@ -415,7 +415,7 @@ def pds_fbs_reference(problem, tol: float = 1e-13, max_iters: int = 100_000) -> 
 # ---------------------------------------------------------------------------
 
 def per_step_run(channel, z0: np.ndarray, relaxation: RelaxationSchedule,
-                 stop: StopRule, fix, observe, draws) -> IterationTrace:
+                 stop: StopRule, fix, observe, errors) -> IterationTrace:
     """``kmcert.km._iterate`` as it ran before it took its bookkeeping a
     chunk at a time: every norm and check at every step, and a step's exact
     output left to the chunk, and in an observed run of a channel whose
@@ -459,7 +459,7 @@ def per_step_run(channel, z0: np.ndarray, relaxation: RelaxationSchedule,
         if fix is not None:
             dist_l.append(space.norm(z - fix.nearest(z)))
 
-        exact, tilde, eps_vec, extras = channel.evaluate(k, z, draws)
+        exact, tilde, eps_vec, extras = channel.evaluate(k, z, errors)
         parts = None
         if exact is None or stacked:
             out, parts = evaluate_rows(z[None])

@@ -1,12 +1,14 @@
 import filecmp
 import inspect
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kmcert.cli import (
     CSV_COLUMNS,
@@ -39,6 +41,17 @@ class TestConfig:
     def test_bad_line_rejected(self):
         with pytest.raises(ParameterError):
             parse_config_text("problem gd")
+
+    def test_key_set_twice_rejected(self, tmp_path, capsys):
+        # the second value used to win without a word
+        text = "problem = gd\n# a comment\nmax_iters = 5\nproblem = lasso\n"
+        with pytest.raises(ParameterError, match=r"line 4: key 'problem' already set on line 1"):
+            parse_config_text(text)
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text(text)
+        assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 2
+        assert "key 'problem' already set on line 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ParameterError):
@@ -194,6 +207,9 @@ class TestCsvRoundTrip:
 
 
 ODD = [-0.0, 5e-324, 1.7976931348623157e308, 3.0, 1e16, 0.1, -2.5e-310, 12345678901234567.0]
+# signed zeros and infinities, subnormals, the smallest normal and +-1e308
+EXTREMES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.5e-310, -2.5e-310,
+            2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
 
 
 def fake_trace(cols: dict):
@@ -296,6 +312,44 @@ class TestCsvWriterBytes:
                            {"pw_bound": np.resize(ODD, 2499)})
         assert path.read_text() == "the previous run\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_blocks_equal_the_cell_by_cell_oracle(self, data):
+        # every column is filled, NaN in some rows (random ones, rows at a
+        # block edge, or a whole block but not the next), all NaN or absent
+        K = data.draw(st.sampled_from([1, 1023, 1024, 1025, 2049]), label="K")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        kinds = ["filled", "random-nan", "edge-nan", "block-nan"]
+
+        def column(kind):
+            v = rng.uniform(-10.0, 10.0, K) * 10.0 ** rng.integers(-322, 307, K)
+            at = rng.integers(0, K, rng.integers(1, 20))
+            v[at] = rng.choice(EXTREMES, at.size)
+            if kind == "random-nan":
+                v[rng.integers(0, K, rng.integers(1, 30))] = np.nan
+            elif kind == "edge-nan":
+                v[[r for r in (0, 1022, 1023, 1024, 2047, 2048) if r < K]] = np.nan
+            elif kind == "block-nan":
+                v[:1024] = np.nan
+                v[-1] = 0.5         # so a one-block column is NaN only in part
+            elif kind == "all-nan":
+                v[:] = np.nan
+            return v
+
+        cols = {name: column(data.draw(st.sampled_from(kinds), label=name))
+                for name in REQUIRED_COLUMNS}
+        columns = {}
+        for name in CSV_COLUMNS[1:]:
+            if name not in REQUIRED_COLUMNS:
+                kind = data.draw(st.sampled_from([*kinds, "all-nan", "none", "missing"]),
+                                 label=name)
+                if kind != "missing":
+                    columns[name] = None if kind == "none" else column(kind)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "drawn.csv"
+            emit_trace_csv(str(path), {"name": "drawn"}, fake_trace(cols), columns)
+            assert data_rows(path) == trace_rows(fake_trace(cols), columns)
 
     @given(st.floats(allow_nan=False))
     def test_percent_format_equals_format(self, v):

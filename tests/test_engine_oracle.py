@@ -157,7 +157,7 @@ class Injected:
     def __init__(self, problem, kind, at):
         channel = problem.make_channel(*ERROR_LAW)
         self.evaluate_inner, self.alphas = channel.evaluate, channel.alphas
-        self.draws = channel.draws
+        self.errors = channel.errors
         self.operator = problem.operator
         self.rows_inner, self.observed_parts = channel.evaluate_rows, channel.observed_parts
         if channel.evaluate_rows is not None:
@@ -182,8 +182,8 @@ class Injected:
             exact[[k >= self.poisoned for k in steps], -1] = np.inf
         return exact, parts
 
-    def evaluate(self, k, z, rng):
-        exact, tilde, eps, extras = self.evaluate_inner(k, z, rng)
+    def evaluate(self, k, z, errors):
+        exact, tilde, eps, extras = self.evaluate_inner(k, z, errors)
         self.step_of[z.tobytes()] = k
         kind = self.kind
         if k < self.at:

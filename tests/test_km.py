@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from kmcert.errors import DivergenceError, NumericalError, ParameterError
 from kmcert.km import (
+    CHUNK,
     Channel,
     ErrorSchedule,
     FixedPointSet,
@@ -16,7 +18,11 @@ from kmcert.km import (
 from kmcert.operators import OperatorSpec, zero_operator
 from kmcert.spaces import ProductSpace
 from kmcert.splitting import GfbBuilt, GfbScheduleChannel, SubspaceBlock
-from kmcert.problems import make_gfb_multiblock, make_multiblock_nonstationary
+from kmcert.problems import (
+    make_gfb_multiblock,
+    make_multiblock_nonstationary,
+    make_two_subspaces,
+)
 from oracles import metric_inner, vector_operator
 
 
@@ -74,16 +80,45 @@ class TestRunKmClosedForms:
         assert tr.n_steps == 2
 
     def test_projector_residual_equals_distance(self):
-        sp = ProductSpace.single(3)
+        sp, proj, fix = subspace_projector()
         rng = np.random.default_rng(0)
-        U, _ = np.linalg.qr(rng.standard_normal((3, 2)))
-        proj = SubspaceBlock(U).resolvent
-        P = vector_operator(sp, lambda x: proj(x, 1.0), 0.5, "proj")
-        fix = FixedPointSet(lambda z: proj(z, 1.0))
+        P = vector_operator(sp, proj, 0.5, "proj")
         tr = run_km(Channel(P), sp.vector(rng.standard_normal(3) * 5.0),
                     RelaxationSchedule.constant(0.5), stop=StopRule(40, 0.0),
                     fix=fix)
         assert np.max(np.abs(tr.res_norm - tr.dist[:-1])) <= 1e-12
+
+
+def subspace_projector():
+    """``(space, projector, its fixed-point set)`` of a random plane in R^3;
+    the projector takes a point or a stack of points."""
+    sp = ProductSpace.single(3)
+    U, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 2)))
+    proj = functools.partial(SubspaceBlock(U).resolvent, c=1.0)
+    return sp, proj, FixedPointSet(proj)
+
+
+def two_subspaces(theta, d):
+    """``(space, fixed-point set)`` of the two-subspaces DRS problem."""
+    problem = make_two_subspaces(theta, d)
+    return problem.operator.space, problem.fix
+
+
+@pytest.mark.parametrize("make", [lambda: subspace_projector()[::2],
+                                  lambda: two_subspaces(np.pi / 4, 4),
+                                  lambda: two_subspaces(0.3, 7)],
+                         ids=["subspace", "two-subspaces", "two-subspaces-d7"])
+def test_distances_of_a_stack_equal_the_per_row_form(make):
+    # the engine takes a chunk's distances from one nearest-point map of
+    # its stack; each must be the norm of the row minus its own nearest point
+    space, fix = make()
+    rng = np.random.default_rng(3)
+    for rows in (1, 2, 7, CHUNK, CHUNK + 1):
+        Z = rng.standard_normal((rows, space.size)) * 10.0 ** rng.integers(-8, 8, (rows, 1))
+        near = np.stack([fix.nearest(z) for z in Z])
+        assert fix.nearest(Z).tobytes() == near.tobytes()
+        want = np.array([space.norm(z - fix.nearest(z)) for z in Z])
+        assert fix.distances(Z, space).tobytes() == want.tobytes()
 
 
 class TestSchedules:
@@ -227,8 +262,8 @@ class MisreportingChannel(Channel):
         super().__init__(zero_operator(space), ErrorSchedule.power(c, 3.0))
         self.rel = rel
 
-    def evaluate(self, k, z, rng):
-        exact, tilde, eps, extras = super().evaluate(k, z, rng)
+    def evaluate(self, k, z, errors):
+        exact, tilde, eps, extras = super().evaluate(k, z, errors)
         return exact, tilde, eps * (1.0 + self.rel), extras
 
 

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kmcert import cli
 from kmcert.bounds import EmpiricalConstants, pointwise_bound
-from kmcert.errors import ParameterError, StructuralError
+from kmcert.errors import NumericalError, ParameterError, StructuralError
 from kmcert.km import (
     CHUNK,
     Channel,
@@ -697,7 +697,7 @@ class TestNonstationaryFamily:
         channel = GfbScheduleChannel(built, GammaSchedule.from_function(
             lambda k: 1.7, built.gamma, 1.2, 1.8), ErrorSchedule.power(0.0, 3.0))
         z = np.random.default_rng(5).standard_normal(p.built.space.size)
-        exact, out, eps, extras = channel.evaluate(0, z, channel.draws(np.random.default_rng(0)))
+        exact, out, eps, extras = channel.evaluate(0, z, channel.errors(np.random.default_rng(0)))
         # the limit's output is left to the chunk's stacked evaluation
         assert exact is None and eps is None
         assert np.array_equal(channel.evaluate_rows(z[None])[0][0], p.built.evaluate(z)[0])
@@ -1065,10 +1065,10 @@ def test_channel_draws_its_stages_in_order_at_their_share_of_the_law(label):
     z = np.random.default_rng(1).standard_normal(channel.operator.space.size)
     zeros = rejected_positions(sizes, [(0, 0, 1), (5, len(sizes) // 2, 1),
                                        (CHUNK - 1, len(sizes) - 1, 2), (CHUNK, 0, 1)])
-    draws, replay = channel.draws(ZeroingGenerator(7, zeros)), ZeroingGenerator(7, zeros)
+    errors, replay = channel.errors(ZeroingGenerator(7, zeros)), ZeroingGenerator(7, zeros)
     steps = 2 * CHUNK + 3
     for k in range(steps):
-        exact, tilde, eps, extras = channel.evaluate(k, z, draws)
+        exact, tilde, eps, extras = channel.evaluate(k, z, errors)
         if exact is None:       # left to the chunk: the engine finishes it so
             exact = channel.evaluate_rows(z[None])[0][0]
             eps = tilde - exact
@@ -1086,8 +1086,115 @@ def test_channel_draws_its_stages_in_order_at_their_share_of_the_law(label):
     # an exact channel draws nothing and reports no error
     quiet = ZeroingGenerator(7)
     exact_channel = make(ErrorSchedule.power(0.0, p))
-    draws = exact_channel.draws(quiet)
+    errors = exact_channel.errors(quiet)
     for k in range(3):
-        exact, tilde, eps, _ = exact_channel.evaluate(k, z, draws)
+        exact, tilde, eps, _ = exact_channel.evaluate(k, z, errors)
         assert eps is None and tilde is exact
     assert quiet.calls == 0
+
+
+def oracle_rows(channel, rng, sizes, in_space_norm, steps):
+    """Each of ``steps`` steps' errors as the per-draw oracle draws them:
+    the unit rows of its stages, one ``standard_normal`` call each, times
+    ``stage_law.magnitude(k)``; None, and no draw, for magnitude 0."""
+    space = channel.operator.space if in_space_norm else None
+    rows = []
+    for k in range(steps):
+        mag = channel.stage_law.magnitude(k)
+        rows.append(None if mag == 0.0 else np.concatenate(
+            [per_draw_stage(rng, size, mag, space) for size in sizes]))
+    return rows
+
+
+def assert_rows_equal(got, want):
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert (a is None) == (b is None), k
+        if b is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), k
+
+
+# (c, p): a law drawing at every step, one with subnormal magnitudes that
+# reaches 0 at k = 11, and one that is 0 from k = 1 on
+LAWS = {"every-step": (0.3, 2.0), "subnormal-then-0": (0.1, 300.0), "0-from-1": (0.1, 2000.0)}
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("label", sorted(CHANNELS))
+def test_error_stream_rows_equal_the_per_draw_oracle(label, law):
+    # the stream scales a window of CHUNK steps at once; every step's row
+    # must be the oracle's unit row times its magnitude, bit for bit, with
+    # discarded segments at the first step, at a window's last and next
+    # steps and at the last window's first step
+    make, _, sizes, _, in_space_norm = CHANNELS[label]
+    channel = make(ErrorSchedule.power(*LAWS[law]))
+    steps = 2 * CHUNK + 3
+    drawn = sum(channel.stage_law.magnitude(k) != 0.0 for k in range(steps))
+    edges = [(0, 0, 1), (CHUNK - 1, len(sizes) - 1, 2), (CHUNK, 0, 1), (2 * CHUNK, 0, 1)]
+    zeros = rejected_positions(sizes, [e for e in edges if e[0] < drawn])
+    errors = channel.errors(ZeroingGenerator(7, zeros))
+    got = [errors(k) for k in range(steps)]
+    assert_rows_equal(got, oracle_rows(channel, ZeroingGenerator(7, zeros), sizes,
+                                       in_space_norm, steps))
+
+
+def test_error_rows_of_a_run_stopped_inside_a_window():
+    # the bare channel reports its row as the step's error; a residual stop
+    # in the second window ends the run there
+    make, _, sizes, _, _ = CHANNELS["bare"]
+    law, problem, longest = ErrorSchedule.power(0.3, 2.0), make_zero_map(d=4), 2 * CHUNK + 3
+    want = oracle_rows(make(law), np.random.default_rng(11), sizes, True, longest)
+
+    def errors_of_run(horizon, tol):
+        eps = []
+        trace = run_km(make(law), problem.z0, RelaxationSchedule.constant(0.5),
+                       StopRule(horizon, tol), observe=lambda steps: eps.extend(steps.eps),
+                       seed=11)
+        assert_rows_equal(eps, want[:trace.n_steps])
+        return trace
+
+    for horizon in (1, CHUNK - 1, CHUNK + 1, longest):
+        assert errors_of_run(horizon, 0.0).n_steps == horizon
+    # the first new low of the residual after step CHUNK + 40 stops the run
+    res = errors_of_run(longest, 0.0).res_norm
+    low = np.minimum.accumulate(res)
+    stop = next(k for k in range(CHUNK + 41, longest) if res[k] < low[k - 1])
+    trace = errors_of_run(longest, float(res[stop]))
+    assert trace.stop_reason == "residual_tol" and trace.n_steps == stop + 1
+
+
+@pytest.mark.parametrize("label", sorted(CHANNELS))
+def test_exact_error_stream_never_draws(label):
+    channel = CHANNELS[label][0](ErrorSchedule.power(0.0, 3.0))
+    rng = ZeroingGenerator(7)
+    errors = channel.errors(rng)
+    assert all(errors(k) is None for k in range(2 * CHUNK + 3))
+    assert rng.calls == 0
+
+
+@pytest.mark.parametrize("label", sorted(CHANNELS))
+def test_error_magnitude_past_the_float_range_raises_at_its_step(label):
+    make = CHANNELS[label][0]
+    channel = make(ErrorSchedule.power(1e200, 1.0))
+    with pytest.raises(NumericalError) as want:
+        channel.stage_law.magnitude(0)
+    assert str(want.value).startswith("non-finite error norm at step 0: the error magnitude ")
+    with pytest.raises(NumericalError) as got:
+        channel.errors(np.random.default_rng(0))(0)
+    assert str(got.value) == str(want.value)
+    # a stage law whose magnitude grows (not one power() builds) squares
+    # past the float range at k = 2, inside the first window: steps 0 and 1
+    # get their rows, and step 2 raises at its turn
+    channel.stage_law = ErrorSchedule(1e150, -10.0)
+    errors = channel.errors(np.random.default_rng(0))
+    assert errors(0) is not None and errors(1) is not None
+    with pytest.raises(NumericalError, match="at step 2: the error magnitude"):
+        errors(2)
+
+
+def test_bare_run_with_an_overflowing_law_fails_at_step_0():
+    problem = make_zero_map(d=4)
+    with pytest.raises(NumericalError, match=r"^non-finite error norm at step 0: the error "
+                       r"magnitude 1\.000e\+200 squares past the float range$"):
+        run_km(Channel(problem.operator, ErrorSchedule.power(1e200, 1.0)), problem.z0,
+               RelaxationSchedule.constant(0.5), StopRule(10, 0.0))

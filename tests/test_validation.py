@@ -175,13 +175,13 @@ class Poisoned:
 
     def __init__(self, problem, value, index, which="both", c=0.0):
         channel = problem.make_channel(c, 3.0)
-        self.inner, self.alphas, self.draws = channel.evaluate, channel.alphas, channel.draws
+        self.inner, self.alphas, self.errors = channel.evaluate, channel.alphas, channel.errors
         self.finish = channel.evaluate_rows
         self.operator = problem.operator
         self.value, self.index, self.which = value, index, which
 
-    def evaluate(self, k, z, rng):
-        exact, tilde, eps, extras = self.inner(k, z, rng)
+    def evaluate(self, k, z, errors):
+        exact, tilde, eps, extras = self.inner(k, z, errors)
         if exact is None:
             exact = self.finish(z[None])[0][0]
             eps = tilde - exact
