@@ -60,13 +60,6 @@ class Violation(NamedTuple):
     margin: float
 
 
-def stack_present(vectors) -> tuple:
-    """``(rows, stack)``: the indices of the entries of ``vectors`` that are
-    not None and those entries stacked (None when there are none)."""
-    rows = [i for i, v in enumerate(vectors) if v is not None]
-    return rows, np.stack([vectors[i] for i in rows]) if rows else None
-
-
 class Certification(list):
     """A run's record (see :func:`certify`): the list of the violations
     found, with ``checks``, each of :data:`CHECKS` mapped to None when it
@@ -125,11 +118,7 @@ class EmpiricalConstants:
         self._sup_relaxed = max(self._sup_relaxed,
                                 float(self._space.norms(relaxed, self._base).max()))
         if self._eps_norm is not None:
-            out = np.zeros(len(steps.lam))
-            rows, stack = stack_present(steps.eps)
-            if rows:
-                out[rows] = self._space.norms(stack, self._base)
-            self._eps_norm.append(out)
+            self._eps_norm.append(self._space.norms(steps.eps, self._base))
 
     def constants(self, trace: IterationTrace) -> BoundConstants:
         eps_norm = trace.eps_norm if self._eps_norm is None else np.concatenate(self._eps_norm)
@@ -193,10 +182,12 @@ def local_zeta_averaged(lam: float, alpha: float, kappa: float) -> float:
 def local_zeta_series(lam, alpha: Optional[float], kappa: float) -> np.ndarray:
     """``zeta_k`` of the local linear model at each relaxation ``lam_k``: the
     plain model at ``tau = lam (1 - lam)`` when no averagedness constant is
-    certified, else the averaged substitution."""
-    if alpha is None:
-        return np.array([local_zeta(lk * (1.0 - lk), kappa) for lk in lam.tolist()])
-    return np.array([local_zeta_averaged(lk, alpha, kappa) for lk in lam.tolist()])
+    certified, else the averaged substitution; taken once per distinct
+    relaxation value."""
+    values, at = np.unique(lam, return_inverse=True)
+    zeta = ([local_zeta(lk * (1.0 - lk), kappa) for lk in values.tolist()] if alpha is None
+            else [local_zeta_averaged(lk, alpha, kappa) for lk in values.tolist()])
+    return np.array(zeta, dtype=float)[at]
 
 
 def gd_theoretical_rate(gamma: float, delta_m: float, delta_M: float) -> float:

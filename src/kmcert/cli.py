@@ -282,10 +282,13 @@ def parse_trace_csv(path: str):
     blank or finite; the required columns may not be blank, and any other
     column is either blank in every row or in none.
 
-    Rows are converted to arrays a block at a time.  A row of the wrong
-    length raises as it is read; the other checks run on the whole columns
-    after the last block, column by column, so a file with several faults
-    reports the same one whatever the block size."""
+    Rows are converted to arrays a block at a time, by one split of the
+    block's rows joined with ``",\\n"``: every row has 13 fields exactly
+    when that gives ``13 n`` fields, every 13th opening with a newline
+    (which ``int`` ignores in a ``k`` cell); else the first row of the
+    wrong length raises, before any other fault.  The other checks run on
+    the whole columns after the last block, column by column, so a file
+    with several faults reports the same one whatever the block size."""
     cfg = {}
     header = None
     rows = []                       # the block being read
@@ -304,8 +307,13 @@ def parse_trace_csv(path: str):
             return 0            # a stand-in: the column raises after the last block
 
     def convert():
-        start = len(chunks["k"]) * _BLOCK_ROWS
-        cells = list(zip(*rows))
+        start, n, width = len(chunks["k"]) * _BLOCK_ROWS, len(rows), len(CSV_COLUMNS)
+        flat = ",\n".join(rows).split(",")
+        if len(flat) != n * width or "".join(flat[width::width]).count("\n") != n - 1:
+            for fields in (line.count(",") + 1 for line in rows):
+                if fields != width:
+                    raise ParameterError(f"malformed trace row with {fields} fields")
+        cells = [flat[j::width] for j in range(width)]
         for name, vals in zip(CSV_COLUMNS, cells):
             kind = int if name == "k" else float
             try:
@@ -338,11 +346,7 @@ def parse_trace_csv(path: str):
                 if header != CSV_COLUMNS:
                     raise ParameterError("unrecognized trace header")
                 continue
-            fields = line.split(",")
-            if len(fields) != len(CSV_COLUMNS):
-                raise ParameterError(
-                    f"malformed trace row with {len(fields)} fields")
-            rows.append(fields)
+            rows.append(line)
             if len(rows) == _BLOCK_ROWS:
                 convert()
     if rows:
@@ -363,6 +367,7 @@ def parse_trace_csv(path: str):
             rejected.setdefault(name, nonfinite[name])
         if name in rejected:
             i, k, text, expected = rejected[name]
+            k, text = k.lstrip("\n"), text.lstrip("\n")     # a k cell opens with a newline
             raise ParameterError(f"data row {i} (k={k}): column {name!r} holds "
                                  f"{text!r}, expected {expected}")
     return cfg, cols
@@ -523,8 +528,10 @@ def certify_files(trace_path: str, report_path: str) -> Certification:
     membership residual of its report; the trace holds no membership
     residual, so that one is taken from the report.  The record's verdict,
     listed violations and ``certificates.ok``, and the largest certificate
-    value and margin of the trace's columns, must equal the report's; where
-    they differ, a ``report`` violation (``k = -1``, margin 1) is added.  A
+    value and margin of the trace's columns, must equal the report's, and
+    the trace's bound columns (``pw_bound``, ``erg_bound``, ``local_model``)
+    the record's, bit for bit, blank where the record has none; where they
+    differ, a ``report`` violation (``k = -1``, margin 1) is added.  A
     scheduled run's report carries no constants; it is accepted when its
     ``gamma`` column is filled, and its record checks nothing."""
     _, cols = parse_trace_csv(trace_path)
@@ -569,7 +576,10 @@ def certify_files(trace_path: str, report_path: str) -> Certification:
                             consts.get("source", "empirical"))
     alpha, kappa = (_report_number(report.get(n), n, null=True) for n in ("alpha", "kappa"))
     record = certify(series, bc, alpha, kappa, membership, certificates is not None)
-    if (verdict != record.verdict or claimed != record.reported or certificates is not None
+    if (verdict != record.verdict or claimed != record.reported
+            or any(cols[n].tobytes() != record.columns[n].tobytes() if n in record.columns
+                   else n in series for n in ("pw_bound", "erg_bound", "local_model"))
+            or certificates is not None
             and (certificates.get("ok") != record.certificates_ok
                  or _certificate_summary(cols["cert_value"], cols["cert_bound"])
                  != (certificates.get("max_value"), certificates.get("worst_margin")))):

@@ -10,15 +10,16 @@ are taken over stacks of ``CHUNK`` steps, which ``observe`` then receives.
 Each evaluation comes from a :class:`Channel`, the operator ``T`` with an
 error law; a splitting's channel model splits the law over its stages, and
 its :meth:`~Channel.draws` stream draws ``CHUNK`` steps of errors at once,
-which the run's :class:`ErrorStream` scales a window of steps at a time.  A
+which the run's :class:`ErrorStream` scales a chunk's window at a time.  A
 non-stationary iteration is an inexact one: its channel measures the
 residual against the declared *limit* operator ``T`` and reports ``eps =
 (T_k z - T z) + eps_k``.  Where the next iterate does not need ``T z`` (an
 inexact GFB, DRS or PDS step, a scheduled step at ``gamma_k != gamma``), the
 channel leaves it to the chunk: the engine finishes those rows with one
-stacked evaluation when it takes the chunk's bookkeeping, and at once when
-the residual stop needs ``||z - T z||``.  On a metric space (PDS) those rows
-are scanned for finiteness before any metric norm touches them.
+stacked evaluation and one stacked subtraction when it takes the chunk's
+bookkeeping, and at once when the residual stop needs ``||z - T z||``.  On
+a metric space (PDS) those rows are scanned for finiteness before any
+metric norm touches them.
 """
 
 from __future__ import annotations
@@ -271,20 +272,20 @@ class IterationTrace:
 
 
 class Steps(NamedTuple):
-    """Consecutive steps ``k .. k+C-1`` of a run, as ``observe`` receives
-    them: ``z`` stacks the iterates ``z_k .. z_{k+C}`` (``C+1`` rows, the
-    successors are ``z[1:]``), ``e`` the residuals ``e_k = z_k - T z_k`` and
-    ``lam`` the relaxations; ``eps`` lists the injected errors (None for an
-    exact step) and ``extras`` the evaluations' extras.  ``parts`` are the
-    internals of the chunk's stacked exact evaluation, ``(C, ...)`` arrays,
-    from a channel whose parts a hook reads (:attr:`~Channel.observed_parts`;
-    else None)."""
+    """Consecutive steps ``k .. k+C-1`` of a run as stacks: ``z`` the
+    iterates ``z_k .. z_{k+C}`` (``C+1`` rows, the successors are
+    ``z[1:]``), ``e`` the residuals ``e_k = z_k - T z_k``, ``lam`` the
+    relaxations, ``eps`` the errors (a zero row for an exact step), and
+    ``errors`` the steps' ``(C, S)`` window of the error stream, the stage
+    errors (a zero row for magnitude 0; None for an exact law).  ``parts``
+    are the internals of the stacked exact evaluation, ``(C, ...)`` arrays,
+    where a hook reads them (:attr:`~Channel.observed_parts`; else None)."""
 
     z: np.ndarray
     e: np.ndarray
     lam: np.ndarray
-    eps: list
-    extras: list
+    eps: np.ndarray
+    errors: Optional[np.ndarray]
     parts: Optional[tuple]
 
 
@@ -303,22 +304,22 @@ def _validate_admissible(relaxation: RelaxationSchedule, alpha) -> None:
 
 class Channel:
     """The bare channel: operator ``T`` and error law ``law``.  ``evaluate(k,
-    z, errors)`` returns ``(T z, T z + eps, eps, extras)``, ``eps`` of
-    magnitude ``law(k)`` in a uniformly drawn direction of unit space norm,
-    or ``(T z, T z, None, extras)`` when that is 0.  A step's errors are
-    ``errors(k)`` of the run's :meth:`errors` stream, a row of ``segments``
-    from :meth:`draws` times ``stage_law(k)``; magnitude 0 takes none.
-    ``alphas`` lists the averagedness of per-step operators other than
-    ``operator``, which the engine checks the relaxation against.
+    z, errors)`` returns ``(T z, T z + eps, eps)``, ``eps`` of magnitude
+    ``law(k)`` in a uniformly drawn direction of unit space norm, or ``(T z,
+    T z, None)`` when that is 0.  A step's errors are ``errors(k)`` of the
+    run's :meth:`errors` stream, a row of ``segments`` from :meth:`draws`
+    times ``stage_law(k)``; magnitude 0 takes none.  ``alphas`` lists the
+    averagedness of per-step operators other than ``operator``, which the
+    engine checks the relaxation against.
 
     A channel with ``evaluate_rows``, the stacked exact evaluation ``Z ->
     (T Z, parts)`` of a ``(C, size)`` stack of points, row for row equal to
     ``T z``, may leave a step's exact output to the chunk: ``evaluate`` then
-    returns ``(None, tilde, None, extras)``, and the engine fills in ``T z``
-    and ``eps = tilde - T z``.  The bare channel never does.  The GFB
-    channels do so for an inexact or scheduled step, and the DRS and PDS
-    channel models for an inexact step.  Where a hook reads the stacked
-    parts (``observed_parts``, the GFB channels), an observed run stacks
+    returns ``(None, tilde, None)``, and the engine fills in ``T z`` and
+    ``eps = tilde - T z``.  The bare channel never does.  The GFB channels
+    do so for an inexact or scheduled step, and the DRS and PDS channel
+    models for an inexact step.  Where a hook reads the stacked parts
+    (``observed_parts``, the GFB and DRS channels), an observed run stacks
     every row of its chunk for ``Steps.parts``; any other channel stacks
     only the rows it left, so that no step is evaluated twice."""
 
@@ -366,23 +367,28 @@ class Channel:
 
     def evaluate(self, k, z, errors):
         exact, eps = self.operator(z), errors(k)
-        return exact, exact if eps is None else exact + eps, eps, None
+        return exact, exact if eps is None else exact + eps, eps
 
 
 class ErrorStream:
     """A run's errors: ``errors(k)`` is step ``k``'s errors, its segments in
-    one row, or None for magnitude 0; steps come in order.  The law is read
-    ``CHUNK`` steps ahead, each magnitude once and in step order, and the
-    window's non-zero magnitudes scale the next unit rows of ``draws`` in one
+    one row, or None for magnitude 0; every step reads its own, in order,
+    so windows start at multiples of ``CHUNK``.  The law is read ``CHUNK``
+    steps ahead, each magnitude once and in step order, and the window's
+    non-zero magnitudes scale the next unit rows of ``draws`` in one
     product, row ``r`` times the ``r``-th of them (each row is ``unit_row *
-    magnitude``).  A step of magnitude 0 takes no row, so an exact law never
-    draws.  Reading stops before the first magnitude that raises, which its
-    own step raises in turn, after every earlier step."""
+    magnitude``), a zero row for magnitude 0, which takes no unit row (an
+    exact law never draws).  Reading stops before the first magnitude that
+    raises, which its own step raises in turn, after every earlier step."""
 
     def __init__(self, law: ErrorSchedule, draws, width: int):
         self._law, self._draws = law, draws
         self._units = np.empty((0, width))      # unit rows no step has taken
-        self._k0, self._rows = 0, []
+        self._k0, self._rows, self._stack = 0, [], None
+
+    def window(self, k: int, n: int) -> Optional[np.ndarray]:
+        """The read rows of steps ``k .. k+n-1`` of one window; None if exact."""
+        return None if self._stack is None else self._stack[k - self._k0:k - self._k0 + n]
 
     def __call__(self, k: int) -> Optional[np.ndarray]:
         i = k - self._k0
@@ -407,8 +413,12 @@ class ErrorStream:
         if len(units) < len(scale):
             units = np.concatenate((units, next(self._draws)))
         self._units = units[len(scale):]
-        rows = iter(units[:len(scale)] * np.array(scale)[:, None])
-        self._k0, self._rows = k, [None if m == 0.0 else next(rows) for m in mags]
+        rows = units[:len(scale)] * np.array(scale)[:, None]
+        if len(scale) < len(mags):      # a zero row at magnitude 0
+            rows, drawn = np.zeros((len(mags), units.shape[1])), rows
+            rows[np.array(mags) != 0.0] = drawn
+        self._k0, self._stack = k, rows
+        self._rows = [None if m == 0.0 else row for m, row in zip(mags, rows)]
 
 
 def _check_output(k, exact, tilde) -> None:
@@ -419,27 +429,26 @@ def _check_output(k, exact, tilde) -> None:
         raise NumericalError(f"non-finite operator output at step {k}")
 
 
-def _checked(k0: int, Z: np.ndarray, rows: list, space: ProductSpace):
-    """Check the buffered steps ``k0 ..`` (iterates ``Z``, rows ``(exact,
-    tilde, lam, eps, extras)``) over their stacks; return the residual stack,
-    columns and rows.  The earliest failing step raises, its checks in order:
+def _checked(k0: int, Z: np.ndarray, rows: list, evaluate_rows, space, every=False):
+    """Finish (:func:`_complete`) and check the buffered steps ``k0 ..``
+    (iterates ``Z``, rows ``(exact, tilde, lam, eps)``) over their stacks;
+    return the residual, relaxation and error stacks, the columns and the
+    parts.  The earliest failing step raises, its checks in order:
     non-finite output, non-finite error norm, ``e = (z - z+) / lam + eps``.
     On a metric space the loop has scanned every output but the exact ones
     left to the chunk, and those are scanned here before any metric norm,
     for the loop's reason: ``M @ a`` of a non-finite ``a`` meets ``0 *
     inf``, and the norm's clamp at 0 can hide a ``-inf``."""
-    exact, tilde, lam, eps, extras = zip(*rows)
-    X = _stack(exact)
+    X, P, parts = _complete(k0, Z, rows, evaluate_rows, every, space)
     if space.metric is not None and not np.isfinite(X).all():
         r = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
         if r:       # the steps before it fail first
-            _checked(k0, Z[:r + 1], rows[:r], space)
+            _checked(k0, Z[:r + 1], rows[:r], evaluate_rows, space)
         raise NumericalError(f"non-finite operator output at step {k0 + r}")
-    lam, zero, Zk = np.array(lam), np.zeros(space.size), Z[:-1]
+    lam, Zk = np.array([row[2] for row in rows]), Z[:-1]
     E, step = Zk - X, Zk - Z[1:]    # a non-finite step fails below
-    eps_stack = _stack([zero if v is None else v for v in eps])
     res, epsn, disp, drift, znorm = map(space.norms, (
-        E, eps_stack, step, E - (step * (1.0 / lam)[:, None] + eps_stack), Zk))
+        E, P, step, E - (step * (1.0 / lam)[:, None] + P), Zk))
     # a non-finite exact output shows in res, a non-finite tilde in disp;
     # the sum of the norms is finite unless one of them is, or it overflows
     finite = np.isfinite(res + disp + epsn)
@@ -448,50 +457,50 @@ def _checked(k0: int, Z: np.ndarray, rows: list, space: ProductSpace):
     for r in np.flatnonzero(~finite | drifted).tolist():
         k = k0 + r
         if not finite[r]:
-            _check_output(k, exact[r], tilde[r])
+            _check_output(k, X[r], rows[r][1])
             if not math.isfinite(epsn[r]):      # the outputs are finite, the error is not
                 raise NumericalError(f"non-finite error norm at step {k}")
         if drifted[r]:
             raise NumericalError(f"residual identity violated at step {k}: drift {drift[r]:.3e}")
-    return E, lam, eps, extras, res, epsn, disp
-
-
-def _finished(row: tuple, exact: np.ndarray) -> tuple:
-    """A buffered row with the exact output its step left to the chunk."""
-    tilde = row[1]
-    return (exact, tilde, row[2], tilde - exact, row[4])
+    return E, lam, P, res, epsn, disp, parts
 
 
 def _complete(k0: int, Z: np.ndarray, rows: list, evaluate_rows, every: bool,
-              space: ProductSpace) -> Optional[tuple]:
-    """Finish in place the buffered steps ``k0 ..`` (iterates ``Z``, rows as
-    :func:`_checked` takes them) that left their exact output to the chunk,
-    by one stacked ``evaluate_rows`` of those rows, or of ``every`` row;
-    return its parts, or None when it had no rows.  A stacked evaluation
-    that raises is taken again a row at a time, and the first row that
-    raises does so after the checks of the rows before it, as at its step."""
-    if evaluate_rows is None:       # the channel leaves nothing to the chunk
-        return None
-    todo = range(len(rows)) if every else [r for r, row in enumerate(rows) if row[0] is None]
-    if not todo:
-        return None
-    try:
-        exact, parts = evaluate_rows(Z[:-1] if every else Z[todo])
-    except Exception:
-        for r in todo:
-            try:
-                x = evaluate_rows(Z[r:r + 1])[0][0]
-            except Exception:
-                if r:
-                    _checked(k0, Z[:r + 1], rows[:r], space)
-                raise
-            if rows[r][0] is None:
-                rows[r] = _finished(rows[r], x)
-        raise
-    for r, x in zip(todo, exact):
-        if rows[r][0] is None:
-            rows[r] = _finished(rows[r], x)
-    return parts
+              space: ProductSpace) -> tuple:
+    """``(X, P, parts)`` of the buffered steps ``k0 ..`` (iterates ``Z``,
+    rows as :func:`_checked` takes them): their exact outputs and errors (a
+    zero row for an exact step), the outputs left to the chunk taken by one
+    stacked ``evaluate_rows`` of those rows, or of ``every`` row, and their
+    errors by one stacked ``tilde - T z``; and its parts (None without
+    rows).  A stacked evaluation that raises is taken again a row at a
+    time, and the first row that raises does so after the checks of the
+    rows before it, as at its step."""
+    exact, tilde, _, eps = zip(*rows)
+    left = [r for r, x in enumerate(exact) if x is None]
+    whole = len(left) == len(rows) or every and evaluate_rows is not None
+    todo = range(len(rows)) if whole else left
+    out = parts = None
+    if todo:
+        try:
+            out, parts = evaluate_rows(Z[:-1] if whole else Z[left])
+        except Exception:
+            for r in todo:
+                try:
+                    evaluate_rows(Z[r:r + 1])
+                except Exception:
+                    if r:
+                        _checked(k0, Z[:r + 1], rows[:r], evaluate_rows, space)
+                    raise
+            raise
+    if len(left) == len(rows):      # every step left its exact output
+        return out, _stack(tilde) - out, parts
+    X = _stack([t if x is None else x for x, t in zip(exact, tilde)])
+    zero = np.zeros(space.size)
+    P = _stack([zero if v is None else v for v in eps])
+    if left:        # X holds their tilde
+        done = out[left] if whole else out
+        P[left], X[left] = X[left] - done, done
+    return X, P, parts
 
 
 def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
@@ -514,7 +523,7 @@ def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
     # an observed run takes the parts of every step from the stacked
     # evaluation, where a hook reads them
     every = observe is not None and channel.observed_parts
-    zs, rows = [z0], []     # the chunk's iterates and (exact, tilde, lam, eps, extras)
+    zs, rows = [z0], []     # the chunk's iterates and (exact, tilde, lam, eps)
     cols, dists = [[np.empty(0)] for _ in range(5)], []
     k0, S, lam_total = 0, np.zeros(space.size), 0.0
 
@@ -522,8 +531,7 @@ def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
         nonlocal k0, S, lam_total
         Z, chunk = _stack(zs), rows[:]
         del zs[:-1], rows[:]        # a chunk that fails is not checked again
-        parts = _complete(k0, Z, chunk, evaluate_rows, every, space)
-        E, lam, eps, extras, res, epsn, disp = _checked(k0, Z, chunk, space)
+        E, lam, P, res, epsn, disp, parts = _checked(k0, Z, chunk, evaluate_rows, space, every)
         # the running sums S_k = sum lam_j e_j and sum lam_j, bit for bit
         Sk = np.cumsum(np.vstack([S, E * lam[:, None]]), axis=0)[1:]
         totals = np.cumsum(np.concatenate(([lam_total], lam)))[1:]
@@ -531,16 +539,16 @@ def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
             col.append(v)
         if fix is not None:
             dists.append(fix.distances(Z[:-1], space))
-        k0, S, lam_total = k0 + len(chunk), Sk[-1], totals[-1]
         if observe is not None:
-            observe(Steps(Z, E, lam, list(eps), list(extras), parts if every else None))
+            observe(Steps(Z, E, lam, P, errors.window(k0, len(chunk)), parts if every else None))
+        k0, S, lam_total = k0 + len(chunk), Sk[-1], totals[-1]
 
     z, stop_reason = z0, "max_iters"
     try:
         for k in range(stop.max_iters):
             if not constant:
                 lam = relaxation.value(k)
-            exact, tilde, eps_vec, extras = evaluate(k, z, errors)
+            exact, tilde, eps_vec = evaluate(k, z, errors)
             if exact is None and tol > 0.0:     # the stop needs it now: finish it at once
                 exact = evaluate_rows(z[None])[0][0]
                 eps_vec = tilde - exact
@@ -548,7 +556,7 @@ def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
                 _check_output(k, exact, tilde)
             zn = z + (tilde - z) * lam
             zs.append(zn)
-            rows.append((exact, tilde, lam, eps_vec, extras))
+            rows.append((exact, tilde, lam, eps_vec))
             # also the finiteness test: no non-finite iterate is evaluated; the
             # norm decides where zn.dot(zn) fails the cap (as NaN and inf do)
             if not zn.dot(zn) <= cap and not norm(zn) <= _DIVERGENCE_NORM:
@@ -564,9 +572,7 @@ def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
             flush()
     except Exception:
         if rows:    # any failure, from a check or not, comes after those of earlier steps
-            Z = _stack(zs)
-            _complete(k0, Z, rows, evaluate_rows, False, space)
-            _checked(k0, Z, rows, space)
+            _checked(k0, _stack(zs), rows, evaluate_rows, space)
         raise
 
     dist = None if fix is None else np.concatenate([*dists, fix.distances(z[None], space)])
@@ -588,9 +594,8 @@ def run_km(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
     records of ``CHUNK`` consecutive steps, after all of their checks, and
     once more with the steps left when the run ends (by its horizon or its
     residual tolerance): every step is in exactly one record, and
-    consecutive records share their boundary iterate.  A step's extras are
-    the channel's (for a splitting's channel model, a dict with its channel
-    vectors under ``"channel"``; else None).  Constants and certificates are
+    consecutive records share their boundary iterate; its stage errors are
+    the chunk's window of the error stream.  Constants and certificates are
     accumulated through it.  The exact outputs a channel left to the chunk
     are finished by one stacked :attr:`~Channel.evaluate_rows` before the
     chunk's checks; in an observed run of a channel whose parts a hook reads

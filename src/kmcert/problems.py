@@ -85,7 +85,7 @@ class ProblemInstance:
     def run(self, c: float = 0.0, p: float = 3.0, max_iters: Optional[int] = None,
             tol: float = 0.0, observe=None, seed: int = 0) -> IterationTrace:
         """A run with the error law ``c / (k+1)^p`` (exact for ``c = 0``)
-        through :meth:`make_channel`, whose extras reach ``observe``."""
+        through :meth:`make_channel`, whose steps reach ``observe``."""
         stop = StopRule(max_iters=max_iters or self.cert_horizon, residual_tol=tol)
         return run_km(self.make_channel(c, p), self.z0, self.relaxation, stop,
                       fix=self.fix, observe=observe, seed=seed)

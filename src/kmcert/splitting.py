@@ -10,15 +10,16 @@ a point or a ``(C, size)`` stack of points, row for row the same bits.
 Every channel model leaves the exact output of a step whose iterate does
 not need it (an inexact step, a scheduled step at ``gamma_k != gamma``) to
 the chunk, and the engine finishes it with one stacked evaluation
-(:attr:`~kmcert.km.Channel.evaluate_rows`) per chunk.  The GFB channels'
-``(C, ...)`` parts reach the certificate as ``Steps.parts``, so an observed
-GFB run stacks every step (``observed_parts``); a DRS or PDS run stacks
-only the steps left to it.  The DRS channel passes its parts on per step in
-``extras["parts"]``; the exception to the exact internals is the inexact
-DRS certificate's first resolvent output, taken at the perturbed shadow
-point it certifies.  The certificates take the engine's chunks of steps
-(:class:`~kmcert.km.Steps`); a block's membership residual takes ``(C,
-d)`` stacks.
+(:attr:`~kmcert.km.Channel.evaluate_rows`) per chunk.  The GFB and DRS
+channels' ``(C, ...)`` parts reach the certificates as ``Steps.parts``, so
+an observed GFB or DRS run stacks every step (``observed_parts``); a PDS
+run stacks only the steps left to it.  A channel's stage errors reach the
+hooks as the chunk's window of the error stream, ``Steps.errors``.  The
+exception to the exact internals is the inexact DRS certificate's first
+resolvent output, taken again, in one stacked call, at the perturbed
+shadow point it certifies.  The certificates take the engine's chunks of
+steps (:class:`~kmcert.km.Steps`); a block's membership residual takes
+``(C, d)`` stacks.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .bounds import BoundConstants, EmpiricalConstants, pointwise_bound, stack_present
+from .bounds import BoundConstants, EmpiricalConstants, pointwise_bound
 from .errors import NumericalError, ParameterError, StructuralError
-from .km import CHUNK, Channel, ErrorSchedule, GammaSchedule, IterationTrace, Steps, _stack
+from .km import CHUNK, Channel, ErrorSchedule, GammaSchedule, IterationTrace, Steps
 from .operators import CocoerciveMap, OperatorSpec, _soft, composition_alpha
 from .spaces import ProductSpace, _layout, _weighted_sum, apply_rows
 
@@ -187,7 +188,8 @@ class LinearBlock(MonotoneBlock):
                 inverses = _inverse(self._eye + np.multiply.outer(fresh, self.M))
             except NumericalError:
                 return      # each resolvent inverts its own matrix, and raises there
-            self._inverses.update((c, (inv, c * self.c0)) for c, inv in zip(fresh, inverses))
+            # each row of the outer product is the scalar product c * c0
+            self._inverses.update(zip(fresh, zip(inverses, np.multiply.outer(fresh, self.c0))))
 
     def resolvent(self, v, c):
         # a stack goes row by row through apply_rows, whose rows are the
@@ -318,10 +320,10 @@ class _SplittingChannel(Channel):
 
 
 class GfbChannelModel(_SplittingChannel):
-    """Injects a pre-resolvent error (shared across blocks, lifted onto the
-    diagonal) and then per-block post-resolvent errors, reporting the
-    induced iteration error; ``a`` is the ``(n, d)`` block of the latter.
-    The exact output of an inexact step is left to the chunk."""
+    """Injects a pre-resolvent error ``b`` (shared across blocks, lifted onto
+    the diagonal) and then per-block post-resolvent errors ``a``, an ``(n,
+    d)`` block, reporting the induced iteration error.  The exact output of
+    an inexact step is left to the chunk."""
 
     segments_of = staticmethod(lambda built: (built.dim,) * (built.n + 1))
     observed_parts = True
@@ -334,11 +336,10 @@ class GfbChannelModel(_SplittingChannel):
         errs = errors(k)
         if errs is None:
             exact = built.evaluate(z)[0]
-            return exact, exact, None, {"channel": {"b": None, "a": None}}
+            return exact, exact, None
         Z, x, _, args = built._arguments(z, built.gamma)
-        b_vec, a_vecs = errs[:built.dim], built._rows(errs[built.dim:])
-        tilde = (Z + built.resolve_all(args + b_vec) - x + a_vecs).ravel()
-        return None, tilde, None, {"channel": {"b": b_vec, "a": a_vecs}}
+        b, a = errs[:built.dim], built._rows(errs[built.dim:])
+        return None, (Z + built.resolve_all(args + b) - x + a).ravel(), None
 
 
 class GfbScheduleChannel(Channel):
@@ -411,7 +412,7 @@ class GfbScheduleChannel(Channel):
             native, exact = built.evaluate(z, gamma)[0], None
         eps = errors(k)
         tilde = native if eps is None else native + eps
-        return exact, tilde, None if exact is None or tilde is exact else tilde - exact, None
+        return exact, tilde, None if exact is None or tilde is exact else tilde - exact
 
 
 def _l2_rows(X: np.ndarray) -> np.ndarray:
@@ -518,37 +519,37 @@ class DrsChannelModel(_SplittingChannel):
     output).  The exact output of an inexact step is left to the chunk."""
 
     segments_of = staticmethod(lambda built: (built.dim, built.dim))
+    observed_parts = True
 
     def evaluate_rows(self, Z):
         return self.built.evaluate(Z)
 
     def evaluate(self, k, z, errors):
-        # parts: the exact x = j2(z), with w and u = j1(w) at the perturbed
-        # reflection w + 2 e2 when a shadow-point error e2 was injected
         built = self.built
         errs = errors(k)
         if errs is None:
-            exact, parts = built.evaluate(z)
-            return exact, exact, None, {"channel": {"eps1": None, "eps2": None}, "parts": parts}
+            exact = built.evaluate(z)[0]
+            return exact, exact, None
         e1, e2 = errs[:built.dim], errs[built.dim:]
-        x = built.j2(z)
-        w = 2.0 * x - z + 2.0 * e2
-        u = built.j1(w)
-        tilde = 0.5 * (2.0 * u - w + z) + e1
-        return None, tilde, None, {"channel": {"eps1": e1, "eps2": e2}, "parts": (x, w, u)}
+        w = 2.0 * built.j2(z) - z + 2.0 * e2
+        return None, 0.5 * (2.0 * built.j1(w) - w + z) + e1, None
 
 
 class DrsCertificates(_CertificateStream):
-    """The DRS certificate at every step, from the step's evaluation parts
-    and channel errors.  Step ``k`` goes from ``z`` to ``z_next`` with ``x =
+    """The DRS certificate at every step, from the chunk's stacked parts and
+    stage errors.  Step ``k`` goes from ``z`` to ``z_next`` with ``x =
     j2(z)`` exact, ``u`` and ``v = j2(z_next)``; its certificate is an
     explicit element ``g`` of the summed operators at ``(u, v)``, its norm,
     the bound ``((1 + lam)/gamma) * pointwise bound + c_k`` as scale and
     offset (``c_k = (1/gamma)((2 + lam)||eps2|| + ||eps1||)``, 0 for an
     exact step), and the larger membership residual of the two blocks (None
-    when neither is recognized).  ``v`` is the next step's shadow point;
-    for a chunk's last step it is ``j2`` of the chunk's last iterate, one
-    resolvent per chunk."""
+    when neither is recognized).  A step with a shadow-point error ``eps2``
+    certifies the shadow point ``x + eps2`` and ``u = j1(w + 2 eps2)`` at
+    the reflection ``w`` perturbed as its channel perturbed it, taken for
+    the chunk in one stacked resolvent; a step whose ``eps2`` is zero keeps
+    the exact ``u``.  ``v`` is the next step's shadow point; for a chunk's
+    last step it is ``j2`` of the chunk's last iterate, one resolvent per
+    chunk."""
 
     def __init__(self, built: DrsBuilt):
         super().__init__(built)
@@ -557,24 +558,16 @@ class DrsCertificates(_CertificateStream):
 
     def observe(self, steps: Steps) -> None:
         built = self.built
-        z, lam = steps.z, steps.lam
-        parts = [ex["parts"] for ex in steps.extras]
-        x = _stack([p[0] for p in parts])
-        u = _stack([p[2] for p in parts])
+        z, lam, (x, w, u) = steps.z, steps.lam, steps.parts
         v = np.concatenate((x[1:], built.j2(z[-1])[None]))
-        channels = [ex.get("channel") or {} for ex in steps.extras]
-        rows1, e1 = stack_present([c.get("eps1") for c in channels])
-        rows2, e2 = stack_present([c.get("eps2") for c in channels])
-
-        if rows2:       # v is a copy: the shadow points may move in place
-            x[rows2] += e2
+        norm1 = norm2 = np.zeros(len(lam))
+        if steps.errors is not None:
+            e1, e2 = steps.errors[:, :built.dim], steps.errors[:, built.dim:]
+            hit = e2.any(axis=1)[:, None]       # (2 x - z) + 2 e2, as the channel adds
+            x, u = np.where(hit, x + e2, x), np.where(hit, built.j1(w + 2.0 * e2), u)
+            norm1, norm2 = _l2_rows(e1), _l2_rows(e2)
         r1 = 2.0 * x - z[:-1] - u
         r2 = z[1:] - v
-        norm1, norm2 = np.zeros(len(lam)), np.zeros(len(lam))
-        if rows1:
-            norm1[rows1] = _l2_rows(e1)
-        if rows2:
-            norm2[rows2] = _l2_rows(e2)
         residuals = [r for r in (
             built.block1.member_residual(u, r1 / built.gamma),
             built.block2.member_residual(v, r2 / built.gamma),
@@ -749,11 +742,10 @@ class PdsChannelModel(_SplittingChannel):
         errs = errors(k)
         if errs is None:
             exact = built.block_step(z)
-            return exact, exact, None, {"channel": {}}
+            return exact, exact, None
         e1, e2, *duals = (errs[s] for s in self._slices)
         e3, e4 = duals[:len(duals) // 2], duals[len(duals) // 2:]
-        tilde = built.block_step(z, errs=(e1, e2, e3, e4))
-        return None, tilde, None, {"channel": {"eps1": e1, "eps2": e2, "eps3": e3, "eps4": e4}}
+        return None, built.block_step(z, errs=(e1, e2, e3, e4)), None
 
 
 class PdsCertificates(_CertificateStream):

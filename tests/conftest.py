@@ -1,6 +1,5 @@
 """Shared test helpers."""
 
-import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -16,18 +15,20 @@ class Recorder:
     """Row-appending step observer for the engine's ``observe`` hook.
 
     The engine keeps no vectors past a chunk; tests that recompute a
-    quantity from the iterates, residuals, errors, channel vectors or
+    quantity from the iterates, residuals, errors, stage errors or
     evaluation parts of a run record them here, one row per step:
     ``z_vecs`` holds ``z_0 .. z_K``, the other lists one entry per step
-    (``eps_vecs`` holds None for an exact step, ``parts`` the step's row of
-    the chunk's stacked parts, or None for a channel that reports none).
+    (``eps_vecs`` a zero row for an exact step, ``errors`` the step's row of
+    the error stream, its stage errors in the channel's segments, or None
+    for an exact law, ``parts`` the step's row of the chunk's stacked parts,
+    or None for a channel that reports none).
     """
 
     def __init__(self):
         self.z_vecs = []
         self.e_vecs = []
         self.eps_vecs = []
-        self.channel = []
+        self.errors = []
         self.parts = []
 
     def observe(self, steps):
@@ -36,18 +37,9 @@ class Recorder:
         self.z_vecs.extend(steps.z[1:])
         self.e_vecs.extend(steps.e)
         self.eps_vecs.extend(steps.eps)
-        self.channel.extend((ex or {}).get("channel") for ex in steps.extras)
-        if steps.parts is None:
-            self.parts.extend([None] * len(steps.lam))
-        else:
-            self.parts.extend(zip(*steps.parts))
-
-    def eps_vector(self, k):
-        """The error of step k, zero for an exact step."""
-        eps = self.eps_vecs[k]
-        if eps is not None:
-            return eps
-        return np.zeros_like(self.e_vecs[k])
+        none = [None] * len(steps.lam)
+        self.errors.extend(none if steps.errors is None else steps.errors)
+        self.parts.extend(none if steps.parts is None else zip(*steps.parts))
 
 
 def _record(run, *args, also=(), **kwargs):

@@ -420,9 +420,12 @@ def per_step_run(channel, z0: np.ndarray, relaxation: RelaxationSchedule,
     chunk at a time: every norm and check at every step, and a step's exact
     output left to the chunk, and in an observed run of a channel whose
     parts a hook reads every step's parts, from ``channel.evaluate_rows`` of
-    that step's point alone (a stack of one row).  Its trace columns,
-    hand-overs to ``observe`` and failures (exception, step and message)
-    are what the chunked engine must reproduce."""
+    that step's point alone (a stack of one row).  A hand-over stacks the
+    steps' errors, a zero row for an exact step, and their rows of the error
+    stream as each step read it, ``errors(k)``, a zero row for None (None
+    for an exact law).  Its trace columns, hand-overs to ``observe`` and
+    failures (exception, step and message) are what the chunked engine must
+    reproduce."""
     operator, evaluate_rows = channel.operator, channel.evaluate_rows
     space = operator.space
     if np.shape(z0) != (space.size,) or not np.isfinite(z0).all():
@@ -439,14 +442,17 @@ def per_step_run(channel, z0: np.ndarray, relaxation: RelaxationSchedule,
     # every step's parts from its own evaluation, where a hook reads them
     stacked = observe is not None and channel.observed_parts
     if observe is not None:
-        # the chunk's iterates and (e, lam, eps, extras, parts)
+        # the chunk's iterates and (e, lam, eps, error-stream row, parts)
         zs, rows = [z0], []
+        zero, zero_row = np.zeros(space.size), np.zeros(sum(channel.segments))
 
         def hand_over():
-            e_, lam_, eps_, extras_, parts_ = zip(*rows)
+            e_, lam_, eps_, errs_, parts_ = zip(*rows)
             parts = tuple(map(np.concatenate, zip(*parts_))) if stacked else None
-            observe(Steps(np.stack(zs), np.stack(e_), np.array(lam_), list(eps_),
-                          list(extras_), parts))
+            stage = None if not channel.stage_law.c else np.stack(
+                [zero_row if r is None else r for r in errs_])
+            observe(Steps(np.stack(zs), np.stack(e_), np.array(lam_),
+                          np.stack([zero if v is None else v for v in eps_]), stage, parts))
             del zs[:-1], rows[:]
 
     z = z0
@@ -459,7 +465,7 @@ def per_step_run(channel, z0: np.ndarray, relaxation: RelaxationSchedule,
         if fix is not None:
             dist_l.append(space.norm(z - fix.nearest(z)))
 
-        exact, tilde, eps_vec, extras = channel.evaluate(k, z, errors)
+        exact, tilde, eps_vec = channel.evaluate(k, z, errors)
         parts = None
         if exact is None or stacked:
             out, parts = evaluate_rows(z[None])
@@ -496,7 +502,7 @@ def per_step_run(channel, z0: np.ndarray, relaxation: RelaxationSchedule,
             )
         if observe is not None:
             zs.append(zn)
-            rows.append((e, lam, eps_vec, extras, parts))
+            rows.append((e, lam, eps_vec, errors(k), parts))
             if len(rows) == CHUNK:
                 hand_over()
 

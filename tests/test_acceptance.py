@@ -182,7 +182,7 @@ def _step_inequality_slacks(trace, rec, constants, z_star):
     for k in range(trace.n_steps - 1):
         de = rec.e_vecs[k] - rec.e_vecs[k + 1]
         lhs = metric_inner(sp, de, de) / (scale * trace.lam[k])
-        rhs = metric_inner(sp, rec.e_vecs[k] - rec.eps_vector(k), de)
+        rhs = metric_inner(sp, rec.e_vecs[k] - rec.eps_vecs[k], de)
         diff_worst = max(diff_worst, lhs - rhs)
         sq = (trace.res_norm[k + 1] ** 2 - trace.res_norm[k] ** 2
               - constants.nu2 * trace.eps_norm[k])

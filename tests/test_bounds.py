@@ -10,6 +10,7 @@ from kmcert.bounds import (
     gd_theoretical_rate,
     local_zeta,
     local_zeta_averaged,
+    local_zeta_series,
     pointwise_bound,
     trace_series,
     verify_series,
@@ -165,6 +166,38 @@ class TestLocalZetaAveraged:
     def test_range_checked(self):
         with pytest.raises(ParameterError):
             local_zeta_averaged(2.5, 0.5, 1.0)
+
+
+class TestLocalZetaSeries:
+    """The series takes zeta once per distinct relaxation; it must equal the
+    per-step list of the scalar forms, bit for bit."""
+
+    # (alpha, kappa, relaxations): ratio tau/kappa^2 == 1 at lam = 0.5 (plain,
+    # kappa 0.5) and lam = 1 (averaged, alpha 0.5, kappa 1); moduli past 1e150
+    CASES = [
+        (None, 0.5, [0.5, 0.25, 1.0, -0.0, 0.0, 1e-300, 0.5 + 2.0 ** -53]),
+        (None, 3.0, [0.5, 0.1, 0.9, 1.0 / 3.0]),
+        (None, 1e151, [0.5, 0.25, 1e-300]),
+        (0.5, 1.0, [1.0, 0.5, 1.5, np.nextafter(2.0, 0.0), 1e-300]),
+        (0.75, 2.0, [1.0, 0.5, 4.0 / 3.0 - 1e-12]),
+        (0.5, 1e200, [1.0, 1.9]),
+    ]
+
+    @pytest.mark.parametrize("alpha, kappa, pool", CASES)
+    def test_equals_the_per_step_list(self, alpha, kappa, pool):
+        lam = np.random.default_rng(1).choice(np.array(pool), 500)
+        if alpha is None:
+            want = [local_zeta(lk * (1.0 - lk), kappa) for lk in lam.tolist()]
+        else:
+            want = [local_zeta_averaged(lk, alpha, kappa) for lk in lam.tolist()]
+        assert local_zeta_series(lam, alpha, kappa).tobytes() == np.array(want).tobytes()
+        assert local_zeta_series(lam[:0], alpha, kappa).shape == (0,)
+
+    def test_an_inadmissible_relaxation_still_raises(self):
+        with pytest.raises(ParameterError, match="relaxation outside"):
+            local_zeta_series(np.array([1.0, 2.5, 1.0]), 0.5, 1.0)
+        with pytest.raises(ParameterError, match="tau must be non-negative"):
+            local_zeta_series(np.array([0.5, 1.5]), None, 1.0)
 
 
 class TestGdTheoreticalRate:

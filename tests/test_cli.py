@@ -441,6 +441,18 @@ class TestCsvReaderBlocks:
         with pytest.raises(ParameterError, match="^malformed trace row with 12 fields"):
             parse_trace_csv(self.write(tmp_path, edit))
 
+    @pytest.mark.parametrize("first, second, fields", [(1500, 1600, 12), (1600, 1500, 14)])
+    def test_short_and_long_rows_of_one_block_raise_as_read(self, tmp_path, first, second,
+                                                             fields):
+        # a row one field short and one a field long leave the block 13 n
+        # fields; the earlier of the two raises, before the unparsable k
+        def edit(rows):
+            self.set_cell(rows, 5, "k", "five")
+            rows[first].pop()
+            rows[second].append("1")
+        with pytest.raises(ParameterError, match=f"^malformed trace row with {fields} fields"):
+            parse_trace_csv(self.write(tmp_path, edit))
+
     def test_unparsable_cell_names_its_row_and_column(self, tmp_path):
         path = self.write(tmp_path, lambda rows: self.set_cell(rows, 2500, "gamma", "abc"))
         with pytest.raises(ParameterError, match=r"^data row 2500 \(k=2500\): column "

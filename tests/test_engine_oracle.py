@@ -4,10 +4,13 @@
 ``CHUNK`` steps, and finishes the exact outputs a channel left to the chunk
 with one stacked evaluation; the oracle takes each of them at its step, the
 exact output and parts from an evaluation of that step's point alone.
-Their traces, end points and hand-overs to ``observe`` (the stacked parts
-included) must be equal, bit for bit, on the six certification problems and
-a harmonic step-size schedule, exact and inexact, for runs that end on
-either side of a chunk boundary or early by the residual tolerance.  A
+Their traces, end points and hand-overs to ``observe`` (the error stacks,
+the windows of the error stream and the stacked parts included) must be
+equal, bit for bit, on the six certification problems and a harmonic
+step-size schedule (bare, GFB, scheduled GFB, DRS and PDS channels), exact,
+inexact and with a law that reaches 0 inside the first window, for runs
+that end on either side of a chunk boundary or early by the residual
+tolerance.  A
 failing run must fail as the oracle fails: the same exception and message,
 which names the step.  Each failure is injected from a step on, so a check
 that reports a later bad row of its chunk than the first one names the
@@ -38,6 +41,8 @@ from oracles import per_step_run
 
 HORIZONS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
 ERROR_LAW = (0.1, 3.0)
+# subnormal magnitudes from k = 10 and 0 from k = 11 on
+REACHES_0 = (0.1, 300.0)
 
 
 def lasso_with_its_reference():
@@ -114,7 +119,8 @@ def assert_same_run(engine, oracle):
             assert_same(getattr(steps, name), getattr(want_steps, name))
 
 
-@pytest.mark.parametrize("law", [(0.0, 3.0), ERROR_LAW], ids=["exact", "inexact"])
+@pytest.mark.parametrize("law", [(0.0, 3.0), ERROR_LAW, REACHES_0],
+                         ids=["exact", "inexact", "reaches-0"])
 @pytest.mark.parametrize("label", sorted(MAKERS))
 def test_traces_and_hand_overs_equal_the_per_step_oracle(problems, monkeypatch, label, law):
     problem = problems[label]
@@ -157,7 +163,8 @@ class Injected:
     def __init__(self, problem, kind, at):
         channel = problem.make_channel(*ERROR_LAW)
         self.evaluate_inner, self.alphas = channel.evaluate, channel.alphas
-        self.errors = channel.errors
+        self.errors, self.segments, self.stage_law = (channel.errors, channel.segments,
+                                                      channel.stage_law)
         self.operator = problem.operator
         self.rows_inner, self.observed_parts = channel.evaluate_rows, channel.observed_parts
         if channel.evaluate_rows is not None:
@@ -183,11 +190,11 @@ class Injected:
         return exact, parts
 
     def evaluate(self, k, z, errors):
-        exact, tilde, eps, extras = self.evaluate_inner(k, z, errors)
+        exact, tilde, eps = self.evaluate_inner(k, z, errors)
         self.step_of[z.tobytes()] = k
         kind = self.kind
         if k < self.at:
-            return exact, tilde, eps, extras
+            return exact, tilde, eps
         if kind == "late-raise" and k > self.at:
             raise ParameterError(f"evaluation refused at step {k}")
         if exact is None and kind in ("error-norm", "drift", "divergence"):
@@ -210,7 +217,7 @@ class Injected:
         elif kind == "divergence":
             tilde = tilde + 1e13
             eps = tilde - exact
-        return exact, tilde, eps, extras
+        return exact, tilde, eps
 
 
 @pytest.mark.parametrize("at", [0, CHUNK - 1, CHUNK, CHUNK + 1])

@@ -64,7 +64,7 @@ class TestRunKmClosedForms:
         recomputed = np.empty(tr.n_steps)
         for k in range(tr.n_steps):
             v = rec.z_vecs[k] - rec.z_vecs[k + 1]
-            ref = (rec.e_vecs[k] - rec.eps_vector(k)) * tr.lam[k]
+            ref = (rec.e_vecs[k] - rec.eps_vecs[k]) * tr.lam[k]
             assert sp.norm(v - ref) <= 1e-12 * max(1.0, sp.norm(rec.z_vecs[k]))
             recomputed[k] = sp.norm(v)
         assert np.max(np.abs(recomputed - tr.disp_norm)) == 0.0
@@ -178,7 +178,7 @@ class TestInexactRuns:
         sp = T.space
         for k in range(tr.n_steps):
             step = rec.z_vecs[k + 1] - rec.z_vecs[k]
-            ref = (rec.eps_vector(k) - rec.e_vecs[k]) * tr.lam[k]
+            ref = (rec.eps_vecs[k] - rec.e_vecs[k]) * tr.lam[k]
             assert sp.norm(step - ref) <= 1e-12
 
     def test_determinism(self, record):
@@ -214,7 +214,7 @@ class TestStepInequalities:
         for k in range(tr.n_steps - 1):
             de = rec.e_vecs[k] - rec.e_vecs[k + 1]
             lhs = metric_inner(sp, de, de) / (scale * tr.lam[k])
-            rhs = metric_inner(sp, rec.e_vecs[k] - rec.eps_vector(k), de)
+            rhs = metric_inner(sp, rec.e_vecs[k] - rec.eps_vecs[k], de)
             worst = max(worst, lhs - rhs)
         return worst
 
@@ -263,8 +263,8 @@ class MisreportingChannel(Channel):
         self.rel = rel
 
     def evaluate(self, k, z, errors):
-        exact, tilde, eps, extras = super().evaluate(k, z, errors)
-        return exact, tilde, eps * (1.0 + self.rel), extras
+        exact, tilde, eps = super().evaluate(k, z, errors)
+        return exact, tilde, eps * (1.0 + self.rel)
 
 
 class TestResidualIdentity:
@@ -380,7 +380,7 @@ class TestNonstationary:
             z = rec.z_vecs[k]
             T_k = GfbBuilt(built.blocks, built.weights, p.schedule.value(k),
                            built.dim, built.smooth).operator
-            injected = norm(rec.eps_vector(k) - (T_k(z) - p.operator(z)))
+            injected = norm(rec.eps_vecs[k] - (T_k(z) - p.operator(z)))
             mag = 0.1 / (k + 1.0) ** 3
             assert abs(injected - mag) <= 1e-12 * max(mag, norm(z))
 

@@ -245,7 +245,7 @@ class TestEvaluationCounts:
         assert [(b.calls, b.vectors) for b in built.blocks] == [(41, 80)] * 3
 
     @pytest.mark.parametrize("tol", [0.0, 1e-6], ids=["horizon", "residual_tol"])
-    def test_drs_run_makes_k_first_and_k_plus_one_second_resolvents(self, tol):
+    def test_exact_drs_step_resolves_once_and_its_chunk_once_more(self, tol):
         p = make_two_subspaces(np.pi / 4, 4)
         built = p.built
         built.block1, built.block2 = Counting(built.block1), Counting(built.block2)
@@ -253,22 +253,27 @@ class TestEvaluationCounts:
         K = tr.n_steps
         assert (K == 200) == (tol == 0.0)
         assert tr.stop_reason == ("max_iters" if tol == 0.0 else "residual_tol")
-        # v_k = j2(z_{k+1}) is the next step's shadow point; only the last
+        # each step resolves once for its iterate, and the certificate's
+        # parts come from one stacked call over the run's one chunk; v_k =
+        # j2(z_{k+1}) is the next step's shadow point, and only the last
         # step's is evaluated by the certificate itself
-        assert (built.block1.calls, built.block2.calls) == (K, K + 1)
+        assert [(b.calls, b.vectors) for b in (built.block1, built.block2)] == [
+            (K + 1, 2 * K), (K + 2, 2 * K + 1)]
         assert series.values.size == K
 
     def test_inexact_drs_step_resolves_once_and_its_chunk_once_more(self):
         # an inexact step resolves for its perturbed iterate only; the exact
-        # outputs of the run's one chunk come from one stacked call per block
+        # outputs and parts of the run's one chunk come from one stacked
+        # call per block
         p = make_two_subspaces(np.pi / 4, 4)
         built = p.built
         built.block1, built.block2 = Counting(built.block1), Counting(built.block2)
         tr, _, series = p.certified_run(0.1, 3.0, max_iters=200)
         assert tr.n_steps == 200 and series.values.size == 200
-        # the certificate's j2 of the chunk's last iterate is one more
+        # the certificate takes j1 at the chunk's perturbed reflections in
+        # one stacked call, and j2 of the chunk's last iterate
         assert [(b.calls, b.vectors) for b in (built.block1, built.block2)] == [
-            (201, 400), (202, 401)]
+            (202, 600), (202, 401)]
 
     @pytest.mark.parametrize("law", [(), (0.1, 3.0)], ids=["exact", "inexact"])
     def test_pds_step_evaluates_once(self, law):
@@ -360,13 +365,12 @@ class TestGfbBuild:
     def test_channel_error_bounded_by_channels(self, record):
         p = make_gfb_multiblock(3, 8, seed=2)
         tr, rec = record(p.run, c=0.2, p=2.0, max_iters=50)
+        d = p.built.dim
         for k in range(tr.n_steps):
-            ch = rec.channel[k]
-            b = ch["b"]
-            pre = np.linalg.norm(b) if b is not None else 0.0
-            post = np.sqrt(sum(
-                w * (np.linalg.norm(a) ** 2 if a is not None else 0.0)
-                for w, a in zip(p.built.weights, ch["a"])))
+            # the stage errors: b, then one a per block
+            b, a = rec.errors[k][:d], rec.errors[k][d:].reshape(-1, d)
+            pre = np.linalg.norm(b)
+            post = np.sqrt(sum(w * np.linalg.norm(ai) ** 2 for w, ai in zip(p.built.weights, a)))
             assert tr.eps_norm[k] <= pre + post + 1e-12
 
 
@@ -461,12 +465,10 @@ class TestDrs:
         tr, rec = record(p.run, c=0.2, p=2.0, max_iters=60)
         sp = p.operator.space
         for k in range(tr.n_steps):
-            ch = rec.channel[k]
-            e1 = ch["eps1"] if ch["eps1"] is not None else np.zeros(4)
-            e2 = ch["eps2"] if ch["eps2"] is not None else np.zeros(4)
+            e1, e2 = rec.errors[k][:4], rec.errors[k][4:]
             n1, n2 = np.linalg.norm(e1), np.linalg.norm(e2)
             assert tr.eps_norm[k] <= n1 + n2 + 1e-12
-            eps = rec.eps_vector(k)
+            eps = rec.eps_vecs[k]
             assert np.linalg.norm(eps - (e1 + e2)) <= 2.0 * n2 + 1e-12
 
     def test_certificate_membership_orthogonal_complement(self):
@@ -697,7 +699,7 @@ class TestNonstationaryFamily:
         channel = GfbScheduleChannel(built, GammaSchedule.from_function(
             lambda k: 1.7, built.gamma, 1.2, 1.8), ErrorSchedule.power(0.0, 3.0))
         z = np.random.default_rng(5).standard_normal(p.built.space.size)
-        exact, out, eps, extras = channel.evaluate(0, z, channel.errors(np.random.default_rng(0)))
+        exact, out, eps = channel.evaluate(0, z, channel.errors(np.random.default_rng(0)))
         # the limit's output is left to the chunk's stacked evaluation
         assert exact is None and eps is None
         assert np.array_equal(channel.evaluate_rows(z[None])[0][0], p.built.evaluate(z)[0])
@@ -1031,23 +1033,27 @@ def two_dual_pds(law):
     return PdsChannelModel(built, law)
 
 
-# label: (channel of a law, its stage errors from (eps, extras["channel"]) in
-# draw order, the stage sizes, the share of the law per stage, and whether a
-# stage is drawn in the space norm rather than the Euclidean one)
+def segments(sizes):
+    """The stage errors of an error-stream row, split at the stage sizes."""
+    return lambda eps, row: np.split(row, np.cumsum(sizes)[:-1])
+
+
+# label: (channel of a law, its stage errors in draw order from its reported
+# error and its step's error-stream row, the stage sizes, the share of the
+# law per stage, and whether a stage is drawn in the space norm rather than
+# the Euclidean one)
 CHANNELS = {
     "bare": (lambda law: Channel(make_zero_map(d=4).operator, law),
-             lambda eps, ch: [eps], [4], 1.0, True),
+             lambda eps, row: [eps], [4], 1.0, True),
     "gfb": (lambda law: GfbChannelModel(make_gfb_multiblock(3, 5).built, law),
-            lambda eps, ch: [ch["b"], *ch["a"]], [5, 5, 5, 5], 2.0, False),
+            segments([5, 5, 5, 5]), [5, 5, 5, 5], 2.0, False),
     "drs": (lambda law: DrsChannelModel(make_two_subspaces(np.pi / 4, 3).built, law),
-            lambda eps, ch: [ch["eps1"], ch["eps2"]], [3, 3], 2.0, False),
-    "pds": (two_dual_pds,
-            lambda eps, ch: [ch["eps1"], ch["eps2"], *ch["eps3"], *ch["eps4"]],
-            [3, 3, 2, 4, 2, 4], 4.0, False),
+            segments([3, 3]), [3, 3], 2.0, False),
+    "pds": (two_dual_pds, segments([3, 3, 2, 4, 2, 4]), [3, 3, 2, 4, 2, 4], 4.0, False),
     # gamma_k = gamma: the reported error is (exact + injected) - exact
     "gfb-schedule": (lambda law: GfbScheduleChannel(
         make_multiblock_nonstationary("constant", d=5).built,
-        GammaSchedule.constant(1.5), law), lambda eps, ch: [eps], [15], 1.0, True),
+        GammaSchedule.constant(1.5), law), lambda eps, row: [eps], [15], 1.0, True),
 }
 
 
@@ -1068,12 +1074,12 @@ def test_channel_draws_its_stages_in_order_at_their_share_of_the_law(label):
     errors, replay = channel.errors(ZeroingGenerator(7, zeros)), ZeroingGenerator(7, zeros)
     steps = 2 * CHUNK + 3
     for k in range(steps):
-        exact, tilde, eps, extras = channel.evaluate(k, z, errors)
+        exact, tilde, eps = channel.evaluate(k, z, errors)
         if exact is None:       # left to the chunk: the engine finishes it so
             exact = channel.evaluate_rows(z[None])[0][0]
             eps = tilde - exact
         mag = c / share / (k + 1.0) ** p
-        drawn = stages(eps, (extras or {}).get("channel"))
+        drawn = stages(eps, errors(k))
         assert len(drawn) == len(sizes)
         for got, size in zip(drawn, sizes):
             want = per_draw_stage(replay, size, mag, space)
@@ -1088,7 +1094,7 @@ def test_channel_draws_its_stages_in_order_at_their_share_of_the_law(label):
     exact_channel = make(ErrorSchedule.power(0.0, p))
     errors = exact_channel.errors(quiet)
     for k in range(3):
-        exact, tilde, eps, _ = exact_channel.evaluate(k, z, errors)
+        exact, tilde, eps = exact_channel.evaluate(k, z, errors)
         assert eps is None and tilde is exact
     assert quiet.calls == 0
 

@@ -30,6 +30,8 @@ from oracles import gfb_certificate, member_residual
 
 STEPS = 200
 ERROR_LAW = (0.1, 3.0)
+# subnormal magnitudes from k = 10 and 0 from k = 11 on: zero stage errors
+REACHES_0 = (0.1, 300.0)
 
 MAKERS = {
     "zero-map": lambda: make_zero_map(4),
@@ -76,13 +78,15 @@ def two_pass_drs(built, trace, rec, constants):
     members = []
     for k in range(trace.n_steps):
         zv, znv = rec.z_vecs[k], rec.z_vecs[k + 1]
-        ch = rec.channel[k] or {}
-        e1, e2 = ch.get("eps1"), ch.get("eps2")
+        # the stage errors: eps1, then eps2, in the step's error-stream row
+        row = rec.errors[k]
+        e1, e2 = (None, None) if row is None else (row[:built.dim], row[built.dim:])
         # shadow point x = j2(z) + e2; u = j1 at the channel's perturbed
-        # reflection (2 j2(z) - z) + 2 e2; v = j2(z_{k+1})
+        # reflection (2 j2(z) - z) + 2 e2; v = j2(z_{k+1}); a zero e2
+        # perturbs nothing
         x = built.j2(zv)
         w = 2.0 * x - zv
-        if e2 is not None:
+        if e2 is not None and e2.any():
             x = x + e2
             w = w + 2.0 * e2
         u = built.j1(w)
@@ -103,7 +107,7 @@ def two_pass_drs(built, trace, rec, constants):
 
 def two_pass_pds(built, trace, rec, z_star):
     space = built.space
-    eps_norm = np.array([space.base_norm(rec.eps_vector(k)) for k in range(trace.n_steps)])
+    eps_norm = np.array([space.base_norm(rec.eps_vecs[k]) for k in range(trace.n_steps)])
     base = two_pass_constants(trace, rec, z_star, space.base_norm, eps_norm)
     vals = np.array([space.base_norm(e) for e in rec.e_vecs[: trace.n_steps]])
     bnds = 2.0 * built.delta / built.eta * pointwise_bound(np.arange(trace.n_steps), base)
@@ -115,7 +119,8 @@ def problems():
     return {label: make() for label, make in MAKERS.items()}
 
 
-@pytest.mark.parametrize("law", [(), ERROR_LAW], ids=["exact", "inexact"])
+@pytest.mark.parametrize("law", [(), ERROR_LAW, REACHES_0],
+                         ids=["exact", "inexact", "reaches-0"])
 @pytest.mark.parametrize("label", list(MAKERS))
 def test_streamed_equals_two_pass(problems, record, label, law):
     problem = problems[label]
@@ -133,7 +138,7 @@ def test_streamed_equals_two_pass(problems, record, label, law):
     assert len(rec.z_vecs) == STEPS + 1
 
     assert constants == two_pass_constants(trace, rec, z_star, space.norm, trace.eps_norm)
-    base_eps = np.array([space.base_norm(rec.eps_vector(k)) for k in range(STEPS)])
+    base_eps = np.array([space.base_norm(rec.eps_vecs[k]) for k in range(STEPS)])
     assert base.constants(trace) == two_pass_constants(trace, rec, z_star,
                                                        space.base_norm, base_eps)
 
@@ -195,7 +200,8 @@ def assert_chunk_contract(calls, trace, rec):
     assert all(c == CHUNK for c in sizes[:-1])
     for steps, c in zip(calls, sizes):
         assert steps.z.shape[0] == c + 1 and steps.e.shape[0] == c
-        assert len(steps.eps) == c and len(steps.extras) == c
+        assert steps.eps.shape == steps.e.shape
+        assert steps.errors is None or len(steps.errors) == c
     for a, b in zip(calls, calls[1:]):
         assert np.array_equal(a.z[-1], b.z[0])
     assert sum(sizes) == trace.n_steps

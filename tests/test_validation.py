@@ -181,7 +181,7 @@ class Poisoned:
         self.value, self.index, self.which = value, index, which
 
     def evaluate(self, k, z, errors):
-        exact, tilde, eps, extras = self.inner(k, z, errors)
+        exact, tilde, eps = self.inner(k, z, errors)
         if exact is None:
             exact = self.finish(z[None])[0][0]
             eps = tilde - exact
@@ -193,7 +193,7 @@ class Poisoned:
             else:
                 tilde = tilde.copy()
             (tilde if self.which == "tilde" else exact)[self.index] = self.value
-        return exact, tilde, eps, extras
+        return exact, tilde, eps
 
 
 def run_poisoned(problem, *args, **kwargs):
@@ -366,6 +366,17 @@ class TestCaches:
             for v in (V[0], V):
                 want = LinearBlock(M, c0).resolvent(v, c)
                 assert blk.resolvent(v, c).tobytes() == want.tobytes()
+
+    def test_prepared_shifts_are_the_scalar_products(self):
+        # a window's shifts come from one outer product; each stored shift
+        # must be the scalar product c * c0 of its value, bit for bit
+        rng = np.random.default_rng(9)
+        c0 = np.array([-0.0, 0.0, 5e-324, -1e-310, 1.0 / 3.0, -7.1, 1e300])
+        cs = [0.05, 1.0 / 3.0, 5e-324, 4.9, 1.0 / 3.0, 1e-10, *rng.uniform(0.05, 5.0, 40)]
+        blk = LinearBlock(np.eye(7), c0)
+        blk.prepare(cs)
+        for c in cs:
+            assert blk._inverses[c][1].tobytes() == (c * c0).tobytes()
 
     def test_window_and_cache_stay_bounded(self, monkeypatch):
         # the store holds the announced window and the limit, at every

@@ -95,6 +95,10 @@ def with_drawn_relaxation(build):
 
 @settings(max_examples=120, deadline=None)
 @given(instances())
+# one step, no transition to check: a zero start distance moves only the
+# local model, which verify recomputes
+@example((dict(cli.DEFAULTS, problem="zero-map", name="prop", dim=3, lam=0.5, max_iters=1),
+          ("dist_fix", 0, 0.0)))
 def test_run_and_verify_agree_on_generated_instances(drawn):
     cfg, edit = drawn
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
@@ -129,9 +133,13 @@ def test_run_and_verify_agree_on_generated_instances(drawn):
         own, _ = verify_series(cols, constants, report["alpha"], report["kappa"])
         found = cli.verify_files(csv_path, report_path)
         assert kinds(own) == kinds(found)
-        # the run passed, so an edit that breaks a bound contradicts its report
+        # the run passed, so an edit that breaks a bound contradicts its
+        # report, and so does one that moves a bound column verify recomputes
+        # (dist_fix[0] scales the local model)
         record = cli.certify_files(csv_path, report_path)
-        assert ((-1, "report") in kinds(record)) == bool(own)
+        moved = any(record.columns[n].tobytes() != parsed[n].tobytes() for n in record.columns)
+        assert ((-1, "report") in kinds(record)) == (bool(own) or moved)
+        assert moved <= (edit is not None and edit[0] == "dist_fix" and edit[1] % K == 0)
         if edit is None:
             assert found == []
 
@@ -328,3 +336,32 @@ def test_verify_fails_a_tampered_report(short_runs, data, tmp_path_factory):
     report_path.write_text(json.dumps(doc))
     assert (-1, "report") in kinds(cli.certify_files(csv_path, str(report_path)))
     assert cli.main(["verify", csv_path, str(report_path)]) == 1
+
+
+BOUND_COLUMNS = ("pw_bound", "erg_bound", "local_model")
+
+
+@pytest.mark.parametrize("column", BOUND_COLUMNS)
+def test_verify_checks_the_trace_bound_columns_bit_for_bit(short_runs, column, tmp_path):
+    # every run's untouched files verify clean (short_runs); a bound column
+    # the record computes fails when one cell moves by one ulp, and one it
+    # does not compute (an inexact run's local model, every bound column of
+    # a scheduled run) fails when it is filled
+    edited = 0
+    for name, (csv_path, report) in sorted(short_runs.items()):
+        _, cols = cli.parse_trace_csv(csv_path)
+        blank = np.isnan(cols[column]).all()
+        trace = tmp_path / f"{name}.csv"
+        trace.write_text(pathlib.Path(csv_path).read_text())
+        if blank:
+            for k in range(report["steps"]):
+                set_cell(trace, k, column, 1.0)
+        else:
+            k = report["steps"] // 2
+            set_cell(trace, k, column, np.nextafter(cols[column][k], np.inf))
+        report_path = f"{csv_path[:-4]}.json"
+        assert (-1, "report") in kinds(cli.certify_files(str(trace), report_path)), name
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", str(trace), report_path]) == 1, name
+        edited += not blank
+    assert edited >= (10 if column != "local_model" else 3)
