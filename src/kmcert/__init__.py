@@ -28,7 +28,6 @@ from .km import (
     FixedPointSet,
     GammaSchedule,
     IterationTrace,
-    RelaxationSchedule,
     StopRule,
     run_km,
 )

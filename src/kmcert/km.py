@@ -1,8 +1,9 @@
 """Inexact and non-stationary relaxed fixed-point engine with trace recording.
 
-One step is ``z+ = z + lam * (T z + eps - z)``.  The recorded residual is
-``e = z - T z``; by rearranging the step, ``e = (z - z+) / lam + eps``, and
-the engine cross-checks both forms for every step.  Its loop keeps what the
+One step is ``z+ = z + lam * (T z + eps - z)``, with one relaxation ``lam``
+for the whole run.  The recorded residual is ``e = z - T z``; by
+rearranging the step, ``e = (z - z+) / lam + eps``, and the engine
+cross-checks both forms for every step.  Its loop keeps what the
 next evaluation needs: the evaluation, the update and the norm of ``z+``
 (the divergence guard).  The checks, the trace columns and the ergodic sums
 are taken over stacks of ``CHUNK`` steps, which ``observe`` then receives.
@@ -42,10 +43,6 @@ from .spaces import ProductSpace
 _IDENTITY_TOL = 1e-12
 # an iterate norm past this is reported as divergence
 _DIVERGENCE_NORM = 1e12
-# custom schedule values may leave their declared interval by this much, the
-# rounding of an in-range expression; it matches the 1e-12 the admissibility
-# check grants the relaxation supremum
-_RANGE_TOL = 1e-12
 # steps the engine buffers before it takes their bookkeeping and hands them over
 CHUNK = 256
 # |gamma_k - gamma| of a geometric schedule is |gamma_0 - gamma| / 1.1^k
@@ -57,49 +54,9 @@ def _stack(points) -> np.ndarray:
     return np.concatenate(points).reshape(len(points), -1)
 
 
-def _in_range(value: float, lo: float, hi: float) -> bool:
-    slack = _RANGE_TOL * max(1.0, abs(lo), abs(hi))
-    return lo - slack <= value <= hi + slack
-
-
 # ---------------------------------------------------------------------------
 # schedules
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RelaxationSchedule:
-    """Relaxation sequence with declared infimum / supremum."""
-
-    kind: str
-    lam_min: float
-    lam_max: float
-    _fn: Optional[Callable[[int], float]] = None
-    _value: float = 0.0
-
-    @staticmethod
-    def constant(lam: float) -> "RelaxationSchedule":
-        lam = float(lam)
-        if not lam > 0:
-            raise ParameterError(f"relaxation must be positive, got {lam}")
-        return RelaxationSchedule("constant", lam, lam, None, lam)
-
-    @staticmethod
-    def from_function(fn, lam_min: float, lam_max: float) -> "RelaxationSchedule":
-        if not (0.0 < lam_min <= lam_max):
-            raise ParameterError("need 0 < inf lam <= sup lam")
-        return RelaxationSchedule("sequence", float(lam_min), float(lam_max), fn)
-
-    def value(self, k: int) -> float:
-        if self.kind == "constant":
-            return self._value
-        lam = float(self._fn(k))
-        if not _in_range(lam, self.lam_min, self.lam_max):
-            raise ParameterError(
-                f"relaxation {lam} at step {k} outside the declared "
-                f"[{self.lam_min}, {self.lam_max}]"
-            )
-        return lam
-
 
 @dataclass(frozen=True)
 class ErrorSchedule:
@@ -132,20 +89,16 @@ class ErrorSchedule:
 @dataclass(frozen=True)
 class GammaSchedule:
     """Per-step operator parameter with a declared limit and symbolic
-    summability classification of ``|gamma_k - gamma|``.
-
-    Built-in schedules move monotonically from ``start`` to ``limit``; a
-    custom schedule declares its range ``[start, hi]`` and every value is
-    checked against it.
-    """
+    summability classification of ``|gamma_k - gamma|``.  The values move
+    monotonically from ``value(0)``, which is ``start`` up to the rounding
+    of ``limit + (start - limit)``, to ``limit``, so every one lies in
+    :attr:`interval` by construction."""
 
     kind: str
     limit: float
     start: float
-    abs_summable: Optional[bool] = None   # sum |gamma_k - gamma| finite
-    k_summable: Optional[bool] = None     # sum (k+1) |gamma_k - gamma| finite
-    _fn: Optional[Callable[[int], float]] = None
-    hi: Optional[float] = None                # upper end of a custom range
+    abs_summable: bool      # sum |gamma_k - gamma| finite
+    k_summable: bool        # sum (k+1) |gamma_k - gamma| finite
 
     @staticmethod
     def constant(gamma: float) -> "GammaSchedule":
@@ -167,19 +120,13 @@ class GammaSchedule:
         return GammaSchedule("harmonic", float(limit), float(start),
                              abs_summable=False, k_summable=False)
 
-    @staticmethod
-    def from_function(fn, limit: float, lo: float, hi: float) -> "GammaSchedule":
-        limit, lo, hi = float(limit), float(lo), float(hi)
-        if not (lo <= limit <= hi):
-            raise ParameterError(f"need lo <= limit <= hi, got [{lo}, {hi}] and {limit}")
-        return GammaSchedule("custom", limit, lo, _fn=fn, hi=hi)
-
     @property
     def interval(self):
-        """Declared range ``(lo, hi)`` of the values."""
-        if self.kind == "custom":
-            return self.start, self.hi
-        return min(self.start, self.limit), max(self.start, self.limit)
+        """The range ``(lo, hi)`` of the values, from ``value(0)`` to ``limit``:
+        each is ``limit`` plus a rounded fraction of ``start - limit``, and
+        rounding is monotonic, so none lies past ``value(0)``."""
+        first = self.value(0)
+        return min(first, self.limit), max(first, self.limit)
 
     def value(self, k: int) -> float:
         if self.kind == "constant":
@@ -190,19 +137,10 @@ class GammaSchedule:
             return self.limit + gap * _GEOMETRIC_RATIO ** (-k)
         if self.kind == "inverse-square":
             return self.limit + gap / max(k, 1) ** 2
-        if self.kind == "harmonic":
-            return self.limit + gap / max(k, 1)
-        g = float(self._fn(k))
-        if not _in_range(g, self.start, self.hi):
-            raise ParameterError(
-                f"parameter {g} at step {k} outside the declared [{self.start}, {self.hi}]"
-            )
-        return g
+        return self.limit + gap / max(k, 1)     # harmonic
 
     @property
     def summability_note(self) -> str:
-        if self.abs_summable is None:
-            return "summability unknown (custom schedule)"
         if not self.abs_summable:
             return "not summable; convergence not guaranteed"
         if not self.k_summable:
@@ -293,13 +231,16 @@ class Steps(NamedTuple):
 # engine
 # ---------------------------------------------------------------------------
 
-def _validate_admissible(relaxation: RelaxationSchedule, alpha) -> None:
+def _validate_admissible(lam: float, alpha) -> float:
+    """Reject a relaxation outside ``(0, cap]``, up to 1e-12, and return the
+    admissible cap ``1/alpha`` (1 for a non-expansive operator)."""
     cap = 1.0 if alpha is None else 1.0 / alpha
-    if relaxation.lam_max > cap + 1e-12:
+    if not 0.0 < lam <= cap + 1e-12:
         raise ParameterError(
-            f"relaxation supremum {relaxation.lam_max} exceeds admissible cap {cap} "
-            f"for the certified averagedness class"
+            f"relaxation {lam} must be positive and at most the admissible cap {cap} "
+            f"of the certified averagedness class"
         )
+    return cap
 
 
 class Channel:
@@ -373,10 +314,11 @@ class Channel:
 class ErrorStream:
     """A run's errors: ``errors(k)`` is step ``k``'s errors, its segments in
     one row, or None for magnitude 0; every step reads its own, in order,
-    so windows start at multiples of ``CHUNK``.  The law is read ``CHUNK``
-    steps ahead, each magnitude once and in step order, and the window's
-    non-zero magnitudes scale the next unit rows of ``draws`` in one
-    product, row ``r`` times the ``r``-th of them (each row is ``unit_row *
+    so windows start at multiples of ``CHUNK``; a read out of that order
+    raises ``StructuralError``.  The law is read ``CHUNK`` steps ahead,
+    each magnitude once and in step order, and the window's non-zero
+    magnitudes scale the next unit rows of ``draws`` in one product, row
+    ``r`` times the ``r``-th of them (each row is ``unit_row *
     magnitude``), a zero row for magnitude 0, which takes no unit row (an
     exact law never draws).  Reading stops before the first magnitude that
     raises, which its own step raises in turn, after every earlier step."""
@@ -393,6 +335,10 @@ class ErrorStream:
     def __call__(self, k: int) -> Optional[np.ndarray]:
         i = k - self._k0
         if not 0 <= i < len(self._rows):
+            if i != len(self._rows):    # a window starts where the last one ends
+                raise StructuralError(
+                    f"step {k} reads its errors out of turn: a channel reads its errors "
+                    f"at every step, in order, and the next step is {self._k0 + len(self._rows)}")
             self._read(k)
             i = 0
         return self._rows[i]
@@ -429,26 +375,27 @@ def _check_output(k, exact, tilde) -> None:
         raise NumericalError(f"non-finite operator output at step {k}")
 
 
-def _checked(k0: int, Z: np.ndarray, rows: list, evaluate_rows, space, every=False):
+def _checked(k0: int, Z: np.ndarray, rows: list, lam: float, evaluate_rows, space,
+             every=False):
     """Finish (:func:`_complete`) and check the buffered steps ``k0 ..``
-    (iterates ``Z``, rows ``(exact, tilde, lam, eps)``) over their stacks;
-    return the residual, relaxation and error stacks, the columns and the
+    (iterates ``Z``, rows ``(exact, tilde, eps)``, relaxation ``lam``) over
+    their stacks; return the residual and error stacks, the columns and the
     parts.  The earliest failing step raises, its checks in order:
     non-finite output, non-finite error norm, ``e = (z - z+) / lam + eps``.
     On a metric space the loop has scanned every output but the exact ones
     left to the chunk, and those are scanned here before any metric norm,
     for the loop's reason: ``M @ a`` of a non-finite ``a`` meets ``0 *
     inf``, and the norm's clamp at 0 can hide a ``-inf``."""
-    X, P, parts = _complete(k0, Z, rows, evaluate_rows, every, space)
+    X, P, parts = _complete(k0, Z, rows, lam, evaluate_rows, every, space)
     if space.metric is not None and not np.isfinite(X).all():
         r = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
         if r:       # the steps before it fail first
-            _checked(k0, Z[:r + 1], rows[:r], evaluate_rows, space)
+            _checked(k0, Z[:r + 1], rows[:r], lam, evaluate_rows, space)
         raise NumericalError(f"non-finite operator output at step {k0 + r}")
-    lam, Zk = np.array([row[2] for row in rows]), Z[:-1]
+    Zk = Z[:-1]
     E, step = Zk - X, Zk - Z[1:]    # a non-finite step fails below
     res, epsn, disp, drift, znorm = map(space.norms, (
-        E, P, step, E - (step * (1.0 / lam)[:, None] + P), Zk))
+        E, P, step, E - (step * (1.0 / lam) + P), Zk))
     # a non-finite exact output shows in res, a non-finite tilde in disp;
     # the sum of the norms is finite unless one of them is, or it overflows
     finite = np.isfinite(res + disp + epsn)
@@ -462,11 +409,11 @@ def _checked(k0: int, Z: np.ndarray, rows: list, evaluate_rows, space, every=Fal
                 raise NumericalError(f"non-finite error norm at step {k}")
         if drifted[r]:
             raise NumericalError(f"residual identity violated at step {k}: drift {drift[r]:.3e}")
-    return E, lam, P, res, epsn, disp, parts
+    return E, P, res, epsn, disp, parts
 
 
-def _complete(k0: int, Z: np.ndarray, rows: list, evaluate_rows, every: bool,
-              space: ProductSpace) -> tuple:
+def _complete(k0: int, Z: np.ndarray, rows: list, lam: float, evaluate_rows,
+              every: bool, space: ProductSpace) -> tuple:
     """``(X, P, parts)`` of the buffered steps ``k0 ..`` (iterates ``Z``,
     rows as :func:`_checked` takes them): their exact outputs and errors (a
     zero row for an exact step), the outputs left to the chunk taken by one
@@ -475,7 +422,7 @@ def _complete(k0: int, Z: np.ndarray, rows: list, evaluate_rows, every: bool,
     rows).  A stacked evaluation that raises is taken again a row at a
     time, and the first row that raises does so after the checks of the
     rows before it, as at its step."""
-    exact, tilde, _, eps = zip(*rows)
+    exact, tilde, eps = zip(*rows)
     left = [r for r, x in enumerate(exact) if x is None]
     whole = len(left) == len(rows) or every and evaluate_rows is not None
     todo = range(len(rows)) if whole else left
@@ -489,7 +436,7 @@ def _complete(k0: int, Z: np.ndarray, rows: list, evaluate_rows, every: bool,
                     evaluate_rows(Z[r:r + 1])
                 except Exception:
                     if r:
-                        _checked(k0, Z[:r + 1], rows[:r], evaluate_rows, space)
+                        _checked(k0, Z[:r + 1], rows[:r], lam, evaluate_rows, space)
                     raise
             raise
     if len(left) == len(rows):      # every step left its exact output
@@ -503,7 +450,7 @@ def _complete(k0: int, Z: np.ndarray, rows: list, evaluate_rows, every: bool,
     return X, P, parts
 
 
-def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
+def _iterate(channel: Channel, z0: np.ndarray, lam: float,
              stop: StopRule, fix: Optional[FixedPointSet], observe: Optional[Callable],
              errors) -> IterationTrace:
     operator, evaluate, evaluate_rows = channel.operator, channel.evaluate, channel.evaluate_rows
@@ -513,17 +460,15 @@ def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
             f"the start point must be a finite array of shape ({space.size},) in the "
             f"operator's space; got shape {np.shape(z0)}"
         )
-    _validate_admissible(relaxation, operator.alpha)
+    _validate_admissible(lam, operator.alpha)
 
     norm, tol = space.norm, stop.residual_tol
     cap = _DIVERGENCE_NORM ** 2 / space.dot_scale     # below it, norm(zn) is too
-    constant = relaxation.kind == "constant"   # its one value is read once
-    lam = relaxation.value(0) if constant else None
     eager = space.metric is not None   # a metric norm can hide a non-finite a: scan first
     # an observed run takes the parts of every step from the stacked
     # evaluation, where a hook reads them
     every = observe is not None and channel.observed_parts
-    zs, rows = [z0], []     # the chunk's iterates and (exact, tilde, lam, eps)
+    zs, rows = [z0], []     # the chunk's iterates and (exact, tilde, eps)
     cols, dists = [[np.empty(0)] for _ in range(5)], []
     k0, S, lam_total = 0, np.zeros(space.size), 0.0
 
@@ -531,23 +476,22 @@ def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
         nonlocal k0, S, lam_total
         Z, chunk = _stack(zs), rows[:]
         del zs[:-1], rows[:]        # a chunk that fails is not checked again
-        E, lam, P, res, epsn, disp, parts = _checked(k0, Z, chunk, evaluate_rows, space, every)
+        E, P, res, epsn, disp, parts = _checked(k0, Z, chunk, lam, evaluate_rows, space, every)
+        lams = np.full(len(chunk), lam)
         # the running sums S_k = sum lam_j e_j and sum lam_j, bit for bit
-        Sk = np.cumsum(np.vstack([S, E * lam[:, None]]), axis=0)[1:]
-        totals = np.cumsum(np.concatenate(([lam_total], lam)))[1:]
-        for col, v in zip(cols, (lam, epsn, res, space.norms(Sk) / totals, disp)):
+        Sk = np.cumsum(np.vstack([S, E * lam]), axis=0)[1:]
+        totals = np.cumsum(np.concatenate(([lam_total], lams)))[1:]
+        for col, v in zip(cols, (lams, epsn, res, space.norms(Sk) / totals, disp)):
             col.append(v)
         if fix is not None:
             dists.append(fix.distances(Z[:-1], space))
         if observe is not None:
-            observe(Steps(Z, E, lam, P, errors.window(k0, len(chunk)), parts if every else None))
+            observe(Steps(Z, E, lams, P, errors.window(k0, len(chunk)), parts if every else None))
         k0, S, lam_total = k0 + len(chunk), Sk[-1], totals[-1]
 
     z, stop_reason = z0, "max_iters"
     try:
         for k in range(stop.max_iters):
-            if not constant:
-                lam = relaxation.value(k)
             exact, tilde, eps_vec = evaluate(k, z, errors)
             if exact is None and tol > 0.0:     # the stop needs it now: finish it at once
                 exact = evaluate_rows(z[None])[0][0]
@@ -556,7 +500,7 @@ def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
                 _check_output(k, exact, tilde)
             zn = z + (tilde - z) * lam
             zs.append(zn)
-            rows.append((exact, tilde, lam, eps_vec))
+            rows.append((exact, tilde, eps_vec))
             # also the finiteness test: no non-finite iterate is evaluated; the
             # norm decides where zn.dot(zn) fails the cap (as NaN and inf do)
             if not zn.dot(zn) <= cap and not norm(zn) <= _DIVERGENCE_NORM:
@@ -572,7 +516,7 @@ def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
             flush()
     except Exception:
         if rows:    # any failure, from a check or not, comes after those of earlier steps
-            _checked(k0, _stack(zs), rows, evaluate_rows, space)
+            _checked(k0, _stack(zs), rows, lam, evaluate_rows, space)
         raise
 
     dist = None if fix is None else np.concatenate([*dists, fix.distances(z[None], space)])
@@ -580,15 +524,16 @@ def _iterate(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
                           z0, z, dist)
 
 
-def run_km(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
+def run_km(channel: Channel, z0: np.ndarray, lam: float,
            stop: Optional[StopRule] = None, *, fix: Optional[FixedPointSet] = None,
            observe: Optional[Callable] = None, seed: int = 0) -> IterationTrace:
     """Run the relaxed iteration of ``channel.operator``, each step
     evaluated by ``channel`` (a :class:`Channel`, bare or a splitting's
     channel model), which takes its errors from its :meth:`~Channel.errors`
-    of ``default_rng(seed)``.  The relaxation must be admissible for the
-    operator and for every averagedness constant in the channel's
-    ``alphas`` (the per-step operators of a non-stationary channel).
+    of ``default_rng(seed)``, relaxed by ``lam`` at every step.  ``lam``
+    must lie in ``(0, 1/alpha]`` for the operator and for every averagedness
+    constant in the channel's ``alphas`` (the per-step operators of a
+    non-stationary channel).
 
     ``observe(steps)`` receives the run's step vectors as :class:`Steps`
     records of ``CHUNK`` consecutive steps, after all of their checks, and
@@ -607,10 +552,11 @@ def run_km(channel: Channel, z0: np.ndarray, relaxation: RelaxationSchedule,
     at every step would, a deferred exact evaluation that raises or is not
     finite included.
     """
+    lam = float(lam)
     for alpha in channel.alphas:
-        _validate_admissible(relaxation, alpha)
+        _validate_admissible(lam, alpha)
     # invalid operations (0 * inf, as where a linear resolvent's inverse meets
     # a non-finite input) make NaNs, which the engine's checks report by step
     with np.errstate(invalid="ignore"):
-        return _iterate(channel, z0, relaxation, stop or StopRule(), fix, observe,
+        return _iterate(channel, z0, lam, stop or StopRule(), fix, observe,
                         channel.errors(np.random.default_rng(seed)))

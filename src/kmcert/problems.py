@@ -16,8 +16,8 @@ from .km import (
     FixedPointSet,
     GammaSchedule,
     IterationTrace,
-    RelaxationSchedule,
     StopRule,
+    _validate_admissible,
     run_km,
 )
 from .operators import CocoerciveMap, OperatorSpec, gradient_step, zero_operator
@@ -67,7 +67,7 @@ class ProblemInstance:
     kind: str                       # km | gfb | drs | pds
     operator: OperatorSpec
     z0: np.ndarray
-    relaxation: RelaxationSchedule
+    lam: float                      # the relaxation of every step
     fix: Optional[FixedPointSet] = None
     kappa: Optional[float] = None
     theoretical_rate: Optional[float] = None
@@ -87,7 +87,7 @@ class ProblemInstance:
         """A run with the error law ``c / (k+1)^p`` (exact for ``c = 0``)
         through :meth:`make_channel`, whose steps reach ``observe``."""
         stop = StopRule(max_iters=max_iters or self.cert_horizon, residual_tol=tol)
-        return run_km(self.make_channel(c, p), self.z0, self.relaxation, stop,
+        return run_km(self.make_channel(c, p), self.z0, self.lam, stop,
                       fix=self.fix, observe=observe, seed=seed)
 
     def certified_run(self, c: float = 0.0, p: float = 3.0,
@@ -99,12 +99,12 @@ class ProblemInstance:
         certificate of the problem's kind accumulate through the engine's
         step hook.  Returns ``(trace, constants, certificate series or
         None)``.  The pointwise bound needs ``tau_min > 0``, so a relaxation
-        supremum at or past the admissible cap is rejected before any step."""
-        cap = 1.0 if self.operator.alpha is None else 1.0 / self.operator.alpha
-        if not self.relaxation.lam_max < cap:
+        at or past the admissible cap is rejected before any step."""
+        cap = _validate_admissible(self.lam, self.operator.alpha)
+        if not self.lam < cap:
             raise ParameterError(
-                f"relaxation supremum {self.relaxation.lam_max} must lie below the "
-                f"admissible cap {cap} of a certified run (tau_min > 0)")
+                f"relaxation {self.lam} must lie below the admissible cap {cap} of a "
+                f"certified run (tau_min > 0)")
         z_star = self.fix_reference().nearest(self.z0)
         constants = EmpiricalConstants(z_star, self.operator.space)
         cert = (_SPLITTINGS[self.kind][1](self.built, z_star)
@@ -179,7 +179,7 @@ def make_zero_map(d: int = 4, seed: int = 7) -> ProblemInstance:
     _check_fixed_point(op, space.zeros())
     return ProblemInstance(
         name="zero-map", kind="km", operator=op, z0=z0,
-        relaxation=RelaxationSchedule.constant(0.5), fix=fix, kappa=1.0,
+        lam=0.5, fix=fix, kappa=1.0,
         rate_horizon=40,
     )
 
@@ -212,7 +212,7 @@ def make_quadratic_gd(delta_m: float, delta_M: float, d: int, gamma: float,
 
     return ProblemInstance(
         name=f"gd(gamma={gamma:g})", kind="km", operator=op, z0=z0,
-        relaxation=RelaxationSchedule.constant(1.0), fix=fix,
+        lam=1.0, fix=fix,
         kappa=1.0 / (gamma * delta_m),
         theoretical_rate=gd_theoretical_rate(gamma, delta_m, delta_M),
         rate_basis="residual", rate_horizon=_rate_horizon(spectral, res0, 1e-12),
@@ -258,7 +258,7 @@ def make_two_subspaces(theta: float, d: int, lam: float = 1.0) -> ProblemInstanc
     return ProblemInstance(
         name=f"two-subspaces(theta={theta:.4g},lam={lam:g})", kind="drs",
         operator=built.operator, z0=z0,
-        relaxation=RelaxationSchedule.constant(lam), fix=fix,
+        lam=float(lam), fix=fix,
         kappa=1.0 / np.sin(theta), theoretical_rate=float(zeta),
         rate_basis="dist_sq", rate_horizon=horizon, built=built,
         constants={"theta": theta, "lam": lam},
@@ -292,7 +292,7 @@ def make_lasso(m: int, n: int, mu: float = 0.0, seed: int = 1) -> ProblemInstanc
     z0 = built.space.point((np.zeros(n),))
     return ProblemInstance(
         name="lasso", kind="gfb", operator=built.operator, z0=z0,
-        relaxation=RelaxationSchedule.constant(1.0), built=built,
+        lam=1.0, built=built,
         constants={"A": A, "y": y, "mu": mu, "support": np.sort(support),
                    "beta": smooth.beta},
     )
@@ -322,7 +322,7 @@ def make_gfb_multiblock(n_blocks: int, d: int, seed: int = 2,
     z0 = built.space.point(tuple(rng.standard_normal(d) for _ in range(n_blocks)))
     return ProblemInstance(
         name=f"multiblock(n={n_blocks})", kind="gfb", operator=built.operator,
-        z0=z0, relaxation=RelaxationSchedule.constant(1.0), built=built,
+        z0=z0, lam=1.0, built=built,
         constants={"gamma": gamma, "beta": 1.0},
     )
 
@@ -358,7 +358,7 @@ def make_pds_small(seed: int = 3) -> ProblemInstance:
     z0 = built.space.zeros()
     return ProblemInstance(
         name="pds-small", kind="pds", operator=built.operator, z0=z0,
-        relaxation=RelaxationSchedule.constant(1.0), built=built,
+        lam=1.0, built=built,
         constants={"Q": Q, "q": q, "L": L, "mu": mu_l1, "eta": built.eta,
                    "delta": built.delta, "beta": built.beta},
     )
@@ -389,7 +389,7 @@ def reference_solution(problem: ProblemInstance) -> FixedPointSet:
     re-evaluating the residual at the returned point."""
     stop = StopRule(max_iters=_REFERENCE_FACTOR * problem.cert_horizon,
                     residual_tol=_REFERENCE_TOL)
-    trace = run_km(Channel(problem.operator), problem.z0, problem.relaxation, stop, seed=0)
+    trace = run_km(Channel(problem.operator), problem.z0, problem.lam, stop, seed=0)
     zf = np.array(trace.z_final)    # a copy: a run of no steps ends at z0 itself
     res = problem.operator.space.norm(zf - problem.operator(zf))
     if not res <= _REFERENCE_TOL * 10.0:

@@ -347,20 +347,18 @@ class GfbScheduleChannel(Channel):
     ``built`` at the schedule's limit: step ``k`` applies the splitting at
     ``gamma_k`` plus an error of the law's magnitude drawn as the bare
     channel draws it, while the residual refers to the limit operator, so
-    the reported error is ``(T_k z - T z) + eps_k``.  The schedule's
-    declared range must lie in ``(0, 2 beta)``; ``alphas`` are the
-    averagedness constants at its ends, which the engine checks the
-    relaxation against.  The limit operator's output at a step with
-    ``gamma_k != gamma`` is left to the chunk.
+    the reported error is ``(T_k z - T z) + eps_k``.  The range of the
+    schedule's values, its :attr:`~GammaSchedule.interval`, must lie in
+    ``(0, 2 beta)``; ``alphas`` are the averagedness constants at its ends,
+    which the engine checks the relaxation against.  The limit operator's
+    output at a step with ``gamma_k != gamma`` is left to the chunk.
 
     The schedule is read a window of steps ahead, each value once, and the
     window's block parameters ``gamma_j / w_i`` are announced to the blocks
     (:meth:`MonotoneBlock.prepare`) with the limit's ``gamma / w_i``, so a
     linear block inverts the window in one stack and keeps the limit's
     inverse for the whole run.  The window holds ``_WINDOW_BYTES`` of ``d x
-    d`` inverses, at most ``CHUNK`` steps.  Reading stops before the first
-    value that raises, which its own step raises in turn, after every
-    earlier step."""
+    d`` inverses, at most ``CHUNK`` steps."""
 
     def __init__(self, built: GfbBuilt, schedule: GammaSchedule, law: ErrorSchedule):
         beta = built.smooth.beta if built.smooth is not None else np.inf
@@ -375,8 +373,7 @@ class GfbScheduleChannel(Channel):
                                  f"splitting's step size {built.gamma}")
         super().__init__(built.operator, law)
         self.built, self.schedule = built, schedule
-        # every value lies in the declared range (built-in schedules by
-        # construction, custom ones are checked at each step), and the
+        # every value lies in the schedule's interval by construction, and the
         # averagedness grows with the step size, so its ends bound every step
         self.alphas = tuple(built.alpha_at(g) for g in sorted(set(schedule.interval)))
         self._width = max(1, min(CHUNK, _WINDOW_BYTES // (8 * built.dim ** 2)))
@@ -388,13 +385,7 @@ class GfbScheduleChannel(Channel):
         return self.built.evaluate(Z)
 
     def _read(self, k: int) -> None:
-        value = self.schedule.value
-        gammas = [value(k)]
-        try:
-            for j in range(k + 1, k + self._width):
-                gammas.append(value(j))
-        except Exception:
-            pass        # step j raises it, after the steps before it have run
+        gammas = [self.schedule.value(j) for j in range(k, k + self._width)]
         self._k0, self._gammas = k, gammas
         for blk, w in zip(self.built.blocks, self.built._w):
             blk.prepare([g / w for g in gammas] + [self.built.gamma / w])

@@ -34,7 +34,6 @@ from kmcert.km import (
     _IDENTITY_TOL,
     CHUNK,
     IterationTrace,
-    RelaxationSchedule,
     Steps,
     StopRule,
     _check_output,
@@ -414,7 +413,7 @@ def pds_fbs_reference(problem, tol: float = 1e-13, max_iters: int = 100_000) -> 
 # the engine, one step at a time
 # ---------------------------------------------------------------------------
 
-def per_step_run(channel, z0: np.ndarray, relaxation: RelaxationSchedule,
+def per_step_run(channel, z0: np.ndarray, lam: float,
                  stop: StopRule, fix, observe, errors) -> IterationTrace:
     """``kmcert.km._iterate`` as it ran before it took its bookkeeping a
     chunk at a time: every norm and check at every step, and a step's exact
@@ -433,7 +432,7 @@ def per_step_run(channel, z0: np.ndarray, relaxation: RelaxationSchedule,
             f"the start point must be a finite array of shape ({space.size},) in the "
             f"operator's space; got shape {np.shape(z0)}"
         )
-    _validate_admissible(relaxation, operator.alpha)
+    _validate_admissible(lam, operator.alpha)
 
     lam_l, epsn_l, res_l, erg_l, disp_l, dist_l = [], [], [], [], [], []
     norm = space.norm
@@ -461,7 +460,6 @@ def per_step_run(channel, z0: np.ndarray, relaxation: RelaxationSchedule,
     stop_reason = "max_iters"
 
     for k in range(stop.max_iters):
-        lam = relaxation.value(k)
         if fix is not None:
             dist_l.append(space.norm(z - fix.nearest(z)))
 

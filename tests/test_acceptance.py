@@ -10,7 +10,7 @@ import pytest
 
 from kmcert.bounds import trace_series, verify_series
 from kmcert.cli import main as cli_main
-from kmcert.km import Channel, RelaxationSchedule, StopRule, run_km
+from kmcert.km import Channel, StopRule, run_km
 from kmcert.operators import OperatorSpec, composition_alpha
 from kmcert.problems import (
     make_gfb_multiblock,
@@ -78,7 +78,7 @@ def ns_bundle():
     stationary = make_multiblock_nonstationary("constant", d=10)
     stop = StopRule(max_iters=10_000, residual_tol=0.0)
     runs = {"stationary": run_km(Channel(stationary.operator), stationary.z0,
-                                 stationary.relaxation, stop=stop)}
+                                 stationary.lam, stop=stop)}
     schedules = {}
     for kind in ("geometric", "inverse-square", "harmonic"):
         problem = make_multiblock_nonstationary(kind, d=10)
@@ -386,7 +386,7 @@ def test_criterion_9_reductions(cert_bundle, record):
                         None, "fbs-hand", sp)
     _, r_g = record(lasso.run, max_iters=250)
     _, r_f = record(run_km, Channel(hand), sp.vector(np.zeros(A.shape[1])),
-                    RelaxationSchedule.constant(1.0), stop=StopRule(250, 0.0))
+                    1.0, stop=StopRule(250, 0.0))
     fbs_gap = max(np.max(np.abs(a - b)) for a, b in zip(r_g.z_vecs, r_f.z_vecs))
 
     # two-block scheme without smooth part vs hand product-space reflections
@@ -407,9 +407,9 @@ def test_criterion_9_reductions(cert_bundle, record):
 
     T2 = OperatorSpec(hand2, 0.5, "hand", sp2)
     z0 = sp2.point(tuple(rng.standard_normal(d) for _ in range(2)))
-    _, ra = record(run_km, Channel(built.operator), z0, RelaxationSchedule.constant(1.0),
+    _, ra = record(run_km, Channel(built.operator), z0, 1.0,
                    stop=StopRule(200, 0.0))
-    _, rb = record(run_km, Channel(T2), z0, RelaxationSchedule.constant(1.0),
+    _, rb = record(run_km, Channel(T2), z0, 1.0,
                    stop=StopRule(200, 0.0))
     drs_gap = max(np.max(np.abs(a - b)) for a, b in zip(ra.z_vecs, rb.z_vecs))
 

@@ -16,7 +16,7 @@ from kmcert.bounds import (
     verify_series,
 )
 from kmcert.errors import ParameterError, UnavailableError
-from kmcert.km import Channel, RelaxationSchedule, StopRule, run_km
+from kmcert.km import Channel, StopRule, run_km
 from kmcert.problems import make_quadratic_gd, make_two_subspaces, make_zero_map
 
 
@@ -26,7 +26,7 @@ def zero_exact(record):
     # overwrite start to the unit point for closed-form constants
     z0 = p.operator.space.vector((1.0,))
     acc = EmpiricalConstants(p.fix.nearest(z0), p.operator.space)
-    tr, rec = record(run_km, Channel(p.operator), z0, RelaxationSchedule.constant(0.5),
+    tr, rec = record(run_km, Channel(p.operator), z0, 0.5,
                      stop=StopRule(60, 0.0), fix=p.fix, also=[acc.observe])
     return p, tr, acc.constants(tr), rec
 

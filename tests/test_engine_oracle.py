@@ -25,7 +25,7 @@ import pytest
 
 from kmcert import km
 from kmcert.errors import DivergenceError, ParameterError
-from kmcert.km import CHUNK, Channel, RelaxationSchedule, StopRule, run_km
+from kmcert.km import CHUNK, Channel, StopRule, run_km
 from kmcert.operators import OperatorSpec
 from kmcert.problems import (
     make_gfb_multiblock,
@@ -229,7 +229,7 @@ def test_failures_land_at_their_step_across_chunk_boundaries(monkeypatch, maker,
     problem = maker()
 
     def run(observe):
-        return run_km(Injected(problem, kind, at), problem.z0, problem.relaxation,
+        return run_km(Injected(problem, kind, at), problem.z0, problem.lam,
                       StopRule(CHUNK + 44, 0.0), fix=problem.fix, observe=observe)
 
     with warnings.catch_warnings():
@@ -262,7 +262,7 @@ def test_divergence_guard_raises_at_the_oracles_step(monkeypatch, label, scale):
     grow = OperatorSpec(lambda z: 1.5 * z, None, "grow", space)
 
     def run(observe):
-        return run_km(Channel(grow), scale * np.array(start), RelaxationSchedule.constant(1.0),
+        return run_km(Channel(grow), scale * np.array(start), 1.0,
                       StopRule(500, 0.0), observe=observe)
 
     with warnings.catch_warnings():

@@ -1,17 +1,18 @@
 import functools
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from kmcert.errors import DivergenceError, NumericalError, ParameterError
+from kmcert.errors import DivergenceError, NumericalError, ParameterError, StructuralError
 from kmcert.km import (
     CHUNK,
     Channel,
     ErrorSchedule,
     FixedPointSet,
     GammaSchedule,
-    RelaxationSchedule,
     StopRule,
     run_km,
 )
@@ -24,6 +25,28 @@ from kmcert.problems import (
     make_two_subspaces,
 )
 from oracles import metric_inner, vector_operator
+
+
+SCHEDULES = {
+    "constant": lambda limit, start: GammaSchedule.constant(limit),
+    "geometric": GammaSchedule.geometric,
+    "inverse-square": GammaSchedule.inverse_square,
+    "harmonic": GammaSchedule.harmonic,
+}
+
+
+@st.composite
+def schedules(draw, kind, lo, hi):
+    """A built-in schedule of ``kind`` with its limit in ``[lo, hi]`` and
+    its start on either side of the limit."""
+    limit = draw(st.floats(lo, hi))
+    start = draw(st.floats(lo, limit) | st.floats(limit, hi))
+    return SCHEDULES[kind](limit, start)
+
+
+@functools.cache
+def base_gfb():
+    return make_gfb_multiblock(2, 6, gamma=1.5)
 
 
 def one_d_space():
@@ -39,7 +62,7 @@ class TestRunKmClosedForms:
     def test_zero_map_geometric(self):
         # z_{k+1} = z_k / 2 exactly, so both residual and iterate are 2^-k
         T, z0, fix = zero_problem()
-        tr = run_km(Channel(T), z0, RelaxationSchedule.constant(0.5),
+        tr = run_km(Channel(T), z0, 0.5,
                     stop=StopRule(40, 0.0), fix=fix)
         expected = 0.5 ** np.arange(40)
         assert np.max(np.abs(tr.res_norm - expected)) <= 1e-15
@@ -48,14 +71,14 @@ class TestRunKmClosedForms:
     def test_zero_map_ergodic_closed_form(self):
         # sum of lam_j e_j telescopes to 1 - 2^-(k+1); Lambda_k = (k+1)/2
         T, z0, _ = zero_problem()
-        tr = run_km(Channel(T), z0, RelaxationSchedule.constant(0.5), stop=StopRule(30, 0.0))
+        tr = run_km(Channel(T), z0, 0.5, stop=StopRule(30, 0.0))
         ks = np.arange(30)
         expected = (2.0 - 0.5 ** ks) / (ks + 1.0)
         assert np.max(np.abs(tr.erg_norm - expected)) <= 1e-14
 
     def test_zero_map_displacement(self, record):
         T, z0, _ = zero_problem()
-        tr, rec = record(run_km, Channel(T), z0, RelaxationSchedule.constant(0.5),
+        tr, rec = record(run_km, Channel(T), z0, 0.5,
                          stop=StopRule(20, 0.0))
         assert np.max(np.abs(tr.disp_norm - 0.5 * tr.res_norm)) <= 1e-15
         # ||z_k - z_{k+1}|| from the recorded iterates, checked against the
@@ -73,7 +96,7 @@ class TestRunKmClosedForms:
         sp = ProductSpace.single(2)
         proj = SubspaceBlock(np.array([1.0, 0.0])).resolvent
         P = vector_operator(sp, lambda x: proj(x, 1.0), 0.5, "proj")
-        tr = run_km(Channel(P), sp.vector((0.0, 1.0)), RelaxationSchedule.constant(1.0),
+        tr = run_km(Channel(P), sp.vector((0.0, 1.0)), 1.0,
                     stop=StopRule(10, 1e-10))
         assert tr.res_norm[0] == pytest.approx(1.0)
         assert tr.res_norm[1] == 0.0
@@ -84,7 +107,7 @@ class TestRunKmClosedForms:
         rng = np.random.default_rng(0)
         P = vector_operator(sp, proj, 0.5, "proj")
         tr = run_km(Channel(P), sp.vector(rng.standard_normal(3) * 5.0),
-                    RelaxationSchedule.constant(0.5), stop=StopRule(40, 0.0),
+                    0.5, stop=StopRule(40, 0.0),
                     fix=fix)
         assert np.max(np.abs(tr.res_norm - tr.dist[:-1])) <= 1e-12
 
@@ -123,11 +146,14 @@ def test_distances_of_a_stack_equal_the_per_row_form(make):
 
 class TestSchedules:
     def test_relaxation_validation(self):
-        for bad in (0.0, float("nan")):
-            with pytest.raises(ParameterError):
-                RelaxationSchedule.constant(bad)
-        with pytest.raises(ParameterError):
-            RelaxationSchedule.from_function(lambda k: 0.5, 0.7, 0.5)
+        # a non-expansive operator admits (0, 1], up to 1e-12 past the cap
+        T, z0, _ = zero_problem()
+        for bad in (0.0, -0.5, float("nan"), float("inf"), 1.0 + 1e-11):
+            with pytest.raises(ParameterError, match=re.escape(
+                    f"relaxation {bad} must be positive and at most the admissible cap 1.0 ")):
+                run_km(Channel(T), z0, bad, StopRule(3, 0.0))
+        for good in (1e-3, 0.5, 1.0, 1.0 + 1e-13):
+            assert run_km(Channel(T), z0, good, StopRule(3, 0.0)).lam.tolist() == [good] * 3
 
     def test_error_law_validation(self):
         for c, p in ((-0.1, 3.0), (0.1, -1.0), (float("nan"), 3.0), (0.1, float("nan"))):
@@ -146,7 +172,29 @@ class TestSchedules:
         sp = ProductSpace.single(2)
         T = zero_operator(sp)  # non-expansive only: cap 1
         with pytest.raises(ParameterError):
-            run_km(Channel(T), sp.vector((1.0, 0.0)), RelaxationSchedule.constant(1.5))
+            run_km(Channel(T), sp.vector((1.0, 0.0)), 1.5)
+
+    @pytest.mark.parametrize("kind", sorted(SCHEDULES))
+    @given(data=st.data(), k=st.integers(0, 10 ** 6))
+    def test_every_value_lies_in_the_interval(self, kind, data, k):
+        # in range by construction: no step checks it
+        sched = data.draw(schedules(kind, 1e-8, 1e8))
+        lo, hi = sched.interval
+        assert all(lo <= sched.value(j) <= hi for j in (0, 1, 2, k))
+        assert {lo, hi} == {sched.value(0), sched.limit}
+
+    @pytest.mark.parametrize("kind", sorted(SCHEDULES))
+    @given(data=st.data(), k=st.integers(0, 10 ** 6))
+    def test_channel_alphas_bound_every_step(self, kind, data, k):
+        # beta = 1: the schedule's values lie in (0, 2)
+        sched = data.draw(schedules(kind, 1e-3, 1.99))
+        b = base_gfb().built
+        built = GfbBuilt(b.blocks, b.weights, sched.limit, b.dim, b.smooth)
+        channel = GfbScheduleChannel(built, sched, ErrorSchedule.power(0.0, 3.0))
+        lo, hi = sched.interval
+        assert channel.alphas == tuple(built.alpha_at(g) for g in sorted({lo, hi}))
+        assert all(channel.alphas[0] <= built.alpha_at(sched.value(j)) <= channel.alphas[-1]
+                   for j in (0, 1, 2, k))
 
     def test_gamma_schedule_values_and_flags(self):
         g = GammaSchedule.geometric(1.5, 1.9)
@@ -166,7 +214,7 @@ class TestInexactRuns:
     def test_recorded_magnitudes_follow_law(self):
         T, z0, _ = zero_problem(d=4, z0=(1.0, 0.0, 0.0, 0.0))
         tr = run_km(Channel(T, ErrorSchedule.power(0.1, 3.0)), z0,
-                    RelaxationSchedule.constant(0.5), stop=StopRule(50, 0.0))
+                    0.5, stop=StopRule(50, 0.0))
         ks = np.arange(50)
         assert np.max(np.abs(tr.eps_norm - 0.1 / (ks + 1.0) ** 3)) <= 1e-15
 
@@ -174,7 +222,7 @@ class TestInexactRuns:
         # z_{k+1} - z_k must equal lam (eps_k - e_k) from the recorded vectors
         T, z0, _ = zero_problem(d=3, z0=(1.0, 2.0, -1.0))
         tr, rec = record(run_km, Channel(T, ErrorSchedule.power(0.2, 2.0)), z0,
-                         RelaxationSchedule.constant(0.7), stop=StopRule(40, 0.0))
+                         0.7, stop=StopRule(40, 0.0))
         sp = T.space
         for k in range(tr.n_steps):
             step = rec.z_vecs[k + 1] - rec.z_vecs[k]
@@ -184,20 +232,39 @@ class TestInexactRuns:
     def test_determinism(self, record):
         T, z0, _ = zero_problem(d=4, z0=(1.0, -1.0, 0.5, 2.0))
         a, ra = record(run_km, Channel(T, ErrorSchedule.power(0.1, 3.0)), z0,
-                       RelaxationSchedule.constant(0.5), stop=StopRule(60, 0.0), seed=5)
+                       0.5, stop=StopRule(60, 0.0), seed=5)
         b, rb = record(run_km, Channel(T, ErrorSchedule.power(0.1, 3.0)), z0,
-                       RelaxationSchedule.constant(0.5), stop=StopRule(60, 0.0), seed=5)
+                       0.5, stop=StopRule(60, 0.0), seed=5)
         assert np.array_equal(a.res_norm, b.res_norm)
         assert np.array_equal(a.erg_norm, b.erg_norm)
         assert np.array_equal(a.eps_norm, b.eps_norm)
         assert all(np.array_equal(x, y) for x, y in zip(ra.z_vecs, rb.z_vecs))
 
+    def test_a_channel_that_skips_its_errors_raises(self):
+        # step CHUNK starts the second window but does not read its errors;
+        # step CHUNK + 1 would start a window one step late
+        class Skipping(Channel):
+            def evaluate(self, k, z, errors):
+                if k == CHUNK:
+                    exact = self.operator(z)
+                    return exact, exact, None
+                return super().evaluate(k, z, errors)
+
+        T, z0, _ = zero_problem(d=4, z0=(1.0, 0.0, 0.0, 0.0))
+        handed = []
+        with pytest.raises(StructuralError, match=re.escape(
+                f"step {CHUNK + 1} reads its errors out of turn: a channel reads its errors "
+                f"at every step, in order, and the next step is {CHUNK}")):
+            run_km(Skipping(T, ErrorSchedule.power(0.1, 2.0)), z0, 0.5, StopRule(600, 0.0),
+                   observe=handed.append)
+        assert [steps.errors.shape for steps in handed] == [(CHUNK, 4)]
+
     def test_seed_changes_directions(self):
         T, z0, _ = zero_problem(d=4, z0=(1.0, -1.0, 0.5, 2.0))
         a = run_km(Channel(T, ErrorSchedule.power(0.1, 3.0)), z0,
-                   RelaxationSchedule.constant(0.5), stop=StopRule(30, 0.0), seed=1)
+                   0.5, stop=StopRule(30, 0.0), seed=1)
         b = run_km(Channel(T, ErrorSchedule.power(0.1, 3.0)), z0,
-                   RelaxationSchedule.constant(0.5), stop=StopRule(30, 0.0), seed=2)
+                   0.5, stop=StopRule(30, 0.0), seed=2)
         assert not np.array_equal(a.res_norm, b.res_norm)
         # magnitudes still follow the same law (up to unit-vector rounding)
         assert np.max(np.abs(a.eps_norm - b.eps_norm)) <= 1e-15
@@ -220,24 +287,24 @@ class TestStepInequalities:
 
     def test_residual_difference_inequality_exact(self, record):
         T, z0, _ = zero_problem(d=3, z0=(1.0, 2.0, 3.0))
-        tr, rec = record(run_km, Channel(T), z0, RelaxationSchedule.constant(0.5),
+        tr, rec = record(run_km, Channel(T), z0, 0.5,
                          stop=StopRule(40, 0.0))
         assert self.residual_difference_slack(tr, rec) <= 1e-10
 
     def test_residual_difference_inequality_inexact(self, record):
         T, z0, _ = zero_problem(d=3, z0=(1.0, 2.0, 3.0))
         tr, rec = record(run_km, Channel(T, ErrorSchedule.power(0.1, 3.0)), z0,
-                         RelaxationSchedule.constant(0.5), stop=StopRule(100, 0.0))
+                         0.5, stop=StopRule(100, 0.0))
         assert self.residual_difference_slack(tr, rec) <= 1e-10
 
     def test_exact_residual_monotone(self):
         T, z0, _ = zero_problem(d=2, z0=(3.0, -4.0))
-        tr = run_km(Channel(T), z0, RelaxationSchedule.constant(0.7), stop=StopRule(50, 0.0))
+        tr = run_km(Channel(T), z0, 0.7, stop=StopRule(50, 0.0))
         assert np.all(tr.res_norm[1:] <= tr.res_norm[:-1] + 1e-12)
 
     def test_distance_decrease_exact(self):
         T, z0, fix = zero_problem(d=2, z0=(3.0, -4.0))
-        tr = run_km(Channel(T), z0, RelaxationSchedule.constant(0.5), stop=StopRule(50, 0.0),
+        tr = run_km(Channel(T), z0, 0.5, stop=StopRule(50, 0.0),
                     fix=fix)
         tau = tr.lam * (1.0 - tr.lam)
         lhs = tr.dist[1:] ** 2
@@ -250,7 +317,7 @@ class TestDivergenceGuard:
         sp = ProductSpace.single(1)
         bad = vector_operator(sp, lambda x: 3.0 * x, None, "triple")  # false claim
         with pytest.raises(DivergenceError):
-            run_km(Channel(bad), sp.vector((1.0,)), RelaxationSchedule.constant(1.0),
+            run_km(Channel(bad), sp.vector((1.0,)), 1.0,
                    stop=StopRule(300, 0.0))
 
 
@@ -277,10 +344,10 @@ class TestResidualIdentity:
         sp = ProductSpace.single(4)
         channel = MisreportingChannel(sp, c, 1e-6)
         with pytest.raises(NumericalError, match="residual identity violated at step 0"):
-            run_km(channel, sp.vector(np.ones(4)), RelaxationSchedule.constant(0.5),
+            run_km(channel, sp.vector(np.ones(4)), 0.5,
                    stop=StopRule(5, 0.0))
         channel.rel = 0.0
-        assert run_km(channel, sp.vector(np.ones(4)), RelaxationSchedule.constant(0.5),
+        assert run_km(channel, sp.vector(np.ones(4)), 0.5,
                       stop=StopRule(5, 0.0)).n_steps == 5
 
     def test_non_finite_reported_error_is_named(self):
@@ -289,7 +356,7 @@ class TestResidualIdentity:
         sp = ProductSpace.single(4)
         channel = MisreportingChannel(sp, 0.1, np.nan)
         with pytest.raises(NumericalError, match="^non-finite error norm at step 0$"):
-            run_km(channel, sp.vector(np.ones(4)), RelaxationSchedule.constant(0.5),
+            run_km(channel, sp.vector(np.ones(4)), 0.5,
                    stop=StopRule(5, 0.0))
 
 
@@ -297,7 +364,7 @@ class TestErgodicRecompute:
     def test_matches_engine_column(self, record):
         T, z0, _ = zero_problem(d=3, z0=(1.0, -2.0, 0.5))
         tr, rec = record(run_km, Channel(T, ErrorSchedule.power(0.05, 3.0)), z0,
-                         RelaxationSchedule.constant(0.5), stop=StopRule(60, 0.0))
+                         0.5, stop=StopRule(60, 0.0))
         # relaxation-weighted running average of the recorded residuals
         S = tr.space.zeros()
         total = 0.0
@@ -313,7 +380,7 @@ class TestErgodicRecompute:
         sp = ProductSpace.single(2)
         T = OperatorSpec(lambda z: z, None, "id", sp)
         tr = run_km(Channel(T, ErrorSchedule.power(1.0, 0.0)), sp.vector((1.0, 1.0)),
-                    RelaxationSchedule.constant(0.5), stop=StopRule(25, 0.0))
+                    0.5, stop=StopRule(25, 0.0))
         assert np.max(tr.res_norm) == 0.0
         assert np.max(tr.erg_norm) == 0.0
 
@@ -323,7 +390,7 @@ class TestErgodicRecompute:
         sp = ProductSpace.single(2)
         flip = vector_operator(sp, lambda x: -x, None, "flip")
         z0 = sp.vector((3.0, 4.0))
-        tr = run_km(Channel(flip), z0, RelaxationSchedule.constant(1.0),
+        tr = run_km(Channel(flip), z0, 1.0,
                     stop=StopRule(20, 0.0))
         ks = np.arange(20)
         expected = np.where(ks % 2 == 0, 10.0 / (ks + 1.0), 0.0)
@@ -387,10 +454,10 @@ class TestNonstationary:
     def test_relaxation_checked_at_the_range_ends(self):
         # alpha = 2 beta / (4 beta - gamma) with beta = 1 caps the relaxation
         # at 1.25 at the limit 1.5 and at 1.05 at the range's upper end 1.9
-        lam = RelaxationSchedule.constant(1.2)
+        lam = 1.2
         stationary = make_gfb_multiblock(3, 6, gamma=1.5)
-        assert replace(stationary, relaxation=lam).run(0.1, 3.0, 5).n_steps == 5
+        assert replace(stationary, lam=lam).run(0.1, 3.0, 5).n_steps == 5
         for kind in ("geometric", "harmonic"):
-            p = replace(make_multiblock_nonstationary(kind, d=6), relaxation=lam)
+            p = replace(make_multiblock_nonstationary(kind, d=6), lam=lam)
             with pytest.raises(ParameterError, match="admissible cap 1.05"):
                 p.run(0.1, 3.0, 5)

@@ -5,7 +5,6 @@ import pytest
 
 from kmcert import cli, problems
 from kmcert.errors import ParameterError
-from kmcert.km import RelaxationSchedule
 from kmcert.problems import (
     make_gfb_multiblock,
     make_lasso,
@@ -259,7 +258,7 @@ class TestReferenceCache:
     @pytest.mark.parametrize("change", [
         lambda p: {"z0": p.z0 + 0.5},
         lambda p: {"cert_horizon": 500},
-        lambda p: {"relaxation": RelaxationSchedule.constant(0.5)},
+        lambda p: {"lam": 0.5},
         lambda p: {"operator": make_lasso(10, 12, mu=0.05, seed=3).operator},
     ], ids=["z0", "cert_horizon", "relaxation", "operator"])
     def test_a_replaced_instance_solves_again(self, solves, change):
@@ -282,7 +281,7 @@ class TestReferenceCache:
         again = make_lasso(10, 12, seed=3)
         direct = problems.ProblemInstance(
             name="direct", kind="gfb", operator=p.operator, z0=p.z0,
-            relaxation=p.relaxation, built=p.built)
+            lam=p.lam, built=p.built)
         for q in (p, again, direct, p, again, direct):
             q.fix_reference()
         assert solves == ["lasso", "lasso", "direct"]

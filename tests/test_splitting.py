@@ -10,7 +10,6 @@ from kmcert.km import (
     Channel,
     ErrorSchedule,
     GammaSchedule,
-    RelaxationSchedule,
     StopRule,
     run_km,
 )
@@ -327,7 +326,7 @@ class TestGfbBuild:
         hand = OperatorSpec(fbs, None, "fbs-hand", sp)
         _, rec_g = record(p.run, max_iters=300)
         _, rec_f = record(run_km, Channel(hand), sp.vector(np.zeros(60)),
-                          RelaxationSchedule.constant(1.0), stop=StopRule(300, 0.0))
+                          1.0, stop=StopRule(300, 0.0))
         worst = max(np.max(np.abs(a - b)) for a, b in zip(rec_g.z_vecs, rec_f.z_vecs))
         assert worst <= 1e-12
 
@@ -350,9 +349,9 @@ class TestGfbBuild:
 
         T = OperatorSpec(hand, 0.5, "hand", sp)
         z0 = sp.point(tuple(rng.standard_normal(d) for _ in range(2)))
-        _, r1 = record(run_km, Channel(built.operator), z0, RelaxationSchedule.constant(1.0),
+        _, r1 = record(run_km, Channel(built.operator), z0, 1.0,
                        stop=StopRule(200, 0.0))
-        _, r2 = record(run_km, Channel(T), z0, RelaxationSchedule.constant(1.0),
+        _, r2 = record(run_km, Channel(T), z0, 1.0,
                        stop=StopRule(200, 0.0))
         worst = max(np.max(np.abs(a - b)) for a, b in zip(r1.z_vecs, r2.z_vecs))
         assert worst <= 1e-12
@@ -433,7 +432,7 @@ class TestGfbCertificates:
                          dim=d, smooth=CocoerciveMap.envelope_l1(0.5))
         rng = np.random.default_rng(0)
         z0 = built.space.point(tuple(0.3 * rng.standard_normal(d) for _ in range(2)))
-        tr = run_km(Channel(built.operator), z0, RelaxationSchedule.constant(1.0),
+        tr = run_km(Channel(built.operator), z0, 1.0,
                     stop=StopRule(2000, 1e-14))
         x = built.evaluate(tr.z_final)[1][0]     # the consensus of the blocks
         assert np.linalg.norm(x) <= 1e-10
@@ -483,7 +482,7 @@ class TestDrs:
         zstar = sp.vector(np.array([0.0, 0.0, 1.0, -2.0]))  # in the fixed set
         cert = DrsCertificates(p.built)
         constants = EmpiricalConstants(p.fix.nearest(zstar), sp)
-        tr, _ = record(run_km, p.make_channel(0.0, 3.0), zstar, p.relaxation,
+        tr, _ = record(run_km, p.make_channel(0.0, 3.0), zstar, p.lam,
                        stop=StopRule(5, 0.0), also=[cert.observe, constants.observe])
         series = cert.series(tr, constants.constants(tr))
         assert np.max(series.values) <= 1e-12
@@ -582,7 +581,7 @@ class TestPds:
             smooth=CocoerciveMap.quadratic(Q, q),
         )
         tr = run_km(Channel(built.operator), built.space.zeros(),
-                    RelaxationSchedule.constant(1.0), stop=StopRule(5000, 1e-12))
+                    1.0, stop=StopRule(5000, 1e-12))
         # dual block never leaves the origin
         assert np.linalg.norm(built.space.blocks(tr.z_final)[1]) == 0.0
 
@@ -692,18 +691,20 @@ class TestNonstationaryFamily:
         assert p.make_channel(0.0, 3.0).alphas == (built.alpha_at(1.5), built.alpha_at(1.9))
 
     def test_evaluate_at_another_step_size_matches_a_fresh_build(self):
-        # an exact step of the schedule's channel at gamma_k = 1.7: the
-        # splitting at 1.7, and the limit evaluation left to the chunk
+        # an exact step of the schedule's channel at gamma_k != gamma: the
+        # splitting at the gamma_k it read, and the limit evaluation left to
+        # the chunk
         p = make_multiblock_nonstationary("harmonic", d=6)
         built = p.built
-        channel = GfbScheduleChannel(built, GammaSchedule.from_function(
-            lambda k: 1.7, built.gamma, 1.2, 1.8), ErrorSchedule.power(0.0, 3.0))
+        channel = GfbScheduleChannel(built, p.schedule, ErrorSchedule.power(0.0, 3.0))
         z = np.random.default_rng(5).standard_normal(p.built.space.size)
         exact, out, eps = channel.evaluate(0, z, channel.errors(np.random.default_rng(0)))
+        gamma = channel._gammas[0]
+        assert gamma == p.schedule.value(0) != built.gamma
         # the limit's output is left to the chunk's stacked evaluation
         assert exact is None and eps is None
         assert np.array_equal(channel.evaluate_rows(z[None])[0][0], p.built.evaluate(z)[0])
-        want = GfbBuilt(built.blocks, built.weights, 1.7, built.dim, built.smooth)
+        want = GfbBuilt(built.blocks, built.weights, gamma, built.dim, built.smooth)
         assert np.array_equal(out, want.evaluate(z)[0])
 
     def test_schedule_classification_reported(self):
@@ -1153,7 +1154,7 @@ def test_error_rows_of_a_run_stopped_inside_a_window():
 
     def errors_of_run(horizon, tol):
         eps = []
-        trace = run_km(make(law), problem.z0, RelaxationSchedule.constant(0.5),
+        trace = run_km(make(law), problem.z0, 0.5,
                        StopRule(horizon, tol), observe=lambda steps: eps.extend(steps.eps),
                        seed=11)
         assert_rows_equal(eps, want[:trace.n_steps])
@@ -1203,4 +1204,4 @@ def test_bare_run_with_an_overflowing_law_fails_at_step_0():
     with pytest.raises(NumericalError, match=r"^non-finite error norm at step 0: the error "
                        r"magnitude 1\.000e\+200 squares past the float range$"):
         run_km(Channel(problem.operator, ErrorSchedule.power(1e200, 1.0)), problem.z0,
-               RelaxationSchedule.constant(0.5), StopRule(10, 0.0))
+               0.5, StopRule(10, 0.0))

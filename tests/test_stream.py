@@ -10,15 +10,16 @@ residual tolerance, and every hand-over is checked against the contract of
 ``run_km``'s ``observe``.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
 from kmcert import problems as problems_module
 from kmcert.bounds import BoundConstants, EmpiricalConstants, pointwise_bound
-from kmcert.km import CHUNK, RelaxationSchedule
+from kmcert.km import CHUNK, Channel, ErrorSchedule
 from kmcert.problems import (
+    ProblemInstance,
     make_gfb_multiblock,
     make_lasso,
     make_pds_small,
@@ -163,12 +164,31 @@ def assert_certificate(problem, trace, rec, constants, z_star, cert):
     assert cert.membership_max == want[2]
 
 
+class SpikedChannel(Channel):
+    """The bare channel with an error of norm 1000 added at the last step
+    of the first chunk."""
+
+    def evaluate(self, k, z, errors):
+        exact, tilde, eps = super().evaluate(k, z, errors)
+        if k != CHUNK - 1:
+            return exact, tilde, eps
+        spike = np.full(z.shape, 1000.0 / np.sqrt(z.size))
+        eps = spike if eps is None else eps + spike
+        return exact, exact + eps, eps
+
+
+@dataclass(frozen=True)
+class SpikedProblem(ProblemInstance):
+    def make_channel(self, c, p):
+        return SpikedChannel(self.operator, ErrorSchedule.power(c, p))
+
+
 def zero_map_spiked():
-    """The zero map relaxed by 0.01 except at the last step of the first
-    chunk, 0.9: the largest residual jump ``||e_k - e_{k+1}||`` is the one
-    across the chunk boundary."""
-    return replace(make_zero_map(4), relaxation=RelaxationSchedule.from_function(
-        lambda k: 0.9 if k == CHUNK - 1 else 0.01, 0.01, 0.9))
+    """The zero map whose error spikes at the last step of the first chunk:
+    the largest residual jump ``||e_k - e_{k+1}||`` is the one across the
+    chunk boundary."""
+    p = make_zero_map(4)
+    return SpikedProblem(**{f.name: getattr(p, f.name) for f in fields(p) if f.init})
 
 
 HORIZONS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
@@ -221,6 +241,9 @@ def test_chunk_boundaries_equal_the_per_step_oracles(problems, record, handed_ov
     full, rec = record(problem.run, *law, max_iters=HORIZONS[-1])
     early = float(full.res_norm[CHUNK + 40])
     assert early > 0.0
+    if label == "zero-map-spiked":
+        jumps = [space.norm(a - b) for a, b in zip(rec.e_vecs, rec.e_vecs[1:])]
+        assert int(np.argmax(jumps)) == CHUNK - 1
 
     for horizon, tol in [(h, 0.0) for h in HORIZONS] + [(HORIZONS[-1], early)]:
         handed_over.clear()

@@ -16,7 +16,6 @@ import kmcert
 PACKAGE = pathlib.Path(kmcert.__file__).resolve().parent
 
 ALLOWED = {
-    "from_function": "custom relaxation and parameter schedules, for library callers",
     "verify_files": "the benchmark's agreement gate (perfbench/worker.py) reads its list",
 }
 

@@ -28,7 +28,6 @@ from kmcert.km import (
     ErrorSchedule,
     FixedPointSet,
     GammaSchedule,
-    RelaxationSchedule,
     StopRule,
     run_km,
 )
@@ -110,7 +109,7 @@ class TestOperatorOutputs:
         sp = ProductSpace.single(2)
         with pytest.raises(NumericalError, match="step 0"):
             run_km(Channel(nan_operator(sp)), sp.vector([1.0, 2.0]),
-                   RelaxationSchedule.constant(0.5), stop=StopRule(5, 0.0))
+                   0.5, stop=StopRule(5, 0.0))
 
     def test_non_finite_output_exits_3(self, tmp_path, monkeypatch, capsys):
         def nan_problem(cfg):
@@ -161,7 +160,7 @@ class TestOperatorOutputs:
     def test_engine_rejects_bad_start_point(self, z0):
         T = zero_operator(ProductSpace.single(2))
         with pytest.raises(StructuralError, match=r"shape \(2,\)"):
-            run_km(Channel(T), z0, RelaxationSchedule.constant(0.5), stop=StopRule(3, 0.0))
+            run_km(Channel(T), z0, 0.5, stop=StopRule(3, 0.0))
 
 
 class Poisoned:
@@ -198,7 +197,7 @@ class Poisoned:
 
 def run_poisoned(problem, *args, **kwargs):
     channel = Poisoned(problem, *args, **kwargs)
-    return run_km(channel, problem.z0, problem.relaxation, StopRule(10, 0.0), fix=problem.fix)
+    return run_km(channel, problem.z0, problem.lam, StopRule(10, 0.0), fix=problem.fix)
 
 
 GUARD_PROBLEMS = {"zero-map": make_zero_map,               # one block
@@ -398,65 +397,6 @@ class TestCaches:
 
 
 class TestScheduleRanges:
-    def test_relaxation_out_of_range_raises_at_step(self):
-        sched = RelaxationSchedule.from_function(
-            lambda k: 0.5 if k < 3 else 1.9, 0.5, 1.0)
-        sp = ProductSpace.single(1)
-        with pytest.raises(ParameterError, match="step 3"):
-            run_km(Channel(zero_operator(sp)), sp.vector([1.0]), sched, stop=StopRule(10, 0.0))
-
-    def test_relaxation_nan_raises(self):
-        sched = RelaxationSchedule.from_function(lambda k: float("nan"), 0.5, 1.0)
-        with pytest.raises(ParameterError):
-            sched.value(0)
-
-    def test_relaxation_rounding_of_in_range_value_accepted(self):
-        lo, hi = 0.1, 0.7
-        sched = RelaxationSchedule.from_function(lambda k: hi + 1e-16, lo, hi)
-        assert sched.value(0) == hi + 1e-16
-
-    def test_custom_gamma_schedule_keeps_declared_range(self):
-        sched = GammaSchedule.from_function(lambda k: 1.5, 1.5, 1.2, 1.8)
-        assert sched.interval == (1.2, 1.8)
-        with pytest.raises(ParameterError):
-            GammaSchedule.from_function(lambda k: 1.5, 1.9, 1.2, 1.8)
-
-    def test_custom_gamma_out_of_range_raises_at_step(self):
-        p = make_multiblock_nonstationary("constant", d=6)
-        sched = GammaSchedule.from_function(
-            lambda k: 1.5 if k < 4 else 1.85, 1.5, 1.2, 1.8)
-        with pytest.raises(ParameterError, match="step 4"):
-            replace(p, schedule=sched).run(max_iters=10)
-
-    def test_earlier_relaxation_failure_wins_over_a_later_gamma_one(self):
-        # the window read ahead meets gamma_5 out of range; step 2 fails first
-        p = make_multiblock_nonstationary("constant", d=6)
-        sched = GammaSchedule.from_function(
-            lambda k: 1.5 if k < 5 else 1.85, 1.5, 1.2, 1.8)
-        relaxation = RelaxationSchedule.from_function(
-            lambda k: 1.05 if k == 2 else 0.9, 0.5, 1.0)
-        with pytest.raises(ParameterError, match="relaxation 1.05 at step 2"):
-            replace(p, schedule=sched, relaxation=relaxation).run(max_iters=10)
-
-    def test_raising_gamma_function_raises_at_its_step(self):
-        ran = []
-
-        def gamma(k):
-            if k == 3:
-                raise RuntimeError("no value at step 3")
-            return 1.5
-
-        def lam(k):
-            ran.append(k)
-            return 0.9
-
-        p = make_multiblock_nonstationary("constant", d=6)
-        p = replace(p, schedule=GammaSchedule.from_function(gamma, 1.5, 1.2, 1.8),
-                    relaxation=RelaxationSchedule.from_function(lam, 0.5, 1.0))
-        with pytest.raises(RuntimeError, match="step 3"):
-            p.run(max_iters=10)
-        assert ran == [0, 1, 2, 3]      # step 3 reads its relaxation, then fails
-
     def test_failed_stacked_inversion_leaves_the_trace(self, monkeypatch):
         # a window whose stack cannot be inverted goes step by step
         def run():
@@ -476,10 +416,16 @@ class TestScheduleRanges:
         assert run() == want and refused
 
     def test_custom_gamma_range_checked_against_admissible_interval(self):
+        # beta = 1: the values must lie in the open (0, 2); a start at either
+        # end leaves it, one just inside does not
         base = make_gfb_multiblock(2, 6, gamma=1.5)
-        sched = GammaSchedule.from_function(lambda k: 1.5, 1.5, 1.2, 2.5)
-        with pytest.raises(ParameterError, match="admissible interval"):
-            GfbScheduleChannel(base.built, sched, ErrorSchedule.power(0.0, 3.0))
+        law = ErrorSchedule.power(0.0, 3.0)
+        for sched in (GammaSchedule.geometric(1.5, 2.5), GammaSchedule.harmonic(1.5, 2.0),
+                      GammaSchedule.inverse_square(1.5, 0.0)):
+            with pytest.raises(ParameterError, match="admissible interval"):
+                GfbScheduleChannel(base.built, sched, law)
+        inside = GfbScheduleChannel(base.built, GammaSchedule.harmonic(1.5, 1.999), law)
+        assert inside.alphas == (base.built.alpha_at(1.5), base.built.alpha_at(1.999))
 
     def test_schedule_limit_must_be_the_splittings_step_size(self):
         base = make_gfb_multiblock(2, 6)
@@ -488,11 +434,13 @@ class TestScheduleRanges:
                                ErrorSchedule.power(0.0, 3.0))
 
     def test_admissibility_probed_at_both_ends(self):
-        # alpha = 2 beta / (4 beta - gamma) with beta = 1
+        # alpha = 2 beta / (4 beta - gamma) with beta = 1, at the interval's
+        # ends: the limit 1.5 and the start, above it or below it
         p = make_multiblock_nonstationary("constant", d=6)
-        sched = GammaSchedule.from_function(lambda k: 1.5, 1.5, 1.2, 1.8)
-        channel = replace(p, schedule=sched).make_channel(0.0, 3.0)
-        assert channel.alphas == pytest.approx((2.0 / 2.8, 2.0 / 2.2), rel=1e-15)
+        for sched, want in ((GammaSchedule.geometric(1.5, 1.8), (2.0 / 2.5, 2.0 / 2.2)),
+                            (GammaSchedule.harmonic(1.5, 1.2), (2.0 / 2.8, 2.0 / 2.5))):
+            channel = replace(p, schedule=sched).make_channel(0.0, 3.0)
+            assert channel.alphas == pytest.approx(want, rel=1e-15)
 
 
 class TestCli:
@@ -696,7 +644,7 @@ class TestCli:
         cfgfile = tmp_path / "cfg.txt"
         cfgfile.write_text("problem = two-subspaces\nlam = 2.0\n")   # cap 1/alpha = 2
         assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
-        assert ("config error: relaxation supremum 2.0 must lie below the admissible "
+        assert ("config error: relaxation 2.0 must lie below the admissible "
                 "cap 2.0 of a certified run") in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 

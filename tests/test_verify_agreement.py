@@ -21,7 +21,6 @@ from hypothesis import example, given, settings, strategies as st
 from kmcert import cli
 from kmcert.bounds import CHECKS, MEMBERSHIP_TOL, BoundConstants, verify_series
 from kmcert.errors import UnavailableError
-from kmcert.km import RelaxationSchedule
 from kmcert.problems import ProblemInstance
 from kmcert.splitting import BoxBlock, CocoerciveMap, GfbBuilt, L1Block
 
@@ -89,7 +88,7 @@ def with_drawn_relaxation(build):
         p = build(dict(cfg, lam=cli.DEFAULTS["lam"]))
         cap = 1.0 if p.operator.alpha is None else 1.0 / p.operator.alpha
         return dataclasses.replace(
-            p, relaxation=RelaxationSchedule.constant(cfg["lam"] * cap))
+            p, lam=cfg["lam"] * cap)
     return patched
 
 
@@ -200,7 +199,7 @@ def gfb_instance(d, kinds_, raw_w, rng_seed, gamma_share, lam_share, error_c, er
     problem = ProblemInstance(
         name="gfb-generated", kind="gfb", operator=built.operator,
         z0=built.space.point([3.0 * rng.standard_normal(d) for _ in blocks]),
-        relaxation=RelaxationSchedule.constant(lam_share / built.operator.alpha),
+        lam=lam_share / built.operator.alpha,
         built=built)
     cfg = dict(cli.DEFAULTS, problem="multiblock", name="prop-gfb", error_c=error_c,
                error_p=error_p, max_iters=max_iters, seed=seed)
