@@ -156,7 +156,6 @@ def resolve_config(preset: Optional[str] = None, config_path: Optional[str] = No
             raise ParameterError(
                 f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
         cfg.update(PRESETS[preset])
-        cfg.setdefault("name", preset)
         cfg["name"] = cfg["name"] or preset
     if config_path is not None:
         with open(config_path, "r", encoding="utf-8") as fh:

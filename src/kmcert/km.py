@@ -9,7 +9,7 @@ next evaluation needs: the evaluation, the update and the norm of ``z+``
 are taken over stacks of ``CHUNK`` steps, which ``observe`` then receives.
 
 Each evaluation comes from a :class:`Channel`, the operator ``T`` with an
-error law; a splitting's channel model splits the law over its stages, and
+error law; a splitting's channel splits the law over its stages, and
 its :meth:`~Channel.draws` stream draws ``CHUNK`` steps of errors at once,
 which the run's :class:`ErrorStream` scales a chunk's window at a time.  A
 non-stationary iteration is an inexact one: its channel measures the
@@ -257,9 +257,10 @@ class Channel:
     (T Z, parts)`` of a ``(C, size)`` stack of points, row for row equal to
     ``T z``, may leave a step's exact output to the chunk: ``evaluate`` then
     returns ``(None, tilde, None)``, and the engine fills in ``T z`` and
-    ``eps = tilde - T z``.  The bare channel never does.  The GFB channels
-    do so for an inexact or scheduled step, and the DRS and PDS channel
-    models for an inexact step.  Where a hook reads the stacked parts
+    ``eps = tilde - T z``.  The bare channel never does.  A splitting's
+    channel does so for an inexact step, and the scheduled GFB channel for
+    a step at ``gamma_k != gamma``; their ``evaluate_rows`` is the
+    splitting's own ``evaluate``.  Where a hook reads the stacked parts
     (``observed_parts``, the GFB and DRS channels), an observed run stacks
     every row of its chunk for ``Steps.parts``; any other channel stacks
     only the rows it left, so that no step is evaluated twice."""
@@ -399,8 +400,10 @@ def _checked(k0: int, Z: np.ndarray, rows: list, lam: float, evaluate_rows, spac
     # a non-finite exact output shows in res, a non-finite tilde in disp;
     # the sum of the norms is finite unless one of them is, or it overflows
     finite = np.isfinite(res + disp + epsn)
+    # tol * max(1, ||eps||, ||z|| / min(lam, 1)): (z - z+) / lam carries the
+    # rounding of z+, about u ||z||, times 1 / lam
     drifted = ((drift > _IDENTITY_TOL) & (drift > _IDENTITY_TOL * epsn)
-               & (drift > _IDENTITY_TOL * znorm))     # tol * max(1, ||eps||, ||z||)
+               & (drift > _IDENTITY_TOL * znorm / min(lam, 1.0)))
     for r in np.flatnonzero(~finite | drifted).tolist():
         k = k0 + r
         if not finite[r]:

@@ -26,17 +26,15 @@ from .splitting import (
     BoxBlock,
     DrsBuilt,
     DrsCertificates,
-    DrsChannelModel,
     GfbBuilt,
     GfbCertificates,
-    GfbChannelModel,
     GfbScheduleChannel,
     L1Block,
     LinearBlock,
     PdsBuilt,
     PdsCertificates,
-    PdsChannelModel,
     PdsDualTerm,
+    SplittingChannel,
     SubspaceBlock,
     ZeroBlock,
 )
@@ -45,11 +43,11 @@ CERT_HORIZON = 1000
 # a reference run stops at this residual, or after this many cert_horizons
 _REFERENCE_TOL = 1e-13
 _REFERENCE_FACTOR = 10
-# each splitting kind: its channel model of (built, law) and certificate of (built, z_star)
+# each splitting kind's certificate of (built, z_star)
 _SPLITTINGS = {
-    "gfb": (GfbChannelModel, lambda built, z_star: GfbCertificates(built)),
-    "drs": (DrsChannelModel, lambda built, z_star: DrsCertificates(built)),
-    "pds": (PdsChannelModel, PdsCertificates),
+    "gfb": lambda built, z_star: GfbCertificates(built),
+    "drs": lambda built, z_star: DrsCertificates(built),
+    "pds": PdsCertificates,
 }
 
 
@@ -107,7 +105,7 @@ class ProblemInstance:
                 f"certified run (tau_min > 0)")
         z_star = self.fix_reference().nearest(self.z0)
         constants = EmpiricalConstants(z_star, self.operator.space)
-        cert = (_SPLITTINGS[self.kind][1](self.built, z_star)
+        cert = (_SPLITTINGS[self.kind](self.built, z_star)
                 if self.kind in _SPLITTINGS else None)
 
         def observe(steps):
@@ -127,7 +125,7 @@ class ProblemInstance:
             return GfbScheduleChannel(self.built, self.schedule, law)
         if self.kind == "km":
             return Channel(self.operator, law)
-        return _SPLITTINGS[self.kind][0](self.built, law)
+        return SplittingChannel(self.built, law)
 
     def observed_rate(self, trace: IterationTrace) -> float:
         if self.rate_basis == "residual":

@@ -2,24 +2,25 @@
 Douglas-Rachford (DRS) and a primal-dual scheme, each built as a certified
 averaged fixed-point operator with termination certificates.
 
-The GFB and DRS ``evaluate`` methods return ``T z`` with the step's
-internals, its parts, which the certificates read; they are the internals
-of the exact evaluation, so injected channel errors perturb only the
-iterate path.  The GFB and DRS evaluations and the PDS ``block_step`` take
-a point or a ``(C, size)`` stack of points, row for row the same bits.
-Every channel model leaves the exact output of a step whose iterate does
-not need it (an inexact step, a scheduled step at ``gamma_k != gamma``) to
-the chunk, and the engine finishes it with one stacked evaluation
-(:attr:`~kmcert.km.Channel.evaluate_rows`) per chunk.  The GFB and DRS
-channels' ``(C, ...)`` parts reach the certificates as ``Steps.parts``, so
-an observed GFB or DRS run stacks every step (``observed_parts``); a PDS
+Each built splitting has one evaluation, ``evaluate(z, errs=None) -> (T z,
+parts)``, of a point or a ``(C, size)`` stack of points, row for row the
+same bits.  ``errs`` is a channel's row (or rows) of stage errors, and
+``evaluate`` applies them itself; the splitting names its error ``stages``
+and their ``segments``.  ``parts``, the step's internals, are what the
+certificates read (None for PDS).  :class:`SplittingChannel` is the channel
+of any of them: an exact step is ``evaluate(z)``, and an inexact one
+``evaluate(z, errs)`` with its exact output left to the chunk, which the
+engine finishes with one stacked ``evaluate`` (the channel's
+:attr:`~kmcert.km.Channel.evaluate_rows`).  A scheduled GFB step at
+``gamma_k != gamma`` leaves it too.  Where a certificate reads the parts
+(``observed_parts``, GFB and DRS), an observed run stacks every step; a PDS
 run stacks only the steps left to it.  A channel's stage errors reach the
-hooks as the chunk's window of the error stream, ``Steps.errors``.  The
-exception to the exact internals is the inexact DRS certificate's first
-resolvent output, taken again, in one stacked call, at the perturbed
-shadow point it certifies.  The certificates take the engine's chunks of
-steps (:class:`~kmcert.km.Steps`); a block's membership residual takes
-``(C, d)`` stacks.
+hooks as the chunk's window of the error stream, ``Steps.errors``; the
+parts are those of the exact evaluation, and the inexact DRS certificate
+takes its perturbed shadow points again from the exact ones
+(:meth:`DrsBuilt.reflect`, one stacked resolvent per chunk).  The
+certificates take the engine's chunks of steps (:class:`~kmcert.km.Steps`);
+a block's membership residual takes ``(C, d)`` stacks.
 """
 
 from __future__ import annotations
@@ -233,10 +234,14 @@ class GfbBuilt:
     satisfy ``0 < gamma < 2 beta`` whenever a smooth part is present.
     ``T z = z + u - x`` blockwise, with the consensus ``x = sum_i w_i z_i``
     and the resolvent outputs ``u_i`` at ``2 x - z_i - gamma B x``.
-    :meth:`evaluate` and the channel models compute on a point's ``(n, d)``
-    block stack, or a ``(C, n, d)`` stack of them; only the per-block
-    resolvents loop over the blocks.
+    :meth:`evaluate` computes on a point's ``(n, d)`` block stack, or a
+    ``(C, n, d)`` stack of them; only the per-block resolvents loop over the
+    blocks.  Its channel's errors come in two stages, in ``n + 1``
+    segments: ``b``, then one ``a_i`` per block.
     """
+
+    stages = 2
+    observed_parts = True
 
     def __init__(self, blocks: List[MonotoneBlock], weights, gamma: float, dim: int,
                  smooth: Optional[CocoerciveMap] = None):
@@ -254,6 +259,7 @@ class GfbBuilt:
             blocks, weights, gamma, dim, smooth)
         self.n = n
         self.space = ProductSpace((dim,) * n, weights)
+        self.segments = (dim,) * (n + 1)
         self._w = tuple(float(wi) for wi in weights)
         self._W = weights[:, None]
         self._params = tuple(gamma / wi for wi in self._w)
@@ -271,46 +277,49 @@ class GfbBuilt:
     def _rows(self, z: np.ndarray) -> np.ndarray:
         return z.reshape(z.shape[:-1] + (self.n, self.dim))
 
-    def resolve_all(self, args: np.ndarray, params: Optional[tuple] = None) -> np.ndarray:
-        out = np.empty_like(args)
-        for i, (blk, c) in enumerate(zip(self.blocks, params or self._params)):
-            out[..., i, :] = blk.resolvent(args[..., i, :], c)
-        return out
-
-    def _arguments(self, z: np.ndarray, gamma: float):
-        """``(Z, x, gx, args)`` of a point or a ``(C, size)`` stack: the
-        block rows, the consensus and the smooth part at it as ``(..., 1,
-        d)`` rows, and the resolvent arguments at step size ``gamma``."""
+    def evaluate(self, z: np.ndarray, errs: Optional[np.ndarray] = None,
+                 gamma: Optional[float] = None):
+        """``(T z, parts)`` of a point or a ``(C, size)`` stack, at the step
+        size ``gamma`` (the splitting's own by default), with its internals
+        ``parts = (x, gx, args, u)``: the consensus, the smooth part at it,
+        the per-block resolvent arguments and their outputs.  ``errs``, the
+        channel's row (or rows) of stage errors, adds a pre-resolvent error
+        ``b`` (shared across blocks, lifted onto the diagonal) to the
+        arguments and then per-block post-resolvent errors ``a``, an ``(n,
+        d)`` block, to the output."""
+        if gamma is None:
+            gamma, params = self.gamma, self._params
+        else:
+            params = [gamma / wi for wi in self._w]
         Z = self._rows(z)
         x = _weighted_sum(self._W, Z)
         gx = _smooth_at(self.smooth, x)
-        return Z, x, gx, 2.0 * x - Z - gamma * gx
-
-    def evaluate(self, z: np.ndarray, gamma: Optional[float] = None):
-        """``(T z, parts)``: the exact evaluation of a point or a ``(C,
-        size)`` stack, at the step size ``gamma`` (the splitting's own by
-        default), and its internals ``parts = (x, gx, args, u)``, the
-        consensus, the smooth part at it, the per-block resolvent arguments
-        and their outputs."""
-        params = None if gamma is None else [gamma / wi for wi in self._w]
-        Z, x, gx, args = self._arguments(z, self.gamma if gamma is None else gamma)
-        u = self.resolve_all(args, params)
-        return (Z + u - x).reshape(z.shape), (x[..., 0, :], gx[..., 0, :], args, u)
+        args = 2.0 * x - Z - gamma * gx
+        if errs is not None:
+            args = args + errs[..., None, :self.dim]
+        u = np.empty_like(args)
+        for i, (blk, c) in enumerate(zip(self.blocks, params)):
+            u[..., i, :] = blk.resolvent(args[..., i, :], c)
+        out = Z + u - x
+        if errs is not None:
+            out = out + self._rows(errs[..., self.dim:])
+        return out.reshape(z.shape), (x[..., 0, :], gx[..., 0, :], args, u)
 
 
-class _SplittingChannel(Channel):
+class SplittingChannel(Channel):
     """The channel of the splitting ``built``: the law ``c / (k+1)^p`` split
-    evenly over its error stages, each drawing ``(c / stages) / (k+1)^p``
-    in Euclidean unit directions, one per segment of ``segments_of(built)``."""
-
-    stages = 2
+    evenly over its ``stages``, each drawing ``(c / stages) / (k+1)^p`` in
+    Euclidean unit directions, one per segment of ``built.segments``.  A
+    step's stage errors are applied by the splitting's own ``evaluate``,
+    and the exact output of an inexact step is left to the chunk."""
 
     def __init__(self, built, law: ErrorSchedule):
         super().__init__(built.operator, law)
         self.built = built
-        self.stage_law = ErrorSchedule.power(law.c / self.stages, law.p)
-        self.segments = self.segments_of(built)
+        self.stage_law = ErrorSchedule.power(law.c / built.stages, law.p)
+        self.segments = built.segments
         self._slices = _layout(self.segments)
+        self.evaluate_rows, self.observed_parts = built.evaluate, built.observed_parts
 
     def _segment_norms(self, G: np.ndarray) -> np.ndarray:
         return np.column_stack([_l2_rows(G[:, s]) for s in self._slices])
@@ -318,28 +327,12 @@ class _SplittingChannel(Channel):
     def _unit_rows(self, G: np.ndarray, N: np.ndarray) -> np.ndarray:
         return G / np.repeat(N, self.segments, axis=1)   # each segment is g / ||g||
 
-
-class GfbChannelModel(_SplittingChannel):
-    """Injects a pre-resolvent error ``b`` (shared across blocks, lifted onto
-    the diagonal) and then per-block post-resolvent errors ``a``, an ``(n,
-    d)`` block, reporting the induced iteration error.  The exact output of
-    an inexact step is left to the chunk."""
-
-    segments_of = staticmethod(lambda built: (built.dim,) * (built.n + 1))
-    observed_parts = True
-
-    def evaluate_rows(self, Z):
-        return self.built.evaluate(Z)
-
     def evaluate(self, k, z, errors):
-        built = self.built
         errs = errors(k)
         if errs is None:
-            exact = built.evaluate(z)[0]
+            exact = self.built.evaluate(z)[0]
             return exact, exact, None
-        Z, x, _, args = built._arguments(z, built.gamma)
-        b, a = errs[:built.dim], built._rows(errs[built.dim:])
-        return None, (Z + built.resolve_all(args + b) - x + a).ravel(), None
+        return None, self.built.evaluate(z, errs=errs)[0], None
 
 
 class GfbScheduleChannel(Channel):
@@ -375,14 +368,14 @@ class GfbScheduleChannel(Channel):
         self.built, self.schedule = built, schedule
         # every value lies in the schedule's interval by construction, and the
         # averagedness grows with the step size, so its ends bound every step
+        # up to the rounding of alpha_at (not monotone to the last bit), which
+        # the 1e-12 slack of the relaxation check absorbs
         self.alphas = tuple(built.alpha_at(g) for g in sorted(set(schedule.interval)))
+        self.evaluate_rows = built.evaluate
         self._width = max(1, min(CHUNK, _WINDOW_BYTES // (8 * built.dim ** 2)))
         self._k0, self._gammas = 0, []
 
     observed_parts = True
-
-    def evaluate_rows(self, Z):
-        return self.built.evaluate(Z)
 
     def _read(self, k: int) -> None:
         gammas = [self.schedule.value(j) for j in range(k, k + self._width)]
@@ -400,7 +393,7 @@ class GfbScheduleChannel(Channel):
         if gamma == built.gamma:
             native = exact = built.evaluate(z)[0]
         else:
-            native, exact = built.evaluate(z, gamma)[0], None
+            native, exact = built.evaluate(z, gamma=gamma)[0], None
         eps = errors(k)
         tilde = native if eps is None else native + eps
         return exact, tilde, None if exact is None or tilde is exact else tilde - exact
@@ -480,7 +473,11 @@ class GfbCertificates(_CertificateStream):
 class DrsBuilt:
     """The reflected-resolvent average of two resolvents at a common
     positive parameter on a single block, firmly non-expansive by
-    construction."""
+    construction.  Its channel's errors come in two stages: the
+    relaxation-stage error ``eps1``, then the shadow-point error ``eps2``."""
+
+    stages = 2
+    observed_parts = True
 
     def __init__(self, block1: MonotoneBlock, block2: MonotoneBlock, gamma: float,
                  dim: int):
@@ -488,42 +485,32 @@ class DrsBuilt:
             raise ParameterError(f"step size must be positive and finite, got {gamma}")
         self.block1, self.block2, self.gamma, self.dim = block1, block2, gamma, dim
         self.space = ProductSpace.single(dim)
+        self.segments = (dim, dim)
         self.j1 = lambda v: self.block1.resolvent(v, gamma)
         self.j2 = lambda v: self.block2.resolvent(v, gamma)
         self.operator = OperatorSpec(lambda z: self.evaluate(z)[0], 0.5, "drs",
                                      self.space)
 
-    def evaluate(self, z: np.ndarray):
-        """``(T z, parts)``: the reflected-resolvent average and its internals
-        ``parts = (x, w, u)``, the shadow point ``x = j2(z)``, the reflection
-        ``w = 2 x - z`` and ``u = j1(w)``; of a point or a ``(C, size)``
-        stack of points, row for row the same bits."""
-        x = self.j2(z)
+    def evaluate(self, z: np.ndarray, errs: Optional[np.ndarray] = None):
+        """``(T z, parts)``: the reflected-resolvent average of a point or a
+        ``(C, size)`` stack of points, row for row the same bits, split at
+        its shadow point ``j2(z)`` (:meth:`reflect`)."""
+        return self.reflect(z, self.j2(z), errs)
+
+    def reflect(self, z: np.ndarray, x: np.ndarray, errs: Optional[np.ndarray] = None):
+        """``(T z, parts)`` from the shadow point ``x = j2(z)`` on, with the
+        internals ``parts = (x, w, u)``: the shadow point, the reflection ``w
+        = 2 x - z`` and ``u = j1(w)``.  ``errs``, the channel's row (or rows)
+        of stage errors ``(eps1, eps2)``, moves the shadow point to ``x +
+        eps2``, so the reflection to ``w + 2 eps2``, and adds ``eps1`` to the
+        averaged update."""
         w = 2.0 * x - z
+        if errs is not None:
+            e1, e2 = errs[..., :self.dim], errs[..., self.dim:]
+            x, w = x + e2, w + 2.0 * e2
         u = self.j1(w)
-        return 0.5 * (2.0 * u - w + z), (x, w, u)
-
-
-class DrsChannelModel(_SplittingChannel):
-    """Relaxation-stage error ``eps1`` (added to the averaged update) and
-    then shadow-point error ``eps2`` (perturbing the second resolvent
-    output).  The exact output of an inexact step is left to the chunk."""
-
-    segments_of = staticmethod(lambda built: (built.dim, built.dim))
-    observed_parts = True
-
-    def evaluate_rows(self, Z):
-        return self.built.evaluate(Z)
-
-    def evaluate(self, k, z, errors):
-        built = self.built
-        errs = errors(k)
-        if errs is None:
-            exact = built.evaluate(z)[0]
-            return exact, exact, None
-        e1, e2 = errs[:built.dim], errs[built.dim:]
-        w = 2.0 * built.j2(z) - z + 2.0 * e2
-        return None, 0.5 * (2.0 * built.j1(w) - w + z) + e1, None
+        out = 0.5 * (2.0 * u - w + z)
+        return (out if errs is None else out + e1), (x, w, u)
 
 
 class DrsCertificates(_CertificateStream):
@@ -534,13 +521,12 @@ class DrsCertificates(_CertificateStream):
     the bound ``((1 + lam)/gamma) * pointwise bound + c_k`` as scale and
     offset (``c_k = (1/gamma)((2 + lam)||eps2|| + ||eps1||)``, 0 for an
     exact step), and the larger membership residual of the two blocks (None
-    when neither is recognized).  A step with a shadow-point error ``eps2``
-    certifies the shadow point ``x + eps2`` and ``u = j1(w + 2 eps2)`` at
-    the reflection ``w`` perturbed as its channel perturbed it, taken for
-    the chunk in one stacked resolvent; a step whose ``eps2`` is zero keeps
-    the exact ``u``.  ``v`` is the next step's shadow point; for a chunk's
-    last step it is ``j2`` of the chunk's last iterate, one resolvent per
-    chunk."""
+    when neither is recognized).  An inexact chunk certifies its steps'
+    perturbed shadow points ``x + eps2`` and ``u = j1(w + 2 eps2)``, as the
+    channel perturbed them: :meth:`DrsBuilt.reflect` at the exact shadow
+    points and the chunk's stage errors, one stacked resolvent.  ``v`` is
+    the next step's shadow point; for a chunk's last step it is ``j2`` of
+    the chunk's last iterate, one resolvent per chunk."""
 
     def __init__(self, built: DrsBuilt):
         super().__init__(built)
@@ -549,14 +535,12 @@ class DrsCertificates(_CertificateStream):
 
     def observe(self, steps: Steps) -> None:
         built = self.built
-        z, lam, (x, w, u) = steps.z, steps.lam, steps.parts
+        z, lam, (x, _, u), errs = steps.z, steps.lam, steps.parts, steps.errors
         v = np.concatenate((x[1:], built.j2(z[-1])[None]))
         norm1 = norm2 = np.zeros(len(lam))
-        if steps.errors is not None:
-            e1, e2 = steps.errors[:, :built.dim], steps.errors[:, built.dim:]
-            hit = e2.any(axis=1)[:, None]       # (2 x - z) + 2 e2, as the channel adds
-            x, u = np.where(hit, x + e2, x), np.where(hit, built.j1(w + 2.0 * e2), u)
-            norm1, norm2 = _l2_rows(e1), _l2_rows(e2)
+        if errs is not None:
+            _, (x, _, u) = built.reflect(z[:-1], x, errs)
+            norm1, norm2 = _l2_rows(errs[:, :built.dim]), _l2_rows(errs[:, built.dim:])
         r1 = 2.0 * x - z[:-1] - u
         r2 = z[1:] - v
         residuals = [r for r in (
@@ -613,8 +597,12 @@ class PdsBuilt:
     verbatim; the plain direct-sum norm stays available for the surrogate
     termination criterion, which carries the stated ``2 delta / eta`` factor.
     Inadmissible step sizes raise a parameter error that gives the computed
-    preconditioner constants.
+    preconditioner constants.  Its channel's errors come in four stages (see
+    :meth:`evaluate`), one segment per primal or dual block each.
     """
+
+    stages = 4
+    observed_parts = False
 
     def __init__(self, primal_block: MonotoneBlock, tau: float, dim_primal: int,
                  duals: List[PdsDualTerm], smooth: Optional[CocoerciveMap] = None):
@@ -673,8 +661,11 @@ class PdsBuilt:
             M[s, s0] = -t.L
             M[s, s] = np.eye(t.L.shape[0]) / t.sigma
         self.space = ProductSpace(dims, weights, metric=M)
+        self.segments = (dim_primal,) + dims + dims[1:]
+        self._stage_slices = _layout(self.segments)
 
-        self.operator = OperatorSpec(self.block_step, self.alpha, "pds", self.space)
+        self.operator = OperatorSpec(lambda z: self.evaluate(z)[0], self.alpha, "pds",
+                                     self.space)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -683,13 +674,18 @@ class PdsBuilt:
         s = term.sigma
         return w - s * term.block.resolvent(w / s, 1.0 / s)
 
-    def block_step(self, z: np.ndarray, errs=None) -> np.ndarray:
-        """The fixed-point operator via the block recursion: primal
-        resolvent, reflection, dual resolvents; of a point or a ``(C,
-        size)`` stack of points, row for row the same bits.  ``errs = (e1,
-        e2, e3, e4)`` perturbs a point's evaluation by the channel's stages."""
+    def evaluate(self, z: np.ndarray, errs: Optional[np.ndarray] = None):
+        """``(T z, None)``: the fixed-point operator via the block recursion,
+        primal resolvent, reflection, dual resolvents; of a point or a ``(C,
+        size)`` stack of points, row for row the same bits.  ``errs``, the
+        channel's row (or rows) of stage errors, in draw order: the
+        forward-term error ``e1``, the post-primal-resolvent error ``e2``,
+        then the dual forward-term errors ``e3`` and the post-dual-resolvent
+        errors ``e4``, one per dual term each."""
         x, *vs = (z[..., s] for s in self.space._slices)
-        e1, e2, e3, e4 = errs if errs is not None else (None, None, None, None)
+        if errs is not None:
+            e1, e2, *duals = (errs[..., s] for s in self._stage_slices)
+            e3, e4 = duals[:len(self.duals)], duals[len(self.duals):]
         s = np.zeros_like(x)
         for t, v in zip(self.duals, vs):
             s = s + t.omega * apply_rows(t.L.T, v)
@@ -711,32 +707,7 @@ class PdsBuilt:
             if errs is not None:
                 qi = qi + e4[i]
             q.append(qi)
-        return np.concatenate((p, *q), axis=-1)
-
-
-class PdsChannelModel(_SplittingChannel):
-    """Four error stages, in draw order: forward-term ``e1``,
-    post-primal-resolvent ``e2``, then the dual forward-term errors ``e3``
-    and the post-dual-resolvent errors ``e4``, one per dual term each.  The
-    exact output of an inexact step is left to the chunk."""
-
-    stages = 4
-
-    segments_of = staticmethod(lambda built: 2 * (built.dim_primal,)
-                               + 2 * tuple(t.L.shape[0] for t in built.duals))
-
-    def evaluate_rows(self, Z):
-        return self.built.block_step(Z), None
-
-    def evaluate(self, k, z, errors):
-        built = self.built
-        errs = errors(k)
-        if errs is None:
-            exact = built.block_step(z)
-            return exact, exact, None
-        e1, e2, *duals = (errs[s] for s in self._slices)
-        e3, e4 = duals[:len(duals) // 2], duals[len(duals) // 2:]
-        return None, built.block_step(z, errs=(e1, e2, e3, e4)), None
+        return np.concatenate((p, *q), axis=-1), None
 
 
 class PdsCertificates(_CertificateStream):

@@ -282,14 +282,36 @@ def gfb_resolve(built, args: np.ndarray, params) -> np.ndarray:
     return u
 
 
-def gfb_step(built, z: np.ndarray, gamma=None):
+def gfb_step(built, z: np.ndarray, errs=None, gamma=None):
     """``(T z, (x, B x, args, u))`` of the GFB splitting ``built`` at one
     point ``z``, at the step size ``gamma`` (the splitting's own by
-    default), with the resolvents at ``gamma / w_i``."""
+    default), with the resolvents at ``gamma / w_i``.  The stage errors
+    ``errs = (b, a_1 .. a_n)`` perturb it as the paper's inexact GFB does:
+    ``b`` is added to every block's resolvent argument, and ``a_i`` to
+    block ``i``'s output."""
     gamma = built.gamma if gamma is None else gamma
     Z, x, gx, args = gfb_arguments(built, z, gamma)
+    if errs is not None:
+        b, *a = np.split(errs, built.n + 1)
+        args = np.stack([arg + b for arg in args])
     u = gfb_resolve(built, args, [gamma / w for w in built._w])
-    return (Z + u - x).ravel(), (x, gx, args, u)
+    out = Z + u - x
+    if errs is not None:
+        out = np.stack([row + ai for row, ai in zip(out, a)])
+    return out.ravel(), (x, gx, args, u)
+
+
+def drs_step(built, z: np.ndarray, errs=None) -> np.ndarray:
+    """``T z`` of the DRS splitting ``built`` at one point ``z``: the average
+    of ``z`` and the reflected resolvents.  The stage errors ``errs =
+    (eps1, eps2)`` perturb it as the paper's inexact DRS does: the shadow
+    point ``j2(z)`` is ``j2(z) + eps2``, and ``eps1`` is added to the
+    averaged update."""
+    e1, e2 = np.split(errs, 2) if errs is not None else (0.0, 0.0)
+    x = built.block2.resolvent(z, built.gamma) + e2
+    w = 2.0 * x - z
+    u = built.block1.resolvent(w, built.gamma)
+    return 0.5 * (z + (2.0 * u - w)) + e1
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +390,7 @@ def pds_metric_blocks(built, a: np.ndarray) -> np.ndarray:
 def pds_abstract_step(built, z: np.ndarray) -> np.ndarray:
     """The primal-dual operator in its preconditioned resolvent form: solve
     ``M u = B z`` for the single-valued forward terms ``B``, then apply the
-    coupled resolvent at ``z - u``.  The reference for ``block_step``, which
+    coupled resolvent at ``z - u``.  The reference for ``PdsBuilt.evaluate``, which
     folds the solve into its block recursion."""
     space = built.space
     x, *vs = space.blocks(z)
@@ -488,13 +510,13 @@ def per_step_run(channel, z0: np.ndarray, lam: float,
                 raise NumericalError(f"non-finite error norm at step {k}")
 
         # cross-check the residual against its update-rule form; the test is
-        # drift > tol * max(1, ||eps||, ||z||), with ||z|| only evaluated
-        # when needed
+        # drift > tol * max(1, ||eps||, ||z|| / min(lam, 1)), with ||z|| only
+        # evaluated when needed
         back = step * (1.0 / lam)
         e_rec = back + eps_vec if eps_vec is not None else back
         drift = norm(e - e_rec)
         if (drift > _IDENTITY_TOL and drift > _IDENTITY_TOL * epsn
-                and drift > _IDENTITY_TOL * norm(z)):
+                and drift > _IDENTITY_TOL * norm(z) / min(lam, 1.0)):
             raise NumericalError(
                 f"residual identity violated at step {k}: drift {drift:.3e}"
             )

@@ -1,4 +1,5 @@
 import functools
+import math
 import re
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from kmcert.km import (
     FixedPointSet,
     GammaSchedule,
     StopRule,
+    _validate_admissible,
     run_km,
 )
 from kmcert.operators import OperatorSpec, zero_operator
@@ -183,18 +185,42 @@ class TestSchedules:
         assert all(lo <= sched.value(j) <= hi for j in (0, 1, 2, k))
         assert {lo, hi} == {sched.value(0), sched.limit}
 
-    @pytest.mark.parametrize("kind", sorted(SCHEDULES))
-    @given(data=st.data(), k=st.integers(0, 10 ** 6))
-    def test_channel_alphas_bound_every_step(self, kind, data, k):
-        # beta = 1: the schedule's values lie in (0, 2)
-        sched = data.draw(schedules(kind, 1e-3, 1.99))
+    @staticmethod
+    def assert_alphas_admit_every_step(sched, ks):
+        # the engine checks the relaxation against the channel's alphas
+        # only: the largest relaxation they admit, and a fraction of it, is
+        # admitted at every step's own averagedness (alpha_at is monotone up
+        # to its rounding, which the check's 1e-12 slack absorbs)
         b = base_gfb().built
         built = GfbBuilt(b.blocks, b.weights, sched.limit, b.dim, b.smooth)
         channel = GfbScheduleChannel(built, sched, ErrorSchedule.power(0.0, 3.0))
         lo, hi = sched.interval
         assert channel.alphas == tuple(built.alpha_at(g) for g in sorted({lo, hi}))
-        assert all(channel.alphas[0] <= built.alpha_at(sched.value(j)) <= channel.alphas[-1]
-                   for j in (0, 1, 2, k))
+        cap = min(_validate_admissible(1e-3, a) for a in channel.alphas)
+        for lam in (cap, 0.5 * cap):
+            for a in channel.alphas:
+                _validate_admissible(lam, a)
+            for j in ks:
+                _validate_admissible(lam, built.alpha_at(sched.value(j)))
+
+    @pytest.mark.parametrize("kind", sorted(SCHEDULES))
+    @given(data=st.data(), k=st.integers(0, 10 ** 6))
+    def test_channel_alphas_bound_every_step(self, kind, data, k):
+        # beta = 1: the schedule's values lie in (0, 2)
+        self.assert_alphas_admit_every_step(data.draw(schedules(kind, 1e-3, 1.99)), (0, 1, 2, k))
+
+    def test_channel_alphas_admit_a_step_whose_alpha_rounds_below_them(self):
+        # alpha_at is not monotone to the last bit: a start one ulp above the
+        # limit gives alphas (0.6709187735198611, 0.670918773519861), and
+        # step 0's alpha_at lies below the first
+        limit = 1.0190132115288106
+        sched = GammaSchedule.harmonic(limit, math.nextafter(limit, 3.0))
+        b = base_gfb().built
+        built = GfbBuilt(b.blocks, b.weights, limit, b.dim, b.smooth)
+        alphas = GfbScheduleChannel(built, sched, ErrorSchedule.power(0.0, 3.0)).alphas
+        assert alphas == (0.6709187735198611, 0.670918773519861)
+        assert built.alpha_at(sched.value(0)) < alphas[0]
+        self.assert_alphas_admit_every_step(sched, (0, 1, 2, 10 ** 6))
 
     def test_gamma_schedule_values_and_flags(self):
         g = GammaSchedule.geometric(1.5, 1.9)
@@ -335,9 +361,25 @@ class MisreportingChannel(Channel):
 
 
 class TestResidualIdentity:
-    """The residual-identity check allows rounding relative to
-    ``max(1, ||z||, ||eps||)``, not more (a large error that passes is
+    """The residual-identity check allows rounding relative to ``max(1,
+    ||z|| / min(lam, 1), ||eps||)``, not more (a large error that passes is
     ``test_cli.py::TestLargeErrors``)."""
+
+    @pytest.mark.parametrize("lam", [1e-5, 1e-8, 1e-10])
+    def test_small_relaxation_passes_the_check(self, lam):
+        # (z - z+) / lam carries the rounding of z+, about u ||z||, times
+        # 1 / lam: drifts of 2.0e-11, 3.4e-9 and 4.8e-7 against ||z|| ~ 10
+        trace, _, series = make_two_subspaces(0.785, 4, lam=lam).certified_run(max_iters=300)
+        assert trace.n_steps == 300 and np.all(series.values <= series.bounds + 1e-10)
+
+    @pytest.mark.parametrize("lam, rel", [(1e-5, 1e-3), (1e-10, 1.0)])
+    def test_misreported_error_is_caught_at_a_small_relaxation(self, lam, rel):
+        # the allowance grows as 1 / lam (2e-7 and 2e-2 at ||z|| = 2): an
+        # error misreported by 1e-4 and 0.1 is still caught
+        sp = ProductSpace.single(4)
+        with pytest.raises(NumericalError, match="residual identity violated at step 0"):
+            run_km(MisreportingChannel(sp, 0.1, rel), sp.vector(np.ones(4)), lam,
+                   stop=StopRule(5, 0.0))
 
     @pytest.mark.parametrize("c", [0.1, 1e5])
     def test_misreported_error_is_caught(self, c):

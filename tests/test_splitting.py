@@ -28,16 +28,14 @@ from kmcert.splitting import (
     CocoerciveMap,
     DrsBuilt,
     DrsCertificates,
-    DrsChannelModel,
     GfbBuilt,
-    GfbChannelModel,
     GfbScheduleChannel,
     L1Block,
     LinearBlock,
     MonotoneBlock,
     PdsBuilt,
-    PdsChannelModel,
     PdsDualTerm,
+    SplittingChannel,
     SubspaceBlock,
     ZeroBlock,
     _inverse,
@@ -45,9 +43,8 @@ from kmcert.splitting import (
 from oracles import (
     check_averaged,
     check_firmly_nonexpansive,
-    gfb_arguments,
+    drs_step,
     gfb_certificate,
-    gfb_resolve,
     gfb_step,
     member_residual,
     pds_abstract_step,
@@ -637,7 +634,7 @@ def pds_instances(draw):
 def recorded_pds_instance():
     """A drawn instance whose output dwarfs its input: one dual term, ``d =
     1``, box blocks, a quadratic ``d_inv``, radicand 0.497, ``z = [1.227,
-    0.0871]`` mapped to about ``[1, 29878.7]``.  ``block_step`` and the
+    0.0871]`` mapped to about ``[1, 29878.7]``.  ``evaluate`` and the
     resolvent form differ there by 7.3e-12, two ulps of the output."""
     built = PdsBuilt(
         primal_block=BoxBlock(-1.0, 1.0), tau=2.06e3, dim_primal=1,
@@ -652,13 +649,13 @@ def recorded_pds_instance():
 @settings(max_examples=200, deadline=None)
 @given(pds_instances())
 @example(recorded_pds_instance())
-def test_pds_block_step_metric_and_positivity_on_generated_instances(drawn):
+def test_pds_evaluation_metric_and_positivity_on_generated_instances(drawn):
     built, z = drawn
     space = built.space
     M = space.metric
     # the block recursion is the preconditioned resolvent form, up to
     # rounding on the scale of the larger of the input and the output
-    out = built.block_step(z)
+    out = built.evaluate(z)[0]
     gap = space.base_norm(out - pds_abstract_step(built, z))
     assert gap <= 1e-12 * max(1.0, space.base_norm(z), space.base_norm(out))
     # M is self-adjoint in the weighted inner product: W M is symmetric
@@ -724,11 +721,19 @@ def bits(a: np.ndarray) -> tuple:
     return a.shape, a.dtype, a.tobytes()
 
 
+def stage_errors(inexact, rng, built, C):
+    """A drawn ``(C, S)`` stack of stage-error rows of ``built``, or None."""
+    if not inexact:
+        return None
+    return rng.standard_normal((C, sum(built.segments))) * 10.0 ** rng.uniform(-3.0, 1.0)
+
+
 @st.composite
 def gfb_stacks(draw):
     """A multiblock (2-4 blocks, ``d`` 2-12, a drawn problem seed) or lasso
-    instance, a stack of 1-40 points on a drawn scale and a step size: the
-    splitting's own (None) or one in ``(0, 2 beta)``."""
+    instance, a stack of 1-40 points on a drawn scale, a step size, the
+    splitting's own (None) or one in ``(0, 2 beta)``, and stage errors (or
+    None)."""
     seed = draw(st.integers(0, 2 ** 16))
     if draw(st.booleans()):
         built = make_gfb_multiblock(draw(st.integers(2, 4)), draw(st.integers(2, 12)),
@@ -738,19 +743,25 @@ def gfb_stacks(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     Z = rng.standard_normal((draw(st.integers(1, 40)), built.space.size))
     gamma = draw(st.none() | st.floats(0.05, 1.95).map(lambda f: f * built.smooth.beta))
-    return built, Z * 10.0 ** rng.uniform(-2.0, 2.0), gamma
+    E = stage_errors(draw(st.booleans()), rng, built, len(Z))
+    return built, Z * 10.0 ** rng.uniform(-2.0, 2.0), gamma, E
+
+
+def row(E, r):
+    return None if E is None else E[r]
 
 
 @settings(max_examples=80, deadline=None)
 @given(gfb_stacks())
 def test_stacked_gfb_evaluation_is_the_point_evaluation_row_by_row(drawn):
     # the engine finishes a chunk's deferred steps with the stacked kernel:
-    # each row, output and parts, carries the bits of the point's evaluation
-    built, Z, gamma = drawn
-    exact, parts = built.evaluate(Z, gamma)
+    # each row, output and parts, carries the bits of the point's evaluation,
+    # with its stage errors or without
+    built, Z, gamma, E = drawn
+    exact, parts = built.evaluate(Z, E, gamma)
     assert exact.shape == Z.shape
     for r, z in enumerate(Z):
-        want, want_parts = built.evaluate(z, gamma)
+        want, want_parts = built.evaluate(z, row(E, r), gamma)
         assert bits(exact[r]) == bits(want)
         assert [bits(p[r]) for p in parts] == [bits(p) for p in want_parts]
 
@@ -793,22 +804,26 @@ def value_bits(a: np.ndarray) -> tuple:
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 9), st.integers(1, 20), st.sampled_from([None, "quadratic", "envelope"]),
-       st.integers(1, 9), st.none() | st.floats(0.05, 1.95), st.integers(0, 2 ** 32 - 1))
-@example(9, 1, None, 3, None, 0)          # the block axis innermost: reduce sums pairwise
-@example(9, 1, "envelope", 1, 1.2, 1)
-@example(3, 1, "quadratic", 2, None, 2)
-def test_gfb_evaluation_is_the_block_by_block_step(n, d, smooth, C, gamma, seed):
-    # the consensus added a block at a time, the sign-form soft threshold:
-    # the same bits at a point and in each row of a stack, zeros as values
+       st.integers(1, 9), st.none() | st.floats(0.05, 1.95), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+@example(9, 1, None, 3, None, 0, False)   # the block axis innermost: reduce sums pairwise
+@example(9, 1, "envelope", 1, 1.2, 1, False)
+@example(3, 1, "quadratic", 2, None, 2, False)
+@example(3, 4, "quadratic", 2, None, 2, True)
+def test_gfb_evaluation_is_the_block_by_block_step(n, d, smooth, C, gamma, seed, inexact):
+    # the consensus added a block at a time, the sign-form soft threshold,
+    # the stage errors added stage by stage: the same bits at a point and in
+    # each row of a stack, zeros as values
     built = gfb_splitting(n, d, smooth, seed)
     if gamma is not None:
         gamma *= built.smooth.beta if built.smooth is not None else 1.0
     rng = np.random.default_rng(seed + 1)
     Z = rng.standard_normal((C, built.space.size)) * 10.0 ** rng.uniform(-2.0, 2.0)
-    exact, parts = built.evaluate(Z, gamma)
+    E = stage_errors(inexact, rng, built, C)
+    exact, parts = built.evaluate(Z, E, gamma)
     for r, z in enumerate(Z):
-        want, want_parts = gfb_step(built, z, gamma)
-        got, got_parts = built.evaluate(z, gamma)
+        want, want_parts = gfb_step(built, z, row(E, r), gamma)
+        got, got_parts = built.evaluate(z, row(E, r), gamma)
         assert value_bits(got) == value_bits(exact[r]) == value_bits(want)
         assert ([value_bits(p) for p in got_parts] == [value_bits(p[r]) for p in parts]
                 == [value_bits(p) for p in want_parts])
@@ -831,17 +846,15 @@ def test_one_dimensional_blocks_write_the_block_by_block_trace(
         cli.write_report(str(tmp_path / f"{tag}.json"), report)
         return [(tmp_path / f"{tag}.{ext}").read_bytes() for ext in ("csv", "json")]
 
-    def evaluate(self, z, gamma=None):
+    def evaluate(self, z, errs=None, gamma=None):
         if z.ndim == 1:
-            return gfb_step(self, z, gamma)
-        outs, parts = zip(*(gfb_step(self, row, gamma) for row in z))
+            return gfb_step(self, z, errs, gamma)
+        outs, parts = zip(*(gfb_step(self, z_r, row(errs, r), gamma)
+                            for r, z_r in enumerate(z)))
         return np.stack(outs), tuple(map(np.stack, zip(*parts)))
 
     kernel = run("kernel")
     monkeypatch.setattr(GfbBuilt, "evaluate", evaluate)
-    monkeypatch.setattr(GfbBuilt, "_arguments", gfb_arguments)
-    monkeypatch.setattr(GfbBuilt, "resolve_all", lambda self, args, params=None: (
-        gfb_resolve(self, args, params or self._params)))
     monkeypatch.setattr("kmcert.splitting._weighted_sum", lambda W, rows: (
         weighted_sum(W[:, 0], np.moveaxis(rows, -2, 0))[..., None, :]))
     assert run("oracle") == kernel
@@ -889,26 +902,26 @@ def two_dual_pds_with_forward_terms():
 
 
 @settings(max_examples=100, deadline=None)
-@given(pds_instances(), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
-@example(two_dual_pds_with_forward_terms(), 7, 0)
-def test_stacked_pds_block_step_is_the_point_block_step_row_by_row(drawn, C, seed):
+@given(pds_instances(), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.booleans())
+@example(two_dual_pds_with_forward_terms(), 7, 0, False)
+@example(two_dual_pds_with_forward_terms(), 7, 0, True)
+def test_stacked_pds_evaluation_is_the_point_evaluation_row_by_row(drawn, C, seed, inexact):
     # the engine finishes an inexact PDS step's exact output with the
-    # stacked block recursion: each row carries the bits of its point's
+    # stacked block recursion: each row carries the bits of its point's,
+    # with its stage errors or without
     built, z = drawn
     rng = np.random.default_rng(seed)
     Z = np.vstack([z, rng.standard_normal((C - 1, z.size)) * 10.0 ** rng.uniform(-2.0, 2.0)])
-    out = built.block_step(Z)
-    assert out.shape == Z.shape
-    assert [bits(row) for row in out] == [bits(built.block_step(z)) for z in Z]
+    E = stage_errors(inexact, rng, built, C)
+    out, parts = built.evaluate(Z, E)
+    assert out.shape == Z.shape and parts is None
+    assert [bits(out_r) for out_r in out] == [
+        bits(built.evaluate(z, row(E, r))[0]) for r, z in enumerate(Z)]
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
-def test_stacked_drs_evaluation_is_the_point_evaluation_row_by_row(d, C, seed):
-    # the engine finishes an inexact DRS step's exact output with the
-    # stacked evaluation: each row, output and parts, carries the bits of
-    # its point's, over subspace, linear, l1 and box blocks
-    rng = np.random.default_rng(seed)
+def drs_splitting(d, rng):
+    """A DRS splitting of two blocks of dimension ``d``, each a subspace,
+    linear, l1 or box block, at a drawn step size."""
 
     def block():
         kind = rng.integers(4)
@@ -921,14 +934,53 @@ def test_stacked_drs_evaluation_is_the_point_evaluation_row_by_row(d, C, seed):
             return L1Block(rng.uniform(0.1, 2.0))
         return BoxBlock(-rng.uniform(0.1, 2.0, d), rng.uniform(0.1, 2.0, d))
 
-    built = DrsBuilt(block(), block(), float(rng.uniform(0.1, 5.0)), d)
+    return DrsBuilt(block(), block(), float(rng.uniform(0.1, 5.0)), d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_stacked_drs_evaluation_is_the_point_evaluation_row_by_row(d, C, seed, inexact):
+    # the engine finishes an inexact DRS step's exact output with the
+    # stacked evaluation, and the inexact certificate reflects a chunk's
+    # shadow points with its stage errors: each row, output and parts,
+    # carries the bits of its point's, over subspace, linear, l1 and box
+    # blocks, with its stage errors or without
+    rng = np.random.default_rng(seed)
+    built = drs_splitting(d, rng)
     Z = rng.standard_normal((C, d)) * 10.0 ** rng.uniform(-2.0, 2.0)
-    exact, parts = built.evaluate(Z)
+    E = stage_errors(inexact, rng, built, C)
+    exact, parts = built.evaluate(Z, E)
     assert exact.shape == Z.shape
     for r, z in enumerate(Z):
-        want, want_parts = built.evaluate(z)
+        want, want_parts = built.evaluate(z, row(E, r))
         assert bits(exact[r]) == bits(want)
         assert [bits(p[r]) for p in parts] == [bits(p) for p in want_parts]
+
+
+@pytest.mark.parametrize("kind", ["gfb", "drs"])
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 12), st.floats(1e-3, 10.0), st.integers(0, 2 ** 32 - 1))
+def test_inexact_channel_step_is_the_documented_perturbation(kind, n, d, c, seed):
+    # an inexact step of a splitting's channel applies its stage errors as
+    # the paper's inexact method does, against an independent per-step
+    # oracle: GFB bit for bit (zeros as values), DRS up to rounding
+    rng = np.random.default_rng(seed)
+    if kind == "gfb":
+        built = gfb_splitting(n, d, rng.choice([None, "quadratic", "envelope"]), seed)
+    else:
+        built = drs_splitting(d, rng)
+    channel = SplittingChannel(built, ErrorSchedule.power(c, 1.0))
+    errors = channel.errors(np.random.default_rng(seed))
+    z = rng.standard_normal(built.space.size) * 10.0 ** rng.uniform(-2.0, 2.0)
+    for k in range(3):
+        exact, tilde, eps = channel.evaluate(k, z, errors)
+        assert exact is None and eps is None        # left to the chunk
+        errs = errors(k)
+        if kind == "gfb":
+            assert value_bits(tilde) == value_bits(gfb_step(built, z, errs)[0])
+        else:
+            scale = 1.0 + np.linalg.norm(z) + np.linalg.norm(errs)
+            assert np.linalg.norm(tilde - drs_step(built, z, errs)) <= 1e-13 * scale
 
 
 def test_harmonic_run_inverts_the_limit_once(monkeypatch):
@@ -1031,7 +1083,7 @@ def two_dual_pds(law):
     duals = [PdsDualTerm(block=L1Block(1.0), L=0.1 * rng.standard_normal((m, 3)),
                          sigma=0.5, omega=0.5) for m in (2, 4)]
     built = PdsBuilt(primal_block=ZeroBlock(), tau=0.5, dim_primal=3, duals=duals)
-    return PdsChannelModel(built, law)
+    return SplittingChannel(built, law)
 
 
 def segments(sizes):
@@ -1046,9 +1098,9 @@ def segments(sizes):
 CHANNELS = {
     "bare": (lambda law: Channel(make_zero_map(d=4).operator, law),
              lambda eps, row: [eps], [4], 1.0, True),
-    "gfb": (lambda law: GfbChannelModel(make_gfb_multiblock(3, 5).built, law),
+    "gfb": (lambda law: SplittingChannel(make_gfb_multiblock(3, 5).built, law),
             segments([5, 5, 5, 5]), [5, 5, 5, 5], 2.0, False),
-    "drs": (lambda law: DrsChannelModel(make_two_subspaces(np.pi / 4, 3).built, law),
+    "drs": (lambda law: SplittingChannel(make_two_subspaces(np.pi / 4, 3).built, law),
             segments([3, 3]), [3, 3], 2.0, False),
     "pds": (two_dual_pds, segments([3, 3, 2, 4, 2, 4]), [3, 3, 2, 4, 2, 4], 4.0, False),
     # gamma_k = gamma: the reported error is (exact + injected) - exact
